@@ -6,7 +6,7 @@ GO ?= go
 # PR number stamped into the benchmark artifact name (BENCH_$(PR).json).
 PR ?= 10
 
-.PHONY: build test race bench bench-smoke lint serve-smoke recovery-smoke coldstore-smoke subscribe-smoke ci fmt
+.PHONY: build test race bench bench-smoke bench-module loc lint serve-smoke recovery-smoke coldstore-smoke subscribe-smoke ci fmt
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,10 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Race-detector pass focused on the concurrency surface: the batch/stream
-# parity suite (sequential + concurrent-interleaving variants), the fan-in
-# driver, the lock-striped store, the query engine's concurrent read path
+# Race-detector pass focused on the concurrency surface: the parity suite
+# (the stream path and ProcessRecords against the batch-kernel oracle,
+# sequential + concurrent-interleaving variants), the fan-in driver, the
+# lock-striped store, the query engine's concurrent read path
 # (queries racing live ingestion — including the parallel executor, forced
 # on via QueryParallelism in the relational ingest test), the parallel
 # determinism property tests and the durability parity suite (checkpoints
@@ -37,6 +38,17 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 	$(GO) run ./cmd/semitri-bench -exp all -scale 0.2 -json BENCH_$(PR).json
+
+# The benchmark under bench/ is a module of its own (replace semitri => ../),
+# so root `go build ./... && go test ./...` neither compiles nor tests it:
+# this target is what catches a root-module API change that breaks it.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go LOC by the rule of bench/main.go's nonTestLOC(): every *.go
+# minus *_test.go, bench/ and dot-directories excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/bench/*' ! -path '*/.*' -print0 | xargs -0 cat | wc -l
 
 # Formatting + vet + staticcheck; fails when any file needs gofmt.
 # staticcheck is skipped with a notice when the binary is not installed
@@ -80,7 +92,8 @@ coldstore-smoke:
 subscribe-smoke:
 	./scripts/subscribe-smoke.sh
 
-# What CI runs: build, lint, tests, a one-iteration bench smoke pass and
-# the serving-layer + crash-recovery + cold-store + live-subscription smokes.
-ci: build lint test serve-smoke recovery-smoke coldstore-smoke subscribe-smoke
+# What CI runs: build, lint, tests, the nested benchmark module, a
+# one-iteration bench smoke pass and the serving-layer + crash-recovery +
+# cold-store + live-subscription smokes.
+ci: build lint test bench-module serve-smoke recovery-smoke coldstore-smoke subscribe-smoke
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

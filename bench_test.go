@@ -316,3 +316,35 @@ func BenchmarkPipelineTaxiTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProcessRecordsPeople measures ProcessRecords on a multi-object
+// batch (16 users x 2 days) at Workers 1 and 4 — the traffic cmd/semitri, the
+// examples and the paper tables run. Building the pipeline is not timed.
+func BenchmarkProcessRecordsPeople(b *testing.B) {
+	env := benchEnv(b)
+	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(16, 2, 99))
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := ds.Records()
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := semitri.DefaultConfig()
+			cfg.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := semitri.New(semitri.Sources{
+					Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
+				}, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := p.ProcessRecords(records); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,7 +8,7 @@
 //
 //	semitri -in people.csv [-profile people|vehicle] [-seed 1] [-pois 8000]
 //	        [-store out/store.json] [-max-trajectories 10] [-summary]
-//	        [-workers 4] [-stream] [-stream-workers 4] [-progress 5000]
+//	        [-workers 4] [-stream] [-progress 5000]
 //	        [-data-dir dir] [-trace "episodes kind=stop"]
 //	        [-log-level info] [-log-format text|json]
 //
@@ -29,19 +29,19 @@
 // With -in omitted the command generates a small demonstration dataset on
 // the fly so it can be run with no arguments.
 //
-// With -stream the input is ingested through the online pipeline instead of
-// the batch one: the CSV is read line by line (never fully in memory), each
-// record goes through semitri.StreamProcessor.Add, episodes are annotated
-// as they close, and ingestion progress is reported every -progress records.
-// For input whose records are time-ordered per object (what semitri-gen
-// writes, and what a live feed delivers) the resulting store is identical to
-// a batch run on the same input; records arriving out of order are dropped
-// by the streaming cleaner, where batch mode would sort them first.
+// Without -stream the whole input is read into memory, sorted and fed
+// through the pipeline's one ingest path (semitri.Pipeline.ProcessRecords).
+// With -stream the CSV is read line by line (never fully in memory), each
+// record goes through semitri.StreamProcessor.Add as it is read, and
+// ingestion progress is reported every -progress records. For input whose
+// records are time-ordered per object (what semitri-gen writes, and what a
+// live feed delivers) both leave the same store; records arriving out of
+// order are dropped by the streaming cleaner, where the default mode sorts
+// them first.
 //
-// -workers bounds the trajectories annotated concurrently in batch mode;
-// -stream-workers fans the streaming feed across that many concurrent
-// ingestion goroutines, sharded by object id so each object's records keep
-// their order while different objects are annotated in parallel.
+// -workers is the number of concurrent ingestion goroutines in both modes,
+// sharded by object id so each object's records keep their order while
+// different objects are annotated in parallel.
 package main
 
 import (
@@ -74,9 +74,8 @@ func main() {
 	geojsonPath := flag.String("geojson", "", "write the merged semantic trajectories as a GeoJSON FeatureCollection to this path")
 	maxTrajectories := flag.Int("max-trajectories", 5, "maximum number of trajectories to print (0 = all)")
 	summary := flag.Bool("summary", false, "print aggregate analytics instead of per-trajectory output")
-	workers := flag.Int("workers", 0, "trajectories annotated concurrently in batch mode (0 = profile default)")
-	stream := flag.Bool("stream", false, "ingest through the online streaming pipeline instead of the batch one")
-	streamWorkers := flag.Int("stream-workers", 1, "with -stream, concurrent ingestion goroutines (records sharded by object)")
+	workers := flag.Int("workers", 0, "concurrent ingestion goroutines, records sharded by object (0 = profile default)")
+	stream := flag.Bool("stream", false, "read the input line by line and ingest it as it is read, instead of loading and sorting it first")
 	progress := flag.Int("progress", 5000, "with -stream, report ingestion progress every N records")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + final checkpoint); use a fresh directory per dataset")
 	traceQ := flag.String("trace", "", "relational statement to run after ingestion with its EXPLAIN ANALYZE trace printed")
@@ -117,9 +116,10 @@ func main() {
 	}
 
 	start := time.Now()
+	metricsBefore := obs.Default().Numeric()
 	var result *semitri.Result
 	if *stream {
-		result = runStream(pipeline, *in, city, *seed, *progress, *streamWorkers)
+		result = runStream(pipeline, *in, city, *seed, *progress, cfg.Workers)
 	} else {
 		var records []gps.Record
 		if *in == "" {
@@ -217,12 +217,13 @@ func main() {
 		fmt.Printf("trace for %q (%d rows, plan %s):\n%s\n\n", *traceQ, rows, res.Plan, data)
 	}
 	// Latency breakdown mirrors Fig. 17.
-	lat := pipeline.Latency()
-	fmt.Println("latency per trajectory (avg):")
-	for _, stage := range lat.Stages() {
-		fmt.Printf("  %-22s %8.3f ms over %d trajectories\n",
-			stage, float64(lat.Average(stage).Microseconds())/1000.0, lat.Count(stage))
+	latencies := obs.IngestStageLatencies(metricsBefore, obs.Default().Numeric())
+	fmt.Printf("latency per trajectory (avg over %d trajectories):\n", latencies[0].Trajectories)
+	for _, l := range latencies {
+		fmt.Printf("  %-22s %8.3f ms from %d timed calls\n",
+			l.Stage, float64(l.PerTrajectory.Microseconds())/1000.0, l.Count)
 	}
+	fmt.Println("  (compute episode times 1 record in 64, scaled to all records, without the end-of-trajectory flush; the other stages time every call)")
 	// Durable runs end with a checkpoint, leaving the data dir ready for
 	// `semitri-serve -data-dir`.
 	if err := pipeline.Close(); err != nil {
@@ -321,7 +322,7 @@ func runStream(pipeline *semitri.Pipeline, in string, city *workload.City, seed 
 }
 
 // demoRecords generates the small demonstration people dataset used when no
-// -in file is given, for both the batch and the streaming mode.
+// -in file is given, with or without -stream.
 func demoRecords(city *workload.City, seed int64) []gps.Record {
 	slog.Info("no -in file given; generating a small demonstration people dataset")
 	ds, err := workload.GeneratePeople(city, workload.DefaultPeopleConfig(2, 2, seed+1))

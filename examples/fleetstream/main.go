@@ -4,7 +4,7 @@
 // example plays back a whole fleet of users at once: their records arrive
 // interleaved on a single feed — the shape of a real middleware ingest — and
 // StreamProcessor.FanIn shards that feed by object id across worker
-// goroutines. Each object's records keep their order (so the batch/stream
+// goroutines. Each object's records keep their order (so the
 // parity guarantee still holds), while different objects run the full
 // clean → segment → episode → annotate → append chain in parallel on the
 // per-object streaming engine and the lock-striped store.

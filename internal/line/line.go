@@ -109,7 +109,7 @@ func (a *Annotator) Config() Config { return a.cfg }
 // Cursor is the per-object locality cache of the line layer: the last
 // candidate-segment query, inflated so nearby GPS records are answered by a
 // slice filter instead of an index descent. Not safe for concurrent use;
-// keep one per moving object (or per trajectory in the batch path).
+// keep one per moving object.
 type Cursor struct {
 	cand *spatial.Cursor
 }

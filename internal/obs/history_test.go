@@ -136,3 +136,38 @@ func TestHistoryStartAndClose(t *testing.T) {
 	h2 := NewHistory(r, 2, time.Hour)
 	h2.Close()
 }
+
+// TestIngestStageLatencies pins the Fig. 17 arithmetic on a synthetic delta:
+// an every-call stage averages its summed time over the trajectories closed,
+// the sampled tracker stage first scales its sampled mean to every record.
+func TestIngestStageLatencies(t *testing.T) {
+	before := map[string]float64{
+		"semitri_ingest_records_total":                     1000,
+		`semitri_ingest_stage_ns_sum{stage="map_match"}`:   500,
+		`semitri_ingest_stage_ns_count{stage="map_match"}`: 1,
+	}
+	after := map[string]float64{
+		"semitri_ingest_records_total":                     1640,
+		"semitri_ingest_trajectories_total":                4,
+		`semitri_ingest_stage_ns_sum{stage="track"}`:       2000, // 10 timed records, 200 ns each
+		`semitri_ingest_stage_ns_count{stage="track"}`:     10,
+		`semitri_ingest_stage_ns_sum{stage="map_match"}`:   8500,
+		`semitri_ingest_stage_ns_count{stage="map_match"}`: 9,
+	}
+	got := map[string]StageLatency{}
+	for _, l := range IngestStageLatencies(before, after) {
+		got[l.Stage] = l
+	}
+	if len(got) != 6 {
+		t.Fatalf("want the six Fig. 17 stages, got %v", got)
+	}
+	if l := got["compute episode"]; l.Count != 10 || l.Trajectories != 4 || l.PerTrajectory != 200*640/4 {
+		t.Fatalf("compute episode = %+v, want 10 calls, 4 trajectories, 32µs per trajectory", l)
+	}
+	if l := got["map match"]; l.Count != 8 || l.PerTrajectory != 2000 {
+		t.Fatalf("map match = %+v, want 8 calls, 2µs per trajectory", l)
+	}
+	if l := got["poi annotation"]; l.Count != 0 || l.PerTrajectory != 0 {
+		t.Fatalf("poi annotation = %+v, want zero", l)
+	}
+}

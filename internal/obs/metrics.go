@@ -1,6 +1,9 @@
 package obs
 
-import "strings"
+import (
+	"strings"
+	"time"
+)
 
 // The process-wide metric catalogue. Every subsystem records into these
 // package-level vars; keeping the catalogue in one file keeps naming
@@ -8,23 +11,75 @@ import "strings"
 // to audit. Label "vecs" are deliberately small and fixed — one registered
 // metric per label value — so the record path never touches a map.
 
-// Ingest (stream.go).
+// Ingest (stream.go). The stage family carries the per-record stages
+// (clean, segment, track — sampled, see objectStream.sampleTimed) and the
+// per-episode and per-trajectory stages of the paper's Fig. 17, which are
+// rare enough to be timed on every call.
+const ingestStageHelp = "Latency of each streaming ingest stage, in nanoseconds (per-record stages sampled)."
+
 var (
 	IngestRecords = NewCounter("semitri_ingest_records_total",
 		"GPS records accepted by the streaming pipeline.")
-	IngestStageCleanNs = NewHistogram("semitri_ingest_stage_ns",
-		"Sampled per-record latency of each streaming ingest stage, in nanoseconds.",
-		nil, "stage", "clean")
-	IngestStageSegmentNs = NewHistogram("semitri_ingest_stage_ns",
-		"Sampled per-record latency of each streaming ingest stage, in nanoseconds.",
-		nil, "stage", "segment")
-	IngestStageTrackNs = NewHistogram("semitri_ingest_stage_ns",
-		"Sampled per-record latency of each streaming ingest stage, in nanoseconds.",
-		nil, "stage", "track")
-	IngestStageAnnotateNs = NewHistogram("semitri_ingest_stage_ns",
-		"Sampled per-record latency of each streaming ingest stage, in nanoseconds.",
-		nil, "stage", "annotate")
+	IngestTrajectories = NewCounter("semitri_ingest_trajectories_total",
+		"Trajectories closed and fully annotated by the streaming pipeline.")
+	IngestStageCleanNs        = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "clean")
+	IngestStageSegmentNs      = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "segment")
+	IngestStageTrackNs        = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "track")
+	IngestStageStoreEpisodeNs = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "store_episode")
+	IngestStageMapMatchNs     = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "map_match")
+	IngestStageStoreMatchNs   = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "store_match")
+	IngestStageLanduseNs      = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "landuse")
+	IngestStagePOINs          = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "poi")
 )
+
+// StageLatency is one row of the Fig. 17 breakdown: a pipeline stage, the
+// number of timed calls behind it and its estimated cost per trajectory,
+// averaged over Trajectories closed trajectories (the same on every row).
+type StageLatency struct {
+	Stage         string
+	Count         int64
+	Trajectories  int64
+	PerTrajectory time.Duration
+}
+
+// fig17Stages maps the paper's Fig. 17 row labels onto the stage histograms.
+// "compute episode" is the per-record tracker step; it is sampled, so its
+// Count is about records/64 and its total is the sampled mean times the
+// records ingested. The tracker's end-of-trajectory Finish is not part of it.
+var fig17Stages = []struct {
+	label, stage string
+	sampled      bool
+}{
+	{"compute episode", "track", true},
+	{"store episode", "store_episode", false},
+	{"map match", "map_match", false},
+	{"store match result", "store_match", false},
+	{"landuse (join)", "landuse", false},
+	{"poi annotation", "poi", false},
+}
+
+// IngestStageLatencies turns two Registry.Numeric snapshots taken around an
+// ingest run into the Fig. 17 per-stage latency breakdown, averaged over the
+// trajectories closed in between.
+func IngestStageLatencies(before, after map[string]float64) []StageLatency {
+	delta := func(id string) float64 { return after[id] - before[id] }
+	records := delta("semitri_ingest_records_total")
+	trajectories := delta("semitri_ingest_trajectories_total")
+	out := make([]StageLatency, 0, len(fig17Stages))
+	for _, s := range fig17Stages {
+		count := delta(`semitri_ingest_stage_ns_count{stage="` + s.stage + `"}`)
+		total := delta(`semitri_ingest_stage_ns_sum{stage="` + s.stage + `"}`)
+		if s.sampled && count > 0 {
+			total *= records / count
+		}
+		row := StageLatency{Stage: s.label, Count: int64(count), Trajectories: int64(trajectories)}
+		if trajectories > 0 {
+			row.PerTrajectory = time.Duration(total / trajectories)
+		}
+		out = append(out, row)
+	}
+	return out
+}
 
 // Store (internal/store).
 var (

@@ -154,7 +154,7 @@ func NewAnnotator(set *poi.Set, cfg Config) (*Annotator, error) {
 
 // Cursor is the per-object locality cache of the point layer: the last POI
 // candidate query around a stop centre. Not safe for concurrent use; keep
-// one per moving object (or per trajectory in the batch path).
+// one per moving object.
 type Cursor struct {
 	near *spatial.Cursor
 }

@@ -43,7 +43,7 @@ func NewAnnotator(m *landuse.Map) (*Annotator, error) {
 
 // Cursor is the per-object locality cache of the region layer: the last
 // land-use cell a record resolved to. Not safe for concurrent use; keep one
-// per moving object (or per trajectory in the batch path).
+// per moving object.
 type Cursor struct {
 	cell landuse.Cursor
 }

@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit used by SeMiTri's
 // Semantic Trajectory Analytics Layer and by the experiment harness:
-// summary statistics, category distributions (Figs. 9, 11, 14), logarithmic
-// histograms for the log-log plots of Fig. 12 and latency accounting for
-// Fig. 17.
+// summary statistics, category distributions (Figs. 9, 11, 14) and
+// logarithmic histograms for the log-log plots of Fig. 12.
 package stats
 
 import (
@@ -10,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Summary holds the classic five-number-style summary of a sample.
@@ -209,60 +207,6 @@ func (h *LogHistogram) Bins() []Bin {
 		out[i] = Bin{Lower: math.Pow(10, float64(k)/float64(h.BinsPerDecade)), Count: h.counts[k]}
 	}
 	return out
-}
-
-// LatencyBreakdown accumulates wall-clock time per named pipeline stage and
-// reports per-item averages (Fig. 17).
-type LatencyBreakdown struct {
-	totals map[string]time.Duration
-	counts map[string]int
-	order  []string
-}
-
-// NewLatencyBreakdown returns an empty latency accumulator.
-func NewLatencyBreakdown() *LatencyBreakdown {
-	return &LatencyBreakdown{totals: map[string]time.Duration{}, counts: map[string]int{}}
-}
-
-// Record adds one observation of the given stage.
-func (l *LatencyBreakdown) Record(stage string, d time.Duration) {
-	if _, seen := l.totals[stage]; !seen {
-		l.order = append(l.order, stage)
-	}
-	l.totals[stage] += d
-	l.counts[stage]++
-}
-
-// Stages returns the stage names in first-recorded order.
-func (l *LatencyBreakdown) Stages() []string { return append([]string(nil), l.order...) }
-
-// Average returns the mean duration recorded for the stage.
-func (l *LatencyBreakdown) Average(stage string) time.Duration {
-	n := l.counts[stage]
-	if n == 0 {
-		return 0
-	}
-	return l.totals[stage] / time.Duration(n)
-}
-
-// Total returns the accumulated duration of the stage.
-func (l *LatencyBreakdown) Total(stage string) time.Duration { return l.totals[stage] }
-
-// Count returns the number of observations of the stage.
-func (l *LatencyBreakdown) Count(stage string) int { return l.counts[stage] }
-
-// Merge adds the contents of other into l.
-func (l *LatencyBreakdown) Merge(other *LatencyBreakdown) {
-	if other == nil {
-		return
-	}
-	for _, s := range other.order {
-		if _, seen := l.totals[s]; !seen {
-			l.order = append(l.order, s)
-		}
-		l.totals[s] += other.totals[s]
-		l.counts[s] += other.counts[s]
-	}
 }
 
 // CompressionRatio returns 1 - compressed/original, i.e. the storage saving

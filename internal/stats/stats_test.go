@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarize(t *testing.T) {
@@ -139,40 +138,6 @@ func TestLogHistogram(t *testing.T) {
 	if h3.BinsPerDecade != 1 {
 		t.Fatalf("BinsPerDecade = %d", h3.BinsPerDecade)
 	}
-}
-
-func TestLatencyBreakdown(t *testing.T) {
-	l := NewLatencyBreakdown()
-	l.Record("compute episode", 10*time.Millisecond)
-	l.Record("compute episode", 20*time.Millisecond)
-	l.Record("store episode", 200*time.Millisecond)
-	if got := l.Average("compute episode"); got != 15*time.Millisecond {
-		t.Fatalf("Average = %v", got)
-	}
-	if got := l.Total("store episode"); got != 200*time.Millisecond {
-		t.Fatalf("Total = %v", got)
-	}
-	if l.Count("compute episode") != 2 || l.Count("missing") != 0 {
-		t.Fatal("Count wrong")
-	}
-	if got := l.Average("missing"); got != 0 {
-		t.Fatalf("missing stage average = %v", got)
-	}
-	stages := l.Stages()
-	if len(stages) != 2 || stages[0] != "compute episode" || stages[1] != "store episode" {
-		t.Fatalf("Stages = %v", stages)
-	}
-	other := NewLatencyBreakdown()
-	other.Record("store episode", 100*time.Millisecond)
-	other.Record("map match", 5*time.Millisecond)
-	l.Merge(other)
-	if l.Count("store episode") != 2 || l.Count("map match") != 1 {
-		t.Fatalf("merge failed: %+v", l.counts)
-	}
-	if len(l.Stages()) != 3 {
-		t.Fatalf("Stages after merge = %v", l.Stages())
-	}
-	l.Merge(nil) // no-op
 }
 
 func TestCompressionRatio(t *testing.T) {

@@ -14,7 +14,9 @@
 // trajectory store and internal/workload the synthetic stand-ins for the
 // paper's datasets.
 //
-// A minimal batch use looks like:
+// There is one ingest path, the StreamProcessor. For a dataset already in
+// memory, ProcessRecords sorts it, feeds it through a StreamProcessor and
+// closes it:
 //
 //	city, _ := workload.NewCity(workload.DefaultCityConfig(1, 5000))
 //	pipeline, _ := semitri.New(semitri.Sources{
@@ -24,11 +26,10 @@
 //	st, _ := pipeline.Store().Structured(result.TrajectoryIDs[0], semitri.InterpretationMerged)
 //	fmt.Println(st)
 //
-// For online ingestion — the middleware setting of the paper — use a
-// StreamProcessor instead of ProcessRecords. It accepts records one at a
-// time, emits every stop/move episode as soon as it is final (with its
-// region and line annotations already attached), and produces exactly the
-// same stored trajectories as the batch path:
+// For online ingestion — the middleware setting of the paper — drive the
+// StreamProcessor directly. It accepts records one at a time and emits every
+// stop/move episode as soon as it is final, with its region and line
+// annotations already attached:
 //
 //	stream := pipeline.NewStream()
 //	for record := range source {             // e.g. a GPS feed
@@ -47,6 +48,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semitri/internal/core"
@@ -61,7 +63,6 @@ import (
 	"semitri/internal/region"
 	"semitri/internal/roadnet"
 	"semitri/internal/segment"
-	"semitri/internal/stats"
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
@@ -83,16 +84,6 @@ const (
 	// one tuple per stop/move episode carrying region, line and point
 	// annotations (the semantic trajectory of §1.1).
 	InterpretationMerged = "merged"
-)
-
-// Pipeline latency stage names (the x axis of Fig. 17).
-const (
-	StageComputeEpisode = "compute episode"
-	StageStoreEpisode   = "store episode"
-	StageMapMatch       = "map match"
-	StageStoreMatch     = "store match result"
-	StageLanduseJoin    = "landuse (join)"
-	StagePointAnnotate  = "poi annotation"
 )
 
 // Sources bundles the 3rd-party geographic data the annotation layers use.
@@ -119,8 +110,9 @@ type Config struct {
 	Line line.Config
 	// Point configures the HMM POI-category layer.
 	Point point.Config
-	// Workers bounds the number of trajectories annotated concurrently
-	// (values below 1 mean sequential processing).
+	// Workers is the number of moving objects ProcessRecords ingests
+	// concurrently, each object's records fed in order by one goroutine
+	// (values below 2 mean sequential processing).
 	Workers int
 	// StoreShards is the number of lock stripes of the semantic trajectory
 	// store (values below 1 mean store.DefaultShards). More stripes lower
@@ -246,11 +238,10 @@ type Pipeline struct {
 	tier     *segment.Tier
 	recovery RecoveryStats
 
-	mu      sync.Mutex
-	latency *stats.LatencyBreakdown
-	engine  *query.Engine
-	live    *query.Live
-	closed  bool
+	mu     sync.Mutex
+	engine *query.Engine
+	live   *query.Live
+	closed bool
 }
 
 // New builds a pipeline over the given sources. At least one source must be
@@ -262,11 +253,7 @@ func New(sources Sources, cfg Config) (*Pipeline, error) {
 	if err := cfg.Episode.Validate(); err != nil {
 		return nil, fmt.Errorf("semitri: %w", err)
 	}
-	p := &Pipeline{
-		cfg:     cfg,
-		sources: sources,
-		latency: stats.NewLatencyBreakdown(),
-	}
+	p := &Pipeline{cfg: cfg, sources: sources}
 	if cfg.Durability.Dir == "" {
 		p.st = store.NewSharded(cfg.StoreShards)
 	} else {
@@ -510,18 +497,10 @@ func (p *Pipeline) Live() *query.Live {
 	return p.live
 }
 
-// Latency returns the accumulated per-stage latency breakdown (Fig. 17).
-func (p *Pipeline) Latency() *stats.LatencyBreakdown {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	merged := stats.NewLatencyBreakdown()
-	merged.Merge(p.latency)
-	return merged
-}
-
-// Result summarises a ProcessRecords run.
+// Result summarises a ProcessRecords run or a closed StreamProcessor.
 type Result struct {
-	// TrajectoryIDs lists the identified raw trajectories in processing order.
+	// TrajectoryIDs lists the kept raw trajectories ordered by object id,
+	// then start time.
 	TrajectoryIDs []string
 	// Records is the number of records after cleaning.
 	Records int
@@ -530,78 +509,55 @@ type Result struct {
 	Moves int
 }
 
-// ProcessRecords runs the whole pipeline on a raw GPS stream: cleaning,
-// trajectory identification, stop/move computation, the three annotation
-// layers and storage. Trajectories are annotated concurrently (bounded by
-// Config.Workers) and every artefact ends up in the pipeline's store.
+// ProcessRecords runs the whole pipeline on a raw GPS dataset held in
+// memory: it sorts a copy by object and time, feeds it through a
+// StreamProcessor and closes it, so every artefact ends up in the pipeline's
+// store exactly as online ingestion of the same records would leave it. The
+// sort makes each object's records one contiguous run; Config.Workers
+// goroutines each take whole runs, feeding and flushing one object at a time.
 func (p *Pipeline) ProcessRecords(records []gps.Record) (*Result, error) {
-	if len(records) == 0 {
-		return nil, errors.New("semitri: no records")
-	}
 	sorted := append([]gps.Record(nil), records...)
 	gps.SortRecords(sorted)
-	cleaned := gps.Clean(sorted, p.cfg.Cleaning)
-	p.st.PutRecords(cleaned)
-	var trajectories []*gps.RawTrajectory
-	if p.cfg.DailySplit {
-		trajectories = gps.SplitDaily(cleaned, p.cfg.Segmentation)
-	} else {
-		trajectories = gps.IdentifyTrajectories(cleaned, p.cfg.Segmentation)
+	var runs [][]gps.Record
+	for start, i := 0, 1; i <= len(sorted); i++ {
+		if i == len(sorted) || sorted[i].ObjectID != sorted[start].ObjectID {
+			runs = append(runs, sorted[start:i])
+			start = i
+		}
 	}
-	if len(trajectories) == 0 {
-		return nil, errors.New("semitri: no trajectories identified (check segmentation config)")
-	}
-	result := &Result{Records: len(cleaned)}
-	workers := p.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	type trajOutcome struct {
-		id    string
-		stops int
-		moves int
-		err   error
-	}
-	outcomes := make([]trajOutcome, len(trajectories))
-	sem := make(chan struct{}, workers)
+	sp := p.NewStream()
+	errs := make([]error, max(p.cfg.Workers, 1))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, t := range trajectories {
+	for w := range errs {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, t *gps.RawTrajectory) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			stops, moves, err := p.processTrajectory(t)
-			outcomes[i] = trajOutcome{id: t.ID, stops: stops, moves: moves, err: err}
-		}(i, t)
+			for errs[w] == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(runs) {
+					return
+				}
+				for _, r := range runs[i] {
+					if _, errs[w] = sp.Add(r); errs[w] != nil {
+						return
+					}
+				}
+				_, errs[w] = sp.Flush(runs[i][0].ObjectID)
+			}
+		}()
 	}
 	wg.Wait()
-	for _, o := range outcomes {
-		if o.err != nil {
-			return nil, fmt.Errorf("semitri: trajectory %s: %w", o.id, o.err)
-		}
-		result.TrajectoryIDs = append(result.TrajectoryIDs, o.id)
-		result.Stops += o.stops
-		result.Moves += o.moves
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	return result, nil
-}
-
-// ProcessTrajectory runs episode computation and the annotation layers on a
-// single, already identified raw trajectory and stores the results.
-func (p *Pipeline) ProcessTrajectory(t *gps.RawTrajectory) error {
-	if t == nil || len(t.Records) == 0 {
-		return errors.New("semitri: empty trajectory")
-	}
-	_, _, err := p.processTrajectory(t)
-	return err
+	return sp.Close()
 }
 
 // annCursors bundles the per-object spatial locality caches of the three
 // annotation layers (last land-use cell, last road-candidate set, last POI
-// neighbourhood). Cursors are single-goroutine: the batch path creates one
-// set per trajectory (each trajectory is annotated by one worker), the
-// streaming path keeps one set per moving object for the object's lifetime.
+// neighbourhood). Cursors are single-goroutine: the StreamProcessor keeps
+// one set per moving object for the object's lifetime.
 type annCursors struct {
 	region *region.Cursor
 	line   *line.Cursor
@@ -623,94 +579,6 @@ func (p *Pipeline) newCursors() *annCursors {
 	return c
 }
 
-func (p *Pipeline) processTrajectory(t *gps.RawTrajectory) (stops, moves int, err error) {
-	local := stats.NewLatencyBreakdown()
-	cur := p.newCursors()
-	defer func() {
-		p.mu.Lock()
-		p.latency.Merge(local)
-		p.mu.Unlock()
-	}()
-	if err := p.st.PutTrajectory(t); err != nil {
-		return 0, 0, err
-	}
-	// Stop/move computation.
-	start := time.Now()
-	eps, err := episode.Detect(t, p.cfg.Episode)
-	if err != nil {
-		return 0, 0, err
-	}
-	local.Record(StageComputeEpisode, time.Since(start))
-	start = time.Now()
-	if err := p.st.PutEpisodes(t.ID, eps); err != nil {
-		return 0, 0, err
-	}
-	local.Record(StageStoreEpisode, time.Since(start))
-	stopEps := episode.Stops(eps)
-	moveEps := episode.Moves(eps)
-
-	// Region + line layers, episode by episode. The streaming path runs the
-	// same annotateEpisode on each episode the moment it closes.
-	merged := &core.StructuredTrajectory{ID: t.ID, ObjectID: t.ObjectID, Interpretation: InterpretationMerged}
-	var regionTuples, lineTuples []*core.EpisodeTuple
-	var mergedStops []*core.EpisodeTuple
-	for _, ep := range eps {
-		ann, err := p.annotateEpisode(t, ep, local, cur)
-		if err != nil {
-			return 0, 0, err
-		}
-		merged.Tuples = append(merged.Tuples, ann.merged)
-		if ep.Kind == episode.Stop {
-			mergedStops = append(mergedStops, ann.merged)
-		}
-		if ann.region != nil {
-			regionTuples = append(regionTuples, ann.region)
-		}
-		lineTuples = append(lineTuples, ann.line...)
-	}
-
-	// Region layer, record level: Tregion with consecutive tuples merged.
-	if p.regionAnnotator != nil {
-		start = time.Now()
-		recordLevel, err := p.regionAnnotator.AnnotateTrajectoryCursor(t, cur.region)
-		if err != nil {
-			return 0, 0, err
-		}
-		regionMerged := recordLevel.MergeConsecutive(core.AnnLanduse)
-		local.Record(StageLanduseJoin, time.Since(start))
-		if err := p.st.PutStructured(regionMerged); err != nil {
-			return 0, 0, err
-		}
-		epInterp := &core.StructuredTrajectory{
-			ID: t.ID, ObjectID: t.ObjectID, Interpretation: InterpretationRegionEpisodes, Tuples: regionTuples,
-		}
-		if err := p.st.PutStructured(epInterp); err != nil {
-			return 0, 0, err
-		}
-	}
-
-	if p.lineAnnotator != nil && len(moveEps) > 0 {
-		lineTraj := &core.StructuredTrajectory{
-			ID: t.ID, ObjectID: t.ObjectID, Interpretation: InterpretationLine, Tuples: lineTuples,
-		}
-		start = time.Now()
-		if err := p.st.PutStructured(lineTraj); err != nil {
-			return 0, 0, err
-		}
-		local.Record(StageStoreMatch, time.Since(start))
-	}
-
-	// Point layer: POI category inference over the trajectory's stop sequence.
-	if err := p.annotateStopSequence(t.ID, t.ObjectID, stopEps, mergedStops, local, cur); err != nil {
-		return 0, 0, err
-	}
-
-	if err := p.st.PutStructured(merged); err != nil {
-		return 0, 0, err
-	}
-	return len(stopEps), len(moveEps), nil
-}
-
 // episodeAnnotation bundles the artefacts the region and line layers produce
 // for one episode: the episode's tuple in the merged interpretation (with
 // layer annotations already merged in), its region-episodes tuple and its
@@ -723,9 +591,10 @@ type episodeAnnotation struct {
 
 // annotateEpisode runs the region and line layers on one episode. t may be a
 // still-open trajectory as long as its records cover the episode's index
-// range (the streaming path calls it with the records seen so far). cur
-// carries the caller's per-object locality cursors.
-func (p *Pipeline) annotateEpisode(t *gps.RawTrajectory, ep *episode.Episode, local *stats.LatencyBreakdown, cur *annCursors) (episodeAnnotation, error) {
+// range (the stream calls it with the records seen so far). cur carries the
+// object's locality cursors. Episode closes are rare relative to records, so
+// both layers are timed on every call rather than sampled.
+func (p *Pipeline) annotateEpisode(t *gps.RawTrajectory, ep *episode.Episode, cur *annCursors) (episodeAnnotation, error) {
 	out := episodeAnnotation{
 		merged: &core.EpisodeTuple{Kind: ep.Kind, TimeIn: ep.Start, TimeOut: ep.End, Episode: ep},
 	}
@@ -735,7 +604,7 @@ func (p *Pipeline) annotateEpisode(t *gps.RawTrajectory, ep *episode.Episode, lo
 		if err != nil {
 			return out, err
 		}
-		local.Record(StageLanduseJoin, time.Since(start))
+		obs.IngestStageLanduseNs.ObserveNs(time.Since(start).Nanoseconds())
 		out.region = epTuples[0]
 		out.merged.Annotations.Merge(&out.region.Annotations)
 		if out.merged.Place == nil {
@@ -748,7 +617,7 @@ func (p *Pipeline) annotateEpisode(t *gps.RawTrajectory, ep *episode.Episode, lo
 		if err != nil {
 			return out, err
 		}
-		local.Record(StageMapMatch, time.Since(start))
+		obs.IngestStageMapMatchNs.ObserveNs(time.Since(start).Nanoseconds())
 		out.line = tuples
 		// Episode-level summary: dominant mode and road of the move.
 		if len(runs) > 0 {
@@ -762,51 +631,6 @@ func (p *Pipeline) annotateEpisode(t *gps.RawTrajectory, ep *episode.Episode, lo
 		}
 	}
 	return out, nil
-}
-
-// pointAnnotateStops runs the point layer (HMM over the trajectory's whole
-// stop sequence) and stores the point interpretation, returning the point
-// tuples (parallel to stopEps; nil when the layer is disabled or there are
-// no stops). The HMM decodes the full sequence jointly, which is why both
-// the batch and the streaming path run it once per trajectory rather than
-// per episode.
-func (p *Pipeline) pointAnnotateStops(id, objectID string, stopEps []*episode.Episode, local *stats.LatencyBreakdown, cur *annCursors) ([]*core.EpisodeTuple, error) {
-	if p.pointAnnotator == nil || len(stopEps) == 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	tuples, _, err := p.pointAnnotator.AnnotateStopsCursor(stopEps, cur.point)
-	if err != nil {
-		return nil, err
-	}
-	local.Record(StagePointAnnotate, time.Since(start))
-	pointTraj := &core.StructuredTrajectory{
-		ID: id, ObjectID: objectID, Interpretation: InterpretationPoint, Tuples: tuples,
-	}
-	if err := p.st.PutStructured(pointTraj); err != nil {
-		return nil, err
-	}
-	return tuples, nil
-}
-
-// annotateStopSequence is the batch path's wrapper over pointAnnotateStops:
-// the merged tuples are still local to the worker at this point, so the
-// inferred categories merge straight into them before the trajectory is
-// stored. mergedStops must parallel stopEps. (The streaming path stores
-// merged tuples as episodes close, long before the point layer runs, so it
-// merges through Store.MergeTupleAnnotations instead — see closeTrajectory.)
-func (p *Pipeline) annotateStopSequence(id, objectID string, stopEps []*episode.Episode, mergedStops []*core.EpisodeTuple, local *stats.LatencyBreakdown, cur *annCursors) error {
-	tuples, err := p.pointAnnotateStops(id, objectID, stopEps, local, cur)
-	if err != nil || tuples == nil {
-		return err
-	}
-	for i := range stopEps {
-		mergedStops[i].Annotations.Merge(&tuples[i].Annotations)
-		if tuples[i].Place != nil {
-			mergedStops[i].Place = tuples[i].Place
-		}
-	}
-	return nil
 }
 
 // dominantMode returns the transportation mode covering the most records

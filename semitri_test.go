@@ -1,6 +1,7 @@
 package semitri
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"semitri/internal/episode"
 	"semitri/internal/gps"
 	"semitri/internal/line"
+	"semitri/internal/obs"
 	"semitri/internal/workload"
 )
 
@@ -72,10 +74,12 @@ func TestProcessRecordsPeopleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	metricsBefore := obs.Default().Numeric()
 	result, err := pipeline.ProcessRecords(people.Records())
 	if err != nil {
 		t.Fatal(err)
 	}
+	metricsAfter := obs.Default().Numeric()
 	if len(result.TrajectoryIDs) == 0 {
 		t.Fatal("no trajectories processed")
 	}
@@ -131,11 +135,45 @@ func TestProcessRecordsPeopleEndToEnd(t *testing.T) {
 	if annotatedMoves == 0 {
 		t.Fatal("no move carries a transport mode annotation")
 	}
-	// Latency breakdown covers the pipeline stages of Fig. 17.
-	lat := pipeline.Latency()
-	for _, stage := range []string{StageComputeEpisode, StageStoreEpisode, StageLanduseJoin, StageMapMatch} {
-		if lat.Count(stage) == 0 {
-			t.Fatalf("latency breakdown missing stage %q (stages: %v)", stage, lat.Stages())
+	// The stage histograms cover the six pipeline stages of Fig. 17.
+	stages := obs.IngestStageLatencies(metricsBefore, metricsAfter)
+	if len(stages) != 6 {
+		t.Fatalf("latency breakdown has %d stages, want 6: %+v", len(stages), stages)
+	}
+	for _, l := range stages {
+		if l.Count == 0 || l.PerTrajectory <= 0 {
+			t.Fatalf("latency breakdown missing stage %q: %+v", l.Stage, stages)
+		}
+	}
+}
+
+// TestStageSamplingRate pins the documented sampling rate of the per-record
+// stage histograms: one object's feed times one record in 64 at every
+// per-record stage.
+func TestStageSamplingRate(t *testing.T) {
+	city := sharedCity(t)
+	people, err := workload.GeneratePeople(city, workload.DefaultPeopleConfig(1, 4, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := people.Records()
+	if len(records) < 4096 {
+		t.Fatalf("workload produced %d records, want >= 4096", len(records))
+	}
+	pipeline, err := New(Sources{Landuse: city.Landuse}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().Numeric()
+	if _, err := pipeline.ProcessRecords(records); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default().Numeric()
+	want := float64(len(records)) / 64
+	for _, stage := range []string{"clean", "segment", "track"} {
+		id := `semitri_ingest_stage_ns_count{stage="` + stage + `"}`
+		if got := after[id] - before[id]; math.Abs(got-want) > 0.1*want {
+			t.Errorf("stage %s timed %v of %d records, want %.0f ± 10%%", stage, got, len(records), want)
 		}
 	}
 }
@@ -202,12 +240,11 @@ func TestProcessRecordsErrors(t *testing.T) {
 	if _, err := pipeline.ProcessRecords(few); err == nil {
 		t.Fatal("too few records should error")
 	}
-	if err := pipeline.ProcessTrajectory(nil); err == nil {
-		t.Fatal("nil trajectory should error")
-	}
 }
 
-func TestProcessTrajectorySingle(t *testing.T) {
+// TestProcessRecordsRoadsOnly runs a single drive through a pipeline with
+// only the road network: the line layer alone must still annotate it.
+func TestProcessRecordsRoadsOnly(t *testing.T) {
 	city := sharedCity(t)
 	drive, err := workload.GenerateDrive(city, workload.DefaultDriveConfig(2))
 	if err != nil {
@@ -217,18 +254,20 @@ func TestProcessTrajectorySingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &gps.RawTrajectory{ID: "drive-001-T0", ObjectID: "drive-001", Records: drive.PerObject["drive-001"]}
-	if err := pipeline.ProcessTrajectory(tr); err != nil {
+	result, err := pipeline.ProcessRecords(drive.PerObject["drive-001"])
+	if err != nil {
 		t.Fatal(err)
-	}
-	st, ok := pipeline.Store().Structured("drive-001-T0", InterpretationLine)
-	if !ok || len(st.Tuples) == 0 {
-		t.Fatal("line interpretation missing for the drive")
 	}
 	// The drive should be matched to many distinct segments.
 	segs := map[string]bool{}
-	for _, tp := range st.Tuples {
-		segs[tp.PlaceID()] = true
+	for _, id := range result.TrajectoryIDs {
+		st, ok := pipeline.Store().Structured(id, InterpretationLine)
+		if !ok || len(st.Tuples) == 0 {
+			t.Fatalf("line interpretation missing for %s", id)
+		}
+		for _, tp := range st.Tuples {
+			segs[tp.PlaceID()] = true
+		}
 	}
 	if len(segs) < 10 {
 		t.Fatalf("drive matched to only %d distinct segments", len(segs))

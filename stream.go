@@ -12,23 +12,26 @@ import (
 	"semitri/internal/episode"
 	"semitri/internal/gps"
 	"semitri/internal/obs"
-	"semitri/internal/stats"
 )
 
-// StreamProcessor is the online entry point of the pipeline: it accepts raw
-// GPS records one at a time (or in micro-batches) per moving object and runs
-// the same chain as ProcessRecords — cleaning, trajectory identification,
-// stop/move computation and the three annotation layers — incrementally.
+// StreamProcessor is the pipeline's one ingest path: it accepts raw GPS
+// records one at a time (or in micro-batches) per moving object and runs the
+// chain of Fig. 2 — cleaning, trajectory identification, stop/move
+// computation and the three annotation layers — incrementally.
 // Episodes are emitted (and their region/line annotations computed and
 // appended to the store) as soon as they are final; the point layer, whose
 // HMM decodes a trajectory's whole stop sequence jointly, runs when the
 // trajectory closes, as does the record-level region interpretation.
 //
-// Parity guarantee: feeding a record stream through Add and then calling
-// Close leaves the store with exactly the same trajectories, episodes and
-// structured interpretations as one ProcessRecords call on the same records
-// (assuming each object's records arrive in time order; late records are
-// dropped, as batch sorting would have moved them anyway).
+// Parity guarantee: ProcessRecords is a sort plus this path, so feeding a
+// record stream through Add and then calling Close leaves the store with
+// exactly the trajectories, episodes and structured interpretations of one
+// ProcessRecords call on the same records — and of the per-layer batch
+// kernels (gps.Clean, gps.IdentifyTrajectories, episode.Detect and the
+// annotators' whole-trajectory entry points) composed over them, which the
+// parity tests use as the oracle. This assumes each object's records arrive
+// in time order; late records are dropped, where ProcessRecords' sort would
+// have moved them.
 //
 // # Concurrency
 //
@@ -42,7 +45,9 @@ import (
 // that object's lock; feed one object's records from a single goroutine (or
 // use AddBatchConcurrent / FanIn, which shard by object) to keep their order
 // deterministic. Use one StreamProcessor (or one ProcessRecords run) per
-// Pipeline store lifetime to keep trajectory ids unique.
+// Pipeline store lifetime to keep trajectory ids unique: a later stream that
+// reaches an id the store already holds replaces that trajectory's episodes
+// and interpretations.
 type StreamProcessor struct {
 	p *Pipeline
 
@@ -53,21 +58,18 @@ type StreamProcessor struct {
 	closed  bool
 
 	// Running totals shared by all objects. The counters are atomics so the
-	// per-record hot path never takes a processor-wide lock; only the
-	// trajectory-close path (rare) takes resMu for the id list.
+	// per-record hot path never takes a processor-wide lock; the ids of the
+	// closed trajectories live with their object (objectStream.closedIDs).
 	records atomic.Int64
 	stops   atomic.Int64
 	moves   atomic.Int64
-	resMu   sync.Mutex // guards trajectoryIDs
-	trajIDs []string
 }
 
 // objectStream is the per-object streaming state: the object's own cleaning
 // window and segmenter, the episode tracker of the open trajectory and the
 // artefacts staged until the trajectory is committed (guaranteed to be
 // kept). All fields are guarded by mu; the cleaner and segmenter see exactly
-// one object each, so their ids and split points match the processor-wide
-// instances the previous single-lock implementation used.
+// one object each.
 type objectStream struct {
 	mu sync.Mutex
 
@@ -75,8 +77,9 @@ type objectStream struct {
 	cleaner   *gps.StreamCleaner
 	segmenter *gps.StreamSegmenter
 	tracker   *episode.Tracker
-	id        string // trajectory id, "" until committed
-	closed    bool   // set by Close: the object accepts no further records
+	id        string   // trajectory id, "" until committed
+	closed    bool     // set by Close: the object accepts no further records
+	closedIDs []string // ids of the object's kept trajectories, in start-time order
 
 	// cur holds the object's spatial locality cursors (last land-use cell,
 	// last road candidates, last POI neighbourhood). The per-object state of
@@ -95,21 +98,20 @@ type objectStream struct {
 	staged       []stagedEpisode
 	stagedEvents []StreamEvent
 
-	latency *stats.LatencyBreakdown
-
-	// sample drives the 1-in-16 stage-latency sampling of the record hot
+	// sample drives the 1-in-64 stage-latency sampling of the record hot
 	// path (see sampleTimed). Guarded by mu like the rest of the state, so
 	// the counter costs one non-atomic increment per record.
 	sample uint32
 }
 
-// sampleTimed reports whether this record's per-stage latency should be
-// measured: every 16th record of the object, and only while instrumentation
-// is enabled. The stage histograms keep their shape (they see an unbiased
-// sample) while the hot path pays a time.Now pair only on sampled records.
-// Caller holds mu. One in 64 records is timed: clock reads are ~70ns on
-// cloud VMs without a fast vDSO path, so sampling sparser than the stage
-// histograms need keeps the obs overhead budget (bench-asserted < 3%) safe.
+// sampleTimed reports whether this record's per-record stages (clean,
+// segment, track) should be timed: every 64th record of the object, and only
+// while instrumentation is enabled. Call it once per record and pass the
+// decision down. The stage histograms keep their shape (they see an unbiased
+// sample) while the hot path pays time.Now pairs only on sampled records:
+// clock reads are ~70ns on cloud VMs without a fast vDSO path, so sampling
+// sparser than the histograms need keeps the obs overhead budget
+// (bench-asserted < 3%) safe. Caller holds mu.
 func (os *objectStream) sampleTimed() bool {
 	os.sample++
 	return os.sample&63 == 0 && obs.Enabled()
@@ -176,7 +178,6 @@ func (sp *StreamProcessor) object(objectID string) (*objectStream, error) {
 			cleaner:   gps.NewStreamCleaner(sp.p.cfg.Cleaning),
 			segmenter: gps.NewStreamSegmenter(sp.p.cfg.Segmentation, sp.p.cfg.DailySplit),
 			cur:       sp.p.newCursors(),
-			latency:   stats.NewLatencyBreakdown(),
 		}
 		sp.objects[objectID] = os
 	}
@@ -207,8 +208,8 @@ func (sp *StreamProcessor) Add(r gps.Record) ([]StreamEvent, error) {
 		obs.IngestStageCleanNs.ObserveNs(time.Since(t0).Nanoseconds())
 	}
 	var events []StreamEvent
-	for _, cr := range cleaned {
-		evs, err := sp.ingestCleaned(os, cr)
+	for i := range cleaned {
+		evs, err := sp.ingestCleaned(os, cleaned[i:i+1:i+1], timed)
 		events = append(events, evs...)
 		if err != nil {
 			return events, err
@@ -230,14 +231,16 @@ func (sp *StreamProcessor) AddBatch(records []gps.Record) ([]StreamEvent, error)
 	return events, nil
 }
 
-// ingestCleaned routes one finalised cleaned record through segmentation,
-// episode tracking and annotation. Caller holds os.mu.
-func (sp *StreamProcessor) ingestCleaned(os *objectStream, cr gps.Record) ([]StreamEvent, error) {
-	sp.p.st.PutRecords([]gps.Record{cr})
+// ingestCleaned routes one finalised cleaned record — rec, a one-record
+// slice of the cleaner's output, which the store's mutation log may keep —
+// through segmentation, episode tracking and annotation; timed is the
+// record's sampling decision (see sampleTimed). Caller holds os.mu.
+func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, timed bool) ([]StreamEvent, error) {
+	sp.p.st.PutRecords(rec)
+	cr := rec[0]
 	sp.records.Add(1)
 	obs.IngestRecords.Inc()
 	var t0 time.Time
-	timed := os.sampleTimed()
 	if timed {
 		t0 = time.Now()
 	}
@@ -262,18 +265,15 @@ func (sp *StreamProcessor) ingestCleaned(os *objectStream, cr gps.Record) ([]Str
 		}
 		os.tracker = tk
 	}
-	start := time.Now()
+	if timed {
+		t0 = time.Now()
+	}
 	eps, err := os.tracker.Add(cr)
 	if err != nil {
 		return events, fmt.Errorf("semitri: %w", err)
 	}
-	trackNs := time.Since(start)
-	os.latency.Record(StageComputeEpisode, trackNs)
-	// The latency breakdown already paid for the clock reads; the histogram
-	// observe is still sampled like the other stages to keep the per-record
-	// obs cost down to the counters.
 	if timed {
-		obs.IngestStageTrackNs.ObserveNs(trackNs.Nanoseconds())
+		obs.IngestStageTrackNs.ObserveNs(time.Since(t0).Nanoseconds())
 	}
 	openRecords, _, _ := os.segmenter.OpenRecords(os.objectID)
 	for _, closedEp := range eps {
@@ -307,14 +307,10 @@ func (sp *StreamProcessor) ingestCleaned(os *objectStream, cr gps.Record) ([]Str
 // time. Caller holds os.mu.
 func (sp *StreamProcessor) closeEpisodeRecords(os *objectStream, ep *episode.Episode, records []gps.Record) (StreamEvent, error) {
 	view := &gps.RawTrajectory{ID: os.id, ObjectID: os.objectID, Records: records}
-	start := time.Now()
-	ann, err := sp.p.annotateEpisode(view, ep, os.latency, os.cur)
+	ann, err := sp.p.annotateEpisode(view, ep, os.cur)
 	if err != nil {
 		return StreamEvent{}, fmt.Errorf("semitri: %w", err)
 	}
-	// Episode closes are rare relative to records, so annotation is timed on
-	// every call rather than sampled.
-	obs.IngestStageAnnotateNs.ObserveNs(time.Since(start).Nanoseconds())
 	os.episodes = append(os.episodes, ep)
 	if os.id == "" {
 		// Not committed yet: stage until the trajectory is guaranteed kept.
@@ -333,7 +329,7 @@ func (sp *StreamProcessor) appendEpisodeArtifacts(os *objectStream, ep *episode.
 	if err := sp.p.st.AppendEpisodes(os.id, ep); err != nil {
 		return err
 	}
-	os.latency.Record(StageStoreEpisode, time.Since(start))
+	obs.IngestStageStoreEpisodeNs.ObserveNs(time.Since(start).Nanoseconds())
 	if err := sp.p.st.AppendStructuredTuples(os.id, os.objectID, InterpretationMerged, ann.merged); err != nil {
 		return err
 	}
@@ -343,13 +339,13 @@ func (sp *StreamProcessor) appendEpisodeArtifacts(os *objectStream, ep *episode.
 		}
 	}
 	if ep.Kind == episode.Move && sp.p.lineAnnotator != nil {
-		// Appending zero tuples still creates the interpretation, matching
-		// the batch path which stores it whenever move episodes exist.
+		// Appending zero tuples still creates the interpretation: it is
+		// stored whenever move episodes exist, matched or not.
 		start = time.Now()
 		if err := sp.p.st.AppendStructuredTuples(os.id, os.objectID, InterpretationLine, ann.line...); err != nil {
 			return err
 		}
-		os.latency.Record(StageStoreMatch, time.Since(start))
+		obs.IngestStageStoreMatchNs.ObserveNs(time.Since(start).Nanoseconds())
 	}
 	return nil
 }
@@ -373,6 +369,20 @@ func (sp *StreamProcessor) commit(os *objectStream, id string) ([]StreamEvent, e
 	if err := sp.p.st.PutTrajectory(partial); err != nil {
 		return released, err
 	}
+	// An id the store already holds (the same records ingested again, e.g. a
+	// rerun over a recovered data dir) is replaced, not appended to: the
+	// appends below, and the tuple positions the point layer merges into,
+	// assume the trajectory starts empty.
+	if stale := sp.p.st.Interpretations(id); len(stale) > 0 {
+		if err := sp.p.st.PutEpisodes(id, nil); err != nil {
+			return released, err
+		}
+		for _, interp := range stale {
+			if err := sp.p.st.PutStructured(&core.StructuredTrajectory{ID: id, ObjectID: os.objectID, Interpretation: interp}); err != nil {
+				return released, err
+			}
+		}
+	}
 	// Replay the staged episodes through the normal append path, so the
 	// pre-commit and post-commit writes stay a single code path.
 	for _, s := range os.staged {
@@ -389,22 +399,15 @@ func (sp *StreamProcessor) commit(os *objectStream, id string) ([]StreamEvent, e
 // episodes, runs the record-level region interpretation and the point layer,
 // and finalises the stored trajectory. Caller holds os.mu.
 func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajectory) ([]StreamEvent, error) {
-	defer func() {
-		sp.p.mu.Lock()
-		sp.p.latency.Merge(os.latency)
-		sp.p.mu.Unlock()
-		os.reset()
-	}()
+	defer os.reset()
 	if os.tracker == nil {
 		return nil, fmt.Errorf("semitri: trajectory %s closed without a tracker", t.ID)
 	}
 	os.id = t.ID // committed by construction: the segmenter kept it
-	start := time.Now()
 	tail, err := os.tracker.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("semitri: %w", err)
 	}
-	os.latency.Record(StageComputeEpisode, time.Since(start))
 	var events []StreamEvent
 	for _, ep := range tail {
 		ep.TrajectoryID = t.ID
@@ -422,13 +425,13 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 	}
 	// Record-level region interpretation over the full trajectory.
 	if sp.p.regionAnnotator != nil {
-		start = time.Now()
+		start := time.Now()
 		recordLevel, err := sp.p.regionAnnotator.AnnotateTrajectoryCursor(t, os.cur.region)
 		if err != nil {
 			return events, fmt.Errorf("semitri: %w", err)
 		}
 		regionMerged := recordLevel.MergeConsecutive(core.AnnLanduse)
-		os.latency.Record(StageLanduseJoin, time.Since(start))
+		obs.IngestStageLanduseNs.ObserveNs(time.Since(start).Nanoseconds())
 		if err := sp.p.st.PutStructured(regionMerged); err != nil {
 			return events, err
 		}
@@ -449,20 +452,29 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 			stopIdx = append(stopIdx, i)
 		}
 	}
-	pointTuples, err := sp.p.pointAnnotateStops(t.ID, t.ObjectID, stopEps, os.latency, os.cur)
-	if err != nil {
-		return events, fmt.Errorf("semitri: %w", err)
-	}
-	for i, tp := range pointTuples {
-		if err := sp.p.st.MergeTupleAnnotations(t.ID, InterpretationMerged, stopIdx[i], tp.Place, tp.Annotations.All()); err != nil {
-			return events, fmt.Errorf("semitri: trajectory %s stop %d: %w", t.ID, i, err)
+	if sp.p.pointAnnotator != nil && len(stopEps) > 0 {
+		start := time.Now()
+		pointTuples, _, err := sp.p.pointAnnotator.AnnotateStopsCursor(stopEps, os.cur.point)
+		if err != nil {
+			return events, fmt.Errorf("semitri: %w", err)
+		}
+		obs.IngestStagePOINs.ObserveNs(time.Since(start).Nanoseconds())
+		if err := sp.p.st.PutStructured(&core.StructuredTrajectory{
+			ID: t.ID, ObjectID: t.ObjectID, Interpretation: InterpretationPoint, Tuples: pointTuples,
+		}); err != nil {
+			return events, fmt.Errorf("semitri: %w", err)
+		}
+		for i, tp := range pointTuples {
+			if err := sp.p.st.MergeTupleAnnotations(t.ID, InterpretationMerged, stopIdx[i], tp.Place, tp.Annotations.All()); err != nil {
+				return events, fmt.Errorf("semitri: trajectory %s stop %d: %w", t.ID, i, err)
+			}
 		}
 	}
 	// Replace the partial trajectory stored at commit time with the final one.
 	if err := sp.p.st.PutTrajectory(t); err != nil {
 		return events, err
 	}
-	// Stops/moves count only kept trajectories, as the batch Result does.
+	// Stops/moves count only kept trajectories.
 	for _, ep := range os.episodes {
 		if ep.Kind == episode.Stop {
 			sp.stops.Add(1)
@@ -470,9 +482,8 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 			sp.moves.Add(1)
 		}
 	}
-	sp.resMu.Lock()
-	sp.trajIDs = append(sp.trajIDs, t.ID)
-	sp.resMu.Unlock()
+	os.closedIDs = append(os.closedIDs, t.ID)
+	obs.IngestTrajectories.Inc()
 	events = append(events, StreamEvent{ObjectID: t.ObjectID, TrajectoryID: t.ID, TrajectoryClosed: true})
 	return events, nil
 }
@@ -486,7 +497,6 @@ func (os *objectStream) reset() {
 	os.episodes = nil
 	os.staged = nil
 	os.stagedEvents = nil
-	os.latency = stats.NewLatencyBreakdown()
 }
 
 // lookup returns the object's stream state without creating it.
@@ -516,8 +526,8 @@ func (sp *StreamProcessor) Tail(objectID string) []*episode.Episode {
 
 // Flush force-closes the object's open trajectory (drains the cleaner's
 // smoothing window first). Use it when an object's session ends mid-stream;
-// note that flushing resets the object's smoothing history, so batch/stream
-// parity holds for streams flushed only by Close.
+// note that flushing resets the object's smoothing history, so the parity
+// guarantee holds for streams flushed only by Close.
 func (sp *StreamProcessor) Flush(objectID string) ([]StreamEvent, error) {
 	sp.reg.RLock()
 	closed := sp.closed
@@ -540,8 +550,9 @@ func (sp *StreamProcessor) Flush(objectID string) ([]StreamEvent, error) {
 // flushObject drains and closes one object's open state. Caller holds os.mu.
 func (sp *StreamProcessor) flushObject(os *objectStream) ([]StreamEvent, error) {
 	var events []StreamEvent
-	for _, cr := range os.cleaner.Flush(os.objectID) {
-		evs, err := sp.ingestCleaned(os, cr)
+	drained := os.cleaner.Flush(os.objectID)
+	for i := range drained {
+		evs, err := sp.ingestCleaned(os, drained[i:i+1:i+1], os.sampleTimed())
 		events = append(events, evs...)
 		if err != nil {
 			return events, err
@@ -559,11 +570,21 @@ func (sp *StreamProcessor) flushObject(os *objectStream) ([]StreamEvent, error) 
 	return events, nil
 }
 
+// sortedObjects returns the registered objects ordered by object id. Caller
+// holds reg.
+func (sp *StreamProcessor) sortedObjects() []*objectStream {
+	objects := make([]*objectStream, 0, len(sp.objects))
+	for _, os := range sp.objects {
+		objects = append(objects, os)
+	}
+	sort.Slice(objects, func(i, j int) bool { return objects[i].objectID < objects[j].objectID })
+	return objects
+}
+
 // Close ends the stream: every object's pending records are drained, every
-// open trajectory is closed and annotated, and the accumulated Result — the
-// same summary ProcessRecords returns — is produced. The processor accepts
-// no further records. Close waits for in-flight Adds to finish; Adds issued
-// after Close fail.
+// open trajectory is closed and annotated, and the accumulated Result is
+// produced. The processor accepts no further records. Close waits for
+// in-flight Adds to finish; Adds issued after Close fail.
 func (sp *StreamProcessor) Close() (*Result, error) {
 	sp.reg.Lock()
 	if sp.closed {
@@ -571,20 +592,12 @@ func (sp *StreamProcessor) Close() (*Result, error) {
 		return nil, errStreamClosed
 	}
 	sp.closed = true
-	ids := make([]string, 0, len(sp.objects))
-	for id := range sp.objects {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	objects := make([]*objectStream, len(ids))
-	for i, id := range ids {
-		objects[i] = sp.objects[id]
-	}
+	objects := sp.sortedObjects()
 	sp.reg.Unlock()
-	// Flush object by object in sorted order — the order the single-lock
-	// implementation used. Locking os.mu waits out any Add that was already
-	// past the closed check; once flushed, the object's own closed flag
-	// rejects stragglers.
+	// Flush object by object in sorted order, so the tail writes of a
+	// sequentially fed stream are deterministic. Locking os.mu waits out any
+	// Add that was already past the closed check; once flushed, the object's
+	// own closed flag rejects stragglers.
 	for _, os := range objects {
 		os.mu.Lock()
 		var err error
@@ -603,8 +616,8 @@ func (sp *StreamProcessor) Close() (*Result, error) {
 	if err := sp.p.SyncDurability(); err != nil {
 		return nil, err
 	}
-	// Mirror the batch path's errors so callers porting from ProcessRecords
-	// keep their misconfiguration detection.
+	// An empty outcome is an error, so a misconfigured segmentation is not
+	// mistaken for a quiet feed.
 	result := sp.Result()
 	if result.Records == 0 {
 		return nil, errors.New("semitri: no records")
@@ -618,9 +631,15 @@ func (sp *StreamProcessor) Close() (*Result, error) {
 // Result returns a snapshot of the running totals (records cleaned, episodes
 // and trajectories closed so far).
 func (sp *StreamProcessor) Result() Result {
-	sp.resMu.Lock()
-	ids := append([]string(nil), sp.trajIDs...)
-	sp.resMu.Unlock()
+	sp.reg.RLock()
+	objects := sp.sortedObjects()
+	sp.reg.RUnlock()
+	var ids []string
+	for _, os := range objects {
+		os.mu.Lock()
+		ids = append(ids, os.closedIDs...)
+		os.mu.Unlock()
+	}
 	return Result{
 		TrajectoryIDs: ids,
 		Records:       int(sp.records.Load()),

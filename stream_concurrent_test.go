@@ -22,7 +22,7 @@ func objectOrder(records []gps.Record) map[string][]gps.Record {
 // TestBatchStreamParity: records of 8 objects are interleaved from multiple
 // goroutines (one per object, so per-object order is preserved while objects
 // race freely through clean → segment → episode → annotate → append), and
-// the resulting store must still match the batch pipeline tuple for tuple.
+// the resulting store must still match the batch-kernel oracle tuple for tuple.
 // Run under -race this is the end-to-end data-race test for the per-object
 // streaming engine and the lock-striped store.
 func TestBatchStreamParityConcurrent(t *testing.T) {
@@ -33,11 +33,7 @@ func TestBatchStreamParityConcurrent(t *testing.T) {
 		t.Fatalf("workload produced %d objects, want >= 8", len(byObject))
 	}
 
-	batch := newTestPipeline(t, city, semitri.DefaultConfig())
-	batchResult, err := batch.ProcessRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantResult := oracle(t, city, semitri.DefaultConfig(), records)
 
 	stream := newTestPipeline(t, city, semitri.DefaultConfig())
 	sp := stream.NewStream()
@@ -73,32 +69,18 @@ func TestBatchStreamParityConcurrent(t *testing.T) {
 		t.Fatal("concurrent stream never emitted an episode event")
 	}
 
-	if batchResult.Records != streamResult.Records {
-		t.Fatalf("cleaned records: batch %d, stream %d", batchResult.Records, streamResult.Records)
-	}
-	if batchResult.Stops != streamResult.Stops || batchResult.Moves != streamResult.Moves {
-		t.Fatalf("episode counts: batch %d/%d, stream %d/%d",
-			batchResult.Stops, batchResult.Moves, streamResult.Stops, streamResult.Moves)
-	}
-	if len(batchResult.TrajectoryIDs) != len(streamResult.TrajectoryIDs) {
-		t.Fatalf("trajectory count: batch %d, stream %d",
-			len(batchResult.TrajectoryIDs), len(streamResult.TrajectoryIDs))
-	}
-	assertStoreParity(t, batchResult.TrajectoryIDs, batch.Store(), stream.Store())
+	assertResultParity(t, wantResult, streamResult)
+	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
 }
 
 // TestAddBatchConcurrentParity drives the same workload through the
 // AddBatchConcurrent fan-in driver (which shards the interleaved feed by
-// object across 4 workers) and checks store parity with the batch pipeline.
+// object across 4 workers) and checks store parity with the oracle.
 func TestAddBatchConcurrentParity(t *testing.T) {
 	city := newTestCity(t, 4, 3000)
 	records := peopleRecords(t, city, 8, 1, 7)
 
-	batch := newTestPipeline(t, city, semitri.DefaultConfig())
-	batchResult, err := batch.ProcessRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantResult := oracle(t, city, semitri.DefaultConfig(), records)
 
 	stream := newTestPipeline(t, city, semitri.DefaultConfig())
 	sp := stream.NewStream()
@@ -122,13 +104,8 @@ func TestAddBatchConcurrentParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batchResult.Stops != streamResult.Stops || batchResult.Moves != streamResult.Moves ||
-		len(batchResult.TrajectoryIDs) != len(streamResult.TrajectoryIDs) {
-		t.Fatalf("fan-in parity: batch %d/%d over %d trajectories, stream %d/%d over %d",
-			batchResult.Stops, batchResult.Moves, len(batchResult.TrajectoryIDs),
-			streamResult.Stops, streamResult.Moves, len(streamResult.TrajectoryIDs))
-	}
-	assertStoreParity(t, batchResult.TrajectoryIDs, batch.Store(), stream.Store())
+	assertResultParity(t, wantResult, streamResult)
+	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
 }
 
 // TestConcurrentAddAfterClose asserts the close handshake: Adds racing with

@@ -8,6 +8,9 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/gps"
+	"semitri/internal/line"
+	"semitri/internal/point"
+	"semitri/internal/region"
 	"semitri/internal/store"
 	"semitri/internal/workload"
 )
@@ -41,8 +44,132 @@ func peopleRecords(t testing.TB, city *workload.City, users, days int, seed int6
 	return ds.Records()
 }
 
-// annotationsEqual compares tuple slices field by field (pointer identities
-// naturally differ between the two pipelines).
+// oracle is the simple reference the ingest path is proved equal to: the
+// per-layer batch kernels — sort, gps.Clean, SplitDaily/IdentifyTrajectories,
+// episode.Detect and the annotators' whole-trajectory entry points, without
+// cursors, staging or appends — composed trajectory by trajectory into an
+// in-memory store. It returns that store and the Result ProcessRecords must
+// report for the same records.
+func oracle(t testing.TB, city *workload.City, cfg semitri.Config, records []gps.Record) (*store.Store, *semitri.Result) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	regionAnn, err := region.NewAnnotator(city.Landuse)
+	must(err)
+	lineAnn, err := line.NewAnnotator(city.Roads, cfg.Line)
+	must(err)
+	pointAnn, err := point.NewAnnotator(city.POIs, cfg.Point)
+	must(err)
+
+	sorted := append([]gps.Record(nil), records...)
+	gps.SortRecords(sorted)
+	cleaned := gps.Clean(sorted, cfg.Cleaning)
+	st := store.New()
+	st.PutRecords(cleaned)
+	trajectories := gps.IdentifyTrajectories(cleaned, cfg.Segmentation)
+	if cfg.DailySplit {
+		trajectories = gps.SplitDaily(cleaned, cfg.Segmentation)
+	}
+	result := &semitri.Result{Records: len(cleaned)}
+	for _, tr := range trajectories {
+		must(st.PutTrajectory(tr))
+		eps, err := episode.Detect(tr, cfg.Episode)
+		must(err)
+		must(st.PutEpisodes(tr.ID, eps))
+		put := func(interpretation string, tuples []*core.EpisodeTuple) {
+			t.Helper()
+			must(st.PutStructured(&core.StructuredTrajectory{
+				ID: tr.ID, ObjectID: tr.ObjectID, Interpretation: interpretation, Tuples: tuples,
+			}))
+		}
+
+		// Region layer: record level (consecutive tuples merged) and per episode.
+		recordLevel, err := regionAnn.AnnotateTrajectory(tr)
+		must(err)
+		must(st.PutStructured(recordLevel.MergeConsecutive(core.AnnLanduse)))
+		regionTuples, err := regionAnn.AnnotateEpisodes(eps)
+		must(err)
+		put(semitri.InterpretationRegionEpisodes, regionTuples)
+
+		// The merged interpretation starts from the region tuples.
+		merged := make([]*core.EpisodeTuple, len(eps))
+		for i, ep := range eps {
+			merged[i] = &core.EpisodeTuple{Kind: ep.Kind, TimeIn: ep.Start, TimeOut: ep.End, Episode: ep, Place: regionTuples[i].Place}
+			merged[i].Annotations.Merge(&regionTuples[i].Annotations)
+		}
+
+		// Line layer over the moves; each move's merged tuple carries the mode
+		// covering the most records (ties to the smaller name).
+		var lineTuples []*core.EpisodeTuple
+		for i, ep := range eps {
+			if ep.Kind != episode.Move {
+				continue
+			}
+			tuples, runs, err := lineAnn.AnnotateMove(tr, ep)
+			must(err)
+			lineTuples = append(lineTuples, tuples...)
+			if len(runs) == 0 {
+				continue
+			}
+			weights := map[line.Mode]int{}
+			for _, r := range runs {
+				weights[r.Mode] += r.EndIdx - r.StartIdx + 1
+			}
+			var mode line.Mode
+			for m, w := range weights {
+				if w > weights[mode] || (w == weights[mode] && m < mode) {
+					mode = m
+				}
+			}
+			merged[i].Annotations.Add(core.Annotation{
+				Key: core.AnnTransportMode, Value: string(mode), Confidence: 0.9, Source: "line"})
+			// Outside the land-use map the move's place is its longest run's road.
+			longest := 0
+			for j, r := range runs {
+				if r.EndIdx-r.StartIdx > runs[longest].EndIdx-runs[longest].StartIdx {
+					longest = j
+				}
+			}
+			if merged[i].Place == nil && longest < len(tuples) {
+				merged[i].Place = tuples[longest].Place
+			}
+		}
+		if len(episode.Moves(eps)) > 0 {
+			put(semitri.InterpretationLine, lineTuples)
+		}
+
+		// Point layer over the whole stop sequence.
+		if stops := episode.Stops(eps); len(stops) > 0 {
+			pointTuples, _, err := pointAnn.AnnotateStops(stops)
+			must(err)
+			put(semitri.InterpretationPoint, pointTuples)
+			next := 0
+			for i, ep := range eps {
+				if ep.Kind != episode.Stop {
+					continue
+				}
+				merged[i].Annotations.Merge(&pointTuples[next].Annotations)
+				if pointTuples[next].Place != nil {
+					merged[i].Place = pointTuples[next].Place
+				}
+				next++
+			}
+		}
+		put(semitri.InterpretationMerged, merged)
+
+		result.TrajectoryIDs = append(result.TrajectoryIDs, tr.ID)
+		result.Stops += len(episode.Stops(eps))
+		result.Moves += len(episode.Moves(eps))
+	}
+	return st, result
+}
+
+// tuplesEqual compares tuple slices field by field (pointer identities
+// naturally differ between the oracle and the pipeline).
 func tuplesEqual(t *testing.T, label string, batch, stream []*core.EpisodeTuple) {
 	t.Helper()
 	if len(batch) != len(stream) {
@@ -64,20 +191,24 @@ func tuplesEqual(t *testing.T, label string, batch, stream []*core.EpisodeTuple)
 	}
 }
 
-// TestBatchStreamParity feeds the same person-days of records through
-// ProcessRecords and through a StreamProcessor record by record, and asserts
-// that both leave identical structured trajectories in their stores: same
-// trajectory ids, same episode sequences, same tuples under every
+// assertResultParity compares a closed stream's Result with the oracle's,
+// trajectory id order (object id, then start time) included.
+func assertResultParity(t *testing.T, want, got *semitri.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result %+v, oracle %+v", got, want)
+	}
+}
+
+// TestBatchStreamParity feeds the same person-days of records through the
+// batch-kernel oracle and through a StreamProcessor record by record, and
+// asserts that both leave identical structured trajectories in their stores:
+// same trajectory ids, same episode sequences, same tuples under every
 // interpretation.
 func TestBatchStreamParity(t *testing.T) {
 	city := newTestCity(t, 1, 3000)
 	records := peopleRecords(t, city, 2, 2, 5)
-
-	batch := newTestPipeline(t, city, semitri.DefaultConfig())
-	batchResult, err := batch.ProcessRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantResult := oracle(t, city, semitri.DefaultConfig(), records)
 
 	stream := newTestPipeline(t, city, semitri.DefaultConfig())
 	sp := stream.NewStream()
@@ -107,22 +238,57 @@ func TestBatchStreamParity(t *testing.T) {
 		t.Fatal("stream never emitted an episode event")
 	}
 
-	// Result summaries must agree (trajectory sets: order may differ between
-	// interleaved objects).
-	if batchResult.Records != streamResult.Records {
-		t.Fatalf("cleaned records: batch %d, stream %d", batchResult.Records, streamResult.Records)
-	}
-	if batchResult.Stops != streamResult.Stops || batchResult.Moves != streamResult.Moves {
-		t.Fatalf("episode counts: batch %d/%d, stream %d/%d",
-			batchResult.Stops, batchResult.Moves, streamResult.Stops, streamResult.Moves)
-	}
-	if len(batchResult.TrajectoryIDs) != len(streamResult.TrajectoryIDs) {
-		t.Fatalf("trajectory count: batch %d, stream %d",
-			len(batchResult.TrajectoryIDs), len(streamResult.TrajectoryIDs))
-	}
 	_ = trajectoryEvents // day-boundary closes may or may not fire mid-stream
 
-	assertStoreParity(t, batchResult.TrajectoryIDs, batch.Store(), stream.Store())
+	assertResultParity(t, wantResult, streamResult)
+	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
+}
+
+// TestBatchStreamParityProcessRecords pins ProcessRecords — a sort plus the
+// stream path — to the oracle at every kind of Workers value: the same store
+// and the identical Result, ids ordered by object id then start time however
+// the objects raced.
+func TestBatchStreamParityProcessRecords(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	records := peopleRecords(t, city, 4, 2, 5)
+	want, wantResult := oracle(t, city, semitri.DefaultConfig(), records)
+	for _, workers := range []int{0, 1, 4} {
+		cfg := semitri.DefaultConfig()
+		cfg.Workers = workers
+		p := newTestPipeline(t, city, cfg)
+		result, err := p.ProcessRecords(records)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		assertResultParity(t, wantResult, result)
+		assertStoreParity(t, wantResult.TrajectoryIDs, want, p.Store())
+	}
+}
+
+// TestProcessRecordsTwiceReplaces ingests the same records twice into one
+// pipeline: the colliding trajectory ids are replaced, so episodes and every
+// interpretation stay the oracle's instead of doubling. Only the raw record
+// table appends, as it always has.
+func TestProcessRecordsTwiceReplaces(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	records := peopleRecords(t, city, 2, 2, 5)
+	want, wantResult := oracle(t, city, semitri.DefaultConfig(), records)
+	p := newTestPipeline(t, city, semitri.DefaultConfig())
+	for run := 0; run < 2; run++ {
+		result, err := p.ProcessRecords(records)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		assertResultParity(t, wantResult, result)
+	}
+	for _, objectID := range want.Objects() {
+		want.PutRecords(want.Records(objectID))
+	}
+	assertStoreParity(t, wantResult.TrajectoryIDs, want, p.Store())
+	wantStops, wantMoves := want.EpisodeCounts()
+	if stops, moves := p.Store().EpisodeCounts(); stops != wantStops || moves != wantMoves {
+		t.Fatalf("episode counts after two runs: %d/%d, oracle %d/%d", stops, moves, wantStops, wantMoves)
+	}
 }
 
 // assertStoreParity compares two pipeline stores tuple-for-tuple over the
@@ -190,11 +356,7 @@ func TestBatchStreamParityVehicle(t *testing.T) {
 	pipelineCfg := semitri.VehicleConfig()
 	pipelineCfg.DailySplit = false
 
-	batch := newTestPipeline(t, city, pipelineCfg)
-	batchResult, err := batch.ProcessRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantResult := oracle(t, city, pipelineCfg, records)
 
 	stream := newTestPipeline(t, city, pipelineCfg)
 	sp := stream.NewStream()
@@ -205,23 +367,8 @@ func TestBatchStreamParityVehicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batchResult.Stops != streamResult.Stops || batchResult.Moves != streamResult.Moves ||
-		len(batchResult.TrajectoryIDs) != len(streamResult.TrajectoryIDs) {
-		t.Fatalf("vehicle parity: batch %d/%d over %d trajectories, stream %d/%d over %d",
-			batchResult.Stops, batchResult.Moves, len(batchResult.TrajectoryIDs),
-			streamResult.Stops, streamResult.Moves, len(streamResult.TrajectoryIDs))
-	}
-	bst, sst := batch.Store(), stream.Store()
-	for _, id := range batchResult.TrajectoryIDs {
-		for _, interp := range bst.Interpretations(id) {
-			b, _ := bst.Structured(id, interp)
-			s, ok := sst.Structured(id, interp)
-			if !ok {
-				t.Fatalf("stream store missing %s/%s", id, interp)
-			}
-			tuplesEqual(t, id+"/"+interp, b.Tuples, s.Tuples)
-		}
-	}
+	assertResultParity(t, wantResult, streamResult)
+	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
 }
 
 // TestStreamTailAndFlush exercises the open-tail view and per-object flush.
@@ -269,8 +416,8 @@ func TestStreamTailAndFlush(t *testing.T) {
 	}
 }
 
-// TestStreamCloseErrorsMirrorBatch asserts that Close fails the way
-// ProcessRecords does on degenerate input, instead of returning an empty
+// TestStreamCloseErrorsMirrorBatch asserts that Close (and with it
+// ProcessRecords) fails on degenerate input instead of returning an empty
 // Result.
 func TestStreamCloseErrorsMirrorBatch(t *testing.T) {
 	city := newTestCity(t, 2, 1000)
@@ -280,8 +427,8 @@ func TestStreamCloseErrorsMirrorBatch(t *testing.T) {
 		t.Fatal("Close with no records should fail like ProcessRecords(nil)")
 	}
 
-	// A handful of records too short for any trajectory: batch fails with
-	// "no trajectories identified"; stream must too.
+	// A handful of records too short for any trajectory: "no trajectories
+	// identified" from either entry point.
 	p2 := newTestPipeline(t, city, semitri.DefaultConfig())
 	records := peopleRecords(t, city, 1, 1, 9)[:5]
 	if _, err := p2.ProcessRecords(records); err == nil {
