@@ -6,13 +6,19 @@ GO ?= go
 # PR number stamped into the benchmark artifact name (BENCH_$(PR).json).
 PR ?= 10
 
-.PHONY: build test race bench bench-smoke bench-module loc lint serve-smoke recovery-smoke coldstore-smoke subscribe-smoke ci fmt
+.PHONY: build test test-nommap race bench bench-smoke bench-module loc lint serve-smoke recovery-smoke coldstore-smoke subscribe-smoke ci fmt
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# The cold-read path with mmap compiled out: on platforms without mmap the
+# pread fallback is the only way a durable store reads frozen data, so the
+# packages that read it run once with the fallback forced on.
+test-nommap:
+	$(GO) test -tags semitri_nommap ./internal/segment/ ./internal/query/ .
 
 # Race-detector pass focused on the concurrency surface: the parity suite
 # (the stream path and ProcessRecords against the batch-kernel oracle,
@@ -73,15 +79,15 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # End-to-end crash-recovery probe: ingest with the WAL on, kill -9 the
-# server, restart from the data dir and assert identical counts and query
-# answers (what CI's recovery-smoke job runs).
+# server before any checkpoint, restart from the data dir (pure WAL-tail
+# replay) and assert identical counts and query answers (what CI's
+# recovery-smoke job runs).
 recovery-smoke:
 	./scripts/recovery-smoke.sh
 
 # End-to-end tiered-storage probe: ingest under a tight GOMEMLIMIT with
-# -storage segments and forced freezes, kill -9, restart from segments+WAL
-# alone and assert identical counts and query answers (what CI's
-# coldstore-smoke job runs).
+# forced freezes, kill -9, restart from segments+WAL alone and assert
+# identical counts and query answers (what CI's coldstore-smoke job runs).
 coldstore-smoke:
 	./scripts/coldstore-smoke.sh
 
@@ -92,8 +98,8 @@ coldstore-smoke:
 subscribe-smoke:
 	./scripts/subscribe-smoke.sh
 
-# What CI runs: build, lint, tests, the nested benchmark module, a
-# one-iteration bench smoke pass and the serving-layer + crash-recovery +
-# cold-store + live-subscription smokes.
-ci: build lint test bench-module serve-smoke recovery-smoke coldstore-smoke subscribe-smoke
+# What CI runs: build, lint, tests (race, then the no-mmap cold-read path),
+# the nested benchmark module, a one-iteration bench smoke pass and the
+# serving-layer + crash-recovery + cold-store + live-subscription smokes.
+ci: build lint test test-nommap bench-module serve-smoke recovery-smoke coldstore-smoke subscribe-smoke
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

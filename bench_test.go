@@ -215,8 +215,8 @@ func BenchmarkStreamPeopleDayDurable(b *testing.B) {
 
 // BenchmarkDurabilityOverhead regenerates the `durability` experiment row
 // (WAL-on vs WAL-off ns/record plus recovery timings), so the durability
-// subsystem runs end to end — ingest, replay, checkpoint, snapshot
-// recovery — on every bench pass.
+// subsystem runs end to end — ingest, log replay, checkpoint, recovery from
+// segments + tail — on every bench pass.
 func BenchmarkDurabilityOverhead(b *testing.B) { runExperiment(b, "durability") }
 
 // BenchmarkStreamConcurrentObjects measures multi-object streaming

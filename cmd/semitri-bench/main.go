@@ -19,7 +19,7 @@
 // co-location join and the parsed query language end to end), "durability"
 // reports what the write-ahead log costs streaming ingestion (WAL-on vs
 // WAL-off ns/record, group-commit fsync) plus crash-recovery timings (log
-// replay and snapshot+tail), verified exact against the live store, and
+// replay and segments+tail), verified exact against the live store, and
 // "parallel" reports the parallel query executor (ns/join and ns/query at
 // workers=1 vs workers=N, byte-identical results asserted, plus allocs/op
 // of the probe hot path), and "storage" reports the tiered storage engine —

@@ -26,8 +26,9 @@
 //
 // With -data-dir the store is durable: every mutation is written ahead to a
 // group-committed log in the directory and the store checkpoints on the
-// -checkpoint-interval schedule. On startup the server recovers whatever
-// the directory holds (snapshot + log tail, tolerating a torn tail from a
+// -checkpoint-interval schedule, freezing the heap tail into an immutable
+// binary segment served from mmap. On startup the server recovers whatever
+// the directory holds (segments + log tail, tolerating a torn tail from a
 // crash), so ingest → kill -9 → restart serves exactly the state the dead
 // process had made durable. A restart with a non-empty data dir and no -in
 // skips ingestion and serves the recovered store as is. On SIGINT/SIGTERM
@@ -84,7 +85,6 @@ func main() {
 	wait := flag.Bool("wait", false, "finish ingestion before the server starts listening")
 	progress := flag.Int("progress", 20000, "report ingestion progress every N records (0 = silent)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty = in-memory only")
-	storage := flag.String("storage", "json", "checkpoint base format: json (whole-store snapshot) | segments (tiered storage engine, incremental freezes, mmap cold reads) (with -data-dir)")
 	flushInterval := flag.Duration("flush-interval", 50*time.Millisecond, "WAL group-commit window (with -data-dir)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: interval | always | never (with -data-dir)")
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute, "checkpoint schedule, 0 disables (with -data-dir)")
@@ -117,7 +117,6 @@ func main() {
 	if *dataDir != "" {
 		cfg.Durability = semitri.Durability{
 			Dir:                *dataDir,
-			Storage:            *storage,
 			FlushInterval:      *flushInterval,
 			Fsync:              *fsync,
 			CheckpointInterval: *checkpointInterval,
@@ -136,7 +135,7 @@ func main() {
 			"dir", *dataDir,
 			"records", st.RecordCount(), "trajectories", st.TrajectoryCount(),
 			"structured", st.StructuredCount(),
-			"snapshot", rs.SnapshotLoaded, "cold_segments", rs.ColdSegments,
+			"cold_segments", rs.ColdSegments,
 			"wal_segments", rs.Segments, "frames", rs.FramesApplied)
 		if rs.Torn && rs.Quarantined == 0 {
 			logger.Warn("wal tail was torn (crash mid-flush); kept the committed prefix and repaired the log")

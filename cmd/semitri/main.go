@@ -19,7 +19,7 @@
 //
 // With -data-dir the run is durable: every store mutation is written ahead
 // to a group-committed log in the directory while the pipeline runs, and a
-// final checkpoint (snapshot + log truncation) is written on exit. The
+// final checkpoint (segment freeze + log truncation) is written on exit. The
 // resulting directory can be served directly with
 // `semitri-serve -data-dir dir` — including after a mid-run crash, which
 // recovers everything up to the last group commit. Use a fresh directory

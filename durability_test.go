@@ -1,16 +1,19 @@
 package semitri_test
 
 import (
-	"fmt"
-	"reflect"
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"semitri"
-	"semitri/internal/core"
-	"semitri/internal/episode"
 	"semitri/internal/gps"
+	"semitri/internal/obs"
+	"semitri/internal/segment"
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
@@ -25,11 +28,11 @@ func durableConfig(dir string) semitri.Config {
 
 // TestDurableRecoveryParity is the crash-recovery counterpart of
 // TestBatchStreamParity: the same person-days are streamed into a durable
-// pipeline, the WAL directory is recovered into a fresh store (exactly what
-// a process restart after kill -9 does), and the recovered store must be
-// tuple-for-tuple identical to the live one at the last durable point. It
-// then checkpoints and recovers again, covering the snapshot + empty-tail
-// path.
+// pipeline, the data directory is recovered into a fresh store (exactly what
+// a process restart after kill -9 does), and the recovered store must export
+// the same bytes as the live one at the last durable point. It then
+// checkpoints and recovers again, covering the segments + empty-tail path,
+// and finally restarts a pipeline over the directory.
 func TestDurableRecoveryParity(t *testing.T) {
 	city := newTestCity(t, 1, 3000)
 	records := peopleRecords(t, city, 2, 2, 5)
@@ -45,39 +48,32 @@ func TestDurableRecoveryParity(t *testing.T) {
 	if _, err := sp.Close(); err != nil { // Close syncs the WAL
 		t.Fatal(err)
 	}
+	live := exportStore(t, p.Store())
 
 	// Pure log replay (no checkpoint has run): what a kill -9 restart sees.
 	rec, stats, err := wal.Recover(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SnapshotLoaded {
-		t.Fatal("no checkpoint ran, yet recovery loaded a snapshot")
-	}
 	if stats.FramesApplied == 0 {
 		t.Fatal("recovery replayed no frames")
 	}
-	assertDurableParity(t, p.Store(), rec)
+	assertSameExport(t, "log replay", live, exportStore(t, rec))
 
-	// Checkpoint + recover: snapshot plus (empty) tail must give the same
-	// store, proving snapshot and replay agree on every table.
+	// Checkpoint + recover: frozen segments plus (empty) tail must give the
+	// same store, proving freeze and replay agree on every table — and the
+	// live store must still export the same bytes from its cold tier.
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rec2, stats2, err := wal.Recover(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats2.SnapshotLoaded {
-		t.Fatal("recovery after checkpoint ignored the snapshot")
-	}
-	assertDurableParity(t, p.Store(), rec2)
+	assertSameExport(t, "live store after checkpoint", live, exportStore(t, p.Store()))
+	assertSameExport(t, "segments + tail", live, recoverExport(t, dir))
 
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Restarting over the same directory recovers the identical store and
-	// keeps a configured shard count (the LoadSharded satellite).
+	// Restarting over the same directory recovers the identical store from
+	// its segments and keeps a configured shard count.
 	cfg := durableConfig(dir)
 	cfg.StoreShards = 7
 	restarted, err := semitri.New(semitri.Sources{
@@ -90,10 +86,13 @@ func TestDurableRecoveryParity(t *testing.T) {
 	if !restarted.Durable() {
 		t.Fatal("restarted pipeline is not durable")
 	}
+	if restarted.Recovery().ColdSegments == 0 {
+		t.Fatal("restart after a checkpoint folded no segments")
+	}
 	if got := restarted.Store().ShardCount(); got != 7 {
 		t.Fatalf("restarted store has %d shards, want 7", got)
 	}
-	assertDurableParity(t, p.Store(), restarted.Store())
+	assertSameExport(t, "restarted pipeline", live, exportStore(t, restarted.Store()))
 }
 
 // TestDurableRecoveryParityConcurrent runs the same parity check with
@@ -133,7 +132,7 @@ func TestDurableRecoveryParityConcurrent(t *testing.T) {
 		}(w)
 	}
 	// Checkpoints racing live ingestion: every recovery below must still be
-	// exact, because mutations racing the snapshot stay in retained
+	// exact, because mutations racing the freeze stay in retained log
 	// segments and replay idempotently.
 	cpDone := make(chan struct{})
 	go func() {
@@ -154,142 +153,151 @@ func TestDurableRecoveryParityConcurrent(t *testing.T) {
 	if _, err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
+	live := exportStore(t, p.Store())
 
-	rec, _, err := wal.Recover(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDurableParity(t, p.Store(), rec)
+	// Mid-run checkpoints froze part of the store, so the base is segments
+	// and the rest is the log tail.
+	assertSameExport(t, "segments + tail", live, recoverExport(t, dir))
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec2, stats, err := wal.Recover(dir, 0)
+	assertSameExport(t, "after the final checkpoint", live, recoverExport(t, dir))
+}
+
+// TestDurabilityStorageShim pins what is left of the removed storage knob:
+// Durability.Storage accepts "" and "segments" with identical behaviour and
+// rejects every other value — the removed "json" mode included — before the
+// directory is touched. It also checks the refusal of a JSON-mode directory
+// at the API users actually call.
+func TestDurabilityStorageShim(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	records := peopleRecords(t, city, 1, 1, 5)
+	sources := semitri.Sources{Landuse: city.Landuse, Roads: city.Roads, POIs: city.POIs}
+
+	var exports [][]byte
+	for _, mode := range []string{"", "segments"} {
+		cfg := durableConfig(t.TempDir())
+		cfg.Durability.Storage = mode
+		p := newTestPipeline(t, city, cfg)
+		if _, err := p.ProcessRecords(records); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Store().ColdSegmentCount(); got == 0 {
+			t.Fatalf("Storage %q: checkpoint froze no segment", mode)
+		}
+		exports = append(exports, exportStore(t, p.Store()))
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameExport(t, `Storage "" vs "segments"`, exports[0], exports[1])
+
+	for _, mode := range []string{"json", "bogus"} {
+		dir := filepath.Join(t.TempDir(), "data")
+		cfg := durableConfig(dir)
+		cfg.Durability.Storage = mode
+		if _, err := semitri.New(sources, cfg); err == nil || !strings.Contains(err.Error(), mode) {
+			t.Fatalf("Storage %q: New err = %v, want a rejection naming the mode", mode, err)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Storage %q: rejected New still created the data directory", mode)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := semitri.New(sources, durableConfig(dir)); err == nil || !strings.Contains(err.Error(), "snapshot.json") {
+		t.Fatalf("New over a JSON-mode directory: err = %v, want a refusal naming snapshot.json", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "snapshot.json" {
+		t.Fatalf("refused New changed the directory: %v (%v)", ents, err)
+	}
+}
+
+// TestHealthReportsOwnLogOnly pins Pipeline.Health to the pipeline's own
+// log: the process-wide semitri_checkpoint_errored gauge (here left at 1 by
+// "some other pipeline") must not degrade a non-durable or a closed pipeline,
+// while a pipeline whose own checkpoint fails does report it.
+func TestHealthReportsOwnLogOnly(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	mem := newTestPipeline(t, city, semitri.DefaultConfig())
+	closed := newTestPipeline(t, city, durableConfig(t.TempDir()))
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "data")
+	broken := newTestPipeline(t, city, durableConfig(dir))
+	defer broken.Close()
+
+	obs.CheckpointErrored.Set(1)
+	defer obs.CheckpointErrored.Set(0)
+	if r := mem.Health(); len(r) != 0 {
+		t.Fatalf("non-durable pipeline reports %q", r)
+	}
+	if r := closed.Health(); len(r) != 0 {
+		t.Fatalf("closed pipeline reports %q", r)
+	}
+	if r := broken.Health(); len(r) != 0 {
+		t.Fatalf("healthy durable pipeline reports %q", r)
+	}
+	// Pull the data directory out from under the pipeline (chmod does not
+	// bind when tests run as root): the checkpoint cannot rotate the log.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := broken.Checkpoint(); err == nil {
+		t.Fatal("checkpoint into a removed directory succeeded")
+	}
+	if r := broken.Health(); len(r) == 0 {
+		t.Fatal("pipeline whose checkpoint failed reports healthy")
+	}
+}
+
+// exportStore returns the store's JSON export (Store.Save): deterministic and
+// independent of shard layout and of what is frozen, so equal bytes mean
+// equal record tables, raw trajectories, episode sequences and structured
+// interpretations.
+func exportStore(t *testing.T, st *store.Store) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "export.json")
+	if err := st.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.SnapshotLoaded {
-		t.Fatal("final checkpoint left no snapshot")
-	}
-	assertDurableParity(t, p.Store(), rec2)
+	return data
 }
 
-// assertDurableParity compares a live store against a recovered one
-// tuple-for-tuple: record tables, raw trajectories, episode sequences and
-// every structured interpretation. Times are compared as instants (the WAL
-// codec and the JSON snapshot restore times in UTC).
-func assertDurableParity(t *testing.T, live, rec *store.Store) {
+// recoverExport recovers dir the way a restart does (segment fold + log
+// tail) and returns the recovered store's export.
+func recoverExport(t *testing.T, dir string) []byte {
 	t.Helper()
-	if live.RecordCount() != rec.RecordCount() {
-		t.Fatalf("record count: live %d, recovered %d", live.RecordCount(), rec.RecordCount())
+	st, tier, _, err := segment.Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ls, lm := live.EpisodeCounts()
-	rs, rm := rec.EpisodeCounts()
-	if ls != rs || lm != rm {
-		t.Fatalf("episode counts: live %d/%d, recovered %d/%d", ls, lm, rs, rm)
-	}
-	if live.StructuredCount() != rec.StructuredCount() {
-		t.Fatalf("structured count: live %d, recovered %d", live.StructuredCount(), rec.StructuredCount())
-	}
-	if !reflect.DeepEqual(live.Objects(), rec.Objects()) {
-		t.Fatalf("objects: live %v, recovered %v", live.Objects(), rec.Objects())
-	}
-	for _, obj := range live.Objects() {
-		lr, rr := live.Records(obj), rec.Records(obj)
-		if err := recordsMatch(lr, rr); err != nil {
-			t.Fatalf("object %s records: %v", obj, err)
-		}
-	}
-	ids := live.TrajectoryIDs("")
-	if !reflect.DeepEqual(ids, rec.TrajectoryIDs("")) {
-		t.Fatalf("trajectory ids: live %v, recovered %v", ids, rec.TrajectoryIDs(""))
-	}
-	for _, id := range ids {
-		lt, _ := live.Trajectory(id)
-		rt, ok := rec.Trajectory(id)
-		if !ok {
-			t.Fatalf("recovered store missing trajectory %s", id)
-		}
-		if lt.ObjectID != rt.ObjectID {
-			t.Fatalf("trajectory %s object: live %s, recovered %s", id, lt.ObjectID, rt.ObjectID)
-		}
-		if err := recordsMatch(lt.Records, rt.Records); err != nil {
-			t.Fatalf("trajectory %s records: %v", id, err)
-		}
-		leps, reps := live.Episodes(id), rec.Episodes(id)
-		if len(leps) != len(reps) {
-			t.Fatalf("trajectory %s: live %d episodes, recovered %d", id, len(leps), len(reps))
-		}
-		for i := range leps {
-			if !durEpisodesEqual(leps[i], reps[i]) {
-				t.Fatalf("trajectory %s episode %d differs:\n live      %+v\n recovered %+v",
-					id, i, *leps[i], *reps[i])
-			}
-		}
-		if !reflect.DeepEqual(live.Interpretations(id), rec.Interpretations(id)) {
-			t.Fatalf("trajectory %s interpretations: live %v, recovered %v",
-				id, live.Interpretations(id), rec.Interpretations(id))
-		}
-		for _, interp := range live.Interpretations(id) {
-			lo, ltu, _ := live.TupleSnapshot(id, interp)
-			ro, rtu, ok := rec.TupleSnapshot(id, interp)
-			if !ok || lo != ro {
-				t.Fatalf("%s/%s: recovered object id %q, live %q (ok=%v)", id, interp, ro, lo, ok)
-			}
-			if len(ltu) != len(rtu) {
-				t.Fatalf("%s/%s: live %d tuples, recovered %d", id, interp, len(ltu), len(rtu))
-			}
-			for i := range ltu {
-				if err := durTuplesEqual(&ltu[i], &rtu[i]); err != nil {
-					t.Fatalf("%s/%s tuple %d: %v\n live      %+v\n recovered %+v",
-						id, interp, i, err, ltu[i], rtu[i])
-				}
-			}
-		}
-	}
+	defer tier.Close()
+	return exportStore(t, st)
 }
 
-func recordsMatch(a, b []gps.Record) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("live %d, recovered %d", len(a), len(b))
+// assertSameExport fails with the first differing region of two exports.
+func assertSameExport(t *testing.T, label string, want, got []byte) {
+	t.Helper()
+	if bytes.Equal(want, got) {
+		return
 	}
-	for i := range a {
-		if a[i].ObjectID != b[i].ObjectID || a[i].Position != b[i].Position || !a[i].Time.Equal(b[i].Time) {
-			return fmt.Errorf("record %d: live %+v, recovered %+v", i, a[i], b[i])
-		}
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
 	}
-	return nil
-}
-
-func durEpisodesEqual(a, b *episode.Episode) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.TrajectoryID == b.TrajectoryID && a.ObjectID == b.ObjectID && a.Kind == b.Kind &&
-		a.StartIdx == b.StartIdx && a.EndIdx == b.EndIdx &&
-		a.Start.Equal(b.Start) && a.End.Equal(b.End) &&
-		a.Center == b.Center && a.Bounds == b.Bounds &&
-		a.AvgSpeed == b.AvgSpeed && a.MaxSpeed == b.MaxSpeed &&
-		a.Distance == b.Distance && a.RecordCount == b.RecordCount
-}
-
-func durTuplesEqual(a, b *core.EpisodeTuple) error {
-	if a.Kind != b.Kind {
-		return fmt.Errorf("kind %v vs %v", a.Kind, b.Kind)
-	}
-	if !a.TimeIn.Equal(b.TimeIn) || !a.TimeOut.Equal(b.TimeOut) {
-		return fmt.Errorf("times differ")
-	}
-	if (a.Place == nil) != (b.Place == nil) {
-		return fmt.Errorf("place presence differs")
-	}
-	if a.Place != nil && *a.Place != *b.Place {
-		return fmt.Errorf("place differs")
-	}
-	if !reflect.DeepEqual(a.Annotations.All(), b.Annotations.All()) {
-		return fmt.Errorf("annotations differ: %s vs %s", a.Annotations.String(), b.Annotations.String())
-	}
-	if !durEpisodesEqual(a.Episode, b.Episode) {
-		return fmt.Errorf("episode back-pointer differs")
-	}
-	return nil
+	window := func(b []byte) []byte { return b[max(i-80, 0):min(i+80, len(b))] }
+	t.Fatalf("%s: export differs from the live store's at byte %d (%d vs %d bytes)\n live      …%s…\n recovered …%s…",
+		label, i, len(want), len(got), window(want), window(got))
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"semitri"
+	"semitri/internal/segment"
 	"semitri/internal/store"
-	"semitri/internal/wal"
 	"semitri/internal/workload"
 )
 
@@ -15,8 +15,8 @@ import (
 // hot path and what recovery buys back: the same people workload is
 // streamed through a WAL-off pipeline and a WAL-on one (group-commit
 // fsync), reporting ns/record for both and the relative overhead; the
-// resulting log is then recovered — pure replay, and again after a
-// checkpoint (snapshot + tail) — with the rebuilt store verified against
+// resulting directory is then recovered — pure log replay, and again after
+// a checkpoint (segments + tail) — with the rebuilt store verified against
 // the live one. This is not a paper figure: the paper delegates durability
 // to PostgreSQL; the row documents that the reproduction's own durability
 // layer keeps the online path within budget (expected: group commit within
@@ -128,18 +128,20 @@ func DurabilityOverhead(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer replay.tier.Close()
 	if err := verify(replay); err != nil {
 		return nil, err
 	}
-	// Checkpoint, then recover again: snapshot load + (near-empty) tail.
+	// Checkpoint, then recover again: segment fold + (near-empty) tail.
 	if err := p.Close(); err != nil {
 		return nil, err
 	}
-	fromSnap, err := timeRecover(dir)
+	fromSegs, err := timeRecover(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := verify(fromSnap); err != nil {
+	defer fromSegs.tier.Close()
+	if err := verify(fromSegs); err != nil {
 		return nil, err
 	}
 
@@ -173,17 +175,17 @@ func DurabilityOverhead(env *Env) (*Table, error) {
 			Columns: []string{"ms", "frames", "records"},
 			Values: map[string]float64{
 				"ms":      replay.ms,
-				"frames":  float64(replay.stats.FramesApplied),
+				"frames":  float64(replay.stats.WAL.FramesApplied),
 				"records": float64(replay.st.RecordCount()),
 			},
 		},
 		Row{
-			Label:   "recover: snapshot + tail",
+			Label:   "recover: segments + tail",
 			Columns: []string{"ms", "frames", "records"},
 			Values: map[string]float64{
-				"ms":      fromSnap.ms,
-				"frames":  float64(fromSnap.stats.FramesApplied),
-				"records": float64(fromSnap.st.RecordCount()),
+				"ms":      fromSegs.ms,
+				"frames":  float64(fromSegs.stats.WAL.FramesApplied),
+				"records": float64(fromSegs.st.RecordCount()),
 			},
 		},
 	)
@@ -192,15 +194,16 @@ func DurabilityOverhead(env *Env) (*Table, error) {
 
 type recovered struct {
 	st    *store.Store
-	stats wal.RecoverStats
+	tier  *segment.Tier // backs st's frozen rows; close when done with st
+	stats segment.RecoverStats
 	ms    float64
 }
 
 func timeRecover(dir string) (recovered, error) {
 	start := time.Now()
-	st, stats, err := wal.Recover(dir, 0)
+	st, tier, stats, err := segment.Recover(dir, 0)
 	if err != nil {
 		return recovered{}, err
 	}
-	return recovered{st: st, stats: stats, ms: float64(time.Since(start).Microseconds()) / 1000}, nil
+	return recovered{st: st, tier: tier, stats: stats, ms: float64(time.Since(start).Microseconds()) / 1000}, nil
 }

@@ -39,7 +39,7 @@ func StorageEngine(env *Env) (*Table, error) {
 	}
 
 	tcfg := semitri.DefaultConfig()
-	tcfg.Durability = semitri.Durability{Dir: dir, Storage: "segments", Fsync: "never"}
+	tcfg.Durability = semitri.Durability{Dir: dir, Fsync: "never"}
 	tiered, err := semitri.New(sources, tcfg)
 	if err != nil {
 		return nil, err

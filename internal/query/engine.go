@@ -322,7 +322,7 @@ func (e *Engine) Execute(q Query) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	path := e.planLean(&q, &estimates{})
+	path := e.plan(&q).Path
 	out := e.executeBuf(&q, path, nil, 0, nil)
 	obs.QueryByPath[pathRank(path)].Inc()
 	obs.QueryReturned.Add(int64(len(out)))
@@ -336,7 +336,7 @@ func (e *Engine) ExecuteExplained(q Query) ([]Match, Plan, error) {
 		return nil, Plan{}, err
 	}
 	t0 := time.Now()
-	p := e.plan(q)
+	p := e.plan(&q)
 	planNs := time.Since(t0).Nanoseconds()
 	t1 := time.Now()
 	out := e.executeBuf(&q, p.Path, nil, 0, nil)

@@ -308,6 +308,61 @@ func TestPlannerPicksSelectivePath(t *testing.T) {
 	}
 }
 
+// TestPlanStringGolden pins the rendering EXPLAIN, ?trace=1 and the README
+// show: available paths in rank order, the chosen one starred. 611 one-cell
+// tuples spread over 59 grid cells put 611/59 per cell, so a window over 14
+// cells estimates ceil(144.98) = 145.
+func TestPlanStringGolden(t *testing.T) {
+	st := store.New()
+	e := NewEngine(st)
+	for i := 0; i < 611; i++ {
+		category := "shop"
+		if i < 7 {
+			category = "museum"
+		}
+		at := t0.Add(time.Duration(i) * time.Minute)
+		center := geo.Pt(SpatialCellSize*(float64(i%59)+0.5), SpatialCellSize/2)
+		tp := mkTuple(episode.Stop, at, at.Add(time.Minute), center, ann(core.AnnPOICategory, category))
+		if err := st.AppendStructuredTuples("u0-T0", "u0", DefaultInterpretation, tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := geo.NewRect(geo.Pt(10, 10), geo.Pt(13.5*SpatialCellSize, 200))
+	plan, err := e.Explain(Query{AnnKey: core.AnnPOICategory, AnnValue: "museum", Window: &window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plan.String(), "*annotation≈7 spatial≈145 full-scan≈611"; got != want {
+		t.Fatalf("plan renders as %q, want %q", got, want)
+	}
+}
+
+// TestPlanningDoesNotAllocate asserts the one planner keeps the property the
+// join probe loop depends on: estimating all five paths and picking one
+// touches no heap.
+func TestPlanningDoesNotAllocate(t *testing.T) {
+	st := store.New()
+	e := NewEngine(st)
+	populate(t, st, 3, 8, 2, 20)
+	q := Query{
+		TrajectoryID: "u0-T0", ObjectID: "u0", From: t0, To: t0.Add(48 * time.Hour),
+		AnnKey: core.AnnPOICategory, AnnValue: "shop",
+		Near: &geo.Point{X: 1000, Y: 1000}, Radius: 300,
+	}.normalized()
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var plan Plan
+	if allocs := testing.AllocsPerRun(100, func() { plan = e.plan(&q) }); allocs != 0 {
+		t.Fatalf("planning a four-predicate query allocates %.0f times, want 0", allocs)
+	}
+	for r, avail := range plan.est.avail {
+		if !avail {
+			t.Fatalf("path %s was not estimated: %s", rankedPaths[r], plan)
+		}
+	}
+}
+
 // TestQueryValidation pins the error cases and the limit.
 func TestQueryValidation(t *testing.T) {
 	st := store.New()

@@ -226,19 +226,19 @@ func validateJoin(j *Join) (left, right Query, err error) {
 // materialised first, so the (more expensive) per-row probing happens from
 // the smaller set into the larger one's indexes. Ties build left.
 func (e *Engine) planJoin(left, right Query) JoinPlan {
-	lp, rp := e.plan(left), e.plan(right)
+	lp, rp := e.plan(&left), e.plan(&right)
 	jp := JoinPlan{
 		BuildSide:     SideLeft,
 		Build:         lp,
-		LeftEstimate:  lp.Estimates[lp.Path],
-		RightEstimate: rp.Estimates[rp.Path],
+		LeftEstimate:  lp.estimate(),
+		RightEstimate: rp.estimate(),
 	}
 	if jp.RightEstimate < jp.LeftEstimate {
 		jp.BuildSide = SideRight
 		jp.Build = rp
 	}
 	// The probe pool is sized by the build estimate: one row = one probe task.
-	jp.Workers = e.workersFor(jp.Build.Estimates[jp.Build.Path])
+	jp.Workers = e.workersFor(jp.Build.estimate())
 	return jp
 }
 
@@ -419,15 +419,13 @@ type pairSpan struct {
 }
 
 // probeWorker is one probe-pool worker's private state: the pair buffer its
-// rows append into, a reusable match buffer for probe execution, a reusable
-// estimates block for lean planning, and its share of the probe-path
-// histogram. Nothing here is shared, so the probe loop runs lock-free and,
-// at steady state, allocation-free.
+// rows append into, a reusable match buffer for probe execution and its share
+// of the probe-path histogram. Nothing here is shared, so the probe loop runs
+// lock-free and, at steady state, allocation-free.
 type probeWorker struct {
 	e      *Engine
 	pairs  []JoinMatch
 	mbuf   []Match
-	est    estimates
 	hist   [numPaths]int
 	probes int
 }
@@ -442,7 +440,7 @@ func (w *probeWorker) probeRow(b *Match, probe *Query, on *JoinOn, buildSide Sid
 	if !ok {
 		return lo, lo // the row can pair with nothing (no geometry, contradiction)
 	}
-	path := w.e.planLean(&pq, &w.est)
+	path := w.e.plan(&pq).Path
 	w.hist[pathRank(path)]++
 	w.probes++
 	w.mbuf = w.e.executeBuf(&pq, path, w.mbuf[:0], 1, nil)

@@ -33,30 +33,35 @@ const (
 
 // Plan records the planner's decision for one query: the access path it
 // picked and the candidate-count estimate of every path the query's
-// predicates made available. The cheapest estimate wins; ties break in
-// declaration order of the paths above (most precise first).
+// predicates made available (rendered by String). The cheapest estimate wins;
+// ties break in declaration order of the paths above (most precise first).
+// A Plan is a plain value: planning allocates nothing.
 type Plan struct {
-	Path      Path
-	Estimates map[Path]int
+	Path Path
+	est  estimates
 }
 
-// String renders the plan compactly: the chosen path first, then the
-// alternatives with their estimates.
+// estimate returns the candidate-count estimate of the chosen path.
+func (p Plan) estimate() int { return p.est.n[pathRank(p.Path)] }
+
+// String renders the plan compactly: every available path in rank order with
+// its estimate, the chosen one starred, e.g.
+// "*annotation≈7 spatial≈145 full-scan≈611".
 func (p Plan) String() string {
-	paths := make([]Path, 0, len(p.Estimates))
-	for path := range p.Estimates {
-		paths = append(paths, path)
-	}
-	sort.Slice(paths, func(i, j int) bool { return pathRank(paths[i]) < pathRank(paths[j]) })
-	parts := make([]string, 0, len(paths))
-	for _, path := range paths {
-		marker := ""
-		if path == p.Path {
-			marker = "*"
+	var b strings.Builder
+	for r, path := range rankedPaths {
+		if !p.est.avail[r] {
+			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s%s≈%d", marker, path, p.Estimates[path]))
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if path == p.Path {
+			b.WriteByte('*')
+		}
+		fmt.Fprintf(&b, "%s≈%d", path, p.est.n[r])
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 // pathRank is the tie-break order of the access paths.
@@ -86,11 +91,11 @@ func (e *Engine) Explain(q Query) (Plan, error) {
 	if err := q.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return e.plan(q), nil
+	return e.plan(&q), nil
 }
 
 // estimates holds per-path candidate-count estimates in fixed rank-indexed
-// arrays, so the probe hot path can plan without allocating a map.
+// arrays, so planning never allocates.
 type estimates struct {
 	n     [numPaths]int
 	avail [numPaths]bool
@@ -161,21 +166,8 @@ func (est *estimates) best() Path {
 
 // plan ranks the available access paths by estimated candidate count and
 // picks the cheapest. q is normalized and valid.
-func (e *Engine) plan(q Query) Plan {
-	var est estimates
-	e.estimatePaths(&q, &est)
-	m := make(map[Path]int, numPaths)
-	for r := 0; r < numPaths; r++ {
-		if est.avail[r] {
-			m[rankedPaths[r]] = est.n[r]
-		}
-	}
-	return Plan{Path: est.best(), Estimates: m}
-}
-
-// planLean is the allocation-free planner used on the join probe hot path:
-// same estimates, same tie-break, no Estimates map.
-func (e *Engine) planLean(q *Query, est *estimates) Path {
-	e.estimatePaths(q, est)
-	return est.best()
+func (e *Engine) plan(q *Query) (p Plan) {
+	e.estimatePaths(q, &p.est)
+	p.Path = p.est.best()
+	return p
 }

@@ -81,7 +81,7 @@ func (e *Engine) ExecuteTraced(q Query) ([]Match, Plan, *Trace, error) {
 		return nil, Plan{}, nil, err
 	}
 	t0 := time.Now()
-	p := e.plan(q)
+	p := e.plan(&q)
 	planNs := time.Since(t0).Nanoseconds()
 	tr := &Trace{Kind: "query", Plan: p.String(), Path: string(p.Path), PlanNs: planNs}
 	t1 := time.Now()

@@ -1,9 +1,7 @@
 package segment
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,86 +13,78 @@ import (
 	"semitri/internal/wal"
 )
 
-// RecoverStats summarises one segment-mode recovery.
+// RecoverStats summarises one recovery.
 type RecoverStats struct {
 	// Segments is the number of segment files folded into the base.
 	Segments int
-	// SnapshotLoaded reports that no segments existed and a JSON snapshot
-	// (from an earlier json-storage run) served as the base instead.
-	SnapshotLoaded bool
 	// WAL carries the log-tail replay stats.
 	WAL wal.RecoverStats
 }
 
-// Recover rebuilds a tiered store from a directory of segment files plus the
-// WAL tail committed after the last freeze. The segment footers fold —
-// oldest to newest, later runs shadowing earlier ones positionally — into
-// the frozen base; wal.ReplayInto then replays the tail over it. Runs from a
+// legacySnapshot is the checkpoint base of the removed JSON storage mode.
+// Nothing parses it any more; Recover only refuses a directory where it is
+// the sole base, because opening that as "empty base + WAL tail" would drop
+// everything the snapshot covered without an error.
+const legacySnapshot = "snapshot.json"
+
+// Recover is the one recovery procedure of a durable store: it rebuilds a
+// tiered store from a directory of segment files plus the WAL tail committed
+// after the last freeze. The segment footers fold — oldest to newest, later
+// runs shadowing earlier ones positionally — into the frozen base without
+// decoding bodies; wal.ReplayInto then replays the tail over it. Runs from a
 // freeze that never committed (a crash between segment write and eviction)
 // fold in too: the WAL retains every frame that would have been truncated,
 // and idempotent positional replay plus replace-supersede semantics converge
-// on the exact pre-crash state.
+// on the exact pre-crash state. A fresh or missing directory recovers to an
+// empty store with an empty tier.
 //
 // A segment file that fails validation is disk corruption, not a crash
 // artifact (segments are written temp-file-then-rename, fsynced): recovery
-// returns a clean error and never panics. With no segments at all, a
-// snapshot.json left by an earlier json-storage run is loaded as the base,
-// so switching storage modes migrates the data forward.
+// returns a clean error and never panics. A directory whose only checkpoint
+// base is a snapshot.json written by the removed JSON storage mode is refused
+// untouched; one that also holds segments (a crash between the migrating
+// freeze and the snapshot's unlink) is covered by them and opens normally.
 func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) {
 	var stats RecoverStats
-	t := newTier(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, stats, err
 	}
-	paths, maxSeq, err := listSegmentFiles(dir)
+	paths, staleTmp, maxSeq, err := listSegmentFiles(dir)
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	t.nextSeq = maxSeq + 1
-
-	var st *store.Store
-	snapPath := filepath.Join(dir, wal.SnapshotFile)
 	if len(paths) == 0 {
-		if _, err := os.Stat(snapPath); err == nil {
-			st, err = store.LoadSharded(snapPath, shards)
-			if err != nil {
-				t.Close()
-				return nil, nil, stats, fmt.Errorf("segment: snapshot base: %w", err)
-			}
-			stats.SnapshotLoaded = true
-		} else {
-			st = store.NewSharded(shards)
+		if _, err := os.Stat(filepath.Join(dir, legacySnapshot)); err == nil {
+			return nil, nil, stats, fmt.Errorf("segment: %s holds a %s from the removed JSON storage mode and no segments; "+
+				"start it once at the previous release with -storage segments and let one checkpoint run, which migrates it",
+				dir, legacySnapshot)
 		}
-		if err := st.InstallColdTier(t, store.ColdInstall{}); err != nil {
-			t.Close()
-			return nil, nil, stats, err
-		}
-	} else {
-		for _, p := range paths {
-			r, err := Open(p)
-			if err != nil {
-				t.Close()
-				return nil, nil, stats, err
-			}
-			t.segs = append(t.segs, r)
-			t.scan = append(t.scan, nil)
-			stats.Segments++
-		}
-		inst, err := t.fold()
+	}
+	for _, p := range staleTmp {
+		os.Remove(p) // leftover of an interrupted freeze
+	}
+	t := newTier(dir)
+	t.nextSeq = maxSeq + 1
+	for _, p := range paths {
+		r, err := Open(p)
 		if err != nil {
 			t.Close()
 			return nil, nil, stats, err
 		}
-		st = store.NewSharded(shards)
-		if err := st.InstallColdTier(t, inst); err != nil {
-			t.Close()
-			return nil, nil, stats, err
-		}
-		// Segments are the base; a stale JSON snapshot must not shadow them
-		// if the deployment ever flips back to json storage.
-		os.Remove(snapPath)
+		t.segs = append(t.segs, r)
+		t.scan = append(t.scan, nil)
+		stats.Segments++
 	}
-
+	inst, err := t.fold()
+	if err != nil {
+		t.Close()
+		return nil, nil, stats, err
+	}
+	st := store.NewSharded(shards)
+	if err := st.InstallColdTier(t, inst); err != nil {
+		t.Close()
+		return nil, nil, stats, err
+	}
 	if err := wal.ReplayInto(dir, st, &stats.WAL); err != nil {
 		t.Close()
 		return nil, nil, stats, err
@@ -102,24 +92,12 @@ func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) 
 	return st, t, stats, nil
 }
 
-// HasSegments reports whether dir holds any segment files — the guard the
-// json storage mode uses to refuse a directory whose base is binary
-// segments (which a JSON snapshot load would silently ignore).
-func HasSegments(dir string) bool {
-	paths, _, err := listSegmentFiles(dir)
-	return err == nil && len(paths) > 0
-}
-
 // listSegmentFiles returns the directory's segment files sorted by sequence
-// number, deleting leftover temp files from an interrupted freeze along the
-// way.
-func listSegmentFiles(dir string) (paths []string, maxSeq uint64, err error) {
+// number, plus the temp files an interrupted freeze left behind.
+func listSegmentFiles(dir string) (paths, staleTmp []string, maxSeq uint64, err error) {
 	entries, err := os.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
-	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("segment: read dir: %w", err)
+		return nil, nil, 0, fmt.Errorf("segment: read dir: %w", err)
 	}
 	type segFile struct {
 		seq  uint64
@@ -129,7 +107,7 @@ func listSegmentFiles(dir string) (paths []string, maxSeq uint64, err error) {
 	for _, ent := range entries {
 		name := ent.Name()
 		if strings.HasPrefix(name, filePrefix) && strings.HasSuffix(name, fileSuffix+".tmp") {
-			os.Remove(filepath.Join(dir, name))
+			staleTmp = append(staleTmp, filepath.Join(dir, name))
 			continue
 		}
 		if !strings.HasPrefix(name, filePrefix) || !strings.HasSuffix(name, fileSuffix) {
@@ -149,7 +127,7 @@ func listSegmentFiles(dir string) (paths []string, maxSeq uint64, err error) {
 	for _, s := range segs {
 		paths = append(paths, s.path)
 	}
-	return paths, maxSeq, nil
+	return paths, staleTmp, maxSeq, nil
 }
 
 // fold replays the open segments' footers, oldest to newest, into the tier's

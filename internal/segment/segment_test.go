@@ -1,11 +1,13 @@
 package segment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -424,7 +426,7 @@ func TestCorruptSegmentFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier.Close()
-	paths, _, err := listSegmentFiles(dir)
+	paths, _, _, err := listSegmentFiles(dir)
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("want 1 segment, got %v (%v)", paths, err)
 	}
@@ -463,35 +465,126 @@ func TestCorruptSegmentFailsCleanly(t *testing.T) {
 	r.Close()
 }
 
-func TestSnapshotMigration(t *testing.T) {
-	// A json-storage directory (snapshot + WAL) recovers through the
-	// segment engine: the snapshot seeds the base, and the first freeze
-	// retires it.
-	dir := t.TempDir()
-	st := store.NewSharded(4)
-	populate(t, st, 3, 10)
-	if err := st.Save(filepath.Join(dir, wal.SnapshotFile)); err != nil {
+// dirListing returns the directory's entries as "name size" lines.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := capture(st)
+	var out []string
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%s %d", e.Name(), fi.Size()))
+	}
+	return out
+}
 
-	st2, tier2, stats, err := Recover(dir, 4)
+// TestLegacySnapshotRefused pins the guard that replaced the JSON→segment
+// migration: a directory whose only checkpoint base is a snapshot.json of the
+// removed JSON storage mode must not open as "empty base + WAL tail".
+func TestLegacySnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snapshot.json")
+	if err := os.WriteFile(snap, []byte(`{"records":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Leftovers a parent-era directory can hold: a WAL tail and the temp file
+	// of a migrating freeze that crashed. The refusal must leave both alone.
+	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := store.NewSharded(1)
+	logged.AttachLog(l)
+	populate(t, logged, 1, 4)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.seg.tmp"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	_, _, _, err = Recover(dir, 4)
+	if err == nil || !strings.Contains(err.Error(), "snapshot.json") {
+		t.Fatalf("Recover of a snapshot-only directory: err = %v, want one naming snapshot.json", err)
+	}
+	if after := dirListing(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused open changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// Segments + a stale snapshot.json (a crash between the migrating freeze
+	// and the snapshot's unlink): the segments cover it, so the directory
+	// opens and answers exactly as it does without the file.
+	dir2 := t.TempDir()
+	st, tier := newTiered(t, dir2, 4)
+	populate(t, st, 3, 10)
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	tier.Close()
+	reopen := func() *storeState {
+		t.Helper()
+		st, tier, stats, err := Recover(dir2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tier.Close()
+		if stats.Segments != 1 {
+			t.Fatalf("recovered %d segments, want 1", stats.Segments)
+		}
+		return capture(st)
+	}
+	without := reopen()
+	if err := os.WriteFile(filepath.Join(dir2, "snapshot.json"), []byte("not even json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustEqualState(t, without, reopen(), "with a stale snapshot.json beside the segments")
+}
+
+// TestSaveStableAcrossFreezeAndRecovery pins the JSON export as the
+// whole-store equality oracle: Store.Save writes the same bytes whether the
+// content sits in the heap, in frozen segments, or in a store recovered from
+// those segments at a different shard count.
+func TestSaveStableAcrossFreezeAndRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	populate(t, st, 4, 12)
+	if err := st.MergeTupleAnnotations("t-1", "merged", 0, nil,
+		[]core.Annotation{{Key: "activity", Value: "eat", Confidence: 0.95, Source: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	export := func(st *store.Store, name string) []byte {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), name)
+		if err := st.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	heap := export(st, "heap.json")
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	if frozen := export(st, "frozen.json"); !bytes.Equal(heap, frozen) {
+		t.Fatalf("export changed across a freeze: %d bytes before, %d after", len(heap), len(frozen))
+	}
+	tier.Close()
+	st2, tier2, _, err := Recover(dir, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tier2.Close()
-	if !stats.SnapshotLoaded {
-		t.Fatal("snapshot base not loaded")
+	if recovered := export(st2, "recovered.json"); !bytes.Equal(heap, recovered) {
+		t.Fatalf("export changed across recovery at another shard count: %d bytes before, %d after", len(heap), len(recovered))
 	}
-	mustEqualState(t, want, capture(st2), "after snapshot migration")
-
-	if err := tier2.Freeze(st2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, wal.SnapshotFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("snapshot.json still present after the first freeze")
-	}
-	mustEqualState(t, want, capture(st2), "after migration freeze")
 }
 
 func TestReplaceAfterFreezeSupersedes(t *testing.T) {

@@ -1,8 +1,6 @@
 package segment
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 
 	"semitri/internal/core"
@@ -323,9 +321,6 @@ func (t *Tier) Freeze(st *store.Store) error {
 	}
 	t.mu.Unlock()
 
-	// Segments are the recovery base now; a JSON snapshot from an earlier
-	// storage mode would shadow them at the next JSON-mode start.
-	os.Remove(filepath.Join(t.dir, wal.SnapshotFile))
 	obs.SegmentFreezes.Inc()
 	return nil
 }
@@ -335,7 +330,7 @@ func (t *Tier) Freeze(st *store.Store) error {
 // covers. Its cost is proportional to the tail written since the last
 // checkpoint, not to the total stored data.
 func (t *Tier) Checkpoint(l *wal.Log, st *store.Store) error {
-	return l.CheckpointWith(func(string) error { return t.Freeze(st) })
+	return l.Checkpoint(func(string) error { return t.Freeze(st) })
 }
 
 // Close releases every open segment (unmapping them where mapped). The

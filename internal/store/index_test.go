@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,12 +159,21 @@ func TestSaveAtomic(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	// The overwrite must hold exactly what a Save to a fresh path writes.
+	fresh := filepath.Join(dir, "fresh.json")
+	if err := s.Save(fresh); err != nil {
+		t.Fatal(err)
+	}
+	over, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.RecordCount() != 8 {
-		t.Fatalf("RecordCount after reload = %d", loaded.RecordCount())
+	want, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(over, want) {
+		t.Fatalf("overwritten export has %d bytes, a fresh one %d", len(over), len(want))
 	}
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {

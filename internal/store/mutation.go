@@ -37,9 +37,9 @@ const (
 // Mutation is one committed store mutation, in a form that can be
 // serialised, shipped and replayed. Positional append ops carry in Start the
 // table length observed immediately before the append (captured under the
-// stripe lock), which is what makes replay over a later snapshot idempotent:
-// Apply skips the prefix a snapshot already contains and appends only the
-// missing suffix.
+// stripe lock), which is what makes replay over a later checkpoint base
+// idempotent: Apply skips the prefix the base already contains and appends
+// only the missing suffix.
 type Mutation struct {
 	Op             MutationOp
 	ObjectID       string
@@ -136,7 +136,7 @@ func (s *Store) episodeLen(trajectoryID string) int {
 // with respect to state the store already holds: positional appends skip the
 // already-present prefix, replaces re-write the same content and annotation
 // merges re-run the same confidence-max rule, so replaying a log tail over a
-// snapshot that was taken mid-tail converges to the exact live state.
+// checkpoint base frozen mid-tail converges to the exact live state.
 //
 // Apply is meant for recovery into a store without concurrent writers (the
 // per-op read-then-append is not atomic against other mutators of the same

@@ -11,24 +11,14 @@ import (
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
-	"semitri/internal/geo"
-	"semitri/internal/gps"
 )
 
-// snapshot is the JSON persistence format of the store. It is shard-layout
-// independent: Save merges every stripe into one document (keys sorted, so a
-// snapshot of given content is byte-identical regardless of stripe layout or
-// insertion order), and Load re-routes rows through the public Put API, so a
-// snapshot written with one shard count loads into a store with any other.
-//
-// Save streams the document row by row (see writeSnapshot); this struct is
-// only unmarshalled into by Load.
-type snapshot struct {
-	Records      map[string][]jsonRecord          `json:"records"`
-	Trajectories []jsonTrajectory                 `json:"trajectories"`
-	Episodes     map[string][]*episode.Episode    `json:"episodes"`
-	Structured   map[string]map[string]jsonStruct `json:"structured"`
-}
+// The JSON document Save writes is an export, not a recovery format: nothing
+// reads it back (durable state lives in internal/segment and internal/wal).
+// It is shard-layout independent — Save merges every stripe into one
+// document with sorted keys — so a store of given content exports
+// byte-identically regardless of stripe layout, insertion order or how much
+// of it is frozen into cold segments: the tests' whole-store equality oracle.
 
 type jsonRecord struct {
 	Object string    `json:"object"`
@@ -58,8 +48,6 @@ type jsonTuple struct {
 	Annotations []core.Annotation `json:"annotations,omitempty"`
 	// Episode preserves the tuple's back-pointer to its stop/move episode,
 	// which the query engine's spatial path reads (episode bounds/centre).
-	// Absent in snapshots written before the field existed, which load as
-	// before (nil back-pointers).
 	Episode *episode.Episode `json:"episode,omitempty"`
 }
 
@@ -72,8 +60,8 @@ type jsonTuple struct {
 // concurrently with Save land entirely in or entirely out of the file per
 // row, never half-serialised.
 //
-// The write is crash-safe: the snapshot lands in a temporary file in the
-// target directory and is renamed into place, so a snapshot taken during
+// The write is crash-safe: the document lands in a temporary file in the
+// target directory and is renamed into place, so an export taken during
 // live ingestion (or interrupted by a crash) can never be read torn — any
 // existing file at path stays intact until the new one is complete.
 func (s *Store) Save(path string) error {
@@ -128,7 +116,7 @@ func (s *Store) Save(path string) error {
 	return nil
 }
 
-// writeSnapshot streams the snapshot document to w. Keys are collected and
+// writeSnapshot streams the export document to w. Keys are collected and
 // sorted up front (ids only — O(keys) memory), then each row is copied out
 // of its stripe under the stripe's lock and encoded immediately.
 func (s *Store) writeSnapshot(w *bufio.Writer) error {
@@ -273,70 +261,4 @@ func (s *Store) episodeTrajectoryIDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Load reads a snapshot produced by Save into a fresh store with the
-// default shard count. Use LoadSharded to keep a configured stripe count
-// across a save/restore cycle.
-func Load(path string) (*Store, error) {
-	return LoadSharded(path, 0)
-}
-
-// LoadSharded reads a snapshot produced by Save into a fresh store with n
-// lock stripes (values below 1 mean DefaultShards). The snapshot format is
-// shard-layout independent, so any snapshot loads into any stripe count; a
-// recovered server passes its configured StoreShards here to keep its
-// striping.
-func LoadSharded(path string, n int) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: read: %w", err)
-	}
-	defer f.Close()
-	var snap snapshot
-	if err := json.NewDecoder(bufio.NewReaderSize(f, 64<<10)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: unmarshal: %w", err)
-	}
-	s := NewSharded(n)
-	for _, rows := range snap.Records {
-		recs := make([]gps.Record, len(rows))
-		for i, r := range rows {
-			recs[i] = gps.Record{ObjectID: r.Object, Position: geo.Pt(r.X, r.Y), Time: r.Time}
-		}
-		s.PutRecords(recs)
-	}
-	for _, jt := range snap.Trajectories {
-		recs := make([]gps.Record, len(jt.Records))
-		for i, r := range jt.Records {
-			recs[i] = gps.Record{ObjectID: r.Object, Position: geo.Pt(r.X, r.Y), Time: r.Time}
-		}
-		if err := s.PutTrajectory(&gps.RawTrajectory{ID: jt.ID, ObjectID: jt.ObjectID, Records: recs}); err != nil {
-			return nil, err
-		}
-	}
-	for id, eps := range snap.Episodes {
-		if err := s.PutEpisodes(id, eps); err != nil {
-			return nil, err
-		}
-	}
-	for _, byInterp := range snap.Structured {
-		for _, js := range byInterp {
-			st := &core.StructuredTrajectory{ID: js.ID, ObjectID: js.ObjectID, Interpretation: js.Interpretation}
-			for _, jtp := range js.Tuples {
-				kind := episode.Move
-				if jtp.Kind == "stop" {
-					kind = episode.Stop
-				}
-				tp := &core.EpisodeTuple{Kind: kind, Place: jtp.Place, TimeIn: jtp.TimeIn, TimeOut: jtp.TimeOut, Episode: jtp.Episode}
-				for _, a := range jtp.Annotations {
-					tp.Annotations.Add(a)
-				}
-				st.Tuples = append(st.Tuples, tp)
-			}
-			if err := s.PutStructured(st); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return s, nil
 }

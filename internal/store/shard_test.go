@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -247,44 +250,30 @@ func TestSaveDuringConcurrentAppends(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if _, err := Load(path); err != nil {
-		t.Fatal(err)
+	if data, err := os.ReadFile(path); err != nil || !json.Valid(data) {
+		t.Fatalf("export written beside appends is not well-formed JSON (read err %v)", err)
 	}
 }
 
-// TestSaveLoadAcrossShardCounts writes a snapshot from a striped store and
-// loads it back, asserting the snapshot format is shard-layout independent.
-func TestSaveLoadAcrossShardCounts(t *testing.T) {
-	src := NewSharded(5)
-	ids := populate(t, src, 6)
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := src.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ShardCount() != DefaultShards {
-		t.Fatalf("loaded store has %d shards", got.ShardCount())
-	}
-	if a, b := src.RecordCount(), got.RecordCount(); a != b {
-		t.Fatalf("RecordCount: %d vs %d", a, b)
-	}
-	as, am := src.EpisodeCounts()
-	bs, bm := got.EpisodeCounts()
-	if as != bs || am != bm {
-		t.Fatalf("EpisodeCounts: %d/%d vs %d/%d", as, am, bs, bm)
-	}
-	if a, b := src.StructuredCount(), got.StructuredCount(); a != b {
-		t.Fatalf("StructuredCount: %d vs %d", a, b)
-	}
-	for _, id := range ids {
-		if _, ok := got.Trajectory(id); !ok {
-			t.Fatalf("loaded store missing trajectory %s", id)
+// TestSaveAcrossShardCounts asserts the export is shard-layout independent:
+// the same content saved from differently striped stores is byte-identical.
+func TestSaveAcrossShardCounts(t *testing.T) {
+	var want []byte
+	for _, shards := range []int{5, 1, DefaultShards} {
+		s := NewSharded(shards)
+		populate(t, s, 6)
+		path := filepath.Join(t.TempDir(), "export.json")
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
 		}
-		if a, b := src.Interpretations(id), got.Interpretations(id); !reflect.DeepEqual(a, b) {
-			t.Fatalf("Interpretations(%s): %v vs %v", id, a, b)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(want, got) {
+			t.Fatalf("export from %d shards differs from the 5-shard one (%d vs %d bytes)", shards, len(got), len(want))
 		}
 	}
 }

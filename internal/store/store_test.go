@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -244,7 +245,9 @@ func TestQueries(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+// TestSaveDocument decodes the JSON export with plain encoding/json (nothing
+// in the repository reads it back) and checks every table made it out.
+func TestSaveDocument(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "nested", "store.json")
 	s := New()
@@ -257,44 +260,39 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.RecordCount() != 1 || loaded.TrajectoryCount() != 1 || loaded.StructuredCount() != 1 {
-		t.Fatalf("loaded counts = %d records, %d trajectories, %d structured",
-			loaded.RecordCount(), loaded.TrajectoryCount(), loaded.StructuredCount())
+	var doc struct {
+		Records      map[string][]jsonRecord          `json:"records"`
+		Trajectories []jsonTrajectory                 `json:"trajectories"`
+		Episodes     map[string][]*episode.Episode    `json:"episodes"`
+		Structured   map[string]map[string]jsonStruct `json:"structured"`
 	}
-	tr, ok := loaded.Trajectory("u1-T0")
-	if !ok || len(tr.Records) != 5 || tr.ObjectID != "u1" {
-		t.Fatalf("loaded trajectory = %+v", tr)
-	}
-	st, ok := loaded.Structured("u1-T0", "merged")
-	if !ok || len(st.Tuples) != 2 {
-		t.Fatalf("loaded structured = %+v", st)
-	}
-	if st.Tuples[0].Kind != episode.Stop || st.Tuples[0].Annotations.Value(core.AnnPOICategory) != "item sale" {
-		t.Fatalf("loaded tuple = %+v", st.Tuples[0])
-	}
-	if st.Tuples[1].Kind != episode.Move || st.Tuples[1].Place.Name != "main" {
-		t.Fatalf("loaded move tuple = %+v", st.Tuples[1])
-	}
-	if eps := loaded.Episodes("u1-T0"); len(eps) != 1 || eps[0].RecordCount != 5 {
-		t.Fatalf("loaded episodes = %+v", eps)
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load("/nonexistent/path/store.json"); err == nil {
-		t.Fatal("missing file should error")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad); err == nil {
-		t.Fatal("corrupt file should error")
+	if recs := doc.Records["u1"]; len(recs) != 1 || recs[0].X != 1.5 || recs[0].Y != 2.5 || !recs[0].Time.Equal(t0) {
+		t.Fatalf("exported records = %+v", doc.Records)
+	}
+	if len(doc.Trajectories) != 1 || doc.Trajectories[0].ID != "u1-T0" ||
+		doc.Trajectories[0].ObjectID != "u1" || len(doc.Trajectories[0].Records) != 5 {
+		t.Fatalf("exported trajectories = %+v", doc.Trajectories)
+	}
+	if eps := doc.Episodes["u1-T0"]; len(eps) != 1 || eps[0].RecordCount != 5 {
+		t.Fatalf("exported episodes = %+v", doc.Episodes)
+	}
+	st := doc.Structured["u1-T0"]["merged"]
+	if st.ObjectID != "u1" || len(st.Tuples) != 2 {
+		t.Fatalf("exported structured = %+v", st)
+	}
+	if tp := st.Tuples[0]; tp.Kind != "stop" || len(tp.Annotations) == 0 ||
+		tp.Annotations[0].Key != core.AnnPOICategory || tp.Annotations[0].Value != "item sale" {
+		t.Fatalf("exported stop tuple = %+v", tp)
+	}
+	if tp := st.Tuples[1]; tp.Kind != "move" || tp.Place == nil || tp.Place.Name != "main" {
+		t.Fatalf("exported move tuple = %+v", tp)
 	}
 }
 

@@ -14,9 +14,6 @@ import (
 
 // RecoverStats summarises one recovery.
 type RecoverStats struct {
-	// SnapshotLoaded reports whether a checkpoint snapshot was found and
-	// loaded before replay.
-	SnapshotLoaded bool
 	// Segments is the number of segment files visited.
 	Segments int
 	// FramesApplied is the number of log frames replayed into the store.
@@ -37,35 +34,17 @@ type RecoverStats struct {
 	QuarantinedSegments int
 }
 
-// Recover rebuilds a store from a log directory: the checkpoint snapshot
-// (when present) plus a replay of every remaining segment in order. shards
-// is the stripe count of the rebuilt store (values below 1 mean the
-// default), so a recovered server keeps its configured striping.
-//
-// Replay stops at the first torn or corrupt frame and keeps everything
-// before it; it never panics on damaged input. A detected tear is also
-// repaired on disk — the damaged segment is truncated at the tear (or
-// removed when nothing useful remains) and later segments are deleted — so
-// the log ends cleanly and frames appended by a reopened Log are never
-// stranded behind old damage at the next recovery. A missing or empty
-// directory recovers to an empty store. After recovering, open the log with
-// Open (which starts a fresh segment) and attach it to the returned store.
+// Recover rebuilds a store from a log directory by pure log replay: a fresh
+// store plus ReplayInto over every segment in order. It knows nothing of
+// checkpoint bases — a directory that has been checkpointed recovers through
+// segment.Recover, which folds the frozen base and then replays the tail the
+// same way. shards is the stripe count of the rebuilt store (values below 1
+// mean the default). A missing or empty directory recovers to an empty store.
+// After recovering, open the log with Open (which starts a fresh segment) and
+// attach it to the returned store.
 func Recover(dir string, shards int) (*store.Store, RecoverStats, error) {
 	var stats RecoverStats
-	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
-		return store.NewSharded(shards), stats, nil
-	}
-	var st *store.Store
-	snapPath := filepath.Join(dir, SnapshotFile)
-	if _, err := os.Stat(snapPath); err == nil {
-		st, err = store.LoadSharded(snapPath, shards)
-		if err != nil {
-			return nil, stats, fmt.Errorf("wal: snapshot: %w", err)
-		}
-		stats.SnapshotLoaded = true
-	} else {
-		st = store.NewSharded(shards)
-	}
+	st := store.NewSharded(shards)
 	if err := ReplayInto(dir, st, &stats); err != nil {
 		return nil, stats, err
 	}
@@ -73,11 +52,17 @@ func Recover(dir string, shards int) (*store.Store, RecoverStats, error) {
 }
 
 // ReplayInto replays the directory's log segments, in order, into an
-// existing store, accumulating into stats. It is the log-tail half of
-// Recover: the segment store (internal/segment) rebuilds its base from
-// binary segments first and then calls this for the frames committed after
-// the last freeze. The same torn-tail rules apply — replay stops at the
-// first damaged frame, keeps the prefix and repairs the log on disk.
+// existing store, accumulating into stats: the segment store
+// (internal/segment) rebuilds its base from binary segments first and then
+// calls this for the frames committed after the last freeze.
+//
+// Replay stops at the first torn or corrupt frame and keeps everything
+// before it; it never panics on damaged input. A detected tear is also
+// repaired on disk — the damaged segment is truncated at the tear (or
+// removed when nothing useful remains) and later segments are quarantined —
+// so the log ends cleanly and frames appended by a reopened Log are never
+// stranded behind old damage at the next recovery. A missing directory
+// replays nothing.
 func ReplayInto(dir string, st *store.Store, stats *RecoverStats) error {
 	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
 		return nil

@@ -1,5 +1,6 @@
 // Package wal is semitri's durability subsystem: a write-ahead log over the
-// semantic trajectory store, plus snapshot checkpoints and crash recovery.
+// semantic trajectory store, plus the checkpoint protocol and crash recovery
+// of the log tail.
 //
 // The store reports every committed mutation — raw records, trajectories,
 // episodes, structured tuples, annotation merges — through its
@@ -17,19 +18,21 @@
 // it to zero (a write+sync per mutation), FsyncNever leaves syncing to the
 // OS page cache.
 //
-// Segments rotate at SegmentSize. A checkpoint rotates, writes the store's
-// crash-safe JSON snapshot (store.Save: temp file + rename) into the same
-// directory and deletes the segments older than the rotation point; because
-// every mutation in those segments committed to the store before the
-// rotation, the snapshot is guaranteed to contain them. Mutations racing the
-// snapshot land in segments the checkpoint keeps and replay idempotently
-// (positional appends skip what the snapshot already holds), so checkpoints
-// never block ingestion.
+// Segments rotate at SegmentSize. A checkpoint rotates, has its caller
+// persist everything committed before the rotation as the new recovery base
+// (internal/segment freezes the store's heap tail into an immutable binary
+// segment in the same directory) and then deletes the log segments older
+// than the rotation point; because every mutation in those segments committed
+// to the store before the rotation, the base is guaranteed to contain them.
+// Mutations racing the checkpoint land in segments it keeps and replay
+// idempotently (positional appends skip what the base already holds), so
+// checkpoints never block ingestion.
 //
-// Recover loads the snapshot (if any) and replays the remaining segments in
-// order. Replay stops cleanly at the first torn or corrupt frame — a crash
-// mid-flush leaves at most one torn frame at the tail — keeping every fully
-// committed frame before it and never panicking on damaged input.
+// ReplayInto replays the remaining segments, in order, over a recovered base
+// (Recover is the same over an empty store: pure log replay). Replay stops
+// cleanly at the first torn or corrupt frame — a crash mid-flush leaves at
+// most one torn frame at the tail — keeping every fully committed frame
+// before it and never panicking on damaged input.
 package wal
 
 import (
@@ -82,9 +85,6 @@ const (
 )
 
 const (
-	// SnapshotFile is the checkpoint snapshot's file name inside the log
-	// directory.
-	SnapshotFile  = "snapshot.json"
 	segmentPrefix = "wal-"
 	segmentSuffix = ".log"
 	// segment header: magic + format version.
@@ -109,8 +109,8 @@ const formatVersion = 1
 
 // Options configures a Log.
 type Options struct {
-	// Dir is the log directory (created if absent). Segments and the
-	// checkpoint snapshot live directly inside it.
+	// Dir is the log directory (created if absent). Log segments and the
+	// checkpoint base live directly inside it.
 	Dir string
 	// FlushInterval is the group-commit window (default
 	// DefaultFlushInterval). Shorter intervals narrow the durability window;
@@ -544,27 +544,16 @@ func (l *Log) Err() error {
 }
 
 // Checkpoint makes the store's current state the log's new recovery base:
-// it rotates to a fresh segment, writes the store's crash-safe snapshot
-// into the log directory and deletes the segments the snapshot has made
-// obsolete. Safe to run while writers keep logging — mutations racing the
-// snapshot stay in retained segments and replay idempotently. A checkpoint
-// that crashes between snapshot and truncation only leaves extra segments
-// behind, which also replay idempotently.
-func (l *Log) Checkpoint(st *store.Store) error {
-	return l.CheckpointWith(func(dir string) error {
-		return st.Save(filepath.Join(dir, SnapshotFile))
-	})
-}
-
-// CheckpointWith is Checkpoint with a caller-supplied recovery-base writer:
-// after the log rotates, save must persist everything committed before the
-// rotation into dir (the log directory), and on success the log deletes the
+// it rotates to a fresh segment, has save persist everything committed before
+// the rotation into dir (the log directory) and, on success, deletes the
 // segments older than the rotation point. The tiered segment store plugs its
-// incremental freeze in here instead of the JSON snapshot; the flush /
-// rotate / save / truncate contract is identical.
-func (l *Log) CheckpointWith(save func(dir string) error) error {
+// incremental freeze in as save. Safe to run while writers keep logging —
+// mutations racing save stay in retained segments and replay idempotently. A
+// checkpoint that crashes between save and truncation only leaves extra
+// segments behind, which also replay idempotently.
+func (l *Log) Checkpoint(save func(dir string) error) error {
 	start := time.Now()
-	err := l.checkpointWith(save)
+	err := l.checkpoint(save)
 	if err != nil {
 		obs.CheckpointErrored.Set(1)
 		return err
@@ -574,7 +563,7 @@ func (l *Log) CheckpointWith(save func(dir string) error) error {
 	return nil
 }
 
-func (l *Log) checkpointWith(save func(dir string) error) error {
+func (l *Log) checkpoint(save func(dir string) error) error {
 	l.cpMu.Lock()
 	defer l.cpMu.Unlock()
 	if err := l.Flush(); err != nil {
@@ -587,40 +576,40 @@ func (l *Log) checkpointWith(save func(dir string) error) error {
 	if err != nil {
 		return err
 	}
+	// From here on a failure is the checkpoint's own, not the log's: sticky
+	// until the next checkpoint succeeds, and prefixed so a health probe can
+	// tell it from a write/sync error.
+	l.cpErr = nil
+	if err := l.saveAndTruncate(save, boundary); err != nil {
+		l.cpErr = fmt.Errorf("checkpoint: %w", err)
+	}
+	return l.cpErr
+}
+
+// saveAndTruncate runs save, then deletes the segments below boundary.
+func (l *Log) saveAndTruncate(save func(dir string) error, boundary uint64) error {
 	if err := save(l.opts.Dir); err != nil {
-		l.cpErr = err
 		return err
 	}
 	segs, err := listSegments(l.opts.Dir)
 	if err != nil {
-		l.cpErr = err
 		return err
 	}
 	for _, seg := range segs {
 		if seg.seq < boundary {
 			if err := os.Remove(seg.path); err != nil {
-				l.cpErr = err
 				return err
 			}
 		}
 	}
 	syncDir(l.opts.Dir)
-	l.cpErr = nil
 	return nil
 }
 
-// StartAutoCheckpoint checkpoints the store every interval until Close.
-// Checkpoint errors are sticky (see Err) but do not stop the log or the
-// schedule. A non-positive interval disables the schedule.
-func (l *Log) StartAutoCheckpoint(st *store.Store, interval time.Duration) {
-	l.StartAutoCheckpointFunc(func() error { return l.Checkpoint(st) }, interval)
-}
-
-// StartAutoCheckpointFunc runs cp every interval until Close — the schedule
-// StartAutoCheckpoint uses, with the checkpoint step replaced (the segment
-// store schedules its incremental freeze this way). Errors from cp are the
-// caller's to make sticky; the schedule itself never stops on them.
-func (l *Log) StartAutoCheckpointFunc(cp func() error, interval time.Duration) {
+// StartAutoCheckpoint runs cp every interval until Close. Errors from cp are
+// the caller's to make sticky (Checkpoint's are, see Err); the schedule never
+// stops on them. A non-positive interval disables the schedule.
+func (l *Log) StartAutoCheckpoint(cp func() error, interval time.Duration) {
 	if interval <= 0 {
 		return
 	}

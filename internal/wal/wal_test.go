@@ -1,9 +1,10 @@
 package wal
 
 import (
-	"os"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,7 +132,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SnapshotLoaded || stats.Torn {
+	if stats.Torn {
 		t.Fatalf("unexpected stats %+v", stats)
 	}
 	if stats.FramesApplied == 0 {
@@ -148,15 +149,54 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 	ms := testMutations()
 	live := logAll(t, l, ms[:4])
-	if err := l.Checkpoint(live); err != nil {
+
+	// A failing save leaves the log untruncated and its error sticky on Err
+	// until the next checkpoint succeeds.
+	boom := errors.New("boom")
+	if err := l.Checkpoint(func(string) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Checkpoint with a failing save: err = %v, want boom", err)
+	}
+	if err := l.Err(); !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "checkpoint: ") {
+		t.Fatalf("Err after a failed checkpoint = %v, want a checkpoint-prefixed boom", err)
+	}
+	if segs, _ := listSegments(dir); len(segs) != 2 || segs[0].seq != 1 {
+		t.Fatalf("failed checkpoint truncated the log: %+v", segs)
+	}
+
+	// The stub save stands in for the segment freeze: its recovery base is a
+	// store holding whatever the directory's log holds when it runs. Before
+	// capturing it commits two more mutations — frames racing the checkpoint,
+	// which land behind the rotation point, so they end up in the base AND in
+	// a retained segment and must replay idempotently.
+	base := store.NewSharded(4)
+	save := func(d string) error {
+		if d != dir {
+			t.Errorf("save got dir %q, want %q", d, dir)
+		}
+		for _, m := range ms[4:6] {
+			if err := live.Apply(m); err != nil {
+				return err
+			}
+		}
+		if err := l.Flush(); err != nil {
+			return err
+		}
+		return ReplayInto(d, base, &RecoverStats{})
+	}
+	if err := l.Checkpoint(save); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotFile)); err != nil {
-		t.Fatalf("snapshot missing after checkpoint: %v", err)
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err after a successful checkpoint = %v, want nil", err)
 	}
-	// Keep writing after the checkpoint, then recover from snapshot + tail.
-	live.AttachLog(l)
-	for _, m := range ms[4:] {
+	// Two rotations so far (one per checkpoint): only the segment opened by
+	// the last one survives truncation.
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 || segs[0].seq != 3 {
+		t.Fatalf("segments after checkpoint = %+v (%v), want only seq 3", segs, err)
+	}
+	// Keep writing after the checkpoint, then recover from base + tail.
+	for _, m := range ms[6:] {
 		if err := live.Apply(m); err != nil {
 			t.Fatal(err)
 		}
@@ -164,17 +204,14 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, stats, err := Recover(dir, 4)
-	if err != nil {
+	var stats RecoverStats
+	if err := ReplayInto(dir, base, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if !stats.SnapshotLoaded {
-		t.Fatal("recovery ignored the checkpoint snapshot")
+	if want := len(ms[4:]); stats.FramesApplied != want {
+		t.Fatalf("tail replayed %d frames, want %d (the racing two plus the tail)", stats.FramesApplied, want)
 	}
-	if rec.ShardCount() != 4 {
-		t.Fatalf("recovered shard count %d, want 4", rec.ShardCount())
-	}
-	assertSameContent(t, live, rec)
+	assertSameContent(t, live, base)
 }
 
 func TestSegmentRotation(t *testing.T) {

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Cold-store smoke test: exercises the tiered storage engine end to end.
-# Ingests a generated workload under a tight GOMEMLIMIT with -storage
-# segments and an aggressive checkpoint interval (so the heap tail is
-# forcibly frozen into binary segments while ingestion runs), kills the
-# server with SIGKILL, restarts it from segments + WAL alone, and asserts
-# the recovered server reports exactly the pre-kill counts and answers a
-# query byte-for-byte identically. CI runs this as the coldstore-smoke job;
+# Ingests a generated workload under a tight GOMEMLIMIT with an aggressive
+# checkpoint interval (so the heap tail is forcibly frozen into binary
+# segments while ingestion runs), kills the server with SIGKILL, restarts it
+# from segments + WAL alone, and asserts the recovered server reports exactly
+# the pre-kill counts and answers a query byte-for-byte identically. CI runs this as the coldstore-smoke job;
 # `make coldstore-smoke` runs it locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,14 +39,13 @@ wait_healthy() {
 
 query="/query/episodes?annkey=poi_category&annvalue=item%20sale&kind=stop"
 
-# First run: segment storage, a 200ms checkpoint interval so freezes fire
-# repeatedly during ingestion, and a tight GOMEMLIMIT to keep the GC honest
-# about the cold tier living off-heap. -wait means the server only listens
-# once ingestion finished; a 2s sleep after gives the auto-checkpoint loop
-# time to freeze the final tail so the restart genuinely reads segments.
+# First run: a 200ms checkpoint interval so freezes fire repeatedly during
+# ingestion, and a tight GOMEMLIMIT to keep the GC honest about the cold tier
+# living off-heap. -wait means the server only listens once ingestion
+# finished; a 2s sleep after gives the auto-checkpoint loop time to freeze
+# the final tail so the restart genuinely reads segments.
 GOMEMLIMIT=128MiB "$tmp/semitri-serve" -addr "$addr" -in "$tmp/people.csv" -pois 3000 \
-	-data-dir "$tmp/data" -storage segments -checkpoint-interval 200ms \
-	-wait -progress 0 &
+	-data-dir "$tmp/data" -checkpoint-interval 200ms -wait -progress 0 &
 server_pid=$!
 wait_healthy
 sleep 2
@@ -76,7 +74,7 @@ server_pid=""
 # Restart from the data directory alone (no -in: a recovered non-empty
 # store is served as is, nothing is re-ingested).
 GOMEMLIMIT=128MiB "$tmp/semitri-serve" -addr "$addr" -data-dir "$tmp/data" \
-	-storage segments -wait -progress 0 &
+	-wait -progress 0 &
 server_pid=$!
 wait_healthy
 after_counts=$(curl -fsS "http://$addr/healthz")

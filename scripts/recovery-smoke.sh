@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Recovery smoke test: builds semitri-serve, ingests a generated workload
-# with the write-ahead log enabled, kills the server with SIGKILL (no
-# cleanup, no final checkpoint — the crash case), restarts it from the data
-# directory alone, and asserts the recovered server reports exactly the
-# pre-kill record/episode/structured counts and answers a query
-# byte-for-byte identically. CI runs this as the recovery-smoke job;
-# `make recovery-smoke` runs it locally.
+# with the write-ahead log enabled, kills the server with SIGKILL before any
+# checkpoint has run (no cleanup, no final checkpoint — the crash case, so
+# recovery is pure WAL-tail replay), restarts it from the data directory
+# alone, and asserts the recovered server reports exactly the pre-kill
+# record/episode/structured counts and answers a query byte-for-byte
+# identically. CI runs this as the recovery-smoke job; `make recovery-smoke`
+# runs it locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -129,22 +129,25 @@ type Config struct {
 	Durability Durability
 }
 
-// Durability configures the pipeline's write-ahead log (internal/wal): with
-// a Dir set, New recovers the store from the directory's snapshot + log
-// tail, attaches the WAL to the store's mutation path and (optionally)
-// checkpoints on a schedule. After an ingest, a kill -9 and a restart with
-// the same Dir, the recovered pipeline answers queries exactly as the dead
-// one did at its last durable point.
+// Durability configures the pipeline's durability subsystem: the write-ahead
+// log (internal/wal) and the tiered segment store (internal/segment) that is
+// its checkpoint base. With a Dir set, New recovers the store from the
+// directory's binary segments + log tail, attaches the WAL to the store's
+// mutation path and (optionally) checkpoints on a schedule. A checkpoint
+// freezes only the heap tail written since the last one into an immutable
+// segment (cost proportional to the tail, not the store); frozen data is
+// served from mmap-backed segment files instead of the Go heap. After an
+// ingest, a kill -9 and a restart with the same Dir, the recovered pipeline
+// answers queries exactly as the dead one did at its last durable point.
 type Durability struct {
 	// Dir is the data directory holding the log segments and the checkpoint
 	// base. Empty disables durability entirely.
 	Dir string
-	// Storage selects the checkpoint base format: "json" (or empty) writes a
-	// whole-store JSON snapshot per checkpoint; "segments" runs the tiered
-	// storage engine (internal/segment) — checkpoints freeze only the heap
-	// tail written since the last one into an immutable binary segment, cold
-	// data is served from mmap-backed segment files instead of the Go heap,
-	// and recovery folds segment footers instead of re-parsing a snapshot.
+	// Storage selects nothing: segments are the only checkpoint format. It
+	// is an inert compile shim for bench/harness.go (which sets "segments"
+	// and cannot change in the same PR as the root module) and leaves with
+	// the next benchmark-archetype PR. "" and "segments" behave identically;
+	// any other value, the removed "json" mode included, is rejected by New.
 	Storage string
 	// FlushInterval is the group-commit window: the WAL batches frames and
 	// pays one write+fsync per interval (default wal.DefaultFlushInterval).
@@ -156,7 +159,7 @@ type Durability struct {
 	// SegmentSize is the log-segment rotation threshold in bytes (default
 	// wal.DefaultSegmentSize).
 	SegmentSize int64
-	// CheckpointInterval, when positive, snapshots the store and truncates
+	// CheckpointInterval, when positive, freezes the heap tail and truncates
 	// obsolete log segments on this schedule. Checkpoints also run on
 	// Pipeline.Close and on demand via Pipeline.Checkpoint.
 	CheckpointInterval time.Duration
@@ -177,10 +180,8 @@ func fsyncPolicy(s string) (wal.FsyncPolicy, error) {
 
 // RecoveryStats summarises what New recovered from a durability directory.
 type RecoveryStats struct {
-	// SnapshotLoaded reports whether a checkpoint snapshot seeded the store.
-	SnapshotLoaded bool
 	// ColdSegments counts the binary segments folded into the store's frozen
-	// base (segment storage only).
+	// base.
 	ColdSegments int
 	// Segments and FramesApplied count the replayed log tail.
 	Segments      int
@@ -231,8 +232,8 @@ type Pipeline struct {
 
 	st *store.Store
 
-	// wal is the attached durability log (nil without Config.Durability.Dir);
-	// tier the segment cold tier (nil unless Storage is "segments"); recovery
+	// wal is the attached durability log and tier the segment cold tier it
+	// checkpoints into (both nil without Config.Durability.Dir); recovery
 	// holds what New replayed from its directory.
 	wal      *wal.Log
 	tier     *segment.Tier
@@ -258,38 +259,18 @@ func New(sources Sources, cfg Config) (*Pipeline, error) {
 		p.st = store.NewSharded(cfg.StoreShards)
 	} else {
 		// Durable pipeline: recover the store from the data directory's
-		// checkpoint base + log tail, then attach a fresh WAL so every
-		// mutation from here on is logged.
+		// segments + log tail, then attach a fresh WAL so every mutation from
+		// here on is logged.
 		policy, err := fsyncPolicy(cfg.Durability.Fsync)
 		if err != nil {
 			return nil, fmt.Errorf("semitri: durability: %w", err)
 		}
-		var (
-			st     *store.Store
-			rstats wal.RecoverStats
-		)
-		switch cfg.Durability.Storage {
-		case "", "json":
-			if segment.HasSegments(cfg.Durability.Dir) {
-				return nil, fmt.Errorf("semitri: durability: %s holds binary segments; set Durability.Storage to %q",
-					cfg.Durability.Dir, "segments")
-			}
-			st, rstats, err = wal.Recover(cfg.Durability.Dir, cfg.StoreShards)
-			if err != nil {
-				return nil, fmt.Errorf("semitri: recover: %w", err)
-			}
-		case "segments":
-			var sstats segment.RecoverStats
-			st, p.tier, sstats, err = segment.Recover(cfg.Durability.Dir, cfg.StoreShards)
-			if err != nil {
-				return nil, fmt.Errorf("semitri: recover: %w", err)
-			}
-			rstats = sstats.WAL
-			rstats.SnapshotLoaded = sstats.SnapshotLoaded
-			p.recovery.ColdSegments = sstats.Segments
-		default:
-			return nil, fmt.Errorf("semitri: durability: unknown storage %q (want json or segments)",
-				cfg.Durability.Storage)
+		if m := cfg.Durability.Storage; m != "" && m != "segments" {
+			return nil, fmt.Errorf("semitri: durability: unknown storage %q: segments are the only checkpoint format (the json mode was removed; leave Durability.Storage empty)", m)
+		}
+		st, tier, rstats, err := segment.Recover(cfg.Durability.Dir, cfg.StoreShards)
+		if err != nil {
+			return nil, fmt.Errorf("semitri: recover: %w", err)
 		}
 		l, err := wal.Open(wal.Options{
 			Dir:           cfg.Durability.Dir,
@@ -298,26 +279,19 @@ func New(sources Sources, cfg Config) (*Pipeline, error) {
 			Fsync:         policy,
 		})
 		if err != nil {
-			if p.tier != nil {
-				p.tier.Close()
-			}
+			tier.Close()
 			return nil, fmt.Errorf("semitri: %w", err)
 		}
 		st.AttachLog(l)
-		if p.tier != nil {
-			tier := p.tier
-			l.StartAutoCheckpointFunc(func() error { return tier.Checkpoint(l, st) },
-				cfg.Durability.CheckpointInterval)
-		} else {
-			l.StartAutoCheckpoint(st, cfg.Durability.CheckpointInterval)
+		l.StartAutoCheckpoint(func() error { return tier.Checkpoint(l, st) }, cfg.Durability.CheckpointInterval)
+		p.st, p.wal, p.tier = st, l, tier
+		p.recovery = RecoveryStats{
+			ColdSegments:  rstats.Segments,
+			Segments:      rstats.WAL.Segments,
+			FramesApplied: rstats.WAL.FramesApplied,
+			Torn:          rstats.WAL.Torn,
+			Quarantined:   rstats.WAL.QuarantinedSegments,
 		}
-		p.st = st
-		p.wal = l
-		p.recovery.SnapshotLoaded = rstats.SnapshotLoaded
-		p.recovery.Segments = rstats.Segments
-		p.recovery.FramesApplied = rstats.FramesApplied
-		p.recovery.Torn = rstats.Torn
-		p.recovery.Quarantined = rstats.QuarantinedSegments
 	}
 	// fail releases the WAL and segment tier (stopping background
 	// goroutines) when a later construction step errors out.
@@ -325,8 +299,6 @@ func New(sources Sources, cfg Config) (*Pipeline, error) {
 		if p.wal != nil {
 			p.st.AttachLog(nil)
 			_ = p.wal.Close()
-		}
-		if p.tier != nil {
 			_ = p.tier.Close()
 		}
 		return nil, err
@@ -369,25 +341,21 @@ func (p *Pipeline) SyncDurability() error {
 }
 
 // Checkpoint persists the store's committed state into the durability
-// directory and truncates the log segments that made obsolete: a full JSON
-// snapshot under json storage, an incremental freeze of the heap tail into a
-// new binary segment under segment storage (cost proportional to the data
-// written since the last checkpoint, not the total). Safe to call while
+// directory and truncates the log segments that made obsolete: an incremental
+// freeze of the heap tail into a new binary segment (cost proportional to the
+// data written since the last checkpoint, not the total). Safe to call while
 // ingestion is running. A no-op without durability.
 func (p *Pipeline) Checkpoint() error {
 	if p.wal == nil {
 		return nil
 	}
-	if p.tier != nil {
-		return p.tier.Checkpoint(p.wal, p.st)
-	}
-	return p.wal.Checkpoint(p.st)
+	return p.tier.Checkpoint(p.wal, p.st)
 }
 
 // Close shuts the durability subsystem down cleanly: a final checkpoint
-// (snapshot + log truncation) followed by closing the WAL. Close any
-// StreamProcessors first so their tail artefacts are in the store. Safe to
-// call more than once and a no-op for non-durable pipelines.
+// (freeze + log truncation) followed by closing the WAL and the segment
+// files. Close any StreamProcessors first so their tail artefacts are in the
+// store. Safe to call more than once and a no-op for non-durable pipelines.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -408,10 +376,8 @@ func (p *Pipeline) Close() error {
 	if err := p.wal.Close(); err != nil && cpErr == nil {
 		cpErr = err
 	}
-	if p.tier != nil {
-		if err := p.tier.Close(); err != nil && cpErr == nil {
-			cpErr = err
-		}
+	if err := p.tier.Close(); err != nil && cpErr == nil {
+		cpErr = err
 	}
 	return cpErr
 }
@@ -420,16 +386,19 @@ func (p *Pipeline) Close() error {
 // reasons; an empty slice means healthy. It is the probe the serving layer
 // wires into GET /healthz (serve.WithHealth): a sticky WAL write/sync error,
 // a WAL flusher that has stopped making progress, or a failed last
-// checkpoint/freeze each contribute a reason. Non-durable pipelines are
-// always healthy. Safe to poll.
+// checkpoint/freeze of this pipeline's own log each contribute a reason.
+// Non-durable and closed pipelines are always healthy. Safe to poll.
 func (p *Pipeline) Health() []string {
 	var reasons []string
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
 	if p.wal != nil && !closed {
+		// Err is the sticky I/O error ("wal: ...") or, failing that, the error
+		// of this log's last checkpoint/freeze ("checkpoint: ...", cleared by
+		// the next one that succeeds).
 		if err := p.wal.Err(); err != nil {
-			reasons = append(reasons, fmt.Sprintf("wal: %v", err))
+			reasons = append(reasons, err.Error())
 		}
 		// The flusher wakes every FlushInterval even when idle, so a last
 		// flush far older than the interval means it has stalled. The floor
@@ -444,9 +413,6 @@ func (p *Pipeline) Health() []string {
 					age.Round(time.Millisecond)))
 			}
 		}
-	}
-	if obs.CheckpointErrored.Value() != 0 {
-		reasons = append(reasons, "checkpoint: the last checkpoint or freeze failed")
 	}
 	return reasons
 }
