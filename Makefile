@@ -34,7 +34,7 @@ race:
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,
-# BenchmarkLineCandidates, BenchmarkPointCandidates, BenchmarkLookupBreakdown).
+# BenchmarkLineCandidates, BenchmarkPointCandidates).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
@@ -47,9 +47,11 @@ bench-smoke:
 
 # The benchmark under bench/ is a module of its own (replace semitri => ../),
 # so root `go build ./... && go test ./...` neither compiles nor tests it:
-# this target is what catches a root-module API change that breaks it.
+# this target is what catches a root-module API change that breaks it. The
+# smoke-scale run then exits non-zero on any failed operation or check.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --scale 0.05 --seconds 2 --out "$$(mktemp -d)"
 
 # Non-test Go LOC by the rule of bench/main.go's nonTestLOC(): every *.go
 # minus *_test.go, bench/ and dot-directories excluded.

@@ -166,8 +166,8 @@ func BenchmarkStreamPeopleDay(b *testing.B) {
 // person-day streamed record by record, but every store mutation is framed,
 // CRC'd and batch-fsynced to a WAL. The per-record delta against
 // BenchmarkStreamPeopleDay is the durability overhead (the acceptance
-// budget is ~25%; the `durability` experiment row reports the same figure
-// on a larger workload).
+// budget is ~25%; bench/'s fleet_durable workload prices the WAL per layer
+// on a larger feed).
 func BenchmarkStreamPeopleDayDurable(b *testing.B) {
 	env := benchEnv(b)
 	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(1, 1, 99))
@@ -213,18 +213,13 @@ func BenchmarkStreamPeopleDayDurable(b *testing.B) {
 	b.ReportMetric(perRecord, "ns/record")
 }
 
-// BenchmarkDurabilityOverhead regenerates the `durability` experiment row
-// (WAL-on vs WAL-off ns/record plus recovery timings), so the durability
-// subsystem runs end to end — ingest, log replay, checkpoint, recovery from
-// segments + tail — on every bench pass.
-func BenchmarkDurabilityOverhead(b *testing.B) { runExperiment(b, "durability") }
-
 // BenchmarkStreamConcurrentObjects measures multi-object streaming
 // ingestion: 8 objects' day-long feeds are pushed through one
 // StreamProcessor from a varying number of goroutines (objects distributed
 // round-robin, so per-object order is preserved). With the per-object
 // streaming engine and the lock-striped store, ns/record should drop as
-// goroutines are added instead of flatlining on a global lock.
+// goroutines are added instead of flatlining on a global lock. The
+// fanin/workers=N cases time the same feed through FanIn.
 func BenchmarkStreamConcurrentObjects(b *testing.B) {
 	env := benchEnv(b)
 	const objects = 8
@@ -246,20 +241,35 @@ func BenchmarkStreamConcurrentObjects(b *testing.B) {
 	for _, id := range ids {
 		feeds = append(feeds, perObject[id])
 	}
+	// run times ingest of the whole workload into a fresh stream per
+	// iteration; building the pipeline is not timed.
+	run := func(b *testing.B, ingest func(sp *semitri.StreamProcessor) error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, err := semitri.New(semitri.Sources{
+				Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
+			}, semitri.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp := p.NewStream()
+			b.StartTimer()
+			if err := ingest(sp); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sp.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		perRecord := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(records))
+		b.ReportMetric(perRecord, "ns/record")
+	}
 	for _, goroutines := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p, err := semitri.New(semitri.Sources{
-					Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-				}, semitri.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sp := p.NewStream()
-				b.StartTimer()
+			run(b, func(sp *semitri.StreamProcessor) error {
 				var wg sync.WaitGroup
 				for w := 0; w < goroutines; w++ {
 					wg.Add(1)
@@ -277,13 +287,25 @@ func BenchmarkStreamConcurrentObjects(b *testing.B) {
 					}(w)
 				}
 				wg.Wait()
-				if _, err := sp.Close(); err != nil {
-					b.Fatal(err)
+				return nil
+			})
+		})
+	}
+	// FanIn, the ingest driver of cmd/semitri and cmd/semitri-serve: the
+	// interleaved feed goes through one channel and is sharded by object.
+	// The feed buffer matches the 256 those commands use.
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("fanin/workers=%d", workers), func(b *testing.B) {
+			run(b, func(sp *semitri.StreamProcessor) error {
+				feed := make(chan gps.Record, 256)
+				errc := make(chan error, 1)
+				go func() { errc <- sp.FanIn(feed, workers, nil) }()
+				for _, r := range records {
+					feed <- r
 				}
-			}
-			b.StopTimer()
-			perRecord := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(records))
-			b.ReportMetric(perRecord, "ns/record")
+				close(feed)
+				return <-errc
+			})
 		})
 	}
 }

@@ -5,30 +5,16 @@
 //
 // Usage:
 //
-//	semitri-bench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig17|compression|ablation-mapmatch|ablation-hmm|stream|lookup|query|relational|durability|parallel|storage|obs]
+//	semitri-bench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig17|compression|ablation-mapmatch|ablation-hmm|parallel|obs|live]
 //	              [-seed 2026] [-scale 1.0] [-json FILE]
 //
-// Eight experiments are not paper figures: "stream" reports streaming
-// ingestion itself (serial ns/record vs the object-sharded concurrent
-// fan-in), "lookup" reports the spatial-layer hot path (the per-record
-// candidate lookups of the three annotation layers, cached vs uncached)
-// including a combined ns/record number, "query" reports the read path
-// (typed queries through the query engine's indexes versus the full-scan
-// baseline, ns/query), "relational" reports the cross-object layer (ingest
-// ns/record, ns/query per access path, the ns/join of the build/probe
-// co-location join and the parsed query language end to end), "durability"
-// reports what the write-ahead log costs streaming ingestion (WAL-on vs
-// WAL-off ns/record, group-commit fsync) plus crash-recovery timings (log
-// replay and segments+tail), verified exact against the live store, and
-// "parallel" reports the parallel query executor (ns/join and ns/query at
-// workers=1 vs workers=N, byte-identical results asserted, plus allocs/op
-// of the probe hot path), and "storage" reports the tiered storage engine —
-// incremental checkpoint cost (asserted to track the tail written, not the
-// total store), segment-pruned vs all-heap query latency (answers verified
-// identical), restart-from-segments recovery time and peak process RSS, and
-// "obs" reports what the observability layer costs the ingest hot path
-// (instrumented vs uninstrumented ns/record; the overhead percentage is
-// CI-asserted below 3%).
+// Three experiments are not paper figures: "parallel" reports the parallel
+// query executor (ns/join, ns/query and ns/agg at workers=1 vs 4,
+// byte-identical results asserted), "obs" reports what the observability
+// layer costs the ingest hot path (the overhead percentage is CI-asserted
+// below 3%) and "live" reports the ingest cost of 1k standing queries (CI
+// asserts below 5%). Every other performance number comes from the bench/
+// module and the root Go benchmarks.
 //
 // -json additionally writes every regenerated table to FILE as one JSON
 // document ({seed, scale, tables: [...]}) — what the bench-smoke CI job

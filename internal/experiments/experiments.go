@@ -7,6 +7,12 @@
 // and two ablations (global vs nearest map matching, HMM vs nearest-POI stop
 // annotation).
 //
+// Three further tables are not paper figures and have no twin in the bench/
+// module yet: "parallel" (serial vs parallel query execution), "obs" (ingest
+// cost with the metrics layer on vs off) and "live" (ingest cost with 1k
+// standing queries attached). Every other performance number lives in
+// bench/ and the root Go benchmarks.
+//
 // Every experiment takes an Env (a seeded synthetic city plus a scale
 // factor) so the harness is deterministic and its cost can be tuned; the
 // rows it returns are printed by cmd/semitri-bench and exercised by the
@@ -144,13 +150,7 @@ var Registry = map[string]func(*Env) (*Table, error){
 	"compression":       Compression,
 	"ablation-mapmatch": AblationMapMatching,
 	"ablation-hmm":      AblationHMM,
-	"stream":            Stream,
-	"lookup":            Lookup,
-	"query":             QueryServing,
-	"relational":        Relational,
-	"durability":        DurabilityOverhead,
 	"parallel":          Parallel,
-	"storage":           StorageEngine,
 	"obs":               Observability,
 	"live":              Live,
 }
@@ -159,6 +159,5 @@ var Registry = map[string]func(*Env) (*Table, error){
 var Order = []string{
 	"table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13",
 	"fig14", "fig15", "fig17", "compression", "ablation-mapmatch", "ablation-hmm",
-	"stream", "lookup", "query", "relational", "durability", "parallel",
-	"storage", "obs", "live",
+	"parallel", "obs", "live",
 }

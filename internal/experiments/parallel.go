@@ -18,7 +18,7 @@ import (
 const parWorkers = 4
 
 // Parallel measures the parallel query executor against serial execution on
-// the relational workload: the build/probe co-location join (probe fan-out),
+// a people workload: the build/probe co-location join (probe fan-out),
 // a full-scan query (sharded stripe fan-out) and a top-K aggregation over
 // the join's pairs (per-worker partial folds), each at workers=1 and
 // workers=4 with interleaved best-of timing. Before timing, the experiment
@@ -29,9 +29,9 @@ const parWorkers = 4
 // execution lives in PostgreSQL; the rows document how the reproduction's
 // own executor scales with cores.
 func Parallel(env *Env) (*Table, error) {
-	// A heavier population than the relational experiment uses: the fan-out
-	// only pays off when the build side clears the serial threshold by a wide
-	// margin, and the speedup ratio needs enough work per pass to be stable.
+	// A heavy population: the fan-out only pays off when the build side
+	// clears the serial threshold by a wide margin, and the speedup ratio
+	// needs enough work per pass to be stable.
 	cfg := workload.DefaultPeopleConfig(24, env.scaleInt(10), env.Seed+31)
 	ds, err := workload.GeneratePeople(env.City, cfg)
 	if err != nil {
@@ -214,6 +214,24 @@ func Parallel(env *Env) (*Table, error) {
 		},
 	})
 	return tbl, nil
+}
+
+// timeOp runs op repeatedly until it accumulates enough wall-clock for a
+// stable ns/op.
+func timeOp(op func() error) (float64, error) {
+	const minDuration = 50 * time.Millisecond
+	passes := 0
+	start := time.Now()
+	for {
+		if err := op(); err != nil {
+			return 0, err
+		}
+		passes++
+		if time.Since(start) >= minDuration && passes >= 3 {
+			break
+		}
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(passes), nil
 }
 
 // allocsPerOp reports the mean heap allocations one run of op costs,

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -363,12 +364,16 @@ func TestPlanningDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestQueryValidation pins the error cases and the limit.
+// TestQueryValidation pins the error cases and the limit. NaN and ±Inf in
+// Near, Radius or Window are among them: they compare false against every
+// bound, so the spatial path (0 matches) and matches (every tuple) would
+// disagree on them.
 func TestQueryValidation(t *testing.T) {
 	st := store.New()
 	e := NewEngine(st)
 	populate(t, st, 5, 2, 1, 8)
 
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Query{
 		{Near: &geo.Point{}, Radius: 0},
 		{Radius: 5},
@@ -376,10 +381,18 @@ func TestQueryValidation(t *testing.T) {
 		{Limit: -1},
 		{AnnValue: "x"},
 		{Window: &geo.Rect{Min: geo.Pt(1, 1), Max: geo.Pt(0, 0)}},
+		{Near: &geo.Point{X: 100, Y: 100}, Radius: nan},
+		{Near: &geo.Point{X: nan, Y: 100}, Radius: 50},
+		{Near: &geo.Point{X: 100, Y: -inf}, Radius: 50},
+		{Near: &geo.Point{X: 100, Y: 100}, Radius: inf},
+		{Radius: nan},
+		{Window: &geo.Rect{Min: geo.Pt(nan, 0), Max: geo.Pt(100, 100)}},
+		{Window: &geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(100, nan)}},
+		{Window: &geo.Rect{Min: geo.Pt(-inf, -inf), Max: geo.Pt(inf, inf)}},
 	}
 	for i, q := range bad {
 		if _, err := e.Execute(q); err == nil {
-			t.Fatalf("bad query %d accepted", i)
+			t.Fatalf("bad query %d (%+v) accepted", i, q)
 		}
 	}
 	msAll, err := e.Execute(Query{})
@@ -392,5 +405,51 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotRefs(ms2), gotRefs(msAll)[:3]) {
 		t.Fatal("limit must truncate the sorted result, not an arbitrary subset")
+	}
+}
+
+// TestHugeRadiusAnswersExactly: a finite radius of 6.5753e11 m covers more
+// grid buckets than an int64 product can count. The spatial path must still
+// return the brute-force answer promptly, for a query and for a join probing
+// at that distance, instead of walking a wrapped bucket range.
+func TestHugeRadiusAnswersExactly(t *testing.T) {
+	st := store.New()
+	e := NewEngine(st)
+	all := populate(t, st, 3, 8, 2, 20)
+	const huge = 657530941875
+	q := Query{Near: &geo.Point{}, Radius: huge}
+	join := Join{Left: Query{TrajectoryID: "u0-T0"}, Right: Query{}, On: JoinOn{MaxDistance: huge}}
+	var (
+		ms          []Match
+		plan        Plan
+		pairs, want []JoinMatch
+		errs        [3]error
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ms, plan, errs[0] = e.ExecuteExplained(q)
+		pairs, errs[1] = e.ExecuteJoin(join)
+		// The whole 2 km domain is within 1e7 m of everything, so this join
+		// pairs the same tuples over a bucket range that fits an int64.
+		join.On.MaxDistance = 1e7
+		want, errs[2] = e.ExecuteJoin(join)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("huge-radius query did not return within 5s")
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plan.Path != PathSpatial {
+		t.Fatalf("planned %s, want the spatial path under test", plan)
+	}
+	sameRefSet(t, "huge radius", gotRefs(ms), wantRefs(q, all))
+	if len(want) == 0 || !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("huge-distance join: %d pairs, want the %d of the 1e7 m join", len(pairs), len(want))
 	}
 }

@@ -46,8 +46,8 @@ func (on JoinOn) Validate() error {
 	if on.Within < 0 {
 		return errors.New("query: join Within must not be negative")
 	}
-	if on.MaxDistance < 0 {
-		return errors.New("query: join MaxDistance must not be negative")
+	if on.MaxDistance < 0 || !finite(on.MaxDistance) {
+		return errors.New("query: join MaxDistance must be finite and not negative")
 	}
 	if !on.timeConstrained() && on.MaxDistance == 0 && !on.SamePlace && on.SameAnnKey == "" {
 		return errors.New("query: join needs at least one pairing clause (time, distance, place or annotation)")

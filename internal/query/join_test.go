@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -253,6 +254,8 @@ func TestJoinValidation(t *testing.T) {
 		{"same and distinct", Join{On: JoinOn{TimeOverlap: true, SameObject: true, DistinctObjects: true}}},
 		{"negative within", Join{On: JoinOn{Within: -time.Hour}}},
 		{"negative distance", Join{On: JoinOn{TimeOverlap: true, MaxDistance: -1}}},
+		{"NaN distance", Join{On: JoinOn{MaxDistance: math.NaN()}}},
+		{"infinite distance", Join{On: JoinOn{MaxDistance: math.Inf(1)}}},
 		{"left side limit", Join{Left: Query{Limit: 3}, On: JoinOn{TimeOverlap: true}}},
 		{"right side limit", Join{Right: Query{Limit: 3}, On: JoinOn{TimeOverlap: true}}},
 		{"negative join limit", Join{On: JoinOn{TimeOverlap: true}, Limit: -1}},

@@ -114,6 +114,9 @@ func TestParseErrors(t *testing.T) {
 		"stops where color = red",               // unknown predicate
 		"stops where from = yesterday",          // not RFC 3339
 		"stops where near(1, 2)",                // arity
+		"stops where near(1, 2, NaN)",           // non-finite radius
+		"stops where window(0, 0, Inf, 1)",      // non-finite window
+		"stops join stops on distance <= NaN",   // non-finite distance
 		"stops join stops",                      // missing on
 		"stops join stops on distance = 200",    // = is not an ordering
 		"stops join stops on same object",       // no pairing clause

@@ -28,6 +28,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"semitri/internal/core"
@@ -90,6 +91,14 @@ func (q Query) Validate() error {
 	if q.Near == nil && q.Radius != 0 {
 		return errors.New("query: Radius requires Near")
 	}
+	// NaN and ±Inf compare false against every bound, so the index paths and
+	// matches would disagree on them; reject them before any path runs.
+	if q.Near != nil && !(finite(q.Near.X) && finite(q.Near.Y) && finite(q.Radius)) {
+		return errors.New("query: Near and Radius must be finite")
+	}
+	if w := q.Window; w != nil && !(finite(w.Min.X) && finite(w.Min.Y) && finite(w.Max.X) && finite(w.Max.Y)) {
+		return errors.New("query: spatial window must be finite")
+	}
 	if q.Window != nil && q.Window.IsEmpty() {
 		return errors.New("query: empty spatial window")
 	}
@@ -104,6 +113,9 @@ func (q Query) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor ±Inf.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // matches reports whether a tuple (resolved from the store at ref) satisfies
 // every predicate of the (normalized) query. This runs on every candidate an

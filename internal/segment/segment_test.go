@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,34 +61,39 @@ func testTuple(traj string, i int) *core.EpisodeTuple {
 func populate(t *testing.T, st *store.Store, objects, perObj int) {
 	t.Helper()
 	for o := 0; o < objects; o++ {
-		obj := fmt.Sprintf("obj-%d", o)
-		recs := make([]gps.Record, 0, perObj)
-		for i := 0; i < perObj; i++ {
-			recs = append(recs, gps.Record{ObjectID: obj, Position: geo.Pt(float64(i), float64(o)), Time: ts(i)})
-		}
-		st.PutRecords(recs)
-		traj := fmt.Sprintf("t-%d", o)
-		if err := st.PutTrajectory(&gps.RawTrajectory{ID: traj, ObjectID: obj, Records: recs}); err != nil {
-			t.Fatal(err)
-		}
-		eps := make([]*episode.Episode, 0, perObj/2)
-		tups := make([]*core.EpisodeTuple, 0, perObj/2)
-		for i := 0; i < perObj/2; i++ {
-			ep := testEpisode(traj, i)
-			ep.ObjectID = obj
-			eps = append(eps, ep)
-			tp := testTuple(traj, i)
-			tp.Episode.ObjectID = obj
-			tups = append(tups, tp)
-		}
-		if err := st.PutEpisodes(traj, eps); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.PutStructured(&core.StructuredTrajectory{
-			ID: traj, ObjectID: obj, Interpretation: "merged", Tuples: tups,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		putObject(t, st, fmt.Sprintf("obj-%d", o), fmt.Sprintf("t-%d", o), float64(o), perObj)
+	}
+}
+
+// putObject writes one object's records, trajectory, episodes and merged
+// interpretation, its records on the horizontal line y.
+func putObject(t *testing.T, st *store.Store, obj, traj string, y float64, perObj int) {
+	t.Helper()
+	recs := make([]gps.Record, 0, perObj)
+	for i := 0; i < perObj; i++ {
+		recs = append(recs, gps.Record{ObjectID: obj, Position: geo.Pt(float64(i), y), Time: ts(i)})
+	}
+	st.PutRecords(recs)
+	if err := st.PutTrajectory(&gps.RawTrajectory{ID: traj, ObjectID: obj, Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	eps := make([]*episode.Episode, 0, perObj/2)
+	tups := make([]*core.EpisodeTuple, 0, perObj/2)
+	for i := 0; i < perObj/2; i++ {
+		ep := testEpisode(traj, i)
+		ep.ObjectID = obj
+		eps = append(eps, ep)
+		tp := testTuple(traj, i)
+		tp.Episode.ObjectID = obj
+		tups = append(tups, tp)
+	}
+	if err := st.PutEpisodes(traj, eps); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutStructured(&core.StructuredTrajectory{
+		ID: traj, ObjectID: obj, Interpretation: "merged", Tuples: tups,
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -194,6 +200,44 @@ func TestFreezeServesIdenticalContent(t *testing.T) {
 		t.Fatalf("segments = %d, want 2", got)
 	}
 	mustEqualState(t, after, capture(st), "after second freeze")
+}
+
+// TestFreezeCostTracksTail pins the incremental-checkpoint property on
+// bytes, not time: once a base is frozen, freezing a constant-size tail
+// writes a near-constant segment however large the store has grown, and far
+// less than the base freeze did. A freeze that rewrote the whole store would
+// write at least the base again every round.
+func TestFreezeCostTracksTail(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	// freeze returns the size of the segment the freeze wrote.
+	freeze := func() int64 {
+		t.Helper()
+		n := tier.SegmentCount()
+		if err := tier.Freeze(st); err != nil {
+			t.Fatal(err)
+		}
+		if tier.SegmentCount() != n+1 {
+			t.Fatalf("freeze wrote %d segments, want 1", tier.SegmentCount()-n)
+		}
+		return tier.segs[n].blob.size()
+	}
+	populate(t, st, 20, 40)
+	base := freeze()
+
+	const rounds = 5
+	var tails [rounds]int64
+	for r := range tails {
+		putObject(t, st, fmt.Sprintf("tail-%d", r), fmt.Sprintf("tt-%d", r), float64(100+r), 40)
+		tails[r] = freeze()
+	}
+	lo, hi := slices.Min(tails[:]), slices.Max(tails[:])
+	if hi > 3*lo {
+		t.Fatalf("constant-tail segments drift with store size: %v bytes", tails)
+	}
+	if 4*hi > base {
+		t.Fatalf("tail segments %v bytes not within a quarter of the %d-byte base freeze", tails, base)
+	}
 }
 
 func TestFreezeEvictsHeap(t *testing.T) {

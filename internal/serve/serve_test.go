@@ -224,6 +224,13 @@ func TestEndpointErrors(t *testing.T) {
 		"/query/episodes?miny=0&maxx=1&maxy=1",       // partial window
 		"/query/episodes?radius=2000",                // centre missing
 		"/query/episodes?nearx=1&neary=1&radius=-50", // negative radius
+		"/query/episodes?nearx=1&neary=1&radius=NaN",
+		"/query/episodes?nearx=NaN&neary=1&radius=50",
+		"/query/episodes?nearx=1&neary=1&radius=%2BInf",
+		"/query/episodes?minx=-Inf&miny=0&maxx=1&maxy=1",
+		"/query/relational?q=" + url.QueryEscape("stops where near(1, 1, NaN)"),
+		"/query/relational?q=" + url.QueryEscape("stops join stops on distance <= NaN"),
+		"/query/relational?q=" + url.QueryEscape("stops join stops on distance <= Inf"),
 	} {
 		body := getJSON(t, srv, path, http.StatusBadRequest)
 		if body["error"] == "" {

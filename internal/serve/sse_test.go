@@ -122,6 +122,8 @@ func TestSubscribeRejectsMalformedQuery(t *testing.T) {
 		"/subscribe?q=" + escape("stops group by ann.poi_category count"),     // aggregates can't stand
 		"/subscribe?q=" + escape("stops limit 5"),                             // limit is meaningless live
 		"/subscribe?q=stops&buffer=abc",
+		"/subscribe?q=" + escape("stops where near(1, 1, NaN)"),
+		"/subscribe?q=" + escape("stops where window(0, 0, Inf, 1)"),
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {

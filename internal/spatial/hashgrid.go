@@ -90,6 +90,15 @@ func (hg *HashGrid) cellRange(r geo.Rect) (lo, hi hashCell) {
 	return hg.cellOf(r.Min), hg.cellOf(r.Max)
 }
 
+// cellSpan returns how many buckets r covers, computed in float64 so a huge
+// rectangle cannot wrap the product negative (NaN for a NaN rectangle, which
+// callers route to their exhaustive branch by testing !(span <= limit)).
+func (hg *HashGrid) cellSpan(r geo.Rect) float64 {
+	cols := math.Floor(r.Max.X/hg.cellSize) - math.Floor(r.Min.X/hg.cellSize) + 1
+	rows := math.Floor(r.Max.Y/hg.cellSize) - math.Floor(r.Min.Y/hg.cellSize) + 1
+	return cols * rows
+}
+
 // cellRect returns the extent of one bucket.
 func (hg *HashGrid) cellRect(c hashCell) geo.Rect {
 	return geo.Rect{
@@ -109,12 +118,11 @@ func (hg *HashGrid) Insert(it Item) {
 		hg.bounds = hg.bounds.Union(it.Rect)
 	}
 	hg.n++
-	lo, hi := hg.cellRange(it.Rect)
-	covered := (hi.col - lo.col + 1) * (hi.row - lo.row + 1)
-	if covered > oversizeCells {
+	if !(hg.cellSpan(it.Rect) <= oversizeCells) {
 		hg.oversize = append(hg.oversize, e)
 		return
 	}
+	lo, hi := hg.cellRange(it.Rect)
 	for col := lo.col; col <= hi.col; col++ {
 		for row := lo.row; row <= hi.row; row++ {
 			c := hashCell{col, row}
@@ -136,7 +144,7 @@ func (hg *HashGrid) Visit(r geo.Rect, fn func(Item) bool) {
 	// buckets; iterate the occupied buckets instead (sorted by id for a
 	// deterministic order — which mode runs is a deterministic function of
 	// the query, so the contract holds).
-	if cols, rows := qhi.col-qlo.col+1, qhi.row-qlo.row+1; cols*rows > int64(len(hg.cells)) {
+	if !(hg.cellSpan(r) <= float64(len(hg.cells))) {
 		var hits []gridEntry
 		for c, entries := range hg.cells {
 			for _, e := range entries {
@@ -280,14 +288,12 @@ func (hg *HashGrid) EstimateWithin(r geo.Rect) int {
 	if len(hg.cells) == 0 {
 		return len(hg.oversize)
 	}
-	lo, hi := hg.cellRange(r)
-	covered := float64(hi.col-lo.col+1) * float64(hi.row-lo.row+1)
 	perCell := float64(hg.n-len(hg.oversize)) / float64(len(hg.cells))
-	est := int(math.Ceil(perCell*covered)) + len(hg.oversize)
-	if est > hg.n {
-		est = hg.n
+	est := math.Ceil(perCell*hg.cellSpan(r)) + float64(len(hg.oversize))
+	if !(est < float64(hg.n)) {
+		return hg.n
 	}
-	return est
+	return int(est)
 }
 
 func maxInt64(a, b int64) int64 {

@@ -3,6 +3,7 @@ package spatial
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"semitri/internal/geo"
 )
@@ -75,6 +76,44 @@ func TestHashGridOversize(t *testing.T) {
 	near := KNearest(hg, geo.Pt(-50, 100), 2)
 	if len(near) != 2 || near[0].Value.(int) != 0 {
 		t.Fatalf("oversize KNearest = %v", near)
+	}
+}
+
+// TestHashGridHugeRects: rectangles spanning more buckets than an int64
+// product can count must neither wrap into a bucket walk that never ends nor
+// miss items. Insert sends such an item to the overflow list, Visit answers
+// like a brute-force scan and the estimate stays within [0, Len].
+func TestHashGridHugeRects(t *testing.T) {
+	const huge = 657530941875
+	hg := NewHashGrid(250)
+	brute := &bruteForce{}
+	rng := rand.New(rand.NewSource(9))
+	items := append(randomItems(rng, 200, 0.2), Item{Rect: geo.RectAround(geo.Pt(0, 0), huge), Value: -1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, it := range items {
+			hg.Insert(it)
+			brute.items = append(brute.items, it)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("inserting a huge rectangle did not return within 5s")
+	}
+	if len(hg.oversize) != 1 {
+		t.Fatalf("huge rect should overflow, oversize=%d", len(hg.oversize))
+	}
+	for _, r := range []geo.Rect{
+		geo.RectAround(geo.Pt(0, 0), huge),
+		geo.RectAround(geo.Pt(1000, 1000), 100),
+		geo.NewRect(geo.Pt(-1e300, -1e300), geo.Pt(1e300, 1e300)),
+	} {
+		sameValues(t, "huge Within", Within(hg, r), Within(brute, r))
+		if est := hg.EstimateWithin(r); est <= 0 || est > hg.Len() {
+			t.Fatalf("estimate over %v = %d (n=%d)", r, est, hg.Len())
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by SeMiTri's
 // Semantic Trajectory Analytics Layer and by the experiment harness:
-// summary statistics, category distributions (Figs. 9, 11, 14) and
-// logarithmic histograms for the log-log plots of Fig. 12.
+// category distributions (Figs. 9, 11, 14) and logarithmic histograms for
+// the log-log plots of Fig. 12.
 package stats
 
 import (
@@ -10,68 +10,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Summary holds the classic five-number-style summary of a sample.
-type Summary struct {
-	Count  int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	P95    float64
-	StdDev float64
-}
-
-// Summarize computes a Summary of the sample; the zero Summary is returned
-// for an empty sample.
-func Summarize(sample []float64) Summary {
-	if len(sample) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	mean := sum / float64(len(sorted))
-	var varSum float64
-	for _, v := range sorted {
-		d := v - mean
-		varSum += d * d
-	}
-	return Summary{
-		Count:  len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   mean,
-		Median: Percentile(sorted, 50),
-		P95:    Percentile(sorted, 95),
-		StdDev: math.Sqrt(varSum / float64(len(sorted))),
-	}
-}
-
-// Percentile returns the p-th percentile (0..100) of an already sorted
-// sample using linear interpolation between closest ranks.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // Distribution is a categorical distribution: share of observations (or of
 // weight) per named category. It renders the per-category columns of

@@ -4,64 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.Count != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Median != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-9 {
-		t.Fatalf("StdDev = %v", s.StdDev)
-	}
-	if got := Summarize(nil); got != (Summary{}) {
-		t.Fatalf("empty sample should give zero summary: %+v", got)
-	}
-	one := Summarize([]float64{7})
-	if one.Min != 7 || one.Max != 7 || one.Median != 7 || one.StdDev != 0 {
-		t.Fatalf("single sample = %+v", one)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40}
-	if Percentile(sorted, 0) != 10 || Percentile(sorted, 100) != 40 {
-		t.Fatal("extremes wrong")
-	}
-	if got := Percentile(sorted, 50); got != 25 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := Percentile(sorted, -5); got != 10 {
-		t.Fatalf("negative percentile = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	if got := Percentile([]float64{5}, 73); got != 5 {
-		t.Fatalf("single value percentile = %v", got)
-	}
-}
-
-// Property: the median lies between min and max, and stddev is non-negative.
-func TestSummarizeProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := make([]float64, 0, len(vals))
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, math.Mod(v, 1e9))
-			}
-		}
-		s := Summarize(clean)
-		if len(clean) == 0 {
-			return s.Count == 0
-		}
-		return s.Min <= s.Median && s.Median <= s.Max && s.StdDev >= 0 && s.Count == len(clean)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDistribution(t *testing.T) {
 	d := NewDistribution()

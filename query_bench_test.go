@@ -19,8 +19,7 @@ import (
 // through the engine's incrementally maintained indexes, each against the
 // pre-index full-scan baseline (a brute pass over the stored tuples — the
 // only read path the store had before the engine existed). The shared
-// fixture is a 6-user x 5-day people workload, the same shape the `query`
-// experiment of cmd/semitri-bench runs at full scale.
+// fixture is a 6-user x 5-day people workload.
 var (
 	queryBenchOnce   sync.Once
 	queryBenchEngine *query.Engine
@@ -155,7 +154,3 @@ func BenchmarkQuerySpatial(b *testing.B) {
 	}
 	runQueryBench(b, queries)
 }
-
-// BenchmarkQueryServing regenerates the `query` experiment row of
-// cmd/semitri-bench (indexed vs scan ns/query at a reduced scale).
-func BenchmarkQueryServing(b *testing.B) { runExperiment(b, "query") }

@@ -20,8 +20,7 @@ import (
 // indexes (internal/spatial), each with the per-object locality cursor on
 // and off. They run over a real person-day query stream so cursor hit rates
 // match what the pipeline sees. `-bench 'Lookup|Candidates'` runs them all;
-// the "lookup" experiment in cmd/semitri-bench prints the combined
-// ns/record number.
+// the bench/ replay reports the per-layer ns/record at benchmark scale.
 
 // benchQueries generates one person-day of cleaned GPS positions and the
 // day's stop centres.
@@ -169,7 +168,3 @@ func BenchmarkPointCandidates(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
 	})
 }
-
-// BenchmarkLookupBreakdown regenerates the "lookup" experiment table: the
-// combined per-record spatial cost, cached vs uncached.
-func BenchmarkLookupBreakdown(b *testing.B) { runExperiment(b, "lookup") }
