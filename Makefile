@@ -26,11 +26,12 @@ test-nommap:
 # lock-striped store, the query engine's concurrent read path
 # (queries racing live ingestion — including the parallel executor, forced
 # on via QueryParallelism in the relational ingest test), the parallel
-# determinism property tests and the durability parity suite (checkpoints
-# racing concurrent WAL-logged ingestion).
+# determinism property tests, the durability parity suite (checkpoints
+# racing concurrent WAL-logged ingestion) and the segment tier's freeze
+# racing keyed cold reads.
 race:
-	$(GO) test -race -count=1 -run 'TestBatchStreamParity|TestAddBatchConcurrent|TestConcurrent|TestStream|TestQuery|TestDurable' .
-	$(GO) test -race -count=1 ./internal/store/ ./internal/query/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestBatchStreamParity|TestFanIn|TestConcurrent|TestStream|TestQuery|TestDurable' .
+	$(GO) test -race -count=1 ./internal/store/ ./internal/query/ ./internal/wal/ ./internal/segment/
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,

@@ -103,32 +103,3 @@ func drain(records <-chan gps.Record) {
 	for range records {
 	}
 }
-
-// AddBatchConcurrent ingests a micro-batch through `workers` concurrent
-// Add pipelines, sharding by object id (per-object record order is
-// preserved; see FanIn). It returns the triggered events; their order across
-// objects is unspecified, as episode closes race between workers. With
-// workers <= 1 it behaves like AddBatch.
-func (sp *StreamProcessor) AddBatchConcurrent(records []gps.Record, workers int) ([]StreamEvent, error) {
-	if workers <= 1 {
-		return sp.AddBatch(records)
-	}
-	feed := make(chan gps.Record, 128)
-	var mu sync.Mutex
-	var events []StreamEvent
-	collect := func(evs []StreamEvent) {
-		mu.Lock()
-		events = append(events, evs...)
-		mu.Unlock()
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- sp.FanIn(feed, workers, collect)
-	}()
-	for _, r := range records {
-		feed <- r
-	}
-	close(feed)
-	err := <-done
-	return events, err
-}

@@ -133,9 +133,9 @@ type Cell struct {
 // Map is a land-use map: a grid of classified cells plus optional free-form
 // named regions. It implements the semantic-region source (Pregion). The
 // raster is backed by the shared spatial layer: point location is O(1)
-// arithmetic on a spatial.Grid, rectangle joins and nearest queries go
-// through the spatial.Index view returned by CellIndex, and the named
-// regions sit in a bulk-loaded index over their polygon bounding boxes.
+// arithmetic on a spatial.Grid, rectangle joins walk the grid through
+// VisitCells, and the named regions sit in an STR tree over their polygon
+// bounding boxes.
 type Map struct {
 	grid     *spatial.Grid
 	cells    []Category // indexed by dense cell id
@@ -247,10 +247,10 @@ func (m *Map) AddNamedRegion(r NamedRegion) {
 // NamedRegions returns all registered free-form regions.
 func (m *Map) NamedRegions() []NamedRegion { return append([]NamedRegion(nil), m.regions...) }
 
-// RegionIndex returns the immutable bulk-loaded spatial index over the
-// named-region polygon bounding boxes (item values are indices into
-// NamedRegions order), building it on first use; nil when no regions are
-// registered. Candidates still need the exact polygon test.
+// RegionIndex returns the STR tree over the named-region polygon bounding
+// boxes (item values are indices into NamedRegions order), building it on
+// first use; nil when no regions are registered. Candidates still need the
+// exact polygon test.
 func (m *Map) RegionIndex() spatial.Index {
 	if len(m.regions) == 0 {
 		return nil
@@ -262,7 +262,7 @@ func (m *Map) RegionIndex() spatial.Index {
 		for i, reg := range m.regions {
 			items[i] = spatial.Item{Rect: reg.Polygon.Bounds(), Value: i}
 		}
-		m.regIdx = spatial.NewIndex(items)
+		m.regIdx = spatial.NewSTRTree(items)
 	}
 	return m.regIdx
 }
@@ -311,40 +311,14 @@ func (m *Map) NamedRegionsIntersecting(rect geo.Rect) []NamedRegion {
 	)
 }
 
-// CellIndex returns a spatial.Index view over the land-use raster: one item
-// per cell, Rect the cell extent and Value the Cell record. The view is
-// backed directly by grid arithmetic — nothing is materialised — so the
-// region layer can run its spatial joins through the same interface as the
-// line and point layers. Visit reports cells in ascending id order.
-func (m *Map) CellIndex() spatial.Index { return cellIndex{m} }
-
-type cellIndex struct{ m *Map }
-
-func (ci cellIndex) Len() int         { return len(ci.m.cells) }
-func (ci cellIndex) Bounds() geo.Rect { return ci.m.grid.Bounds() }
-
-func (ci cellIndex) item(id int) spatial.Item {
-	return spatial.Item{
-		Rect:  ci.m.grid.CellRectByID(id),
-		Value: Cell{ID: id, Extent: ci.m.grid.CellRectByID(id), Category: ci.m.cells[id]},
-	}
-}
-
-func (ci cellIndex) Visit(r geo.Rect, fn func(spatial.Item) bool) {
-	ci.m.grid.VisitCellsIntersecting(r, func(id int) bool { return fn(ci.item(id)) })
-}
-
-func (ci cellIndex) VisitNearest(p geo.Point, fn func(spatial.Item, float64) bool) {
-	it := ci.m.grid.NearestCells(p)
-	for {
-		id, dist, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !fn(ci.item(id), dist) {
-			return
-		}
-	}
+// VisitCells calls fn for every cell whose extent intersects r, in
+// ascending (row-major) id order, until fn returns false. It is the region
+// layer's rectangle join against the raster: grid arithmetic, nothing
+// materialised.
+func (m *Map) VisitCells(r geo.Rect, fn func(Cell) bool) {
+	m.grid.VisitCellsIntersecting(r, func(id int) bool {
+		return fn(Cell{ID: id, Extent: m.grid.CellRectByID(id), Category: m.cells[id]})
+	})
 }
 
 // Cursor caches the last cell lookup to exploit GPS locality: consecutive

@@ -1,6 +1,7 @@
 package landuse
 
 import (
+	"slices"
 	"testing"
 
 	"semitri/internal/geo"
@@ -114,6 +115,39 @@ func TestSetCategoryRectAndIntersecting(t *testing.T) {
 	}
 	if shares[Meadows] != 91.0/100.0 {
 		t.Fatalf("Meadows share = %v", shares[Meadows])
+	}
+}
+
+// TestVisitCells: VisitCells yields exactly CellsIntersecting, in the same
+// ascending-id order, and stops when fn returns false.
+func TestVisitCells(t *testing.T) {
+	m, err := Generate(DefaultGeneratorConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []geo.Rect{
+		geo.NewRect(geo.Pt(4120, 7333), geo.Pt(4890, 7410)),
+		geo.NewRect(geo.Pt(-500, -500), geo.Pt(250, 120)), // clipped at the extent
+		geo.NewRect(geo.Pt(9950, 9950), geo.Pt(9950, 9950)),
+		geo.NewRect(geo.Pt(-900, -900), geo.Pt(-800, -800)), // outside
+	} {
+		var got []Cell
+		m.VisitCells(r, func(c Cell) bool {
+			got = append(got, c)
+			return true
+		})
+		if want := m.CellsIntersecting(r); !slices.Equal(got, want) {
+			t.Fatalf("VisitCells(%v) = %d cells, CellsIntersecting %d", r, len(got), len(want))
+		}
+	}
+	r := geo.NewRect(geo.Pt(1000, 1000), geo.Pt(1500, 1500))
+	var first []Cell
+	m.VisitCells(r, func(c Cell) bool {
+		first = append(first, c)
+		return len(first) < 3
+	})
+	if want := m.CellsIntersecting(r)[:3]; !slices.Equal(first, want) {
+		t.Fatalf("early stop visited %v, want %v", first, want)
 	}
 }
 

@@ -6,13 +6,9 @@
 // sparse-periphery density profile of the original (proprietary) dataset.
 //
 // The index comes from the shared spatial layer: Add only buffers, and the
-// first query bulk-loads an immutable index over the POI positions, with
-// the structure chosen by spatial.NewIndex's density heuristic (a dense
-// urban point cloud lands on the uniform grid; tiny sets on the STR tree).
-// Separately from the index, the set keeps a fixed-geometry spatial.Grid
-// used by the point annotation layer to discretize its emission
-// probabilities (Figs. 7/8) — discretization resolution and index bucket
-// size are independent concerns.
+// first query bulk-loads an STR tree over the POI positions. Separately from
+// the index, the set keeps a fixed-geometry spatial.Grid used by the point
+// annotation layer to discretize its emission probabilities (Figs. 7/8).
 package poi
 
 import (
@@ -143,10 +139,10 @@ func (s *Set) Add(name string, cat Category, pos geo.Point) (*POI, error) {
 	return p, nil
 }
 
-// Index returns the immutable bulk-loaded spatial index over the POI
-// positions (items carry *POI values), building it on first use. The point
-// annotation layer captures it once and issues its HMM candidate queries
-// through the spatial.Index interface.
+// Index returns the STR tree over the POI positions (items carry *POI
+// values), building it on first use. The point annotation layer captures it
+// once and issues its HMM candidate queries through the spatial.Index
+// interface.
 func (s *Set) Index() spatial.Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,7 +151,7 @@ func (s *Set) Index() spatial.Index {
 		for i, p := range s.pois {
 			items[i] = spatial.Item{Rect: geo.Rect{Min: p.Position, Max: p.Position}, Value: p}
 		}
-		s.idx = spatial.NewIndex(items)
+		s.idx = spatial.NewSTRTree(items)
 	}
 	return s.idx
 }
@@ -254,7 +250,8 @@ type GeneratorConfig struct {
 	CenterConcentration float64
 	// ClusterCount is the number of secondary commercial clusters.
 	ClusterCount int
-	// IndexCellSize is the resolution of the spatial index (metres).
+	// IndexCellSize is the cell size of the set's emission-discretization
+	// grid (metres).
 	IndexCellSize float64
 }
 

@@ -2,6 +2,8 @@ package poi
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,5 +210,43 @@ func TestGenerateCustomSharesAndErrors(t *testing.T) {
 	okCfg.IndexCellSize = 0
 	if _, err := Generate(okCfg); err != nil {
 		t.Fatalf("defaulting config should work: %v", err)
+	}
+}
+
+// TestSpatialQueriesMatchScan checks the indexed queries against a scan over
+// All() on the benchmark city's POI set (city seed 1 draws its POIs with
+// seed 3), from random points inside and around the extent.
+func TestSpatialQueriesMatchScan(t *testing.T) {
+	s, err := Generate(DefaultGeneratorConfig(5000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		p := geo.Pt(rng.Float64()*12000-1000, rng.Float64()*12000-1000)
+		dist := rng.Float64() * 500
+		rect := geo.RectAround(p, dist)
+		var near, inRect []*POI
+		bestD := math.Inf(1)
+		for _, q := range s.All() { // ascending id order
+			dx, dy := q.Position.X-p.X, q.Position.Y-p.Y
+			if dx*dx+dy*dy <= dist*dist {
+				near = append(near, q)
+			}
+			if rect.ContainsPoint(q.Position) {
+				inRect = append(inRect, q)
+			}
+			bestD = math.Min(bestD, q.Position.DistanceTo(p))
+		}
+		if got := s.WithinDistance(p, dist); !slices.Equal(got, near) {
+			t.Fatalf("WithinDistance(%v, %v): %d POIs, scan finds %d", p, dist, len(got), len(near))
+		}
+		if got := s.WithinRect(rect); !slices.Equal(got, inRect) {
+			t.Fatalf("WithinRect(%v): %d POIs, scan finds %d", rect, len(got), len(inRect))
+		}
+		// Distances, not identities: equidistant POIs may tie.
+		if got, d, ok := s.Nearest(p); !ok || d != bestD || got.Position.DistanceTo(p) != d {
+			t.Fatalf("Nearest(%v) = %v at %v, scan finds %v", p, got, d, bestD)
+		}
 	}
 }

@@ -181,8 +181,7 @@ func (a *Annotator) influenceRadius() float64 {
 // ordered by id — the candidate set of the HMM observation model (Lemma 1),
 // answered through the spatial.Index interface and, when cur is non-nil,
 // its locality cache. The id ordering keeps the floating-point influence
-// sums identical no matter which index structure the density heuristic
-// picked.
+// sums independent of the index's traversal order.
 func (a *Annotator) Candidates(c geo.Point, cur *Cursor) []*poi.POI {
 	var items []spatial.Item
 	if cur != nil {

@@ -5,9 +5,9 @@
 // trajectory Tregion and the land-use distributions of Figs. 9 and 14.
 //
 // All spatial work goes through the shared spatial layer: rectangle joins
-// against the cell raster run over the map's spatial.Index view
-// (Map.CellIndex), named regions come from the map's bulk-loaded region
-// index, and point location is O(1) arithmetic on the raster's spatial.Grid
+// against the cell raster walk the map's grid (Map.VisitCells), named
+// regions come from the map's STR tree over their bounding boxes, and point
+// location is O(1) arithmetic on the raster's spatial.Grid
 // accelerated by the per-object last-cell cache (Cursor) that exploits GPS
 // locality — consecutive records rarely leave a 100 m cell.
 package region
@@ -21,7 +21,6 @@ import (
 	"semitri/internal/geo"
 	"semitri/internal/gps"
 	"semitri/internal/landuse"
-	"semitri/internal/spatial"
 	"semitri/internal/stats"
 )
 
@@ -30,7 +29,6 @@ import (
 // per-goroutine.
 type Annotator struct {
 	landUse *landuse.Map
-	cells   spatial.Index
 }
 
 // NewAnnotator returns an annotator over the given land-use map.
@@ -38,7 +36,7 @@ func NewAnnotator(m *landuse.Map) (*Annotator, error) {
 	if m == nil {
 		return nil, errors.New("region: nil land-use map")
 	}
-	return &Annotator{landUse: m, cells: m.CellIndex()}, nil
+	return &Annotator{landUse: m}, nil
 }
 
 // Cursor is the per-object locality cache of the region layer: the last
@@ -166,14 +164,11 @@ func (a *Annotator) AnnotateEpisodesCursor(eps []*episode.Episode, cur *Cursor) 
 			}
 		} else {
 			// Spatial join of the move's bounding rectangle with the raster,
-			// through the spatial.Index view (same interface the line and
-			// point layers query). The view reports cells in ascending id
-			// order, matching the raster scan it replaces.
+			// in ascending cell-id order.
 			var firstCell landuse.Cell
 			n := 0
 			dist := stats.NewDistribution()
-			a.cells.Visit(ep.Bounds, func(it spatial.Item) bool {
-				c := it.Value.(landuse.Cell)
+			a.landUse.VisitCells(ep.Bounds, func(c landuse.Cell) bool {
 				if n == 0 {
 					firstCell = c
 				}

@@ -7,11 +7,9 @@
 // Seattle benchmark in the paper's Fig. 10 experiment).
 //
 // The spatial index is bulk-loaded lazily: AddSegment only buffers, and the
-// first query builds an immutable index over all segment bounding boxes
-// (the density heuristic of spatial.NewIndex picks the STR tree here, since
-// road segments are elongated rectangles). The index answers every query
-// exactly — including NearestSegment on one-segment networks — so there is
-// no full-scan fallback anywhere.
+// first query builds an STR tree over all segment bounding boxes. The index
+// answers every query exactly — including NearestSegment on one-segment
+// networks — so there is no full-scan fallback anywhere.
 package roadnet
 
 import (
@@ -185,10 +183,10 @@ func (n *Network) Segments() []*Segment { return n.segments }
 // Bounds returns the spatial extent of the network.
 func (n *Network) Bounds() geo.Rect { return n.bounds }
 
-// SpatialIndex returns the immutable bulk-loaded spatial index over the
-// segment bounding boxes (items carry *Segment values), building it on
-// first use. The annotation layers capture it once and issue all their
-// candidate queries through the spatial.Index interface.
+// SpatialIndex returns the STR tree over the segment bounding boxes (items
+// carry *Segment values), building it on first use. The annotation layers
+// capture it once and issue all their candidate queries through the
+// spatial.Index interface.
 func (n *Network) SpatialIndex() spatial.Index {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -197,7 +195,7 @@ func (n *Network) SpatialIndex() spatial.Index {
 		for i, s := range n.segments {
 			items[i] = spatial.Item{Rect: s.Geom.Bounds(), Value: s}
 		}
-		n.index = spatial.NewIndex(items)
+		n.index = spatial.NewSTRTree(items)
 	}
 	return n.index
 }

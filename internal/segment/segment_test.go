@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -675,4 +677,62 @@ func TestReplaceAfterFreezeSupersedes(t *testing.T) {
 	}
 	defer tier2.Close()
 	mustEqualState(t, want, capture(st2), "after recovery")
+}
+
+// TestFreezeRacesKeyedReads pins the commit step of the freeze protocol: a
+// key's frozen base advances in the same stripe-locked step that indexes the
+// run covering it, so reads below the base and merges into frozen tuples
+// never come back short while freezes run beside them.
+func TestFreezeRacesKeyedReads(t *testing.T) {
+	st, tier := newTiered(t, t.TempDir(), 4)
+	defer tier.Close()
+	const objects, rounds = 6, 150
+	populate(t, st, objects, 4) // 4 records, 2 episodes, 2 merged tuples each
+	var written atomic.Int64    // rounds every key has fully appended
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			anns := []core.Annotation{{Key: "activity", Value: "eat", Confidence: 0.9, Source: "x"}}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := int(written.Load())
+				obj, traj := fmt.Sprintf("obj-%d", i%objects), fmt.Sprintf("t-%d", i%objects)
+				if got := len(st.Records(obj)); got < 4+n {
+					t.Errorf("Records(%s) = %d, want >= %d", obj, got, 4+n)
+					return
+				}
+				if got := len(st.Episodes(traj)); got < 2+n {
+					t.Errorf("Episodes(%s) = %d, want >= %d", traj, got, 2+n)
+					return
+				}
+				if err := st.MergeTupleAnnotations(traj, "merged", (i+r)%(2+n), nil, anns); err != nil {
+					t.Errorf("merge into %s[%d]: %v", traj, (i+r)%(2+n), err)
+					return
+				}
+			}
+		}(r)
+	}
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		for o := 0; o < objects; o++ {
+			obj, traj := fmt.Sprintf("obj-%d", o), fmt.Sprintf("t-%d", o)
+			st.PutRecords([]gps.Record{{ObjectID: obj, Position: geo.Pt(float64(round), float64(o)), Time: ts(100 + round)}})
+			if err := errors.Join(st.AppendEpisodes(traj, testEpisode(traj, 2+round)),
+				st.AppendStructuredTuples(traj, obj, "merged", testTuple(traj, 2+round))); err != nil {
+				t.Error(err)
+			}
+		}
+		written.Store(int64(round + 1))
+		if err := tier.Freeze(st); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

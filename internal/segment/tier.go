@@ -234,10 +234,11 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, fn func(ref st
 
 // Freeze runs one freeze cycle: collect the store's heap tail into a new
 // segment file, make it durable, register its runs for scanning, then let
-// the store evict the captured prefixes and finally index the committed runs
-// for keyed reads. An empty tail writes no file. Registration happens before
-// eviction (see the type comment); runs whose key was written between
-// collect and commit come back dead and are dropped again.
+// the store evict the captured prefixes, indexing each committed run for
+// keyed reads under the stripe lock that evicts it. An empty tail writes no
+// file. Registration happens before eviction (see the type comment); runs
+// whose key was written between collect and commit come back dead and are
+// dropped again.
 func (t *Tier) Freeze(st *store.Store) error {
 	t.freezeMu.Lock()
 	defer t.freezeMu.Unlock()
@@ -282,47 +283,47 @@ func (t *Tier) Freeze(st *store.Store) error {
 	t.nextSeq = seq + 1
 	t.mu.Unlock()
 
-	live := st.CommitFreeze(mark)
+	live := st.CommitFreeze(mark, func(ent int) {
+		t.mu.Lock()
+		t.indexRun(runRef{seg: segIdx, ent: ent})
+		t.mu.Unlock()
+	})
 
 	t.mu.Lock()
-	for ent := range r.foot.Runs {
-		meta := &r.foot.Runs[ent]
-		rr := runRef{seg: segIdx, ent: ent}
-		if !live[ent] {
-			if isTupleRun(meta.Op) {
-				kept := t.scan[segIdx][:0]
-				for _, e := range t.scan[segIdx] {
-					if e != ent {
-						kept = append(kept, e)
-					}
-				}
-				t.scan[segIdx] = kept
-			}
-			continue
-		}
-		switch meta.Op {
-		case store.MutPutRecords:
-			t.recRuns[meta.Object] = append(t.recRuns[meta.Object], rr)
-		case store.MutPutTrajectory:
-			t.trajRuns[meta.Traj] = rr
-		case store.MutPutEpisodes:
-			t.epRuns[meta.Traj] = []runRef{rr}
-		case store.MutAppendEpisodes:
-			t.epRuns[meta.Traj] = append(t.epRuns[meta.Traj], rr)
-		case store.MutPutStructured:
-			t.tupRuns[tierKey{meta.Traj, meta.Interp}] = []runRef{rr}
-		case store.MutAppendTuples:
-			k := tierKey{meta.Traj, meta.Interp}
-			t.tupRuns[k] = append(t.tupRuns[k], rr)
-		case store.MutMergeTuple:
-			// Overlay merge frames are recovery-only; the live overlay
-			// already sits in the store.
+	kept := t.scan[segIdx][:0]
+	for _, ent := range t.scan[segIdx] {
+		if live[ent] {
+			kept = append(kept, ent)
 		}
 	}
+	t.scan[segIdx] = kept
 	t.mu.Unlock()
 
 	obs.SegmentFreezes.Inc()
 	return nil
+}
+
+// indexRun adds a committed run to the keyed maps. Caller holds mu (write).
+func (t *Tier) indexRun(rr runRef) {
+	meta := t.meta(rr)
+	switch meta.Op {
+	case store.MutPutRecords:
+		t.recRuns[meta.Object] = append(t.recRuns[meta.Object], rr)
+	case store.MutPutTrajectory:
+		t.trajRuns[meta.Traj] = rr
+	case store.MutPutEpisodes:
+		t.epRuns[meta.Traj] = []runRef{rr}
+	case store.MutAppendEpisodes:
+		t.epRuns[meta.Traj] = append(t.epRuns[meta.Traj], rr)
+	case store.MutPutStructured:
+		t.tupRuns[tierKey{meta.Traj, meta.Interp}] = []runRef{rr}
+	case store.MutAppendTuples:
+		k := tierKey{meta.Traj, meta.Interp}
+		t.tupRuns[k] = append(t.tupRuns[k], rr)
+	case store.MutMergeTuple:
+		// Overlay merge frames are recovery-only; the live overlay already
+		// sits in the store.
+	}
 }
 
 // Checkpoint runs an incremental checkpoint: rotate the WAL, freeze the heap

@@ -48,8 +48,8 @@ func NewCursor(ix Index) *Cursor { return &Cursor{ix: ix} }
 // NewCursorSorted returns a locality cursor whose answers are ordered by
 // less. Sorting happens once per miss on the cached superset; hits inherit
 // the order for free. The annotation layers use this to keep candidate
-// ordering (and hence floating-point summation and tie-breaking) identical
-// no matter which index structure the density heuristic picked.
+// ordering (and hence floating-point summation and tie-breaking) independent
+// of the index's traversal order.
 func NewCursorSorted(ix Index, less func(a, b Item) bool) *Cursor {
 	return &Cursor{ix: ix, less: less}
 }

@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -9,10 +8,9 @@ import (
 )
 
 // Grid is a uniform partitioning of a rectangular extent into Cols x Rows
-// equal square cells. It is both the geometry of SeMiTri's raster sources —
-// the 100m x 100m land-use cell model (Fig. 4) and the discretization of the
-// POI emission probabilities (Figs. 7/8) — and the bucket layout of
-// GridIndex.
+// equal square cells: the geometry of SeMiTri's raster sources — the
+// 100m x 100m land-use cell model (Fig. 4) and the discretization of the POI
+// emission probabilities (Figs. 7/8).
 type Grid struct {
 	Origin   geo.Point // lower-left corner of cell (0,0)
 	CellSize float64   // side length of a square cell, in metres
@@ -144,230 +142,4 @@ func (g *Grid) VisitCellsIntersecting(r geo.Rect, fn func(id int) bool) {
 			}
 		}
 	}
-}
-
-// CellIter enumerates the grid's cells in non-decreasing order of distance
-// to a query point (see Grid.NearestCells).
-type CellIter struct {
-	g      *Grid
-	p      geo.Point
-	center [2]int // clamped (col, row) the rings expand from
-	ring   int    // next ring to push
-	maxR   int
-	q      cellQueue
-}
-
-type cellEntry struct {
-	dist float64
-	id   int
-}
-
-type cellQueue []cellEntry
-
-func (q cellQueue) Len() int           { return len(q) }
-func (q cellQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q cellQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *cellQueue) Push(x any)        { *q = append(*q, x.(cellEntry)) }
-func (q *cellQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
-// NearestCells returns an iterator over all cells in non-decreasing order of
-// distance from p to the cell rectangle. The iterator expands Chebyshev
-// rings around the (clamped) cell containing p and holds only one ring in
-// its heap at a time, so a nearest query on a large grid stays cheap.
-func (g *Grid) NearestCells(p geo.Point) *CellIter {
-	col := clampInt(int(math.Floor((p.X-g.Origin.X)/g.CellSize)), 0, g.Cols-1)
-	row := clampInt(int(math.Floor((p.Y-g.Origin.Y)/g.CellSize)), 0, g.Rows-1)
-	maxR := maxInt(maxInt(col, g.Cols-1-col), maxInt(row, g.Rows-1-row))
-	return &CellIter{g: g, p: p, center: [2]int{col, row}, maxR: maxR}
-}
-
-// Next returns the next cell id and its rectangle distance to the query
-// point; ok is false when all cells have been enumerated.
-func (it *CellIter) Next() (id int, dist float64, ok bool) {
-	for {
-		// Safe to emit once the heap top cannot be beaten by any cell in a
-		// ring not yet pushed: cells in ring k >= it.ring lie at least
-		// (it.ring-1)*CellSize from the query point.
-		if len(it.q) > 0 {
-			bound := float64(it.ring-1) * it.g.CellSize
-			if it.ring > it.maxR || it.q[0].dist <= bound {
-				e := heap.Pop(&it.q).(cellEntry)
-				return e.id, e.dist, true
-			}
-		} else if it.ring > it.maxR {
-			return 0, 0, false
-		}
-		it.pushRing(it.ring)
-		it.ring++
-	}
-}
-
-// pushRing adds the cells at Chebyshev distance k from the centre cell.
-func (it *CellIter) pushRing(k int) {
-	g := it.g
-	c, r := it.center[0], it.center[1]
-	push := func(col, row int) {
-		if col < 0 || col >= g.Cols || row < 0 || row >= g.Rows {
-			return
-		}
-		id := g.CellID(col, row)
-		heap.Push(&it.q, cellEntry{dist: g.CellRect(col, row).DistanceToPoint(it.p), id: id})
-	}
-	if k == 0 {
-		push(c, r)
-		return
-	}
-	for col := c - k; col <= c+k; col++ {
-		push(col, r-k)
-		push(col, r+k)
-	}
-	for row := r - k + 1; row <= r+k-1; row++ {
-		push(c-k, row)
-		push(c+k, row)
-	}
-}
-
-// GridIndex is a uniform-grid bucket index over an immutable item set: each
-// cell holds the indices of the items whose rectangle intersects it. For
-// dense point data (POIs) a candidate lookup is a constant-time bucket read,
-// which is why the density heuristic of NewIndex prefers it over the STR
-// tree there. Items not fully inside the grid extent go to a small overflow
-// list scanned on every query, so the index stays exact for any input.
-type GridIndex struct {
-	grid      *Grid
-	items     []Item
-	cells     [][]int32
-	overflow  []int32
-	bounds    geo.Rect
-	multiCell bool // some item lives in more than one cell: queries dedupe
-}
-
-// NewGridIndex builds a bucket index for items over the given grid geometry.
-// The input slice is not retained or modified.
-func NewGridIndex(g *Grid, items []Item) *GridIndex {
-	ix := &GridIndex{
-		grid:   g,
-		items:  append([]Item(nil), items...),
-		cells:  make([][]int32, g.NumCells()),
-		bounds: geo.EmptyRect(),
-	}
-	gb := g.Bounds()
-	for i, it := range ix.items {
-		ix.bounds = ix.bounds.Union(it.Rect)
-		if isPointRect(it.Rect) {
-			if id := g.CellAt(it.Rect.Min); id >= 0 {
-				ix.cells[id] = append(ix.cells[id], int32(i))
-			} else {
-				ix.overflow = append(ix.overflow, int32(i))
-			}
-			continue
-		}
-		if !gb.ContainsRect(it.Rect) {
-			ix.overflow = append(ix.overflow, int32(i))
-			continue
-		}
-		n := 0
-		g.VisitCellsIntersecting(it.Rect, func(id int) bool {
-			ix.cells[id] = append(ix.cells[id], int32(i))
-			n++
-			return true
-		})
-		if n > 1 {
-			ix.multiCell = true
-		}
-	}
-	return ix
-}
-
-func isPointRect(r geo.Rect) bool { return r.Min == r.Max }
-
-// Grid returns the underlying grid geometry.
-func (ix *GridIndex) Grid() *Grid { return ix.grid }
-
-// Len implements Index.
-func (ix *GridIndex) Len() int { return len(ix.items) }
-
-// Bounds implements Index.
-func (ix *GridIndex) Bounds() geo.Rect { return ix.bounds }
-
-// Visit implements Index: bucket scan over the cells intersecting r plus the
-// overflow list. Items spanning several cells are reported once.
-func (ix *GridIndex) Visit(r geo.Rect, fn func(Item) bool) {
-	for _, i := range ix.overflow {
-		if ix.items[i].Rect.Intersects(r) && !fn(ix.items[i]) {
-			return
-		}
-	}
-	var seen map[int32]struct{}
-	if ix.multiCell {
-		seen = make(map[int32]struct{})
-	}
-	ix.grid.VisitCellsIntersecting(r, func(id int) bool {
-		for _, i := range ix.cells[id] {
-			if seen != nil {
-				if _, dup := seen[i]; dup {
-					continue
-				}
-				seen[i] = struct{}{}
-			}
-			if ix.items[i].Rect.Intersects(r) && !fn(ix.items[i]) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// VisitNearest implements Index: cells are pulled in nearest-first order and
-// their items merged through a heap; an item is emitted once its rectangle
-// distance cannot be beaten by any cell not yet pulled.
-func (ix *GridIndex) VisitNearest(p geo.Point, fn func(Item, float64) bool) {
-	if len(ix.items) == 0 {
-		return
-	}
-	var q cellQueue // reused as an item heap: dist + item index
-	for _, i := range ix.overflow {
-		heap.Push(&q, cellEntry{dist: ix.items[i].Rect.DistanceToPoint(p), id: int(i)})
-	}
-	var seen map[int32]struct{}
-	if ix.multiCell {
-		seen = make(map[int32]struct{})
-	}
-	it := ix.grid.NearestCells(p)
-	cellID, cellDist, cellOK := it.Next()
-	for {
-		// Pull cells while one could still hold a closer item than the heap top.
-		for cellOK && (len(q) == 0 || cellDist <= q[0].dist) {
-			for _, i := range ix.cells[cellID] {
-				if seen != nil {
-					if _, dup := seen[i]; dup {
-						continue
-					}
-					seen[i] = struct{}{}
-				}
-				heap.Push(&q, cellEntry{dist: ix.items[i].Rect.DistanceToPoint(p), id: int(i)})
-			}
-			cellID, cellDist, cellOK = it.Next()
-		}
-		if len(q) == 0 {
-			return
-		}
-		e := heap.Pop(&q).(cellEntry)
-		if !fn(ix.items[e.id], e.dist) {
-			return
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -137,115 +137,6 @@ func TestCellsIntersecting(t *testing.T) {
 	}
 }
 
-// TestNearestCellsOrder checks the cell iterator yields every cell exactly
-// once in non-decreasing distance order, from query points inside and
-// outside the grid.
-func TestNearestCellsOrder(t *testing.T) {
-	g := mustGrid(t, geo.NewRect(geo.Pt(0, 0), geo.Pt(700, 500)), 100)
-	for _, q := range []geo.Point{
-		geo.Pt(350, 250), geo.Pt(10, 10), geo.Pt(-500, 250), geo.Pt(900, 900), geo.Pt(350, -1),
-	} {
-		it := g.NearestCells(q)
-		seen := map[int]bool{}
-		last := -1.0
-		for {
-			id, dist, ok := it.Next()
-			if !ok {
-				break
-			}
-			if seen[id] {
-				t.Fatalf("cell %d yielded twice for query %v", id, q)
-			}
-			seen[id] = true
-			if dist < last {
-				t.Fatalf("distance went backwards at cell %d for query %v: %v < %v", id, q, dist, last)
-			}
-			last = dist
-			if want := g.CellRectByID(id).DistanceToPoint(q); dist != want {
-				t.Fatalf("cell %d dist = %v want %v", id, dist, want)
-			}
-		}
-		if len(seen) != g.NumCells() {
-			t.Fatalf("query %v enumerated %d cells, want %d", q, len(seen), g.NumCells())
-		}
-	}
-}
-
-func TestGridIndexBasics(t *testing.T) {
-	g := mustGrid(t, geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000)), 50)
-	ix := NewGridIndex(g, []Item{
-		pointItem(100, 100, "a"),
-		pointItem(105, 105, "b"),
-		pointItem(900, 900, "c"),
-	})
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	if ix.Grid() != g {
-		t.Fatal("Grid accessor")
-	}
-	if got := Within(ix, geo.RectAround(geo.Pt(102, 102), 10)); len(got) != 2 {
-		t.Fatalf("Within = %v", got)
-	}
-	if got := WithinDistance(ix, geo.Pt(100, 100), 8); len(got) != 2 {
-		t.Fatalf("WithinDistance = %v", got)
-	}
-	got := WithinDistance(ix, geo.Pt(100, 100), 1)
-	if len(got) != 1 || got[0].Value.(string) != "a" {
-		t.Fatalf("tight WithinDistance = %v", got)
-	}
-	// Nearest from far away: ring expansion must still find the only close item.
-	it, d, ok := Nearest(ix, geo.Pt(0, 0))
-	if !ok || it.Value.(string) != "a" || d != geo.Pt(100, 100).DistanceTo(geo.Pt(0, 0)) {
-		t.Fatalf("Nearest = %v, %v, %v", it, d, ok)
-	}
-}
-
-func TestGridIndexOverflowAndRects(t *testing.T) {
-	// Grid deliberately smaller than the data: outside items must still be
-	// found by every query through the overflow list.
-	g := mustGrid(t, geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100)), 10)
-	items := []Item{
-		pointItem(50, 50, "in"),
-		pointItem(500, 500, "out"),
-		{Rect: geo.NewRect(geo.Pt(20, 20), geo.Pt(45, 25)), Value: "rect-in"},
-		{Rect: geo.NewRect(geo.Pt(90, 90), geo.Pt(150, 150)), Value: "rect-straddling"},
-	}
-	ix := NewGridIndex(g, items)
-	if got := Within(ix, geo.NewRect(geo.Pt(400, 400), geo.Pt(600, 600))); len(got) != 1 || got[0].Value.(string) != "out" {
-		t.Fatalf("outside query = %v", got)
-	}
-	// The multi-cell rect is reported once.
-	n := 0
-	ix.Visit(geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100)), func(it Item) bool {
-		if it.Value.(string) == "rect-in" {
-			n++
-		}
-		return true
-	})
-	if n != 1 {
-		t.Fatalf("multi-cell rect reported %d times", n)
-	}
-	it, _, ok := Nearest(ix, geo.Pt(499, 499))
-	if !ok || it.Value.(string) != "out" {
-		t.Fatalf("Nearest should reach overflow items, got %v %v", it, ok)
-	}
-}
-
-func TestGridIndexEmpty(t *testing.T) {
-	g := mustGrid(t, geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10)), 1)
-	ix := NewGridIndex(g, nil)
-	if ix.Len() != 0 {
-		t.Fatal("empty index Len")
-	}
-	if got := Within(ix, geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10))); got != nil {
-		t.Fatalf("empty Within = %v", got)
-	}
-	if _, _, ok := Nearest(ix, geo.Pt(5, 5)); ok {
-		t.Fatal("Nearest on empty index should be !ok")
-	}
-}
-
 func pointItem(x, y float64, v any) Item {
 	p := geo.Pt(x, y)
 	return Item{Rect: geo.Rect{Min: p, Max: p}, Value: v}

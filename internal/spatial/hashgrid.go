@@ -1,30 +1,26 @@
 package spatial
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
 	"semitri/internal/geo"
 )
 
-// HashGrid is the mutable companion of the bulk-loaded indexes: an
+// HashGrid is the mutable companion of the bulk-loaded STRTree: an
 // incremental uniform grid whose buckets are keyed by cell coordinates in a
 // hash map, so the covered domain is unbounded and grows with the data. It
 // exists for the read side of live ingestion — the query engine indexes
 // stop/move geometry as episodes close, long before the final extent is
-// known, which rules out the immutable STRTree/GridIndex (both need the full
-// item set up front).
+// known, which rules out the STR tree (it needs the full item set up front).
 //
 // Insert appends an item to every cell its rectangle overlaps; items
 // spanning more than oversizeCells cells go to a separate overflow list that
 // every query scans (episode rectangles are small, so the list stays empty
 // in practice — it only guards correctness against degenerate geometry).
-// Queries answer exactly, like every other Index: Visit reports each
-// intersecting item once (from the canonical covered cell, so no per-query
-// dedup allocation), and VisitNearest sweeps occupied cells in distance
-// order with an item heap, emitting items in exact non-decreasing rectangle
-// distance.
+// Visit answers exactly, reporting each intersecting item once (from the
+// canonical covered cell, so no per-query dedup allocation), and
+// EstimateWithin gives the planner an O(1) cardinality estimate.
 //
 // A HashGrid is NOT safe for concurrent use; callers guard it with their own
 // lock (the query engine keeps its engine-wide grid behind an RWMutex).
@@ -34,15 +30,14 @@ type HashGrid struct {
 	oversize []gridEntry
 	n        int
 	nextID   int
-	bounds   geo.Rect
 }
 
 // hashCell addresses one bucket: the integer cell coordinates of the point
 // (x/cellSize, y/cellSize), floor-rounded, over an unbounded domain.
 type hashCell struct{ col, row int64 }
 
-// gridEntry is an item plus its insertion id, which disambiguates duplicate
-// rectangles during the nearest sweep and makes multi-cell dedup cheap.
+// gridEntry is an item plus its insertion id, which orders the hits of a
+// whole-map Visit deterministically.
 type gridEntry struct {
 	item Item
 	id   int
@@ -62,20 +57,8 @@ func NewHashGrid(cellSize float64) *HashGrid {
 	return &HashGrid{cellSize: cellSize, cells: map[hashCell][]gridEntry{}}
 }
 
-// CellSize returns the bucket side length in metres.
-func (hg *HashGrid) CellSize() float64 { return hg.cellSize }
-
 // Len returns the number of items inserted.
 func (hg *HashGrid) Len() int { return hg.n }
-
-// Bounds returns the bounding rectangle of all inserted items (empty when
-// Len == 0).
-func (hg *HashGrid) Bounds() geo.Rect {
-	if hg.n == 0 {
-		return geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(-1, -1)}
-	}
-	return hg.bounds
-}
 
 // cellOf returns the bucket containing p.
 func (hg *HashGrid) cellOf(p geo.Point) hashCell {
@@ -99,24 +82,11 @@ func (hg *HashGrid) cellSpan(r geo.Rect) float64 {
 	return cols * rows
 }
 
-// cellRect returns the extent of one bucket.
-func (hg *HashGrid) cellRect(c hashCell) geo.Rect {
-	return geo.Rect{
-		Min: geo.Pt(float64(c.col)*hg.cellSize, float64(c.row)*hg.cellSize),
-		Max: geo.Pt(float64(c.col+1)*hg.cellSize, float64(c.row+1)*hg.cellSize),
-	}
-}
-
-// Insert adds an item. Inserting while a Visit/VisitNearest traversal is in
-// progress is not allowed (no internal locking).
+// Insert adds an item. Inserting while a Visit traversal is in progress is
+// not allowed (no internal locking).
 func (hg *HashGrid) Insert(it Item) {
 	e := gridEntry{item: it, id: hg.nextID}
 	hg.nextID++
-	if hg.n == 0 {
-		hg.bounds = it.Rect
-	} else {
-		hg.bounds = hg.bounds.Union(it.Rect)
-	}
 	hg.n++
 	if !(hg.cellSpan(it.Rect) <= oversizeCells) {
 		hg.oversize = append(hg.oversize, e)
@@ -188,95 +158,6 @@ func (hg *HashGrid) Visit(r geo.Rect, fn func(Item) bool) {
 	}
 }
 
-// entryHeap orders entries by rectangle distance to the query point, ties by
-// insertion id for determinism.
-type entryHeap []entryDist
-
-type entryDist struct {
-	e    gridEntry
-	dist float64
-}
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].e.id < h[j].e.id
-}
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(entryDist)) }
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// VisitNearest calls fn for items in exact non-decreasing order of rectangle
-// distance to p, until fn returns false or the items run out. The sweep
-// sorts the occupied buckets by distance once (O(C log C) for C occupied
-// buckets), then interleaves bucket expansion with an item heap: an item is
-// emitted only once every unexpanded bucket is at least as far as it, which
-// makes the order exact. Multi-bucket items enter the heap from their
-// nearest covered bucket only.
-func (hg *HashGrid) VisitNearest(p geo.Point, fn func(item Item, rectDist float64) bool) {
-	if hg.n == 0 {
-		return
-	}
-	type cellDist struct {
-		c    hashCell
-		dist float64
-	}
-	cells := make([]cellDist, 0, len(hg.cells))
-	for c := range hg.cells {
-		cells = append(cells, cellDist{c, hg.cellRect(c).DistanceToPoint(p)})
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].dist != cells[j].dist {
-			return cells[i].dist < cells[j].dist
-		}
-		if cells[i].c.col != cells[j].c.col {
-			return cells[i].c.col < cells[j].c.col
-		}
-		return cells[i].c.row < cells[j].c.row
-	})
-	var pending entryHeap
-	for _, e := range hg.oversize {
-		heap.Push(&pending, entryDist{e, e.item.Rect.DistanceToPoint(p)})
-	}
-	next := 0
-	for {
-		// Expand buckets until the nearest unexpanded bucket cannot contain
-		// anything closer than the nearest pending item.
-		for next < len(cells) && (len(pending) == 0 || cells[next].dist <= pending[0].dist) {
-			c := cells[next].c
-			for _, e := range hg.cells[c] {
-				ilo, ihi := hg.cellRange(e.item.Rect)
-				nearest := hashCell{
-					col: clampInt64(int64(math.Floor(p.X/hg.cellSize)), ilo.col, ihi.col),
-					row: clampInt64(int64(math.Floor(p.Y/hg.cellSize)), ilo.row, ihi.row),
-				}
-				if nearest != c {
-					continue // pushed when its nearest covered bucket expands
-				}
-				heap.Push(&pending, entryDist{e, e.item.Rect.DistanceToPoint(p)})
-			}
-			next++
-		}
-		if len(pending) == 0 {
-			return
-		}
-		// The heap top is exact: the expansion loop above only stops once
-		// every unexpanded bucket is farther away than it.
-		ed := heap.Pop(&pending).(entryDist)
-		if !fn(ed.e.item, ed.dist) {
-			return
-		}
-	}
-}
-
 // EstimateWithin returns an O(1) estimate of the number of items
 // intersecting r, used by query planners to rank access paths without
 // paying for the traversal: average bucket occupancy times the number of
@@ -301,14 +182,4 @@ func maxInt64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func clampInt64(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

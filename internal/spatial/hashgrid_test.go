@@ -8,10 +8,20 @@ import (
 	"semitri/internal/geo"
 )
 
+// gridWithin collects what hg.Visit reports for r.
+func gridWithin(hg *HashGrid, r geo.Rect) []Item {
+	var out []Item
+	hg.Visit(r, func(it Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out
+}
+
 // TestHashGridMatchesBruteForce extends the quick-check property test to the
 // incremental index: after every few insertions the hash grid must answer
-// range, radius, covering and nearest queries exactly like a brute-force
-// scan over the items inserted so far.
+// range and point queries exactly like a brute-force scan over the items
+// inserted so far, and its estimate must stay within [0, Len].
 func TestHashGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(411))
 	for round := 0; round < 12; round++ {
@@ -34,26 +44,12 @@ func TestHashGridMatchesBruteForce(t *testing.T) {
 			}
 			for q := 0; q < 6; q++ {
 				center := geo.Pt(rng.Float64()*2400-200, rng.Float64()*2400-200)
-				radius := rng.Float64() * 300
-
-				rect := geo.RectAround(center, radius)
-				sameValues(t, "hashgrid Within", Within(hg, rect), Within(brute, rect))
-				sameValues(t, "hashgrid WithinDistance",
-					WithinDistance(hg, center, radius), WithinDistance(brute, center, radius))
-				sameValues(t, "hashgrid Covering", Covering(hg, center), Covering(brute, center))
-
-				k := 1 + rng.Intn(12)
-				got := KNearest(hg, center, k)
-				want := KNearest(brute, center, k)
-				if len(got) != len(want) {
-					t.Fatalf("hashgrid KNearest: %d items want %d", len(got), len(want))
-				}
-				for i := range got {
-					gd := got[i].Rect.DistanceToPoint(center)
-					wd := want[i].Rect.DistanceToPoint(center)
-					if gd != wd {
-						t.Fatalf("hashgrid KNearest[%d]: dist %v want %v", i, gd, wd)
-					}
+				rect := geo.RectAround(center, rng.Float64()*300)
+				sameValues(t, "hashgrid Visit", gridWithin(hg, rect), Within(brute, rect))
+				point := geo.Rect{Min: center, Max: center}
+				sameValues(t, "hashgrid point Visit", gridWithin(hg, point), Covering(brute, center))
+				if est := hg.EstimateWithin(rect); est < 0 || est > hg.Len() {
+					t.Fatalf("estimate over %v = %d (n=%d)", rect, est, hg.Len())
 				}
 			}
 		}
@@ -71,12 +67,10 @@ func TestHashGridOversize(t *testing.T) {
 	if len(hg.oversize) != 1 {
 		t.Fatalf("big rect should overflow, oversize=%d", len(hg.oversize))
 	}
-	got := Within(hg, geo.RectAround(geo.Pt(100, 100), 5))
-	sameValues(t, "oversize Within", got, []Item{big, pointItem(100, 100, 1)})
-	near := KNearest(hg, geo.Pt(-50, 100), 2)
-	if len(near) != 2 || near[0].Value.(int) != 0 {
-		t.Fatalf("oversize KNearest = %v", near)
-	}
+	got := gridWithin(hg, geo.RectAround(geo.Pt(100, 100), 5))
+	sameValues(t, "oversize Visit", got, []Item{big, pointItem(100, 100, 1)})
+	got = gridWithin(hg, geo.RectAround(geo.Pt(4000, 4000), 5))
+	sameValues(t, "oversize-only Visit", got, []Item{big})
 }
 
 // TestHashGridHugeRects: rectangles spanning more buckets than an int64
@@ -110,7 +104,7 @@ func TestHashGridHugeRects(t *testing.T) {
 		geo.RectAround(geo.Pt(1000, 1000), 100),
 		geo.NewRect(geo.Pt(-1e300, -1e300), geo.Pt(1e300, 1e300)),
 	} {
-		sameValues(t, "huge Within", Within(hg, r), Within(brute, r))
+		sameValues(t, "huge Visit", gridWithin(hg, r), Within(brute, r))
 		if est := hg.EstimateWithin(r); est <= 0 || est > hg.Len() {
 			t.Fatalf("estimate over %v = %d (n=%d)", r, est, hg.Len())
 		}
@@ -121,26 +115,21 @@ func TestHashGridHugeRects(t *testing.T) {
 // estimate's bounds.
 func TestHashGridEmptyAndEstimate(t *testing.T) {
 	hg := NewHashGrid(0) // falls back to the default cell size
-	if hg.CellSize() <= 0 {
-		t.Fatal("default cell size")
+	if hg.cellSize != 250 || hg.Len() != 0 {
+		t.Fatalf("empty grid: cell size %v, Len %d", hg.cellSize, hg.Len())
 	}
-	if !hg.Bounds().IsEmpty() || hg.Len() != 0 {
-		t.Fatal("empty grid should have empty bounds")
-	}
-	if got := Within(hg, geo.RectAround(geo.Pt(0, 0), 100)); len(got) != 0 {
-		t.Fatalf("empty Within = %v", got)
-	}
-	if got := KNearest(hg, geo.Pt(0, 0), 3); len(got) != 0 {
-		t.Fatalf("empty KNearest = %v", got)
+	if got := gridWithin(hg, geo.RectAround(geo.Pt(0, 0), 100)); len(got) != 0 {
+		t.Fatalf("empty Visit = %v", got)
 	}
 	if est := hg.EstimateWithin(geo.RectAround(geo.Pt(0, 0), 10)); est != 0 {
 		t.Fatalf("empty estimate = %d", est)
 	}
 	rng := rand.New(rand.NewSource(5))
-	for _, it := range randomItems(rng, 500, 0.1) {
+	brute := &bruteForce{items: randomItems(rng, 500, 0.1)}
+	for _, it := range brute.items {
 		hg.Insert(it)
 	}
-	all := hg.EstimateWithin(hg.Bounds())
+	all := hg.EstimateWithin(brute.Bounds())
 	if all <= 0 || all > hg.Len() {
 		t.Fatalf("estimate over full bounds = %d (n=%d)", all, hg.Len())
 	}

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,7 +15,11 @@ type bruteForce struct{ items []Item }
 
 func (b *bruteForce) Len() int { return len(b.items) }
 func (b *bruteForce) Bounds() geo.Rect {
-	return boundsOf(b.items)
+	r := geo.EmptyRect()
+	for _, it := range b.items {
+		r = r.Union(it.Rect)
+	}
+	return r
 }
 func (b *bruteForce) Visit(r geo.Rect, fn func(Item) bool) {
 	for _, it := range b.items {
@@ -35,8 +40,8 @@ func (b *bruteForce) VisitNearest(p geo.Point, fn func(Item, float64) bool) {
 	}
 }
 
-// randomItems generates a mixed geometry set: mostly points (so the grid is
-// a legal choice) with some extended rectangles.
+// randomItems generates a mixed geometry set: points with a fraction of
+// extended rectangles.
 func randomItems(rng *rand.Rand, n int, rectFraction float64) []Item {
 	items := make([]Item, 0, n)
 	for i := 0; i < n; i++ {
@@ -78,9 +83,9 @@ func sameValues(t *testing.T, label string, got, want []Item) {
 }
 
 // TestIndexImplementationsAgree is the quick-check property test of the
-// spatial layer: on random geometry, the STR tree, the grid index and the
-// auto-selected index must return exactly the candidate sets a brute-force
-// scan returns, for range, radius, covering and nearest queries.
+// spatial layer: on random geometry, the STR tree must return exactly the
+// candidate sets a brute-force scan returns, for range, radius, covering and
+// nearest queries.
 func TestIndexImplementationsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for round := 0; round < 25; round++ {
@@ -91,105 +96,58 @@ func TestIndexImplementationsAgree(t *testing.T) {
 		}
 		items := randomItems(rng, n, rectFraction)
 		brute := &bruteForce{items: items}
+		ix := NewSTRTree(items)
+		if ix.Len() != len(items) {
+			t.Fatalf("Len = %d want %d", ix.Len(), len(items))
+		}
+		if ix.Bounds() != brute.Bounds() {
+			t.Fatalf("Bounds = %+v want %+v", ix.Bounds(), brute.Bounds())
+		}
+		for q := 0; q < 8; q++ {
+			center := geo.Pt(rng.Float64()*2400-200, rng.Float64()*2400-200)
+			radius := rng.Float64() * 300
 
-		// Grid geometry deliberately misaligned with the data (and in some
-		// rounds smaller than the data extent, exercising overflow).
-		extent := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 2000))
-		if round%3 == 0 {
-			extent = geo.NewRect(geo.Pt(300, 300), geo.Pt(1500, 1500))
-		}
-		cell := 50 + rng.Float64()*300
-		g, err := NewGrid(extent, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexes := map[string]Index{
-			"str":  NewSTRTree(items),
-			"grid": NewGridIndex(g, items),
-			"auto": NewIndex(items),
-		}
-		for name, ix := range indexes {
-			if ix.Len() != len(items) {
-				t.Fatalf("%s: Len = %d want %d", name, ix.Len(), len(items))
+			rect := geo.RectAround(center, radius)
+			sameValues(t, "Within", Within(ix, rect), Within(brute, rect))
+			sameValues(t, "WithinDistance",
+				WithinDistance(ix, center, radius), WithinDistance(brute, center, radius))
+			sameValues(t, "Covering", Covering(ix, center), Covering(brute, center))
+
+			// Nearest-first order: the first k distances must match the
+			// brute-force prefix (item identity may differ on exact ties).
+			k := 1 + rng.Intn(12)
+			got, want := nearestDists(ix, center, k), nearestDists(brute, center, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("VisitNearest prefix: %v want %v", got, want)
 			}
-			for q := 0; q < 8; q++ {
-				center := geo.Pt(rng.Float64()*2400-200, rng.Float64()*2400-200)
-				radius := rng.Float64() * 300
 
-				rect := geo.RectAround(center, radius)
-				sameValues(t, name+" Within", Within(ix, rect), Within(brute, rect))
-				sameValues(t, name+" WithinDistance",
-					WithinDistance(ix, center, radius), WithinDistance(brute, center, radius))
-				sameValues(t, name+" Covering", Covering(ix, center), Covering(brute, center))
-
-				// KNearest: distances must match the brute-force prefix
-				// (item identity may differ on exact ties).
-				k := 1 + rng.Intn(12)
-				got := KNearest(ix, center, k)
-				want := KNearest(brute, center, k)
-				if len(got) != len(want) {
-					t.Fatalf("%s KNearest: %d items want %d", name, len(got), len(want))
-				}
-				for i := range got {
-					gd := got[i].Rect.DistanceToPoint(center)
-					wd := want[i].Rect.DistanceToPoint(center)
-					if gd != wd {
-						t.Fatalf("%s KNearest[%d]: dist %v want %v", name, i, gd, wd)
-					}
-				}
-
-				// NearestBy with a refined metric (distance to the rect
-				// centre, strictly larger than the rect distance).
-				refine := func(it Item) float64 { return it.Rect.Center().DistanceTo(center) }
-				_, gd, gok := NearestBy(ix, center, refine)
-				_, wd, wok := NearestBy(brute, center, refine)
-				if gok != wok || (gok && gd != wd) {
-					t.Fatalf("%s NearestBy: (%v,%v) want (%v,%v)", name, gd, gok, wd, wok)
-				}
+			// NearestBy with a refined metric (distance to the rect
+			// centre, strictly larger than the rect distance).
+			refine := func(it Item) float64 { return it.Rect.Center().DistanceTo(center) }
+			_, gd, gok := NearestBy(ix, center, refine)
+			_, wd, wok := NearestBy(brute, center, refine)
+			if gok != wok || (gok && gd != wd) {
+				t.Fatalf("NearestBy: (%v,%v) want (%v,%v)", gd, gok, wd, wok)
 			}
 		}
 	}
 }
 
-func TestChooseHeuristic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Small sets always take the tree.
-	if k := Choose(randomItems(rng, 10, 0)); k != KindSTR {
-		t.Fatalf("small set chose %v", k)
-	}
-	// Dense point sets take the grid.
-	if k := Choose(randomItems(rng, 5000, 0)); k != KindGrid {
-		t.Fatalf("dense point set chose %v", k)
-	}
-	// Rect-heavy sets take the tree.
-	if k := Choose(randomItems(rng, 5000, 0.5)); k != KindSTR {
-		t.Fatalf("rect-heavy set chose %v", k)
-	}
-	// Degenerate (collinear) point sets take the tree: a grid over a
-	// zero-area extent cannot be sized.
-	var line []Item
-	for i := 0; i < 500; i++ {
-		line = append(line, pointItem(float64(i), 0, i))
-	}
-	if k := Choose(line); k != KindSTR {
-		t.Fatalf("degenerate set chose %v", k)
-	}
-	if KindGrid.String() != "grid" || KindSTR.String() != "str-rtree" {
-		t.Fatal("Kind.String")
-	}
-	// NewIndex honours the choice.
-	if _, ok := NewIndex(randomItems(rng, 5000, 0)).(*GridIndex); !ok {
-		t.Fatal("NewIndex should build a grid for dense points")
-	}
-	if _, ok := NewIndex(line).(*STRTree); !ok {
-		t.Fatal("NewIndex should build a tree for degenerate sets")
-	}
+// nearestDists returns the rectangle distances of the first k items
+// VisitNearest reports.
+func nearestDists(ix Index, p geo.Point, k int) []float64 {
+	var out []float64
+	ix.VisitNearest(p, func(_ Item, d float64) bool {
+		out = append(out, d)
+		return len(out) < k
+	})
+	return out
 }
 
 func TestCursorMatchesUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	items := randomItems(rng, 800, 0.1)
-	ix := NewIndex(items)
+	ix := NewSTRTree(items)
 	less := func(a, b Item) bool { return a.Value.(int) < b.Value.(int) }
 	cur := NewCursorSorted(ix, less)
 	// Random walk with small steps: mostly hits, occasionally teleporting.
@@ -227,7 +185,7 @@ func TestCursorMatchesUncached(t *testing.T) {
 	if h, m := cur2.Stats(); h != 0 || m != 2 {
 		t.Fatalf("radius change should miss: hits=%d misses=%d", h, m)
 	}
-	if cur2.Index() != ix {
+	if cur2.Index() != Index(ix) {
 		t.Fatal("Index accessor")
 	}
 }

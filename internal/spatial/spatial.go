@@ -2,27 +2,18 @@
 // annotation algorithms. All three layers are spatial joins between
 // trajectory geometry and a 3rd-party source — land-use cells (region layer,
 // Alg. 1), road segments (line layer, Alg. 2) and POIs (point layer,
-// Alg. 3) — and all of them program against the same small contract, the
+// Alg. 3). The land-use raster is Grid arithmetic; the vector sources (road
+// segments, POIs, named regions) program against one small contract, the
 // Index interface, instead of each source's internals.
 //
-// The package provides two immutable, bulk-loaded implementations:
-//
-//   - STRTree, a Sort-Tile-Recursive packed R-tree (Leutenegger et al.,
-//     ICDE 1997). Best for extended geometry — road-segment bounding boxes,
-//     named-region polygons — and for sparse or skewed point sets.
-//   - GridIndex, a uniform-grid bucket index over a Grid geometry. Best for
-//     dense point sets (POIs), where a cell lookup is O(1) and beats any
-//     tree descent.
-//
-// NewIndex selects between them per source with a density heuristic (see
-// Choose). Both implementations answer every query exactly — range, point
-// containment, k-nearest and refined nearest-neighbour — so callers never
-// need a full-scan fallback.
-//
-// The query helpers (Within, WithinDistance, Covering, KNearest, NearestBy)
-// are written against the interface, which keeps the two structures small:
-// an index only implements rectangle traversal (Visit) and ordered
-// nearest-first traversal (VisitNearest).
+// The one Index implementation is STRTree, a Sort-Tile-Recursive packed
+// R-tree (Leutenegger et al., ICDE 1997): every source is loaded once and
+// queried forever, and the tree answers range, point containment and
+// refined nearest-neighbour queries exactly, so callers never need a
+// full-scan fallback. The query helpers (Within, WithinDistance, Covering,
+// NearestBy) are written against the interface, which keeps an index down
+// to rectangle traversal (Visit) and nearest-first traversal (VisitNearest).
+// HashGrid is the mutable grid the query engine indexes live episodes with.
 //
 // Cursor adds a locality cache on top of any Index: GPS records arrive in
 // near-sorted spatial order, so consecutive candidate queries mostly hit the
@@ -124,20 +115,6 @@ func AppendCovering(dst []Item, ix Index, p geo.Point) []Item {
 		return true
 	})
 	return dst
-}
-
-// KNearest returns up to k items closest to p by rectangle distance, ordered
-// by non-decreasing distance.
-func KNearest(ix Index, p geo.Point, k int) []Item {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]Item, 0, k)
-	ix.VisitNearest(p, func(it Item, _ float64) bool {
-		out = append(out, it)
-		return len(out) < k
-	})
-	return out
 }
 
 // NearestBy returns the item minimising dist(item), where dist must be

@@ -129,15 +129,6 @@ func (t *STRTree) Len() int { return t.size }
 // Bounds implements Index.
 func (t *STRTree) Bounds() geo.Rect { return t.root.rect }
 
-// Height returns the number of levels (1 for a single-leaf tree).
-func (t *STRTree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf(); n = n.children[0] {
-		h++
-	}
-	return h
-}
-
 // Visit implements Index: depth-first range traversal.
 func (t *STRTree) Visit(r geo.Rect, fn func(Item) bool) {
 	t.visit(t.root, r, fn)

@@ -9,8 +9,8 @@ import (
 
 func TestSTRTreeEmptyAndSingle(t *testing.T) {
 	empty := NewSTRTree(nil)
-	if empty.Len() != 0 || empty.Height() != 1 {
-		t.Fatalf("empty tree Len=%d Height=%d", empty.Len(), empty.Height())
+	if empty.Len() != 0 || height(empty) != 1 {
+		t.Fatalf("empty tree Len=%d height=%d", empty.Len(), height(empty))
 	}
 	if got := Within(empty, geo.NewRect(geo.Pt(-1e9, -1e9), geo.Pt(1e9, 1e9))); got != nil {
 		t.Fatalf("empty Within = %v", got)
@@ -32,6 +32,15 @@ func TestSTRTreeEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// height returns the number of tree levels (1 for a single-leaf tree).
+func height(t *STRTree) int {
+	h := 1
+	for n := t.root; !n.leaf(); n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func TestSTRTreePacksShallow(t *testing.T) {
 	var items []Item
 	rng := rand.New(rand.NewSource(5))
@@ -43,8 +52,8 @@ func TestSTRTreePacksShallow(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	// 4096 items at fanout 16 pack into exactly 3 levels (16^3).
-	if tr.Height() != 3 {
-		t.Fatalf("Height = %d, want 3 for a packed tree", tr.Height())
+	if h := height(tr); h != 3 {
+		t.Fatalf("height = %d, want 3 for a packed tree", h)
 	}
 	if tr.Bounds().IsEmpty() {
 		t.Fatal("Bounds should not be empty")
@@ -127,16 +136,5 @@ func TestVisitNearestOrdered(t *testing.T) {
 	})
 	if n != len(items) {
 		t.Fatalf("VisitNearest visited %d of %d", n, len(items))
-	}
-	// KNearest matches a sorted brute force prefix by distance.
-	k := 10
-	got := KNearest(tr, p, k)
-	if len(got) != k {
-		t.Fatalf("KNearest returned %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Rect.DistanceToPoint(p) < got[i-1].Rect.DistanceToPoint(p) {
-			t.Fatal("KNearest not ordered")
-		}
 	}
 }

@@ -20,10 +20,10 @@ import (
 //     in-place annotation merges bump the affected key's generation counter.
 //  3. After the segment is durable, CommitFreeze re-locks each stripe and,
 //     for every emitted run whose generation is unchanged, evicts the
-//     captured heap prefix and advances the key's frozen count. Runs whose
-//     key was written in between stay on the heap (the tier must not serve
-//     them) and are re-emitted by the next freeze, which shadows the dead
-//     run at recovery.
+//     captured heap prefix, advances the key's frozen count and has the tier
+//     index the run, all under the stripe lock. Runs whose key was written
+//     in between stay on the heap (the tier must not serve them) and are
+//     re-emitted by the next freeze, which shadows the dead run at recovery.
 //
 // The two-phase shape keeps the stripe locks held only for memory work —
 // the segment I/O happens between them — at the cost of re-emitting the
@@ -220,11 +220,19 @@ func collectShard(sh *shard, mark *FreezeMark, emit func(Mutation) error) error 
 // collect and commit, the heap still holds its content and the tier must
 // not serve the run (the next freeze re-emits the key, shadowing the dead
 // run at recovery). Overlay merge runs are always live.
-func (s *Store) CommitFreeze(mark *FreezeMark) []bool {
+//
+// committed is called with each live run's index while its stripe lock is
+// still held, so the tier indexes the run in the same critical section that
+// advances the key's frozen base: a reader that sees the new base also sees
+// the run. It may take tier locks (shard→tier order) but must not call back
+// into the store.
+func (s *Store) CommitFreeze(mark *FreezeMark, committed func(run int)) []bool {
 	live := make([]bool, len(mark.entries))
 	for i, e := range mark.entries {
 		e.sh.mu.Lock()
-		live[i] = commitFreezeEntry(e.sh, e)
+		if live[i] = commitFreezeEntry(e.sh, e); live[i] {
+			committed(i)
+		}
 		e.sh.mu.Unlock()
 	}
 	for _, d := range mark.dirty {

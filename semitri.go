@@ -8,8 +8,8 @@
 // tools, the examples and the benchmark harness. The individual layers live
 // in internal packages: internal/region, internal/line and internal/point
 // implement Algorithms 1-3 of the paper, internal/spatial the shared
-// spatial-index layer all three annotators query (bulk-loaded STR R-tree
-// and uniform grid behind one interface, plus per-object locality caches),
+// spatial-index layer all three annotators query (a bulk-loaded STR R-tree
+// and the land-use raster grid, plus per-object locality caches),
 // internal/episode the stop/move computation, internal/store the semantic
 // trajectory store and internal/workload the synthetic stand-ins for the
 // paper's datasets.

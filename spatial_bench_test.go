@@ -1,17 +1,14 @@
 package semitri_test
 
 import (
-	"sort"
 	"testing"
 
 	"semitri/internal/episode"
 	"semitri/internal/geo"
 	"semitri/internal/gps"
 	"semitri/internal/line"
-	"semitri/internal/poi"
 	"semitri/internal/point"
 	"semitri/internal/region"
-	"semitri/internal/spatial"
 	"semitri/internal/workload"
 )
 
@@ -141,30 +138,4 @@ func BenchmarkPointCandidates(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) { run(b, nil) })
 	b.Run("cached", func(b *testing.B) { run(b, a.NewCursor()) })
-	// The pre-refactor lookup: buckets fixed to the 100 m emission cells
-	// (instead of density-sized by the heuristic) and a sort on every query.
-	b.Run("prerefactor-100m-grid", func(b *testing.B) {
-		items := make([]spatial.Item, 0, env.City.POIs.Len())
-		for _, p := range env.City.POIs.All() {
-			items = append(items, spatial.Item{Rect: geo.Rect{Min: p.Position, Max: p.Position}, Value: p})
-		}
-		old := spatial.NewGridIndex(g, items)
-		radius := float64(point.DefaultConfig().NeighborhoodCells) * g.CellSize
-		b.ReportAllocs()
-		b.ResetTimer()
-		n := 0
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				cands := spatial.WithinDistance(old, q, radius)
-				sort.Slice(cands, func(x, y int) bool {
-					return cands[x].Value.(*poi.POI).ID < cands[y].Value.(*poi.POI).ID
-				})
-				n += len(cands)
-			}
-		}
-		if n < 0 {
-			b.Fatal("impossible")
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
-	})
 }

@@ -73,10 +73,10 @@ func TestBatchStreamParityConcurrent(t *testing.T) {
 	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
 }
 
-// TestAddBatchConcurrentParity drives the same workload through the
-// AddBatchConcurrent fan-in driver (which shards the interleaved feed by
-// object across 4 workers) and checks store parity with the oracle.
-func TestAddBatchConcurrentParity(t *testing.T) {
+// TestFanInParity drives the same workload through the FanIn driver (which
+// shards the interleaved feed by object across 4 workers) and checks store
+// parity with the oracle.
+func TestFanInParity(t *testing.T) {
 	city := newTestCity(t, 4, 3000)
 	records := peopleRecords(t, city, 8, 1, 7)
 
@@ -84,8 +84,21 @@ func TestAddBatchConcurrentParity(t *testing.T) {
 
 	stream := newTestPipeline(t, city, semitri.DefaultConfig())
 	sp := stream.NewStream()
-	events, err := sp.AddBatchConcurrent(records, 4)
-	if err != nil {
+	feed := make(chan gps.Record)
+	go func() {
+		defer close(feed)
+		for _, r := range records {
+			feed <- r
+		}
+	}()
+	var mu sync.Mutex
+	var events []semitri.StreamEvent
+	collect := func(evs []semitri.StreamEvent) {
+		mu.Lock()
+		events = append(events, evs...)
+		mu.Unlock()
+	}
+	if err := sp.FanIn(feed, 4, collect); err != nil {
 		t.Fatal(err)
 	}
 	episodeEvents := 0
