@@ -20,7 +20,9 @@ test:
 test-nommap:
 	$(GO) test -tags semitri_nommap ./internal/segment/ ./internal/query/ .
 
-# Race-detector pass focused on the concurrency surface: the parity suite
+# Local, uncached race-detector pass focused on the concurrency surface (CI
+# runs no separate job for it: build-and-test already runs every one of
+# these tests under `go test -race ./...`): the parity suite
 # (the stream path and ProcessRecords against the batch-kernel oracle,
 # sequential + concurrent-interleaving variants), the fan-in driver, the
 # lock-striped store, the query engine's concurrent read path

@@ -182,7 +182,7 @@ func main() {
 		fc := geojson.NewFeatureCollection()
 		for _, id := range result.TrajectoryIDs {
 			if merged, ok := st.Structured(id, semitri.InterpretationMerged); ok {
-				for _, f := range geojson.Structured(merged, nil).Features {
+				for _, f := range geojson.Structured(merged).Features {
 					fc.Add(f)
 				}
 			}

@@ -225,30 +225,6 @@ func (st *StructuredTrajectory) Validate() error {
 	return nil
 }
 
-// Duration returns the time spanned by the trajectory's tuples.
-func (st *StructuredTrajectory) Duration() time.Duration {
-	if len(st.Tuples) == 0 {
-		return 0
-	}
-	return st.Tuples[len(st.Tuples)-1].TimeOut.Sub(st.Tuples[0].TimeIn)
-}
-
-// Stops returns the stop tuples.
-func (st *StructuredTrajectory) Stops() []*EpisodeTuple { return st.filter(episode.Stop) }
-
-// Moves returns the move tuples.
-func (st *StructuredTrajectory) Moves() []*EpisodeTuple { return st.filter(episode.Move) }
-
-func (st *StructuredTrajectory) filter(k episode.Kind) []*EpisodeTuple {
-	var out []*EpisodeTuple
-	for _, tp := range st.Tuples {
-		if tp.Kind == k {
-			out = append(out, tp)
-		}
-	}
-	return out
-}
-
 // MergeConsecutive collapses consecutive tuples that link to the same place
 // and carry the same value for the given annotation key (the tuple merging
 // of Alg. 1 line 10-11). It returns a new trajectory.

@@ -117,17 +117,8 @@ func TestStructuredTrajectoryValidate(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Duration() != 480*time.Minute {
-		t.Fatalf("Duration = %v", st.Duration())
-	}
-	if len(st.Stops()) != 2 || len(st.Moves()) != 1 {
-		t.Fatal("stop/move filters wrong")
-	}
 	if (&StructuredTrajectory{}).Validate() == nil {
 		t.Fatal("missing id should fail")
-	}
-	if (&StructuredTrajectory{ID: "x"}).Duration() != 0 {
-		t.Fatal("empty trajectory duration should be 0")
 	}
 	// Reversed tuple times.
 	bad := &StructuredTrajectory{ID: "x", Tuples: []*EpisodeTuple{makeTuple(episode.Stop, "a", "a", 60, 0)}}

@@ -9,6 +9,10 @@
 // are the maximal subsequences between stops. The output episodes carry the
 // index range into the raw trajectory so the annotation layers can access
 // the underlying GPS points.
+//
+// Ingestion runs the incremental Tracker. The batch kernel Detect is the
+// reference implementation the parity tests compare the Tracker against; it
+// has no production caller on purpose.
 package episode
 
 import (

@@ -201,24 +201,6 @@ func (tk *Tracker) Finish() ([]*Episode, error) {
 	return out, nil
 }
 
-// Tail returns a provisional view of the not-yet-final suffix: the episodes
-// Finish would emit if the trajectory ended now. It does not modify the
-// tracker; the returned episodes (typically one open move and/or a forming
-// stop) may still change as records arrive.
-func (tk *Tracker) Tail() []*Episode {
-	if tk.finished || len(tk.records) == 0 || len(tk.records) == tk.emitted {
-		return nil
-	}
-	if len(tk.records) == 1 {
-		return []*Episode{tk.build(Stop, 0, 0)}
-	}
-	var out []*Episode
-	for _, r := range tk.closingRuns() {
-		out = append(out, tk.build(r.kind, r.from, r.to))
-	}
-	return out
-}
-
 // closingRuns labels the last record, then applies the batch absorption,
 // validation and merge steps to the unemitted suffix runs. It does not
 // modify tracker state.

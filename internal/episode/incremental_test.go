@@ -117,6 +117,8 @@ func TestTrackerTinyTrajectories(t *testing.T) {
 	}
 }
 
+// TestTrackerTailCoversSuffix: online episodes are contiguous, and the tail
+// Finish emits covers exactly the records they left unemitted.
 func TestTrackerTailCoversSuffix(t *testing.T) {
 	cfg := DefaultConfig()
 	tr := randomTrajectory(4, 300)
@@ -136,19 +138,17 @@ func TestTrackerTailCoversSuffix(t *testing.T) {
 			}
 			covered = ep.EndIdx + 1
 		}
-		tail := tk.Tail()
-		if covered <= i { // some records not yet emitted: the tail must cover them
-			if len(tail) == 0 {
-				t.Fatalf("record %d: no tail despite %d unemitted records", i, i+1-covered)
-			}
-			if tail[0].StartIdx != covered || tail[len(tail)-1].EndIdx != i {
-				t.Fatalf("record %d: tail covers [%d,%d], want [%d,%d]",
-					i, tail[0].StartIdx, tail[len(tail)-1].EndIdx, covered, i)
-			}
-		}
 	}
-	if _, err := tk.Finish(); err != nil {
+	tail, err := tk.Finish()
+	if err != nil {
 		t.Fatal(err)
+	}
+	last := len(tr.Records) - 1
+	if covered > last {
+		t.Fatalf("all %d records emitted online; the test trajectory must leave a tail", len(tr.Records))
+	}
+	if len(tail) == 0 || tail[0].StartIdx != covered || tail[len(tail)-1].EndIdx != last {
+		t.Fatalf("tail = %d episodes, want [%d,%d] covered", len(tail), covered, last)
 	}
 	if _, err := tk.Add(tr.Records[0]); err == nil {
 		t.Fatal("Add after Finish should fail")

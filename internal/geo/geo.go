@@ -1,13 +1,10 @@
 // Package geo provides the spatial primitives used throughout SeMiTri:
-// points, segments, polylines, rectangles and polygons, together with the
-// distance metrics and topological predicates required by the annotation
-// layers (spatial join, point–segment distance of Eq. 1 in the paper, and
-// the WGS-84 haversine metric used when ingesting real lon/lat data).
+// points, segments, rectangles and polygons, together with the distance
+// metrics and topological predicates required by the annotation layers
+// (spatial join and the point–segment distance of Eq. 1 in the paper).
 //
-// All synthetic workloads operate in a local planar frame expressed in
-// metres, which keeps the geometry exact and fast; the package also offers
-// an equirectangular local projection so real GPS (lon, lat) records can be
-// mapped into the same planar frame.
+// Every workload and every ingest path works in one local planar frame
+// expressed in metres, which keeps the geometry exact and fast.
 package geo
 
 import (
@@ -15,12 +12,7 @@ import (
 	"math"
 )
 
-// EarthRadiusMeters is the mean Earth radius used by the haversine formula.
-const EarthRadiusMeters = 6371000.0
-
-// Point is a position in the planar working frame (metres) or, when used
-// with the geographic helpers, a (lon, lat) pair in degrees where X is the
-// longitude and Y the latitude.
+// Point is a position in the planar working frame, in metres.
 type Point struct {
 	X float64
 	Y float64
@@ -47,9 +39,6 @@ func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 // Cross returns the z-component of the cross product of p and q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
-// Norm returns the Euclidean length of the vector p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // DistanceTo returns the planar Euclidean distance between p and q.
 func (p Point) DistanceTo(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -61,52 +50,6 @@ func (p Point) Equal(q Point, eps float64) bool {
 // Lerp returns the linear interpolation between p and q at parameter t in [0,1].
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
-
-// Haversine returns the great-circle distance in metres between two
-// geographic points given as (lon, lat) in degrees.
-func Haversine(a, b Point) float64 {
-	lat1 := a.Y * math.Pi / 180
-	lat2 := b.Y * math.Pi / 180
-	dLat := (b.Y - a.Y) * math.Pi / 180
-	dLon := (b.X - a.X) * math.Pi / 180
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(s)))
-}
-
-// Projection converts geographic (lon, lat) coordinates into a local planar
-// frame (metres) using an equirectangular approximation around an origin.
-// It is accurate to well under a metre for city-scale extents, which is the
-// scale at which SeMiTri's annotation layers operate.
-type Projection struct {
-	originLon float64
-	originLat float64
-	cosLat    float64
-}
-
-// NewProjection creates a local projection centred at the given geographic
-// origin expressed in degrees.
-func NewProjection(originLon, originLat float64) *Projection {
-	return &Projection{
-		originLon: originLon,
-		originLat: originLat,
-		cosLat:    math.Cos(originLat * math.Pi / 180),
-	}
-}
-
-// ToPlane converts a geographic (lon, lat) point into local metres.
-func (pr *Projection) ToPlane(lonLat Point) Point {
-	dx := (lonLat.X - pr.originLon) * math.Pi / 180 * EarthRadiusMeters * pr.cosLat
-	dy := (lonLat.Y - pr.originLat) * math.Pi / 180 * EarthRadiusMeters
-	return Point{dx, dy}
-}
-
-// ToGeographic converts a local planar point back to (lon, lat) degrees.
-func (pr *Projection) ToGeographic(p Point) Point {
-	lon := pr.originLon + p.X/(EarthRadiusMeters*pr.cosLat)*180/math.Pi
-	lat := pr.originLat + p.Y/EarthRadiusMeters*180/math.Pi
-	return Point{lon, lat}
 }
 
 // Segment is a straight line segment between two crossings A and B.
@@ -121,9 +64,6 @@ func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 
 // Length returns the Euclidean length of the segment.
 func (s Segment) Length() float64 { return s.A.DistanceTo(s.B) }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 
 // Bounds returns the axis-aligned bounding rectangle of the segment.
 func (s Segment) Bounds() Rect {
@@ -156,19 +96,6 @@ func (s Segment) ClosestPoint(q Point) (Point, float64) {
 func (s Segment) DistanceToPoint(q Point) float64 {
 	cp, _ := s.ClosestPoint(q)
 	return cp.DistanceTo(q)
-}
-
-// Project returns the position of q projected onto the segment, clamped to
-// the segment, which is the "corrected position" (x', y') of Alg. 2.
-func (s Segment) Project(q Point) Point {
-	cp, _ := s.ClosestPoint(q)
-	return cp
-}
-
-// Heading returns the direction of the segment in radians in (-pi, pi].
-func (s Segment) Heading() float64 {
-	d := s.B.Sub(s.A)
-	return math.Atan2(d.Y, d.X)
 }
 
 // Rect is an axis-aligned rectangle used both as a bounding box and as the
@@ -214,12 +141,6 @@ func (r Rect) Height() float64 {
 	return r.Max.Y - r.Min.Y
 }
 
-// Area returns the area of the rectangle.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Margin returns the half-perimeter of the rectangle (R*-tree split metric).
-func (r Rect) Margin() float64 { return r.Width() + r.Height() }
-
 // Center returns the centre point of the rectangle.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -228,15 +149,6 @@ func (r Rect) Center() Point {
 // ContainsPoint reports whether the point lies inside or on the boundary.
 func (r Rect) ContainsPoint(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether r fully contains s (spatial subsumption,
-// the predicate most used for stop episodes in §4.1).
-func (r Rect) ContainsRect(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return s.Min.X >= r.Min.X && s.Max.X <= r.Max.X && s.Min.Y >= r.Min.Y && s.Max.Y <= r.Max.Y
 }
 
 // Intersects reports whether the two rectangles overlap (touching counts).
@@ -282,20 +194,6 @@ func (r Rect) Expand(d float64) Rect {
 	}
 }
 
-// EnlargementNeeded returns the increase in area required for r to cover s.
-func (r Rect) EnlargementNeeded(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
-// OverlapArea returns the area of the intersection of r and s.
-func (r Rect) OverlapArea(s Rect) float64 {
-	in := r.Intersection(s)
-	if in.IsEmpty() {
-		return 0
-	}
-	return in.Area()
-}
-
 // DistanceToPoint returns the minimum distance from the rectangle to the
 // point (zero when the point is inside).
 func (r Rect) DistanceToPoint(p Point) float64 {
@@ -332,4 +230,123 @@ func Centroid(pts []Point) Point {
 	}
 	n := float64(len(pts))
 	return Point{sx / n, sy / n}
+}
+
+// Polygon is a simple (non self-intersecting) polygon given by its ring of
+// vertices; the ring does not need to repeat the first vertex at the end.
+// It is the spatial extent of free-form semantic regions such as a campus.
+type Polygon []Point
+
+// Bounds returns the bounding rectangle of the polygon.
+func (pg Polygon) Bounds() Rect { return BoundsOf(pg) }
+
+// ContainsPoint reports whether the point is inside the polygon using the
+// ray-casting (even-odd) rule; boundary points count as inside.
+func (pg Polygon) ContainsPoint(p Point) bool {
+	n := len(pg)
+	if n < 3 {
+		return false
+	}
+	// Boundary check first so points exactly on an edge are included.
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		if (Segment{A: pg[i], B: pg[j]}).DistanceToPoint(p) < 1e-9 {
+			return true
+		}
+	}
+	inside := false
+	for i, j := 0, n-1; i < n; j, i = i, i+1 {
+		pi, pj := pg[i], pg[j]
+		if (pi.Y > p.Y) != (pj.Y > p.Y) {
+			xCross := (pj.X-pi.X)*(p.Y-pi.Y)/(pj.Y-pi.Y) + pi.X
+			if p.X < xCross {
+				inside = !inside
+			}
+		}
+	}
+	return inside
+}
+
+// IntersectsRect reports whether the polygon and rectangle overlap. The test
+// is conservative and exact for the convex/rectangular shapes used by the
+// synthetic sources: it checks containment in either direction and edge
+// crossings.
+func (pg Polygon) IntersectsRect(r Rect) bool {
+	if len(pg) == 0 || r.IsEmpty() {
+		return false
+	}
+	if !pg.Bounds().Intersects(r) {
+		return false
+	}
+	// Any polygon vertex inside the rectangle.
+	for _, v := range pg {
+		if r.ContainsPoint(v) {
+			return true
+		}
+	}
+	// Any rectangle corner inside the polygon.
+	corners := []Point{r.Min, {r.Max.X, r.Min.Y}, r.Max, {r.Min.X, r.Max.Y}}
+	for _, c := range corners {
+		if pg.ContainsPoint(c) {
+			return true
+		}
+	}
+	// Any edge crossing.
+	rectEdges := []Segment{
+		{A: corners[0], B: corners[1]}, {A: corners[1], B: corners[2]},
+		{A: corners[2], B: corners[3]}, {A: corners[3], B: corners[0]},
+	}
+	for i := 0; i < len(pg); i++ {
+		e := Segment{A: pg[i], B: pg[(i+1)%len(pg)]}
+		for _, re := range rectEdges {
+			if SegmentsIntersect(e, re) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// SegmentsIntersect reports whether the two segments share at least one point.
+func SegmentsIntersect(s1, s2 Segment) bool {
+	d1 := direction(s2.A, s2.B, s1.A)
+	d2 := direction(s2.A, s2.B, s1.B)
+	d3 := direction(s1.A, s1.B, s2.A)
+	d4 := direction(s1.A, s1.B, s2.B)
+	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
+		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
+		return true
+	}
+	switch {
+	case d1 == 0 && onSegment(s2.A, s2.B, s1.A):
+		return true
+	case d2 == 0 && onSegment(s2.A, s2.B, s1.B):
+		return true
+	case d3 == 0 && onSegment(s1.A, s1.B, s2.A):
+		return true
+	case d4 == 0 && onSegment(s1.A, s1.B, s2.B):
+		return true
+	}
+	return false
+}
+
+func direction(a, b, c Point) float64 { return c.Sub(a).Cross(b.Sub(a)) }
+
+func onSegment(a, b, p Point) bool {
+	return math.Min(a.X, b.X) <= p.X && p.X <= math.Max(a.X, b.X) &&
+		math.Min(a.Y, b.Y) <= p.Y && p.Y <= math.Max(a.Y, b.Y)
+}
+
+// RegularPolygon returns an n-vertex regular polygon of the given radius
+// centred at c; it is used by the synthetic region generators.
+func RegularPolygon(c Point, radius float64, n int) Polygon {
+	if n < 3 {
+		n = 3
+	}
+	pg := make(Polygon, n)
+	for i := 0; i < n; i++ {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		pg[i] = Point{c.X + radius*math.Cos(a), c.Y + radius*math.Sin(a)}
+	}
+	return pg
 }

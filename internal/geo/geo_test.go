@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -26,9 +25,6 @@ func TestPointVectorOps(t *testing.T) {
 	}
 	if got := p.Cross(q); got != 2 {
 		t.Fatalf("Cross = %v", got)
-	}
-	if got := p.Norm(); got != 5 {
-		t.Fatalf("Norm = %v", got)
 	}
 }
 
@@ -54,53 +50,6 @@ func TestLerp(t *testing.T) {
 	}
 	if got := Pt(1, 1).Lerp(Pt(3, 3), 1); got != Pt(3, 3) {
 		t.Fatalf("Lerp t=1 = %v", got)
-	}
-}
-
-func TestHaversineKnownDistance(t *testing.T) {
-	// Lausanne (6.6323, 46.5197) to Geneva (6.1432, 46.2044) is about 51 km.
-	d := Haversine(Pt(6.6323, 46.5197), Pt(6.1432, 46.2044))
-	if d < 49000 || d > 54000 {
-		t.Fatalf("Lausanne-Geneva haversine = %v, want ~51km", d)
-	}
-	if d := Haversine(Pt(8, 47), Pt(8, 47)); d != 0 {
-		t.Fatalf("identical points haversine = %v", d)
-	}
-}
-
-func TestHaversineSymmetric(t *testing.T) {
-	f := func(ax, ay, bx, by float64) bool {
-		a := Pt(math.Mod(ax, 180), math.Mod(ay, 85))
-		b := Pt(math.Mod(bx, 180), math.Mod(by, 85))
-		return almostEqual(Haversine(a, b), Haversine(b, a), 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProjectionRoundTrip(t *testing.T) {
-	pr := NewProjection(6.63, 46.52)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		lon := 6.63 + (rng.Float64()-0.5)*0.1
-		lat := 46.52 + (rng.Float64()-0.5)*0.1
-		plane := pr.ToPlane(Pt(lon, lat))
-		back := pr.ToGeographic(plane)
-		if !almostEqual(back.X, lon, 1e-9) || !almostEqual(back.Y, lat, 1e-9) {
-			t.Fatalf("round trip (%v,%v) -> %v", lon, lat, back)
-		}
-	}
-}
-
-func TestProjectionDistancePreservation(t *testing.T) {
-	pr := NewProjection(9.19, 45.46) // Milan
-	a := Pt(9.19, 45.46)
-	b := Pt(9.20, 45.47)
-	planar := pr.ToPlane(a).DistanceTo(pr.ToPlane(b))
-	sphere := Haversine(a, b)
-	if math.Abs(planar-sphere) > sphere*0.01 {
-		t.Fatalf("projection distance %v differs from haversine %v by more than 1%%", planar, sphere)
 	}
 }
 
@@ -137,12 +86,6 @@ func TestSegmentDegenerateAndHelpers(t *testing.T) {
 	if !almostEqual(s2.Length(), 5, 1e-9) {
 		t.Fatalf("Length = %v", s2.Length())
 	}
-	if !s2.Midpoint().Equal(Pt(2, 1.5), 1e-9) {
-		t.Fatalf("Midpoint = %v", s2.Midpoint())
-	}
-	if h := Seg(Pt(0, 0), Pt(0, 5)).Heading(); !almostEqual(h, math.Pi/2, 1e-9) {
-		t.Fatalf("Heading = %v", h)
-	}
 	b := s2.Bounds()
 	if b.Min != Pt(0, 0) || b.Max != Pt(4, 3) {
 		t.Fatalf("Bounds = %+v", b)
@@ -169,7 +112,7 @@ func TestRectBasics(t *testing.T) {
 	if r.Min != Pt(0, 1) || r.Max != Pt(4, 5) {
 		t.Fatalf("NewRect normalisation failed: %+v", r)
 	}
-	if r.Width() != 4 || r.Height() != 4 || r.Area() != 16 || r.Margin() != 8 {
+	if r.Width() != 4 || r.Height() != 4 {
 		t.Fatalf("dimensions wrong: %+v", r)
 	}
 	if r.Center() != Pt(2, 3) {
@@ -188,7 +131,7 @@ func TestRectEmpty(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyRect should be empty")
 	}
-	if e.Area() != 0 || e.Width() != 0 || e.Height() != 0 {
+	if e.Width() != 0 || e.Height() != 0 {
 		t.Fatal("empty rect should have zero dimensions")
 	}
 	r := NewRect(Pt(0, 0), Pt(1, 1))
@@ -201,8 +144,8 @@ func TestRectEmpty(t *testing.T) {
 	if e.Intersects(r) || r.Intersects(e) {
 		t.Fatal("empty rect should intersect nothing")
 	}
-	if e.ContainsRect(r) || r.ContainsRect(e) {
-		t.Fatal("containment with empty rect should be false")
+	if e.ContainsPoint(r.Center()) {
+		t.Fatal("empty rect should contain no point")
 	}
 }
 
@@ -213,9 +156,6 @@ func TestRectIntersectionUnion(t *testing.T) {
 	if in.Min != Pt(2, 2) || in.Max != Pt(4, 4) {
 		t.Fatalf("Intersection = %+v", in)
 	}
-	if a.OverlapArea(b) != 4 {
-		t.Fatalf("OverlapArea = %v", a.OverlapArea(b))
-	}
 	u := a.Union(b)
 	if u.Min != Pt(0, 0) || u.Max != Pt(6, 6) {
 		t.Fatalf("Union = %+v", u)
@@ -224,19 +164,13 @@ func TestRectIntersectionUnion(t *testing.T) {
 	if !a.Intersection(c).IsEmpty() {
 		t.Fatal("disjoint intersection should be empty")
 	}
-	if a.OverlapArea(c) != 0 {
-		t.Fatal("disjoint overlap area should be 0")
-	}
-	if a.EnlargementNeeded(b) != 36-16 {
-		t.Fatalf("EnlargementNeeded = %v", a.EnlargementNeeded(b))
-	}
 }
 
 func TestRectContainsAndDistance(t *testing.T) {
 	a := NewRect(Pt(0, 0), Pt(10, 10))
 	b := NewRect(Pt(2, 2), Pt(3, 3))
-	if !a.ContainsRect(b) || b.ContainsRect(a) {
-		t.Fatal("ContainsRect wrong")
+	if !a.ContainsPoint(b.Min) || !a.ContainsPoint(b.Max) || b.ContainsPoint(a.Max) {
+		t.Fatal("ContainsPoint wrong")
 	}
 	if d := a.DistanceToPoint(Pt(5, 5)); d != 0 {
 		t.Fatalf("inside distance = %v", d)
@@ -261,7 +195,9 @@ func TestRectUnionProperty(t *testing.T) {
 		r1 := NewRect(Pt(m(ax), m(ay)), Pt(m(bx), m(by)))
 		r2 := NewRect(Pt(m(cx), m(cy)), Pt(m(dx), m(dy)))
 		u := r1.Union(r2)
-		return u == r2.Union(r1) && u.ContainsRect(r1) && u.ContainsRect(r2)
+		return u == r2.Union(r1) &&
+			u.ContainsPoint(r1.Min) && u.ContainsPoint(r1.Max) &&
+			u.ContainsPoint(r2.Min) && u.ContainsPoint(r2.Max)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -286,60 +222,8 @@ func TestBoundsOfAndCentroid(t *testing.T) {
 	}
 }
 
-func TestPolylineLengthAndInterpolate(t *testing.T) {
-	pl := Polyline{Pt(0, 0), Pt(3, 0), Pt(3, 4)}
-	if pl.Length() != 7 {
-		t.Fatalf("Length = %v", pl.Length())
-	}
-	if got := pl.Interpolate(0); got != Pt(0, 0) {
-		t.Fatalf("Interpolate(0) = %v", got)
-	}
-	if got := pl.Interpolate(1); got != Pt(3, 4) {
-		t.Fatalf("Interpolate(1) = %v", got)
-	}
-	mid := pl.Interpolate(0.5)
-	if !mid.Equal(Pt(3, 0.5), 1e-9) {
-		t.Fatalf("Interpolate(0.5) = %v", mid)
-	}
-	if len(pl.Segments()) != 2 {
-		t.Fatalf("Segments = %d", len(pl.Segments()))
-	}
-	if (Polyline{Pt(1, 1)}).Length() != 0 {
-		t.Fatal("single point length should be 0")
-	}
-}
-
-func TestPolylineDistanceAndResample(t *testing.T) {
-	pl := Polyline{Pt(0, 0), Pt(10, 0)}
-	if d := pl.DistanceToPoint(Pt(5, 2)); !almostEqual(d, 2, 1e-9) {
-		t.Fatalf("DistanceToPoint = %v", d)
-	}
-	if d := (Polyline{}).DistanceToPoint(Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Fatalf("empty polyline distance = %v", d)
-	}
-	if d := (Polyline{Pt(1, 1)}).DistanceToPoint(Pt(4, 5)); !almostEqual(d, 5, 1e-9) {
-		t.Fatalf("one point polyline distance = %v", d)
-	}
-	rs := pl.Resample(5)
-	if len(rs) != 5 {
-		t.Fatalf("Resample length = %d", len(rs))
-	}
-	if !rs[2].Equal(Pt(5, 0), 1e-9) {
-		t.Fatalf("Resample midpoint = %v", rs[2])
-	}
-	if pl.Resample(0) != nil {
-		t.Fatal("Resample(0) should be nil")
-	}
-	if got := pl.Resample(1); len(got) != 1 || got[0] != Pt(0, 0) {
-		t.Fatalf("Resample(1) = %v", got)
-	}
-}
-
-func TestPolygonAreaAndContains(t *testing.T) {
+func TestPolygonContains(t *testing.T) {
 	square := Polygon{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)}
-	if square.Area() != 16 {
-		t.Fatalf("Area = %v", square.Area())
-	}
 	if !square.ContainsPoint(Pt(2, 2)) {
 		t.Fatal("interior point should be inside")
 	}
@@ -350,11 +234,11 @@ func TestPolygonAreaAndContains(t *testing.T) {
 		t.Fatal("boundary point should count as inside")
 	}
 	tri := Polygon{Pt(0, 0), Pt(6, 0), Pt(0, 6)}
-	if tri.Area() != 18 {
-		t.Fatalf("triangle area = %v", tri.Area())
+	if !tri.ContainsPoint(Pt(2, 2)) || tri.ContainsPoint(Pt(4, 4)) {
+		t.Fatal("triangle containment wrong")
 	}
-	if (Polygon{Pt(0, 0), Pt(1, 1)}).Area() != 0 {
-		t.Fatal("degenerate polygon area should be 0")
+	if (Polygon{Pt(0, 0), Pt(1, 1)}).ContainsPoint(Pt(0, 0)) {
+		t.Fatal("degenerate polygon should contain nothing")
 	}
 }
 
@@ -411,25 +295,5 @@ func TestRegularPolygon(t *testing.T) {
 	}
 	if got := RegularPolygon(Pt(0, 0), 1, 2); len(got) != 3 {
 		t.Fatalf("degenerate n should clamp to 3, got %d", len(got))
-	}
-	// Area of a regular hexagon with circumradius r is 3*sqrt(3)/2*r^2.
-	want := 3 * math.Sqrt(3) / 2 * 25
-	if !almostEqual(hex.Area(), want, 1e-6) {
-		t.Fatalf("hexagon area = %v want %v", hex.Area(), want)
-	}
-}
-
-func TestPolylineBoundsAndSegmentProject(t *testing.T) {
-	pl := Polyline{Pt(0, 0), Pt(2, 3), Pt(-1, 5)}
-	b := pl.Bounds()
-	if b.Min != Pt(-1, 0) || b.Max != Pt(2, 5) {
-		t.Fatalf("Bounds = %+v", b)
-	}
-	s := Seg(Pt(0, 0), Pt(10, 0))
-	if got := s.Project(Pt(3, 7)); !got.Equal(Pt(3, 0), 1e-9) {
-		t.Fatalf("Project = %v", got)
-	}
-	if got := s.Project(Pt(-5, 2)); !got.Equal(Pt(0, 0), 1e-9) {
-		t.Fatalf("Project clamp = %v", got)
 	}
 }

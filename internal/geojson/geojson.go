@@ -1,11 +1,11 @@
-// Package geojson exports trajectories, episodes and structured semantic
-// trajectories as GeoJSON FeatureCollections. It replaces the paper's web
-// visualisation interface ([31], Apache/Tomcat + Google Earth KML) with a
-// dependency-free exporter whose output can be dropped into any modern map
-// viewer; cmd/semitri uses it when asked to dump visualisable output.
+// Package geojson exports structured semantic trajectories as GeoJSON
+// FeatureCollections. It replaces the paper's web visualisation interface
+// ([31], Apache/Tomcat + Google Earth KML) with a dependency-free exporter
+// whose output can be dropped into any modern map viewer; cmd/semitri uses
+// it for -geojson.
 //
-// The encoder works in the planar frame by default; pass a *geo.Projection
-// to emit real WGS-84 coordinates for data that was ingested from lon/lat.
+// Coordinates are written in the planar working frame (metres), the frame
+// every ingest path uses.
 package geojson
 
 import (
@@ -15,7 +15,6 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/geo"
-	"semitri/internal/gps"
 )
 
 // Feature is a GeoJSON feature with a geometry and free-form properties.
@@ -25,7 +24,7 @@ type Feature struct {
 	Properties map[string]interface{} `json:"properties,omitempty"`
 }
 
-// Geometry is a GeoJSON geometry (Point or LineString or Polygon).
+// Geometry is a GeoJSON geometry (Point or Polygon).
 type Geometry struct {
 	Type        string      `json:"type"`
 	Coordinates interface{} `json:"coordinates"`
@@ -53,46 +52,26 @@ func (fc *FeatureCollection) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(fc, "", " ")
 }
 
-// coordinate converts a planar point to a GeoJSON coordinate pair, applying
-// the optional projection back to (lon, lat).
-func coordinate(p geo.Point, proj *geo.Projection) []float64 {
-	if proj != nil {
-		ll := proj.ToGeographic(p)
-		return []float64{ll.X, ll.Y}
-	}
-	return []float64{p.X, p.Y}
-}
+// coordinate converts a planar point to a GeoJSON coordinate pair.
+func coordinate(p geo.Point) []float64 { return []float64{p.X, p.Y} }
 
 // PointFeature builds a Point feature.
-func PointFeature(p geo.Point, proj *geo.Projection, props map[string]interface{}) Feature {
+func PointFeature(p geo.Point, props map[string]interface{}) Feature {
 	return Feature{
 		Type:       "Feature",
-		Geometry:   Geometry{Type: "Point", Coordinates: coordinate(p, proj)},
-		Properties: props,
-	}
-}
-
-// LineFeature builds a LineString feature from a polyline.
-func LineFeature(pl geo.Polyline, proj *geo.Projection, props map[string]interface{}) Feature {
-	coords := make([][]float64, len(pl))
-	for i, p := range pl {
-		coords[i] = coordinate(p, proj)
-	}
-	return Feature{
-		Type:       "Feature",
-		Geometry:   Geometry{Type: "LineString", Coordinates: coords},
+		Geometry:   Geometry{Type: "Point", Coordinates: coordinate(p)},
 		Properties: props,
 	}
 }
 
 // RectFeature builds a Polygon feature from a rectangle.
-func RectFeature(r geo.Rect, proj *geo.Projection, props map[string]interface{}) Feature {
+func RectFeature(r geo.Rect, props map[string]interface{}) Feature {
 	ring := [][]float64{
-		coordinate(r.Min, proj),
-		coordinate(geo.Pt(r.Max.X, r.Min.Y), proj),
-		coordinate(r.Max, proj),
-		coordinate(geo.Pt(r.Min.X, r.Max.Y), proj),
-		coordinate(r.Min, proj),
+		coordinate(r.Min),
+		coordinate(geo.Pt(r.Max.X, r.Min.Y)),
+		coordinate(r.Max),
+		coordinate(geo.Pt(r.Min.X, r.Max.Y)),
+		coordinate(r.Min),
 	}
 	return Feature{
 		Type:       "Feature",
@@ -101,51 +80,10 @@ func RectFeature(r geo.Rect, proj *geo.Projection, props map[string]interface{})
 	}
 }
 
-// Trajectory exports a raw trajectory as a LineString feature.
-func Trajectory(t *gps.RawTrajectory, proj *geo.Projection) Feature {
-	return LineFeature(t.Polyline(), proj, map[string]interface{}{
-		"kind":      "raw-trajectory",
-		"id":        t.ID,
-		"object":    t.ObjectID,
-		"records":   len(t.Records),
-		"length_m":  t.Length(),
-		"starts_at": t.Records[0].Time,
-		"ends_at":   t.Records[len(t.Records)-1].Time,
-	})
-}
-
-// Episodes exports the stop/move episodes of a trajectory: stops become
-// Point features at the episode centre, moves become LineString features
-// over the covered records.
-func Episodes(t *gps.RawTrajectory, eps []*episode.Episode, proj *geo.Projection) *FeatureCollection {
-	fc := NewFeatureCollection()
-	for i, ep := range eps {
-		props := map[string]interface{}{
-			"kind":     ep.Kind.String(),
-			"index":    i,
-			"start":    ep.Start,
-			"end":      ep.End,
-			"records":  ep.RecordCount,
-			"avgSpeed": ep.AvgSpeed,
-		}
-		if ep.Kind == episode.Stop {
-			fc.Add(PointFeature(ep.Center, proj, props))
-			continue
-		}
-		recs := ep.Records(t)
-		pl := make(geo.Polyline, len(recs))
-		for j, r := range recs {
-			pl[j] = r.Position
-		}
-		fc.Add(LineFeature(pl, proj, props))
-	}
-	return fc
-}
-
 // Structured exports a structured semantic trajectory: every tuple becomes a
 // feature (a Point at the place centre for stops, the place extent outline
 // for moves) carrying the tuple's annotations as properties.
-func Structured(st *core.StructuredTrajectory, proj *geo.Projection) *FeatureCollection {
+func Structured(st *core.StructuredTrajectory) *FeatureCollection {
 	fc := NewFeatureCollection()
 	for i, tp := range st.Tuples {
 		props := map[string]interface{}{
@@ -170,19 +108,19 @@ func Structured(st *core.StructuredTrajectory, proj *geo.Projection) *FeatureCol
 		}
 		switch {
 		case tp.Kind == episode.Stop && tp.Place != nil:
-			fc.Add(PointFeature(extent.Center(), proj, props))
+			fc.Add(PointFeature(extent.Center(), props))
 		case tp.Kind == episode.Stop && tp.Episode != nil:
-			fc.Add(PointFeature(tp.Episode.Center, proj, props))
+			fc.Add(PointFeature(tp.Episode.Center, props))
 		case tp.Place != nil && !extent.IsEmpty():
-			fc.Add(RectFeature(extent, proj, props))
+			fc.Add(RectFeature(extent, props))
 		case tp.Episode != nil:
-			fc.Add(PointFeature(tp.Episode.Center, proj, props))
+			fc.Add(PointFeature(tp.Episode.Center, props))
 		default:
 			// A tuple with neither a place nor an episode has no geometry;
 			// it is still exported as a null-island point so no information
 			// silently disappears from the export.
 			props["no_geometry"] = true
-			fc.Add(PointFeature(geo.Pt(0, 0), proj, props))
+			fc.Add(PointFeature(geo.Pt(0, 0), props))
 		}
 	}
 	return fc

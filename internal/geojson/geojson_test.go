@@ -9,21 +9,12 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/geo"
-	"semitri/internal/gps"
 )
 
 var t0 = time.Date(2010, 3, 15, 8, 0, 0, 0, time.UTC)
 
-func sampleTrajectory() *gps.RawTrajectory {
-	recs := make([]gps.Record, 10)
-	for i := range recs {
-		recs[i] = gps.Record{ObjectID: "u1", Position: geo.Pt(float64(i)*10, 5), Time: t0.Add(time.Duration(i) * time.Second)}
-	}
-	return &gps.RawTrajectory{ID: "u1-T0", ObjectID: "u1", Records: recs}
-}
-
-func TestPointLineRectFeatures(t *testing.T) {
-	p := PointFeature(geo.Pt(3, 4), nil, map[string]interface{}{"name": "stop"})
+func TestPointRectFeatures(t *testing.T) {
+	p := PointFeature(geo.Pt(3, 4), map[string]interface{}{"name": "stop"})
 	if p.Geometry.Type != "Point" {
 		t.Fatalf("point geometry = %q", p.Geometry.Type)
 	}
@@ -31,65 +22,13 @@ func TestPointLineRectFeatures(t *testing.T) {
 	if coords[0] != 3 || coords[1] != 4 {
 		t.Fatalf("point coords = %v", coords)
 	}
-	l := LineFeature(geo.Polyline{geo.Pt(0, 0), geo.Pt(1, 1)}, nil, nil)
-	if l.Geometry.Type != "LineString" || len(l.Geometry.Coordinates.([][]float64)) != 2 {
-		t.Fatalf("line feature = %+v", l)
-	}
-	r := RectFeature(geo.NewRect(geo.Pt(0, 0), geo.Pt(2, 2)), nil, nil)
+	r := RectFeature(geo.NewRect(geo.Pt(0, 0), geo.Pt(2, 2)), nil)
 	ring := r.Geometry.Coordinates.([][][]float64)
 	if r.Geometry.Type != "Polygon" || len(ring[0]) != 5 {
 		t.Fatalf("rect feature = %+v", r)
 	}
 	if ring[0][0][0] != ring[0][4][0] || ring[0][0][1] != ring[0][4][1] {
 		t.Fatal("polygon ring must be closed")
-	}
-}
-
-func TestProjectionApplied(t *testing.T) {
-	proj := geo.NewProjection(6.63, 46.52)
-	plane := proj.ToPlane(geo.Pt(6.64, 46.53))
-	f := PointFeature(plane, proj, nil)
-	coords := f.Geometry.Coordinates.([]float64)
-	if coords[0] < 6.639 || coords[0] > 6.641 || coords[1] < 46.529 || coords[1] > 46.531 {
-		t.Fatalf("projected coords = %v, want ~ (6.64, 46.53)", coords)
-	}
-}
-
-func TestTrajectoryExport(t *testing.T) {
-	tr := sampleTrajectory()
-	f := Trajectory(tr, nil)
-	if f.Geometry.Type != "LineString" {
-		t.Fatalf("geometry = %q", f.Geometry.Type)
-	}
-	if f.Properties["id"] != "u1-T0" || f.Properties["records"].(int) != 10 {
-		t.Fatalf("properties = %+v", f.Properties)
-	}
-}
-
-func TestEpisodesExport(t *testing.T) {
-	tr := sampleTrajectory()
-	eps := []*episode.Episode{
-		{TrajectoryID: tr.ID, Kind: episode.Stop, StartIdx: 0, EndIdx: 2, Start: t0, End: t0.Add(2 * time.Second),
-			Center: geo.Pt(10, 5), RecordCount: 3},
-		{TrajectoryID: tr.ID, Kind: episode.Move, StartIdx: 3, EndIdx: 9, Start: t0.Add(3 * time.Second), End: t0.Add(9 * time.Second),
-			RecordCount: 7},
-	}
-	fc := Episodes(tr, eps, nil)
-	if fc.Len() != 2 {
-		t.Fatalf("features = %d", fc.Len())
-	}
-	if fc.Features[0].Geometry.Type != "Point" || fc.Features[1].Geometry.Type != "LineString" {
-		t.Fatalf("geometry types = %q, %q", fc.Features[0].Geometry.Type, fc.Features[1].Geometry.Type)
-	}
-	if err := fc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if fc.Features[0].Properties["kind"] != "stop" {
-		t.Fatalf("stop properties = %+v", fc.Features[0].Properties)
-	}
-	line := fc.Features[1].Geometry.Coordinates.([][]float64)
-	if len(line) != 7 {
-		t.Fatalf("move line has %d points", len(line))
 	}
 }
 
@@ -116,7 +55,7 @@ func TestStructuredExport(t *testing.T) {
 		TimeOut: t0.Add(4 * time.Hour),
 	}
 	st.Tuples = []*core.EpisodeTuple{stop, move, bare, stopNoPlace}
-	fc := Structured(st, nil)
+	fc := Structured(st)
 	if fc.Len() != 4 {
 		t.Fatalf("features = %d", fc.Len())
 	}

@@ -3,6 +3,11 @@
 // random errors and identification of raw trajectories (finite, meaningful
 // subsequences of the stream), as described in §3.3 of the paper and in the
 // companion work [30].
+//
+// Ingestion runs the streaming StreamCleaner and StreamSegmenter. The batch
+// kernels Clean, RemoveOutliers, Smooth, IdentifyTrajectories and SplitDaily
+// are the reference implementation the parity tests compare the streaming
+// path against; they have no production caller on purpose.
 package gps
 
 import (
@@ -19,11 +24,11 @@ import (
 )
 
 // Record is one spatio-temporal point (x, y, t) of a moving object's stream
-// (Definition 1 in the paper uses (longitude, latitude, t); the synthetic
-// workloads use a planar metric frame, and the geo.Projection bridges both).
+// (Definition 1 in the paper uses (longitude, latitude, t); every workload
+// here uses a planar metric frame instead).
 type Record struct {
 	ObjectID string    // identifier of the moving object (taxi id, user id ...)
-	Position geo.Point // location in the working frame (metres) or lon/lat
+	Position geo.Point // location in the working frame (metres)
 	Time     time.Time // timestamp of the fix
 }
 
@@ -43,15 +48,6 @@ func (t *RawTrajectory) Duration() time.Duration {
 	return t.Records[len(t.Records)-1].Time.Sub(t.Records[0].Time)
 }
 
-// Length returns the travelled path length in the planar frame.
-func (t *RawTrajectory) Length() float64 {
-	var total float64
-	for i := 1; i < len(t.Records); i++ {
-		total += t.Records[i-1].Position.DistanceTo(t.Records[i].Position)
-	}
-	return total
-}
-
 // Bounds returns the spatial bounding rectangle of the trajectory.
 func (t *RawTrajectory) Bounds() geo.Rect {
 	r := geo.EmptyRect()
@@ -59,15 +55,6 @@ func (t *RawTrajectory) Bounds() geo.Rect {
 		r = r.Union(geo.Rect{Min: rec.Position, Max: rec.Position})
 	}
 	return r
-}
-
-// Polyline returns the geometric shape of the trajectory.
-func (t *RawTrajectory) Polyline() geo.Polyline {
-	pl := make(geo.Polyline, len(t.Records))
-	for i, rec := range t.Records {
-		pl[i] = rec.Position
-	}
-	return pl
 }
 
 // Speeds returns the instantaneous speed (m/s) between consecutive records;

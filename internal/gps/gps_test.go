@@ -28,15 +28,9 @@ func TestTrajectoryBasics(t *testing.T) {
 	if tr.Duration() != 20*time.Second {
 		t.Fatalf("Duration = %v", tr.Duration())
 	}
-	if tr.Length() != 50 {
-		t.Fatalf("Length = %v", tr.Length())
-	}
 	b := tr.Bounds()
 	if b.Min != geo.Pt(0, 0) || b.Max != geo.Pt(30, 40) {
 		t.Fatalf("Bounds = %+v", b)
-	}
-	if len(tr.Polyline()) != 3 {
-		t.Fatalf("Polyline len = %d", len(tr.Polyline()))
 	}
 	sp := tr.Speeds()
 	if len(sp) != 2 || sp[0] != 5 || sp[1] != 0 {
@@ -61,8 +55,8 @@ func TestTrajectoryValidateErrors(t *testing.T) {
 
 func TestTrajectoryEdgeCases(t *testing.T) {
 	single := &RawTrajectory{ID: "s", ObjectID: "u", Records: []Record{rec("u", 1, 1, 0)}}
-	if single.Duration() != 0 || single.Length() != 0 || single.Speeds() != nil {
-		t.Fatal("single-record trajectory should have zero duration/length and nil speeds")
+	if single.Duration() != 0 || single.Speeds() != nil {
+		t.Fatal("single-record trajectory should have zero duration and nil speeds")
 	}
 	if single.Validate() != nil {
 		t.Fatal("single record should validate")

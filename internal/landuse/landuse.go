@@ -206,16 +206,6 @@ func (m *Map) SetCategoryRect(r geo.Rect, c Category) int {
 	return len(ids)
 }
 
-// CategoryAt returns the category of the cell containing p; ok is false when
-// p lies outside the map.
-func (m *Map) CategoryAt(p geo.Point) (Category, bool) {
-	id := m.grid.CellAt(p)
-	if id < 0 {
-		return "", false
-	}
-	return m.cells[id], true
-}
-
 // CellAt returns the full cell record containing p.
 func (m *Map) CellAt(p geo.Point) (Cell, bool) {
 	id := m.grid.CellAt(p)
@@ -353,20 +343,6 @@ func (m *Map) CellAtCursor(p geo.Point, c *Cursor) (Cell, bool) {
 		c.cell, c.valid = cell, true
 	}
 	return cell, ok
-}
-
-// CategoryShares returns the fraction of cells per category (the composition
-// of the map itself, useful as a baseline when reading Fig. 9/14).
-func (m *Map) CategoryShares() map[Category]float64 {
-	counts := map[Category]int{}
-	for _, c := range m.cells {
-		counts[c]++
-	}
-	out := make(map[Category]float64, len(counts))
-	for c, n := range counts {
-		out[c] = float64(n) / float64(len(m.cells))
-	}
-	return out
 }
 
 // GeneratorConfig controls the synthetic city land-use generator.

@@ -7,6 +7,17 @@ import (
 	"semitri/internal/geo"
 )
 
+// shareOf returns the fraction of the map's cells classified as c.
+func shareOf(m *Map, c Category) float64 {
+	n := 0
+	for _, cc := range m.cells {
+		if cc == c {
+			n++
+		}
+	}
+	return float64(n) / float64(len(m.cells))
+}
+
 func TestCategoryOntology(t *testing.T) {
 	if len(AllCategories) != 17 {
 		t.Fatalf("ontology has %d sub-categories, want 17", len(AllCategories))
@@ -59,9 +70,9 @@ func TestNewMapAndClassification(t *testing.T) {
 		t.Fatal("Grid accessor nil")
 	}
 	// Default category.
-	c, ok := m.CategoryAt(geo.Pt(50, 50))
-	if !ok || c != Meadows {
-		t.Fatalf("default category = %v,%v", c, ok)
+	c, ok := m.CellAt(geo.Pt(50, 50))
+	if !ok || c.Category != Meadows {
+		t.Fatalf("default category = %v,%v", c.Category, ok)
 	}
 	if !m.SetCategory(geo.Pt(50, 50), Building) {
 		t.Fatal("SetCategory inside extent should succeed")
@@ -72,11 +83,11 @@ func TestNewMapAndClassification(t *testing.T) {
 	if m.SetCategory(geo.Pt(50, 50), Category("bogus")) {
 		t.Fatal("invalid category should fail")
 	}
-	c, _ = m.CategoryAt(geo.Pt(50, 50))
-	if c != Building {
-		t.Fatalf("category after set = %v", c)
+	c, _ = m.CellAt(geo.Pt(50, 50))
+	if c.Category != Building {
+		t.Fatalf("category after set = %v", c.Category)
 	}
-	if _, ok := m.CategoryAt(geo.Pt(5000, 5000)); ok {
+	if _, ok := m.CellAt(geo.Pt(5000, 5000)); ok {
 		t.Fatal("outside point should not be ok")
 	}
 	cell, ok := m.CellAt(geo.Pt(50, 50))
@@ -109,12 +120,11 @@ func TestSetCategoryRectAndIntersecting(t *testing.T) {
 			t.Fatalf("cell %d category = %v", c.ID, c.Category)
 		}
 	}
-	shares := m.CategoryShares()
-	if shares[Transportation] != 9.0/100.0 {
-		t.Fatalf("Transportation share = %v", shares[Transportation])
+	if got := shareOf(m, Transportation); got != 9.0/100.0 {
+		t.Fatalf("Transportation share = %v", got)
 	}
-	if shares[Meadows] != 91.0/100.0 {
-		t.Fatalf("Meadows share = %v", shares[Meadows])
+	if got := shareOf(m, Meadows); got != 91.0/100.0 {
+		t.Fatalf("Meadows share = %v", got)
 	}
 }
 
@@ -197,13 +207,12 @@ func TestGenerateCityStructure(t *testing.T) {
 	if m.NumCells() != 200*200 {
 		t.Fatalf("NumCells = %d", m.NumCells())
 	}
-	shares := m.CategoryShares()
 	// Lake strip exists.
-	if shares[Lakes] < 0.05 {
-		t.Fatalf("lake share = %v, want >= 5%%", shares[Lakes])
+	if lake := shareOf(m, Lakes); lake < 0.05 {
+		t.Fatalf("lake share = %v, want >= 5%%", lake)
 	}
 	// Urban classes present but not dominant across the whole extent.
-	urban := shares[Building] + shares[Transportation] + shares[IndustrialCommercial]
+	urban := shareOf(m, Building) + shareOf(m, Transportation) + shareOf(m, IndustrialCommercial)
 	if urban < 0.1 || urban > 0.6 {
 		t.Fatalf("urban share = %v", urban)
 	}
@@ -261,7 +270,7 @@ func TestGenerateWithoutLake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.CategoryShares()[Lakes]; got != 0 {
+	if got := shareOf(m, Lakes); got != 0 {
 		t.Fatalf("lake share should be 0, got %v", got)
 	}
 }

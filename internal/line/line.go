@@ -15,6 +15,10 @@
 //
 // A per-point nearest-segment matcher (the classic geometric baseline
 // criticised in §4.2) is included for the ablation experiments.
+//
+// Ingestion calls the cursored AnnotateMoveCursor. The uncursored
+// AnnotateMove is the reference implementation the parity tests compare the
+// cached path against; it has no production caller on purpose.
 package line
 
 import (

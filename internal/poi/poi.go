@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"semitri/internal/geo"
@@ -165,15 +164,6 @@ func (s *Set) All() []*POI { return s.pois }
 // ByCategory returns the POIs of the given category.
 func (s *Set) ByCategory(c Category) []*POI { return s.byCat[c] }
 
-// CategoryCounts returns the number of POIs per category, indexed by Category.
-func (s *Set) CategoryCounts() []int {
-	out := make([]int, NumCategories)
-	for c, list := range s.byCat {
-		out[int(c)] = len(list)
-	}
-	return out
-}
-
 // CategoryShares returns the per-category frequencies (the π vector of the
 // HMM, §4.3 "Initial Probabilities"). An empty set yields a uniform vector.
 func (s *Set) CategoryShares() []float64 {
@@ -194,26 +184,6 @@ func (s *Set) CategoryShares() []float64 {
 // annotation layer (Figs. 7/8).
 func (s *Set) Grid() *spatial.Grid { return s.grid }
 
-// WithinDistance returns the POIs within dist of p, ordered by id.
-func (s *Set) WithinDistance(p geo.Point, dist float64) []*POI {
-	return poisOf(spatial.WithinDistance(s.Index(), p, dist))
-}
-
-// WithinRect returns the POIs inside r, ordered by id.
-func (s *Set) WithinRect(r geo.Rect) []*POI {
-	return poisOf(spatial.Within(s.Index(), r))
-}
-
-// poisOf unwraps index items into POIs sorted by id.
-func poisOf(items []spatial.Item) []*POI {
-	out := make([]*POI, 0, len(items))
-	for _, it := range items {
-		out = append(out, it.Value.(*POI))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Nearest returns the POI closest to p; ok is false for an empty set.
 func (s *Set) Nearest(p geo.Point) (*POI, float64, bool) {
 	it, d, ok := spatial.Nearest(s.Index(), p)
@@ -221,17 +191,6 @@ func (s *Set) Nearest(p geo.Point) (*POI, float64, bool) {
 		return nil, 0, false
 	}
 	return it.Value.(*POI), d, true
-}
-
-// DensityAround returns the number of POIs within dist of p divided by the
-// search disc area (POIs per square metre), a measure of local POI density
-// used to characterise "densely populated" areas (§4.3).
-func (s *Set) DensityAround(p geo.Point, dist float64) float64 {
-	if dist <= 0 {
-		return 0
-	}
-	n := len(s.WithinDistance(p, dist))
-	return float64(n) / (3.141592653589793 * dist * dist)
 }
 
 // GeneratorConfig controls the synthetic urban POI generator.

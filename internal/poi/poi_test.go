@@ -8,7 +8,18 @@ import (
 	"testing"
 
 	"semitri/internal/geo"
+	"semitri/internal/spatial"
 )
+
+// idsOf returns the ids of the POIs held by index items, ascending.
+func idsOf(items []spatial.Item) []int {
+	out := make([]int, 0, len(items))
+	for _, it := range items {
+		out = append(out, it.Value.(*POI).ID)
+	}
+	slices.Sort(out)
+	return out
+}
 
 func TestCategoryBasics(t *testing.T) {
 	if NumCategories != 5 || len(AllCategories) != 5 {
@@ -86,10 +97,6 @@ func TestNewSetAndAdd(t *testing.T) {
 	if got := s.ByCategory(Services); len(got) != 0 {
 		t.Fatal("Services should be empty")
 	}
-	counts := s.CategoryCounts()
-	if counts[int(Feedings)] != 1 {
-		t.Fatalf("CategoryCounts = %v", counts)
-	}
 	if s.Grid() == nil {
 		t.Fatal("Grid accessor nil")
 	}
@@ -117,13 +124,11 @@ func TestSpatialQueries(t *testing.T) {
 	s.Add("a", Services, geo.Pt(100, 100))
 	s.Add("b", Feedings, geo.Pt(110, 100))
 	s.Add("c", ItemSale, geo.Pt(500, 500))
-	got := s.WithinDistance(geo.Pt(100, 100), 20)
-	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
-		t.Fatalf("WithinDistance = %+v", got)
+	if got := idsOf(spatial.WithinDistance(s.Index(), geo.Pt(100, 100), 20)); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("WithinDistance = %v", got)
 	}
-	got = s.WithinRect(geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)))
-	if len(got) != 2 {
-		t.Fatalf("WithinRect = %+v", got)
+	if got := idsOf(spatial.Within(s.Index(), geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)))); len(got) != 2 {
+		t.Fatalf("Within = %v", got)
 	}
 	nearest, d, ok := s.Nearest(geo.Pt(480, 480))
 	if !ok || nearest.Name != "c" || math.Abs(d-geo.Pt(480, 480).DistanceTo(geo.Pt(500, 500))) > 1e-9 {
@@ -132,15 +137,6 @@ func TestSpatialQueries(t *testing.T) {
 	empty, _ := NewSet(geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10)), 5)
 	if _, _, ok := empty.Nearest(geo.Pt(1, 1)); ok {
 		t.Fatal("nearest on empty set should be !ok")
-	}
-	// Density: 2 POIs within 20 m.
-	density := s.DensityAround(geo.Pt(100, 100), 20)
-	want := 2.0 / (math.Pi * 400)
-	if math.Abs(density-want) > 1e-12 {
-		t.Fatalf("DensityAround = %v want %v", density, want)
-	}
-	if s.DensityAround(geo.Pt(100, 100), 0) != 0 {
-		t.Fatal("zero radius density should be 0")
 	}
 }
 
@@ -161,12 +157,12 @@ func TestGenerateMilanLike(t *testing.T) {
 			t.Fatalf("category %v share = %v, want about %v", Category(i), got[i], want[i])
 		}
 	}
-	// Density profile: core denser than periphery.
-	center := cfg.Extent.Center()
-	coreDensity := s.DensityAround(center, 500)
-	peripheryDensity := s.DensityAround(geo.Pt(500, 9500), 500)
-	if coreDensity <= peripheryDensity {
-		t.Fatalf("core density %v should exceed periphery density %v", coreDensity, peripheryDensity)
+	// Density profile: the core disc holds more POIs than an equal
+	// periphery disc.
+	core := len(spatial.WithinDistance(s.Index(), cfg.Extent.Center(), 500))
+	periphery := len(spatial.WithinDistance(s.Index(), geo.Pt(500, 9500), 500))
+	if core <= periphery {
+		t.Fatalf("core holds %d POIs, periphery %d: core should be denser", core, periphery)
 	}
 	// All POIs inside the extent.
 	for _, p := range s.All() {
@@ -226,23 +222,23 @@ func TestSpatialQueriesMatchScan(t *testing.T) {
 		p := geo.Pt(rng.Float64()*12000-1000, rng.Float64()*12000-1000)
 		dist := rng.Float64() * 500
 		rect := geo.RectAround(p, dist)
-		var near, inRect []*POI
+		var near, inRect []int
 		bestD := math.Inf(1)
 		for _, q := range s.All() { // ascending id order
 			dx, dy := q.Position.X-p.X, q.Position.Y-p.Y
 			if dx*dx+dy*dy <= dist*dist {
-				near = append(near, q)
+				near = append(near, q.ID)
 			}
 			if rect.ContainsPoint(q.Position) {
-				inRect = append(inRect, q)
+				inRect = append(inRect, q.ID)
 			}
 			bestD = math.Min(bestD, q.Position.DistanceTo(p))
 		}
-		if got := s.WithinDistance(p, dist); !slices.Equal(got, near) {
+		if got := idsOf(spatial.WithinDistance(s.Index(), p, dist)); !slices.Equal(got, near) {
 			t.Fatalf("WithinDistance(%v, %v): %d POIs, scan finds %d", p, dist, len(got), len(near))
 		}
-		if got := s.WithinRect(rect); !slices.Equal(got, inRect) {
-			t.Fatalf("WithinRect(%v): %d POIs, scan finds %d", rect, len(got), len(inRect))
+		if got := idsOf(spatial.Within(s.Index(), rect)); !slices.Equal(got, inRect) {
+			t.Fatalf("Within(%v): %d POIs, scan finds %d", rect, len(got), len(inRect))
 		}
 		// Distances, not identities: equidistant POIs may tie.
 		if got, d, ok := s.Nearest(p); !ok || d != bestD || got.Position.DistanceTo(p) != d {

@@ -17,6 +17,12 @@
 // Decoding uses the Viterbi algorithm from internal/hmm. A nearest-POI
 // baseline (the one-to-one matching of prior work) is provided for the
 // ablation experiments.
+//
+// Ingestion calls the cursored AnnotateStopsCursor. The uncursored
+// AnnotateStops is the reference implementation the parity tests compare the
+// cached path against (the ablation experiments call it too). Emissions, the
+// uncursored emission model the unit tests check, has no production caller
+// on purpose.
 package point
 
 import (

@@ -2,7 +2,8 @@
 // (§4.1, Algorithm 1): a spatial join between trajectories (GPS records or
 // stop/move episodes) and semantic regions — land-use cells and free-form
 // named regions — producing the coarse-grained structured semantic
-// trajectory Tregion and the land-use distributions of Figs. 9 and 14.
+// trajectory Tregion. The land-use distributions of Figs. 9 and 14 are
+// computed from the stored tuples by internal/analytics.
 //
 // All spatial work goes through the shared spatial layer: rectangle joins
 // against the cell raster walk the map's grid (Map.VisitCells), named
@@ -10,6 +11,11 @@
 // location is O(1) arithmetic on the raster's spatial.Grid
 // accelerated by the per-object last-cell cache (Cursor) that exploits GPS
 // locality — consecutive records rarely leave a 100 m cell.
+//
+// Ingestion calls the cursored AnnotateTrajectoryCursor and
+// AnnotateEpisodesCursor. The uncursored AnnotateTrajectory and
+// AnnotateEpisodes are the reference implementation the parity tests compare
+// the cached path against; they have no production caller on purpose.
 package region
 
 import (
@@ -211,45 +217,4 @@ func (a *Annotator) AnnotateEpisodesCursor(eps []*episode.Episode, cur *Cursor) 
 		out = append(out, tuple)
 	}
 	return out, nil
-}
-
-// LanduseDistribution computes the per-category share of GPS records of the
-// trajectory (the "trajectory" column of Fig. 9). Records outside the map
-// are ignored.
-func (a *Annotator) LanduseDistribution(t *gps.RawTrajectory) *stats.Distribution {
-	d := stats.NewDistribution()
-	if t == nil {
-		return d
-	}
-	for _, rec := range t.Records {
-		if c, ok := a.landUse.CategoryAt(rec.Position); ok {
-			d.AddCount(string(c))
-		}
-	}
-	return d
-}
-
-// EpisodeLanduseDistribution computes the per-category share over a set of
-// episodes (the "move" and "stop" columns of Fig. 9 and the per-user columns
-// of Fig. 14), weighting each episode by its GPS record count.
-func (a *Annotator) EpisodeLanduseDistribution(eps []*episode.Episode) *stats.Distribution {
-	d := stats.NewDistribution()
-	for _, ep := range eps {
-		if c, ok := a.landUse.CategoryAt(ep.Center); ok {
-			d.Add(string(c), float64(ep.RecordCount))
-		}
-	}
-	return d
-}
-
-// CompressionRatio returns the storage saving of representing the trajectory
-// at the region level: 1 - (#tuples after merging) / (#GPS records), the
-// ≈99.7% figure of §5.2.
-func (a *Annotator) CompressionRatio(t *gps.RawTrajectory) (float64, error) {
-	st, err := a.AnnotateTrajectory(t)
-	if err != nil {
-		return 0, err
-	}
-	merged := st.MergeConsecutive(core.AnnLanduse)
-	return stats.CompressionRatio(len(t.Records), len(merged.Tuples)), nil
 }

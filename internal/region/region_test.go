@@ -171,51 +171,3 @@ func TestAnnotateEpisodesOutsideMap(t *testing.T) {
 		t.Fatal("outside stop should not link a place")
 	}
 }
-
-func TestLanduseDistributions(t *testing.T) {
-	a, _ := NewAnnotator(testMap(t))
-	tr := &gps.RawTrajectory{ID: "u1-T0", ObjectID: "u1", Records: []gps.Record{
-		record(100, 100, 0), record(200, 100, 10), record(600, 100, 20), record(5000, 5000, 30),
-	}}
-	d := a.LanduseDistribution(tr)
-	if d.Total() != 3 {
-		t.Fatalf("distribution total = %v (outside records must be ignored)", d.Total())
-	}
-	if d.Share(string(landuse.Building)) != 2.0/3.0 {
-		t.Fatalf("building share = %v", d.Share(string(landuse.Building)))
-	}
-	if got := a.LanduseDistribution(nil); got.Total() != 0 {
-		t.Fatal("nil trajectory distribution should be empty")
-	}
-	eps := []*episode.Episode{
-		makeEpisode(episode.Stop, geo.Pt(100, 100), 0, 10, 30),
-		makeEpisode(episode.Move, geo.Pt(700, 100), 10, 20, 70),
-	}
-	ed := a.EpisodeLanduseDistribution(eps)
-	if ed.Total() != 100 {
-		t.Fatalf("episode distribution total = %v", ed.Total())
-	}
-	if ed.Share(string(landuse.Transportation)) != 0.7 {
-		t.Fatalf("transportation share = %v", ed.Share(string(landuse.Transportation)))
-	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	a, _ := NewAnnotator(testMap(t))
-	// 300 records all inside the building half: one merged tuple.
-	var recs []gps.Record
-	for i := 0; i < 300; i++ {
-		recs = append(recs, record(100+float64(i%5), 100, i))
-	}
-	tr := &gps.RawTrajectory{ID: "u1-T0", ObjectID: "u1", Records: recs}
-	ratio, err := a.CompressionRatio(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio < 0.99 {
-		t.Fatalf("compression ratio = %v, want > 0.99 for a single-region trajectory", ratio)
-	}
-	if _, err := a.CompressionRatio(&gps.RawTrajectory{ID: "x"}); err == nil {
-		t.Fatal("empty trajectory should error")
-	}
-}

@@ -8,7 +8,7 @@
 //
 // The spatial index is bulk-loaded lazily: AddSegment only buffers, and the
 // first query builds an STR tree over all segment bounding boxes. The index
-// answers every query exactly — including NearestSegment on one-segment
+// answers every query exactly — including NearestSegmentIn on one-segment
 // networks — so there is no full-scan fallback anywhere.
 package roadnet
 
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"semitri/internal/geo"
@@ -200,29 +199,12 @@ func (n *Network) SpatialIndex() spatial.Index {
 	return n.index
 }
 
-// CandidateSegments returns the segments whose bounding box lies within
-// radius of p — the candidateSegs(Q) of Alg. 2 — ordered by segment id.
-func (n *Network) CandidateSegments(p geo.Point, radius float64) []*Segment {
-	items := spatial.WithinDistance(n.SpatialIndex(), p, radius)
-	out := make([]*Segment, 0, len(items))
-	for _, it := range items {
-		out = append(out, it.Value.(*Segment))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// NearestSegment returns the segment geometrically closest to p (by the
-// point–segment distance of Eq. 1) and that distance; used by the geometric
-// map-matching baseline and when the candidate set of Alg. 2 is empty. The
-// bulk-loaded index answers it exactly on any network size — a best-first
-// walk refined by the true segment distance — with no scan fallback.
-func (n *Network) NearestSegment(p geo.Point) (*Segment, float64, bool) {
-	return NearestSegmentIn(n.SpatialIndex(), p)
-}
-
-// NearestSegmentIn is NearestSegment against an already captured spatial
-// index whose items hold *Segment values.
+// NearestSegmentIn returns the segment of ix (whose items hold *Segment
+// values) geometrically closest to p by the point–segment distance of Eq. 1,
+// and that distance; used by the geometric map-matching baseline and when
+// the candidate set of Alg. 2 is empty. The bulk-loaded index answers it
+// exactly on any network size — a best-first walk refined by the true
+// segment distance — with no scan fallback.
 func NearestSegmentIn(ix spatial.Index, p geo.Point) (*Segment, float64, bool) {
 	it, d, ok := spatial.NearestBy(ix, p, func(it spatial.Item) float64 {
 		return it.Value.(*Segment).Geom.DistanceToPoint(p)
@@ -331,18 +313,6 @@ func reverseInts(v []int) {
 	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
 		v[i], v[j] = v[j], v[i]
 	}
-}
-
-// Polyline returns the geometric shape of a route.
-func (n *Network) Polyline(r *Route) geo.Polyline {
-	if r == nil || len(r.Nodes) == 0 {
-		return nil
-	}
-	pl := make(geo.Polyline, len(r.Nodes))
-	for i, id := range r.Nodes {
-		pl[i] = n.nodes[id]
-	}
-	return pl
 }
 
 // GeneratorConfig controls the synthetic city network generator.

@@ -6,7 +6,18 @@ import (
 	"testing"
 
 	"semitri/internal/geo"
+	"semitri/internal/spatial"
 )
+
+// candidates returns the segments whose bounding box lies within radius of
+// p, the candidateSegs(Q) of Alg. 2, as the line layer asks the index.
+func candidates(n *Network, p geo.Point, radius float64) []*Segment {
+	var out []*Segment
+	for _, it := range spatial.WithinDistance(n.SpatialIndex(), p, radius) {
+		out = append(out, it.Value.(*Segment))
+	}
+	return out
+}
 
 func TestClassStringsAndSpeeds(t *testing.T) {
 	classes := []Class{Footpath, Residential, Arterial, Highway, MetroRail}
@@ -89,36 +100,30 @@ func TestAddNodeSegmentValidation(t *testing.T) {
 
 func TestCandidateAndNearestSegments(t *testing.T) {
 	n := smallNetwork(t)
-	cands := n.CandidateSegments(geo.Pt(50, -5), 20)
+	cands := candidates(n, geo.Pt(50, -5), 20)
 	if len(cands) != 1 || cands[0].Geom.A.Y != 0 {
-		t.Fatalf("CandidateSegments = %+v", cands)
+		t.Fatalf("candidates = %+v", cands)
 	}
 	// Larger radius picks up more.
-	cands = n.CandidateSegments(geo.Pt(50, 50), 200)
+	cands = candidates(n, geo.Pt(50, 50), 200)
 	if len(cands) != 4 {
-		t.Fatalf("wide CandidateSegments = %d", len(cands))
+		t.Fatalf("wide candidates = %d", len(cands))
 	}
-	// Results sorted by id.
-	for i := 1; i < len(cands); i++ {
-		if cands[i].ID < cands[i-1].ID {
-			t.Fatal("candidates not sorted by id")
-		}
-	}
-	seg, d, ok := n.NearestSegment(geo.Pt(50, 10))
+	seg, d, ok := NearestSegmentIn(n.SpatialIndex(), geo.Pt(50, 10))
 	if !ok || d != 10 {
-		t.Fatalf("NearestSegment = %v, %v, %v", seg, d, ok)
+		t.Fatalf("NearestSegmentIn = %v, %v, %v", seg, d, ok)
 	}
 	if seg.Geom.A.Y != 0 && seg.Geom.B.Y != 0 {
 		t.Fatalf("nearest segment should be the bottom edge, got %+v", seg)
 	}
 	// Far point still resolves through radius expansion.
-	_, d, ok = n.NearestSegment(geo.Pt(10000, 10000))
+	_, d, ok = NearestSegmentIn(n.SpatialIndex(), geo.Pt(10000, 10000))
 	if !ok || d <= 0 {
-		t.Fatalf("far NearestSegment = %v, %v", d, ok)
+		t.Fatalf("far NearestSegmentIn = %v, %v", d, ok)
 	}
 	// Empty network.
 	empty := NewNetwork()
-	if _, _, ok := empty.NearestSegment(geo.Pt(0, 0)); ok {
+	if _, _, ok := NearestSegmentIn(empty.SpatialIndex(), geo.Pt(0, 0)); ok {
 		t.Fatal("nearest on empty network should be !ok")
 	}
 	if _, ok := empty.NearestNode(geo.Pt(0, 0)); ok {
@@ -136,11 +141,11 @@ func TestCandidateAndNearestSegments(t *testing.T) {
 func TestNearestSegmentTinyNetworks(t *testing.T) {
 	// 0 edges: every query is a clean miss, never a panic or a scan.
 	empty := NewNetwork()
-	if _, _, ok := empty.NearestSegment(geo.Pt(123, 456)); ok {
-		t.Fatal("0-edge network: NearestSegment should be !ok")
+	if _, _, ok := NearestSegmentIn(empty.SpatialIndex(), geo.Pt(123, 456)); ok {
+		t.Fatal("0-edge network: NearestSegmentIn should be !ok")
 	}
-	if cands := empty.CandidateSegments(geo.Pt(0, 0), 1e9); len(cands) != 0 {
-		t.Fatalf("0-edge network: CandidateSegments = %d", len(cands))
+	if cands := candidates(empty, geo.Pt(0, 0), 1e9); len(cands) != 0 {
+		t.Fatalf("0-edge network: candidates = %d", len(cands))
 	}
 	if !empty.Bounds().IsEmpty() {
 		t.Fatalf("0-edge network bounds = %+v", empty.Bounds())
@@ -159,16 +164,16 @@ func TestNearestSegmentTinyNetworks(t *testing.T) {
 	for _, q := range []geo.Point{
 		geo.Pt(50, 10), geo.Pt(-40, -30), geo.Pt(1e7, 1e7), geo.Pt(50, 0),
 	} {
-		got, d, ok := one.NearestSegment(q)
+		got, d, ok := NearestSegmentIn(one.SpatialIndex(), q)
 		if !ok || got != seg {
-			t.Fatalf("1-edge network: NearestSegment(%v) = %v, %v", q, got, ok)
+			t.Fatalf("1-edge network: NearestSegmentIn(%v) = %v, %v", q, got, ok)
 		}
 		if want := seg.Geom.DistanceToPoint(q); d != want {
 			t.Fatalf("1-edge network: dist(%v) = %v want %v", q, d, want)
 		}
 	}
 	// Candidate radius smaller than the distance: empty set, no fallback.
-	if cands := one.CandidateSegments(geo.Pt(500, 500), 10); len(cands) != 0 {
+	if cands := candidates(one, geo.Pt(500, 500), 10); len(cands) != 0 {
 		t.Fatalf("out-of-radius candidates = %d", len(cands))
 	}
 }
@@ -182,7 +187,7 @@ func TestSpatialIndexInvalidation(t *testing.T) {
 	if _, err := n.AddSegment(a, b, Residential, "first"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.CandidateSegments(geo.Pt(50, 0), 10)); got != 1 {
+	if got := len(candidates(n, geo.Pt(50, 0), 10)); got != 1 {
 		t.Fatalf("candidates before mutation = %d", got)
 	}
 	c := n.AddNode(geo.Pt(100, 5))
@@ -190,7 +195,7 @@ func TestSpatialIndexInvalidation(t *testing.T) {
 	if _, err := n.AddSegment(c, d, Residential, "second"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.CandidateSegments(geo.Pt(50, 2), 10)); got != 2 {
+	if got := len(candidates(n, geo.Pt(50, 2), 10)); got != 2 {
 		t.Fatalf("candidates after mutation = %d", got)
 	}
 }
@@ -210,10 +215,6 @@ func TestShortestPathSquare(t *testing.T) {
 	if r.Nodes[0] != 0 || r.Nodes[len(r.Nodes)-1] != 2 {
 		t.Fatalf("route endpoints = %v", r.Nodes)
 	}
-	pl := n.Polyline(r)
-	if len(pl) != 3 || pl[0] != geo.Pt(0, 0) {
-		t.Fatalf("Polyline = %v", pl)
-	}
 	// Same node.
 	same, err := n.ShortestPath(1, 1, nil)
 	if err != nil || len(same.Nodes) != 1 || same.Length != 0 {
@@ -221,9 +222,6 @@ func TestShortestPathSquare(t *testing.T) {
 	}
 	if _, err := n.ShortestPath(-1, 2, nil); err == nil {
 		t.Fatal("invalid endpoint should error")
-	}
-	if n.Polyline(nil) != nil {
-		t.Fatal("Polyline(nil) should be nil")
 	}
 }
 

@@ -23,6 +23,10 @@ const DefaultSSEHeartbeat = 10 * time.Second
 // Drop-oldest: a slow client loses old events, never stalls ingestion.
 const defaultSubscribeBuffer = 256
 
+// maxSubscribeBuffer caps ?buffer=N: the ring is allocated in full when the
+// subscription opens, so an unchecked N lets one GET exhaust memory.
+const maxSubscribeBuffer = 1 << 16
+
 // sseWriter wraps one Server-Sent-Events response stream.
 type sseWriter struct {
 	w http.ResponseWriter
@@ -65,6 +69,9 @@ func sseBuffer(d *decoder) (int, error) {
 	buffer := d.intVal("buffer")
 	if err := d.Err(); err != nil {
 		return 0, err
+	}
+	if buffer > maxSubscribeBuffer {
+		return 0, fmt.Errorf("buffer %d exceeds the maximum %d", buffer, maxSubscribeBuffer)
 	}
 	if buffer <= 0 {
 		buffer = defaultSubscribeBuffer

@@ -113,6 +113,26 @@ func openSSE(t *testing.T, url string) (*sseReader, context.CancelFunc) {
 	return newSSEReader(t, resp.Body), cancel
 }
 
+// wantBadRequest asserts that GET url answers 400 with an {"error": ...}
+// body. The status is checked before the body is read, so a request that
+// wrongly opens an event stream fails instead of hanging.
+func wantBadRequest(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET %s: status %d, want 400", url, resp.StatusCode)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	var e map[string]string
+	if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
+		t.Fatalf("GET %s: body %s, want {\"error\": ...}", url, body)
+	}
+}
+
 func TestSubscribeRejectsMalformedQuery(t *testing.T) {
 	srv, _, _ := newLiveServer(t)
 	for _, path := range []string{
@@ -122,22 +142,31 @@ func TestSubscribeRejectsMalformedQuery(t *testing.T) {
 		"/subscribe?q=" + escape("stops group by ann.poi_category count"),     // aggregates can't stand
 		"/subscribe?q=" + escape("stops limit 5"),                             // limit is meaningless live
 		"/subscribe?q=stops&buffer=abc",
+		"/subscribe?q=stops&buffer=65537",               // one past the ring cap
+		"/subscribe?q=stops&buffer=4611686018427387904", // would not even fit makeslice
 		"/subscribe?q=" + escape("stops where near(1, 1, NaN)"),
 		"/subscribe?q=" + escape("stops where window(0, 0, Inf, 1)"),
 	} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s: status %d, want 400 (body %s)", path, resp.StatusCode, body)
-		}
-		var e map[string]string
-		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-			t.Fatalf("GET %s: body %s, want {\"error\": ...}", path, body)
-		}
+		wantBadRequest(t, srv.URL+path)
+	}
+}
+
+// TestSSEBufferCap: ?buffer=N above the ring cap is refused on both SSE
+// endpoints before any ring is allocated, and the cap itself is accepted.
+func TestSSEBufferCap(t *testing.T) {
+	srv, _, _ := newLiveServer(t)
+	wantBadRequest(t, srv.URL+"/metrics/stream?buffer=65537")
+	wantBadRequest(t, srv.URL+"/metrics/stream?buffer=4611686018427387904")
+
+	r, cancel := openSSE(t, srv.URL+"/subscribe?q=stops&buffer=65536")
+	defer cancel()
+	if f, ok := r.next(); !ok || f.Event != "subscribed" || f.Data["buffer"] != float64(65536) {
+		t.Fatalf("first frame = %+v, want subscribed with buffer 65536", f)
+	}
+	m, cancelMetrics := openSSE(t, srv.URL+"/metrics/stream?buffer=65536")
+	defer cancelMetrics()
+	if f, ok := m.next(); !ok || f.Event != "tick" {
+		t.Fatalf("first frame = %+v, want tick", f)
 	}
 }
 

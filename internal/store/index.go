@@ -164,19 +164,14 @@ func (s *Store) TupleAt(trajectoryID, interpretation string, index int) (core.Ep
 	return core.EpisodeTuple{}, false
 }
 
-// TuplesAt resolves several positions of one structured trajectory under a
-// single stripe lock: tuples[i] is a stable copy of the tuple at indexes[i]
-// and ok[i] reports whether that position exists. Batch resolution is what
-// keeps indexed query execution cheap — candidates cluster by trajectory,
-// so the executor pays one lock per trajectory instead of one per tuple.
-func (s *Store) TuplesAt(trajectoryID, interpretation string, indexes []int) (tuples []core.EpisodeTuple, ok []bool) {
-	return s.AppendTuplesAt(trajectoryID, interpretation, indexes, nil, nil)
-}
-
-// AppendTuplesAt is TuplesAt with caller-owned result buffers: one resolved
-// entry per index is appended to tuples and ok, reusing their capacity, so a
-// query executor resolving many candidate batches can run the whole
-// resolution loop without allocating per batch.
+// AppendTuplesAt resolves several positions of one structured trajectory
+// under a single stripe lock, appending one entry per index to the
+// caller-owned tuples and ok: the appended tuples[i] is a stable copy of the
+// tuple at indexes[i] and ok[i] reports whether that position exists. Batch
+// resolution is what keeps indexed query execution cheap — candidates
+// cluster by trajectory, so the executor pays one lock per trajectory
+// instead of one per tuple — and reusing the buffers' capacity lets it run
+// the whole resolution loop without allocating per batch.
 func (s *Store) AppendTuplesAt(trajectoryID, interpretation string, indexes []int, tuples []core.EpisodeTuple, ok []bool) ([]core.EpisodeTuple, []bool) {
 	at := len(tuples)
 	for range indexes {

@@ -499,31 +499,6 @@ func (os *objectStream) reset() {
 	os.stagedEvents = nil
 }
 
-// lookup returns the object's stream state without creating it.
-func (sp *StreamProcessor) lookup(objectID string) (*objectStream, bool) {
-	sp.reg.RLock()
-	defer sp.reg.RUnlock()
-	os, ok := sp.objects[objectID]
-	return os, ok
-}
-
-// Tail returns a provisional view of the object's open trajectory: the
-// episodes that would close if its stream ended now. The returned episodes
-// may still change (and records inside the cleaner's smoothing window are
-// not part of them yet).
-func (sp *StreamProcessor) Tail(objectID string) []*episode.Episode {
-	os, ok := sp.lookup(objectID)
-	if !ok {
-		return nil
-	}
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	if os.tracker == nil {
-		return nil
-	}
-	return os.tracker.Tail()
-}
-
 // Flush force-closes the object's open trajectory (drains the cleaner's
 // smoothing window first). Use it when an object's session ends mid-stream;
 // note that flushing resets the object's smoothing history, so the parity

@@ -371,7 +371,7 @@ func TestBatchStreamParityVehicle(t *testing.T) {
 	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
 }
 
-// TestStreamTailAndFlush exercises the open-tail view and per-object flush.
+// TestStreamTailAndFlush exercises the per-object flush of an open tail.
 func TestStreamTailAndFlush(t *testing.T) {
 	city := newTestCity(t, 2, 2000)
 	records := peopleRecords(t, city, 1, 1, 9)
@@ -383,15 +383,6 @@ func TestStreamTailAndFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	object := records[0].ObjectID
-	tail := sp.Tail(object)
-	if len(tail) == 0 {
-		t.Fatal("expected a provisional tail for the open trajectory")
-	}
-	for _, ep := range tail {
-		if ep.Kind != episode.Stop && ep.Kind != episode.Move {
-			t.Fatalf("tail episode with invalid kind %v", ep.Kind)
-		}
-	}
 	events, err := sp.Flush(object)
 	if err != nil {
 		t.Fatal(err)
@@ -404,9 +395,6 @@ func TestStreamTailAndFlush(t *testing.T) {
 	}
 	if !closed {
 		t.Fatal("flush did not close the open trajectory")
-	}
-	if tail = sp.Tail(object); tail != nil {
-		t.Fatalf("tail should be empty after flush, got %d episodes", len(tail))
 	}
 	if _, err := sp.Close(); err != nil {
 		t.Fatal(err)
