@@ -6,7 +6,7 @@ GO ?= go
 # PR number stamped into the benchmark artifact name (BENCH_$(PR).json).
 PR ?= 10
 
-.PHONY: build test test-nommap race bench bench-smoke bench-module loc lint serve-smoke recovery-smoke coldstore-smoke subscribe-smoke ci fmt
+.PHONY: build test test-nommap race bench bench-smoke bench-module loc lint smoke ci fmt
 
 build:
 	$(GO) build ./...
@@ -79,32 +79,14 @@ lint:
 fmt:
 	gofmt -w .
 
-# End-to-end probe of the HTTP serving layer (what CI's serve-smoke job runs).
-serve-smoke:
-	./scripts/serve-smoke.sh
-
-# End-to-end crash-recovery probe: ingest with the WAL on, kill -9 the
-# server before any checkpoint, restart from the data dir (pure WAL-tail
-# replay) and assert identical counts and query answers (what CI's
-# recovery-smoke job runs).
-recovery-smoke:
-	./scripts/recovery-smoke.sh
-
-# End-to-end tiered-storage probe: ingest under a tight GOMEMLIMIT with
-# forced freezes, kill -9, restart from segments+WAL alone and assert
-# identical counts and query answers (what CI's coldstore-smoke job runs).
-coldstore-smoke:
-	./scripts/coldstore-smoke.sh
-
-# End-to-end live-subscription probe: serve with throttled ingestion, two
-# SSE streams (a geofence standing query + the metrics stream), then assert
-# well-formed frames and live/engine parity over HTTP (what CI's
-# subscribe-smoke job runs).
-subscribe-smoke:
-	./scripts/subscribe-smoke.sh
+# End-to-end probes of semitri-serve over HTTP (what CI's smoke job runs):
+# the serving layer, WAL-tail and segment crash recovery, and live
+# subscriptions. LEG=serve|recovery|coldstore|subscribe runs one leg.
+smoke:
+	./scripts/smoke.sh $(LEG)
 
 # What CI runs: build, lint, tests (race, then the no-mmap cold-read path),
 # the nested benchmark module, a one-iteration bench smoke pass and the
-# serving-layer + crash-recovery + cold-store + live-subscription smokes.
-ci: build lint test test-nommap bench-module serve-smoke recovery-smoke coldstore-smoke subscribe-smoke
+# end-to-end smoke legs.
+ci: build lint test test-nommap bench-module smoke
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

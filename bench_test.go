@@ -9,6 +9,7 @@ package semitri_test
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -292,19 +293,11 @@ func BenchmarkStreamConcurrentObjects(b *testing.B) {
 		})
 	}
 	// FanIn, the ingest driver of cmd/semitri and cmd/semitri-serve: the
-	// interleaved feed goes through one channel and is sharded by object.
-	// The feed buffer matches the 256 those commands use.
+	// interleaved sequence is pulled once and sharded by object.
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("fanin/workers=%d", workers), func(b *testing.B) {
 			run(b, func(sp *semitri.StreamProcessor) error {
-				feed := make(chan gps.Record, 256)
-				errc := make(chan error, 1)
-				go func() { errc <- sp.FanIn(feed, workers, nil) }()
-				for _, r := range records {
-					feed <- r
-				}
-				close(feed)
-				return <-errc
+				return sp.FanIn(slices.Values(records), workers, nil)
 			})
 		})
 	}

@@ -10,7 +10,7 @@
 //
 //	semitri-serve [-addr :8080] [-in people.csv] [-profile people|vehicle]
 //	              [-seed 1] [-pois 8000] [-users 2] [-days 2]
-//	              [-stream-workers 4] [-wait] [-progress 20000]
+//	              [-workers 4] [-wait] [-progress 20000]
 //	              [-data-dir dir] [-flush-interval 50ms]
 //	              [-fsync interval|always|never] [-checkpoint-interval 1m]
 //	              [-query-parallelism 0] [-pprof]
@@ -54,15 +54,14 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
-	"io"
+	"iter"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
+	"slices"
 	"syscall"
 	"time"
 
@@ -81,7 +80,7 @@ func main() {
 	pois := flag.Int("pois", 8000, "number of POIs in the synthetic city")
 	users := flag.Int("users", 2, "users in the generated dataset (with -in empty)")
 	days := flag.Int("days", 2, "days per user in the generated dataset (with -in empty)")
-	streamWorkers := flag.Int("stream-workers", 4, "concurrent ingestion goroutines (records sharded by object)")
+	workers := flag.Int("workers", 0, "concurrent ingestion goroutines, records sharded by object (0 = profile default)")
 	wait := flag.Bool("wait", false, "finish ingestion before the server starts listening")
 	progress := flag.Int("progress", 20000, "report ingestion progress every N records (0 = silent)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty = in-memory only")
@@ -112,6 +111,9 @@ func main() {
 	if *profile == "vehicle" {
 		cfg = semitri.VehicleConfig()
 		cfg.DailySplit = false
+	}
+	if *workers > 0 {
+		cfg.Workers = *workers
 	}
 	cfg.QueryParallelism = *queryParallelism
 	if *dataDir != "" {
@@ -178,7 +180,7 @@ func main() {
 		go func() {
 			defer close(ingested)
 			start := time.Now()
-			result := ingest(pipeline, *in, city, *seed, *users, *days, *streamWorkers, *progress, *ingestDelay, ingestStop)
+			result := ingest(pipeline, *in, city, *seed, *users, *days, cfg.Workers, *progress, *ingestDelay, ingestStop)
 			logger.Info("ingestion complete",
 				"records", result.Records, "trajectories", len(result.TrajectoryIDs),
 				"stops", result.Stops, "moves", result.Moves,
@@ -234,77 +236,64 @@ func main() {
 	finish()
 }
 
-// ingest streams the input (a CSV read line by line, or a generated people
+// ingest streams the input (a CSV read row by row, or a generated people
 // dataset) into the pipeline with the concurrent object-sharded fan-in and
-// closes the stream. A close of stopCh makes the producer stop early; the
-// records already offered still drain through the fan-in before the stream
-// closes, so shutdown never abandons in-flight work.
+// closes the stream. A close of stopCh ends the input early; the records
+// already pulled still ingest before the stream closes, so shutdown never
+// abandons in-flight work.
 func ingest(pipeline *semitri.Pipeline, in string, city *workload.City, seed int64, users, days, workers, every int, delay time.Duration, stopCh <-chan struct{}) *semitri.Result {
 	logger := obs.Component("ingest")
-	sp := pipeline.NewStream()
-	var n atomic.Int64
-	feed := make(chan gps.Record, 256)
-	done := make(chan struct{})
-	var fanErr error
-	go func() {
-		fanErr = sp.FanIn(feed, workers, nil)
-		close(done)
-	}()
-	offer := func(r gps.Record) bool {
-		select {
-		case feed <- r:
-		case <-done:
-			return false
-		case <-stopCh:
-			return false
-		}
-		if c := n.Add(1); every > 0 && c%int64(every) == 0 {
-			logger.Info("ingest progress", "records", c)
-		}
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-stopCh:
-				return false
-			}
-		}
-		return true
-	}
+	var source iter.Seq[gps.Record]
 	if in == "" {
 		logger.Info("no -in file given; generating a people dataset", "users", users, "days", days)
 		ds, err := workload.GeneratePeople(city, workload.DefaultPeopleConfig(users, days, seed+1))
 		if err != nil {
 			fail(err)
 		}
-		for _, r := range ds.Records() {
-			if !offer(r) {
-				break
-			}
-		}
+		source = slices.Values(ds.Records())
 	} else {
-		f, err := os.Open(in)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		cr := gps.NewCSVReader(bufio.NewReader(f))
-		for {
-			r, err := cr.Next()
-			if err == io.EOF {
-				break
-			}
+		source = func(yield func(gps.Record) bool) {
+			f, err := os.Open(in)
 			if err != nil {
 				fail(err)
 			}
-			if !offer(r) {
-				break
+			defer f.Close()
+			for r, err := range gps.ReadCSV(f) {
+				if err != nil {
+					fail(err)
+				}
+				if !yield(r) {
+					return
+				}
 			}
 		}
 	}
-	close(feed)
-	<-done
-	if fanErr != nil {
-		fail(fanErr)
+	records := func(yield func(gps.Record) bool) {
+		n := 0
+		for r := range source {
+			select {
+			case <-stopCh:
+				return
+			default:
+			}
+			if !yield(r) {
+				return
+			}
+			if n++; every > 0 && n%every == 0 {
+				logger.Info("ingest progress", "records", n)
+			}
+			if delay > 0 {
+				select {
+				case <-time.After(delay):
+				case <-stopCh:
+					return
+				}
+			}
+		}
+	}
+	sp := pipeline.NewStream()
+	if err := sp.FanIn(records, workers, nil); err != nil {
+		fail(err)
 	}
 	result, err := sp.Close()
 	if err != nil {

@@ -45,13 +45,13 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
+	"iter"
 	"log/slog"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -117,25 +117,12 @@ func main() {
 
 	start := time.Now()
 	metricsBefore := obs.Default().Numeric()
+	records := input(*in, city, *seed)
 	var result *semitri.Result
 	if *stream {
-		result = runStream(pipeline, *in, city, *seed, *progress, cfg.Workers)
+		result = runStream(pipeline, records, *progress, cfg.Workers)
 	} else {
-		var records []gps.Record
-		if *in == "" {
-			records = demoRecords(city, *seed)
-		} else {
-			f, err := os.Open(*in)
-			if err != nil {
-				fail(err)
-			}
-			records, err = gps.ReadCSV(f)
-			f.Close()
-			if err != nil {
-				fail(err)
-			}
-		}
-		result, err = pipeline.ProcessRecords(records)
+		result, err = pipeline.ProcessRecords(slices.Collect(records))
 		if err != nil {
 			fail(err)
 		}
@@ -234,21 +221,22 @@ func main() {
 	}
 }
 
-// runStream ingests the input through the online pipeline, reading the CSV
-// line by line, and reports progress (records, episodes, trajectories and
-// per-record throughput) every `every` records. With workers > 1 the feed is
-// fanned across that many concurrent ingestion goroutines, sharded by object
-// id (per-object record order is preserved).
-func runStream(pipeline *semitri.Pipeline, in string, city *workload.City, seed int64, every, workers int) *semitri.Result {
+// runStream ingests the records through the online pipeline as they are
+// read, and reports progress (records, episodes, trajectories and
+// per-record throughput) every `every` records. With workers > 1 the records
+// are fanned across that many concurrent ingestion goroutines, sharded by
+// object id (per-object record order is preserved).
+func runStream(pipeline *semitri.Pipeline, records iter.Seq[gps.Record], every, workers int) *semitri.Result {
 	sp := pipeline.NewStream()
-	var ingested, episodes, trajectories atomic.Int64
+	var ingested int64
+	var episodes, trajectories atomic.Int64
 	startedAt := time.Now()
 	logger := obs.Component("stream")
 	report := func() {
 		elapsed := time.Since(startedAt)
-		rate := float64(ingested.Load()) / elapsed.Seconds()
+		rate := float64(ingested) / elapsed.Seconds()
 		logger.Info("ingest progress",
-			"records", ingested.Load(), "episodes", episodes.Load(),
+			"records", ingested, "episodes", episodes.Load(),
 			"trajectories", trajectories.Load(), "rec_per_s", int64(rate))
 	}
 	onEvents := func(events []semitri.StreamEvent) {
@@ -261,57 +249,20 @@ func runStream(pipeline *semitri.Pipeline, in string, city *workload.City, seed 
 			}
 		}
 	}
-	feed := make(chan gps.Record, 256)
-	done := make(chan struct{})
-	var fanErr error
-	go func() {
-		fanErr = sp.FanIn(feed, workers, onEvents)
-		close(done)
-	}()
-	// offer reports false when ingestion failed: FanIn returns early on the
-	// first Add error, so the producer stops reading the input instead of
-	// pumping (and progress-reporting) records nobody will process.
-	offer := func(r gps.Record) bool {
-		select {
-		case feed <- r:
-		case <-done:
-			return false
-		}
-		if n := ingested.Add(1); every > 0 && n%int64(every) == 0 {
-			report()
-		}
-		return true
-	}
-	if in == "" {
-		for _, r := range demoRecords(city, seed) {
-			if !offer(r) {
-				break
+	// FanIn pulls the sequence on this goroutine, so the counter needs no
+	// synchronisation.
+	counted := func(yield func(gps.Record) bool) {
+		for r := range records {
+			if !yield(r) {
+				return
 			}
-		}
-	} else {
-		f, err := os.Open(in)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		cr := gps.NewCSVReader(bufio.NewReader(f))
-		for {
-			r, err := cr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fail(err)
-			}
-			if !offer(r) {
-				break
+			if ingested++; every > 0 && ingested%int64(every) == 0 {
+				report()
 			}
 		}
 	}
-	close(feed)
-	<-done
-	if fanErr != nil {
-		fail(fanErr)
+	if err := sp.FanIn(counted, workers, onEvents); err != nil {
+		fail(err)
 	}
 	result, err := sp.Close()
 	if err != nil {
@@ -321,15 +272,33 @@ func runStream(pipeline *semitri.Pipeline, in string, city *workload.City, seed 
 	return result
 }
 
-// demoRecords generates the small demonstration people dataset used when no
-// -in file is given, with or without -stream.
-func demoRecords(city *workload.City, seed int64) []gps.Record {
-	slog.Info("no -in file given; generating a small demonstration people dataset")
-	ds, err := workload.GeneratePeople(city, workload.DefaultPeopleConfig(2, 2, seed+1))
-	if err != nil {
-		fail(err)
+// input yields the records of the -in CSV, read row by row, or, with no -in
+// file, of a small generated demonstration people dataset. A read or parse
+// error ends the command.
+func input(in string, city *workload.City, seed int64) iter.Seq[gps.Record] {
+	if in == "" {
+		slog.Info("no -in file given; generating a small demonstration people dataset")
+		ds, err := workload.GeneratePeople(city, workload.DefaultPeopleConfig(2, 2, seed+1))
+		if err != nil {
+			fail(err)
+		}
+		return slices.Values(ds.Records())
 	}
-	return ds.Records()
+	return func(yield func(gps.Record) bool) {
+		f, err := os.Open(in)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		for r, err := range gps.ReadCSV(f) {
+			if err != nil {
+				fail(err)
+			}
+			if !yield(r) {
+				return
+			}
+		}
+	}
 }
 
 func fail(err error) {

@@ -1,6 +1,7 @@
 package semitri
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -8,11 +9,11 @@ import (
 	"semitri/internal/store"
 )
 
-// This file implements the concurrent fan-in drivers over StreamProcessor:
-// they spread a single interleaved record feed across worker goroutines,
-// sharding by object id so each object's records keep arriving in order (the
-// invariant Add's parity guarantee depends on) while different objects'
-// records are cleaned, segmented and annotated in parallel.
+// This file implements the concurrent fan-in driver over StreamProcessor:
+// it pulls a single interleaved record sequence and spreads it across worker
+// goroutines, sharding by object id so each object's records keep arriving
+// in order (the invariant Add's parity guarantee depends on) while different
+// objects' records are cleaned, segmented and annotated in parallel.
 
 // workerFor routes an object id to one of n workers, with the same hash the
 // store stripes its tables by.
@@ -20,20 +21,18 @@ func workerFor(objectID string, n int) int {
 	return int(store.KeyHash(objectID) % uint32(n))
 }
 
-// FanIn drains the records channel through Add using `workers` goroutines.
+// FanIn pulls the records sequence through Add using `workers` goroutines.
 // Records are sharded by object id: one object's records are always fed by
 // the same worker, preserving their order, while different objects proceed
-// in parallel. FanIn returns when the channel is closed and every routed
-// record has been ingested — or on the first Add error, without waiting for
-// the channel to close. On the error path a background goroutine keeps
-// draining the channel so a producer blocked on a send is never stuck; the
-// producer should notice the early return, stop sending and close the
-// channel, at which point the drainer exits.
+// in parallel. The sequence is pulled on the caller's goroutine. FanIn
+// returns when the sequence ends and every routed record has been ingested,
+// or after the first Add error, once it has stopped pulling and the records
+// already routed have been discarded.
 //
 // onEvents, if non-nil, is called with each Add call's events from the
 // worker goroutine that produced them; it must be safe for concurrent use.
 // FanIn does not Close the processor — call Close after it returns.
-func (sp *StreamProcessor) FanIn(records <-chan gps.Record, workers int, onEvents func([]StreamEvent)) error {
+func (sp *StreamProcessor) FanIn(records iter.Seq[gps.Record], workers int, onEvents func([]StreamEvent)) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -45,7 +44,6 @@ func (sp *StreamProcessor) FanIn(records <-chan gps.Record, workers int, onEvent
 				onEvents(events)
 			}
 			if err != nil {
-				go drain(records)
 				return err
 			}
 		}
@@ -61,6 +59,9 @@ func (sp *StreamProcessor) FanIn(records <-chan gps.Record, workers int, onEvent
 		go func(i int) {
 			defer wg.Done()
 			for r := range lanes[i] {
+				if errs[i] != nil {
+					continue // keep draining so the router never blocks on this lane
+				}
 				events, err := sp.Add(r)
 				if len(events) > 0 && onEvents != nil {
 					onEvents(events)
@@ -68,23 +69,15 @@ func (sp *StreamProcessor) FanIn(records <-chan gps.Record, workers int, onEvent
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
-					// Keep draining so the router never blocks on this lane.
-					drain(lanes[i])
-					return
 				}
 			}
 		}(i)
 	}
-	routed := true
 	for r := range records {
 		if failed.Load() {
-			routed = false
 			break
 		}
 		lanes[workerFor(r.ObjectID, workers)] <- r
-	}
-	if !routed {
-		go drain(records)
 	}
 	for _, lane := range lanes {
 		close(lane)
@@ -96,10 +89,4 @@ func (sp *StreamProcessor) FanIn(records <-chan gps.Record, workers int, onEvent
 		}
 	}
 	return nil
-}
-
-// drain consumes a record channel until it is closed.
-func drain(records <-chan gps.Record) {
-	for range records {
-	}
 }

@@ -16,8 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"semitri/internal/geo"
@@ -314,11 +317,14 @@ func countDayTrajectories(trajectories []*RawTrajectory, object, day string) int
 // csvTimeLayout is the timestamp format used by the CSV codec.
 const csvTimeLayout = time.RFC3339
 
+// csvHeader is the first row WriteCSV writes and ReadCSV requires.
+var csvHeader = []string{"object", "x", "y", "time"}
+
 // WriteCSV writes records as CSV rows "object,x,y,timestamp".
 func WriteCSV(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
-	if err := cw.Write([]string{"object", "x", "y", "time"}); err != nil {
+	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
 	for _, r := range records {
@@ -339,37 +345,58 @@ func WriteCSV(w io.Writer, records []Record) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses records written by WriteCSV (header required).
-func ReadCSV(r io.Reader) ([]Record, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
+// ReadCSV yields the records of a CSV written by WriteCSV one row at a time,
+// so input larger than memory streams through. The first row must be the
+// "object,x,y,time" header. The sequence stops after the first error it
+// yields; rows are numbered from 1, the header being row 1.
+func ReadCSV(r io.Reader) iter.Seq2[Record, error] {
+	return func(yield func(Record, error) bool) {
+		// The header fixes the field count every later row must match.
+		cr := csv.NewReader(r)
+		header, err := cr.Read()
+		switch {
+		case errors.Is(err, io.EOF):
+			err = errors.New("gps: empty csv")
+		case err != nil:
+			err = fmt.Errorf("gps: row 1: %w", err)
+		case !slices.Equal(header, csvHeader):
+			err = fmt.Errorf("gps: row 1 is %q, want the header %q", strings.Join(header, ","), strings.Join(csvHeader, ","))
+		}
+		if err != nil {
+			yield(Record{}, err)
+			return
+		}
+		for n := 2; ; n++ {
+			row, err := cr.Read()
+			if errors.Is(err, io.EOF) {
+				return
+			}
+			var rec Record
+			if err == nil {
+				rec, err = parseRow(row, n)
+			} else {
+				err = fmt.Errorf("gps: row %d: %w", n, err)
+			}
+			if !yield(rec, err) || err != nil {
+				return
+			}
+		}
+	}
+}
+
+// parseRow decodes the data row n ("object,x,y,time") of a CSV.
+func parseRow(row []string, n int) (Record, error) {
+	x, err := strconv.ParseFloat(row[1], 64)
 	if err != nil {
-		return nil, fmt.Errorf("gps: reading csv: %w", err)
+		return Record{}, fmt.Errorf("gps: row %d x: %w", n, err)
 	}
-	if len(rows) == 0 {
-		return nil, errors.New("gps: empty csv")
+	y, err := strconv.ParseFloat(row[2], 64)
+	if err != nil {
+		return Record{}, fmt.Errorf("gps: row %d y: %w", n, err)
 	}
-	out := make([]Record, 0, len(rows)-1)
-	for i, row := range rows {
-		if i == 0 {
-			continue // header
-		}
-		if len(row) != 4 {
-			return nil, fmt.Errorf("gps: row %d has %d columns, want 4", i, len(row))
-		}
-		x, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("gps: row %d x: %w", i, err)
-		}
-		y, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("gps: row %d y: %w", i, err)
-		}
-		ts, err := time.Parse(csvTimeLayout, row[3])
-		if err != nil {
-			return nil, fmt.Errorf("gps: row %d time: %w", i, err)
-		}
-		out = append(out, Record{ObjectID: row[0], Position: geo.Pt(x, y), Time: ts})
+	ts, err := time.Parse(csvTimeLayout, row[3])
+	if err != nil {
+		return Record{}, fmt.Errorf("gps: row %d time: %w", n, err)
 	}
-	return out, nil
+	return Record{ObjectID: row[0], Position: geo.Pt(x, y), Time: ts}, nil
 }

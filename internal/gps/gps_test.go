@@ -2,6 +2,7 @@ package gps
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -235,7 +236,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, records); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	back, err := ReadCSV(&buf)
+	back, err := readAll(&buf)
 	if err != nil {
 		t.Fatalf("ReadCSV: %v", err)
 	}
@@ -252,26 +253,54 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// readAll collects ReadCSV's records, stopping at the first error.
+func readAll(r io.Reader) ([]Record, error) {
+	var out []Record
+	for rec, err := range ReadCSV(r) {
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
+	if _, err := readAll(strings.NewReader("")); err == nil {
 		t.Fatal("empty csv should error")
 	}
-	if _, err := ReadCSV(strings.NewReader("object,x,y,time\nu1,notanumber,2,2010-01-01T00:00:00Z")); err == nil {
+	if _, err := readAll(strings.NewReader("object,x,y,time\nu1,notanumber,2,2010-01-01T00:00:00Z")); err == nil {
 		t.Fatal("bad x should error")
 	}
-	if _, err := ReadCSV(strings.NewReader("object,x,y,time\nu1,1,bad,2010-01-01T00:00:00Z")); err == nil {
+	if _, err := readAll(strings.NewReader("object,x,y,time\nu1,1,bad,2010-01-01T00:00:00Z")); err == nil {
 		t.Fatal("bad y should error")
 	}
-	if _, err := ReadCSV(strings.NewReader("object,x,y,time\nu1,1,2,notatime")); err == nil {
+	if _, err := readAll(strings.NewReader("object,x,y,time\nu1,1,2,notatime")); err == nil {
 		t.Fatal("bad time should error")
 	}
-	if _, err := ReadCSV(strings.NewReader("object,x,y,time\nu1,1,2")); err == nil {
+	if _, err := readAll(strings.NewReader("object,x,y,time\nu1,1,2")); err == nil {
 		t.Fatal("short row should error")
 	}
+	// No header: the first row is data, which must not be skipped silently.
+	recs, err := readAll(strings.NewReader("u1,1,2,2010-01-01T00:00:00Z\nu1,3,4,2010-01-01T00:00:01Z\n"))
+	if err == nil || !strings.Contains(err.Error(), `"object,x,y,time"`) || len(recs) != 0 {
+		t.Fatalf("headerless csv: %v, %d records; want the header error and no records", err, len(recs))
+	}
 	// Header only: no records, no error.
-	recs, err := ReadCSV(strings.NewReader("object,x,y,time\n"))
+	recs, err = readAll(strings.NewReader("object,x,y,time\n"))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("header-only csv: %v, %d records", err, len(recs))
+	}
+	// The sequence stops after the first error it yields.
+	yielded := 0
+	for _, err := range ReadCSV(strings.NewReader("object,x,y,time\nu1,1,bad,2010-01-01T00:00:00Z\nu1,1,2,2010-01-01T00:00:00Z\n")) {
+		yielded++
+		if err == nil {
+			t.Fatal("a record was yielded after the error")
+		}
+	}
+	if yielded != 1 {
+		t.Fatalf("yielded %d values, want the one error", yielded)
 	}
 }
 

@@ -1,15 +1,8 @@
 package gps
 
 import (
-	"encoding/csv"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"time"
-
-	"semitri/internal/geo"
 )
 
 // This file implements the streaming counterparts of the batch preprocessing
@@ -327,50 +320,4 @@ func (s *StreamSegmenter) FlushAll() []*RawTrajectory {
 		}
 	}
 	return out
-}
-
-// CSVReader reads GPS records from the CSV format of WriteCSV one row at a
-// time, for streaming ingestion of files larger than memory.
-type CSVReader struct {
-	cr     *csv.Reader
-	header bool
-	row    int
-}
-
-// NewCSVReader wraps r. The first row must be the "object,x,y,time" header.
-func NewCSVReader(r io.Reader) *CSVReader {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	return &CSVReader{cr: cr}
-}
-
-// Next returns the next record, or io.EOF when the input is exhausted.
-func (r *CSVReader) Next() (Record, error) {
-	for {
-		row, err := r.cr.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return Record{}, io.EOF
-			}
-			return Record{}, fmt.Errorf("gps: row %d: %w", r.row+1, err)
-		}
-		r.row++
-		if !r.header {
-			r.header = true
-			continue // skip the header row
-		}
-		x, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("gps: row %d x: %w", r.row, err)
-		}
-		y, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("gps: row %d y: %w", r.row, err)
-		}
-		ts, err := time.Parse(csvTimeLayout, row[3])
-		if err != nil {
-			return Record{}, fmt.Errorf("gps: row %d time: %w", r.row, err)
-		}
-		return Record{ObjectID: row[0], Position: geo.Pt(x, y), Time: ts}, nil
-	}
 }

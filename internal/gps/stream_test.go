@@ -1,10 +1,8 @@
 package gps_test
 
 import (
-	"io"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -172,33 +170,5 @@ func TestStreamSegmenterCommitEvent(t *testing.T) {
 	ss.Add(rec(301))
 	if ev := ss.Add(rec(302)); ev.SegmentID != "u1-T0001" {
 		t.Fatalf("dropped segment consumed an id: %+v", ev)
-	}
-}
-
-func TestCSVReaderRoundTrip(t *testing.T) {
-	records := gps.Clean(syntheticStream(3), gps.DefaultCleaningConfig())
-	var sb strings.Builder
-	if err := gps.WriteCSV(&sb, records); err != nil {
-		t.Fatal(err)
-	}
-	cr := gps.NewCSVReader(strings.NewReader(sb.String()))
-	var got []gps.Record
-	for {
-		r, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, r)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("round trip: %d records, want %d", len(got), len(records))
-	}
-	for i := range got {
-		if got[i].ObjectID != records[i].ObjectID || !got[i].Time.Equal(records[i].Time) {
-			t.Fatalf("record %d differs after round trip", i)
-		}
 	}
 }

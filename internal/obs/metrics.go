@@ -7,7 +7,7 @@ import (
 
 // The process-wide metric catalogue. Every subsystem records into these
 // package-level vars; keeping the catalogue in one file keeps naming
-// consistent and makes the README table and the serve-smoke assertions easy
+// consistent and makes the README table and the smoke test's assertions easy
 // to audit. Label "vecs" are deliberately small and fixed — one registered
 // metric per label value — so the record path never touches a map.
 

@@ -156,9 +156,6 @@ type Durability struct {
 	// Fsync selects the sync policy: "" or "interval" (group commit),
 	// "always" (sync every mutation) or "never" (leave syncing to the OS).
 	Fsync string
-	// SegmentSize is the log-segment rotation threshold in bytes (default
-	// wal.DefaultSegmentSize).
-	SegmentSize int64
 	// CheckpointInterval, when positive, freezes the heap tail and truncates
 	// obsolete log segments on this schedule. Checkpoints also run on
 	// Pipeline.Close and on demand via Pipeline.Checkpoint.
@@ -275,7 +272,6 @@ func New(sources Sources, cfg Config) (*Pipeline, error) {
 		l, err := wal.Open(wal.Options{
 			Dir:           cfg.Durability.Dir,
 			FlushInterval: cfg.Durability.FlushInterval,
-			SegmentSize:   cfg.Durability.SegmentSize,
 			Fsync:         policy,
 		})
 		if err != nil {

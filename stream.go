@@ -43,8 +43,8 @@ import (
 // end-to-end — clean → segment → episode → annotate → append — contending
 // only on the store's lock stripes. Calls for the same object serialise on
 // that object's lock; feed one object's records from a single goroutine (or
-// use FanIn, which shards by object) to keep their order
-// deterministic. Use one StreamProcessor (or one ProcessRecords run) per
+// hand one sequence of records to FanIn, which shards it by object) to keep
+// their order deterministic. Use one StreamProcessor (or one ProcessRecords run) per
 // Pipeline store lifetime to keep trajectory ids unique: a later stream that
 // reaches an id the store already holds replaces that trajectory's episodes
 // and interpretations.

@@ -1,6 +1,8 @@
 package semitri_test
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,8 +76,8 @@ func TestBatchStreamParityConcurrent(t *testing.T) {
 }
 
 // TestFanInParity drives the same workload through the FanIn driver (which
-// shards the interleaved feed by object across 4 workers) and checks store
-// parity with the oracle.
+// shards the interleaved sequence by object across 4 workers) and checks
+// store parity with the oracle.
 func TestFanInParity(t *testing.T) {
 	city := newTestCity(t, 4, 3000)
 	records := peopleRecords(t, city, 8, 1, 7)
@@ -84,13 +86,6 @@ func TestFanInParity(t *testing.T) {
 
 	stream := newTestPipeline(t, city, semitri.DefaultConfig())
 	sp := stream.NewStream()
-	feed := make(chan gps.Record)
-	go func() {
-		defer close(feed)
-		for _, r := range records {
-			feed <- r
-		}
-	}()
 	var mu sync.Mutex
 	var events []semitri.StreamEvent
 	collect := func(evs []semitri.StreamEvent) {
@@ -98,7 +93,7 @@ func TestFanInParity(t *testing.T) {
 		events = append(events, evs...)
 		mu.Unlock()
 	}
-	if err := sp.FanIn(feed, 4, collect); err != nil {
+	if err := sp.FanIn(slices.Values(records), 4, collect); err != nil {
 		t.Fatal(err)
 	}
 	episodeEvents := 0
@@ -119,6 +114,40 @@ func TestFanInParity(t *testing.T) {
 	}
 	assertResultParity(t, wantResult, streamResult)
 	assertStoreParity(t, wantResult.TrajectoryIDs, want, stream.Store())
+}
+
+// TestFanInStopsOnError runs FanIn on a closed processor, where every Add
+// fails: FanIn must return the closed-stream error and stop pulling the
+// sequence long before its end, inline and fanned out alike.
+func TestFanInStopsOnError(t *testing.T) {
+	city := newTestCity(t, 2, 2000)
+	sp := newTestPipeline(t, city, semitri.DefaultConfig()).NewStream()
+	// Closing an empty stream reports "no records", but it closes all the same.
+	_, _ = sp.Close()
+	ids := []string{"o0", "o1", "o2", "o3", "o4", "o5", "o6", "o7"}
+	_, closedErr := sp.Add(gps.Record{ObjectID: ids[0]})
+	if closedErr == nil {
+		t.Fatal("Add on a closed stream should fail")
+	}
+	const total = 1 << 20
+	for _, workers := range []int{1, 4} {
+		pulled := 0
+		records := func(yield func(gps.Record) bool) {
+			for pulled < total {
+				pulled++
+				if !yield(gps.Record{ObjectID: ids[pulled%len(ids)]}) {
+					return
+				}
+			}
+		}
+		err := sp.FanIn(records, workers, nil)
+		if !errors.Is(err, closedErr) {
+			t.Fatalf("workers=%d: FanIn returned %v, want %v", workers, err, closedErr)
+		}
+		if pulled > total/64 {
+			t.Fatalf("workers=%d: pulled %d of %d records after the first error", workers, pulled, total)
+		}
+	}
 }
 
 // TestConcurrentAddAfterClose asserts the close handshake: Adds racing with
