@@ -51,10 +51,15 @@ bench-smoke:
 # The benchmark under bench/ is a module of its own (replace semitri => ../),
 # so root `go build ./... && go test ./...` neither compiles nor tests it:
 # this target is what catches a root-module API change that breaks it. The
-# smoke-scale run then exits non-zero on any failed operation or check.
+# smoke-scale run then exits non-zero on any failed operation or check. The
+# second run adds the layer replay (--trace 1): the only check that the
+# stores rebuilt by Store.Apply, by WAL replay and by reopening segments
+# digest like the original, and the only caller that keeps the slices of
+# logged mutations by reference.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --scale 0.05 --seconds 2 --out "$$(mktemp -d)"
+	bash bench/run.sh --scale 0.05 --seconds 2 --trace 1 --out "$$(mktemp -d)"
 
 # Non-test Go LOC by the rule of bench/main.go's nonTestLOC(): every *.go
 # minus *_test.go, bench/ and dot-directories excluded.

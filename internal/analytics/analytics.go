@@ -24,8 +24,8 @@ func EpisodeSizeDistributions(s *store.Store) (trajectories, moves, stops *stats
 	moves = stats.NewLogHistogram(2)
 	stops = stats.NewLogHistogram(2)
 	for _, id := range s.TrajectoryIDs("") {
-		if t, ok := s.Trajectory(id); ok {
-			trajectories.Add(float64(len(t.Records)))
+		if n, ok := s.TrajectoryLen(id); ok {
+			trajectories.Add(float64(n))
 		}
 		for _, ep := range s.Episodes(id) {
 			if ep.Kind == episode.Stop {
@@ -53,7 +53,7 @@ type UserCounts struct {
 func PerUserCounts(s *store.Store, objects []string) []UserCounts {
 	out := make([]UserCounts, 0, len(objects))
 	for _, obj := range objects {
-		uc := UserCounts{Object: obj, GPSRecords: len(s.Records(obj))}
+		uc := UserCounts{Object: obj, GPSRecords: s.RecordLen(obj)}
 		for _, id := range s.TrajectoryIDs(obj) {
 			uc.Trajectories++
 			for _, ep := range s.Episodes(id) {
@@ -191,8 +191,8 @@ func Compression(s *store.Store) CompressionSummary {
 	var records, tuples int
 	cells := map[string]bool{}
 	for _, id := range s.TrajectoryIDs("") {
-		if t, ok := s.Trajectory(id); ok {
-			records += len(t.Records)
+		if n, ok := s.TrajectoryLen(id); ok {
+			records += n
 		}
 		if st, ok := s.Structured(id, "region"); ok {
 			tuples += len(st.Tuples)

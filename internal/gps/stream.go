@@ -3,6 +3,7 @@ package gps
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
 // This file implements the streaming counterparts of the batch preprocessing
@@ -203,8 +204,16 @@ type StreamSegmenter struct {
 
 type openSegment struct {
 	records []Record
-	day     string // UTC day of the records, when daily splitting
+	dayKey  int    // UTC civil day of the records as y*10000+m*100+d, when daily splitting
+	day     string // the same day formatted "2006-01-02", for ids
 	id      string // assigned once the segment reaches MinRecords
+}
+
+// civilDay returns t's UTC calendar day as y*10000+m*100+d: equal exactly
+// when the "2006-01-02" formats are, without formatting per record.
+func civilDay(t time.Time) int {
+	y, m, d := t.UTC().Date()
+	return y*10000 + int(m)*100 + d
 }
 
 // NewStreamSegmenter returns a segmenter. With daily true the stream is
@@ -241,16 +250,16 @@ func (s *StreamSegmenter) newID(objectID, day string) string {
 // the current one; the returned event describes both effects.
 func (s *StreamSegmenter) Add(r Record) SegmentEvent {
 	var ev SegmentEvent
-	day := ""
+	dayKey := 0
 	if s.daily {
-		day = r.Time.UTC().Format("2006-01-02")
+		dayKey = civilDay(r.Time)
 	}
 	seg, ok := s.open[r.ObjectID]
 	if ok {
 		prev := seg.records[len(seg.records)-1]
 		timeGap := s.cfg.MaxTimeGap > 0 && r.Time.Sub(prev.Time) > s.cfg.MaxTimeGap
 		distGap := s.cfg.MaxDistanceGap > 0 && r.Position.DistanceTo(prev.Position) > s.cfg.MaxDistanceGap
-		dayGap := s.daily && day != seg.day
+		dayGap := s.daily && dayKey != seg.dayKey
 		if timeGap || distGap || dayGap {
 			ev.Closed, ev.ClosedDropped = s.close(r.ObjectID)
 			seg = nil
@@ -258,7 +267,10 @@ func (s *StreamSegmenter) Add(r Record) SegmentEvent {
 		}
 	}
 	if !ok {
-		seg = &openSegment{day: day}
+		seg = &openSegment{dayKey: dayKey}
+		if s.daily {
+			seg.day = r.Time.UTC().Format("2006-01-02")
+		}
 		s.open[r.ObjectID] = seg
 		ev.Opened = true
 	}

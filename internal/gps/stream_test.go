@@ -134,10 +134,36 @@ func TestStreamSegmenterMatchesIdentifyTrajectories(t *testing.T) {
 }
 
 func TestStreamSegmenterMatchesSplitDaily(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		cleaned := gps.Clean(syntheticStream(seed), gps.DefaultCleaningConfig())
-		cfg := gps.DefaultSegmentationConfig()
-		trajectoriesEqual(t, gps.SplitDaily(cleaned, cfg), streamSegment(cleaned, cfg, true))
+	// Days split in UTC whatever zone the records carry.
+	for _, loc := range []*time.Location{time.UTC, time.FixedZone("", 5*3600)} {
+		for seed := int64(1); seed <= 5; seed++ {
+			cleaned := gps.Clean(syntheticStream(seed), gps.DefaultCleaningConfig())
+			for i := range cleaned {
+				cleaned[i].Time = cleaned[i].Time.In(loc)
+			}
+			cfg := gps.DefaultSegmentationConfig()
+			trajectoriesEqual(t, gps.SplitDaily(cleaned, cfg), streamSegment(cleaned, cfg, true))
+		}
+	}
+}
+
+// TestStreamSegmenterDailyAddDoesNotAllocate pins the per-record day check:
+// extending an open same-day segment compares integer days and formats
+// nothing, so Add allocates only the segment's amortised growth.
+func TestStreamSegmenterDailyAddDoesNotAllocate(t *testing.T) {
+	ss := gps.NewStreamSegmenter(gps.DefaultSegmentationConfig(), true)
+	at := time.Date(2026, 3, 14, 0, 0, 0, 0, time.UTC)
+	r := gps.Record{ObjectID: "u1", Position: geo.Pt(0, 0), Time: at}
+	for i := 0; i < 1000; i++ {
+		r.Time = r.Time.Add(time.Second)
+		ss.Add(r)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Time = r.Time.Add(time.Second)
+		ss.Add(r)
+	})
+	if allocs != 0 {
+		t.Fatalf("same-day Add allocates %.1f times per record, want 0", allocs)
 	}
 }
 

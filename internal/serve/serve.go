@@ -362,13 +362,8 @@ func (s *Server) handleTrajectories(w http.ResponseWriter, r *http.Request) {
 	out := make([]jsonTrajectory, 0, len(ids))
 	for _, id := range ids {
 		jt := jsonTrajectory{ID: id, Object: object, Interpretations: s.st.Interpretations(id)}
-		if t, ok := s.st.Trajectory(id); ok {
-			jt.Object = t.ObjectID
-			jt.Records = len(t.Records)
-			if len(t.Records) > 0 {
-				jt.Start = t.Records[0].Time
-				jt.End = t.Records[len(t.Records)-1].Time
-			}
+		if obj, n, first, last, ok := s.st.TrajectoryExtent(id); ok {
+			jt.Object, jt.Records, jt.Start, jt.End = obj, n, first, last
 		}
 		for _, ep := range s.st.Episodes(id) {
 			if ep.Kind == episode.Stop {

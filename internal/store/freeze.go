@@ -67,9 +67,10 @@ type dirtyMark struct {
 // aborts the collection.
 func (s *Store) CollectTail(emit func(Mutation) error) (*FreezeMark, error) {
 	mark := &FreezeMark{}
+	var buf tailBuf
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		err := collectShard(sh, mark, emit)
+		err := collectShard(sh, mark, &buf, emit)
 		sh.mu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -78,8 +79,16 @@ func (s *Store) CollectTail(emit func(Mutation) error) (*FreezeMark, error) {
 	return mark, nil
 }
 
+// tailBuf is CollectTail's one scratch buffer: every emitted record run and
+// trajectory is unpacked into it and reused by the next emit, so a freeze
+// allocates O(largest run), not O(tail).
+type tailBuf struct {
+	recs []gps.Record
+	traj gps.RawTrajectory
+}
+
 // collectShard emits one stripe's heap content. Caller holds sh.mu (read).
-func collectShard(sh *shard, mark *FreezeMark, emit func(Mutation) error) error {
+func collectShard(sh *shard, mark *FreezeMark, buf *tailBuf, emit func(Mutation) error) error {
 	// Raw records: append-only, so a captured prefix can never be
 	// invalidated — the entries carry generation 0 and always commit.
 	objs := make([]string, 0, len(sh.records))
@@ -92,7 +101,8 @@ func collectShard(sh *shard, mark *FreezeMark, emit func(Mutation) error) error 
 	for _, obj := range objs {
 		heap := sh.records[obj]
 		base := sh.frozenRecs(obj)
-		if err := emit(Mutation{Op: MutPutRecords, ObjectID: obj, Start: base, Records: heap}); err != nil {
+		buf.recs = appendRecords(buf.recs[:0], obj, heap)
+		if err := emit(Mutation{Op: MutPutRecords, ObjectID: obj, Start: base, Records: buf.recs}); err != nil {
 			return err
 		}
 		mark.entries = append(mark.entries, freezeEntry{sh: sh,
@@ -109,12 +119,14 @@ func collectShard(sh *shard, mark *FreezeMark, emit func(Mutation) error) error 
 	for _, id := range tids {
 		t := sh.trajectories[id]
 		k := freezeKey{table: frzTrajectory, key: id}
-		if err := emit(Mutation{Op: MutPutTrajectory, ObjectID: t.ObjectID,
-			TrajectoryID: id, Trajectory: t}); err != nil {
+		buf.recs = appendRecords(buf.recs[:0], t.objectID, t.fixes)
+		buf.traj = gps.RawTrajectory{ID: id, ObjectID: t.objectID, Records: buf.recs}
+		if err := emit(Mutation{Op: MutPutTrajectory, ObjectID: t.objectID,
+			TrajectoryID: id, Trajectory: &buf.traj}); err != nil {
 			return err
 		}
 		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k,
-			obj: t.ObjectID, gen: sh.gen(k)})
+			obj: t.objectID, gen: sh.gen(k)})
 	}
 
 	// Episodes: a key the tier has never seen emits its full sequence as a
@@ -264,7 +276,7 @@ func commitFreezeEntry(sh *shard, e freezeEntry) bool {
 			return false
 		}
 		// Clone the suffix so the evicted prefix's backing array is released.
-		sh.records[obj] = append([]gps.Record(nil), heap[take:]...)
+		sh.records[obj] = append([]fix(nil), heap[take:]...)
 		fz.recs[obj] = e.count
 	case frzTrajectory:
 		id := e.key.key

@@ -114,15 +114,6 @@ func replaySuffix(cur, start, n int) int {
 	}
 }
 
-// recordLen returns the current logical length of one object's record table
-// (frozen prefix plus heap tail — mutation Starts are logical too).
-func (s *Store) recordLen(objectID string) int {
-	sh := s.shardFor(objectID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.frozenRecs(objectID) + len(sh.records[objectID])
-}
-
 // episodeLen returns the current logical length of one trajectory's episode
 // table.
 func (s *Store) episodeLen(trajectoryID string) int {
@@ -145,7 +136,7 @@ func (s *Store) episodeLen(trajectoryID string) int {
 func (s *Store) Apply(m Mutation) error {
 	switch m.Op {
 	case MutPutRecords:
-		from := replaySuffix(s.recordLen(m.ObjectID), m.Start, len(m.Records))
+		from := replaySuffix(s.RecordLen(m.ObjectID), m.Start, len(m.Records))
 		if from < len(m.Records) {
 			s.PutRecords(m.Records[from:])
 		}

@@ -5,7 +5,6 @@ import (
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
-	"semitri/internal/gps"
 )
 
 // shard is one lock stripe of the store: a full copy of the table set
@@ -18,8 +17,8 @@ type shard struct {
 	// each key's frozen prefix length lives in frozen and resolves through
 	// the tier. Evicted keys keep their (possibly empty) map entry, so key
 	// listings never need to consult the tier.
-	records      map[string][]gps.Record       // object id -> raw records
-	trajectories map[string]*gps.RawTrajectory // trajectory id -> raw trajectory
+	records      map[string][]fix              // object id -> raw records, packed
+	trajectories map[string]heapTraj           // trajectory id -> raw trajectory, packed
 	episodes     map[string][]*episode.Episode // trajectory id -> episodes
 	structured   map[string]structuredByInterp // trajectory id -> interpretation -> SST
 	trajByObject map[string][]string           // object id -> trajectory ids
@@ -150,8 +149,8 @@ func (sh *shard) gen(k freezeKey) uint64 {
 
 func newShard() *shard {
 	return &shard{
-		records:      map[string][]gps.Record{},
-		trajectories: map[string]*gps.RawTrajectory{},
+		records:      map[string][]fix{},
+		trajectories: map[string]heapTraj{},
 		episodes:     map[string][]*episode.Episode{},
 		structured:   map[string]structuredByInterp{},
 		trajByObject: map[string][]string{},

@@ -3,12 +3,13 @@
 // structured semantic trajectories produced by the annotation layers, and
 // that the analytics layer and applications query (Fig. 2).
 //
-// The paper uses PostgreSQL/PostGIS; this implementation is an embedded
-// in-memory store with optional JSON persistence, which keeps the repository
-// dependency-free while preserving the behaviour that matters to the
-// experiments: dedicated tables per artefact kind, query-by-object /
-// time-window / annotation interfaces, and the fact that storing results is
-// the slowest pipeline stage (it serialises and writes everything, Fig. 17).
+// The paper uses PostgreSQL/PostGIS; this is an embedded, dependency-free
+// in-memory store with dedicated tables per artefact kind and query-by-object
+// / time-window / annotation interfaces. Durability is layered on: every
+// write is reported as a Mutation to an attached log (internal/wal), and a
+// cold tier (internal/segment) freezes the heap tail into segments. Raw
+// records and trajectories sit in the heap as packed, pointer-free runs (see
+// fix), so stored times come back in UTC from the heap as from a segment.
 //
 // # Concurrency
 //
@@ -35,6 +36,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -156,7 +158,7 @@ func (s *Store) PutRecords(records []gps.Record) {
 			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: r.ObjectID,
 				Start: sh.frozenRecs(r.ObjectID) + len(sh.records[r.ObjectID]), Records: records})
 		}
-		sh.records[r.ObjectID] = append(sh.records[r.ObjectID], r)
+		sh.records[r.ObjectID] = append(sh.records[r.ObjectID], packFix(r))
 		sh.recordCount++
 		sh.mu.Unlock()
 		return
@@ -177,25 +179,38 @@ func (s *Store) PutRecords(records []gps.Record) {
 			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: obj,
 				Start: sh.frozenRecs(obj) + len(sh.records[obj]), Records: recs})
 		}
-		sh.records[obj] = append(sh.records[obj], recs...)
+		run := sh.records[obj]
+		for _, r := range recs {
+			run = append(run, packFix(r))
+		}
+		sh.records[obj] = run
 		sh.recordCount += len(recs)
 		sh.mu.Unlock()
 	}
 }
 
 // Records returns the raw records of an object (a copy): the frozen prefix
-// read through the cold tier, then the heap tail.
+// read through the cold tier, then the heap tail. Times come back in UTC.
 func (s *Store) Records(objectID string) []gps.Record {
 	sh := s.shardFor(objectID)
 	sh.mu.RLock()
 	base := sh.frozenRecs(objectID)
-	tail := append([]gps.Record(nil), sh.records[objectID]...)
+	tail := sh.records[objectID]
 	sh.mu.RUnlock()
 	if base == 0 {
-		return tail
+		return appendRecords(nil, objectID, tail)
 	}
 	out := s.coldTier().ColdRecords(objectID, make([]gps.Record, 0, base+len(tail)))
-	return append(out, tail...)
+	return appendRecords(out, objectID, tail)
+}
+
+// RecordLen returns the number of stored records of an object (frozen
+// prefix plus heap tail) without materialising them.
+func (s *Store) RecordLen(objectID string) int {
+	sh := s.shardFor(objectID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.frozenRecs(objectID) + len(sh.records[objectID])
 }
 
 // RecordCount returns the total number of stored GPS records. The count is
@@ -210,10 +225,19 @@ func (s *Store) RecordCount() int {
 	return n
 }
 
-// PutTrajectory stores a raw trajectory.
+// PutTrajectory stores a raw trajectory. The store packs the records into a
+// run of its own, so t is not retained; every record must belong to
+// t.ObjectID.
 func (s *Store) PutTrajectory(t *gps.RawTrajectory) error {
 	if t == nil || t.ID == "" {
 		return errors.New("store: trajectory must have an id")
+	}
+	run := make([]fix, len(t.Records))
+	for i, r := range t.Records {
+		if r.ObjectID != t.ObjectID {
+			return fmt.Errorf("store: trajectory %s of object %q holds a record of object %q", t.ID, t.ObjectID, r.ObjectID)
+		}
+		run[i] = packFix(r)
 	}
 	obs.StoreMutTrajectories.Inc()
 	ts := s.shardFor(t.ID)
@@ -234,7 +258,7 @@ func (s *Store) PutTrajectory(t *gps.RawTrajectory) error {
 	if s.Tiered() {
 		ts.bumpGen(freezeKey{table: frzTrajectory, key: t.ID})
 	}
-	ts.trajectories[t.ID] = t
+	ts.trajectories[t.ID] = heapTraj{objectID: t.ObjectID, fixes: run}
 	ts.mu.Unlock()
 	if !exists {
 		// The object index lives in the object's stripe; lock it after the
@@ -249,24 +273,71 @@ func (s *Store) PutTrajectory(t *gps.RawTrajectory) error {
 	return nil
 }
 
-// Trajectory returns a stored raw trajectory by id, reading through the
-// cold tier for frozen trajectories.
+// Trajectory returns a stored raw trajectory by id (a copy, times in UTC),
+// reading through the cold tier for frozen trajectories.
 func (s *Store) Trajectory(id string) (*gps.RawTrajectory, bool) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	t, ok := sh.trajectories[id]
-	cold := false
-	if !ok && sh.frozen != nil {
-		_, cold = sh.frozen.trajs[id]
-	}
-	sh.mu.RUnlock()
+	ht, ok, cold := s.heapTrajectory(id)
 	if ok {
-		return t, true
+		return &gps.RawTrajectory{ID: id, ObjectID: ht.objectID, Records: appendRecords(nil, ht.objectID, ht.fixes)}, true
 	}
 	if cold {
 		return s.coldTier().ColdTrajectory(id)
 	}
 	return nil, false
+}
+
+// TrajectoryLen returns the record count of a stored raw trajectory without
+// materialising its records. Unlike TrajectoryExtent it never touches the
+// run itself, so counting every trajectory costs one lookup each.
+func (s *Store) TrajectoryLen(id string) (int, bool) {
+	ht, ok, cold := s.heapTrajectory(id)
+	if ok {
+		return len(ht.fixes), true
+	}
+	if cold {
+		if t, ok := s.coldTier().ColdTrajectory(id); ok {
+			return len(t.Records), true
+		}
+	}
+	return 0, false
+}
+
+// TrajectoryExtent summarises a stored raw trajectory without materialising
+// its records: the owning object, the record count and the first and last
+// record times (zero when the trajectory is empty).
+func (s *Store) TrajectoryExtent(id string) (objectID string, n int, first, last time.Time, ok bool) {
+	ht, ok, cold := s.heapTrajectory(id)
+	if ok {
+		if n = len(ht.fixes); n > 0 {
+			first, last = ht.fixes[0].time(), ht.fixes[n-1].time()
+		}
+		return ht.objectID, n, first, last, true
+	}
+	var t *gps.RawTrajectory
+	if cold {
+		t, ok = s.coldTier().ColdTrajectory(id)
+	}
+	if !ok {
+		return "", 0, time.Time{}, time.Time{}, false
+	}
+	if n = len(t.Records); n > 0 {
+		first, last = t.Records[0].Time, t.Records[n-1].Time
+	}
+	return t.ObjectID, n, first, last, true
+}
+
+// heapTrajectory looks a trajectory up in its stripe: the heap run when ok,
+// or whether the cold tier holds it. The run is immutable, so it is safe to
+// read after the lock is released.
+func (s *Store) heapTrajectory(id string) (ht heapTraj, ok, cold bool) {
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	ht, ok = sh.trajectories[id]
+	if !ok && sh.frozen != nil {
+		_, cold = sh.frozen.trajs[id]
+	}
+	return ht, ok, cold
 }
 
 // TrajectoryIDs returns the ids of the stored trajectories of an object,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -93,8 +94,21 @@ func TestTrajectoryTable(t *testing.T) {
 		t.Fatalf("TrajectoryCount = %d", s.TrajectoryCount())
 	}
 	got, ok := s.Trajectory("u1-T0")
-	if !ok || got != tr {
+	if !ok || !reflect.DeepEqual(got, tr) {
 		t.Fatal("Trajectory lookup failed")
+	}
+	if obj, n, first, last, ok := s.TrajectoryExtent("u1-T0"); !ok || obj != "u1" || n != 10 ||
+		first != tr.Records[0].Time || last != tr.Records[9].Time {
+		t.Fatalf("TrajectoryExtent(u1-T0) = %q %d %v %v %v", obj, n, first, last, ok)
+	}
+	if _, _, _, _, ok := s.TrajectoryExtent("nope"); ok {
+		t.Fatal("missing trajectory should have no extent")
+	}
+	if n, ok := s.TrajectoryLen("u1-T0"); !ok || n != 10 {
+		t.Fatalf("TrajectoryLen(u1-T0) = %d %v", n, ok)
+	}
+	if _, ok := s.TrajectoryLen("nope"); ok {
+		t.Fatal("missing trajectory should have no length")
 	}
 	if _, ok := s.Trajectory("nope"); ok {
 		t.Fatal("missing trajectory should not be found")
