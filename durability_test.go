@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -300,4 +301,83 @@ func assertSameExport(t *testing.T, label string, want, got []byte) {
 	window := func(b []byte) []byte { return b[max(i-80, 0):min(i+80, len(b))] }
 	t.Fatalf("%s: export differs from the live store's at byte %d (%d vs %d bytes)\n live      …%s…\n recovered …%s…",
 		label, i, len(want), len(got), window(want), window(got))
+}
+
+// TestWALPrefixesKeepTrajectoryRecords cuts the log of a multi-object ingest
+// at every frame boundary and recovers each prefix, as a crash at that point
+// would. A trajectory frame must never reach the log ahead of the records it
+// covers, so every trajectory recovered from any prefix has all its records,
+// in order, in its object's recovered record run.
+func TestWALPrefixesKeepTrajectoryRecords(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	records := peopleRecords(t, city, 2, 1, 5)
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	// One group commit at Close: staged record runs stay unsealed while the
+	// trajectory frames of their objects are logged.
+	cfg.Durability.FlushInterval = time.Hour
+	p := newTestPipeline(t, city, cfg)
+	defer p.Close()
+	sp := p.NewStream()
+	if err := sp.FanIn(slices.Values(records), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("want one log segment, got %v (%v)", logs, err)
+	}
+	data, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const logHeader = 8 // magic + format version
+	cuts := []int{logHeader}
+	for off := logHeader; off < len(data); {
+		_, n, err := wal.ParseFrame(data[off:])
+		if err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		off += n
+		cuts = append(cuts, off)
+	}
+
+	prefix := filepath.Join(t.TempDir(), filepath.Base(logs[0]))
+	trajectories := 0
+	for _, cut := range cuts {
+		if err := os.WriteFile(prefix, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, _, err := wal.Recover(filepath.Dir(prefix), 0)
+		if err != nil {
+			t.Fatalf("prefix of %d bytes: %v", cut, err)
+		}
+		for _, id := range st.TrajectoryIDs("") {
+			tr, _ := st.Trajectory(id)
+			n, _ := st.TrajectoryLen(id)
+			run := st.Records(tr.ObjectID)
+			if len(tr.Records) != n || len(tr.Records) == 0 || !containsRun(run, tr.Records) {
+				t.Fatalf("prefix of %d bytes: trajectory %s holds %d of %d records, not all in %s's %d recovered records",
+					cut, id, len(tr.Records), n, tr.ObjectID, len(run))
+			}
+			trajectories++
+		}
+	}
+	if trajectories == 0 {
+		t.Fatal("no prefix recovered a trajectory")
+	}
+}
+
+// containsRun reports whether sub appears as a contiguous run of run.
+func containsRun(run, sub []gps.Record) bool {
+	for i := 0; i+len(sub) <= len(run); i++ {
+		if slices.EqualFunc(run[i:i+len(sub)], sub, func(a, b gps.Record) bool {
+			return a.ObjectID == b.ObjectID && a.Position == b.Position && a.Time.Equal(b.Time)
+		}) {
+			return true
+		}
+	}
+	return false
 }

@@ -28,8 +28,8 @@ func seedStore(t *testing.T) (*store.Store, []string) {
 			for i := range recs {
 				recs[i] = gps.Record{ObjectID: obj, Position: geo.Pt(float64(i), 0), Time: t0.Add(time.Duration(i) * time.Second)}
 			}
-			s.PutRecords(recs)
-			if err := s.PutTrajectory(&gps.RawTrajectory{ID: id, ObjectID: obj, Records: recs}); err != nil {
+			start := s.PutRecords(recs)
+			if err := s.PutTrajectory(id, obj, start, len(recs)); err != nil {
 				t.Fatal(err)
 			}
 			eps := []*episode.Episode{

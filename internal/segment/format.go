@@ -49,7 +49,9 @@ var (
 	trailerMagic = [4]byte{'G', 'S', 'T', 'S'}
 )
 
-const formatVersion = 1
+// formatVersion 2 stores a raw trajectory as a range of its object's record
+// run; segments written at another version are refused, not read.
+const formatVersion = 2
 
 // ErrCorrupt reports a segment file that does not hold together — a damaged
 // header, trailer, footer or data frame. Segments are written with

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"semitri/internal/obs"
@@ -64,8 +65,12 @@ func (r *Reader) validate() error {
 	if err != nil {
 		return corruptf(r.path, "unreadable header")
 	}
-	if [4]byte(hdr[0:4]) != fileMagic || binary.LittleEndian.Uint32(hdr[4:8]) != formatVersion {
-		return corruptf(r.path, "bad magic or version")
+	if [4]byte(hdr[0:4]) != fileMagic {
+		return corruptf(r.path, "bad magic")
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != formatVersion {
+		return fmt.Errorf("segment: %s is at segment format version %d, this build reads version %d; "+
+			"re-ingest the source data into a fresh data directory", r.path, v, formatVersion)
 	}
 	tr, err := r.readAt(sz-trailerSize, trailerSize, cur)
 	if err != nil {

@@ -44,6 +44,8 @@ const legacySnapshot = "snapshot.json"
 // base is a snapshot.json written by the removed JSON storage mode is refused
 // untouched; one that also holds segments (a crash between the migrating
 // freeze and the snapshot's unlink) is covered by them and opens normally.
+// A directory holding a segment or log file of another format version is
+// refused untouched too.
 func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) {
 	var stats RecoverStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -59,9 +61,6 @@ func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) 
 				"start it once at the previous release with -storage segments and let one checkpoint run, which migrates it",
 				dir, legacySnapshot)
 		}
-	}
-	for _, p := range staleTmp {
-		os.Remove(p) // leftover of an interrupted freeze
 	}
 	t := newTier(dir)
 	t.nextSeq = maxSeq + 1
@@ -88,6 +87,10 @@ func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) 
 	if err := wal.ReplayInto(dir, st, &stats.WAL); err != nil {
 		t.Close()
 		return nil, nil, stats, err
+	}
+	// Only a directory that opened is cleaned: a refused one stays untouched.
+	for _, p := range staleTmp {
+		os.Remove(p) // leftover of an interrupted freeze
 	}
 	return st, t, stats, nil
 }
@@ -144,8 +147,7 @@ func (t *Tier) fold() (store.ColdInstall, error) {
 	}
 	tupObj := map[tierKey]string{}
 	tupCount := map[tierKey]int{}
-	var trajOrder []string
-	trajSeen := map[string]bool{}
+	trajAt := map[string]int{} // trajectory id -> index in inst.Trajectories
 	merges := map[tierKey][]mergeRef{}
 
 	for segIdx, r := range t.segs {
@@ -157,10 +159,14 @@ func (t *Tier) fold() (store.ColdInstall, error) {
 				t.recRuns[meta.Object] = shadowAppend(t.recRuns[meta.Object], rr, meta.Start, t)
 				inst.Records[meta.Object] = meta.Start + meta.Count
 			case store.MutPutTrajectory:
-				t.trajRuns[meta.Traj] = rr
-				if !trajSeen[meta.Traj] {
-					trajSeen[meta.Traj] = true
-					trajOrder = append(trajOrder, meta.Traj)
+				// A later run replaces the range but keeps the first put's
+				// place in the listing order.
+				k := store.ColdTrajKey{ID: meta.Traj, ObjectID: meta.Object, Start: meta.Start, Count: meta.Count}
+				if i, ok := trajAt[meta.Traj]; ok {
+					inst.Trajectories[i] = k
+				} else {
+					trajAt[meta.Traj] = len(inst.Trajectories)
+					inst.Trajectories = append(inst.Trajectories, k)
 				}
 			case store.MutPutEpisodes:
 				t.epRuns[meta.Traj] = []runRef{rr}
@@ -203,15 +209,6 @@ func (t *Tier) fold() (store.ColdInstall, error) {
 	for k, count := range tupCount {
 		inst.Tuples = append(inst.Tuples, store.ColdTupleKey{
 			TrajectoryID: k.traj, ObjectID: tupObj[k], Interpretation: k.interp, Count: count,
-		})
-	}
-	for _, id := range trajOrder {
-		rr, ok := t.trajRuns[id]
-		if !ok {
-			continue
-		}
-		inst.Trajectories = append(inst.Trajectories, store.ColdTrajKey{
-			ID: id, ObjectID: t.meta(rr).Object,
 		})
 	}
 

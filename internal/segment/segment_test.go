@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -75,8 +76,7 @@ func putObject(t *testing.T, st *store.Store, obj, traj string, y float64, perOb
 	for i := 0; i < perObj; i++ {
 		recs = append(recs, gps.Record{ObjectID: obj, Position: geo.Pt(float64(i), y), Time: ts(i)})
 	}
-	st.PutRecords(recs)
-	if err := st.PutTrajectory(&gps.RawTrajectory{ID: traj, ObjectID: obj, Records: recs}); err != nil {
+	if err := st.PutTrajectory(traj, obj, st.PutRecords(recs), len(recs)); err != nil {
 		t.Fatal(err)
 	}
 	eps := make([]*episode.Episode, 0, perObj/2)
@@ -735,4 +735,142 @@ func TestFreezeRacesKeyedReads(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestRecoverRefusesOtherFormatVersion pins that a data directory whose
+// segment another release wrote — the previous format version, which held
+// copies of trajectory records, or a later one — is refused with an error
+// naming the segment file and both versions, and left byte-for-byte
+// untouched, WAL tail and a stale freeze temp file included.
+func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
+	for _, v := range []uint32{formatVersion - 1, formatVersion + 1} {
+		dir := t.TempDir()
+		st, tier := newTiered(t, dir, 4)
+		l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.AttachLog(l)
+		populate(t, st, 2, 10)
+		if err := tier.Checkpoint(l, st); err != nil {
+			t.Fatal(err)
+		}
+		populate(t, st, 3, 4) // a WAL tail beside the segment
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tier.Close()
+		paths, _, _, err := listSegmentFiles(dir)
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("want 1 segment, got %v (%v)", paths, err)
+		}
+		data, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[4:8], v)
+		if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The temp file of an interrupted freeze must survive the refusal too.
+		if err := os.WriteFile(paths[0]+".tmp", []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirContents(t, dir)
+		_, _, _, err = Recover(dir, 4)
+		if err == nil {
+			t.Fatalf("version %d: recovered a segment at another format version", v)
+		}
+		for _, want := range []string{paths[0], fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", formatVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d: error %q does not name %q", v, err, want)
+			}
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("version %d: refused recovery changed the directory, now %v", v, dirListing(t, dir))
+		}
+	}
+}
+
+// dirContents maps every file name in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// TestTrajectoryRangesAcrossFreeze stores trajectories as ranges that lie
+// wholly in the frozen prefix of their object's record run, straddle the
+// frozen base, and lie wholly in the heap tail, and checks that Trajectory,
+// TrajectoryLen and TrajectoryExtent resolve each to exactly its positions
+// of the run — live, after freezing the rest, and after recovery.
+func TestTrajectoryRangesAcrossFreeze(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	put := func(from, n int) {
+		t.Helper()
+		recs := make([]gps.Record, n)
+		for i := range recs {
+			recs[i] = gps.Record{ObjectID: "o", Position: geo.Pt(float64(from+i), 0.5), Time: ts(from + i)}
+		}
+		if pos := st.PutRecords(recs); pos != from {
+			t.Fatalf("PutRecords placed the batch at %d, want %d", pos, from)
+		}
+	}
+	put(0, 10)
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	put(10, 10)
+	ranges := map[string][2]int{"cold": {2, 5}, "straddle": {7, 6}, "heap": {12, 4}, "empty": {10, 0}}
+	for id, r := range ranges {
+		if err := st.PutTrajectory(id, "o", r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(st *store.Store, label string) {
+		t.Helper()
+		run := st.Records("o")
+		if len(run) != 20 {
+			t.Fatalf("%s: %d records, want 20", label, len(run))
+		}
+		for id, r := range ranges {
+			want := run[r[0] : r[0]+r[1]]
+			tr, ok := st.Trajectory(id)
+			if !ok || tr.ObjectID != "o" || len(tr.Records) != r[1] || (r[1] > 0 && !slices.Equal(tr.Records, want)) {
+				t.Fatalf("%s: Trajectory(%s) = %+v, want positions [%d,%d)", label, id, tr, r[0], r[0]+r[1])
+			}
+			if n, ok := st.TrajectoryLen(id); !ok || n != r[1] {
+				t.Fatalf("%s: TrajectoryLen(%s) = %d", label, id, n)
+			}
+			obj, n, first, last, ok := st.TrajectoryExtent(id)
+			if !ok || obj != "o" || n != r[1] || (n > 0 && (first != want[0].Time || last != want[n-1].Time)) ||
+				(n == 0 && (!first.IsZero() || !last.IsZero())) {
+				t.Fatalf("%s: TrajectoryExtent(%s) = %s %d %v %v", label, id, obj, n, first, last)
+			}
+		}
+	}
+	check(st, "live")
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	check(st, "after the second freeze")
+	tier.Close()
+	st2, tier2, _, err := Recover(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier2.Close()
+	check(st2, "recovered")
 }

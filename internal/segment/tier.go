@@ -16,9 +16,9 @@ import (
 // implements store.ColdTier for serving and drives the freeze protocol that
 // grows the set.
 //
-// Two views exist per segment. The keyed maps (records, episodes, tuples,
-// trajectories → runs) back the base-bounded point reads and only ever hold
-// committed runs, so they can never overshoot a key's frozen base. The
+// Two views exist per segment. The keyed maps (records, episodes, tuples →
+// runs) back the base-bounded point reads and only ever hold committed runs,
+// so they can never overshoot a key's frozen base. The
 // per-segment scan lists back full scans and are populated *before*
 // CommitFreeze evicts the matching heap prefixes — the register-before-evict
 // contract: a scan racing a freeze may see a tuple twice (segment and heap,
@@ -35,10 +35,9 @@ type Tier struct {
 	// scan[i] lists the entry indexes of segment i's live tuple runs.
 	scan [][]int
 	// keyed maps: committed runs only, in position order.
-	recRuns  map[string][]runRef
-	epRuns   map[string][]runRef
-	tupRuns  map[tierKey][]runRef
-	trajRuns map[string]runRef
+	recRuns map[string][]runRef
+	epRuns  map[string][]runRef
+	tupRuns map[tierKey][]runRef
 
 	nextSeq uint64
 }
@@ -54,12 +53,11 @@ var _ store.ColdTier = (*Tier)(nil)
 // newTier builds an empty tier rooted at dir.
 func newTier(dir string) *Tier {
 	return &Tier{
-		dir:      dir,
-		recRuns:  map[string][]runRef{},
-		epRuns:   map[string][]runRef{},
-		tupRuns:  map[tierKey][]runRef{},
-		trajRuns: map[string]runRef{},
-		nextSeq:  1,
+		dir:     dir,
+		recRuns: map[string][]runRef{},
+		epRuns:  map[string][]runRef{},
+		tupRuns: map[tierKey][]runRef{},
+		nextSeq: 1,
 	}
 }
 
@@ -92,9 +90,9 @@ func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 	return buf
 }
 
-// ColdRecords implements store.ColdTier: the frozen records of one object in
-// position order.
-func (t *Tier) ColdRecords(objectID string, buf []gps.Record) []gps.Record {
+// ColdRecords implements store.ColdTier: the frozen records of one object at
+// positions [from, to), decoding only the runs that overlap the range.
+func (t *Tier) ColdRecords(objectID string, from, to int, buf []gps.Record) []gps.Record {
 	t.mu.RLock()
 	refs := t.runsCopy(t.recRuns[objectID])
 	segs := t.segs
@@ -102,11 +100,16 @@ func (t *Tier) ColdRecords(objectID string, buf []gps.Record) []gps.Record {
 	cur := getCursor()
 	defer putCursor(cur)
 	for _, rr := range refs {
-		m, err := segs[rr.seg].mutationAt(segs[rr.seg].foot.Runs[rr.ent].Off, cur)
-		if err != nil {
+		meta := &segs[rr.seg].foot.Runs[rr.ent]
+		lo, hi := max(from, meta.Start)-meta.Start, min(to, meta.Start+meta.Count)-meta.Start
+		if lo >= hi {
+			continue
+		}
+		m, err := segs[rr.seg].mutationAt(meta.Off, cur)
+		if err != nil || hi > len(m.Records) {
 			continue // CRC-verified at open; unreachable in practice
 		}
-		buf = append(buf, m.Records...)
+		buf = append(buf, m.Records[lo:hi]...)
 	}
 	return buf
 }
@@ -127,29 +130,6 @@ func (t *Tier) ColdEpisodes(trajectoryID string, buf []*episode.Episode) []*epis
 		buf = append(buf, m.Episodes...)
 	}
 	return buf
-}
-
-// ColdTrajectory implements store.ColdTier.
-func (t *Tier) ColdTrajectory(id string) (*gps.RawTrajectory, bool) {
-	t.mu.RLock()
-	rr, ok := t.trajRuns[id]
-	var r *Reader
-	var off int64
-	if ok {
-		r = t.segs[rr.seg]
-		off = r.foot.Runs[rr.ent].Off
-	}
-	t.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	cur := getCursor()
-	defer putCursor(cur)
-	m, err := r.mutationAt(off, cur)
-	if err != nil || m.Trajectory == nil {
-		return nil, false
-	}
-	return m.Trajectory, true
 }
 
 // ColdTuples implements store.ColdTier: the frozen tuples of one structured
@@ -310,7 +290,7 @@ func (t *Tier) indexRun(rr runRef) {
 	case store.MutPutRecords:
 		t.recRuns[meta.Object] = append(t.recRuns[meta.Object], rr)
 	case store.MutPutTrajectory:
-		t.trajRuns[meta.Traj] = rr
+		// The range lives in the store; the segment only persists it.
 	case store.MutPutEpisodes:
 		t.epRuns[meta.Traj] = []runRef{rr}
 	case store.MutAppendEpisodes:

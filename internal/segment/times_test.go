@@ -36,8 +36,7 @@ func TestRecordTimesUTCAcrossFreezeAndRecovery(t *testing.T) {
 
 	dir := t.TempDir()
 	st, tier := newTiered(t, dir, 4)
-	st.PutRecords(recs)
-	if err := st.PutTrajectory(&gps.RawTrajectory{ID: "o-T0", ObjectID: "o", Records: recs}); err != nil {
+	if err := st.PutTrajectory("o-T0", "o", st.PutRecords(recs), len(recs)); err != nil {
 		t.Fatal(err)
 	}
 	check := func(st *store.Store, label string) []byte {

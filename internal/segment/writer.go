@@ -65,6 +65,8 @@ func (w *Writer) add(m store.Mutation) error {
 	switch m.Op {
 	case store.MutPutRecords:
 		meta.Count = len(m.Records)
+	case store.MutPutTrajectory:
+		meta.Count = m.Count
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		meta.Count = len(m.Episodes)
 		for _, e := range m.Episodes {

@@ -14,9 +14,11 @@ import (
 // The cold tier: the store's tables can be split LSM-style into a mutable
 // heap-resident tail and an immutable frozen prefix that lives in on-disk
 // segments (internal/segment). Each key's frozen prefix is tracked per shard
-// as a count (records, episodes, tuples) or a membership set (trajectories);
-// positions below the count resolve through the attached ColdTier, positions
-// at or above it resolve against the heap tail. Indexes, mutation Start
+// as a count (records, episodes, tuples); positions below the count resolve
+// through the attached ColdTier, positions at or above it resolve against
+// the heap tail. A raw trajectory is only a range over its object's record
+// run, so it stays listed in its stripe once frozen and reads its records
+// through the run like any other reader. Indexes, mutation Start
 // fields and TupleRefs all stay logical — base + heap offset — so the query
 // engine and the WAL replay arithmetic are oblivious to where a tuple
 // physically lives.
@@ -33,13 +35,11 @@ import (
 // methods must not hold tier-internal locks across fn callbacks (fn may
 // take stripe locks).
 type ColdTier interface {
-	// ColdRecords appends the frozen records of an object, in position
-	// order, to buf.
-	ColdRecords(objectID string, buf []gps.Record) []gps.Record
+	// ColdRecords appends the frozen records of an object at positions
+	// [from, to), in position order, to buf.
+	ColdRecords(objectID string, from, to int, buf []gps.Record) []gps.Record
 	// ColdEpisodes appends the frozen episodes of a trajectory to buf.
 	ColdEpisodes(trajectoryID string, buf []*episode.Episode) []*episode.Episode
-	// ColdTrajectory returns a frozen raw trajectory.
-	ColdTrajectory(id string) (*gps.RawTrajectory, bool)
 	// ColdTuples appends the frozen tuples of (trajectory, interpretation),
 	// in position order, to buf.
 	ColdTuples(trajectoryID, interpretation string, buf []core.EpisodeTuple) []core.EpisodeTuple
@@ -161,7 +161,8 @@ type ColdInstall struct {
 	// keys still install (an empty interpretation is observable state).
 	Tuples []ColdTupleKey
 	// Trajectories lists the frozen raw trajectories in their original put
-	// order (it drives the per-object trajectory listing order).
+	// order (it drives the per-object trajectory listing order), each with
+	// its latest range.
 	Trajectories []ColdTrajKey
 	// Overlay holds the rebuilt annotation-merge overlay entries.
 	Overlay []ColdOverlayEntry
@@ -175,10 +176,12 @@ type ColdTupleKey struct {
 	Count          int
 }
 
-// ColdTrajKey identifies one frozen raw trajectory.
+// ColdTrajKey is one frozen raw trajectory: Count records of ObjectID's
+// record run from position Start.
 type ColdTrajKey struct {
-	ID       string
-	ObjectID string
+	ID           string
+	ObjectID     string
+	Start, Count int
 }
 
 // ColdOverlayEntry is one rebuilt overlay tuple: the fully merged content
@@ -256,11 +259,10 @@ func (s *Store) InstallColdTier(ct ColdTier, inst ColdInstall) error {
 	}
 	for _, k := range inst.Trajectories {
 		sh := s.shardFor(k.ID)
-		fz := sh.frozenMeta()
-		if _, dup := fz.trajs[k.ID]; dup {
+		if _, dup := sh.trajectories[k.ID]; dup {
 			continue
 		}
-		fz.trajs[k.ID] = k.ObjectID
+		sh.trajectories[k.ID] = trajRange{objectID: k.ObjectID, start: k.Start, count: k.Count, frozen: true}
 		os := s.shardFor(k.ObjectID)
 		os.trajByObject[k.ObjectID] = append(os.trajByObject[k.ObjectID], k.ID)
 	}

@@ -23,11 +23,14 @@ type fix struct {
 	nsec int32
 }
 
-// heapTraj is a heap-resident raw trajectory: its object and its fixes, in
-// an exact-size run.
-type heapTraj struct {
-	objectID string
-	fixes    []fix
+// trajRange is a stored raw trajectory: count consecutive positions of its
+// object's record run, starting at start. It holds no records of its own —
+// every fix is stored once, in the record run. frozen reports that a segment
+// already persists the range, so a freeze need not emit it again.
+type trajRange struct {
+	objectID     string
+	start, count int
+	frozen       bool
 }
 
 func packFix(r gps.Record) fix {

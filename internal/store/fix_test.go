@@ -24,10 +24,11 @@ func TestPutRecordsDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestHeapBytesPerRecord pins the packed layout's footprint: every fix held
-// in the records table and again in a trajectory covering it. Two 56-byte
-// gps.Record copies (plus the record run's growth slack) cost ~126 B; two
-// 32-byte packed fixes stay under 80.
+// TestHeapBytesPerRecord pins the packed layout's footprint: every fix is
+// held once, in its object's record run, and the trajectories covering the
+// run hold only ranges. Records plus a copy in each trajectory cost ~126 B
+// as 56-byte gps.Records and 67.5 B as 32-byte packed fixes; one packed copy
+// (plus the run's growth slack) stays under 45.
 func TestHeapBytesPerRecord(t *testing.T) {
 	const (
 		objects   = 8
@@ -47,12 +48,7 @@ func TestHeapBytesPerRecord(t *testing.T) {
 			s.PutRecords(one)
 		}
 		for k := 0; k < perObject/trajLen; k++ {
-			recs := make([]gps.Record, trajLen)
-			for i := range recs {
-				j := k*trajLen + i
-				recs[i] = gps.Record{ObjectID: obj, Position: geo.Pt(float64(j), float64(o)), Time: t0.Add(time.Duration(j) * time.Second)}
-			}
-			if err := s.PutTrajectory(&gps.RawTrajectory{ID: fmt.Sprintf("%s-T%04d", obj, k), ObjectID: obj, Records: recs}); err != nil {
+			if err := s.PutTrajectory(fmt.Sprintf("%s-T%04d", obj, k), obj, k*trajLen, trajLen); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -63,19 +59,30 @@ func TestHeapBytesPerRecord(t *testing.T) {
 	runtime.KeepAlive(s)
 	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (objects * perObject)
 	t.Logf("live heap: %.1f B/record", perRecord)
-	if perRecord > 80 {
-		t.Fatalf("live heap %.1f B/record, want <= 80", perRecord)
+	if perRecord > 45 {
+		t.Fatalf("live heap %.1f B/record, want <= 45", perRecord)
 	}
 }
 
-func TestPutTrajectoryRefusesForeignRecord(t *testing.T) {
+// TestPutTrajectoryRefusesRangeOutsideRun pins that a trajectory covers only
+// records its object already stores: a range past the run's end, over
+// another object's run or with a negative bound is refused and stores
+// nothing.
+func TestPutTrajectoryRefusesRangeOutsideRun(t *testing.T) {
 	s := New()
-	tr := sampleTrajectory("u1-T0", "u1", 3)
-	tr.Records[1].ObjectID = "u2"
-	if err := s.PutTrajectory(tr); err == nil {
-		t.Fatal("a trajectory holding another object's record must be refused")
+	s.PutRecords(sampleTrajectory("u1-T0", "u1", 3).Records)
+	for _, r := range []struct {
+		obj          string
+		start, count int
+	}{{"u1", 1, 3}, {"u1", 3, 1}, {"u2", 0, 1}, {"u1", -1, 1}, {"u1", 2, -1}} {
+		if err := s.PutTrajectory("u1-T0", r.obj, r.start, r.count); err == nil {
+			t.Fatalf("trajectory over [%d,%d) of %s stored; u1 holds 3 records, u2 none", r.start, r.start+r.count, r.obj)
+		}
 	}
 	if n := s.TrajectoryCount(); n != 0 {
 		t.Fatalf("refused trajectory stored: TrajectoryCount = %d", n)
+	}
+	if err := s.PutTrajectory("u1-T0", "u1", 0, 3); err != nil {
+		t.Fatalf("trajectory over the whole run refused: %v", err)
 	}
 }

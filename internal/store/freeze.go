@@ -20,8 +20,9 @@ import (
 //     in-place annotation merges bump the affected key's generation counter.
 //  3. After the segment is durable, CommitFreeze re-locks each stripe and,
 //     for every emitted run whose generation is unchanged, evicts the
-//     captured heap prefix, advances the key's frozen count and has the tier
-//     index the run, all under the stripe lock. Runs whose key was written
+//     captured heap prefix, advances the key's frozen count (or marks a
+//     trajectory's range frozen) and has the tier index the run, all under
+//     the stripe lock. Runs whose key was written
 //     in between stay on the heap (the tier must not serve them) and are
 //     re-emitted by the next freeze, which shadows the dead run at recovery.
 //
@@ -46,9 +47,8 @@ func (m *FreezeMark) Runs() int { return len(m.entries) }
 type freezeEntry struct {
 	sh    *shard
 	key   freezeKey
-	obj   string // owning object id (frzTrajectory eviction records it)
-	count int    // captured logical length (records/episodes/tuples)
-	stops int    // captured logical stop count (episodes only)
+	count int // captured logical length (records/episodes/tuples)
+	stops int // captured logical stop count (episodes only)
 	gen   uint64
 }
 
@@ -62,15 +62,30 @@ type dirtyMark struct {
 // Mutations — the segment writer's input. Emissions happen under stripe
 // read locks (one stripe at a time), so emit must not call back into the
 // store; content reachable from an emitted Mutation is only stable until
-// emit returns. Stripes are walked in order and keys within a stripe in
-// sorted order, so the emission sequence is deterministic. An emit error
-// aborts the collection.
+// emit returns. The record runs of every stripe are emitted first, then the
+// other tables stripe by stripe; stripes are walked in order and keys within
+// a stripe in sorted order, so the emission sequence is deterministic. An
+// emit error aborts the collection.
 func (s *Store) CollectTail(emit func(Mutation) error) (*FreezeMark, error) {
 	mark := &FreezeMark{}
-	var buf tailBuf
+	// covered is each object's record-run length the segments persist once
+	// this freeze's record runs are in them. A trajectory that reaches past
+	// it (its records arrived after its object's stripe was walked) stays
+	// unfrozen for the next freeze, so a segment never holds a range over
+	// records the segments lack.
+	covered := map[string]int{}
+	var buf []gps.Record // one scratch run, reused by every emit
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		err := collectShard(sh, mark, &buf, emit)
+		err := collectRecords(sh, mark, covered, &buf, emit)
+		sh.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		err := collectShard(sh, mark, covered, emit)
 		sh.mu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -79,20 +94,14 @@ func (s *Store) CollectTail(emit func(Mutation) error) (*FreezeMark, error) {
 	return mark, nil
 }
 
-// tailBuf is CollectTail's one scratch buffer: every emitted record run and
-// trajectory is unpacked into it and reused by the next emit, so a freeze
-// allocates O(largest run), not O(tail).
-type tailBuf struct {
-	recs []gps.Record
-	traj gps.RawTrajectory
-}
-
-// collectShard emits one stripe's heap content. Caller holds sh.mu (read).
-func collectShard(sh *shard, mark *FreezeMark, buf *tailBuf, emit func(Mutation) error) error {
+// collectRecords emits one stripe's heap record runs and notes every
+// object's covered length. Caller holds sh.mu (read).
+func collectRecords(sh *shard, mark *FreezeMark, covered map[string]int, buf *[]gps.Record, emit func(Mutation) error) error {
 	// Raw records: append-only, so a captured prefix can never be
 	// invalidated — the entries carry generation 0 and always commit.
 	objs := make([]string, 0, len(sh.records))
 	for obj, recs := range sh.records {
+		covered[obj] = sh.frozenRecs(obj) + len(recs)
 		if len(recs) > 0 {
 			objs = append(objs, obj)
 		}
@@ -101,32 +110,36 @@ func collectShard(sh *shard, mark *FreezeMark, buf *tailBuf, emit func(Mutation)
 	for _, obj := range objs {
 		heap := sh.records[obj]
 		base := sh.frozenRecs(obj)
-		buf.recs = appendRecords(buf.recs[:0], obj, heap)
-		if err := emit(Mutation{Op: MutPutRecords, ObjectID: obj, Start: base, Records: buf.recs}); err != nil {
+		*buf = appendRecords((*buf)[:0], obj, heap)
+		if err := emit(Mutation{Op: MutPutRecords, ObjectID: obj, Start: base, Records: *buf}); err != nil {
 			return err
 		}
 		mark.entries = append(mark.entries, freezeEntry{sh: sh,
 			key: freezeKey{table: frzRecords, key: obj}, count: base + len(heap)})
 	}
+	return nil
+}
 
-	// Raw trajectories: whole objects; eviction moves the id into the
-	// frozen membership set.
+// collectShard emits one stripe's trajectories, episodes, tuples and dirty
+// overlay entries. Caller holds sh.mu (read).
+func collectShard(sh *shard, mark *FreezeMark, covered map[string]int, emit func(Mutation) error) error {
+	// Raw trajectories: ranges no segment holds yet; eviction marks them
+	// frozen.
 	tids := make([]string, 0, len(sh.trajectories))
-	for id := range sh.trajectories {
-		tids = append(tids, id)
+	for id, tr := range sh.trajectories {
+		if !tr.frozen && tr.start+tr.count <= covered[tr.objectID] {
+			tids = append(tids, id)
+		}
 	}
 	sort.Strings(tids)
 	for _, id := range tids {
-		t := sh.trajectories[id]
+		tr := sh.trajectories[id]
 		k := freezeKey{table: frzTrajectory, key: id}
-		buf.recs = appendRecords(buf.recs[:0], t.objectID, t.fixes)
-		buf.traj = gps.RawTrajectory{ID: id, ObjectID: t.objectID, Records: buf.recs}
-		if err := emit(Mutation{Op: MutPutTrajectory, ObjectID: t.objectID,
-			TrajectoryID: id, Trajectory: &buf.traj}); err != nil {
+		if err := emit(Mutation{Op: MutPutTrajectory, ObjectID: tr.objectID,
+			TrajectoryID: id, Start: tr.start, Count: tr.count}); err != nil {
 			return err
 		}
-		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k,
-			obj: t.objectID, gen: sh.gen(k)})
+		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k, gen: sh.gen(k)})
 	}
 
 	// Episodes: a key the tier has never seen emits its full sequence as a
@@ -194,7 +207,7 @@ func collectShard(sh *shard, mark *FreezeMark, buf *tailBuf, emit func(Mutation)
 		}
 		k := freezeKey{table: frzTuples, key: tk.traj, interp: tk.interp}
 		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k,
-			obj: st.ObjectID, count: base + len(st.Tuples), gen: sh.gen(k)})
+			count: base + len(st.Tuples), gen: sh.gen(k)})
 	}
 
 	// Dirty overlay entries: one merge frame each, carrying the full
@@ -279,12 +292,12 @@ func commitFreezeEntry(sh *shard, e freezeEntry) bool {
 		sh.records[obj] = append([]fix(nil), heap[take:]...)
 		fz.recs[obj] = e.count
 	case frzTrajectory:
-		id := e.key.key
-		if _, ok := sh.trajectories[id]; !ok {
+		tr, ok := sh.trajectories[e.key.key]
+		if !ok {
 			return false
 		}
-		delete(sh.trajectories, id)
-		fz.trajs[id] = e.obj
+		tr.frozen = true
+		sh.trajectories[e.key.key] = tr
 	case frzEpisodes:
 		id := e.key.key
 		heap := sh.episodes[id]

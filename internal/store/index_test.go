@@ -135,9 +135,7 @@ func TestTupleAccessors(t *testing.T) {
 func TestObjects(t *testing.T) {
 	s := New()
 	s.PutRecords(sampleTrajectory("b-T0", "b", 1).Records)
-	if err := s.PutTrajectory(sampleTrajectory("a-T0", "a", 3)); err != nil {
-		t.Fatal(err)
-	}
+	putSampleTrajectory(t, s, "a-T0", "a", 3)
 	got := s.Objects()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Objects = %v", got)

@@ -19,7 +19,8 @@ type MutationOp uint8
 const (
 	// MutPutRecords appends raw GPS records of one object (positional).
 	MutPutRecords MutationOp = iota + 1
-	// MutPutTrajectory stores (or replaces) a raw trajectory.
+	// MutPutTrajectory stores (or replaces) a raw trajectory: Count records
+	// of the object's record run from position Start.
 	MutPutTrajectory
 	// MutPutEpisodes replaces a trajectory's episode sequence.
 	MutPutEpisodes
@@ -45,12 +46,14 @@ type Mutation struct {
 	ObjectID       string
 	TrajectoryID   string
 	Interpretation string
-	// Start is the pre-append table length for positional ops and the tuple
-	// index for MutMergeTuple.
+	// Start is the pre-append table length for positional ops, the tuple
+	// index for MutMergeTuple and a raw trajectory's first record position
+	// for MutPutTrajectory.
 	Start int
+	// Count is the number of records a MutPutTrajectory covers.
+	Count int
 
 	Records     []gps.Record         // MutPutRecords
-	Trajectory  *gps.RawTrajectory   // MutPutTrajectory
 	Episodes    []*episode.Episode   // MutPutEpisodes, MutAppendEpisodes
 	Tuples      []*core.EpisodeTuple // MutPutStructured, MutAppendTuples
 	Place       *core.Place          // MutMergeTuple
@@ -94,8 +97,7 @@ func (s *Store) mutationLog() MutationLog {
 	return nil
 }
 
-// errBadMutation reports a mutation that cannot be applied (unknown op or a
-// missing payload).
+// errBadMutation reports a mutation that cannot be applied (unknown op).
 var errBadMutation = errors.New("store: malformed mutation")
 
 // replaySuffix returns the index into an n-element positional batch from
@@ -142,10 +144,7 @@ func (s *Store) Apply(m Mutation) error {
 		}
 		return nil
 	case MutPutTrajectory:
-		if m.Trajectory == nil {
-			return errBadMutation
-		}
-		return s.PutTrajectory(m.Trajectory)
+		return s.PutTrajectory(m.TrajectoryID, m.ObjectID, m.Start, m.Count)
 	case MutPutEpisodes:
 		return s.PutEpisodes(m.TrajectoryID, m.Episodes)
 	case MutAppendEpisodes:

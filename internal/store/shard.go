@@ -16,9 +16,11 @@ type shard struct {
 	// tables — with a cold tier attached these hold only the mutable tail;
 	// each key's frozen prefix length lives in frozen and resolves through
 	// the tier. Evicted keys keep their (possibly empty) map entry, so key
-	// listings never need to consult the tier.
+	// listings never need to consult the tier. Trajectories are ranges over
+	// the record runs and stay listed here whether or not a segment holds
+	// them.
 	records      map[string][]fix              // object id -> raw records, packed
-	trajectories map[string]heapTraj           // trajectory id -> raw trajectory, packed
+	trajectories map[string]trajRange          // trajectory id -> range of its object's records
 	episodes     map[string][]*episode.Episode // trajectory id -> episodes
 	structured   map[string]structuredByInterp // trajectory id -> interpretation -> SST
 	trajByObject map[string][]string           // object id -> trajectory ids
@@ -49,7 +51,6 @@ type shardFrozen struct {
 	epStops map[string]int // trajectory -> stop count within the frozen episodes
 	tups    map[tupKey]int // (trajectory, interpretation) -> frozen tuple count;
 	// entry presence (even at 0) means the tier persists the key's existence.
-	trajs map[string]string // frozen trajectory id -> object id
 
 	// overlay holds merged replacements for frozen tuples: reads consult it
 	// before the tier, and the next freeze writes the dirty entries out as
@@ -100,7 +101,6 @@ func (sh *shard) frozenMeta() *shardFrozen {
 			eps:     map[string]int{},
 			epStops: map[string]int{},
 			tups:    map[tupKey]int{},
-			trajs:   map[string]string{},
 			overlay: map[tupKey]map[int]*core.EpisodeTuple{},
 			gens:    map[freezeKey]uint64{},
 		}
@@ -150,7 +150,7 @@ func (sh *shard) gen(k freezeKey) uint64 {
 func newShard() *shard {
 	return &shard{
 		records:      map[string][]fix{},
-		trajectories: map[string]heapTraj{},
+		trajectories: map[string]trajRange{},
 		episodes:     map[string][]*episode.Episode{},
 		structured:   map[string]structuredByInterp{},
 		trajByObject: map[string][]string{},

@@ -18,8 +18,8 @@ import (
 )
 
 // populate fills a store with a deterministic multi-object workload: objects
-// u00..u<n-1>, two trajectories each, episodes and two interpretations per
-// trajectory, plus a few raw records per object.
+// u00..u<n-1>, three raw records each with two overlapping trajectories
+// over them, episodes and two interpretations per trajectory.
 func populate(t *testing.T, s *Store, objects int) (trajIDs []string) {
 	t.Helper()
 	for o := 0; o < objects; o++ {
@@ -32,7 +32,7 @@ func populate(t *testing.T, s *Store, objects int) (trajIDs []string) {
 		for k := 0; k < 2; k++ {
 			id := fmt.Sprintf("%s-T%04d", obj, k)
 			trajIDs = append(trajIDs, id)
-			if err := s.PutTrajectory(sampleTrajectory(id, obj, 4)); err != nil {
+			if err := s.PutTrajectory(id, obj, k, 2); err != nil {
 				t.Fatal(err)
 			}
 			eps := []*episode.Episode{
@@ -177,8 +177,8 @@ func TestConcurrentObjectWrites(t *testing.T) {
 			obj := fmt.Sprintf("obj%02d", o)
 			for k := 0; k < trajPerObject; k++ {
 				id := fmt.Sprintf("%s-T%04d", obj, k)
-				s.PutRecords([]gps.Record{{ObjectID: obj, Position: geo.Pt(float64(k), 0), Time: t0.Add(time.Duration(k) * time.Second)}})
-				if err := s.PutTrajectory(sampleTrajectory(id, obj, 3)); err != nil {
+				pos := s.PutRecords([]gps.Record{{ObjectID: obj, Position: geo.Pt(float64(k), 0), Time: t0.Add(time.Duration(k) * time.Second)}})
+				if err := s.PutTrajectory(id, obj, pos, 1); err != nil {
 					t.Error(err)
 					return
 				}

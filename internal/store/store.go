@@ -7,9 +7,12 @@
 // in-memory store with dedicated tables per artefact kind and query-by-object
 // / time-window / annotation interfaces. Durability is layered on: every
 // write is reported as a Mutation to an attached log (internal/wal), and a
-// cold tier (internal/segment) freezes the heap tail into segments. Raw
-// records and trajectories sit in the heap as packed, pointer-free runs (see
-// fix), so stored times come back in UTC from the heap as from a segment.
+// cold tier (internal/segment) freezes the heap tail into segments. Every
+// cleaned fix is stored once: raw records sit in the heap as packed,
+// pointer-free runs, one per object (see fix), so stored times come back in
+// UTC from the heap as from a segment; a raw trajectory is only a range of
+// its object's run — object, first position, count (see trajRange) — in
+// the heap, in a logged mutation and in a segment alike.
 //
 // # Concurrency
 //
@@ -27,16 +30,18 @@
 // queries, Save) merge per-shard snapshots and sort for deterministic
 // output.
 //
-// Operations touching two stripes (PutTrajectory inserts the trajectory in
-// one shard and indexes it under its object in another) lock them
-// sequentially, never nested, so the store cannot deadlock; the only
-// atomicity given up is that a trajectory may momentarily be visible via
-// Trajectory before TrajectoryIDs lists it.
+// Operations touching two stripes (PutTrajectory checks its range against
+// the object's run, inserts the trajectory in one shard and indexes it under
+// its object in another) lock them sequentially, never nested, so the store
+// cannot deadlock; the only atomicity given up is that a trajectory may
+// momentarily be visible via Trajectory before TrajectoryIDs lists it.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -141,67 +146,68 @@ func lockTimed(sh *shard) {
 	obs.StoreStripeWaitNs.ObserveNs(time.Since(t0).Nanoseconds())
 }
 
-// PutRecords appends raw GPS records to the record table. Records are
-// grouped by object first so a batch locks each object's stripe once and the
-// attached mutation log receives one positional entry per object sub-batch.
-func (s *Store) PutRecords(records []gps.Record) {
-	if len(records) == 0 {
-		return
-	}
+// PutRecords appends raw GPS records to the record table and returns the
+// position the first record took in its object's record run (-1 for an
+// empty batch). Each run of consecutive records of one object locks the
+// object's stripe once and reaches the attached mutation log as one
+// positional entry; the streaming path puts one record at a time.
+func (s *Store) PutRecords(records []gps.Record) int {
 	obs.StoreMutRecords.Add(int64(len(records)))
 	l := s.mutationLog()
-	if len(records) == 1 { // the streaming path's per-record hot path
-		r := records[0]
-		sh := s.shardFor(r.ObjectID)
-		lockTimed(sh)
-		if l != nil {
-			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: r.ObjectID,
-				Start: sh.frozenRecs(r.ObjectID) + len(sh.records[r.ObjectID]), Records: records})
+	first := -1
+	for len(records) > 0 {
+		obj := records[0].ObjectID
+		n := 1
+		for n < len(records) && records[n].ObjectID == obj {
+			n++
 		}
-		sh.records[r.ObjectID] = append(sh.records[r.ObjectID], packFix(r))
-		sh.recordCount++
-		sh.mu.Unlock()
-		return
-	}
-	byObject := map[string][]gps.Record{}
-	order := make([]string, 0, 8)
-	for _, r := range records {
-		if _, seen := byObject[r.ObjectID]; !seen {
-			order = append(order, r.ObjectID)
-		}
-		byObject[r.ObjectID] = append(byObject[r.ObjectID], r)
-	}
-	for _, obj := range order {
-		recs := byObject[obj]
+		run := records[:n]
+		records = records[n:]
 		sh := s.shardFor(obj)
 		lockTimed(sh)
+		fixes := sh.records[obj]
+		pos := sh.frozenRecs(obj) + len(fixes)
 		if l != nil {
-			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: obj,
-				Start: sh.frozenRecs(obj) + len(sh.records[obj]), Records: recs})
+			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: obj, Start: pos, Records: run})
 		}
-		run := sh.records[obj]
-		for _, r := range recs {
-			run = append(run, packFix(r))
+		for _, r := range run {
+			fixes = append(fixes, packFix(r))
 		}
-		sh.records[obj] = run
-		sh.recordCount += len(recs)
+		sh.records[obj] = fixes
+		sh.recordCount += n
 		sh.mu.Unlock()
+		if first < 0 {
+			first = pos
+		}
 	}
+	return first
 }
 
 // Records returns the raw records of an object (a copy): the frozen prefix
 // read through the cold tier, then the heap tail. Times come back in UTC.
 func (s *Store) Records(objectID string) []gps.Record {
+	return s.appendRecordRange(nil, objectID, 0, math.MaxInt)
+}
+
+// appendRecordRange appends the records at positions [from, to) of an
+// object's record run to buf (to is clamped to the run's length): positions
+// below the frozen base through one ranged cold read, the rest unpacked from
+// the heap tail.
+func (s *Store) appendRecordRange(buf []gps.Record, objectID string, from, to int) []gps.Record {
 	sh := s.shardFor(objectID)
 	sh.mu.RLock()
 	base := sh.frozenRecs(objectID)
 	tail := sh.records[objectID]
 	sh.mu.RUnlock()
-	if base == 0 {
-		return appendRecords(nil, objectID, tail)
+	to = min(to, base+len(tail))
+	if from >= to {
+		return buf
 	}
-	out := s.coldTier().ColdRecords(objectID, make([]gps.Record, 0, base+len(tail)))
-	return appendRecords(out, objectID, tail)
+	if from < base {
+		buf = s.coldTier().ColdRecords(objectID, from, min(to, base), slices.Grow(buf, to-from))
+		from = base
+	}
+	return appendRecords(buf, objectID, tail[from-base:max(to, base)-base])
 }
 
 // RecordLen returns the number of stored records of an object (frozen
@@ -225,119 +231,97 @@ func (s *Store) RecordCount() int {
 	return n
 }
 
-// PutTrajectory stores a raw trajectory. The store packs the records into a
-// run of its own, so t is not retained; every record must belong to
-// t.ObjectID.
-func (s *Store) PutTrajectory(t *gps.RawTrajectory) error {
-	if t == nil || t.ID == "" {
+// PutTrajectory stores (or replaces) a raw trajectory: the count records of
+// objectID's record run starting at position start. A trajectory is a range,
+// not a copy — the records stay stored once, in the run — so the range must
+// lie inside the records stored so far.
+func (s *Store) PutTrajectory(id, objectID string, start, count int) error {
+	if id == "" {
 		return errors.New("store: trajectory must have an id")
 	}
-	run := make([]fix, len(t.Records))
-	for i, r := range t.Records {
-		if r.ObjectID != t.ObjectID {
-			return fmt.Errorf("store: trajectory %s of object %q holds a record of object %q", t.ID, t.ObjectID, r.ObjectID)
-		}
-		run[i] = packFix(r)
+	if n := s.RecordLen(objectID); start < 0 || count < 0 || start+count > n {
+		return fmt.Errorf("store: trajectory %s covers positions [%d,%d) of object %q, which holds %d records",
+			id, start, start+count, objectID, n)
 	}
 	obs.StoreMutTrajectories.Inc()
-	ts := s.shardFor(t.ID)
+	ts := s.shardFor(id)
 	ts.mu.Lock()
 	if l := s.mutationLog(); l != nil {
-		l.LogMutation(Mutation{Op: MutPutTrajectory, ObjectID: t.ObjectID,
-			TrajectoryID: t.ID, Trajectory: t})
+		l.LogMutation(Mutation{Op: MutPutTrajectory, ObjectID: objectID,
+			TrajectoryID: id, Start: start, Count: count})
 	}
-	_, exists := ts.trajectories[t.ID]
-	if !exists && ts.frozen != nil {
-		// A re-put of a frozen trajectory supersedes the cold copy: the heap
-		// holds the content again and the next freeze re-emits it.
-		if _, cold := ts.frozen.trajs[t.ID]; cold {
-			delete(ts.frozen.trajs, t.ID)
-			exists = true
-		}
-	}
+	// A re-put of a frozen trajectory supersedes the segment's range: the
+	// entry is unfrozen and the next freeze re-emits it.
+	_, exists := ts.trajectories[id]
 	if s.Tiered() {
-		ts.bumpGen(freezeKey{table: frzTrajectory, key: t.ID})
+		ts.bumpGen(freezeKey{table: frzTrajectory, key: id})
 	}
-	ts.trajectories[t.ID] = heapTraj{objectID: t.ObjectID, fixes: run}
+	ts.trajectories[id] = trajRange{objectID: objectID, start: start, count: count}
 	ts.mu.Unlock()
 	if !exists {
 		// The object index lives in the object's stripe; lock it after the
 		// trajectory stripe is released (sequential, never nested). The
 		// existence check above is what keeps concurrent re-puts of the same
 		// id from double-indexing it.
-		os := s.shardFor(t.ObjectID)
+		os := s.shardFor(objectID)
 		os.mu.Lock()
-		os.trajByObject[t.ObjectID] = append(os.trajByObject[t.ObjectID], t.ID)
+		os.trajByObject[objectID] = append(os.trajByObject[objectID], id)
 		os.mu.Unlock()
 	}
 	return nil
 }
 
-// Trajectory returns a stored raw trajectory by id (a copy, times in UTC),
-// reading through the cold tier for frozen trajectories.
+// Trajectory returns a stored raw trajectory by id: its range of the
+// object's record run, materialised through one ranged read (a copy, times
+// in UTC).
 func (s *Store) Trajectory(id string) (*gps.RawTrajectory, bool) {
-	ht, ok, cold := s.heapTrajectory(id)
-	if ok {
-		return &gps.RawTrajectory{ID: id, ObjectID: ht.objectID, Records: appendRecords(nil, ht.objectID, ht.fixes)}, true
+	tr, ok := s.trajectory(id)
+	if !ok {
+		return nil, false
 	}
-	if cold {
-		return s.coldTier().ColdTrajectory(id)
-	}
-	return nil, false
+	recs := s.appendRecordRange(nil, tr.objectID, tr.start, tr.start+tr.count)
+	return &gps.RawTrajectory{ID: id, ObjectID: tr.objectID, Records: recs}, true
 }
 
 // TrajectoryLen returns the record count of a stored raw trajectory without
-// materialising its records. Unlike TrajectoryExtent it never touches the
-// run itself, so counting every trajectory costs one lookup each.
+// reading any record.
 func (s *Store) TrajectoryLen(id string) (int, bool) {
-	ht, ok, cold := s.heapTrajectory(id)
-	if ok {
-		return len(ht.fixes), true
-	}
-	if cold {
-		if t, ok := s.coldTier().ColdTrajectory(id); ok {
-			return len(t.Records), true
-		}
-	}
-	return 0, false
+	tr, ok := s.trajectory(id)
+	return tr.count, ok
 }
 
 // TrajectoryExtent summarises a stored raw trajectory without materialising
 // its records: the owning object, the record count and the first and last
 // record times (zero when the trajectory is empty).
 func (s *Store) TrajectoryExtent(id string) (objectID string, n int, first, last time.Time, ok bool) {
-	ht, ok, cold := s.heapTrajectory(id)
-	if ok {
-		if n = len(ht.fixes); n > 0 {
-			first, last = ht.fixes[0].time(), ht.fixes[n-1].time()
-		}
-		return ht.objectID, n, first, last, true
-	}
-	var t *gps.RawTrajectory
-	if cold {
-		t, ok = s.coldTier().ColdTrajectory(id)
-	}
+	tr, ok := s.trajectory(id)
 	if !ok {
 		return "", 0, time.Time{}, time.Time{}, false
 	}
-	if n = len(t.Records); n > 0 {
-		first, last = t.Records[0].Time, t.Records[n-1].Time
+	if tr.count > 0 {
+		first = s.recordTime(tr.objectID, tr.start)
+		last = s.recordTime(tr.objectID, tr.start+tr.count-1)
 	}
-	return t.ObjectID, n, first, last, true
+	return tr.objectID, tr.count, first, last, true
 }
 
-// heapTrajectory looks a trajectory up in its stripe: the heap run when ok,
-// or whether the cold tier holds it. The run is immutable, so it is safe to
-// read after the lock is released.
-func (s *Store) heapTrajectory(id string) (ht heapTraj, ok, cold bool) {
+// recordTime returns the time of the record at one position of an object's
+// record run (the zero time past its end).
+func (s *Store) recordTime(objectID string, pos int) time.Time {
+	var one [1]gps.Record
+	if recs := s.appendRecordRange(one[:0], objectID, pos, pos+1); len(recs) == 1 {
+		return recs[0].Time
+	}
+	return time.Time{}
+}
+
+// trajectory looks a trajectory's range up in its stripe.
+func (s *Store) trajectory(id string) (trajRange, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ht, ok = sh.trajectories[id]
-	if !ok && sh.frozen != nil {
-		_, cold = sh.frozen.trajs[id]
-	}
-	return ht, ok, cold
+	tr, ok := sh.trajectories[id]
+	return tr, ok
 }
 
 // TrajectoryIDs returns the ids of the stored trajectories of an object,
@@ -356,28 +340,18 @@ func (s *Store) TrajectoryIDs(objectID string) []string {
 		for id := range sh.trajectories {
 			out = append(out, id)
 		}
-		if sh.frozen != nil {
-			for id := range sh.frozen.trajs {
-				out = append(out, id)
-			}
-		}
 		sh.mu.RUnlock()
 	}
 	sort.Strings(out)
 	return out
 }
 
-// TrajectoryCount returns the number of stored raw trajectories (heap tail
-// plus frozen; the two sets are disjoint — a re-put moves an id back to the
-// heap).
+// TrajectoryCount returns the number of stored raw trajectories.
 func (s *Store) TrajectoryCount() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		n += len(sh.trajectories)
-		if sh.frozen != nil {
-			n += len(sh.frozen.trajs)
-		}
 		sh.mu.RUnlock()
 	}
 	return n

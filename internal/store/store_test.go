@@ -25,6 +25,18 @@ func sampleTrajectory(id, object string, n int) *gps.RawTrajectory {
 	return &gps.RawTrajectory{ID: id, ObjectID: object, Records: recs}
 }
 
+// putSampleTrajectory appends n sample records to object's record run and
+// stores a trajectory over exactly them; it returns the trajectory as
+// Trajectory reads it back.
+func putSampleTrajectory(t testing.TB, s *Store, id, object string, n int) *gps.RawTrajectory {
+	t.Helper()
+	tr := sampleTrajectory(id, object, n)
+	if err := s.PutTrajectory(id, object, s.PutRecords(tr.Records), n); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func sampleStructured(id, object, interp string) *core.StructuredTrajectory {
 	st := &core.StructuredTrajectory{ID: id, ObjectID: object, Interpretation: interp}
 	stop := &core.EpisodeTuple{
@@ -74,22 +86,12 @@ func TestRecordsTable(t *testing.T) {
 
 func TestTrajectoryTable(t *testing.T) {
 	s := New()
-	if err := s.PutTrajectory(nil); err == nil {
-		t.Fatal("nil trajectory should error")
-	}
-	if err := s.PutTrajectory(&gps.RawTrajectory{}); err == nil {
+	if err := s.PutTrajectory("", "u1", 0, 0); err == nil {
 		t.Fatal("missing id should error")
 	}
-	tr := sampleTrajectory("u1-T0", "u1", 10)
-	if err := s.PutTrajectory(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutTrajectory(sampleTrajectory("u1-T1", "u1", 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutTrajectory(sampleTrajectory("u2-T0", "u2", 5)); err != nil {
-		t.Fatal(err)
-	}
+	tr := putSampleTrajectory(t, s, "u1-T0", "u1", 10)
+	putSampleTrajectory(t, s, "u1-T1", "u1", 5)
+	putSampleTrajectory(t, s, "u2-T0", "u2", 5)
 	if s.TrajectoryCount() != 3 {
 		t.Fatalf("TrajectoryCount = %d", s.TrajectoryCount())
 	}
@@ -120,7 +122,7 @@ func TestTrajectoryTable(t *testing.T) {
 		t.Fatalf("TrajectoryIDs(all) = %v", ids)
 	}
 	// Re-putting the same id does not duplicate the object index.
-	if err := s.PutTrajectory(tr); err != nil {
+	if err := s.PutTrajectory("u1-T0", "u1", 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	if ids := s.TrajectoryIDs("u1"); len(ids) != 2 {
@@ -266,7 +268,7 @@ func TestSaveDocument(t *testing.T) {
 	path := filepath.Join(dir, "nested", "store.json")
 	s := New()
 	s.PutRecords([]gps.Record{{ObjectID: "u1", Position: geo.Pt(1.5, 2.5), Time: t0}})
-	s.PutTrajectory(sampleTrajectory("u1-T0", "u1", 5))
+	putSampleTrajectory(t, s, "u1-T0", "u1", 5)
 	s.PutEpisodes("u1-T0", []*episode.Episode{
 		{TrajectoryID: "u1-T0", Kind: episode.Stop, Start: t0, End: t0.Add(time.Minute), RecordCount: 5},
 	})
@@ -287,7 +289,7 @@ func TestSaveDocument(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if recs := doc.Records["u1"]; len(recs) != 1 || recs[0].X != 1.5 || recs[0].Y != 2.5 || !recs[0].Time.Equal(t0) {
+	if recs := doc.Records["u1"]; len(recs) != 6 || recs[0].X != 1.5 || recs[0].Y != 2.5 || !recs[0].Time.Equal(t0) {
 		t.Fatalf("exported records = %+v", doc.Records)
 	}
 	if len(doc.Trajectories) != 1 || doc.Trajectories[0].ID != "u1-T0" ||
@@ -318,10 +320,11 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := sampleTrajectory("t", "obj", 1)
-				id.ID = "tr-" + string(rune('a'+w)) + "-" + time.Duration(i).String()
-				s.PutTrajectory(id)
-				s.PutRecords([]gps.Record{{ObjectID: "obj", Position: geo.Pt(float64(i), 0), Time: t0}})
+				pos := s.PutRecords([]gps.Record{{ObjectID: "obj", Position: geo.Pt(float64(i), 0), Time: t0}})
+				if err := s.PutTrajectory("tr-"+string(rune('a'+w))+"-"+time.Duration(i).String(), "obj", pos, 1); err != nil {
+					t.Error(err)
+					return
+				}
 				s.TrajectoryIDs("obj")
 				s.RecordCount()
 			}

@@ -188,9 +188,7 @@ func encodeMutation(e *encoder, m store.Mutation) {
 	case store.MutPutRecords:
 		e.records(m.ObjectID, m.Records)
 	case store.MutPutTrajectory:
-		e.str(m.Trajectory.ID)
-		e.str(m.Trajectory.ObjectID)
-		e.records(m.Trajectory.ObjectID, m.Trajectory.Records)
+		e.uv(uint64(m.Count)) // with Start, the range of the object's records
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		e.episodes(m.Episodes)
 	case store.MutPutStructured, store.MutAppendTuples:
@@ -319,6 +317,16 @@ func (d *decoder) count(elemMin int) int {
 		return 0
 	}
 	return n
+}
+
+// position reads a record, episode or tuple position (or count), bounded so
+// that position arithmetic cannot overflow.
+func (d *decoder) position() int {
+	v := d.uv()
+	if v > uint64(math.MaxInt32)<<16 {
+		d.fail()
+	}
+	return int(v)
 }
 
 func (d *decoder) time() time.Time {
@@ -493,18 +501,12 @@ func decodeMutation(payload []byte, interned map[string]string) (store.Mutation,
 		TrajectoryID:   d.strShared(),
 		Interpretation: d.strShared(),
 	}
-	start := d.uv()
-	if start > uint64(math.MaxInt32)<<16 {
-		d.fail()
-	}
-	m.Start = int(start)
+	m.Start = d.position()
 	switch m.Op {
 	case store.MutPutRecords:
 		m.Records = d.records(m.ObjectID)
 	case store.MutPutTrajectory:
-		t := &gps.RawTrajectory{ID: d.str(), ObjectID: d.str()}
-		t.Records = d.records(t.ObjectID)
-		m.Trajectory = t
+		m.Count = d.position()
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		m.Episodes = d.episodes()
 	case store.MutPutStructured, store.MutAppendTuples:

@@ -136,8 +136,14 @@ func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, 0, nil // truncated header: whole segment is torn
 	}
-	if [4]byte(hdr[0:4]) != segmentMagic || leU32(hdr[4:8]) != formatVersion {
+	if [4]byte(hdr[0:4]) != segmentMagic {
 		return 0, 0, nil // damaged header
+	}
+	if v := leU32(hdr[4:8]); v != formatVersion {
+		// Not damage: a log another release wrote. Its frames cannot be
+		// replayed, and repairing it as a tear would delete it.
+		return 0, -1, fmt.Errorf("wal: %s is at log format version %d, this build reads version %d; "+
+			"re-ingest the source data into a fresh data directory", path, v, formatVersion)
 	}
 	offset := int64(headerSize)
 	var frame [frameHeaderSize]byte

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,4 +261,59 @@ func TestTornFinalFrameMidFlush(t *testing.T) {
 	if got := len(rec2.Records("obj")); got != 10 {
 		t.Fatalf("post-repair recovery got %d records, want 10", got)
 	}
+}
+
+// TestRecoverRefusesOtherFormatVersion pins that a log written at another
+// format version — the previous one or a later one — is refused with an
+// error naming the file and both versions, and that the refusal leaves the
+// directory byte-for-byte untouched: repairing it as a torn header would
+// delete that log and quarantine every later one. A short header stays a
+// tear (TestTornTailProperty truncates into it).
+func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
+	frame := AppendMutationFrame(nil, testMutations()[0])
+	for _, v := range []uint32{formatVersion - 1, formatVersion + 1} {
+		dir := t.TempDir()
+		var hdr [headerSize]byte
+		copy(hdr[0:4], segmentMagic[:])
+		putU32(hdr[4:8], v)
+		old := segmentPath(dir, 1)
+		if err := os.WriteFile(old, append(hdr[:], frame...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		putU32(hdr[4:8], formatVersion)
+		if err := os.WriteFile(segmentPath(dir, 2), append(hdr[:], frame...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirContents(t, dir)
+		_, _, err := Recover(dir, 0)
+		if err == nil {
+			t.Fatalf("version %d: recovered a log at another format version", v)
+		}
+		for _, want := range []string{old, fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", formatVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d: error %q does not name %q", v, err, want)
+			}
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("version %d: refused recovery changed the directory: %d files -> %d", v, len(before), len(after))
+		}
+	}
+}
+
+// dirContents maps every file name in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
 }

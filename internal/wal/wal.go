@@ -105,7 +105,9 @@ const (
 
 var segmentMagic = [4]byte{'S', 'T', 'W', 'L'}
 
-const formatVersion = 1
+// formatVersion 2 logs a raw trajectory as a range of its object's record
+// run; logs written at another version are refused, not replayed.
+const formatVersion = 2
 
 // Options configures a Log.
 type Options struct {
@@ -253,6 +255,13 @@ func (l *Log) LogMutation(m store.Mutation) {
 	l.mu.Lock()
 	dropped := l.closed
 	if !dropped {
+		if run := l.staged[m.ObjectID]; run != nil && m.Op == store.MutPutTrajectory {
+			// A trajectory ranges over its object's records, the newest of
+			// which may still be staged: seal them first, so no log prefix
+			// holds the trajectory without them.
+			l.sealLocked(m.ObjectID, run)
+			delete(l.staged, m.ObjectID)
+		}
 		l.buf = append(l.buf, e.b...)
 	}
 	pending := len(l.buf)
@@ -296,7 +305,8 @@ type recRun struct {
 // new one. Record-table ops are positional and object-local, so deferring
 // their frames past other objects' (or other tables') frames cannot change
 // what replay rebuilds — staged records are simply not yet durable, exactly
-// like frames waiting in buf.
+// like frames waiting in buf. The one frame that ranges over an object's
+// records, a trajectory's, seals the object's staged run before it lands.
 func (l *Log) stageRecords(m store.Mutation) {
 	l.mu.Lock()
 	if l.closed {

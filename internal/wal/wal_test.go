@@ -60,9 +60,7 @@ func testMutations() []store.Mutation {
 			{ObjectID: "o1", Position: geo.Pt(1.5, -2.5), Time: ts(0)},
 			{ObjectID: "o1", Position: geo.Pt(3, 4), Time: ts(1)},
 		}},
-		{Op: store.MutPutTrajectory, ObjectID: "o1", TrajectoryID: "t1", Trajectory: &gps.RawTrajectory{
-			ID: "t1", ObjectID: "o1", Records: []gps.Record{{ObjectID: "o1", Position: geo.Pt(9, 9), Time: ts(2)}},
-		}},
+		{Op: store.MutPutTrajectory, ObjectID: "o1", TrajectoryID: "t1", Start: 1, Count: 1},
 		{Op: store.MutPutEpisodes, TrajectoryID: "t1", Episodes: []*episode.Episode{testEpisode(0), testEpisode(1)}},
 		{Op: store.MutAppendEpisodes, TrajectoryID: "t1", Start: 2, Episodes: []*episode.Episode{testEpisode(2)}},
 		{Op: store.MutPutStructured, ObjectID: "o1", TrajectoryID: "t1", Interpretation: "merged",

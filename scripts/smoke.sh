@@ -211,8 +211,10 @@ leg_serve() {
 # server with SIGKILL, restarts it from the data directory alone (no -in: a
 # recovered non-empty store is served as is, nothing is re-ingested) and
 # asserts the recovered server reports exactly the pre-kill
-# record/trajectory/episode/structured counts and answers a query
-# byte-for-byte identically. The recovery leg crashes before any checkpoint
+# record/trajectory/episode/structured counts and answers a query and the
+# trajectory summaries byte-for-byte identically (each summary's records,
+# start and end resolve through its object's record run, cold in the
+# coldstore leg). The recovery leg crashes before any checkpoint
 # (the default interval is a minute), so recovery is pure WAL-tail replay.
 # The coldstore leg checkpoints every 200ms under a tight GOMEMLIMIT (which
 # keeps the GC honest about the cold tier living off-heap), so recovery
@@ -239,9 +241,10 @@ crash_restart() {
 		# restart genuinely reads segments.
 		sleep 2
 	fi
-	local before_counts before_answer records
+	local before_counts before_answer before_trajs records
 	before_counts=$(curl -fsS "http://$addr/healthz")
 	before_answer=$(curl -fsS "http://$addr$query")
+	before_trajs=$(curl -fsS "http://$addr/query/trajectories")
 	records=$(printf '%s' "$before_counts" | grep -o '"records": *[0-9]*' | grep -o '[0-9]*')
 	if [ -z "$records" ] || [ "$records" -eq 0 ]; then
 		echo "FAIL: server reports no records before the kill: $before_counts" >&2
@@ -263,9 +266,10 @@ crash_restart() {
 	crash
 	start -data-dir "$data" -wait
 	wait_healthy
-	local after_counts after_answer
+	local after_counts after_answer after_trajs
 	after_counts=$(curl -fsS "http://$addr/healthz")
 	after_answer=$(curl -fsS "http://$addr$query")
+	after_trajs=$(curl -fsS "http://$addr/query/trajectories")
 
 	if [ "$before_counts" != "$after_counts" ]; then
 		echo "FAIL: store counts changed across kill -9 + $recovered" >&2
@@ -282,6 +286,14 @@ crash_restart() {
 		exit 1
 	fi
 	echo "ok: query answer byte-identical after $recovered ($query)"
+
+	if [ "$before_trajs" != "$after_trajs" ] || ! printf '%s' "$after_trajs" | grep -q '"records"'; then
+		echo "FAIL: trajectory summaries changed or empty across kill -9 + $recovered" >&2
+		echo "  before: $before_trajs" >&2
+		echo "  after:  $after_trajs" >&2
+		exit 1
+	fi
+	echo "ok: trajectory summaries byte-identical after $recovered (/query/trajectories)"
 }
 
 leg_recovery() { crash_restart recovery; }

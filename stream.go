@@ -80,6 +80,10 @@ type objectStream struct {
 	id        string   // trajectory id, "" until committed
 	closed    bool     // set by Close: the object accepts no further records
 	closedIDs []string // ids of the object's kept trajectories, in start-time order
+	// segStart is the position of the open segment's first record in the
+	// object's record run: the segment's records are exactly the run's
+	// positions from there, so the stored trajectory is that range.
+	segStart int
 
 	// cur holds the object's spatial locality cursors (last land-use cell,
 	// last road candidates, last POI neighbourhood). The per-object state of
@@ -236,7 +240,7 @@ func (sp *StreamProcessor) AddBatch(records []gps.Record) ([]StreamEvent, error)
 // through segmentation, episode tracking and annotation; timed is the
 // record's sampling decision (see sampleTimed). Caller holds os.mu.
 func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, timed bool) ([]StreamEvent, error) {
-	sp.p.st.PutRecords(rec)
+	pos := sp.p.st.PutRecords(rec)
 	cr := rec[0]
 	sp.records.Add(1)
 	obs.IngestRecords.Inc()
@@ -264,6 +268,7 @@ func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, tim
 			return events, fmt.Errorf("semitri: %w", err)
 		}
 		os.tracker = tk
+		os.segStart = pos
 	}
 	if timed {
 		t0 = time.Now()
@@ -363,10 +368,7 @@ func (sp *StreamProcessor) commit(os *objectStream, id string) ([]StreamEvent, e
 		released[i].TrajectoryID = id
 	}
 	records, _, _ := os.segmenter.OpenRecords(os.objectID)
-	partial := &gps.RawTrajectory{
-		ID: id, ObjectID: os.objectID, Records: append([]gps.Record(nil), records...),
-	}
-	if err := sp.p.st.PutTrajectory(partial); err != nil {
+	if err := sp.p.st.PutTrajectory(id, os.objectID, os.segStart, len(records)); err != nil {
 		return released, err
 	}
 	// An id the store already holds (the same records ingested again, e.g. a
@@ -471,7 +473,7 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 		}
 	}
 	// Replace the partial trajectory stored at commit time with the final one.
-	if err := sp.p.st.PutTrajectory(t); err != nil {
+	if err := sp.p.st.PutTrajectory(t.ID, t.ObjectID, os.segStart, len(t.Records)); err != nil {
 		return events, err
 	}
 	// Stops/moves count only kept trajectories.

@@ -75,8 +75,20 @@ func oracle(t testing.TB, city *workload.City, cfg semitri.Config, records []gps
 		trajectories = gps.SplitDaily(cleaned, cfg.Segmentation)
 	}
 	result := &semitri.Result{Records: len(cleaned)}
+	// A stored trajectory is a range of its object's record run: find where
+	// its first record sits, after the object's previous trajectory.
+	runs := map[string][]gps.Record{}
+	for _, r := range cleaned {
+		runs[r.ObjectID] = append(runs[r.ObjectID], r)
+	}
+	next := map[string]int{}
 	for _, tr := range trajectories {
-		must(st.PutTrajectory(tr))
+		start := next[tr.ObjectID]
+		for runs[tr.ObjectID][start] != tr.Records[0] {
+			start++
+		}
+		next[tr.ObjectID] = start + len(tr.Records)
+		must(st.PutTrajectory(tr.ID, tr.ObjectID, start, len(tr.Records)))
 		eps, err := episode.Detect(tr, cfg.Episode)
 		must(err)
 		must(st.PutEpisodes(tr.ID, eps))
