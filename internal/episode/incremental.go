@@ -23,8 +23,10 @@ import (
 // labels), at which point the preceding move — everything since the last
 // emitted episode — is final too.
 //
-// A Tracker is bound to a single trajectory and is not safe for concurrent
-// use.
+// A Tracker follows one trajectory at a time and is not safe for concurrent
+// use. Reset starts the next trajectory on the same buffers, so an owner
+// that keeps one Tracker per moving object stops allocating once the
+// buffers fit the object's longest trajectory.
 type Tracker struct {
 	cfg          Config
 	trajectoryID string
@@ -54,6 +56,20 @@ func NewTracker(trajectoryID, objectID string, cfg Config) (*Tracker, error) {
 		return nil, err
 	}
 	return &Tracker{cfg: cfg, trajectoryID: trajectoryID, objectID: objectID}, nil
+}
+
+// Reset makes the tracker follow a new trajectory from its first record,
+// keeping the capacity of its buffers.
+func (tk *Tracker) Reset(trajectoryID, objectID string) {
+	*tk = Tracker{
+		cfg:          tk.cfg,
+		trajectoryID: trajectoryID,
+		objectID:     objectID,
+		records:      tk.records[:0],
+		speeds:       tk.speeds[:0],
+		labels:       tk.labels[:0],
+		runs:         tk.runs[:0],
+	}
 }
 
 // SetIDs updates the trajectory/object ids stamped on episodes emitted from
@@ -163,14 +179,13 @@ func (tk *Tracker) advance() []*Episode {
 				out = append(out, tk.build(Move, tk.runs[0].from, tk.runs[si-1].to))
 			}
 			out = append(out, tk.build(Stop, from, to))
-			tk.runs = append([]irun(nil), tk.runs[j+1:]...)
+			tk.runs = append(tk.runs[:0], tk.runs[j+1:]...)
 			tk.emitted = to + 1
 		} else {
 			// Demoted: the failed candidate melts into the surrounding moves
 			// and the combined move stays open.
-			merged := irun{kind: Move, from: tk.runs[0].from, to: tk.runs[j+1].to}
-			rest := tk.runs[j+2:]
-			tk.runs = append([]irun{merged}, rest...)
+			tk.runs[0] = irun{kind: Move, from: tk.runs[0].from, to: tk.runs[j+1].to}
+			tk.runs = append(tk.runs[:1], tk.runs[j+2:]...)
 		}
 	}
 }

@@ -176,3 +176,35 @@ func TestTrackerEmitsBeforeFinish(t *testing.T) {
 		t.Fatal("tracker never emitted an episode before Finish")
 	}
 }
+
+// TestTrackerResetMatchesDetect feeds many trajectories through one tracker,
+// reset between them, and checks each against Detect: no state leaks from
+// one trajectory into the next through the reused buffers.
+func TestTrackerResetMatchesDetect(t *testing.T) {
+	cfg := DefaultConfig()
+	tk, err := NewTracker("", "obj", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		tr := randomTrajectory(seed, 50+int(seed)*37)
+		want, err := Detect(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Reset(tr.ID, tr.ObjectID)
+		var got []*Episode
+		for _, r := range tr.Records {
+			eps, err := tk.Add(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, eps...)
+		}
+		tail, err := tk.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		episodesEqual(t, want, append(got, tail...), "reset tracker")
+	}
+}

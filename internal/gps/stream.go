@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"semitri/internal/obs"
 )
 
 // This file implements the streaming counterparts of the batch preprocessing
@@ -22,6 +24,12 @@ import (
 // further records of the same object have been accepted; Add therefore
 // returns records with a lag of w, and Flush drains the tail.
 //
+// The steady state allocates nothing: each object's window is a fixed
+// buffer of 2w+1 records that shifts in place, and Add and Flush return the
+// object's own output buffer, which stays valid only until the next call on
+// the cleaner. Callers that keep the records must copy them (appending them
+// to a slice of their own is enough).
+//
 // A StreamCleaner is not safe for concurrent use; wrap it in the caller's
 // lock (the semitri.StreamProcessor does).
 type StreamCleaner struct {
@@ -34,9 +42,11 @@ type cleanerState struct {
 	hasLast bool
 	// pending holds accepted records whose smoothed position is not yet
 	// final. Raw (unsmoothed) positions are kept; a record is emitted once
-	// cfg.SmoothingWindow records follow it in the window.
+	// cfg.SmoothingWindow records follow it in the window. Its capacity,
+	// 2w+1, is never exceeded.
 	pending []Record
-	emitted int // records of this object already emitted
+	emitted int      // records of this object already emitted
+	out     []Record // the last Add's or Flush's result, reused
 }
 
 // NewStreamCleaner returns a cleaner with the given configuration.
@@ -45,19 +55,21 @@ func NewStreamCleaner(cfg CleaningConfig) *StreamCleaner {
 }
 
 // Add offers one raw record to the cleaner and returns the records (zero or
-// one, in the common case) whose cleaned form became final. Records of one
-// object must arrive in non-decreasing time order; a record older than the
-// last accepted one of its object is dropped, as the batch chain sorts them
-// away before cleaning.
+// one, in the common case) whose cleaned form became final, in a slice valid
+// until the next call on the cleaner. Records of one object must arrive in
+// non-decreasing time order; a record older than the last accepted one of
+// its object is dropped, as the batch chain sorts them away before
+// cleaning, and counted in semitri_ingest_late_dropped_total.
 func (c *StreamCleaner) Add(r Record) []Record {
 	st, ok := c.objects[r.ObjectID]
 	if !ok {
-		st = &cleanerState{}
+		st = &cleanerState{pending: make([]Record, 0, 2*max(c.cfg.SmoothingWindow, 0)+1)}
 		c.objects[r.ObjectID] = st
 	}
 	if st.hasLast {
 		dt := r.Time.Sub(st.last.Time).Seconds()
 		if dt < 0 {
+			obs.IngestLateDropped.Inc()
 			return nil // late record: batch sorting would have moved it earlier
 		}
 		if c.cfg.MaxSpeed > 0 {
@@ -75,17 +87,17 @@ func (c *StreamCleaner) Add(r Record) []Record {
 	return c.drain(st, false)
 }
 
-// drain emits every pending record whose smoothing window is complete (or
-// every pending record when final is true).
+// drain emits, into st.out, every pending record whose smoothing window is
+// complete (or every pending record when final is true).
 func (c *StreamCleaner) drain(st *cleanerState, final bool) []Record {
 	w := c.cfg.SmoothingWindow
 	if w <= 0 {
-		out := append([]Record(nil), st.pending...)
+		st.out = append(st.out[:0], st.pending...)
 		st.emitted += len(st.pending)
 		st.pending = st.pending[:0]
-		return out
+		return st.out
 	}
-	var out []Record
+	st.out = st.out[:0]
 	for {
 		// The first min(emitted, w) pending entries are history kept for the
 		// left half of the window; the head record follows them and is final
@@ -100,9 +112,9 @@ func (c *StreamCleaner) drain(st *cleanerState, final bool) []Record {
 		if !final && len(st.pending)-head-1 < w {
 			break
 		}
-		out = append(out, c.smoothHead(st))
+		st.out = append(st.out, c.smoothHead(st))
 	}
-	return out
+	return st.out
 }
 
 // smoothHead emits pending[0] with its centred moving average applied. The
@@ -135,9 +147,10 @@ func (c *StreamCleaner) smoothHead(st *cleanerState) Record {
 	out.Position.X = sx / n
 	out.Position.Y = sy / n
 	st.emitted++
-	// Drop history that the next head's window can no longer reach.
+	// Drop history that the next head's window can no longer reach, shifting
+	// the window in place so its buffer is never reallocated.
 	if head == w {
-		st.pending = st.pending[1:]
+		st.pending = st.pending[:copy(st.pending, st.pending[1:])]
 	}
 	return out
 }
@@ -145,7 +158,8 @@ func (c *StreamCleaner) smoothHead(st *cleanerState) Record {
 // Flush finalises the pending records of one object and returns them
 // cleaned. The object's smoothing history is reset: parity with one batch
 // Clean call holds only when Flush is called once, after the object's stream
-// ended.
+// ended. The object's buffers are released; the returned slice is no longer
+// the cleaner's.
 func (c *StreamCleaner) Flush(objectID string) []Record {
 	st, ok := c.objects[objectID]
 	if !ok {
@@ -195,11 +209,23 @@ type SegmentEvent struct {
 // SplitDaily (daily == true) exactly: same split points, same ids, same
 // dropped segments. Records of one object must arrive in time order; objects
 // may interleave freely.
+//
+// Segment buffers: the Records of a closed trajectory (SegmentEvent.Closed,
+// Flush) belong to the caller, and the segmenter never writes to them again
+// unless the caller hands them back through Recycle, after which the
+// segmenter may reuse them for a later segment of the same object. A
+// dropped segment's buffer never leaves the segmenter and is reused the same
+// way. An owner that recycles every closed trajectory therefore reuses
+// about two buffers per object: the one being closed and the one being
+// filled.
 type StreamSegmenter struct {
 	cfg   SegmentationConfig
 	daily bool
 	open  map[string]*openSegment
 	kept  map[string]int // id-numbering key -> kept trajectory count
+	// spare holds, per object, one emptied buffer for its next segment: the
+	// larger of those handed back, so capacity is never traded down.
+	spare map[string][]Record
 }
 
 type openSegment struct {
@@ -226,6 +252,7 @@ func NewStreamSegmenter(cfg SegmentationConfig, daily bool) *StreamSegmenter {
 		daily: daily,
 		open:  map[string]*openSegment{},
 		kept:  map[string]int{},
+		spare: map[string][]Record{},
 	}
 }
 
@@ -267,7 +294,8 @@ func (s *StreamSegmenter) Add(r Record) SegmentEvent {
 		}
 	}
 	if !ok {
-		seg = &openSegment{dayKey: dayKey}
+		seg = &openSegment{records: s.spare[r.ObjectID], dayKey: dayKey}
+		delete(s.spare, r.ObjectID)
 		if s.daily {
 			seg.day = r.Time.UTC().Format("2006-01-02")
 		}
@@ -294,6 +322,7 @@ func (s *StreamSegmenter) close(objectID string) (*RawTrajectory, bool) {
 	}
 	delete(s.open, objectID)
 	if seg.id == "" {
+		s.keepSpare(objectID, seg.records)
 		return nil, len(seg.records) > 0
 	}
 	return &RawTrajectory{ID: seg.id, ObjectID: objectID, Records: seg.records}, false
@@ -308,6 +337,22 @@ func (s *StreamSegmenter) OpenRecords(objectID string) (records []Record, id str
 		return nil, "", false
 	}
 	return seg.records, seg.id, true
+}
+
+// Recycle hands a closed trajectory's record buffer back to the segmenter,
+// which may reuse it for the object's next segment: the caller must not read
+// t.Records afterwards.
+func (s *StreamSegmenter) Recycle(t *RawTrajectory) {
+	s.keepSpare(t.ObjectID, t.Records)
+	t.Records = nil
+}
+
+// keepSpare makes buf the object's spare buffer unless the spare it has is
+// larger.
+func (s *StreamSegmenter) keepSpare(objectID string, buf []Record) {
+	if cap(buf) > cap(s.spare[objectID]) {
+		s.spare[objectID] = buf[:0]
+	}
 }
 
 // Flush closes the object's open segment, returning the kept trajectory (or

@@ -167,6 +167,102 @@ func TestStreamSegmenterDailyAddDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestStreamCleanerAddDoesNotAllocate pins the cleaner's steady state: the
+// window shifts in place and Add returns the object's reused output buffer.
+func TestStreamCleanerAddDoesNotAllocate(t *testing.T) {
+	sc := gps.NewStreamCleaner(gps.DefaultCleaningConfig())
+	r := gps.Record{ObjectID: "u1", Position: geo.Pt(0, 0), Time: time.Date(2026, 3, 14, 0, 0, 0, 0, time.UTC)}
+	next := func() {
+		r.Time = r.Time.Add(10 * time.Second)
+		r.Position.X += 20
+		if len(sc.Add(r)) != 1 {
+			t.Fatal("a warm cleaner should emit one record per record")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		sc.Add(r)
+		r.Time = r.Time.Add(10 * time.Second)
+	}
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+		t.Fatalf("warm Add allocates %.1f times per record, want 0", allocs)
+	}
+}
+
+// segmentFeed is one object's stream of n trajectories of 30 records, each
+// preceded by a 3-record segment too short to keep when dropped is true, all
+// separated by two-hour gaps.
+func segmentFeed(n int, dropped bool) []gps.Record {
+	sizes := []int{30}
+	if dropped {
+		sizes = []int{3, 30}
+	}
+	var out []gps.Record
+	at := time.Date(2026, 3, 14, 0, 0, 0, 0, time.UTC)
+	for k := 0; k < n; k++ {
+		for _, size := range sizes {
+			at = at.Add(2 * time.Hour)
+			for i := 0; i < size; i++ {
+				out = append(out, gps.Record{ObjectID: "u1",
+					Position: geo.Pt(float64(100*k+i), float64(size)), Time: at.Add(time.Duration(i) * time.Minute)})
+			}
+		}
+	}
+	return out
+}
+
+// TestStreamSegmenterClosedRecordsStayOwned checks that the Records of a
+// closed trajectory that is never handed back stay the caller's: later
+// segments of the same object, kept or dropped, never write to them.
+func TestStreamSegmenterClosedRecordsStayOwned(t *testing.T) {
+	ss := gps.NewStreamSegmenter(gps.DefaultSegmentationConfig(), false)
+	var kept []*gps.RawTrajectory
+	var first []gps.Record
+	for _, r := range segmentFeed(5, true) {
+		if ev := ss.Add(r); ev.Closed != nil {
+			kept = append(kept, ev.Closed)
+			if len(kept) == 1 {
+				first = append([]gps.Record(nil), ev.Closed.Records...)
+			}
+		}
+	}
+	if len(kept) != 4 {
+		t.Fatalf("closed %d trajectories, want 4", len(kept))
+	}
+	if !reflect.DeepEqual(kept[0].Records, first) {
+		t.Fatal("a retained trajectory's records changed after three more trajectories of its object")
+	}
+}
+
+// TestStreamSegmenterRecycleReusesBuffer checks the hand-back: recycling
+// changes no trajectory, and back-to-back trajectories of one object run on
+// two buffers, a recycled one carrying the segment after next (the next one
+// opens while the closed buffer is still out).
+func TestStreamSegmenterRecycleReusesBuffer(t *testing.T) {
+	cfg := gps.DefaultSegmentationConfig()
+	for _, dropped := range []bool{false, true} {
+		records := segmentFeed(6, dropped)
+		want := streamSegment(records, cfg, false)
+		ss := gps.NewStreamSegmenter(cfg, false)
+		var got []*gps.RawTrajectory
+		var buffers []*gps.Record
+		for _, r := range records {
+			if ev := ss.Add(r); ev.Closed != nil {
+				buffers = append(buffers, &ev.Closed.Records[0])
+				got = append(got, &gps.RawTrajectory{ID: ev.Closed.ID, ObjectID: ev.Closed.ObjectID,
+					Records: append([]gps.Record(nil), ev.Closed.Records...)})
+				ss.Recycle(ev.Closed)
+			}
+		}
+		got = append(got, ss.FlushAll()...)
+		trajectoriesEqual(t, want, got)
+		for k := 2; k < len(buffers) && !dropped; k++ {
+			if buffers[k] != buffers[k-2] {
+				t.Fatalf("trajectory %d did not reuse the buffer of trajectory %d", k, k-2)
+			}
+		}
+	}
+}
+
 func TestStreamSegmenterCommitEvent(t *testing.T) {
 	cfg := gps.SegmentationConfig{MaxTimeGap: time.Hour, MinRecords: 3}
 	ss := gps.NewStreamSegmenter(cfg, false)

@@ -20,6 +20,8 @@ const ingestStageHelp = "Latency of each streaming ingest stage, in nanoseconds 
 var (
 	IngestRecords = NewCounter("semitri_ingest_records_total",
 		"GPS records accepted by the streaming pipeline.")
+	IngestLateDropped = NewCounter("semitri_ingest_late_dropped_total",
+		"GPS records dropped for arriving older than their object's last accepted record.")
 	IngestTrajectories = NewCounter("semitri_ingest_trajectories_total",
 		"Trajectories closed and fully annotated by the streaming pipeline.")
 	IngestStageCleanNs        = NewHistogram("semitri_ingest_stage_ns", ingestStageHelp, nil, "stage", "clean")

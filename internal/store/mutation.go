@@ -63,10 +63,11 @@ type Mutation struct {
 // MutationLog receives every committed store mutation, in commit order per
 // lock stripe. The store calls LogMutation while it still holds the stripe
 // lock of the mutated table, so implementations must be fast and must not
-// call back into the store; data reachable from the mutation (records,
-// episodes, tuples) may be mutated by later writers under the same stripe
-// lock, so anything retained past the call must be copied or serialised
-// inside LogMutation.
+// call back into the store. A MutPutRecords' Records are the log's own copy
+// and are never written again, so a log may keep them as they are; other
+// data reachable from the mutation (episodes, tuples) may be mutated by
+// later writers under the same stripe lock, so anything of it retained past
+// the call must be copied or serialised inside LogMutation.
 type MutationLog interface {
 	LogMutation(m Mutation)
 }

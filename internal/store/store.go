@@ -150,7 +150,9 @@ func lockTimed(sh *shard) {
 // position the first record took in its object's record run (-1 for an
 // empty batch). Each run of consecutive records of one object locks the
 // object's stripe once and reaches the attached mutation log as one
-// positional entry; the streaming path puts one record at a time.
+// positional entry; the streaming path puts an object's records in runs of
+// up to 64. The store keeps no reference to records: the caller may reuse
+// the slice once PutRecords returns, and an attached log is handed a copy.
 func (s *Store) PutRecords(records []gps.Record) int {
 	obs.StoreMutRecords.Add(int64(len(records)))
 	l := s.mutationLog()
@@ -163,12 +165,16 @@ func (s *Store) PutRecords(records []gps.Record) int {
 		}
 		run := records[:n]
 		records = records[n:]
+		var logged []gps.Record
+		if l != nil {
+			logged = slices.Clone(run)
+		}
 		sh := s.shardFor(obj)
 		lockTimed(sh)
 		fixes := sh.records[obj]
 		pos := sh.frozenRecs(obj) + len(fixes)
 		if l != nil {
-			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: obj, Start: pos, Records: run})
+			l.LogMutation(Mutation{Op: MutPutRecords, ObjectID: obj, Start: pos, Records: logged})
 		}
 		for _, r := range run {
 			fixes = append(fixes, packFix(r))

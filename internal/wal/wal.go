@@ -151,8 +151,9 @@ type Log struct {
 	buf    []byte
 	spare  []byte
 	closed bool
-	// staged coalesces the hot path's one-record MutPutRecords mutations
-	// into multi-record frames per object: consecutive positional appends
+	// staged coalesces the hot path's MutPutRecords mutations (runs of up
+	// to maxRunRecords, shorter at a trajectory commit or close) into
+	// multi-record frames per object: consecutive positional appends
 	// extend the staged run, and runs seal into buf on any flush, on a
 	// position gap or at maxRunRecords. This cuts both frame count (one
 	// header+CRC per run instead of per record) and bytes (the in-batch

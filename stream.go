@@ -30,8 +30,19 @@ import (
 // kernels (gps.Clean, gps.IdentifyTrajectories, episode.Detect and the
 // annotators' whole-trajectory entry points) composed over them, which the
 // parity tests use as the oracle. This assumes each object's records arrive
-// in time order; late records are dropped, where ProcessRecords' sort would
-// have moved them.
+// in time order; late records are dropped (and counted in
+// semitri_ingest_late_dropped_total), where ProcessRecords' sort would have
+// moved them.
+//
+// # Freshness
+//
+// Cleaned records reach the store in runs of up to 64 per object (one
+// stripe lock and one mutation-log entry per run), not one at a time. A
+// record accepted by the cleaner is therefore stored at most 63 records of
+// its object late, or sooner, at the object's next trajectory commit or
+// close, Flush or Close; the cleaning window adds its SmoothingWindow
+// records of delay before that. A trajectory's range is stored only after
+// the records it covers.
 //
 // # Concurrency
 //
@@ -65,25 +76,38 @@ type StreamProcessor struct {
 	moves   atomic.Int64
 }
 
+// runRecords is how many cleaned records of one object are staged before
+// they go to the store as one run: the WAL's frame coalescing size.
+const runRecords = 64
+
 // objectStream is the per-object streaming state: the object's own cleaning
-// window and segmenter, the episode tracker of the open trajectory and the
-// artefacts staged until the trajectory is committed (guaranteed to be
-// kept). All fields are guarded by mu; the cleaner and segmenter see exactly
-// one object each.
+// window and segmenter, its episode tracker (reset per trajectory), the
+// records staged for the store and the artefacts staged until the
+// trajectory is committed (guaranteed to be kept). All fields are guarded
+// by mu; the cleaner and segmenter see exactly one object each. Its buffers
+// live as long as the object does, so the steady-state record path
+// allocates nothing.
 type objectStream struct {
 	mu sync.Mutex
 
 	objectID  string
 	cleaner   *gps.StreamCleaner
 	segmenter *gps.StreamSegmenter
-	tracker   *episode.Tracker
-	id        string   // trajectory id, "" until committed
-	closed    bool     // set by Close: the object accepts no further records
-	closedIDs []string // ids of the object's kept trajectories, in start-time order
+	tracker   *episode.Tracker // nil until the object's first trajectory opens
+	id        string           // trajectory id, "" until committed
+	closed    bool             // set by Close: the object accepts no further records
+	closedIDs []string         // ids of the object's kept trajectories, in start-time order
 	// segStart is the position of the open segment's first record in the
 	// object's record run: the segment's records are exactly the run's
 	// positions from there, so the stored trajectory is that range.
 	segStart int
+
+	// run holds cleaned records not yet in the store (at most runRecords),
+	// and next is the position in the object's record run that the next
+	// cleaned record will take, counted from the store's length when the
+	// object was first seen.
+	run  []gps.Record
+	next int
 
 	// cur holds the object's spatial locality cursors (last land-use cell,
 	// last road candidates, last POI neighbourhood). The per-object state of
@@ -115,7 +139,7 @@ type objectStream struct {
 // sample) while the hot path pays time.Now pairs only on sampled records:
 // clock reads are ~70ns on cloud VMs without a fast vDSO path, so sampling
 // sparser than the histograms need keeps the obs overhead budget
-// (bench-asserted < 3%) safe. Caller holds mu.
+// (CI-asserted < 3% on BENCH_10.json's obs row) safe. Caller holds mu.
 func (os *objectStream) sampleTimed() bool {
 	os.sample++
 	return os.sample&63 == 0 && obs.Enabled()
@@ -182,6 +206,8 @@ func (sp *StreamProcessor) object(objectID string) (*objectStream, error) {
 			cleaner:   gps.NewStreamCleaner(sp.p.cfg.Cleaning),
 			segmenter: gps.NewStreamSegmenter(sp.p.cfg.Segmentation, sp.p.cfg.DailySplit),
 			cur:       sp.p.newCursors(),
+			run:       make([]gps.Record, 0, runRecords),
+			next:      sp.p.st.RecordLen(objectID),
 		}
 		sp.objects[objectID] = os
 	}
@@ -212,8 +238,8 @@ func (sp *StreamProcessor) Add(r gps.Record) ([]StreamEvent, error) {
 		obs.IngestStageCleanNs.ObserveNs(time.Since(t0).Nanoseconds())
 	}
 	var events []StreamEvent
-	for i := range cleaned {
-		evs, err := sp.ingestCleaned(os, cleaned[i:i+1:i+1], timed)
+	for _, cr := range cleaned {
+		evs, err := sp.ingestCleaned(os, cr, timed)
 		events = append(events, evs...)
 		if err != nil {
 			return events, err
@@ -235,13 +261,19 @@ func (sp *StreamProcessor) AddBatch(records []gps.Record) ([]StreamEvent, error)
 	return events, nil
 }
 
-// ingestCleaned routes one finalised cleaned record — rec, a one-record
-// slice of the cleaner's output, which the store's mutation log may keep —
-// through segmentation, episode tracking and annotation; timed is the
-// record's sampling decision (see sampleTimed). Caller holds os.mu.
-func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, timed bool) ([]StreamEvent, error) {
-	pos := sp.p.st.PutRecords(rec)
-	cr := rec[0]
+// ingestCleaned stages one finalised cleaned record for the store (putting
+// the object's run when it is full) and routes it through segmentation,
+// episode tracking and annotation; timed is the record's sampling decision
+// (see sampleTimed). Caller holds os.mu.
+func (sp *StreamProcessor) ingestCleaned(os *objectStream, cr gps.Record, timed bool) ([]StreamEvent, error) {
+	pos := os.next
+	os.next++
+	os.run = append(os.run, cr)
+	if len(os.run) == runRecords {
+		if err := sp.putRun(os); err != nil {
+			return nil, err
+		}
+	}
 	sp.records.Add(1)
 	obs.IngestRecords.Inc()
 	var t0 time.Time
@@ -263,11 +295,15 @@ func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, tim
 		os.reset()
 	}
 	if ev.Opened {
-		tk, err := episode.NewTracker("", os.objectID, sp.p.cfg.Episode)
-		if err != nil {
-			return events, fmt.Errorf("semitri: %w", err)
+		if os.tracker == nil {
+			tk, err := episode.NewTracker("", os.objectID, sp.p.cfg.Episode)
+			if err != nil {
+				return events, fmt.Errorf("semitri: %w", err)
+			}
+			os.tracker = tk
+		} else {
+			os.tracker.Reset("", os.objectID)
 		}
-		os.tracker = tk
 		os.segStart = pos
 	}
 	if timed {
@@ -280,8 +316,8 @@ func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, tim
 	if timed {
 		obs.IngestStageTrackNs.ObserveNs(time.Since(t0).Nanoseconds())
 	}
-	openRecords, _, _ := os.segmenter.OpenRecords(os.objectID)
 	for _, closedEp := range eps {
+		openRecords, _, _ := os.segmenter.OpenRecords(os.objectID)
 		e, err := sp.closeEpisodeRecords(os, closedEp, openRecords)
 		if err != nil {
 			return events, err
@@ -303,6 +339,24 @@ func (sp *StreamProcessor) ingestCleaned(os *objectStream, rec []gps.Record, tim
 		}
 	}
 	return events, nil
+}
+
+// putRun stores the object's staged records as one run and checks that they
+// landed where the stream predicted: trajectory ranges are computed from
+// that prediction, so a run displaced by another writer of the object is an
+// error rather than a wrong range. Caller holds os.mu.
+func (sp *StreamProcessor) putRun(os *objectStream) error {
+	if len(os.run) == 0 {
+		return nil
+	}
+	want := os.next - len(os.run)
+	got := sp.p.st.PutRecords(os.run)
+	os.run = os.run[:0]
+	if got != want {
+		return fmt.Errorf("semitri: object %s: records stored from position %d, want %d (another writer appended to the object)",
+			os.objectID, got, want)
+	}
+	return nil
 }
 
 // closeEpisodeRecords annotates a final episode with the region and line
@@ -368,6 +422,9 @@ func (sp *StreamProcessor) commit(os *objectStream, id string) ([]StreamEvent, e
 		released[i].TrajectoryID = id
 	}
 	records, _, _ := os.segmenter.OpenRecords(os.objectID)
+	if err := sp.putRun(os); err != nil {
+		return released, err
+	}
 	if err := sp.p.st.PutTrajectory(id, os.objectID, os.segStart, len(records)); err != nil {
 		return released, err
 	}
@@ -399,9 +456,13 @@ func (sp *StreamProcessor) commit(os *objectStream, id string) ([]StreamEvent, e
 
 // closeTrajectory finishes a kept trajectory: drains the tracker's tail
 // episodes, runs the record-level region interpretation and the point layer,
-// and finalises the stored trajectory. Caller holds os.mu.
+// and finalises the stored trajectory. It then hands t's record buffer back
+// to the segmenter for the object's next segment. Caller holds os.mu.
 func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajectory) ([]StreamEvent, error) {
-	defer os.reset()
+	defer func() {
+		os.segmenter.Recycle(t)
+		os.reset()
+	}()
 	if os.tracker == nil {
 		return nil, fmt.Errorf("semitri: trajectory %s closed without a tracker", t.ID)
 	}
@@ -473,6 +534,9 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 		}
 	}
 	// Replace the partial trajectory stored at commit time with the final one.
+	if err := sp.putRun(os); err != nil {
+		return events, err
+	}
 	if err := sp.p.st.PutTrajectory(t.ID, t.ObjectID, os.segStart, len(t.Records)); err != nil {
 		return events, err
 	}
@@ -491,14 +555,21 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 }
 
 // reset clears the per-trajectory state after a close or drop, keeping the
-// object's cleaner/segmenter (their history spans trajectories) and its
-// closed flag.
+// object's cleaner/segmenter (their history spans trajectories), its
+// buffers and its closed flag. The tracker is reset when the next
+// trajectory opens.
 func (os *objectStream) reset() {
-	os.tracker = nil
 	os.id = ""
-	os.episodes = nil
+	clear(os.episodes)
+	os.episodes = os.episodes[:0]
 	os.staged = nil
 	os.stagedEvents = nil
+}
+
+// release drops every per-object buffer once the object is closed.
+func (os *objectStream) release() {
+	os.cleaner, os.segmenter, os.tracker, os.cur = nil, nil, nil, nil
+	os.run, os.episodes = nil, nil
 }
 
 // Flush force-closes the object's open trajectory (drains the cleaner's
@@ -527,9 +598,8 @@ func (sp *StreamProcessor) Flush(objectID string) ([]StreamEvent, error) {
 // flushObject drains and closes one object's open state. Caller holds os.mu.
 func (sp *StreamProcessor) flushObject(os *objectStream) ([]StreamEvent, error) {
 	var events []StreamEvent
-	drained := os.cleaner.Flush(os.objectID)
-	for i := range drained {
-		evs, err := sp.ingestCleaned(os, drained[i:i+1:i+1], os.sampleTimed())
+	for _, cr := range os.cleaner.Flush(os.objectID) {
+		evs, err := sp.ingestCleaned(os, cr, os.sampleTimed())
 		events = append(events, evs...)
 		if err != nil {
 			return events, err
@@ -544,7 +614,7 @@ func (sp *StreamProcessor) flushObject(os *objectStream) ([]StreamEvent, error) 
 	} else {
 		os.reset() // open segment dropped (too short) or absent
 	}
-	return events, nil
+	return events, sp.putRun(os)
 }
 
 // sortedObjects returns the registered objects ordered by object id. Caller
@@ -581,6 +651,7 @@ func (sp *StreamProcessor) Close() (*Result, error) {
 		if !os.closed {
 			_, err = sp.flushObject(os)
 			os.closed = true
+			os.release()
 		}
 		os.mu.Unlock()
 		if err != nil {
