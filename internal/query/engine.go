@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
@@ -22,20 +23,39 @@ import (
 // snapshot. An Engine is safe for concurrent use, including concurrently
 // with live StreamProcessor ingestion into the same store.
 //
+// Every posting is an 8-byte pointer-free value: the engine interns each
+// structured trajectory — a (trajectory, interpretation) pair — the first
+// time it indexes one of its tuples, giving it a dense uint32 and keeping
+// {trajectory id, object id, interpretation} once, in an append-only table
+// (stTable). A posting is that number plus the tuple's position. Queries
+// resolve postings back to store.TupleRefs only when they gather
+// candidates. Time postings add the kind and both times as UTC seconds plus
+// nanoseconds (40 B in all), spatial items add the kind (16 B) beside the
+// grid's own rectangle and 4-byte bucket entries, and annotation postings
+// are the bare 8 bytes. None of them holds a pointer, so the collector
+// never traces the indexes' bulk.
+//
 // The engine's state is lock-striped like the store, with as many stripes
 // as the store has, but each index is partitioned by its own natural key so
 // a point lookup touches exactly one stripe:
 //
-//   - the inverted annotation index — (interpretation, key, value) → refs —
-//     is striped by the hash of that triple,
+//   - the inverted annotation index — (interpretation, key, value) →
+//     postings — is striped by the hash of that triple,
 //   - the per-object episode index (time-ordered by TimeIn) and the
-//     idempotency bitmaps are striped by object id with the store's own
-//     KeyHash, so objects that do not contend in the store do not contend
-//     here either,
+//     interning map with its idempotency bitmaps are striped by object id
+//     with the store's own KeyHash, so objects that do not contend in the
+//     store do not contend here either,
 //   - the spatial index (spatial.HashGrid over episode bounding rectangles,
-//     kind-tagged) is one engine-wide grid — window queries have no key to
-//     route by, and episode closes are rare next to record appends, so a
-//     single write lock never shows up in ingestion (see spatialIndex).
+//     each item's posting and kind in a parallel slice) is one engine-wide
+//     grid — window queries have no key to route by, and episode closes are
+//     rare next to record appends, so a single write lock never shows up in
+//     ingestion (see spatialIndex).
+//
+// Lock order: the interning table's lock is always taken last. A writer
+// takes it (exclusively) only on a trajectory's first sight, while holding
+// its object stripe; a reader takes it (shared) while holding the index
+// lock it gathers under, so its snapshot covers every posting it can see.
+// No code takes another lock while holding the table's.
 //
 // Replaced interpretations and re-annotated tuples leave their old postings
 // behind (removal would need a scan); stale postings cost a wasted
@@ -46,6 +66,7 @@ type Engine struct {
 	objShards []*objectShard
 	annShards []*annShard
 	spatial   spatialIndex
+	sts       stTable
 	// total counts indexed tuple positions — the full-scan cost estimate,
 	// atomic so planning never locks for it.
 	total atomic.Int64
@@ -55,17 +76,67 @@ type Engine struct {
 	serialThreshold atomic.Int32
 }
 
-// objectShard is one object-routed stripe: time postings and the indexed
-// bitmaps of the objects hashed here.
+// posting addresses one indexed tuple: the interned number of its
+// structured trajectory and its position there.
+type posting struct {
+	st, idx uint32
+}
+
+// stRow is one interned structured trajectory.
+type stRow struct {
+	traj, object, interp string
+}
+
+// ref resolves a posting of this row to the store's address of the tuple.
+func (r *stRow) ref(p posting) store.TupleRef {
+	return store.TupleRef{TrajectoryID: r.traj, ObjectID: r.object, Interpretation: r.interp, Index: int(p.idx)}
+}
+
+// stTable is the append-only interning table: row i describes the
+// structured trajectory whose postings carry st == i. Rows never change once
+// appended, so a reader may keep the slice it snapshotted after releasing
+// the lock. Its lock is the last one taken (see Engine).
+type stTable struct {
+	mu   sync.RWMutex
+	rows []stRow
+}
+
+// intern appends a row for ref's structured trajectory and returns its
+// number. Callers hold the object stripe that guards first sight.
+func (t *stTable) intern(ref store.TupleRef) uint32 {
+	t.mu.Lock()
+	id := uint32(len(t.rows))
+	t.rows = append(t.rows, stRow{traj: ref.TrajectoryID, object: ref.ObjectID, interp: ref.Interpretation})
+	t.mu.Unlock()
+	return id
+}
+
+// snapshot returns the rows interned so far. Taken under an index lock, it
+// covers every posting that index holds.
+func (t *stTable) snapshot() []stRow {
+	t.mu.RLock()
+	rows := t.rows
+	t.mu.RUnlock()
+	return rows
+}
+
+// objectShard is one object-routed stripe: time postings, interned numbers
+// and indexed bitmaps of the objects hashed here.
 type objectShard struct {
 	mu sync.RWMutex
 	// objects holds each object's episode postings, sorted by TimeIn.
-	objects map[string][]timedRef
-	// indexed marks, per structured trajectory, which tuple positions were
-	// indexed already — the idempotency guard that makes append
-	// notifications, the backfill scan and replacement re-deliveries safe
-	// to overlap.
-	indexed map[stKey][]bool
+	objects map[string][]timedPosting
+	// indexed maps each structured trajectory seen here to its interned
+	// number and the bitmap of tuple positions indexed already — the
+	// idempotency guard that makes append notifications, the backfill scan
+	// and replacement re-deliveries safe to overlap.
+	indexed map[stKey]stEntry
+}
+
+// stEntry is one structured trajectory's interned number and indexed bitmap.
+type stEntry struct {
+	id   uint32
+	seen []bool
 }
 
 // spatialIndex is the engine-wide episode-geometry index: one incremental
@@ -77,20 +148,21 @@ type objectShard struct {
 type spatialIndex struct {
 	mu   sync.RWMutex
 	grid *spatial.HashGrid
+	// items holds, by grid item number, the posting and the kind of each
+	// episode rectangle, so kind- and interpretation-filtered window
+	// queries never resolve candidates of the wrong kind.
+	items []spatialItem
 }
 
-// spatialRef is the value stored with each episode rectangle: the ref plus
-// the immutable prefilter fields, so kind- and interpretation-filtered
-// window queries never resolve candidates of the wrong kind.
-type spatialRef struct {
-	ref  store.TupleRef
+type spatialItem struct {
+	p    posting
 	kind episode.Kind
 }
 
 // annShard is one annotation-routed stripe of the inverted index.
 type annShard struct {
 	mu  sync.RWMutex
-	ann map[annKey][]store.TupleRef
+	ann map[annKey][]posting
 }
 
 // annKey addresses one inverted-index posting list.
@@ -126,15 +198,32 @@ type stKey struct {
 	interp string
 }
 
-// timedRef is one entry of the per-object time index: the ref plus the
-// immutable tuple fields the executor prefilters on before paying for store
-// resolution.
-type timedRef struct {
-	ref     store.TupleRef
-	timeIn  time.Time
-	timeOut time.Time
-	kind    episode.Kind
+// stamp is a time in an exact pointer-free form: seconds since the Unix
+// epoch plus nanoseconds, as the store's fixes hold it. Comparing stamps
+// agrees with comparing the times for every time whose Unix seconds fit an
+// int64, whatever its location — UnixNano would not, outside 1678–2262.
+type stamp struct {
+	sec  int64
+	nsec int32
 }
+
+func stampOf(t time.Time) stamp { return stamp{sec: t.Unix(), nsec: int32(t.Nanosecond())} }
+
+func (a stamp) before(b stamp) bool { return a.sec < b.sec || a.sec == b.sec && a.nsec < b.nsec }
+
+// timedPosting is one entry of the per-object time index: the posting plus
+// the immutable tuple fields the executor prefilters on before paying for
+// store resolution. The two stamps are kept unpacked so the entry packs
+// into 40 bytes.
+type timedPosting struct {
+	p               posting
+	inSec, outSec   int64
+	inNsec, outNsec int32
+	kind            episode.Kind
+}
+
+func (tp *timedPosting) timeIn() stamp  { return stamp{tp.inSec, tp.inNsec} }
+func (tp *timedPosting) timeOut() stamp { return stamp{tp.outSec, tp.outNsec} }
 
 // SpatialCellSize is the bucket size of the episode grid, sized for
 // city-scale episode geometry (a few hundred metres per stop/move).
@@ -160,10 +249,10 @@ func NewEngineWith(st *store.Store, opts Options) *Engine {
 	e.serialThreshold.Store(int32(opts.SerialThreshold))
 	for i := 0; i < n; i++ {
 		e.objShards[i] = &objectShard{
-			objects: map[string][]timedRef{},
-			indexed: map[stKey][]bool{},
+			objects: map[string][]timedPosting{},
+			indexed: map[stKey]stEntry{},
 		}
-		e.annShards[i] = &annShard{ann: map[annKey][]store.TupleRef{}}
+		e.annShards[i] = &annShard{ann: map[annKey][]posting{}}
 	}
 	e.spatial.grid = spatial.NewHashGrid(SpatialCellSize)
 	// Attach first, then backfill: tuples appended between the two steps are
@@ -203,70 +292,76 @@ func (e *Engine) annShardFor(k annKey) *annShard {
 func (e *Engine) index(ref store.TupleRef, tp *core.EpisodeTuple) {
 	sh := e.objShardFor(ref.ObjectID)
 	sh.mu.Lock()
-	if !sh.mark(ref) {
+	p, fresh := sh.mark(&e.sts, ref)
+	if !fresh {
 		sh.mu.Unlock()
 		return // duplicate delivery (backfill overlapped a notification)
 	}
 	// Per-object time index: insertion-sort by TimeIn. Episodes close in
 	// time order per object, so this is an append in the common case.
-	tr := timedRef{ref: ref, timeIn: tp.TimeIn, timeOut: tp.TimeOut, kind: tp.Kind}
-	refs := sh.objects[ref.ObjectID]
-	pos := sort.Search(len(refs), func(i int) bool { return refs[i].timeIn.After(tr.timeIn) })
-	refs = append(refs, timedRef{})
-	copy(refs[pos+1:], refs[pos:])
-	refs[pos] = tr
-	sh.objects[ref.ObjectID] = refs
+	in, out := stampOf(tp.TimeIn), stampOf(tp.TimeOut)
+	tr := timedPosting{p: p, inSec: in.sec, inNsec: in.nsec, outSec: out.sec, outNsec: out.nsec, kind: tp.Kind}
+	posted := sh.objects[ref.ObjectID]
+	pos := sort.Search(len(posted), func(i int) bool { return in.before(posted[i].timeIn()) })
+	posted = append(posted, timedPosting{})
+	copy(posted[pos+1:], posted[pos:])
+	posted[pos] = tr
+	sh.objects[ref.ObjectID] = posted
 	sh.mu.Unlock()
 
 	if tp.Episode != nil {
 		e.spatial.mu.Lock()
-		e.spatial.grid.Insert(spatial.Item{
-			Rect:  tp.Episode.Bounds,
-			Value: spatialRef{ref: ref, kind: tp.Kind},
-		})
+		e.spatial.grid.Insert(tp.Episode.Bounds)
+		e.spatial.items = append(e.spatial.items, spatialItem{p: p, kind: tp.Kind})
 		e.spatial.mu.Unlock()
 	}
 	e.total.Add(1)
-	e.indexAnnotations(ref, tp.Annotations.All())
+	e.indexAnnotations(ref.Interpretation, p, tp.Annotations.All())
 }
 
-// mark sets the indexed bit for ref, reporting false when it was already
-// set. Caller holds sh.mu.
-func (sh *objectShard) mark(ref store.TupleRef) bool {
+// mark sets the indexed bit for ref, interning its structured trajectory on
+// first sight, and returns ref's posting — fresh is false when the bit was
+// already set. Caller holds sh.mu.
+func (sh *objectShard) mark(t *stTable, ref store.TupleRef) (p posting, fresh bool) {
 	key := stKey{traj: ref.TrajectoryID, interp: ref.Interpretation}
-	seen := sh.indexed[key]
-	if ref.Index < len(seen) && seen[ref.Index] {
-		return false
+	ent, ok := sh.indexed[key]
+	if !ok {
+		ent.id = t.intern(ref)
 	}
-	for len(seen) <= ref.Index {
-		seen = append(seen, false)
+	p = posting{st: ent.id, idx: uint32(ref.Index)}
+	if ref.Index < len(ent.seen) && ent.seen[ref.Index] {
+		return p, false
 	}
-	seen[ref.Index] = true
-	sh.indexed[key] = seen
-	return true
+	for len(ent.seen) <= ref.Index {
+		ent.seen = append(ent.seen, false)
+	}
+	ent.seen[ref.Index] = true
+	sh.indexed[key] = ent
+	return p, true
 }
 
-// marked reports whether ref's indexed bit is set.
-func (sh *objectShard) marked(ref store.TupleRef) bool {
+// marked returns ref's posting if its indexed bit is set.
+func (sh *objectShard) marked(ref store.TupleRef) (posting, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	seen := sh.indexed[stKey{traj: ref.TrajectoryID, interp: ref.Interpretation}]
-	return ref.Index < len(seen) && seen[ref.Index]
+	ent := sh.indexed[stKey{traj: ref.TrajectoryID, interp: ref.Interpretation}]
+	p := posting{st: ent.id, idx: uint32(ref.Index)}
+	return p, ref.Index < len(ent.seen) && ent.seen[ref.Index]
 }
 
-// indexAnnotations adds inverted-index postings for the given annotations,
-// each into its own stripe. A tuple is briefly time-indexed before it is
-// annotation-indexed; queries in that window just miss it, as if they had
-// run a moment earlier.
-func (e *Engine) indexAnnotations(ref store.TupleRef, anns []core.Annotation) {
+// indexAnnotations adds inverted-index postings of p for the given
+// annotations, each into its own stripe. A tuple is briefly time-indexed
+// before it is annotation-indexed; queries in that window just miss it, as
+// if they had run a moment earlier.
+func (e *Engine) indexAnnotations(interp string, p posting, anns []core.Annotation) {
 	for _, a := range anns {
 		if a.Value == "" {
 			continue
 		}
-		k := annKey{interp: ref.Interpretation, key: a.Key, value: a.Value}
+		k := annKey{interp: interp, key: a.Key, value: a.Value}
 		sh := e.annShardFor(k)
 		sh.mu.Lock()
-		sh.ann[k] = append(sh.ann[k], ref)
+		sh.ann[k] = append(sh.ann[k], p)
 		sh.mu.Unlock()
 	}
 }
@@ -281,19 +376,22 @@ func (e *Engine) TuplesAppended(events []store.TupleEvent) {
 
 // StructuredReplaced implements store.Index: the whole tuple sequence of a
 // structured trajectory was swapped (PutStructured). The indexed bitmap for
-// it is reset so the new content indexes fresh; postings of the old content
-// become stale and are dropped lazily at verification.
+// it is reset so the new content indexes fresh under the same interned
+// number; postings of the old content become stale and are dropped lazily
+// at verification.
 func (e *Engine) StructuredReplaced(trajectoryID, objectID, interpretation string, events []store.TupleEvent) {
 	sh := e.objShardFor(objectID)
 	key := stKey{traj: trajectoryID, interp: interpretation}
 	sh.mu.Lock()
 	dropped := int64(0)
-	for _, b := range sh.indexed[key] {
-		if b {
-			dropped++
+	if ent, ok := sh.indexed[key]; ok {
+		for _, b := range ent.seen {
+			if b {
+				dropped++
+			}
 		}
+		sh.indexed[key] = stEntry{id: ent.id}
 	}
-	delete(sh.indexed, key)
 	sh.mu.Unlock()
 	e.total.Add(-dropped)
 	for i := range events {
@@ -308,8 +406,8 @@ func (e *Engine) StructuredReplaced(trajectoryID, objectID, interpretation strin
 // time and geometry are immutable; an unmarked position (the update raced
 // ahead of the backfill) indexes fully from the event's copy.
 func (e *Engine) TupleUpdated(event store.TupleEvent) {
-	if e.objShardFor(event.Ref.ObjectID).marked(event.Ref) {
-		e.indexAnnotations(event.Ref, event.Changed)
+	if p, ok := e.objShardFor(event.Ref.ObjectID).marked(event.Ref); ok {
+		e.indexAnnotations(event.Ref.Interpretation, p, event.Changed)
 		return
 	}
 	e.index(event.Ref, &event.Tuple)
@@ -437,51 +535,62 @@ func (e *Engine) executeBuf(q *Query, path Path, out []Match, maxWorkers int, tr
 	return out
 }
 
-// gatherInto appends candidate refs from one indexed access path. Prefilters
-// use only immutable posting fields; the authoritative check happens at
-// resolution.
+// gatherInto appends candidate refs from one indexed access path, resolving
+// each posting through the interning table. Prefilters use only immutable
+// posting fields; the authoritative check happens at resolution.
 func (e *Engine) gatherInto(q *Query, path Path, refs []store.TupleRef) []store.TupleRef {
 	switch path {
 	case PathAnnotation:
 		k := annKey{interp: q.Interpretation, key: q.AnnKey, value: q.AnnValue}
 		sh := e.annShardFor(k)
 		sh.mu.RLock()
-		refs = append(refs, sh.ann[k]...)
+		rows := e.sts.snapshot()
+		for _, p := range sh.ann[k] {
+			refs = append(refs, rows[p.st].ref(p))
+		}
 		sh.mu.RUnlock()
 	case PathObjectTime:
 		sh := e.objShardFor(q.ObjectID)
 		sh.mu.RLock()
+		rows := e.sts.snapshot()
 		posted := sh.objects[q.ObjectID]
 		// Postings are sorted by TimeIn: nothing after To can overlap.
 		hi := len(posted)
 		if !q.To.IsZero() {
-			hi = sort.Search(len(posted), func(i int) bool { return posted[i].timeIn.After(q.To) })
+			to := stampOf(q.To)
+			hi = sort.Search(len(posted), func(i int) bool { return to.before(posted[i].timeIn()) })
 		}
-		for _, tr := range posted[:hi] {
-			if tr.ref.Interpretation != q.Interpretation {
+		from := stampOf(q.From)
+		for i := range posted[:hi] {
+			tp := &posted[i]
+			row := &rows[tp.p.st]
+			if row.interp != q.Interpretation {
 				continue
 			}
-			if !q.From.IsZero() && tr.timeOut.Before(q.From) {
+			if !q.From.IsZero() && tp.timeOut().before(from) {
 				continue
 			}
-			if q.Kind != nil && tr.kind != *q.Kind {
+			if q.Kind != nil && tp.kind != *q.Kind {
 				continue
 			}
-			refs = append(refs, tr.ref)
+			refs = append(refs, row.ref(tp.p))
 		}
 		sh.mu.RUnlock()
 	case PathSpatial:
 		rect := q.spatialRect()
 		e.spatial.mu.RLock()
-		e.spatial.grid.Visit(rect, func(it spatial.Item) bool {
-			sr := it.Value.(spatialRef)
-			if sr.ref.Interpretation != q.Interpretation {
+		rows := e.sts.snapshot()
+		items := e.spatial.items
+		e.spatial.grid.Visit(rect, func(id int32) bool {
+			it := &items[id]
+			row := &rows[it.p.st]
+			if row.interp != q.Interpretation {
 				return true
 			}
-			if q.Kind != nil && sr.kind != *q.Kind {
+			if q.Kind != nil && it.kind != *q.Kind {
 				return true
 			}
-			refs = append(refs, sr.ref)
+			refs = append(refs, row.ref(it.p))
 			return true
 		})
 		e.spatial.mu.RUnlock()
@@ -601,11 +710,20 @@ type Stats struct {
 	Objects int
 	// SpatialItems counts episode rectangles in the spatial grid.
 	SpatialItems int
+	// IndexBytes estimates the heap the indexes hold: every table's length
+	// or capacity times its entry size, map entries at mapEntryBytes.
+	// Strings are not counted; the engine shares them with the store.
+	IndexBytes int
 	// Shards is the number of stripes per index.
 	Shards int
 	// Parallelism is the effective worker cap of parallel execution.
 	Parallelism int
 }
+
+// mapEntryBytes estimates one entry's share of a Go map whose key and value
+// take kv bytes: the slot plus its control byte, over the ~5/8 mean load of
+// a table that doubles when it is 7/8 full.
+func mapEntryBytes(kv uintptr) int { return int(kv+1) * 8 / 5 }
 
 // IndexStats returns a snapshot of the engine's index state.
 func (e *Engine) IndexStats() Stats {
@@ -614,20 +732,39 @@ func (e *Engine) IndexStats() Stats {
 		IndexedTuples: int(e.total.Load()),
 		Parallelism:   e.Parallelism(),
 	}
+	var (
+		objectEntry = mapEntryBytes(unsafe.Sizeof("") + unsafe.Sizeof([]timedPosting(nil)))
+		stEntrySize = mapEntryBytes(unsafe.Sizeof(stKey{}) + unsafe.Sizeof(stEntry{}))
+		annEntry    = mapEntryBytes(unsafe.Sizeof(annKey{}) + unsafe.Sizeof([]posting(nil)))
+		bucketEntry = mapEntryBytes(unsafe.Sizeof([2]int64{}) + unsafe.Sizeof([]int32(nil))) // cell key, item numbers
+	)
 	for _, sh := range e.objShards {
 		sh.mu.RLock()
 		st.Objects += len(sh.objects)
+		st.IndexBytes += len(sh.objects)*objectEntry + len(sh.indexed)*stEntrySize
+		for _, posted := range sh.objects {
+			st.IndexBytes += cap(posted) * int(unsafe.Sizeof(timedPosting{}))
+		}
+		for _, ent := range sh.indexed {
+			st.IndexBytes += cap(ent.seen)
+		}
 		sh.mu.RUnlock()
 	}
 	e.spatial.mu.RLock()
 	st.SpatialItems = e.spatial.grid.Len()
+	rects, buckets, entries := e.spatial.grid.Footprint()
+	st.IndexBytes += rects*int(unsafe.Sizeof(geo.Rect{})) + buckets*bucketEntry + entries*4 +
+		cap(e.spatial.items)*int(unsafe.Sizeof(spatialItem{}))
 	e.spatial.mu.RUnlock()
 	for _, sh := range e.annShards {
 		sh.mu.RLock()
-		for _, refs := range sh.ann {
-			st.AnnotationPostings += len(refs)
+		st.IndexBytes += len(sh.ann) * annEntry
+		for _, posted := range sh.ann {
+			st.AnnotationPostings += len(posted)
+			st.IndexBytes += cap(posted) * int(unsafe.Sizeof(posting{}))
 		}
 		sh.mu.RUnlock()
 	}
+	st.IndexBytes += cap(e.sts.snapshot()) * int(unsafe.Sizeof(stRow{}))
 	return st
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -158,10 +159,55 @@ func populate(t *testing.T, st *store.Store, seed int64, objects, trajPerObject,
 	return all
 }
 
+// The far object's tuples lie outside the years UnixNano can represent
+// (1678–2262), in a non-UTC location: far-T0 from farPast, far-T1 from
+// farFuture, tuple i spanning [i·farStep, i·farStep + farStep/2] of its
+// base. randomQuery aims some windows at their boundaries to the
+// nanosecond, so the time index must order and filter them exactly.
+var (
+	farZone   = time.FixedZone("UTC-7", -7*3600)
+	farPast   = time.Date(1492, 10, 12, 6, 0, 0, 0, farZone)
+	farFuture = time.Date(2400, 2, 29, 23, 0, 0, 0, farZone)
+)
+
+const (
+	farStep   = 20 * time.Minute
+	farTuples = 12
+)
+
+// populateFar writes the far object's two trajectories and returns their
+// mirror.
+func populateFar(t *testing.T, st *store.Store) []stored {
+	t.Helper()
+	var all []stored
+	for tj, base := range []time.Time{farPast, farFuture} {
+		id := fmt.Sprintf("far-T%d", tj)
+		for i := 0; i < farTuples; i++ {
+			in := base.Add(time.Duration(i) * farStep)
+			kind, a := episode.Move, ann(core.AnnTransportMode, "walk")
+			if i%2 == 0 {
+				kind, a = episode.Stop, ann(core.AnnPOICategory, "shop")
+			}
+			tp := mkTuple(kind, in, in.Add(farStep/2), geo.Pt(float64(100+150*i), float64(300+900*tj)), a)
+			if err := st.AppendStructuredTuples(id, "far", DefaultInterpretation, tp); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, stored{
+				ref: store.TupleRef{TrajectoryID: id, ObjectID: "far", Interpretation: DefaultInterpretation, Index: i},
+				tp:  tp,
+			})
+		}
+	}
+	return all
+}
+
 func randomQuery(rng *rand.Rand) Query {
 	var q Query
 	if rng.Intn(3) == 0 {
 		q.ObjectID = fmt.Sprintf("u%d", rng.Intn(6))
+		if rng.Intn(3) == 0 {
+			q.ObjectID = "far"
+		}
 	}
 	if rng.Intn(4) == 0 {
 		q.TrajectoryID = fmt.Sprintf("u%d-T%d", rng.Intn(6), rng.Intn(3))
@@ -177,6 +223,22 @@ func randomQuery(rng *rand.Rand) Query {
 		from := t0.Add(time.Duration(rng.Intn(72)) * time.Hour)
 		q.From = from
 		q.To = from.Add(time.Duration(1+rng.Intn(24)) * time.Hour)
+		if q.ObjectID == "far" || rng.Intn(3) == 0 {
+			// Straddle the far object's tuples: each end on or a
+			// nanosecond beside a TimeIn or TimeOut of either trajectory,
+			// so some windows span the centuries between the two.
+			at := func() time.Time {
+				base := farPast
+				if rng.Intn(2) == 0 {
+					base = farFuture
+				}
+				return base.Add(time.Duration(rng.Intn(2*farTuples+2))*farStep/2 + time.Duration(rng.Intn(3)-1))
+			}
+			q.From, q.To = at(), at()
+			if q.To.Before(q.From) {
+				q.From, q.To = q.To, q.From
+			}
+		}
 	}
 	if rng.Intn(2) == 0 {
 		q.AnnKey = core.AnnPOICategory
@@ -207,7 +269,7 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 			if mode == "live" {
 				e = NewEngine(st)
 			}
-			all := populate(t, st, 42, 6, 3, 12)
+			all := append(populate(t, st, 42, 6, 3, 12), populateFar(t, st)...)
 			if mode == "backfill" {
 				e = NewEngine(st)
 			}
@@ -451,5 +513,79 @@ func TestHugeRadiusAnswersExactly(t *testing.T) {
 	sameRefSet(t, "huge radius", gotRefs(ms), wantRefs(q, all))
 	if len(want) == 0 || !reflect.DeepEqual(pairs, want) {
 		t.Fatalf("huge-distance join: %d pairs, want the %d of the 1e7 m join", len(pairs), len(want))
+	}
+}
+
+// TestEngineIndexBytesPerTuple pins the engine's index footprint: the live
+// heap NewEngine's backfill adds, per indexed tuple, over a store with three
+// interpretations, three annotations per tuple and move rectangles from one
+// grid cell to more than 64 (the overflow list). Postings that copied a
+// store.TupleRef (56 B, three pointers) into every index, with two
+// time.Times per time posting and a boxed value per grid bucket entry,
+// measured 1,050 B/tuple; 8-byte interned postings measure 237 B/tuple
+// (linux/amd64, Go 1.24). The bound of 300 leaves 27 % headroom over the
+// latter and fails the former 3.5×.
+// IndexStats' IndexBytes must agree with the measured heap within ±25 %.
+func TestEngineIndexBytesPerTuple(t *testing.T) {
+	const (
+		objects       = 40
+		trajPerObject = 5
+		tuplesPerTraj = 40
+		bound         = 300
+	)
+	interps := []string{DefaultInterpretation, "region", "line"}
+	rng := rand.New(rand.NewSource(33))
+	st := store.New()
+	tuples := 0
+	for o := 0; o < objects; o++ {
+		obj := fmt.Sprintf("u%02d", o)
+		for tj := 0; tj < trajPerObject; tj++ {
+			id := fmt.Sprintf("%s-T%d", obj, tj)
+			for _, interp := range interps {
+				at := t0.Add(time.Duration(tj) * 24 * time.Hour)
+				for i := 0; i < tuplesPerTraj; i++ {
+					end := at.Add(time.Duration(5+rng.Intn(40)) * time.Minute)
+					center := geo.Pt(rng.Float64()*20000, rng.Float64()*20000)
+					kind, first := episode.Stop, ann(core.AnnPOICategory, fmt.Sprintf("cat%d", rng.Intn(8)))
+					if i%2 == 1 {
+						kind, first = episode.Move, ann(core.AnnTransportMode, fmt.Sprintf("mode%d", rng.Intn(4)))
+					}
+					tp := mkTuple(kind, at, end, center, first,
+						ann(core.AnnActivity, fmt.Sprintf("act%d", rng.Intn(6))),
+						ann("place", fmt.Sprintf("p%d", rng.Intn(500))))
+					if kind == episode.Move {
+						// Small, replicated across ~30 buckets, or oversize.
+						tp.Episode.Bounds = geo.RectAround(center, []float64{30, 600, 1500}[i/2%3])
+					}
+					if err := st.AppendStructuredTuples(id, obj, interp, tp); err != nil {
+						t.Fatal(err)
+					}
+					tuples++
+					at = end
+				}
+			}
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEngine(st)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+
+	stats := e.IndexStats()
+	if stats.IndexedTuples != tuples {
+		t.Fatalf("IndexedTuples = %d, want %d", stats.IndexedTuples, tuples)
+	}
+	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	perTuple := float64(delta) / float64(tuples)
+	t.Logf("live heap: %.1f B/tuple (%d B over %d tuples); IndexBytes %d", perTuple, delta, tuples, stats.IndexBytes)
+	if perTuple > bound {
+		t.Fatalf("live heap %.1f B/tuple, want <= %d", perTuple, bound)
+	}
+	if ratio := float64(stats.IndexBytes) / float64(delta); ratio < 0.75 || ratio > 1.25 {
+		t.Fatalf("IndexBytes %d is %.2f× the measured %d B, want within ±25%%", stats.IndexBytes, ratio, delta)
 	}
 }

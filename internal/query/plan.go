@@ -123,14 +123,16 @@ func (e *Engine) estimatePaths(q *Query, est *estimates) {
 		posted := sh.objects[q.ObjectID]
 		lo, hi := 0, len(posted)
 		if !q.To.IsZero() {
-			hi = sort.Search(len(posted), func(i int) bool { return posted[i].timeIn.After(q.To) })
+			to := stampOf(q.To)
+			hi = sort.Search(len(posted), func(i int) bool { return to.before(posted[i].timeIn()) })
 		}
 		if !q.From.IsZero() {
 			// TimeIn is sorted; postings whose TimeIn is already past From
 			// certainly overlap on that side. Earlier ones may still overlap
 			// via TimeOut, so this bound only sharpens the estimate, not the
 			// gather (which filters on TimeOut exactly).
-			lo = sort.Search(hi, func(i int) bool { return !posted[i].timeIn.Before(q.From) })
+			from := stampOf(q.From)
+			lo = sort.Search(hi, func(i int) bool { return !posted[i].timeIn().before(from) })
 			lo = lo / 2 // split the difference on the straddling prefix
 		}
 		sh.mu.RUnlock()

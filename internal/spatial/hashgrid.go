@@ -2,7 +2,7 @@ package spatial
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"semitri/internal/geo"
 )
@@ -10,14 +10,21 @@ import (
 // HashGrid is the mutable companion of the bulk-loaded STRTree: an
 // incremental uniform grid whose buckets are keyed by cell coordinates in a
 // hash map, so the covered domain is unbounded and grows with the data. It
-// exists for the read side of live ingestion — the query engine indexes
-// stop/move geometry as episodes close, long before the final extent is
-// known, which rules out the STR tree (it needs the full item set up front).
+// exists for the read side of live ingestion — the query engine, its only
+// user, indexes stop/move geometry as episodes close, long before the final
+// extent is known, which rules out the STR tree (it needs the full item set
+// up front).
 //
-// Insert appends an item to every cell its rectangle overlaps; items
-// spanning more than oversizeCells cells go to a separate overflow list that
-// every query scans (episode rectangles are small, so the list stays empty
-// in practice — it only guards correctness against degenerate geometry).
+// The grid stores rectangles only. Insert numbers each one densely from 0 in
+// insertion order and returns the number; the caller keeps whatever it
+// associates with a rectangle in its own slice under that number, so no
+// value is boxed per item. Each rectangle is stored once, and a bucket holds
+// the int32 numbers of the rectangles overlapping it: replicating an item
+// across the buckets it covers costs 4 B per covered bucket, and none of the
+// grid's memory holds a pointer for the collector to trace. Items spanning
+// more than oversizeCells cells go to a separate overflow list that every
+// query scans, which guards against degenerate geometry.
+//
 // Visit answers exactly, reporting each intersecting item once (from the
 // canonical covered cell, so no per-query dedup allocation), and
 // EstimateWithin gives the planner an O(1) cardinality estimate.
@@ -26,22 +33,14 @@ import (
 // lock (the query engine keeps its engine-wide grid behind an RWMutex).
 type HashGrid struct {
 	cellSize float64
-	cells    map[hashCell][]gridEntry
-	oversize []gridEntry
-	n        int
-	nextID   int
+	rects    []geo.Rect // by item number
+	cells    map[hashCell][]int32
+	oversize []int32
 }
 
 // hashCell addresses one bucket: the integer cell coordinates of the point
 // (x/cellSize, y/cellSize), floor-rounded, over an unbounded domain.
 type hashCell struct{ col, row int64 }
-
-// gridEntry is an item plus its insertion id, which orders the hits of a
-// whole-map Visit deterministically.
-type gridEntry struct {
-	item Item
-	id   int
-}
 
 // oversizeCells is the covered-cell budget above which an item is stored in
 // the overflow list instead of being replicated into every covered bucket.
@@ -54,11 +53,11 @@ func NewHashGrid(cellSize float64) *HashGrid {
 	if cellSize <= 0 {
 		cellSize = 250
 	}
-	return &HashGrid{cellSize: cellSize, cells: map[hashCell][]gridEntry{}}
+	return &HashGrid{cellSize: cellSize, cells: map[hashCell][]int32{}}
 }
 
 // Len returns the number of items inserted.
-func (hg *HashGrid) Len() int { return hg.n }
+func (hg *HashGrid) Len() int { return len(hg.rects) }
 
 // cellOf returns the bucket containing p.
 func (hg *HashGrid) cellOf(p geo.Point) hashCell {
@@ -82,77 +81,77 @@ func (hg *HashGrid) cellSpan(r geo.Rect) float64 {
 	return cols * rows
 }
 
-// Insert adds an item. Inserting while a Visit traversal is in progress is
-// not allowed (no internal locking).
-func (hg *HashGrid) Insert(it Item) {
-	e := gridEntry{item: it, id: hg.nextID}
-	hg.nextID++
-	hg.n++
-	if !(hg.cellSpan(it.Rect) <= oversizeCells) {
-		hg.oversize = append(hg.oversize, e)
-		return
+// Insert adds a rectangle and returns its item number: Len() before the
+// call. Inserting while a Visit traversal is in progress is not allowed (no
+// internal locking).
+func (hg *HashGrid) Insert(r geo.Rect) int32 {
+	id := int32(len(hg.rects))
+	hg.rects = append(hg.rects, r)
+	if !(hg.cellSpan(r) <= oversizeCells) {
+		hg.oversize = append(hg.oversize, id)
+		return id
 	}
-	lo, hi := hg.cellRange(it.Rect)
+	lo, hi := hg.cellRange(r)
 	for col := lo.col; col <= hi.col; col++ {
 		for row := lo.row; row <= hi.row; row++ {
 			c := hashCell{col, row}
-			hg.cells[c] = append(hg.cells[c], e)
+			hg.cells[c] = append(hg.cells[c], id)
 		}
 	}
+	return id
 }
 
-// Visit calls fn for every item whose rectangle intersects r, until fn
-// returns false. An item replicated across several buckets is reported
-// exactly once: from the lowest covered bucket that also lies in the query
-// range (its canonical reporting cell), an O(1) test per encounter.
-func (hg *HashGrid) Visit(r geo.Rect, fn func(Item) bool) {
-	if r.IsEmpty() || hg.n == 0 {
+// Visit calls fn with the number of every item whose rectangle intersects r,
+// until fn returns false. An item replicated across several buckets is
+// reported exactly once: from the lowest covered bucket that also lies in
+// the query range (its canonical reporting cell), an O(1) test per
+// encounter.
+func (hg *HashGrid) Visit(r geo.Rect, fn func(id int32) bool) {
+	if r.IsEmpty() || len(hg.rects) == 0 {
 		return
 	}
 	qlo, qhi := hg.cellRange(r)
+	// canonical reports whether bucket c is where item id is reported from.
+	canonical := func(id int32, c hashCell) bool {
+		ilo, _ := hg.cellRange(hg.rects[id])
+		return c == hashCell{max(ilo.col, qlo.col), max(ilo.row, qlo.row)}
+	}
 	// A query window much larger than the data would walk mostly-empty
-	// buckets; iterate the occupied buckets instead (sorted by id for a
-	// deterministic order — which mode runs is a deterministic function of
-	// the query, so the contract holds).
+	// buckets; iterate the occupied buckets instead (sorted by item number
+	// for a deterministic order — which mode runs is a deterministic
+	// function of the query, so the contract holds).
 	if !(hg.cellSpan(r) <= float64(len(hg.cells))) {
-		var hits []gridEntry
-		for c, entries := range hg.cells {
-			for _, e := range entries {
-				if !e.item.Rect.Intersects(r) {
-					continue
+		var hits []int32
+		for c, ids := range hg.cells {
+			for _, id := range ids {
+				if hg.rects[id].Intersects(r) && canonical(id, c) {
+					hits = append(hits, id)
 				}
-				if ilo, _ := hg.cellRange(e.item.Rect); c != (hashCell{maxInt64(ilo.col, qlo.col), maxInt64(ilo.row, qlo.row)}) {
-					continue
-				}
-				hits = append(hits, e)
 			}
 		}
-		sort.Slice(hits, func(i, j int) bool { return hits[i].id < hits[j].id })
-		for _, e := range hits {
-			if !fn(e.item) {
+		slices.Sort(hits)
+		for _, id := range hits {
+			if !fn(id) {
 				return
 			}
 		}
 	} else {
 		for col := qlo.col; col <= qhi.col; col++ {
 			for row := qlo.row; row <= qhi.row; row++ {
-				for _, e := range hg.cells[hashCell{col, row}] {
-					if !e.item.Rect.Intersects(r) {
-						continue
-					}
-					ilo, _ := hg.cellRange(e.item.Rect)
-					if col != maxInt64(ilo.col, qlo.col) || row != maxInt64(ilo.row, qlo.row) {
+				c := hashCell{col, row}
+				for _, id := range hg.cells[c] {
+					if !hg.rects[id].Intersects(r) || !canonical(id, c) {
 						continue // reported from the canonical cell instead
 					}
-					if !fn(e.item) {
+					if !fn(id) {
 						return
 					}
 				}
 			}
 		}
 	}
-	for _, e := range hg.oversize {
-		if e.item.Rect.Intersects(r) && !fn(e.item) {
+	for _, id := range hg.oversize {
+		if hg.rects[id].Intersects(r) && !fn(id) {
 			return
 		}
 	}
@@ -163,23 +162,30 @@ func (hg *HashGrid) Visit(r geo.Rect, fn func(Item) bool) {
 // paying for the traversal: average bucket occupancy times the number of
 // buckets r covers, clamped to the item count, plus the overflow list.
 func (hg *HashGrid) EstimateWithin(r geo.Rect) int {
-	if hg.n == 0 || r.IsEmpty() {
+	n := len(hg.rects)
+	if n == 0 || r.IsEmpty() {
 		return 0
 	}
 	if len(hg.cells) == 0 {
 		return len(hg.oversize)
 	}
-	perCell := float64(hg.n-len(hg.oversize)) / float64(len(hg.cells))
+	perCell := float64(n-len(hg.oversize)) / float64(len(hg.cells))
 	est := math.Ceil(perCell*hg.cellSpan(r)) + float64(len(hg.oversize))
-	if !(est < float64(hg.n)) {
-		return hg.n
+	if !(est < float64(n)) {
+		return n
 	}
 	return int(est)
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
+// Footprint reports the capacities the grid's memory is made of: slots
+// for rects rectangles (geo.Rect values), buckets occupied buckets (map
+// entries keyed by cell, each holding an []int32 header), and slots for
+// entries item numbers across the buckets and the overflow list. A caller
+// multiplies them by entry sizes to size the grid without walking it twice.
+func (hg *HashGrid) Footprint() (rects, buckets, entries int) {
+	entries = cap(hg.oversize)
+	for _, ids := range hg.cells {
+		entries += cap(ids)
 	}
-	return b
+	return cap(hg.rects), len(hg.cells), entries
 }

@@ -8,11 +8,29 @@ import (
 	"semitri/internal/geo"
 )
 
-// gridWithin collects what hg.Visit reports for r.
-func gridWithin(hg *HashGrid, r geo.Rect) []Item {
+// itemGrid pairs a HashGrid with the items its numbers stand for, the way
+// the query engine keeps a parallel slice of postings.
+type itemGrid struct {
+	*HashGrid
+	items []Item
+}
+
+func newItemGrid(cellSize float64) *itemGrid { return &itemGrid{HashGrid: NewHashGrid(cellSize)} }
+
+// insert adds it, checking that the grid numbers items densely.
+func (g *itemGrid) insert(t *testing.T, it Item) {
+	t.Helper()
+	if id := g.Insert(it.Rect); int(id) != len(g.items) {
+		t.Fatalf("Insert numbered item %d, want %d", id, len(g.items))
+	}
+	g.items = append(g.items, it)
+}
+
+// gridWithin collects the items of what g.Visit reports for r.
+func gridWithin(g *itemGrid, r geo.Rect) []Item {
 	var out []Item
-	hg.Visit(r, func(it Item) bool {
-		out = append(out, it)
+	g.Visit(r, func(id int32) bool {
+		out = append(out, g.items[id])
 		return true
 	})
 	return out
@@ -31,10 +49,10 @@ func TestHashGridMatchesBruteForce(t *testing.T) {
 		}
 		items := randomItems(rng, 1+rng.Intn(300), rectFraction)
 		cell := 30 + rng.Float64()*400
-		hg := NewHashGrid(cell)
+		hg := newItemGrid(cell)
 		brute := &bruteForce{}
 		for i, it := range items {
-			hg.Insert(it)
+			hg.insert(t, it)
 			brute.items = append(brute.items, it)
 			if i%17 != 0 && i != len(items)-1 {
 				continue // query at a sample of prefixes, not all of them
@@ -60,10 +78,10 @@ func TestHashGridMatchesBruteForce(t *testing.T) {
 // rectangles over a tiny cell size) into the overflow list and checks they
 // are still reported exactly once.
 func TestHashGridOversize(t *testing.T) {
-	hg := NewHashGrid(10)
+	hg := newItemGrid(10)
 	big := Item{Rect: geo.NewRect(geo.Pt(0, 0), geo.Pt(5000, 5000)), Value: 0}
-	hg.Insert(big)
-	hg.Insert(pointItem(100, 100, 1))
+	hg.insert(t, big)
+	hg.insert(t, pointItem(100, 100, 1))
 	if len(hg.oversize) != 1 {
 		t.Fatalf("big rect should overflow, oversize=%d", len(hg.oversize))
 	}
@@ -79,7 +97,7 @@ func TestHashGridOversize(t *testing.T) {
 // like a brute-force scan and the estimate stays within [0, Len].
 func TestHashGridHugeRects(t *testing.T) {
 	const huge = 657530941875
-	hg := NewHashGrid(250)
+	hg := newItemGrid(250)
 	brute := &bruteForce{}
 	rng := rand.New(rand.NewSource(9))
 	items := append(randomItems(rng, 200, 0.2), Item{Rect: geo.RectAround(geo.Pt(0, 0), huge), Value: -1})
@@ -87,7 +105,8 @@ func TestHashGridHugeRects(t *testing.T) {
 	go func() {
 		defer close(done)
 		for _, it := range items {
-			hg.Insert(it)
+			hg.Insert(it.Rect)
+			hg.items = append(hg.items, it)
 			brute.items = append(brute.items, it)
 		}
 	}()
@@ -114,7 +133,7 @@ func TestHashGridHugeRects(t *testing.T) {
 // TestHashGridEmptyAndEstimate covers the zero-value paths and the planner
 // estimate's bounds.
 func TestHashGridEmptyAndEstimate(t *testing.T) {
-	hg := NewHashGrid(0) // falls back to the default cell size
+	hg := newItemGrid(0) // falls back to the default cell size
 	if hg.cellSize != 250 || hg.Len() != 0 {
 		t.Fatalf("empty grid: cell size %v, Len %d", hg.cellSize, hg.Len())
 	}
@@ -127,7 +146,7 @@ func TestHashGridEmptyAndEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	brute := &bruteForce{items: randomItems(rng, 500, 0.1)}
 	for _, it := range brute.items {
-		hg.Insert(it)
+		hg.insert(t, it)
 	}
 	all := hg.EstimateWithin(brute.Bounds())
 	if all <= 0 || all > hg.Len() {

@@ -147,6 +147,7 @@ leg_serve() {
 	probe "/query/trajectories" "trajectories"
 	probe "/query/objects" "objects"
 	probe "/stats" "index"
+	probe "/stats" "IndexBytes"
 	probe "/stats" "metrics"
 	probe "/debug/queries" "queries"
 
