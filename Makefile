@@ -6,7 +6,7 @@ GO ?= go
 # PR number stamped into the benchmark artifact name (BENCH_$(PR).json).
 PR ?= 10
 
-.PHONY: build test test-nommap race bench bench-smoke bench-module loc lint smoke ci fmt
+.PHONY: build test test-nommap race fuzz bench bench-smoke bench-module loc lint smoke ci fmt
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ test-nommap:
 race:
 	$(GO) test -race -count=1 -run 'TestBatchStreamParity|TestFanIn|TestConcurrent|TestStream|TestQuery|TestDurable' .
 	$(GO) test -race -count=1 ./internal/store/ ./internal/query/ ./internal/wal/ ./internal/segment/
+
+# The native fuzz targets, each for FUZZTIME (CI gives every target 10s).
+# FuzzEpisodesQuery: GET /query/episodes with any query string answers 200
+# or 400 with one line of JSON of the declared length, never a panic or 500.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,
@@ -91,7 +98,7 @@ smoke:
 	./scripts/smoke.sh $(LEG)
 
 # What CI runs: build, lint, tests (race, then the no-mmap cold-read path),
-# the nested benchmark module, a one-iteration bench smoke pass and the
-# end-to-end smoke legs.
-ci: build lint test test-nommap bench-module smoke
+# the fuzz targets for 10s each, the nested benchmark module, a
+# one-iteration bench smoke pass and the end-to-end smoke legs.
+ci: build lint test test-nommap fuzz bench-module smoke
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -27,17 +27,22 @@
 // times, rows in/out, candidates examined, and (for scans over the segment
 // tier) every per-segment prune decision with the footer rule that fired.
 //
-// Every endpoint answers JSON; errors answer {"error": ...} with a 4xx/5xx
-// status (all parameters decode through one shared decoder, see decode.go).
+// Every endpoint answers compact one-line JSON, written once with its
+// Content-Length; errors answer {"error": ...} with a 4xx/5xx status (all
+// parameters decode through one shared decoder, see decode.go), and a body
+// that does not encode — a NaN, a year past 9999 — answers 500.
 // Queries run against live data: the engine's indexes are maintained from
 // the store's append path, so results reflect ingestion up to the moment
 // the request resolved.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"semitri/internal/analytics"
@@ -169,13 +174,32 @@ func (s *Server) recordSlow(source string, r *http.Request, elapsed time.Duratio
 	s.slow.Record(q)
 }
 
-// writeJSON writes v as the response body.
+// maxPooledBody is the largest body buffer returned to the pool: a buffer a
+// huge scan grew past it is dropped, so one big answer does not pin memory.
+const maxPooledBody = 1 << 20
+
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers status with v as compact JSON, or 500 with an
+// {"error": ...} body when v does not encode. The body is encoded in full
+// before anything is written, then written once with its Content-Length.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // fails only when the client is gone
 }
 
 // writeError writes an {"error": ...} body.

@@ -92,13 +92,30 @@ type heartbeatBody struct {
 	Matched *int `json:"matched,omitempty"`
 }
 
+// notificationBody is the wire form of one standing-query notification, the
+// one encoder of both the live loop and the shutdown flush of /subscribe: an
+// unmatch carries only the ref that stopped matching, a match or an update
+// carries the row.
+func notificationBody(n query.Notification) map[string]any {
+	body := map[string]any{"kind": n.Kind}
+	if n.Kind == query.NotifyUnmatch {
+		body["trajectory"] = n.Match.Ref.TrajectoryID
+		body["object"] = n.Match.Ref.ObjectID
+		body["interpretation"] = n.Match.Ref.Interpretation
+		body["index"] = n.Match.Ref.Index
+	} else {
+		body["match"] = toJSONMatch(n.Match)
+	}
+	return body
+}
+
 // handleSubscribe answers GET /subscribe?q=<statement>: the statement —
 // same grammar as /query/relational, single-table subset — is compiled into
 // a standing query and its notifications are streamed as SSE events:
 //
 //	event: subscribed   {"query": ..., "buffer": N}       (once, first)
-//	event: match        jsonMatch + {"kind": "match"}
-//	event: update       jsonMatch + {"kind": "update"}
+//	event: match        {"kind": "match", "match": jsonMatch}
+//	event: update       {"kind": "update", "match": jsonMatch}
 //	event: unmatch      {"kind": "unmatch", ref fields}
 //	event: heartbeat    delivery accounting (drops, lag, matched size)
 //
@@ -158,16 +175,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	for {
 		buf = sub.Drain(buf[:0])
 		for _, n := range buf {
-			body := map[string]any{"kind": n.Kind}
-			if n.Kind == query.NotifyUnmatch {
-				body["trajectory"] = n.Match.Ref.TrajectoryID
-				body["object"] = n.Match.Ref.ObjectID
-				body["interpretation"] = n.Match.Ref.Interpretation
-				body["index"] = n.Match.Ref.Index
-			} else {
-				body["match"] = toJSONMatch(n.Match)
-			}
-			if err := stream.event(n.Kind, body); err != nil {
+			if err := stream.event(n.Kind, notificationBody(n)); err != nil {
 				return // client gone; defer releases the subscription
 			}
 			delivered++
@@ -183,7 +191,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-sub.Done():
 			// Dispatcher shut down (server closing): flush what remains.
 			for _, n := range sub.Drain(buf[:0]) {
-				_ = stream.event(n.Kind, map[string]any{"kind": n.Kind, "match": toJSONMatch(n.Match)})
+				_ = stream.event(n.Kind, notificationBody(n))
 			}
 			_ = emitHeartbeat()
 			return
