@@ -11,7 +11,6 @@ import (
 	"semitri/internal/geo"
 	"semitri/internal/obs"
 	"semitri/internal/query"
-	"semitri/internal/store"
 	"semitri/internal/workload"
 )
 
@@ -117,7 +116,6 @@ func Live(env *Env) (*Table, error) {
 		engine := p.QueryEngine()
 		live := query.NewLive(st, 1<<16)
 		defer live.Close()
-		tapped := store.Tee(engine, live.Tap())
 
 		standing := make([]*query.Standing, 0, len(queries))
 		for _, q := range queries {
@@ -155,7 +153,7 @@ func Live(env *Env) (*Table, error) {
 				live.Sync() // drain backlog before timing a baseline chunk
 			}
 			if tap {
-				st.AttachIndex(tapped)
+				st.AttachIndex(engine, live.Tap())
 			} else {
 				st.AttachIndex(engine)
 			}
@@ -175,7 +173,7 @@ func Live(env *Env) (*Table, error) {
 				}
 			}
 		}
-		st.AttachIndex(tapped)
+		st.AttachIndex(engine, live.Tap())
 		if _, err := sp.Close(); err != nil {
 			return err
 		}

@@ -68,8 +68,8 @@ func Parallel(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := query.Aggregate{By: query.DimObject, Metric: query.MetricDistinctObjects, K: 10, Workers: 1}
-	refGroups, err := query.AggregatePairs(agg, refPairs)
+	agg := query.Aggregate{By: query.DimObject, Metric: query.MetricDistinctObjects, K: 10}
+	refGroups, err := engine.AggregatePairs(agg, refPairs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +88,7 @@ func Parallel(env *Env) (*Table, error) {
 	if !reflect.DeepEqual(refMatches, gotMatches) {
 		return nil, fmt.Errorf("parallel: scan results diverge from serial at workers=%d", parWorkers)
 	}
-	agg.Workers = parWorkers
-	gotGroups, err := query.AggregatePairs(agg, refPairs)
+	gotGroups, err := engine.AggregatePairs(agg, refPairs)
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +116,8 @@ func Parallel(env *Env) (*Table, error) {
 		}); err != nil {
 			return t, err
 		}
-		a := agg
-		a.Workers = workers
 		if t.aggNs, err = timeOp(func() error {
-			_, err := query.AggregatePairs(a, refPairs)
+			_, err := engine.AggregatePairs(agg, refPairs)
 			return err
 		}); err != nil {
 			return t, err

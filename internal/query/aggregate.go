@@ -3,9 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"semitri/internal/core"
@@ -59,12 +57,6 @@ type Aggregate struct {
 	// K caps the number of groups returned (after the deterministic
 	// ranking); 0 means all.
 	K int
-	// Workers caps the fold's worker pool. Values below 1 mean
-	// runtime.GOMAXPROCS(0); folds under DefaultSerialThreshold rows stay
-	// serial regardless. The result is byte-identical at any worker count:
-	// per-worker partial group maps merge by exact integer sums and set
-	// unions, then rank deterministically.
-	Workers int
 }
 
 // Validate checks the structural invariants of the aggregate.
@@ -138,12 +130,13 @@ type accum struct {
 
 // AggregateMatches groups single-table query results. MetricDistinctObjects
 // counts distinct owning objects per group (e.g. top-K POIs by distinct
-// visitors); MetricDuration sums the episodes' durations.
-func AggregateMatches(a Aggregate, ms []Match) ([]Group, error) {
+// visitors); MetricDuration sums the episodes' durations. The fold runs on
+// the engine's workers (see fold).
+func (e *Engine) AggregateMatches(a Aggregate, ms []Match) ([]Group, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return fold(a, len(ms), func(i int) (string, bool, string, time.Duration) {
+	return e.fold(a, len(ms), func(i int) (string, bool, string, time.Duration) {
 		m := &ms[i]
 		key, ok := a.key(m)
 		return key, ok, m.Ref.ObjectID, m.Tuple.Duration()
@@ -153,11 +146,11 @@ func AggregateMatches(a Aggregate, ms []Match) ([]Group, error) {
 // AggregatePairs groups join results. The group key comes from the left
 // side of each pair; MetricDistinctObjects counts distinct right-side
 // objects and MetricDuration sums the pairwise interval overlap.
-func AggregatePairs(a Aggregate, ps []JoinMatch) ([]Group, error) {
+func (e *Engine) AggregatePairs(a Aggregate, ps []JoinMatch) ([]Group, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return fold(a, len(ps), func(i int) (string, bool, string, time.Duration) {
+	return e.fold(a, len(ps), func(i int) (string, bool, string, time.Duration) {
 		p := &ps[i]
 		key, ok := a.key(&p.Left)
 		return key, ok, p.Right.Ref.ObjectID, overlap(&p.Left.Tuple, &p.Right.Tuple)
@@ -182,43 +175,37 @@ func overlap(l, r *core.EpisodeTuple) time.Duration {
 }
 
 // fold runs the shared accumulation: n rows described by row(i) → (group
-// key, keep, object id for distinct counting, duration contribution). Large
-// folds split the row range statically across workers, each folding into a
-// private partial map; the partials merge by integer sums and set unions —
-// exact and order-independent — so the ranked output is byte-identical to a
-// serial fold.
-func fold(a Aggregate, n int, row func(i int) (string, bool, string, time.Duration)) ([]Group, error) {
-	workers := a.foldWorkers(n)
-	groups := map[string]*accum{}
-	if workers <= 1 {
-		foldRange(&a, 0, n, row, groups)
-	} else {
-		parts := make([]map[string]*accum, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			parts[w] = map[string]*accum{}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				foldRange(&a, w*n/workers, (w+1)*n/workers, row, parts[w])
-			}(w)
-		}
-		wg.Wait()
-		for _, part := range parts {
-			for key, p := range part {
-				g := groups[key]
-				if g == nil {
-					groups[key] = p
-					continue
+// key, keep, object id for distinct counting, duration contribution). The
+// rows split into one contiguous range per worker, each folded into that
+// worker's private partial map; the partials merge by integer sums and set
+// unions — exact and order-independent — so the ranked output is
+// byte-identical at any worker count. With one worker there is one range,
+// one map and nothing to merge.
+func (e *Engine) fold(a Aggregate, n int, row func(i int) (string, bool, string, time.Duration)) ([]Group, error) {
+	workers := e.workersFor(n, 0)
+	parts := make([]map[string]*accum, workers)
+	for w := range parts {
+		parts[w] = map[string]*accum{}
+	}
+	fanOut(workers, workers, func(w, r int) bool {
+		foldRange(&a, r*n/workers, (r+1)*n/workers, row, parts[w])
+		return true
+	})
+	groups := parts[0]
+	for _, part := range parts[1:] {
+		for key, p := range part {
+			g := groups[key]
+			if g == nil {
+				groups[key] = p
+				continue
+			}
+			g.count += p.count
+			g.dur += p.dur
+			for obj := range p.objects {
+				if g.objects == nil {
+					g.objects = map[string]bool{}
 				}
-				g.count += p.count
-				g.dur += p.dur
-				for obj := range p.objects {
-					if g.objects == nil {
-						g.objects = map[string]bool{}
-					}
-					g.objects[obj] = true
-				}
+				g.objects[obj] = true
 			}
 		}
 	}
@@ -245,18 +232,6 @@ func fold(a Aggregate, n int, row func(i int) (string, bool, string, time.Durati
 		out = out[:a.K]
 	}
 	return out, nil
-}
-
-// foldWorkers sizes the fold's pool for n rows.
-func (a *Aggregate) foldWorkers(n int) int {
-	w := a.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 || n < DefaultSerialThreshold {
-		return 1
-	}
-	return min(w, n)
 }
 
 // foldRange folds rows [lo, hi) into groups.

@@ -96,7 +96,7 @@ func TestAggregateMatchesBruteForce(t *testing.T) {
 				a := base
 				a.Metric = m
 				a.K = rng.Intn(4) // 0 = all
-				got, err := AggregateMatches(a, ms)
+				got, err := e.AggregateMatches(a, ms)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func TestAggregatePairsBruteForce(t *testing.T) {
 		}
 		for _, m := range []Metric{MetricCount, MetricDistinctObjects, MetricDuration} {
 			a := Aggregate{By: DimObject, Metric: m, K: rng.Intn(3)}
-			got, err := AggregatePairs(a, pairs)
+			got, err := e.AggregatePairs(a, pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,14 +195,15 @@ func TestAggregateValidate(t *testing.T) {
 		{By: DimObject, Metric: "median"}, // unknown metric
 		{By: DimObject, K: -1},            // negative top-K
 	}
+	e := NewEngine(store.NewSharded(1))
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {
 			t.Errorf("case %d: %+v validated", i, a)
 		}
-		if _, err := AggregateMatches(a, nil); err == nil {
+		if _, err := e.AggregateMatches(a, nil); err == nil {
 			t.Errorf("case %d: AggregateMatches accepted %+v", i, a)
 		}
-		if _, err := AggregatePairs(a, nil); err == nil {
+		if _, err := e.AggregatePairs(a, nil); err == nil {
 			t.Errorf("case %d: AggregatePairs accepted %+v", i, a)
 		}
 	}

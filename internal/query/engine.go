@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,8 +69,9 @@ type Engine struct {
 	// total counts indexed tuple positions — the full-scan cost estimate,
 	// atomic so planning never locks for it.
 	total atomic.Int64
-	// par and serialThreshold hold the Options knobs (see parallel.go);
-	// atomic so SetParallelism is safe against in-flight queries.
+	// par holds Options.Parallelism and serialThreshold the test-only cutoff
+	// (see parallel.go); atomic so SetParallelism is safe against in-flight
+	// queries.
 	par             atomic.Int32
 	serialThreshold atomic.Int32
 }
@@ -246,7 +246,6 @@ func NewEngineWith(st *store.Store, opts Options) *Engine {
 		annShards: make([]*annShard, n),
 	}
 	e.par.Store(int32(opts.Parallelism))
-	e.serialThreshold.Store(int32(opts.SerialThreshold))
 	for i := 0; i < n; i++ {
 		e.objShards[i] = &objectShard{
 			objects: map[string][]timedPosting{},
@@ -416,31 +415,38 @@ func (e *Engine) TupleUpdated(event store.TupleEvent) {
 // Execute plans and runs the query, returning matches in the canonical
 // (object, trajectory, position) order. See Explain for the chosen plan.
 func (e *Engine) Execute(q Query) ([]Match, error) {
-	q = q.normalized()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	path := e.plan(&q).Path
-	out := e.executeBuf(&q, path, nil, 0, nil)
-	obs.QueryByPath[pathRank(path)].Inc()
-	obs.QueryReturned.Add(int64(len(out)))
-	return out, nil
+	out, _, err := e.execute(q, nil)
+	return out, err
 }
 
 // ExecuteExplained runs the query and also returns the plan it executed.
 func (e *Engine) ExecuteExplained(q Query) ([]Match, Plan, error) {
+	return e.execute(q, nil)
+}
+
+// execute is the one body behind Execute, ExecuteExplained and
+// ExecuteTraced: plan, run, and record the query's metrics — the path
+// counter and the planning and execution latencies. tr, when non-nil, is
+// filled with the execution trace; untraced queries do no trace work.
+func (e *Engine) execute(q Query, tr *Trace) ([]Match, Plan, error) {
 	q = q.normalized()
 	if err := q.Validate(); err != nil {
 		return nil, Plan{}, err
 	}
 	t0 := time.Now()
 	p := e.plan(&q)
-	planNs := time.Since(t0).Nanoseconds()
 	t1 := time.Now()
-	out := e.executeBuf(&q, p.Path, nil, 0, nil)
+	out := e.executeBuf(&q, p.Path, nil, 0, tr)
+	t2 := time.Now()
+	planNs, execNs := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
+	if tr != nil {
+		tr.Kind, tr.Plan, tr.Path = "query", p.String(), string(p.Path)
+		tr.PlanNs, tr.ExecNs, tr.TotalNs = planNs, execNs, t2.Sub(t0).Nanoseconds()
+		tr.Returned = len(out)
+	}
 	obs.QueryByPath[pathRank(p.Path)].Inc()
 	obs.QueryPlanNs.ObserveNs(planNs)
-	obs.QueryExecNs.ObserveNs(time.Since(t1).Nanoseconds())
+	obs.QueryExecNs.ObserveNs(execNs)
 	obs.QueryReturned.Add(int64(len(out)))
 	return out, p, nil
 }
@@ -641,30 +647,24 @@ func (e *Engine) resolveRefs(q *Query, sc *scratch, out []Match, maxWorkers int)
 		}
 		return a.Index < b.Index
 	})
-	workers := e.workersFor(len(refs))
-	if maxWorkers >= 1 {
-		workers = min(workers, maxWorkers)
+	if workers := e.workersFor(len(refs), maxWorkers); workers > 1 {
+		return e.resolveParallel(q, refs, out, workers)
 	}
-	if workers <= 1 {
-		return e.resolveChunk(nil, q, refs, out, sc)
-	}
-	return e.resolveParallel(q, refs, out, workers)
+	// One worker resolves straight into out: no chunk buffers to merge,
+	// which keeps a join's per-row probes allocation-free.
+	return e.resolveChunk(q, refs, out, sc, nil)
 }
 
 // resolveChunk resolves one contiguous range of canonically sorted refs,
 // appending verified matches to out in that same order. It stops early once
 // q.Limit matches are appended (the range's output prefix is the final
-// output prefix), and, when ctx is non-nil, abandons the range between
-// trajectory groups if a parallel sibling already satisfied the limit.
-func (e *Engine) resolveChunk(ctx context.Context, q *Query, refs []store.TupleRef, out []Match, sc *scratch) []Match {
+// output prefix), and, when stop is non-nil, abandons the range between
+// trajectory groups once a parallel sibling raised it.
+func (e *Engine) resolveChunk(q *Query, refs []store.TupleRef, out []Match, sc *scratch, stop *atomic.Bool) []Match {
 	base := len(out)
 	for lo := 0; lo < len(refs); {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return out
-			default:
-			}
+		if stop != nil && stop.Load() {
+			return out
 		}
 		hi := lo + 1
 		for hi < len(refs) &&

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"semitri/internal/obs"
@@ -238,7 +236,7 @@ func (e *Engine) planJoin(left, right Query) JoinPlan {
 		jp.Build = rp
 	}
 	// The probe pool is sized by the build estimate: one row = one probe task.
-	jp.Workers = e.workersFor(jp.Build.estimate())
+	jp.Workers = e.workersFor(jp.Build.estimate(), 0)
 	return jp
 }
 
@@ -275,10 +273,10 @@ func (e *Engine) ExecuteJoin(j Join) ([]JoinMatch, error) {
 // pair predicate, so over-approximation in the derivation never leaks into
 // results.
 //
-// Build rows are independent probe tasks, so they fan out over a bounded
-// worker pool (JoinPlan.Workers; serial under the engine's threshold). Rows
-// are handed out dynamically for load balance, each worker appends pairs to
-// its own buffer, and per-row spans re-assemble the pairs in build-row order
+// Build rows are independent probe tasks, so they fan out over the engine's
+// workers (JoinPlan.Workers; serial under the engine's threshold). Rows are
+// handed out dynamically for load balance, each worker appends pairs to its
+// own buffer, and per-row spans re-assemble the pairs in build-row order
 // before the canonical sort — the result is byte-identical to serial
 // execution at any worker count.
 func (e *Engine) ExecuteJoinExplained(j Join) ([]JoinMatch, JoinPlan, error) {
@@ -320,58 +318,46 @@ func (e *Engine) executeJoin(j Join, tr *Trace) ([]JoinMatch, JoinPlan, error) {
 		btr.Returned = len(rows)
 		tr.stage("build", t1, len(rows))
 	}
-	workers := e.workersFor(len(rows))
+	workers := e.workersFor(len(rows), 0)
 	jp.Workers = workers
 
 	var t2 time.Time
 	if tr != nil {
 		t2 = time.Now()
 	}
-	var out []JoinMatch
+	pool := make([]probeWorker, workers)
+	var spans []pairSpan // per-row pair spans, to re-assemble a parallel probe
+	if workers > 1 {
+		spans = make([]pairSpan, len(rows))
+	}
+	fanOut(workers, len(rows), func(w, ri int) bool {
+		pw := &pool[w]
+		pw.e = e
+		lo, hi := pw.probeRow(&rows[ri], &probe, &j.On, jp.BuildSide)
+		if spans != nil {
+			spans[ri] = pairSpan{worker: w, lo: lo, hi: hi}
+		}
+		return true
+	})
 	var hist [numPaths]int
-	probes := 0
-	if workers <= 1 {
-		w := probeWorker{e: e}
-		for i := range rows {
-			w.probeRow(&rows[i], &probe, &j.On, jp.BuildSide)
+	probes, total := 0, 0
+	for w := range pool {
+		total += len(pool[w].pairs)
+		probes += pool[w].probes
+		obs.JoinWorkerProbes.Observe(float64(pool[w].probes))
+		for r := 0; r < numPaths; r++ {
+			hist[r] += pool[w].hist[r]
 		}
-		out = w.pairs
-		hist = w.hist
-		probes = w.probes
-		obs.JoinWorkerProbes.Observe(float64(w.probes))
-	} else {
-		pool := make([]probeWorker, workers)
-		spans := make([]pairSpan, len(rows))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				w := &pool[wi]
-				w.e = e
-				for {
-					ri := int(next.Add(1)) - 1
-					if ri >= len(rows) {
-						return
-					}
-					lo, hi := w.probeRow(&rows[ri], &probe, &j.On, jp.BuildSide)
-					spans[ri] = pairSpan{worker: wi, lo: lo, hi: hi}
-				}
-			}(wi)
-		}
-		wg.Wait()
-		total := 0
+	}
+	// One worker probed the rows in order, so its buffer is already in
+	// build-row order; a parallel probe re-assembles the rows' spans.
+	out := pool[0].pairs
+	if spans != nil {
 		jp.WorkerProbes = make([]int, workers)
-		for wi := range pool {
-			total += len(pool[wi].pairs)
-			jp.WorkerProbes[wi] = pool[wi].probes
-			probes += pool[wi].probes
-			obs.JoinWorkerProbes.Observe(float64(pool[wi].probes))
-			for r := 0; r < numPaths; r++ {
-				hist[r] += pool[wi].hist[r]
-			}
+		for w := range pool {
+			jp.WorkerProbes[w] = pool[w].probes
 		}
+		out = nil
 		if total > 0 {
 			out = make([]JoinMatch, 0, total)
 			for _, sp := range spans {

@@ -111,98 +111,69 @@ type Result struct {
 
 // Run parses and executes src against the engine.
 func Run(e *query.Engine, src string) (Result, error) {
-	stmt, err := Parse(src)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	if stmt.Join != nil {
-		pairs, plan, err := e.ExecuteJoinExplained(*stmt.Join)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Plan = plan.String()
-		if stmt.Agg != nil {
-			res.Groups, err = query.AggregatePairs(*stmt.Agg, pairs)
-			return res, err
-		}
-		if pairs == nil {
-			pairs = []query.JoinMatch{}
-		}
-		res.Pairs = pairs
-		return res, nil
-	}
-	ms, plan, err := e.ExecuteExplained(stmt.Query)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Plan = plan.String()
-	if stmt.Agg != nil {
-		res.Groups, err = query.AggregateMatches(*stmt.Agg, ms)
-		return res, err
-	}
-	if ms == nil {
-		ms = []query.Match{}
-	}
-	res.Matches = ms
-	return res, nil
+	res, _, err := run(e, src, false)
+	return res, err
 }
 
 // RunTraced is Run plus the statement's EXPLAIN ANALYZE trace. The
 // aggregation fold, when present, is timed as one extra trace stage.
 func RunTraced(e *query.Engine, src string) (Result, *query.Trace, error) {
+	return run(e, src, true)
+}
+
+// run is the one body behind Run and RunTraced: parse, execute the query or
+// join (traced when asked), then fold the aggregate if the statement has one.
+func run(e *query.Engine, src string, traced bool) (Result, *query.Trace, error) {
 	stmt, err := Parse(src)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var res Result
-	var tr *query.Trace
+	var (
+		res Result
+		tr  *query.Trace
+	)
 	if stmt.Join != nil {
-		pairs, plan, jtr, err := e.ExecuteJoinTraced(*stmt.Join)
-		if err != nil {
-			return Result{}, nil, err
+		var plan query.JoinPlan
+		if traced {
+			res.Pairs, plan, tr, err = e.ExecuteJoinTraced(*stmt.Join)
+		} else {
+			res.Pairs, plan, err = e.ExecuteJoinExplained(*stmt.Join)
 		}
 		res.Plan = plan.String()
-		tr = jtr
-		if stmt.Agg != nil {
-			res.Groups, err = aggregateTraced(tr, func() ([]query.Group, error) {
-				return query.AggregatePairs(*stmt.Agg, pairs)
-			})
-			return res, tr, err
+	} else {
+		var plan query.Plan
+		if traced {
+			res.Matches, plan, tr, err = e.ExecuteTraced(stmt.Query)
+		} else {
+			res.Matches, plan, err = e.ExecuteExplained(stmt.Query)
 		}
-		if pairs == nil {
-			pairs = []query.JoinMatch{}
-		}
-		res.Pairs = pairs
-		return res, tr, nil
+		res.Plan = plan.String()
 	}
-	ms, plan, qtr, err := e.ExecuteTraced(stmt.Query)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	res.Plan = plan.String()
-	tr = qtr
-	if stmt.Agg != nil {
-		res.Groups, err = aggregateTraced(tr, func() ([]query.Group, error) {
-			return query.AggregateMatches(*stmt.Agg, ms)
-		})
-		return res, tr, err
+	if stmt.Agg == nil {
+		switch {
+		case stmt.Join != nil && res.Pairs == nil:
+			res.Pairs = []query.JoinMatch{}
+		case stmt.Join == nil && res.Matches == nil:
+			res.Matches = []query.Match{}
+		}
+		return res, tr, nil
 	}
-	if ms == nil {
-		ms = []query.Match{}
-	}
-	res.Matches = ms
-	return res, tr, nil
-}
-
-// aggregateTraced runs the fold and appends its timing to the trace.
-func aggregateTraced(tr *query.Trace, fold func() ([]query.Group, error)) ([]query.Group, error) {
 	t0 := time.Now()
-	groups, err := fold()
-	ns := time.Since(t0).Nanoseconds()
-	tr.Stages = append(tr.Stages, query.TraceStage{Name: "aggregate", Ns: ns, Rows: len(groups)})
-	tr.TotalNs += ns
-	return groups, err
+	if stmt.Join != nil {
+		res.Groups, err = e.AggregatePairs(*stmt.Agg, res.Pairs)
+	} else {
+		res.Groups, err = e.AggregateMatches(*stmt.Agg, res.Matches)
+	}
+	res.Pairs, res.Matches = nil, nil
+	if tr != nil {
+		ns := time.Since(t0).Nanoseconds()
+		tr.Stages = append(tr.Stages, query.TraceStage{Name: "aggregate", Ns: ns, Rows: len(res.Groups)})
+		tr.TotalNs += ns
+	}
+	return res, tr, err
 }
 
 // ---- lexer ----

@@ -8,6 +8,7 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/geo"
+	"semitri/internal/obs"
 	"semitri/internal/query"
 	"semitri/internal/store"
 )
@@ -245,6 +246,47 @@ func TestParseQuery(t *testing.T) {
 	} {
 		if _, err := ParseQuery(src); err == nil {
 			t.Fatalf("ParseQuery(%q) accepted a non-standing statement", src)
+		}
+	}
+}
+
+// TestEveryExecuteRecordsLatency: every single-table entry point — Execute,
+// ExecuteExplained, ExecuteTraced and a statement through Run — observes
+// the planning and execution latency histograms once per query, so both
+// counts rise exactly as semitri_query_total does.
+func TestEveryExecuteRecordsLatency(t *testing.T) {
+	e := seedEngine(t)
+	q := query.MustBuild(query.OnlyStops())
+	total := func() int64 {
+		var n int64
+		for _, c := range obs.QueryByPath {
+			n += c.Value()
+		}
+		return n
+	}
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"Execute", func() error { _, err := e.Execute(q); return err }},
+		{"ExecuteExplained", func() error { _, _, err := e.ExecuteExplained(q); return err }},
+		{"ExecuteTraced", func() error { _, _, _, err := e.ExecuteTraced(q); return err }},
+		{"lang.Run", func() error { _, err := Run(e, "stops where ann.poi_category = restaurant"); return err }},
+	}
+	const n = 5
+	for _, en := range entries {
+		q0, p0, x0 := total(), obs.QueryPlanNs.Count(), obs.QueryExecNs.Count()
+		for i := 0; i < n; i++ {
+			if err := en.run(); err != nil {
+				t.Fatalf("%s: %v", en.name, err)
+			}
+		}
+		dq := total() - q0
+		if dq != n {
+			t.Fatalf("%s: semitri_query_total rose by %d over %d queries", en.name, dq, n)
+		}
+		if dp, dx := obs.QueryPlanNs.Count()-p0, obs.QueryExecNs.Count()-x0; dp != dq || dx != dq {
+			t.Errorf("%s: plan_ns count +%d, exec_ns count +%d, query_total +%d", en.name, dp, dx, dq)
 		}
 	}
 }

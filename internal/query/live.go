@@ -12,14 +12,14 @@ import (
 
 // Live is the standing-query dispatcher: the bridge between the store's
 // observer hook and continuous queries ("tell me when any object stops
-// inside this window"). A Tap — attached alongside the query engine via
-// store.Tee — publishes every index notification onto a bounded event bus;
-// a single dispatcher goroutine drains that bus and evaluates each event
-// against every registered Standing query's predicate, off the ingest hot
-// path, never touching the engine's indexes. The ingest path therefore pays
-// one ring-buffer publish per notification batch regardless of how many
-// thousand standing queries are registered (bench-asserted by the "live"
-// experiment).
+// inside this window"). A Tap — attached alongside the query engine in one
+// store.AttachIndex call — publishes every index notification onto a
+// bounded event bus; a single dispatcher goroutine drains that bus and
+// evaluates each event against every registered Standing query's
+// predicate, off the ingest hot path, never touching the engine's indexes.
+// The ingest path therefore pays one ring-buffer publish per notification
+// batch regardless of how many thousand standing queries are registered
+// (bench-asserted by the "live" experiment).
 //
 // Correctness model: a Standing tracks the set of refs whose latest
 // observed event satisfies the predicate. Because the store delivers
@@ -57,7 +57,7 @@ const DefaultCentralBuffer = 8192
 // starts its goroutine. It does NOT attach to the store — wire the returned
 // value's Tap alongside the engine:
 //
-//	st.AttachIndex(store.Tee(engine, live.Tap()))
+//	st.AttachIndex(engine, live.Tap())
 //
 // Close it to stop the dispatcher and release every standing query.
 func NewLive(st *store.Store, n int) *Live {
@@ -88,7 +88,8 @@ type tapEvent struct {
 // goroutine.
 type tap struct{ l *Live }
 
-// Tap returns the store.Index to attach (via store.Tee) for this dispatcher.
+// Tap returns the store.Index to attach (beside the engine, via
+// store.AttachIndex) for this dispatcher.
 func (l *Live) Tap() store.Index { return tap{l} }
 
 func (t tap) TuplesAppended(events []store.TupleEvent) {

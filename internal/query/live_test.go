@@ -97,7 +97,7 @@ func TestStandingParityWithEngine(t *testing.T) {
 	// at drop rate zero (see TestStandingDropsStayGenuine for the lossy case).
 	l := NewLive(st, 1<<16)
 	defer l.Close()
-	st.AttachIndex(store.Tee(e, l.Tap()))
+	st.AttachIndex(e, l.Tap())
 
 	rng := rand.New(rand.NewSource(99))
 	const nStanding = 64
@@ -159,7 +159,7 @@ func TestStandingDropsStayGenuine(t *testing.T) {
 	e := NewEngine(st)
 	l := NewLive(st, 4) // tiny central ring: evaluation itself drops
 	defer l.Close()
-	st.AttachIndex(store.Tee(e, l.Tap()))
+	st.AttachIndex(e, l.Tap())
 
 	rng := rand.New(rand.NewSource(5))
 	q := randomQuery(rng)
@@ -210,7 +210,7 @@ func TestStandingTransitions(t *testing.T) {
 	e := NewEngine(st)
 	l := NewLive(st, 64)
 	defer l.Close()
-	st.AttachIndex(store.Tee(e, l.Tap()))
+	st.AttachIndex(e, l.Tap())
 
 	s, err := l.Register(Query{AnnKey: core.AnnPOICategory, AnnValue: "park"}, 64)
 	if err != nil {

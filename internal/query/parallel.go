@@ -1,9 +1,10 @@
-// Parallel execution: the worker-pool machinery behind Execute, ExecuteJoin
-// and Aggregate.
+// Parallel execution: the one fan-out behind Execute, ExecuteJoin and the
+// aggregates.
 //
-// Every parallel path in this package preserves one invariant: the result is
-// byte-identical — order included — to what serial execution produces. The
-// techniques are:
+// Every parallel stage runs through fanOut, and its one-worker case is the
+// serial execution: the same code, inline on the caller's goroutine. Every
+// stage preserves one invariant: the result is byte-identical — order
+// included — at any worker count. The techniques are:
 //
 //   - candidate resolution sorts refs into the canonical output order first,
 //     splits them into contiguous chunks at trajectory-group boundaries
@@ -13,7 +14,7 @@
 //   - full scans fan out over the store's own lock stripes, and the caller
 //     sorts the concatenation by the unique canonical key, so the merge
 //     order cannot matter;
-//   - join probes run one build row per task with per-worker pair buffers,
+//   - join probes run one build row per item with per-worker pair buffers,
 //     re-assembled in build-row order before the final canonical sort;
 //   - aggregation folds per-worker partial group maps whose merge is a sum
 //     of integers and a union of sets — exact and order-independent.
@@ -23,7 +24,6 @@
 package query
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,12 +41,10 @@ const DefaultSerialThreshold = 64
 
 // Options configures an Engine's execution behaviour.
 type Options struct {
-	// Parallelism caps the worker pool of scans, candidate resolution and
-	// join probing. Values below 1 mean runtime.GOMAXPROCS(0).
+	// Parallelism caps the worker pool of every parallel stage: scans,
+	// candidate resolution, join probing and aggregation. Values below 1
+	// mean runtime.GOMAXPROCS(0); 1 forces serial execution.
 	Parallelism int
-	// SerialThreshold is the candidate/row count below which execution stays
-	// serial. Values below 1 mean DefaultSerialThreshold.
-	SerialThreshold int
 }
 
 // SetParallelism changes the engine's worker cap at runtime (values below 1
@@ -75,14 +73,55 @@ func (e *Engine) serialCutoff() int {
 	return DefaultSerialThreshold
 }
 
-// workersFor sizes the worker pool for n independent work items: 1 (serial)
-// when parallelism is off or n is under the cutoff, otherwise min(cap, n).
-func (e *Engine) workersFor(n int) int {
+// workersFor sizes the fan-out over n independent work items: 1 (serial)
+// when parallelism is off or n is under the cutoff, otherwise the engine's
+// cap — lowered to maxWorkers when that is at least 1 — and at most n.
+func (e *Engine) workersFor(n, maxWorkers int) int {
 	p := e.Parallelism()
+	if maxWorkers >= 1 {
+		p = min(p, maxWorkers)
+	}
 	if p <= 1 || n < e.serialCutoff() {
 		return 1
 	}
 	return min(p, n)
+}
+
+// fanOut runs task(w, i) for every item i in [0, n) on up to `workers`
+// workers, handing items out in ascending order from one atomic counter; w
+// (0 ≤ w < workers) names the worker, so a task can keep per-worker state
+// without locks. A task that returns false stops further hand-out (items
+// already running finish). Worker 0 is the calling goroutine, so with one
+// worker every item runs inline, in order, and no goroutine starts.
+func fanOut(workers, n int, task func(w, i int) bool) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n && task(0, i); i++ {
+		}
+		return
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	work := func(w int) {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if !task(w, i) {
+				stop.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }
 
 // scratch is the pooled per-execution working set: the candidate ref buffer,
@@ -126,69 +165,45 @@ func chunkBounds(refs []store.TupleRef, chunks int) []int {
 	return bounds
 }
 
-// resolveParallel fans sorted candidate refs out over a worker pool and
+// resolveParallel fans sorted candidate refs out over the workers and
 // appends the verified matches to out in the exact order serial resolution
 // would produce: chunks are contiguous ranges of the sorted refs, each
 // chunk's output is internally ordered, and outputs concatenate in chunk
 // order. With a limit, each chunk resolves at most limit matches, and a
 // worker that completes a chunk checks whether the complete prefix of chunks
-// already covers the limit — if so the context cancels and the remaining
-// chunks (whose output the merge would discard) are abandoned mid-flight.
+// already covers the limit — if so it raises stop, and the chunks still
+// resolving (whose output the merge would discard) are abandoned mid-flight.
 func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, workers int) []Match {
 	bounds := chunkBounds(refs, workers)
 	n := len(bounds) - 1
-	if n <= 1 || workers <= 1 {
-		sc := getScratch()
-		out = e.resolveChunk(nil, q, refs, out, sc)
-		putScratch(sc)
-		return out
-	}
 	outs := make([][]Match, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var (
+		stop     atomic.Bool
 		mu       sync.Mutex
 		complete = make([]bool, n)
 		filled   int // chunks 0..filled-1 are complete
 		prefix   int // total matches in that complete prefix
 	)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := getScratch()
-			defer putScratch(sc)
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= n {
-					return
-				}
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				outs[ci] = e.resolveChunk(ctx, q, refs[bounds[ci]:bounds[ci+1]], nil, sc)
-				if q.Limit <= 0 {
-					continue
-				}
-				mu.Lock()
-				complete[ci] = true
-				for filled < n && complete[filled] {
-					prefix += len(outs[filled])
-					filled++
-					if prefix >= q.Limit {
-						cancel()
-						break
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(workers, n, func(_, ci int) bool {
+		sc := getScratch()
+		outs[ci] = e.resolveChunk(q, refs[bounds[ci]:bounds[ci+1]], nil, sc, &stop)
+		putScratch(sc)
+		if q.Limit <= 0 {
+			return true
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		complete[ci] = true
+		for filled < n && complete[filled] {
+			prefix += len(outs[filled])
+			filled++
+		}
+		if prefix >= q.Limit {
+			stop.Store(true)
+			return false
+		}
+		return true
+	})
 	for _, chunk := range outs {
 		out = append(out, chunk...)
 		if q.Limit > 0 && len(out) >= q.Limit {
@@ -203,8 +218,9 @@ func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, w
 // out. The scan units are the store's lock stripes (the heap tail) plus the
 // cold segments whose footer summary survives pruning against the query
 // (see pruneSegments); large scans visit the units concurrently, and the
-// caller's canonical sort makes the interleaving unobservable. Small stores
-// stay on the serial single-pass visit.
+// caller's canonical sort makes the interleaving unobservable. Worker 0
+// appends straight into out, so a serial scan is one pass into the caller's
+// buffer.
 //
 // The segment list is captured before any stripe is visited and the tier
 // registers a freezing segment's runs before the store evicts the matching
@@ -213,56 +229,31 @@ func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, w
 // dedup collapses the duplicates.
 func (e *Engine) scanMatches(q *Query, out []Match, maxWorkers int, tr *Trace) []Match {
 	segs := e.pruneSegments(q, tr)
-	shards := e.st.ShardCount()
-	units := shards + len(segs)
-	visitUnit := func(u int, fn func(ref store.TupleRef, t core.EpisodeTuple) bool) {
-		if u < len(segs) {
-			e.st.VisitColdSegmentTuples(segs[u], q.Interpretation, fn)
-			return
-		}
-		e.st.VisitShardTuples(u-len(segs), q.Interpretation, fn)
-	}
-	workers := e.workersFor(int(e.total.Load()))
-	if maxWorkers >= 1 {
-		workers = min(workers, maxWorkers)
-	}
-	workers = min(workers, units)
-	if workers <= 1 {
-		for u := 0; u < units; u++ {
-			visitUnit(u, func(ref store.TupleRef, t core.EpisodeTuple) bool {
-				if q.matches(ref, &t) {
-					out = append(out, Match{Ref: ref, Tuple: t})
-				}
-				return true
-			})
-		}
-		return out
-	}
+	units := e.st.ShardCount() + len(segs)
+	workers := min(e.workersFor(int(e.total.Load()), maxWorkers), units)
 	outs := make([][]Match, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := outs[w]
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= units {
-					break
-				}
-				visitUnit(u, func(ref store.TupleRef, t core.EpisodeTuple) bool {
-					if q.matches(ref, &t) {
-						local = append(local, Match{Ref: ref, Tuple: t})
-					}
-					return true
-				})
+	outs[0] = out
+	// One visitor per worker, built once: a visitor per unit would be a
+	// heap-allocated closure per stripe and segment, on every scan.
+	visits := make([]func(store.TupleRef, core.EpisodeTuple) bool, workers)
+	for w := range visits {
+		visits[w] = func(ref store.TupleRef, t core.EpisodeTuple) bool {
+			if q.matches(ref, &t) {
+				outs[w] = append(outs[w], Match{Ref: ref, Tuple: t})
 			}
-			outs[w] = local
-		}(w)
+			return true
+		}
 	}
-	wg.Wait()
-	for _, chunk := range outs {
+	fanOut(workers, units, func(w, u int) bool {
+		if u < len(segs) {
+			e.st.VisitColdSegmentTuples(segs[u], q.Interpretation, visits[w])
+		} else {
+			e.st.VisitShardTuples(u-len(segs), q.Interpretation, visits[w])
+		}
+		return true
+	})
+	out = outs[0]
+	for _, chunk := range outs[1:] {
 		out = append(out, chunk...)
 	}
 	return out

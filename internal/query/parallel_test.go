@@ -4,27 +4,40 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"semitri/internal/segment"
 	"semitri/internal/store"
 )
 
 // TestParallelDeterminism is the parallel executor's property test: over a
 // randomized workload and randomized queries, execution at workers ∈
 // {2, 4, 8} must return results byte-identical — order included — to
-// workers=1, for Execute, ExecuteJoin and Aggregate. The serial threshold is
-// forced to 1 so even tiny candidate sets take the parallel paths.
+// workers=1, for Execute, ExecuteJoin and the aggregates, all sized by the
+// engine's parallelism. The serial threshold is forced to 1 so even tiny
+// candidate sets take the parallel paths.
 func TestParallelDeterminism(t *testing.T) {
 	st := store.NewSharded(8)
-	e := NewEngineWith(st, Options{Parallelism: 1, SerialThreshold: 1})
+	e := NewEngineWith(st, Options{Parallelism: 1})
+	e.SetSerialThreshold(1)
 	populate(t, st, 7, 6, 3, 14)
 	rng := rand.New(rand.NewSource(99))
 
-	queries := make([]Query, 0, 40)
+	queries := make([]Query, 0, 42)
 	for i := 0; i < 38; i++ {
 		queries = append(queries, randomQuery(rng))
 	}
+	// Limited indexed queries whose limit falls inside a resolution chunk at
+	// every worker count: the chunk that meets it stops its siblings, and
+	// the merge must still return the serial prefix.
+	midChunk := []Query{
+		{AnnKey: "poi_category", AnnValue: "restaurant", Limit: 9},
+		{AnnKey: "transport_mode", AnnValue: "walk", Limit: 17},
+	}
+	queries = append(queries, midChunk...)
 	// Always include the two extremes: the unconstrained full scan and a
 	// limited query (limit pushdown must not change results either).
 	queries = append(queries, Query{}, Query{Limit: 5})
@@ -57,6 +70,17 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		refMatches[i] = ms
 	}
+	for _, q := range midChunk {
+		unlimited := q
+		unlimited.Limit = 0
+		all, err := e.Execute(unlimited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) <= q.Limit {
+			t.Fatalf("%+v: the limit cuts nothing from %d matches", q, len(all))
+		}
+	}
 	refPairs := make([][]JoinMatch, len(joins))
 	for i, j := range joins {
 		ps, err := e.ExecuteJoin(j)
@@ -67,8 +91,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	refGroups := make([][]Group, len(aggs))
 	for i, a := range aggs {
-		a.Workers = 1
-		gs, err := AggregateMatches(a, refMatches[len(queries)-2]) // the full scan
+		gs, err := e.AggregateMatches(a, refMatches[len(queries)-2]) // the full scan
 		if err != nil {
 			t.Fatalf("serial Aggregate: %v", err)
 		}
@@ -103,8 +126,7 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 			}
 			for i, a := range aggs {
-				a.Workers = workers
-				got, err := AggregateMatches(a, refMatches[len(queries)-2])
+				got, err := e.AggregateMatches(a, refMatches[len(queries)-2])
 				if err != nil {
 					t.Fatalf("Aggregate: %v", err)
 				}
@@ -119,44 +141,99 @@ func TestParallelDeterminism(t *testing.T) {
 // TestLimitPushdown asserts that a limited query returns exactly the prefix
 // of the unlimited result — the limit satellite's contract: pushing the
 // limit into candidate resolution (and cancelling parallel siblings) must
-// not change what the first Limit matches are, serial or parallel.
+// not change what the first Limit matches are, serial or parallel, on an
+// all-heap store and on a tiered one whose scans visit cold segments.
 func TestLimitPushdown(t *testing.T) {
-	st := store.NewSharded(8)
-	e := NewEngineWith(st, Options{Parallelism: 1, SerialThreshold: 1})
-	populate(t, st, 11, 5, 2, 12)
-	rng := rand.New(rand.NewSource(42))
-
-	check := func(q Query) {
-		t.Helper()
-		full, err := e.Execute(q)
-		if err != nil {
+	heap := store.NewSharded(8)
+	all := populate(t, heap, 11, 5, 2, 12)
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	for i, s := range all {
+		if err := tiered.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID,
+			s.ref.Interpretation, cloneTuple(s.tp)); err != nil {
 			t.Fatal(err)
 		}
-		for _, limit := range []int{1, 3, len(full), len(full) + 5} {
-			lq := q
-			lq.Limit = limit
-			got, err := e.Execute(lq)
-			if err != nil {
+		if i%25 == 24 {
+			if err := tier.Freeze(tiered); err != nil {
 				t.Fatal(err)
-			}
-			want := full
-			if limit < len(full) {
-				want = full[:limit]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("limit %d: got %d matches, want %d (query %+v)", limit, len(got), len(want), q)
-			}
-			if len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("limit %d: results are not the unlimited prefix (query %+v)", limit, q)
 			}
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		e.SetParallelism(workers)
-		check(Query{}) // full scan
-		for i := 0; i < 25; i++ {
-			check(randomQuery(rng))
+
+	for _, c := range []struct {
+		name string
+		st   *store.Store
+	}{{"heap", heap}, {"tiered", tiered}} {
+		e := NewEngineWith(c.st, Options{Parallelism: 1})
+		e.SetSerialThreshold(1)
+		check := func(q Query) {
+			t.Helper()
+			full, err := e.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{1, 3, len(full), len(full) + 5} {
+				lq := q
+				lq.Limit = limit
+				got, err := e.Execute(lq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := full
+				if limit < len(full) {
+					want = full[:limit]
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s, limit %d: got %d matches, want %d (query %+v)", c.name, limit, len(got), len(want), q)
+				}
+				if len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, limit %d: results are not the unlimited prefix (query %+v)", c.name, limit, q)
+				}
+			}
 		}
+		rng := rand.New(rand.NewSource(42))
+		for _, workers := range []int{1, 4} {
+			e.SetParallelism(workers)
+			check(Query{}) // full scan
+			for i := 0; i < 25; i++ {
+				check(randomQuery(rng))
+			}
+		}
+	}
+}
+
+// TestParallelismOneFoldsSerially: with the engine's parallelism at 1, a
+// fold ten times the serial cutoff still runs its row callback on one
+// goroutine at a time — Options.Parallelism = 1 means serial for group-bys
+// too.
+func TestParallelismOneFoldsSerially(t *testing.T) {
+	e := NewEngine(store.NewSharded(1))
+	e.SetParallelism(1)
+	var inFlight, maxInFlight atomic.Int32
+	n := 10 * e.serialCutoff()
+	groups, err := e.fold(Aggregate{By: DimObject}, n, func(i int) (string, bool, string, time.Duration) {
+		cur := inFlight.Add(1)
+		for m := maxInFlight.Load(); cur > m && !maxInFlight.CompareAndSwap(m, cur); m = maxInFlight.Load() {
+		}
+		runtime.Gosched() // give a concurrent worker the chance to overlap
+		inFlight.Add(-1)
+		return fmt.Sprintf("g%d", i%7), true, "", 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := maxInFlight.Load(); got != 1 {
+		t.Fatalf("row callback ran %d at a time at parallelism 1, want 1", got)
+	}
+	rows := 0
+	for _, g := range groups {
+		rows += g.Count
+	}
+	if len(groups) != 7 || rows != n {
+		t.Fatalf("fold of %d rows produced %+v", n, groups)
 	}
 }
 

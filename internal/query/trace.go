@@ -1,10 +1,6 @@
 package query
 
-import (
-	"time"
-
-	"semitri/internal/obs"
-)
+import "time"
 
 // Trace is the EXPLAIN ANALYZE record of one executed statement: the plan
 // that ran, per-stage wall time and row counts, the segment-prune decisions
@@ -76,23 +72,11 @@ func (tr *Trace) addCandidates(n int) {
 
 // ExecuteTraced is ExecuteExplained plus a full execution trace.
 func (e *Engine) ExecuteTraced(q Query) ([]Match, Plan, *Trace, error) {
-	q = q.normalized()
-	if err := q.Validate(); err != nil {
+	tr := &Trace{}
+	out, p, err := e.execute(q, tr)
+	if err != nil {
 		return nil, Plan{}, nil, err
 	}
-	t0 := time.Now()
-	p := e.plan(&q)
-	planNs := time.Since(t0).Nanoseconds()
-	tr := &Trace{Kind: "query", Plan: p.String(), Path: string(p.Path), PlanNs: planNs}
-	t1 := time.Now()
-	out := e.executeBuf(&q, p.Path, nil, 0, tr)
-	tr.ExecNs = time.Since(t1).Nanoseconds()
-	tr.TotalNs = time.Since(t0).Nanoseconds()
-	tr.Returned = len(out)
-	obs.QueryByPath[pathRank(p.Path)].Inc()
-	obs.QueryPlanNs.ObserveNs(planNs)
-	obs.QueryExecNs.ObserveNs(tr.ExecNs)
-	obs.QueryReturned.Add(int64(len(out)))
 	return out, p, tr, nil
 }
 

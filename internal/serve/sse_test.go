@@ -29,7 +29,7 @@ func newLiveServer(t *testing.T) (*httptest.Server, *store.Store, *query.Live) {
 	engine := query.NewEngine(st)
 	live := query.NewLive(st, 1<<12)
 	t.Cleanup(live.Close)
-	st.AttachIndex(store.Tee(engine, live.Tap()))
+	st.AttachIndex(engine, live.Tap())
 	history := obs.NewHistory(obs.Default(), 64, time.Minute) // sampled on demand, no ticker
 	t.Cleanup(history.Close)
 	srv := httptest.NewServer(New(engine,

@@ -60,29 +60,55 @@ type Index interface {
 	TupleUpdated(event TupleEvent)
 }
 
-// indexHooks wraps the attached index behind one atomic pointer, so the hot
-// append path pays a single load when no index is attached.
-type indexHooks struct {
-	sink Index
+// indexHooks is the attached indexes, notified in attach order. It sits
+// behind one atomic pointer, so the hot append path pays a single load when
+// no index is attached.
+type indexHooks []Index
+
+func (h *indexHooks) TuplesAppended(events []TupleEvent) {
+	for _, ix := range *h {
+		ix.TuplesAppended(events)
+	}
 }
 
-// AttachIndex registers an incrementally maintained secondary index. At most
-// one index is attached at a time (a later call replaces the earlier one).
-// Attach the index before concurrent writers start, or backfill it from
-// VisitStructuredTuples afterwards — TuplesAppended events and the backfill
-// scan may overlap, so indexes must treat re-delivery of a ref as idempotent.
-func (s *Store) AttachIndex(ix Index) {
-	if ix == nil {
+func (h *indexHooks) StructuredReplaced(trajectoryID, objectID, interpretation string, events []TupleEvent) {
+	for _, ix := range *h {
+		ix.StructuredReplaced(trajectoryID, objectID, interpretation, events)
+	}
+}
+
+func (h *indexHooks) TupleUpdated(event TupleEvent) {
+	for _, ix := range *h {
+		ix.TupleUpdated(event)
+	}
+}
+
+// AttachIndex registers incrementally maintained secondary indexes, which
+// every mutation then notifies in argument order; nil entries are skipped,
+// so callers can pass optional consumers unconditionally (the query engine
+// and the live standing-query tap ride one attachment). Each call replaces
+// the previous attachment; attaching nothing detaches. Attach before
+// concurrent writers start, or backfill from VisitStructuredTuples
+// afterwards — TuplesAppended events and the backfill scan may overlap, so
+// indexes must treat re-delivery of a ref as idempotent.
+func (s *Store) AttachIndex(ixs ...Index) {
+	hooks := make(indexHooks, 0, len(ixs))
+	for _, ix := range ixs {
+		if ix != nil {
+			hooks = append(hooks, ix)
+		}
+	}
+	if len(hooks) == 0 {
 		s.hooks.Store(nil)
 		return
 	}
-	s.hooks.Store(&indexHooks{sink: ix})
+	s.hooks.Store(&hooks)
 }
 
-// sink returns the attached index, or nil.
+// sink returns the attached indexes as one Index, or nil.
 func (s *Store) sink() Index {
 	if h := s.hooks.Load(); h != nil {
-		return h.sink
+		return h
 	}
 	return nil
 }

@@ -27,6 +27,41 @@ func (r *recordingIndex) StructuredReplaced(traj, obj, interp string, events []T
 }
 func (r *recordingIndex) TupleUpdated(ev TupleEvent) { r.updated = append(r.updated, ev) }
 
+// orderIndex logs each notification as "name:hook" into a log shared by
+// several indexes, for asserting the attach order.
+type orderIndex struct {
+	name string
+	log  *[]string
+}
+
+func (o *orderIndex) TuplesAppended([]TupleEvent) { *o.log = append(*o.log, o.name+":append") }
+func (o *orderIndex) StructuredReplaced(_, _, _ string, _ []TupleEvent) {
+	*o.log = append(*o.log, o.name+":replace")
+}
+func (o *orderIndex) TupleUpdated(TupleEvent) { *o.log = append(*o.log, o.name+":update") }
+
+// TestAttachIndexFansOutInOrder: every attached index sees every
+// notification, in argument order, and nil entries are skipped.
+func TestAttachIndexFansOutInOrder(t *testing.T) {
+	s := New()
+	var log []string
+	s.AttachIndex(&orderIndex{"a", &log}, nil, &orderIndex{"b", &log})
+	if err := s.AppendStructuredTuples("t1", "o1", "merged", mkStopTuple(t0, t0.Add(time.Hour))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MergeTupleAnnotations("t1", "merged", 0, nil,
+		[]core.Annotation{{Key: "k", Value: "v", Confidence: 0.9}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutStructured(&core.StructuredTrajectory{ID: "t1", ObjectID: "o1", Interpretation: "region"}); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(log, " ")
+	if want := "a:append b:append a:update b:update a:replace b:replace"; got != want {
+		t.Fatalf("notifications %q, want %q", got, want)
+	}
+}
+
 func mkStopTuple(start, end time.Time, anns ...core.Annotation) *core.EpisodeTuple {
 	tp := &core.EpisodeTuple{Kind: episode.Stop, TimeIn: start, TimeOut: end}
 	for _, a := range anns {

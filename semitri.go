@@ -119,10 +119,10 @@ type Config struct {
 	// contention between concurrently ingested objects; one stripe
 	// degenerates to a single global store lock.
 	StoreShards int
-	// QueryParallelism caps the query engine's worker pool (parallel join
-	// probing, sharded scans, concurrent candidate resolution). Values below
-	// 1 mean runtime.GOMAXPROCS(0); 1 forces serial execution. Results are
-	// byte-identical at any setting.
+	// QueryParallelism caps the query engine's workers (parallel join
+	// probing, sharded scans, concurrent candidate resolution, group-by
+	// folds). Values below 1 mean runtime.GOMAXPROCS(0); 1 forces serial
+	// execution. Results are byte-identical at any setting.
 	QueryParallelism int
 	// Durability configures the write-ahead-log durability subsystem. The
 	// zero value keeps the pipeline purely in-memory.
@@ -431,30 +431,29 @@ func (p *Pipeline) QueryEngine() *query.Engine {
 
 // engineLocked creates the engine on first use. Caller holds p.mu. When the
 // live dispatcher already exists, the engine's self-attachment is replaced
-// with the tee so both keep receiving store notifications.
+// by one attaching both, so both keep receiving store notifications.
 func (p *Pipeline) engineLocked() *query.Engine {
 	if p.engine == nil {
 		p.engine = query.NewEngineWith(p.st, query.Options{Parallelism: p.cfg.QueryParallelism})
 		if p.live != nil {
-			p.st.AttachIndex(store.Tee(p.engine, p.live.Tap()))
+			p.st.AttachIndex(p.engine, p.live.Tap())
 		}
 	}
 	return p.engine
 }
 
 // Live returns the pipeline's standing-query dispatcher, creating it (and
-// the query engine, whose index maintenance shares the store hook through
-// store.Tee) on first use. Like QueryEngine, request it before ingestion
-// starts so standing queries observe every event; subscriptions registered
-// mid-ingestion converge as tuples are next touched. The dispatcher is shut
-// down by Pipeline.Close.
+// the query engine, attached to the store's hook beside it) on first use.
+// Like QueryEngine, request it before ingestion starts so standing queries
+// observe every event; subscriptions registered mid-ingestion converge as
+// tuples are next touched. The dispatcher is shut down by Pipeline.Close.
 func (p *Pipeline) Live() *query.Live {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.live == nil {
 		engine := p.engineLocked()
 		p.live = query.NewLive(p.st, 0)
-		p.st.AttachIndex(store.Tee(engine, p.live.Tap()))
+		p.st.AttachIndex(engine, p.live.Tap())
 	}
 	return p.live
 }
