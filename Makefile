@@ -38,9 +38,13 @@ race:
 # The native fuzz targets, each for FUZZTIME (CI gives every target 10s).
 # FuzzEpisodesQuery: GET /query/episodes with any query string answers 200
 # or 400 with one line of JSON of the declared length, never a panic or 500.
+# FuzzDecodeMutation: the WAL and segment payload decoder returns an error
+# or a mutation that re-encodes to a fixed point, never a panic, and
+# allocates at most a small multiple of its input.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime $(FUZZTIME) ./internal/wal
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,

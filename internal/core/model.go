@@ -230,6 +230,9 @@ func (st *StructuredTrajectory) Validate() error {
 // of Alg. 1 line 10-11). It returns a new trajectory.
 func (st *StructuredTrajectory) MergeConsecutive(key string) *StructuredTrajectory {
 	out := &StructuredTrajectory{ID: st.ID, ObjectID: st.ObjectID, Interpretation: st.Interpretation}
+	// owned reports whether the last output tuple has its own annotation
+	// set yet: a copy shares its input's until the first merge into it.
+	owned := false
 	for _, tp := range st.Tuples {
 		if n := len(out.Tuples); n > 0 {
 			last := out.Tuples[n-1]
@@ -238,12 +241,16 @@ func (st *StructuredTrajectory) MergeConsecutive(key string) *StructuredTrajecto
 			sameKind := last.Kind == tp.Kind
 			if samePlace && sameValue && sameKind {
 				last.TimeOut = tp.TimeOut
+				if !owned {
+					last.Annotations, owned = last.Annotations.Clone(), true
+				}
 				last.Annotations.Merge(&tp.Annotations)
 				continue
 			}
 		}
 		cp := *tp
 		out.Tuples = append(out.Tuples, &cp)
+		owned = false
 	}
 	return out
 }

@@ -180,6 +180,20 @@ func TestMergeConsecutive(t *testing.T) {
 	if got := st2.MergeConsecutive(""); len(got.Tuples) != 2 {
 		t.Fatal("different kinds must not merge")
 	}
+	// A place-only merge folds a higher-confidence value for the same key
+	// into the first tuple's copy; the input tuples keep their own values.
+	st3 := &StructuredTrajectory{ID: "t", Tuples: []*EpisodeTuple{
+		mk("cell-1", "1.2", 0, 10),
+		mk("cell-1", "1.3", 10, 20),
+	}}
+	st3.Tuples[1].Annotations.Add(Annotation{Key: AnnLanduse, Value: "1.3", Confidence: 2})
+	merged3 := st3.MergeConsecutive("")
+	if len(merged3.Tuples) != 1 || merged3.Tuples[0].Annotations.Value(AnnLanduse) != "1.3" {
+		t.Fatalf("place-only merge = %d tuples, value %q", len(merged3.Tuples), merged3.Tuples[0].Annotations.Value(AnnLanduse))
+	}
+	if got := st3.Tuples[0].Annotations.Value(AnnLanduse); got != "1.2" {
+		t.Fatalf("MergeConsecutive overwrote its input's value: %q, want 1.2", got)
+	}
 }
 
 func TestTrajectoryCategoryEquation8(t *testing.T) {

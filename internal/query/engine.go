@@ -29,9 +29,9 @@ import (
 // (stTable). A posting is that number plus the tuple's position. Queries
 // resolve postings back to store.TupleRefs only when they gather
 // candidates. Time postings add the kind and both times as UTC seconds plus
-// nanoseconds (40 B in all), spatial items add the kind (16 B) beside the
-// grid's own rectangle and 4-byte bucket entries, and annotation postings
-// are the bare 8 bytes. None of them holds a pointer, so the collector
+// nanoseconds (40 B in all), spatial postings are the bare 8 bytes beside
+// the forest's rectangle and its 4-byte tree entry, and so are annotation
+// postings. None of them holds a pointer, so the collector
 // never traces the indexes' bulk.
 //
 // The engine's state is lock-striped like the store, with as many stripes
@@ -44,11 +44,10 @@ import (
 //     interning map with its idempotency bitmaps are striped by object id
 //     with the store's own KeyHash, so objects that do not contend in the
 //     store do not contend here either,
-//   - the spatial index (spatial.HashGrid over episode bounding rectangles,
-//     each item's posting and kind in a parallel slice) is one engine-wide
-//     grid — window queries have no key to route by, and episode closes are
-//     rare next to record appends, so a single write lock never shows up in
-//     ingestion (see spatialIndex).
+//   - the spatial index is one spatial.Forest of episode rectangles, with
+//     the postings in a parallel slice, per (interpretation, kind) — the
+//     partition a query names, so a window walks only geometry it can
+//     return. The partitions share one lock (see spatialIndex).
 //
 // Lock order: the interning table's lock is always taken last. A writer
 // takes it (exclusively) only on a trajectory's first sight, while holding
@@ -139,24 +138,35 @@ type stEntry struct {
 	seen []bool
 }
 
-// spatialIndex is the engine-wide episode-geometry index: one incremental
-// grid behind its own RWMutex rather than a stripe per object, because a
-// window query has no object to route by — striping would turn every
-// lookup into a full fan-out. Writes are rare relative to reads (one insert
-// per closed episode, versus one store append per GPS record), so a single
-// write lock does not contend with ingestion in practice.
+// spatialIndex is the episode-geometry index: one partition per
+// (interpretation, kind), all behind one RWMutex rather than a stripe per
+// object — striping would turn every window into a full fan-out, and one
+// insert per closed episode does not contend with ingestion in practice.
 type spatialIndex struct {
-	mu   sync.RWMutex
-	grid *spatial.HashGrid
-	// items holds, by grid item number, the posting and the kind of each
-	// episode rectangle, so kind- and interpretation-filtered window
-	// queries never resolve candidates of the wrong kind.
-	items []spatialItem
+	mu sync.RWMutex
+	// parts holds each interpretation's partitions, one per episode kind.
+	parts map[string][]*spatialPart
 }
 
-type spatialItem struct {
-	p    posting
-	kind episode.Kind
+// spatialPart is one partition: the rectangles of its kind's episodes and,
+// by the forest's item number, their postings.
+type spatialPart struct {
+	kind     episode.Kind
+	rects    spatial.Forest
+	postings []posting
+}
+
+// part returns the partition of (interp, kind), adding it on first sight.
+// Caller holds mu exclusively.
+func (s *spatialIndex) part(interp string, kind episode.Kind) *spatialPart {
+	for _, p := range s.parts[interp] {
+		if p.kind == kind {
+			return p
+		}
+	}
+	p := &spatialPart{kind: kind}
+	s.parts[interp] = append(s.parts[interp], p)
+	return p
 }
 
 // annShard is one annotation-routed stripe of the inverted index.
@@ -225,10 +235,6 @@ type timedPosting struct {
 func (tp *timedPosting) timeIn() stamp  { return stamp{tp.inSec, tp.inNsec} }
 func (tp *timedPosting) timeOut() stamp { return stamp{tp.outSec, tp.outNsec} }
 
-// SpatialCellSize is the bucket size of the episode grid, sized for
-// city-scale episode geometry (a few hundred metres per stop/move).
-const SpatialCellSize = 250.0
-
 // NewEngine builds an engine over the store with default Options, attaches
 // it to the store's append path and backfills the indexes from the store's
 // current content. Creating a second engine over the same store detaches the
@@ -253,7 +259,7 @@ func NewEngineWith(st *store.Store, opts Options) *Engine {
 		}
 		e.annShards[i] = &annShard{ann: map[annKey][]posting{}}
 	}
-	e.spatial.grid = spatial.NewHashGrid(SpatialCellSize)
+	e.spatial.parts = map[string][]*spatialPart{}
 	// Attach first, then backfill: tuples appended between the two steps are
 	// delivered twice (once by the notification, once by the scan) and
 	// deduplicated by the indexed bitmap; tuples appended before the attach
@@ -310,8 +316,9 @@ func (e *Engine) index(ref store.TupleRef, tp *core.EpisodeTuple) {
 
 	if tp.Episode != nil {
 		e.spatial.mu.Lock()
-		e.spatial.grid.Insert(tp.Episode.Bounds)
-		e.spatial.items = append(e.spatial.items, spatialItem{p: p, kind: tp.Kind})
+		part := e.spatial.part(ref.Interpretation, tp.Kind)
+		part.rects.Insert(tp.Episode.Bounds)
+		part.postings = append(part.postings, p)
 		e.spatial.mu.Unlock()
 	}
 	e.total.Add(1)
@@ -586,19 +593,16 @@ func (e *Engine) gatherInto(q *Query, path Path, refs []store.TupleRef) []store.
 		rect := q.spatialRect()
 		e.spatial.mu.RLock()
 		rows := e.sts.snapshot()
-		items := e.spatial.items
-		e.spatial.grid.Visit(rect, func(id int32) bool {
-			it := &items[id]
-			row := &rows[it.p.st]
-			if row.interp != q.Interpretation {
-				return true
+		for _, part := range e.spatial.parts[q.Interpretation] {
+			if q.Kind != nil && part.kind != *q.Kind {
+				continue
 			}
-			if q.Kind != nil && it.kind != *q.Kind {
+			part.rects.Visit(rect, func(id int32) bool {
+				p := part.postings[id]
+				refs = append(refs, rows[p.st].ref(p))
 				return true
-			}
-			refs = append(refs, row.ref(it.p))
-			return true
-		})
+			})
+		}
 		e.spatial.mu.RUnlock()
 	}
 	return refs
@@ -708,7 +712,7 @@ type Stats struct {
 	AnnotationPostings int
 	// Objects counts moving objects with at least one posting.
 	Objects int
-	// SpatialItems counts episode rectangles in the spatial grid.
+	// SpatialItems counts episode rectangles in the spatial index.
 	SpatialItems int
 	// IndexBytes estimates the heap the indexes hold: every table's length
 	// or capacity times its entry size, map entries at mapEntryBytes.
@@ -736,7 +740,8 @@ func (e *Engine) IndexStats() Stats {
 		objectEntry = mapEntryBytes(unsafe.Sizeof("") + unsafe.Sizeof([]timedPosting(nil)))
 		stEntrySize = mapEntryBytes(unsafe.Sizeof(stKey{}) + unsafe.Sizeof(stEntry{}))
 		annEntry    = mapEntryBytes(unsafe.Sizeof(annKey{}) + unsafe.Sizeof([]posting(nil)))
-		bucketEntry = mapEntryBytes(unsafe.Sizeof([2]int64{}) + unsafe.Sizeof([]int32(nil))) // cell key, item numbers
+		interpEntry = mapEntryBytes(unsafe.Sizeof("") + unsafe.Sizeof([]*spatialPart(nil)))
+		partBytes   = int(unsafe.Sizeof(spatialPart{}) + unsafe.Sizeof((*spatialPart)(nil)))
 	)
 	for _, sh := range e.objShards {
 		sh.mu.RLock()
@@ -751,10 +756,13 @@ func (e *Engine) IndexStats() Stats {
 		sh.mu.RUnlock()
 	}
 	e.spatial.mu.RLock()
-	st.SpatialItems = e.spatial.grid.Len()
-	rects, buckets, entries := e.spatial.grid.Footprint()
-	st.IndexBytes += rects*int(unsafe.Sizeof(geo.Rect{})) + buckets*bucketEntry + entries*4 +
-		cap(e.spatial.items)*int(unsafe.Sizeof(spatialItem{}))
+	for _, parts := range e.spatial.parts {
+		st.IndexBytes += interpEntry
+		for _, part := range parts {
+			st.SpatialItems += part.rects.Len()
+			st.IndexBytes += partBytes + part.rects.Footprint() + cap(part.postings)*int(unsafe.Sizeof(posting{}))
+		}
+	}
 	e.spatial.mu.RUnlock()
 	for _, sh := range e.annShards {
 		sh.mu.RLock()

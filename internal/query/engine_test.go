@@ -33,6 +33,8 @@ func mkTuple(kind episode.Kind, start, end time.Time, center geo.Point, anns ...
 	return tp
 }
 
+func ptr[T any](v T) *T { return &v }
+
 func ann(key, value string) core.Annotation {
 	return core.Annotation{Key: key, Value: value, Confidence: 0.9, Source: "test"}
 }
@@ -124,6 +126,14 @@ func sameRefSet(t *testing.T, label string, got, want []store.TupleRef) {
 // maintenance; without one, NewEngine's backfill.
 func populate(t *testing.T, st *store.Store, seed int64, objects, trajPerObject, tuplesPerTraj int) []stored {
 	t.Helper()
+	return populateInterp(t, st, seed, DefaultInterpretation, objects, trajPerObject, tuplesPerTraj)
+}
+
+// populateInterp is populate into the named interpretation: the same
+// trajectory ids and the same 2 km square, so the geometry of two
+// interpretations overlaps.
+func populateInterp(t *testing.T, st *store.Store, seed int64, interp string, objects, trajPerObject, tuplesPerTraj int) []stored {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	categories := []string{"restaurant", "shop", "office", "park", "station"}
 	modes := []string{"walk", "bus", "car"}
@@ -145,11 +155,11 @@ func populate(t *testing.T, st *store.Store, seed int64, objects, trajPerObject,
 				end := at.Add(time.Duration(5+rng.Intn(40)) * time.Minute)
 				center := geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
 				tp := mkTuple(kind, at, end, center, anns...)
-				if err := st.AppendStructuredTuples(id, obj, DefaultInterpretation, tp); err != nil {
+				if err := st.AppendStructuredTuples(id, obj, interp, tp); err != nil {
 					t.Fatal(err)
 				}
 				all = append(all, stored{
-					ref: store.TupleRef{TrajectoryID: id, ObjectID: obj, Interpretation: DefaultInterpretation, Index: i},
+					ref: store.TupleRef{TrajectoryID: id, ObjectID: obj, Interpretation: interp, Index: i},
 					tp:  tp,
 				})
 				at = end
@@ -259,7 +269,10 @@ func randomQuery(rng *rand.Rand) Query {
 // TestEngineMatchesBruteForce is the engine's quick-check: random workloads,
 // random queries, engine results must equal an independent brute-force
 // filter — both when the engine was built after the data (backfill) and
-// when it was attached before (live maintenance).
+// when it was attached before (live maintenance). A second interpretation
+// overlaps the first in space, and every interpretation gets window and
+// radius queries with and without a kind, so each spatial partition is
+// read on its own and in pairs.
 func TestEngineMatchesBruteForce(t *testing.T) {
 	for _, mode := range []string{"backfill", "live"} {
 		t.Run(mode, func(t *testing.T) {
@@ -270,22 +283,51 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 				e = NewEngine(st)
 			}
 			all := append(populate(t, st, 42, 6, 3, 12), populateFar(t, st)...)
+			all = append(all, populateInterp(t, st, 43, "region", 6, 3, 12)...)
 			if mode == "backfill" {
 				e = NewEngine(st)
 			}
-			for i := 0; i < 200; i++ {
-				q := randomQuery(rng)
+			check := func(label string, q Query) Plan {
+				t.Helper()
 				ms, plan, err := e.ExecuteExplained(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("query %d (%+v, plan %s)", i, q, plan)
+				label = fmt.Sprintf("%s (%+v, plan %s)", label, q, plan)
 				sameRefSet(t, label, gotRefs(ms), wantRefs(q, all))
 				for j := 1; j < len(ms); j++ {
 					if !ms[j-1].less(&ms[j]) {
 						t.Fatalf("%s: results out of order at %d", label, j)
 					}
 				}
+				return plan
+			}
+			interpRng := rand.New(rand.NewSource(78))
+			for i := 0; i < 200; i++ {
+				q := randomQuery(rng)
+				if interpRng.Intn(3) == 0 {
+					q.Interpretation = "region"
+				}
+				check(fmt.Sprintf("query %d", i), q)
+			}
+			spatialPlans := 0
+			for _, interp := range []string{DefaultInterpretation, "region"} {
+				for _, kind := range []*episode.Kind{nil, ptr(episode.Stop), ptr(episode.Move)} {
+					for i := 0; i < 10; i++ {
+						c := geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
+						w := geo.RectAround(c, 50+rng.Float64()*300)
+						q := Query{Interpretation: interp, Kind: kind, Window: &w}
+						if i%2 == 1 {
+							q = Query{Interpretation: interp, Kind: kind, Near: &c, Radius: 50 + rng.Float64()*300}
+						}
+						if check(fmt.Sprintf("spatial %s %d", interp, i), q).Path == PathSpatial {
+							spatialPlans++
+						}
+					}
+				}
+			}
+			if spatialPlans == 0 {
+				t.Fatal("no window or radius query took the spatial path")
 			}
 			if stats := e.IndexStats(); stats.IndexedTuples != len(all) {
 				t.Fatalf("IndexStats.IndexedTuples = %d want %d", stats.IndexedTuples, len(all))
@@ -372,10 +414,19 @@ func TestPlannerPicksSelectivePath(t *testing.T) {
 }
 
 // TestPlanStringGolden pins the rendering EXPLAIN, ?trace=1 and the README
-// show: available paths in rank order, the chosen one starred. 611 one-cell
-// tuples spread over 59 grid cells put 611/59 per cell, so a window over 14
-// cells estimates ceil(144.98) = 145.
+// show: available paths in rank order, the chosen one starred. Tuple i is a
+// 60 m square centred in column i%59 of a row of 250 m columns; the window
+// reaches the squares of columns 0–13. The 611 stops form one partition: a
+// 512-item tree (tuples 0–511), a 64-item tree (512–575) and a 35-item
+// buffer (576–610). Every tree sorts by x, so its leaves are runs of 16
+// squares along the row. The big tree holds 9 tuples in each of columns
+// 0–13, at x-ranks 0–125; STR cuts it into slices of 6 leaves, so ranks
+// 0–95 fill 6 leaves and ranks 96–127 two more: 8 leaves, 128 entries. The
+// small tree holds one tuple in each of columns 0–13, all in its first
+// leaf: 16 entries. The buffer is counted exactly: columns 0–13 hold one
+// tuple each, 14. So the window estimates 128 + 16 + 14 = 158.
 func TestPlanStringGolden(t *testing.T) {
+	const column = 250.0
 	st := store.New()
 	e := NewEngine(st)
 	for i := 0; i < 611; i++ {
@@ -384,18 +435,18 @@ func TestPlanStringGolden(t *testing.T) {
 			category = "museum"
 		}
 		at := t0.Add(time.Duration(i) * time.Minute)
-		center := geo.Pt(SpatialCellSize*(float64(i%59)+0.5), SpatialCellSize/2)
+		center := geo.Pt(column*(float64(i%59)+0.5), column/2)
 		tp := mkTuple(episode.Stop, at, at.Add(time.Minute), center, ann(core.AnnPOICategory, category))
 		if err := st.AppendStructuredTuples("u0-T0", "u0", DefaultInterpretation, tp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	window := geo.NewRect(geo.Pt(10, 10), geo.Pt(13.5*SpatialCellSize, 200))
+	window := geo.NewRect(geo.Pt(10, 10), geo.Pt(13.5*column, 200))
 	plan, err := e.Explain(Query{AnnKey: core.AnnPOICategory, AnnValue: "museum", Window: &window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := plan.String(), "*annotation≈7 spatial≈145 full-scan≈611"; got != want {
+	if got, want := plan.String(), "*annotation≈7 spatial≈158 full-scan≈611"; got != want {
 		t.Fatalf("plan renders as %q, want %q", got, want)
 	}
 }
@@ -518,13 +569,13 @@ func TestHugeRadiusAnswersExactly(t *testing.T) {
 
 // TestEngineIndexBytesPerTuple pins the engine's index footprint: the live
 // heap NewEngine's backfill adds, per indexed tuple, over a store with three
-// interpretations, three annotations per tuple and move rectangles from one
-// grid cell to more than 64 (the overflow list). Postings that copied a
-// store.TupleRef (56 B, three pointers) into every index, with two
-// time.Times per time posting and a boxed value per grid bucket entry,
-// measured 1,050 B/tuple; 8-byte interned postings measure 237 B/tuple
-// (linux/amd64, Go 1.24). The bound of 300 leaves 27 % headroom over the
-// latter and fails the former 3.5×.
+// interpretations, three annotations per tuple and move rectangles from
+// 60 m to 3 km across. Postings that copied a store.TupleRef (56 B, three
+// pointers) into every index, with two time.Times per time posting and a
+// boxed value per grid bucket entry, measured 1,050 B/tuple; 8-byte
+// interned postings measured 237 B/tuple beside a hash grid, and measure
+// 170 B/tuple beside one packed STR forest per (interpretation, kind)
+// (linux/amd64, Go 1.24). The bound of 300 fails the first 3.5×.
 // IndexStats' IndexBytes must agree with the measured heap within ±25 %.
 func TestEngineIndexBytesPerTuple(t *testing.T) {
 	const (
@@ -554,7 +605,7 @@ func TestEngineIndexBytesPerTuple(t *testing.T) {
 						ann(core.AnnActivity, fmt.Sprintf("act%d", rng.Intn(6))),
 						ann("place", fmt.Sprintf("p%d", rng.Intn(500))))
 					if kind == episode.Move {
-						// Small, replicated across ~30 buckets, or oversize.
+						// 60 m, 1.2 km or 3 km across.
 						tp.Episode.Bounds = geo.RectAround(center, []float64{30, 600, 1500}[i/2%3])
 					}
 					if err := st.AppendStructuredTuples(id, obj, interp, tp); err != nil {

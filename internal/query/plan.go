@@ -21,7 +21,7 @@ const (
 	// available when Query.ObjectID is set; a time window narrows it by
 	// binary search.
 	PathObjectTime Path = "object-time"
-	// PathSpatial walks the episode-geometry grids — available when
+	// PathSpatial walks the episode-geometry forests — available when
 	// Query.Window or Query.Near is set.
 	PathSpatial Path = "spatial"
 	// PathScan is the indexless fallback: a full pass over the stored
@@ -103,8 +103,8 @@ type estimates struct {
 
 // estimatePaths fills est with the candidate-count estimate of every path the
 // query's predicates make available. Estimates read per-shard index
-// cardinalities (posting list lengths, binary-searched window prefixes, grid
-// occupancy) — O(shards) work, never a data scan. q is normalized and valid.
+// cardinalities (posting list lengths, binary-searched window prefixes, the
+// forests' leaf counts) — never a data scan. q is normalized and valid.
 func (e *Engine) estimatePaths(q *Query, est *estimates) {
 	*est = estimates{}
 	if q.TrajectoryID != "" {
@@ -140,9 +140,15 @@ func (e *Engine) estimatePaths(q *Query, est *estimates) {
 	}
 	if q.Window != nil || q.Near != nil {
 		rect := q.spatialRect()
+		n := 0
 		e.spatial.mu.RLock()
-		est.set(PathSpatial, e.spatial.grid.EstimateWithin(rect))
+		for _, part := range e.spatial.parts[q.Interpretation] {
+			if q.Kind == nil || part.kind == *q.Kind {
+				n += part.rects.EstimateWithin(rect)
+			}
+		}
 		e.spatial.mu.RUnlock()
+		est.set(PathSpatial, n)
 	}
 	est.set(PathScan, int(e.total.Load()))
 }

@@ -9,7 +9,7 @@
 // and spatial window or radius over the episode's geometry. The Engine
 // plans each query by ranking the access paths its predicates make
 // available — an inverted annotation index, a per-object time-ordered
-// index, an incremental spatial grid over episode geometry, direct
+// index, an insertable packed R-tree forest over episode geometry, direct
 // trajectory lookup, or the full scan every other engine falls back to —
 // and picks the one with the smallest candidate estimate (see Plan).
 //

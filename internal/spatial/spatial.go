@@ -13,7 +13,10 @@
 // full-scan fallback. The query helpers (Within, WithinDistance, Covering,
 // NearestBy) are written against the interface, which keeps an index down
 // to rectangle traversal (Visit) and nearest-first traversal (VisitNearest).
-// HashGrid is the mutable grid the query engine indexes live episodes with.
+// Forest is the insertable index the query engine keeps live episodes in: a
+// log-structured set of the same packed trees, built by the same STR tiling,
+// over a small buffer. Both lay their trees out flat, as node arrays and
+// int32 rectangle numbers.
 //
 // Cursor adds a locality cache on top of any Index: GPS records arrive in
 // near-sorted spatial order, so consecutive candidate queries mostly hit the

@@ -33,13 +33,7 @@ func TestSTRTreeEmptyAndSingle(t *testing.T) {
 }
 
 // height returns the number of tree levels (1 for a single-leaf tree).
-func height(t *STRTree) int {
-	h := 1
-	for n := t.root; !n.leaf(); n = n.children[0] {
-		h++
-	}
-	return h
-}
+func height(t *STRTree) int { return len(t.tree.levels) }
 
 func TestSTRTreePacksShallow(t *testing.T) {
 	var items []Item
