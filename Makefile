@@ -3,9 +3,6 @@
 
 GO ?= go
 
-# PR number stamped into the benchmark artifact name (BENCH_$(PR).json).
-PR ?= 10
-
 .PHONY: build test test-nommap race fuzz bench bench-smoke bench-module loc lint smoke ci fmt
 
 build:
@@ -35,16 +32,22 @@ race:
 	$(GO) test -race -count=1 -run 'TestBatchStreamParity|TestFanIn|TestConcurrent|TestStream|TestQuery|TestDurable' .
 	$(GO) test -race -count=1 ./internal/store/ ./internal/query/ ./internal/wal/ ./internal/segment/
 
-# The native fuzz targets, each for FUZZTIME (CI gives every target 10s).
+# The native fuzz targets, each for FUZZTIME (CI runs this target).
 # FuzzEpisodesQuery: GET /query/episodes with any query string answers 200
 # or 400 with one line of JSON of the declared length, never a panic or 500.
 # FuzzDecodeMutation: the WAL and segment payload decoder returns an error
 # or a mutation that re-encodes to a fixed point, never a panic, and
 # allocates at most a small multiple of its input.
+# FuzzReadCSV: every record the GPS CSV reader yields has finite coordinates
+# and round-trips through WriteCSV and ReadCSV unchanged.
+# FuzzParse: a statement of the query language that parses runs on an empty
+# engine without an error.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/gps
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/lang
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,
@@ -52,12 +55,11 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# What CI's bench-smoke job runs: every benchmark once, then the whole
-# experiment suite at CI scale into the committed perf-trajectory artifact
-# (BENCH_$(PR).json in the repo root; override PR= for a different slot).
+# What CI's bench-smoke job runs: every benchmark once, the performance
+# gates of perfgate_test.go among them (each fails the run when its bound
+# breaks).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-	$(GO) run ./cmd/semitri-bench -exp all -scale 0.2 -json BENCH_$(PR).json
 
 # The benchmark under bench/ is a module of its own (replace semitri => ../),
 # so root `go build ./... && go test ./...` neither compiles nor tests it:
@@ -102,7 +104,6 @@ smoke:
 	./scripts/smoke.sh $(LEG)
 
 # What CI runs: build, lint, tests (race, then the no-mmap cold-read path),
-# the fuzz targets for 10s each, the nested benchmark module, a
-# one-iteration bench smoke pass and the end-to-end smoke legs.
-ci: build lint test test-nommap fuzz bench-module smoke
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+# the fuzz targets for 10s each, the nested benchmark module, the bench
+# smoke pass with its gates and the end-to-end smoke legs.
+ci: build lint test test-nommap fuzz bench-module bench-smoke smoke

@@ -2,8 +2,8 @@
 // table and figure of the paper's evaluation (§5). Each benchmark runs the
 // corresponding experiment from internal/experiments at a reduced scale and
 // reports wall-clock cost per regeneration; `go test -bench=. -benchmem`
-// therefore both exercises the full pipeline and produces the rows recorded
-// in EXPERIMENTS.md (printed once per benchmark under -v).
+// therefore both exercises the full pipeline and prints each experiment's
+// rows once per benchmark.
 package semitri_test
 
 import (
@@ -37,6 +37,40 @@ func benchEnv(b *testing.B) *experiments.Env {
 		b.Fatal(benchEnvErr)
 	}
 	return benchEnvVal
+}
+
+// benchPeople generates users x days of the people workload on benchEnv's
+// city.
+func benchPeople(b *testing.B, users, days int, seed int64) []gps.Record {
+	b.Helper()
+	ds, err := workload.GeneratePeople(benchEnv(b).City, workload.DefaultPeopleConfig(users, days, seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds.Records()
+}
+
+// benchPipeline opens a pipeline with cfg on benchEnv's city.
+func benchPipeline(b *testing.B, cfg semitri.Config) *semitri.Pipeline {
+	b.Helper()
+	env := benchEnv(b)
+	p, err := semitri.New(semitri.Sources{
+		Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
+	}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// benchAdd streams records through sp.
+func benchAdd(b *testing.B, sp *semitri.StreamProcessor, records []gps.Record) {
+	b.Helper()
+	for _, r := range records {
+		if _, err := sp.Add(r); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // runExperiment benchmarks one experiment id and logs its table once.
@@ -103,22 +137,11 @@ func BenchmarkAblationHMMvsNearest(b *testing.B) { runExperiment(b, "ablation-hm
 // BenchmarkPipelinePeopleDay measures the end-to-end pipeline cost for one
 // person-day of data (the unit the paper's Fig. 17 latencies refer to).
 func BenchmarkPipelinePeopleDay(b *testing.B) {
-	env := benchEnv(b)
-	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(1, 1, 99))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := ds.Records()
+	records := benchPeople(b, 1, 1, 99)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := semitri.New(semitri.Sources{
-			Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-		}, semitri.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.ProcessRecords(records); err != nil {
+		if _, err := benchPipeline(b, semitri.DefaultConfig()).ProcessRecords(records); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,31 +151,16 @@ func BenchmarkPipelinePeopleDay(b *testing.B) {
 // person-day of data fed record by record, reporting amortised per-record
 // latency (ns/record) — the figure that matters for online serving.
 func BenchmarkStreamPeopleDay(b *testing.B) {
-	env := benchEnv(b)
-	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(1, 1, 99))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := ds.Records()
+	records := benchPeople(b, 1, 1, 99)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Pipeline construction (spatial index building) is not part of the
 		// per-record serving cost; keep it off the clock.
 		b.StopTimer()
-		p, err := semitri.New(semitri.Sources{
-			Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-		}, semitri.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp := p.NewStream()
+		sp := benchPipeline(b, semitri.DefaultConfig()).NewStream()
 		b.StartTimer()
-		for _, r := range records {
-			if _, err := sp.Add(r); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchAdd(b, sp, records)
 		if _, err := sp.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -170,12 +178,7 @@ func BenchmarkStreamPeopleDay(b *testing.B) {
 // budget is ~25%; bench/'s fleet_durable workload prices the WAL per layer
 // on a larger feed).
 func BenchmarkStreamPeopleDayDurable(b *testing.B) {
-	env := benchEnv(b)
-	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(1, 1, 99))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := ds.Records()
+	records := benchPeople(b, 1, 1, 99)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,19 +189,10 @@ func BenchmarkStreamPeopleDayDurable(b *testing.B) {
 		}
 		cfg := semitri.DefaultConfig()
 		cfg.Durability = semitri.Durability{Dir: dir}
-		p, err := semitri.New(semitri.Sources{
-			Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-		}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := benchPipeline(b, cfg)
 		sp := p.NewStream()
 		b.StartTimer()
-		for _, r := range records {
-			if _, err := sp.Add(r); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchAdd(b, sp, records)
 		if _, err := sp.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -222,13 +216,7 @@ func BenchmarkStreamPeopleDayDurable(b *testing.B) {
 // goroutines are added instead of flatlining on a global lock. The
 // fanin/workers=N cases time the same feed through FanIn.
 func BenchmarkStreamConcurrentObjects(b *testing.B) {
-	env := benchEnv(b)
-	const objects = 8
-	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(objects, 1, 123))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := ds.Records()
+	records := benchPeople(b, 8, 1, 123)
 	perObject := map[string][]gps.Record{}
 	for _, r := range records {
 		perObject[r.ObjectID] = append(perObject[r.ObjectID], r)
@@ -249,13 +237,7 @@ func BenchmarkStreamConcurrentObjects(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p, err := semitri.New(semitri.Sources{
-				Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-			}, semitri.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sp := p.NewStream()
+			sp := benchPipeline(b, semitri.DefaultConfig()).NewStream()
 			b.StartTimer()
 			if err := ingest(sp); err != nil {
 				b.Fatal(err)
@@ -320,13 +302,7 @@ func BenchmarkPipelineTaxiTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := semitri.New(semitri.Sources{
-			Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-		}, pipelineCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.ProcessRecords(records); err != nil {
+		if _, err := benchPipeline(b, pipelineCfg).ProcessRecords(records); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,12 +312,7 @@ func BenchmarkPipelineTaxiTrip(b *testing.B) {
 // batch (16 users x 2 days) at Workers 1 and 4 — the traffic cmd/semitri, the
 // examples and the paper tables run. Building the pipeline is not timed.
 func BenchmarkProcessRecordsPeople(b *testing.B) {
-	env := benchEnv(b)
-	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(16, 2, 99))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := ds.Records()
+	records := benchPeople(b, 16, 2, 99)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := semitri.DefaultConfig()
@@ -349,12 +320,7 @@ func BenchmarkProcessRecordsPeople(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p, err := semitri.New(semitri.Sources{
-					Landuse: env.City.Landuse, Roads: env.City.Roads, POIs: env.City.POIs,
-				}, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				p := benchPipeline(b, cfg)
 				b.StartTimer()
 				if _, err := p.ProcessRecords(records); err != nil {
 					b.Fatal(err)

@@ -5,24 +5,14 @@
 //
 // Usage:
 //
-//	semitri-bench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig17|compression|ablation-mapmatch|ablation-hmm|parallel|obs|live]
-//	              [-seed 2026] [-scale 1.0] [-json FILE]
+//	semitri-bench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig17|compression|ablation-mapmatch|ablation-hmm]
+//	              [-seed 2026] [-scale 1.0] [-list]
 //
-// Three experiments are not paper figures: "parallel" reports the parallel
-// query executor (ns/join, ns/query and ns/agg at workers=1 vs 4,
-// byte-identical results asserted), "obs" reports what the observability
-// layer costs the ingest hot path (the overhead percentage is CI-asserted
-// below 3%) and "live" reports the ingest cost of 1k standing queries (CI
-// asserts below 5%). Every other performance number comes from the bench/
-// module and the root Go benchmarks.
-//
-// -json additionally writes every regenerated table to FILE as one JSON
-// document ({seed, scale, tables: [...]}) — what the bench-smoke CI job
-// uploads as its artifact.
+// Performance numbers come from the bench/ module and the root Go
+// benchmarks.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +27,6 @@ func main() {
 	seed := flag.Int64("seed", 2026, "random seed for the synthetic environment and workloads")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (smaller is faster)")
 	list := flag.Bool("list", false, "list available experiment ids and exit")
-	jsonPath := flag.String("json", "", "also write the results to this file as JSON")
 	flag.Parse()
 
 	if *list {
@@ -76,7 +65,6 @@ func main() {
 	fmt.Printf("environment ready in %v: %d landuse cells, %d road segments, %d POIs\n\n",
 		time.Since(start).Round(time.Millisecond),
 		env.City.Landuse.NumCells(), env.City.Roads.NumSegments(), env.City.POIs.Len())
-	var tables []*experiments.Table
 	for _, id := range ids {
 		fn := experiments.Registry[id]
 		t0 := time.Now()
@@ -87,23 +75,5 @@ func main() {
 		}
 		fmt.Print(tbl.Format())
 		fmt.Printf("(%s regenerated in %v)\n\n", id, time.Since(t0).Round(time.Millisecond))
-		tables = append(tables, tbl)
-	}
-	if *jsonPath != "" {
-		doc := struct {
-			Seed   int64                `json:"seed"`
-			Scale  float64              `json:"scale"`
-			Tables []*experiments.Table `json:"tables"`
-		}{*seed, *scale, tables}
-		data, err := json.MarshalIndent(doc, "", " ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 }

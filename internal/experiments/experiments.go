@@ -5,13 +5,8 @@
 // Fig. 12/13 (episode statistics), Fig. 15/16 (transport-mode annotation of
 // commutes), Fig. 17 (latency breakdown), the §5.2 storage-compression claim
 // and two ablations (global vs nearest map matching, HMM vs nearest-POI stop
-// annotation).
-//
-// Three further tables are not paper figures and have no twin in the bench/
-// module yet: "parallel" (serial vs parallel query execution), "obs" (ingest
-// cost with the metrics layer on vs off) and "live" (ingest cost with 1k
-// standing queries attached). Every other performance number lives in
-// bench/ and the root Go benchmarks.
+// annotation). Performance numbers live in bench/ and the root Go
+// benchmarks.
 //
 // Every experiment takes an Env (a seeded synthetic city plus a scale
 // factor) so the harness is deterministic and its cost can be tuned; the
@@ -32,8 +27,8 @@ import (
 type Env struct {
 	// Seed drives every generator used by the experiments.
 	Seed int64
-	// Scale multiplies the default workload sizes (1.0 reproduces the scaled
-	// defaults documented in EXPERIMENTS.md; smaller values run faster).
+	// Scale multiplies the default workload sizes (1.0 is each experiment's
+	// full size; smaller values run faster).
 	Scale float64
 	// City is the synthetic environment shared by all experiments.
 	City *workload.City
@@ -65,22 +60,21 @@ func (e *Env) scaleInt(base int) int {
 }
 
 // Row is one printable output row of an experiment: a label plus named
-// numeric columns (printed in the order of Columns). The JSON form is what
-// cmd/semitri-bench -json emits for CI artifacts.
+// numeric columns (printed in the order of Columns).
 type Row struct {
-	Label   string             `json:"label"`
-	Columns []string           `json:"columns"`
-	Values  map[string]float64 `json:"values"`
+	Label   string
+	Columns []string
+	Values  map[string]float64
 }
 
 // Table is a printable experiment result.
 type Table struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-	Rows  []Row  `json:"rows"`
+	ID    string
+	Title string
+	Rows  []Row
 	// Notes records the paper-reported reference values or qualitative
-	// expectations that EXPERIMENTS.md compares against.
-	Notes []string `json:"notes,omitempty"`
+	// expectations the rows are compared against.
+	Notes []string
 }
 
 // Format renders the table as aligned text.
@@ -150,14 +144,10 @@ var Registry = map[string]func(*Env) (*Table, error){
 	"compression":       Compression,
 	"ablation-mapmatch": AblationMapMatching,
 	"ablation-hmm":      AblationHMM,
-	"parallel":          Parallel,
-	"obs":               Observability,
-	"live":              Live,
 }
 
 // Order lists the experiment ids in presentation order (the order of §5).
 var Order = []string{
 	"table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13",
 	"fig14", "fig15", "fig17", "compression", "ablation-mapmatch", "ablation-hmm",
-	"parallel", "obs", "live",
 }

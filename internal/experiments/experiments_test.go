@@ -52,12 +52,10 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %q missing from the registry", id)
 		}
 	}
-	// Exactly the paper's tables, figures and ablations plus the three
-	// performance tables bench/ has no twin for.
+	// Exactly the paper's tables, figures and ablations.
 	want := []string{
 		"table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "fig17", "compression", "ablation-mapmatch", "ablation-hmm",
-		"parallel", "obs", "live",
 	}
 	if !slices.Equal(Order, want) {
 		t.Fatalf("Order = %v, want %v", Order, want)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -314,8 +315,9 @@ func countDayTrajectories(trajectories []*RawTrajectory, object, day string) int
 	return n
 }
 
-// csvTimeLayout is the timestamp format used by the CSV codec.
-const csvTimeLayout = time.RFC3339
+// csvTimeLayout is the timestamp format used by the CSV codec: RFC 3339,
+// with the fractional second written only when it is not zero.
+const csvTimeLayout = time.RFC3339Nano
 
 // csvHeader is the first row WriteCSV writes and ReadCSV requires.
 var csvHeader = []string{"object", "x", "y", "time"}
@@ -386,17 +388,35 @@ func ReadCSV(r io.Reader) iter.Seq2[Record, error] {
 
 // parseRow decodes the data row n ("object,x,y,time") of a CSV.
 func parseRow(row []string, n int) (Record, error) {
-	x, err := strconv.ParseFloat(row[1], 64)
+	x, err := parseCoord(row[1], n, "x")
 	if err != nil {
-		return Record{}, fmt.Errorf("gps: row %d x: %w", n, err)
+		return Record{}, err
 	}
-	y, err := strconv.ParseFloat(row[2], 64)
+	y, err := parseCoord(row[2], n, "y")
 	if err != nil {
-		return Record{}, fmt.Errorf("gps: row %d y: %w", n, err)
+		return Record{}, err
 	}
 	ts, err := time.Parse(csvTimeLayout, row[3])
+	if year := ts.UTC().Year(); err == nil && (year < 0 || year > 9999) {
+		// WriteCSV writes UTC, and RFC 3339 has four-digit years only.
+		err = fmt.Errorf("%q is outside years 0000-9999 in UTC", row[3])
+	}
 	if err != nil {
 		return Record{}, fmt.Errorf("gps: row %d time: %w", n, err)
 	}
 	return Record{ObjectID: row[0], Position: geo.Pt(x, y), Time: ts}, nil
+}
+
+// parseCoord decodes the coordinate column col of data row n. NaN and the
+// infinities are refused: no layer can place them, and the store's JSON
+// export cannot encode them.
+func parseCoord(field string, n int, col string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", field)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("gps: row %d %s: %w", n, col, err)
+	}
+	return v, nil
 }

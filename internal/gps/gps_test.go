@@ -3,6 +3,7 @@ package gps
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -275,6 +276,17 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := readAll(strings.NewReader("object,x,y,time\nu1,1,bad,2010-01-01T00:00:00Z")); err == nil {
 		t.Fatal("bad y should error")
 	}
+	// Non-finite coordinates parse as floats but are refused, naming the
+	// row and the column.
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		for col, row := range map[string]string{"x": "u1," + v + ",2", "y": "u1,1," + v} {
+			src := "object,x,y,time\nu1,1,2,2010-01-01T00:00:00Z\n" + row + ",2010-01-01T00:00:01Z\n"
+			_, err := readAll(strings.NewReader(src))
+			if want := "row 3 " + col + ": "; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s in %s: %v, want an error containing %q", v, col, err, want)
+			}
+		}
+	}
 	if _, err := readAll(strings.NewReader("object,x,y,time\nu1,1,2,notatime")); err == nil {
 		t.Fatal("bad time should error")
 	}
@@ -313,4 +325,43 @@ func TestDefaultConfigs(t *testing.T) {
 	if s.MaxTimeGap <= 0 || s.MaxDistanceGap <= 0 || s.MinRecords <= 0 {
 		t.Fatalf("unexpected segmentation defaults: %+v", s)
 	}
+}
+
+// FuzzReadCSV drives the CSV reader with arbitrary input, seeded with a
+// valid file and the error cases of TestReadCSVErrors. Invariant: every
+// record it yields has finite coordinates and comes back unchanged from
+// WriteCSV then ReadCSV; nothing panics.
+func FuzzReadCSV(f *testing.F) {
+	for _, seed := range []string{
+		"object,x,y,time\nu1,1.5,-2,2010-01-01T00:00:00Z\n\"u 2\",3e2,4,2010-01-01T00:00:01.25+02:00\n",
+		"object,x,y,time\nu1,NaN,2,2010-01-01T00:00:00Z\n",
+		"object,x,y,time\nu1,1,-Inf,2010-01-01T00:00:00Z\n",
+		"object,x,y,time\nu1,1,2,notatime\n",
+		"object,x,y,time\nu1,1,2\n",
+		"u1,1,2,2010-01-01T00:00:00Z\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		recs, _ := readAll(strings.NewReader(src))
+		for _, r := range recs {
+			if math.IsNaN(r.Position.X) || math.IsInf(r.Position.X, 0) || math.IsNaN(r.Position.Y) || math.IsInf(r.Position.Y, 0) {
+				t.Fatalf("%q yields a non-finite position %v", src, r.Position)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, recs); err != nil {
+			t.Fatalf("WriteCSV of the records of %q: %v", src, err)
+		}
+		back, err := readAll(&buf)
+		if err != nil || len(back) != len(recs) {
+			t.Fatalf("%q: %d records come back as %d (%v) from %q", src, len(recs), len(back), err, buf.String())
+		}
+		for i, r := range recs {
+			if b := back[i]; b.ObjectID != r.ObjectID || b.Position != r.Position || !b.Time.Equal(r.Time) {
+				t.Fatalf("%q: record %d %+v comes back as %+v", src, i, r, b)
+			}
+		}
+	})
 }

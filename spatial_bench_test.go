@@ -9,7 +9,6 @@ import (
 	"semitri/internal/line"
 	"semitri/internal/point"
 	"semitri/internal/region"
-	"semitri/internal/workload"
 )
 
 // The spatial-layer micro-benchmarks isolate the per-record candidate
@@ -23,12 +22,7 @@ import (
 // day's stop centres.
 func benchQueries(b *testing.B) (positions []geo.Point, stops []geo.Point) {
 	b.Helper()
-	env := benchEnv(b)
-	ds, err := workload.GeneratePeople(env.City, workload.DefaultPeopleConfig(1, 1, 99))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := append([]gps.Record(nil), ds.Records()...)
+	records := append([]gps.Record(nil), benchPeople(b, 1, 1, 99)...)
 	gps.SortRecords(records)
 	records = gps.Clean(records, gps.DefaultCleaningConfig())
 	for _, r := range records {

@@ -139,7 +139,7 @@ type objectStream struct {
 // sample) while the hot path pays time.Now pairs only on sampled records:
 // clock reads are ~70ns on cloud VMs without a fast vDSO path, so sampling
 // sparser than the histograms need keeps the obs overhead budget
-// (CI-asserted < 3% on BENCH_10.json's obs row) safe. Caller holds mu.
+// (< 3%, gated by BenchmarkGateObsOverhead) safe. Caller holds mu.
 func (os *objectStream) sampleTimed() bool {
 	os.sample++
 	return os.sample&63 == 0 && obs.Enabled()
