@@ -38,6 +38,12 @@ race:
 # FuzzDecodeMutation: the WAL and segment payload decoder returns an error
 # or a mutation that re-encodes to a fixed point, never a panic, and
 # allocates at most a small multiple of its input.
+# FuzzReplaySegment: WAL recovery of a log header followed by any bytes
+# never panics, allocates at most a small multiple of the file, and rebuilds
+# what the file's frames before the reported tear rebuild.
+# FuzzDecodeFooter: the segment footer decoder returns an error or a footer
+# that re-encodes to a fixed point, never a panic, and allocates at most a
+# small multiple of its input.
 # FuzzReadCSV: every record the GPS CSV reader yields has finite coordinates
 # and round-trips through WriteCSV and ReadCSV unchanged.
 # FuzzParse: a statement of the query language that parses runs on an empty
@@ -46,6 +52,8 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFooter$$' -fuzztime $(FUZZTIME) ./internal/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/gps
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/lang
 

@@ -313,8 +313,8 @@ func TestWALPrefixesKeepTrajectoryRecords(t *testing.T) {
 	records := peopleRecords(t, city, 2, 1, 5)
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	// One group commit at Close: staged record runs stay unsealed while the
-	// trajectory frames of their objects are logged.
+	// One group commit at Close: every frame is in the one batch, in the
+	// order the store logged it.
 	cfg.Durability.FlushInterval = time.Hour
 	p := newTestPipeline(t, city, cfg)
 	defer p.Close()

@@ -429,7 +429,8 @@ func TestFooterSummary(t *testing.T) {
 	}
 }
 
-func TestFooterRoundTrip(t *testing.T) {
+// testFooter is a footer with every field set.
+func testFooter() *Footer {
 	foot := &Footer{
 		Summary: store.SegmentSummary{
 			TimeMin: ts(0), TimeMax: ts(99),
@@ -448,6 +449,11 @@ func TestFooterRoundTrip(t *testing.T) {
 		},
 	}
 	foot.Summary.Objects.Add("o1")
+	return foot
+}
+
+func TestFooterRoundTrip(t *testing.T) {
+	foot := testFooter()
 	got, err := decodeFooter(encodeFooter(foot))
 	if err != nil {
 		t.Fatal(err)

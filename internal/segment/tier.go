@@ -311,7 +311,7 @@ func (t *Tier) indexRun(rr runRef) {
 // covers. Its cost is proportional to the tail written since the last
 // checkpoint, not to the total stored data.
 func (t *Tier) Checkpoint(l *wal.Log, st *store.Store) error {
-	return l.Checkpoint(func(string) error { return t.Freeze(st) })
+	return l.Checkpoint(func() error { return t.Freeze(st) })
 }
 
 // Close releases every open segment (unmapping them where mapped). The

@@ -42,7 +42,6 @@ var errCorrupt = errors.New("wal: corrupt frame payload")
 
 type encoder struct{ b []byte }
 
-func (e *encoder) reset()        { e.b = e.b[:0] }
 func (e *encoder) u8(v byte)     { e.b = append(e.b, v) }
 func (e *encoder) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"semitri/internal/store"
@@ -23,20 +24,18 @@ const MaxFramePayload = maxFrame
 var ErrFrame = errors.New("wal: invalid frame")
 
 // AppendMutationFrame appends one framed mutation — header plus payload — to
-// buf and returns the extended buffer. The encoding is byte-identical to
-// what Log.LogMutation writes, so frames built here replay through the same
-// decoder.
+// buf and returns the extended buffer. It is the one frame builder, the log's
+// and the segment writer's, so frames built here replay through the same
+// decoder. The header is reserved, the payload encoded behind it and the
+// header filled in place.
 func AppendMutationFrame(buf []byte, m store.Mutation) []byte {
-	e := encPool.Get().(*encoder)
-	e.reset()
-	e.b = append(e.b, make([]byte, frameHeaderSize)...)
-	encodeMutation(e, m)
-	payload := e.b[frameHeaderSize:]
-	putU32(e.b[0:4], uint32(len(payload)))
-	putU32(e.b[4:8], frameCRC(payload))
-	buf = append(buf, e.b...)
-	encPool.Put(e)
-	return buf
+	at := len(buf)
+	e := encoder{b: append(buf, make([]byte, frameHeaderSize)...)}
+	encodeMutation(&e, m)
+	payload := e.b[at+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(e.b[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(e.b[at+4:], frameCRC(payload))
+	return e.b
 }
 
 // ParseFrame validates the frame at the start of b and returns its payload
@@ -47,12 +46,12 @@ func ParseFrame(b []byte) (payload []byte, size int, err error) {
 	if len(b) < frameHeaderSize {
 		return nil, 0, ErrFrame
 	}
-	n := leU32(b[0:4])
+	n := binary.LittleEndian.Uint32(b)
 	if n > maxFrame || int(n) > len(b)-frameHeaderSize {
 		return nil, 0, ErrFrame
 	}
 	payload = b[frameHeaderSize : frameHeaderSize+int(n)]
-	if frameCRC(payload) != leU32(b[4:8]) {
+	if frameCRC(payload) != binary.LittleEndian.Uint32(b[4:]) {
 		return nil, 0, ErrFrame
 	}
 	return payload, frameHeaderSize + int(n), nil

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -130,6 +131,10 @@ func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err
 		return 0, -1, fmt.Errorf("wal: open segment: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, -1, fmt.Errorf("wal: stat segment: %w", err)
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 
 	var hdr [headerSize]byte
@@ -139,7 +144,7 @@ func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err
 	if [4]byte(hdr[0:4]) != segmentMagic {
 		return 0, 0, nil // damaged header
 	}
-	if v := leU32(hdr[4:8]); v != formatVersion {
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
 		// Not damage: a log another release wrote. Its frames cannot be
 		// replayed, and repairing it as a tear would delete it.
 		return 0, -1, fmt.Errorf("wal: %s is at log format version %d, this build reads version %d; "+
@@ -156,9 +161,11 @@ func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err
 			}
 			return applied, offset, nil // torn frame header
 		}
-		n := leU32(frame[0:4])
-		want := leU32(frame[4:8])
-		if n > maxFrame {
+		n := binary.LittleEndian.Uint32(frame[0:])
+		want := binary.LittleEndian.Uint32(frame[4:])
+		// A length past the end of the file is a tear, caught before the
+		// payload buffer is sized from a header that may be garbage.
+		if n > maxFrame || int64(n) > fi.Size()-offset-frameHeaderSize {
 			return applied, offset, nil
 		}
 		if cap(payload) < int(n) {
@@ -181,8 +188,4 @@ func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err
 		applied++
 		offset += frameHeaderSize + int64(n)
 	}
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -69,7 +70,7 @@ func TestTornTailProperty(t *testing.T) {
 		sl.size = int64(len(data))
 		off := int64(headerSize)
 		for off+frameHeaderSize <= sl.size {
-			n := int64(leU32(data[off : off+4]))
+			n := int64(binary.LittleEndian.Uint32(data[off:]))
 			end := off + frameHeaderSize + n
 			if end > sl.size {
 				break
@@ -208,8 +209,8 @@ func TestTornFinalFrameMidFlush(t *testing.T) {
 	live.AttachLog(l)
 	for i := 0; i < 10; i++ {
 		live.PutRecords([]gps.Record{{ObjectID: "obj", Position: geo.Pt(float64(i), 0), Time: ts(i)}})
-		// Seal each record as its own frame (the writer otherwise coalesces
-		// contiguous appends), so the torn tail is exactly one record.
+		// Each PutRecords is one frame, so the torn tail below is exactly
+		// one record.
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -263,6 +264,44 @@ func TestTornFinalFrameMidFlush(t *testing.T) {
 	}
 }
 
+// TestTornFrameLengthPastEOF appends a frame header claiming a payload of
+// nearly maxFrame bytes, followed by a short tail, to a one-frame log: the
+// length runs past the end of the file, so recovery keeps the committed
+// frame, reports the tear and never sizes a buffer from the bogus length.
+func TestTornFrameLengthPastEOF(t *testing.T) {
+	recs := []gps.Record{
+		{ObjectID: "obj", Position: geo.Pt(1, 2), Time: ts(0)},
+		{ObjectID: "obj", Position: geo.Pt(3, 4), Time: ts(1)},
+	}
+	var bogus [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(bogus[0:], maxFrame-1)
+	body := AppendMutationFrame(nil, store.Mutation{Op: store.MutPutRecords, ObjectID: "obj", Records: recs})
+	body = append(append(body, bogus[:]...), make([]byte, 10)...)
+	data := segmentBytes(body)
+	dir := t.TempDir()
+	var (
+		rec   *store.Store
+		stats RecoverStats
+	)
+	// Recovery truncates the tear, so every measured call starts from the
+	// damaged file.
+	allocated := allocatedBy(func() {
+		if err := os.WriteFile(segmentPath(dir, 1), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if rec, stats, err = Recover(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := len(rec.Records("obj")); got != len(recs) || !stats.Torn {
+		t.Fatalf("recovered %d records (stats %+v), want %d and a tear", got, stats, len(recs))
+	}
+	if allocated >= 1<<20 {
+		t.Fatalf("recovering a %d-byte log allocated %d B, want < 1 MiB", len(data), allocated)
+	}
+}
+
 // TestRecoverRefusesOtherFormatVersion pins that a log written at another
 // format version — the previous one or a later one — is refused with an
 // error naming the file and both versions, and that the refusal leaves the
@@ -275,12 +314,12 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 		dir := t.TempDir()
 		var hdr [headerSize]byte
 		copy(hdr[0:4], segmentMagic[:])
-		putU32(hdr[4:8], v)
+		binary.LittleEndian.PutUint32(hdr[4:], v)
 		old := segmentPath(dir, 1)
 		if err := os.WriteFile(old, append(hdr[:], frame...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		putU32(hdr[4:8], formatVersion)
+		binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
 		if err := os.WriteFile(segmentPath(dir, 2), append(hdr[:], frame...), 0o644); err != nil {
 			t.Fatal(err)
 		}

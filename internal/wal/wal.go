@@ -5,18 +5,19 @@
 // The store reports every committed mutation — raw records, trajectories,
 // episodes, structured tuples, annotation merges — through its
 // store.MutationLog hook (the same observer path that feeds the query
-// indexes). The log serialises each mutation into a binary frame
+// indexes). The log serialises each mutation, as it is handed over, into
+// one binary frame
 //
 //	[u32 payload length][u32 CRC-32C (Castagnoli) of payload][payload]
 //
-// and appends it to the current segment file. Writes are group-committed:
-// LogMutation only appends the frame to an in-memory buffer, and a
-// background flusher writes and fsyncs the accumulated batch once per
-// FlushInterval, so the streaming hot path pays one sync per batch rather
-// than one per record. The durability window is therefore at most one flush
-// interval wide under the default FsyncInterval policy; FsyncAlways narrows
-// it to zero (a write+sync per mutation), FsyncNever leaves syncing to the
-// OS page cache.
+// and appends it to the current segment file, in call order. Writes are
+// group-committed: LogMutation only appends the frame to an in-memory
+// buffer, and a background flusher writes and fsyncs the accumulated batch
+// once per FlushInterval, so the streaming hot path pays one sync per batch
+// rather than one per record. The durability window is therefore at most
+// one flush interval wide under the default FsyncInterval policy;
+// FsyncAlways narrows it to zero (a write+sync per mutation), FsyncNever
+// leaves syncing to the OS page cache.
 //
 // Segments rotate at SegmentSize. A checkpoint rotates, has its caller
 // persist everything committed before the rotation as the new recovery base
@@ -36,6 +37,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -47,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"semitri/internal/gps"
 	"semitri/internal/obs"
 	"semitri/internal/store"
 )
@@ -93,10 +94,6 @@ const (
 	frameHeaderSize = 8
 	// maxFrame bounds a frame's payload; larger lengths are corruption.
 	maxFrame = 1 << 28
-	// maxRunRecords bounds how many hot-path records coalesce into one
-	// frame before it seals (also the per-object bound on records that sit
-	// outside buf between flushes).
-	maxRunRecords = 64
 	// softFlushBytes triggers an early flush when the pending buffer grows
 	// past it, bounding memory between ticks under heavy ingestion and
 	// keeping the recycled batch buffers small enough to stay cache-warm.
@@ -141,26 +138,16 @@ func (o Options) withDefaults() Options {
 type Log struct {
 	opts Options
 
-	// mu guards the pending frame buffer and the record staging area.
-	// LogMutation is called with a store stripe lock held, so this critical
-	// section stays tiny (an append) and never does I/O. buf and spare
-	// alternate (double buffering): a flush takes ownership of buf and
-	// leaves spare behind, then recycles the written buffer as the next
-	// spare, so steady-state logging allocates nothing.
+	// mu guards the pending frame buffer. LogMutation is called with a
+	// store stripe lock held, so this critical section stays tiny (an
+	// append) and never does I/O. buf and spare alternate (double
+	// buffering): a flush takes ownership of buf and leaves spare behind,
+	// then recycles the written buffer as the next spare, so steady-state
+	// logging allocates nothing.
 	mu     sync.Mutex
 	buf    []byte
 	spare  []byte
 	closed bool
-	// staged coalesces the hot path's MutPutRecords mutations (runs of up
-	// to maxRunRecords, shorter at a trajectory commit or close) into
-	// multi-record frames per object: consecutive positional appends
-	// extend the staged run, and runs seal into buf on any flush, on a
-	// position gap or at maxRunRecords. This cuts both frame count (one
-	// header+CRC per run instead of per record) and bytes (the in-batch
-	// time-delta encoding only pays off across records). Replay sees plain
-	// MutPutRecords frames — coalescing is invisible to the format.
-	staged  map[string]*recRun
-	sealEnc encoder
 
 	// fmu guards the open segment file, its size and the sticky I/O error.
 	fmu  sync.Mutex
@@ -209,11 +196,10 @@ func Open(opts Options) (*Log, error) {
 		// Both batch buffers start at the kick threshold plus burst slack, so
 		// steady-state logging never reallocates (growth churn feeds the GC,
 		// whose marking cost would land on the ingest hot path).
-		buf:    make([]byte, 0, softFlushBytes+(128<<10)),
-		spare:  make([]byte, 0, softFlushBytes+(128<<10)),
-		staged: map[string]*recRun{},
-		kick:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		buf:   make([]byte, 0, softFlushBytes+(128<<10)),
+		spare: make([]byte, 0, softFlushBytes+(128<<10)),
+		kick:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	l.fmu.Lock()
 	err = l.rotateLocked()
@@ -234,35 +220,18 @@ func (l *Log) Dir() string { return l.opts.Dir }
 func (l *Log) FlushInterval() time.Duration { return l.opts.FlushInterval }
 
 // LogMutation implements store.MutationLog: it serialises the mutation into
-// a frame and appends it to the pending buffer. Called under the store's
-// stripe lock, so it must not block on I/O; actual writing and syncing
-// happen on the flusher goroutine (or inline under FsyncAlways, which is
-// the one policy that accepts paying the sync on the mutating goroutine).
+// one frame and appends it to the pending buffer, so frames reach the log in
+// the order the store hands mutations over. Called under the store's stripe
+// lock, so it must not block on I/O; actual writing and syncing happen on
+// the flusher goroutine (or inline under FsyncAlways, which is the one
+// policy that accepts paying the sync on the mutating goroutine).
 func (l *Log) LogMutation(m store.Mutation) {
-	if m.Op == store.MutPutRecords {
-		l.stageRecords(m)
-		return
-	}
 	e := encPool.Get().(*encoder)
-	e.reset()
-	// Reserve the frame header, encode the payload behind it, then fill the
-	// header in place.
-	e.b = append(e.b, make([]byte, frameHeaderSize)...)
-	encodeMutation(e, m)
-	payload := e.b[frameHeaderSize:]
-	putU32(e.b[0:4], uint32(len(payload)))
-	putU32(e.b[4:8], frameCRC(payload))
+	e.b = AppendMutationFrame(e.b[:0], m)
 
 	l.mu.Lock()
 	dropped := l.closed
 	if !dropped {
-		if run := l.staged[m.ObjectID]; run != nil && m.Op == store.MutPutTrajectory {
-			// A trajectory ranges over its object's records, the newest of
-			// which may still be staged: seal them first, so no log prefix
-			// holds the trajectory without them.
-			l.sealLocked(m.ObjectID, run)
-			delete(l.staged, m.ObjectID)
-		}
 		l.buf = append(l.buf, e.b...)
 	}
 	pending := len(l.buf)
@@ -284,87 +253,6 @@ func (l *Log) LogMutation(m store.Mutation) {
 		case l.kick <- struct{}{}:
 		default:
 		}
-	}
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// recRun is one object's staged run of contiguous record appends.
-type recRun struct {
-	start int
-	recs  []gps.Record
-}
-
-// stageRecords coalesces a MutPutRecords mutation into the object's staged
-// run: contiguous appends (the streaming hot path delivers exactly those)
-// extend the run; anything else seals the old run as a frame and starts a
-// new one. Record-table ops are positional and object-local, so deferring
-// their frames past other objects' (or other tables') frames cannot change
-// what replay rebuilds — staged records are simply not yet durable, exactly
-// like frames waiting in buf. The one frame that ranges over an object's
-// records, a trajectory's, seals the object's staged run before it lands.
-func (l *Log) stageRecords(m store.Mutation) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	run := l.staged[m.ObjectID]
-	switch {
-	case run != nil && run.start+len(run.recs) == m.Start:
-		run.recs = append(run.recs, m.Records...)
-	default:
-		if run != nil {
-			l.sealLocked(m.ObjectID, run)
-		}
-		run = &recRun{start: m.Start, recs: make([]gps.Record, 0, maxRunRecords)}
-		run.recs = append(run.recs, m.Records...)
-		l.staged[m.ObjectID] = run
-	}
-	if len(run.recs) >= maxRunRecords {
-		l.sealLocked(m.ObjectID, run)
-		delete(l.staged, m.ObjectID)
-	}
-	pending := len(l.buf)
-	l.mu.Unlock()
-	if l.opts.Fsync == FsyncAlways {
-		_ = l.Flush()
-		return
-	}
-	if pending >= softFlushBytes {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// sealLocked encodes one staged run as a MutPutRecords frame at the end of
-// buf. Caller holds mu.
-func (l *Log) sealLocked(obj string, run *recRun) {
-	e := &l.sealEnc
-	e.reset()
-	e.b = append(e.b, make([]byte, frameHeaderSize)...)
-	encodeMutation(e, store.Mutation{
-		Op: store.MutPutRecords, ObjectID: obj, Start: run.start, Records: run.recs,
-	})
-	payload := e.b[frameHeaderSize:]
-	putU32(e.b[0:4], uint32(len(payload)))
-	putU32(e.b[4:8], frameCRC(payload))
-	l.buf = append(l.buf, e.b...)
-	obs.WALFrames.Inc()
-}
-
-// sealAllLocked seals every staged run. Caller holds mu.
-func (l *Log) sealAllLocked() {
-	for obj, run := range l.staged {
-		l.sealLocked(obj, run)
-		delete(l.staged, obj)
 	}
 }
 
@@ -411,7 +299,6 @@ func (l *Log) Flush() error {
 func (l *Log) flushLocked(sync bool) error {
 	start := time.Now()
 	l.mu.Lock()
-	l.sealAllLocked()
 	data := l.buf
 	l.buf = l.spare[:0]
 	l.spare = nil
@@ -504,7 +391,7 @@ func (l *Log) rotateLocked() error {
 	}
 	var hdr [headerSize]byte
 	copy(hdr[0:4], segmentMagic[:])
-	putU32(hdr[4:8], formatVersion)
+	binary.LittleEndian.PutUint32(hdr[4:8], formatVersion)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		l.err = fmt.Errorf("wal: write header: %w", err)
@@ -556,13 +443,13 @@ func (l *Log) Err() error {
 
 // Checkpoint makes the store's current state the log's new recovery base:
 // it rotates to a fresh segment, has save persist everything committed before
-// the rotation into dir (the log directory) and, on success, deletes the
-// segments older than the rotation point. The tiered segment store plugs its
-// incremental freeze in as save. Safe to run while writers keep logging —
-// mutations racing save stay in retained segments and replay idempotently. A
-// checkpoint that crashes between save and truncation only leaves extra
-// segments behind, which also replay idempotently.
-func (l *Log) Checkpoint(save func(dir string) error) error {
+// the rotation and, on success, deletes the segments older than the rotation
+// point. The tiered segment store plugs its incremental freeze in as save.
+// Safe to run while writers keep logging — mutations racing save stay in
+// retained segments and replay idempotently. A checkpoint that crashes
+// between save and truncation only leaves extra segments behind, which also
+// replay idempotently.
+func (l *Log) Checkpoint(save func() error) error {
 	start := time.Now()
 	err := l.checkpoint(save)
 	if err != nil {
@@ -574,7 +461,7 @@ func (l *Log) Checkpoint(save func(dir string) error) error {
 	return nil
 }
 
-func (l *Log) checkpoint(save func(dir string) error) error {
+func (l *Log) checkpoint(save func() error) error {
 	l.cpMu.Lock()
 	defer l.cpMu.Unlock()
 	if err := l.Flush(); err != nil {
@@ -598,8 +485,8 @@ func (l *Log) checkpoint(save func(dir string) error) error {
 }
 
 // saveAndTruncate runs save, then deletes the segments below boundary.
-func (l *Log) saveAndTruncate(save func(dir string) error, boundary uint64) error {
-	if err := save(l.opts.Dir); err != nil {
+func (l *Log) saveAndTruncate(save func() error, boundary uint64) error {
+	if err := save(); err != nil {
 		return err
 	}
 	segs, err := listSegments(l.opts.Dir)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -151,7 +152,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	// A failing save leaves the log untruncated and its error sticky on Err
 	// until the next checkpoint succeeds.
 	boom := errors.New("boom")
-	if err := l.Checkpoint(func(string) error { return boom }); !errors.Is(err, boom) {
+	if err := l.Checkpoint(func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Checkpoint with a failing save: err = %v, want boom", err)
 	}
 	if err := l.Err(); !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "checkpoint: ") {
@@ -167,10 +168,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	// which land behind the rotation point, so they end up in the base AND in
 	// a retained segment and must replay idempotently.
 	base := store.NewSharded(4)
-	save := func(d string) error {
-		if d != dir {
-			t.Errorf("save got dir %q, want %q", d, dir)
-		}
+	save := func() error {
 		for _, m := range ms[4:6] {
 			if err := live.Apply(m); err != nil {
 				return err
@@ -179,7 +177,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		if err := l.Flush(); err != nil {
 			return err
 		}
-		return ReplayInto(d, base, &RecoverStats{})
+		return ReplayInto(dir, base, &RecoverStats{})
 	}
 	if err := l.Checkpoint(save); err != nil {
 		t.Fatal(err)
@@ -383,4 +381,64 @@ func tuplesEqualValue(a, b *core.EpisodeTuple) bool {
 		return false
 	}
 	return episodesEqual(a.Episode, b.Episode)
+}
+
+// TestWALFramesInCallOrder pins that the log frames each mutation as it is
+// handed over: two contiguous record runs of one object, an episodes
+// mutation and another object's run become four frames, in call order, each
+// decoding to the mutation that was logged.
+func TestWALFramesInCallOrder(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(obj string, start, n int) store.Mutation {
+		m := store.Mutation{Op: store.MutPutRecords, ObjectID: obj, Start: start}
+		for i := start; i < start+n; i++ {
+			m.Records = append(m.Records, gps.Record{ObjectID: obj, Position: geo.Pt(float64(i), 1), Time: ts(i)})
+		}
+		return m
+	}
+	ms := []store.Mutation{
+		run("a", 0, 3),
+		run("a", 3, 2),
+		{Op: store.MutPutEpisodes, TrajectoryID: "t1", Episodes: []*episode.Episode{testEpisode(0)}},
+		run("b", 0, 4),
+	}
+	for _, m := range ms {
+		l.LogMutation(m)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %+v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []store.Mutation
+	for off := headerSize; off < len(data); {
+		payload, n, err := ParseFrame(data[off:])
+		if err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		m, err := DecodeMutation(payload, nil)
+		if err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		got = append(got, m)
+		off += n
+	}
+	if len(got) != len(ms) {
+		t.Fatalf("logged %d mutations, the segment holds %d frames", len(ms), len(got))
+	}
+	for i := range ms {
+		if !reflect.DeepEqual(got[i], ms[i]) {
+			t.Fatalf("frame %d:\n got  %+v\n want %+v", i, got[i], ms[i])
+		}
+	}
 }

@@ -77,7 +77,7 @@ type StreamProcessor struct {
 }
 
 // runRecords is how many cleaned records of one object are staged before
-// they go to the store as one run: the WAL's frame coalescing size.
+// they go to the store as one run, which a durable store logs as one frame.
 const runRecords = 64
 
 // objectStream is the per-object streaming state: the object's own cleaning
