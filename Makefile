@@ -48,6 +48,10 @@ race:
 # and round-trips through WriteCSV and ReadCSV unchanged.
 # FuzzParse: a statement of the query language that parses runs on an empty
 # engine without an error.
+# FuzzQueryForm: a query's normal form agrees with the documented query
+# semantics: its tuple check with a reference evaluation, the footer check
+# and every access path never drop an admitted tuple, and the conjunction
+# of two forms (and of a form with a join row's pins) is exact.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
@@ -56,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFooter$$' -fuzztime $(FUZZTIME) ./internal/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/gps
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryForm$$' -fuzztime $(FUZZTIME) ./internal/query
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids to run, or 'all'")
-	seed := flag.Int64("seed", 2026, "random seed for the synthetic environment and workloads")
+	seed := flag.Int64("seed", experiments.DefaultSeed, "random seed for the synthetic environment and workloads")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (smaller is faster)")
 	list := flag.Bool("list", false, "list available experiment ids and exit")
 	flag.Parse()

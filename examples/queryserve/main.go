@@ -24,6 +24,7 @@ import (
 
 	"semitri"
 	"semitri/internal/core"
+	"semitri/internal/episode"
 	"semitri/internal/geo"
 	"semitri/internal/query"
 	"semitri/internal/serve"
@@ -61,31 +62,30 @@ func main() {
 	}
 	fmt.Printf("ingested %d records for %d users\n\n", len(ds.Records()), len(ds.Objects))
 
-	// 3. Typed queries, each built with the query package's validating
-	//    builder; the engine plans every one by picking the most selective
-	//    index and verifies every candidate against the store.
+	// 3. Typed queries, each a query.Query literal; the engine validates
+	//    every one, plans it by picking the most selective index and
+	//    verifies every candidate against the store.
 	day := ds.Records()[0].Time.Truncate(24 * time.Hour)
+	stop := episode.Stop
+	centre := geo.RectAround(geo.Pt(5000, 5000), 3000)
 	queries := []struct {
 		label string
 		q     query.Query
 	}{
-		{"stops at item-sale places", query.MustBuild(
-			query.OnlyStops(),
-			query.WithAnnotation(core.AnnPOICategory, "item sale"),
-		)},
-		{"...around lunchtime, in the city centre", query.MustBuild(
-			query.OnlyStops(),
-			query.WithAnnotation(core.AnnPOICategory, "item sale"),
-			query.Between(day.Add(11*time.Hour), day.Add(15*time.Hour)),
-			query.InWindow(geo.RectAround(geo.Pt(5000, 5000), 3000)),
-		)},
-		{"everything user-001 did today", query.MustBuild(
-			query.ForObject(ds.Objects[0]),
-			query.Between(day, day.Add(24*time.Hour)),
-		)},
-		{"episodes near the map origin", query.MustBuild(
-			query.NearPoint(geo.Pt(2000, 2000), 1500),
-		)},
+		{"stops at item-sale places", query.Query{
+			Kind: &stop, AnnKey: core.AnnPOICategory, AnnValue: "item sale",
+		}},
+		{"...around lunchtime, in the city centre", query.Query{
+			Kind: &stop, AnnKey: core.AnnPOICategory, AnnValue: "item sale",
+			From: day.Add(11 * time.Hour), To: day.Add(15 * time.Hour),
+			Window: &centre,
+		}},
+		{"everything user-001 did today", query.Query{
+			ObjectID: ds.Objects[0], From: day, To: day.Add(24 * time.Hour),
+		}},
+		{"episodes near the map origin", query.Query{
+			Near: &geo.Point{X: 2000, Y: 2000}, Radius: 1500,
+		}},
 	}
 	for _, c := range queries {
 		matches, plan, err := engine.ExecuteExplained(c.q)
@@ -109,8 +109,8 @@ func main() {
 	//    and one hour of another object's stop? The join planner builds the
 	//    smaller side and probes the indexes for the other.
 	pairs, jp, err := engine.ExecuteJoinExplained(query.Join{
-		Left:  query.MustBuild(query.OnlyStops()),
-		Right: query.MustBuild(query.OnlyStops()),
+		Left:  query.Query{Kind: &stop},
+		Right: query.Query{Kind: &stop},
 		On:    query.JoinOn{Within: time.Hour, MaxDistance: 200, DistinctObjects: true},
 	})
 	if err != nil {

@@ -23,6 +23,10 @@ import (
 	"semitri/internal/workload"
 )
 
+// DefaultSeed is semitri-bench's default -seed, the seed of the paper
+// artefact pinned in testdata/paper.golden.
+const DefaultSeed = 2026
+
 // Env is the shared environment of an experiment run.
 type Env struct {
 	// Seed drives every generator used by the experiments.

@@ -249,36 +249,3 @@ func TestPeopleFiguresShape(t *testing.T) {
 		}
 	}
 }
-
-func TestAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations are slow; skipped in -short mode")
-	}
-	env := smallEnv(t)
-	mm, err := AblationMapMatching(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mm.Rows) != 5 {
-		t.Fatalf("ablation-mapmatch rows = %d", len(mm.Rows))
-	}
-	// At the highest noise level the global matcher should not be worse
-	// than the per-point baseline.
-	last := mm.Rows[len(mm.Rows)-1]
-	if last.Values["global"] < last.Values["nearest"]-0.02 {
-		t.Fatalf("global matching (%v) should not be clearly worse than nearest (%v) under heavy noise",
-			last.Values["global"], last.Values["nearest"])
-	}
-	hm, err := AblationHMM(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hm.Rows) == 0 {
-		t.Fatal("ablation-hmm produced no rows")
-	}
-	for _, r := range hm.Rows {
-		if r.Values["hmm"] < 0 || r.Values["hmm"] > 1 || r.Values["nearest"] < 0 || r.Values["nearest"] > 1 {
-			t.Fatalf("accuracy out of range: %+v", r.Values)
-		}
-	}
-}

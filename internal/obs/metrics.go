@@ -219,8 +219,9 @@ func HealthReasonCounter(reason string) *Counter {
 	}
 }
 
-// PruneRules lists the footer rules segmentCanMatch can refute on, in the
-// order they are evaluated. Exported so traces and metrics agree on names.
+// PruneRules lists the footer rules the query engine's footer check can
+// refute on, in the order they are evaluated. Exported so traces and metrics
+// agree on names.
 var PruneRules = []string{
 	"interpretation", "kind", "time-span", "object-bloom",
 	"annotation-key", "no-geometry", "bbox",

@@ -9,7 +9,6 @@ import (
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
-	"semitri/internal/geo"
 	"semitri/internal/obs"
 	"semitri/internal/spatial"
 	"semitri/internal/store"
@@ -436,14 +435,14 @@ func (e *Engine) ExecuteExplained(q Query) ([]Match, Plan, error) {
 // counter and the planning and execution latencies. tr, when non-nil, is
 // filled with the execution trace; untraced queries do no trace work.
 func (e *Engine) execute(q Query, tr *Trace) ([]Match, Plan, error) {
-	q = q.normalized()
-	if err := q.Validate(); err != nil {
+	f, err := compile(q)
+	if err != nil {
 		return nil, Plan{}, err
 	}
 	t0 := time.Now()
-	p := e.plan(&q)
+	p := e.plan(&f)
 	t1 := time.Now()
-	out := e.executeBuf(&q, p.Path, nil, 0, tr)
+	out := e.executeBuf(&f, p.Path, nil, 0, tr)
 	t2 := time.Now()
 	planNs, execNs := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
 	if tr != nil {
@@ -460,14 +459,14 @@ func (e *Engine) execute(q Query, tr *Trace) ([]Match, Plan, error) {
 
 // executeBuf gathers the chosen path's candidates, resolves them against the
 // store, verifies every predicate and appends the matches to out (reusing
-// its capacity), returning them in canonical order with Limit applied. q is
-// normalized and valid, and must not escape — callers may reuse it.
+// its capacity), returning them in canonical order with the limit applied. f
+// must not escape — callers may reuse it.
 // maxWorkers further caps the engine's parallelism for this execution; join
 // probes pass 1 so the per-row fan-out (already parallel across rows) never
 // nests goroutine pools. tr, when non-nil, collects per-stage timings and
 // segment-prune decisions; probe hot paths pass nil, so tracing costs them
 // nothing but the nil checks.
-func (e *Engine) executeBuf(q *Query, path Path, out []Match, maxWorkers int, tr *Trace) []Match {
+func (e *Engine) executeBuf(f *form, path Path, out []Match, maxWorkers int, tr *Trace) []Match {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -477,21 +476,21 @@ func (e *Engine) executeBuf(q *Query, path Path, out []Match, maxWorkers int, tr
 		// Stored order is canonical order (one object, one trajectory,
 		// ascending positions), so the limit stops the walk early.
 		base := len(out)
-		objectID, tuples, ok := e.st.TupleSnapshot(q.TrajectoryID, q.Interpretation)
+		objectID, tuples, ok := e.st.TupleSnapshot(f.traj, f.interp)
 		if !ok {
 			tr.stage("store-walk", t0, 0)
 			return out
 		}
 		for i := range tuples {
 			ref := store.TupleRef{
-				TrajectoryID:   q.TrajectoryID,
+				TrajectoryID:   f.traj,
 				ObjectID:       objectID,
-				Interpretation: q.Interpretation,
+				Interpretation: f.interp,
 				Index:          i,
 			}
-			if q.matches(ref, &tuples[i]) {
+			if f.admits(ref, &tuples[i]) {
 				out = append(out, Match{Ref: ref, Tuple: tuples[i]})
-				if q.Limit > 0 && len(out) >= q.Limit {
+				if f.limit > 0 && len(out) >= f.limit {
 					break
 				}
 			}
@@ -508,7 +507,7 @@ func (e *Engine) executeBuf(q *Query, path Path, out []Match, maxWorkers int, tr
 		// the still-unevicted heap (never neither), so adjacent duplicate
 		// refs collapse after the sort.
 		base := len(out)
-		out = e.scanMatches(q, out, maxWorkers, tr)
+		out = e.scanMatches(f, out, maxWorkers, tr)
 		obs.QueryCandidates.Add(e.total.Load())
 		tr.addCandidates(int(e.total.Load()))
 		tr.stage("scan", t0, len(out)-base)
@@ -526,14 +525,14 @@ func (e *Engine) executeBuf(q *Query, path Path, out []Match, maxWorkers int, tr
 			dst++
 		}
 		out = out[:dst]
-		if q.Limit > 0 && len(out) > q.Limit {
-			out = out[:q.Limit]
+		if f.limit > 0 && len(out) > f.limit {
+			out = out[:f.limit]
 		}
 		tr.stage("sort-dedup", t1, len(out)-base)
 		return out
 	}
 	sc := getScratch()
-	sc.refs = e.gatherInto(q, path, sc.refs[:0])
+	sc.refs = e.gatherInto(f, path, sc.refs[:0])
 	obs.QueryCandidates.Add(int64(len(sc.refs)))
 	tr.addCandidates(len(sc.refs))
 	tr.stage("gather", t0, len(sc.refs))
@@ -542,19 +541,21 @@ func (e *Engine) executeBuf(q *Query, path Path, out []Match, maxWorkers int, tr
 		t1 = time.Now()
 	}
 	base := len(out)
-	out = e.resolveRefs(q, sc, out, maxWorkers)
+	out = e.resolveRefs(f, sc, out, maxWorkers)
 	tr.stage("resolve", t1, len(out)-base)
 	putScratch(sc)
 	return out
 }
 
 // gatherInto appends candidate refs from one indexed access path, resolving
-// each posting through the interning table. Prefilters use only immutable
-// posting fields; the authoritative check happens at resolution.
-func (e *Engine) gatherInto(q *Query, path Path, refs []store.TupleRef) []store.TupleRef {
+// each posting through the interning table. Its filters read only the
+// clauses the postings carry (see form); the tuple check at resolution is
+// the exact one.
+func (e *Engine) gatherInto(f *form, path Path, refs []store.TupleRef) []store.TupleRef {
 	switch path {
 	case PathAnnotation:
-		k := annKey{interp: q.Interpretation, key: q.AnnKey, value: q.AnnValue}
+		a, _ := f.indexedAnn()
+		k := annKey{interp: f.interp, key: a.key, value: a.value}
 		sh := e.annShardFor(k)
 		sh.mu.RLock()
 		rows := e.sts.snapshot()
@@ -563,41 +564,29 @@ func (e *Engine) gatherInto(q *Query, path Path, refs []store.TupleRef) []store.
 		}
 		sh.mu.RUnlock()
 	case PathObjectTime:
-		sh := e.objShardFor(q.ObjectID)
+		sh := e.objShardFor(f.object)
 		sh.mu.RLock()
 		rows := e.sts.snapshot()
-		posted := sh.objects[q.ObjectID]
-		// Postings are sorted by TimeIn: nothing after To can overlap.
-		hi := len(posted)
-		if !q.To.IsZero() {
-			to := stampOf(q.To)
-			hi = sort.Search(len(posted), func(i int) bool { return to.before(posted[i].timeIn()) })
-		}
-		from := stampOf(q.From)
+		posted := sh.objects[f.object]
+		// Postings are sorted by TimeIn: nothing after hi can match.
+		hi := sort.Search(len(posted), func(i int) bool { return f.hi.before(posted[i].timeIn()) })
 		for i := range posted[:hi] {
 			tp := &posted[i]
 			row := &rows[tp.p.st]
-			if row.interp != q.Interpretation {
-				continue
-			}
-			if !q.From.IsZero() && tp.timeOut().before(from) {
-				continue
-			}
-			if q.Kind != nil && tp.kind != *q.Kind {
+			if row.interp != f.interp || tp.timeOut().before(f.lo) || f.kinds&kindBit(tp.kind) == 0 {
 				continue
 			}
 			refs = append(refs, row.ref(tp.p))
 		}
 		sh.mu.RUnlock()
 	case PathSpatial:
-		rect := q.spatialRect()
 		e.spatial.mu.RLock()
 		rows := e.sts.snapshot()
-		for _, part := range e.spatial.parts[q.Interpretation] {
-			if q.Kind != nil && part.kind != *q.Kind {
+		for _, part := range e.spatial.parts[f.interp] {
+			if f.kinds&kindBit(part.kind) == 0 {
 				continue
 			}
-			part.rects.Visit(rect, func(id int32) bool {
+			part.rects.Visit(f.gather, func(id int32) bool {
 				p := part.postings[id]
 				refs = append(refs, rows[p.st].ref(p))
 				return true
@@ -606,20 +595,6 @@ func (e *Engine) gatherInto(q *Query, path Path, refs []store.TupleRef) []store.
 		e.spatial.mu.RUnlock()
 	}
 	return refs
-}
-
-// spatialRect returns the candidate rectangle of the spatial predicates
-// (the window, the radius disc's bounding box, or their intersection). Only
-// called when at least one spatial predicate is set.
-func (q *Query) spatialRect() geo.Rect {
-	if q.Near == nil {
-		return *q.Window
-	}
-	r := geo.RectAround(*q.Near, q.Radius)
-	if q.Window != nil {
-		r = r.Intersection(*q.Window)
-	}
-	return r
 }
 
 // resolveRefs turns candidate refs into verified matches: dedup (paths can
@@ -633,7 +608,7 @@ func (q *Query) spatialRect() geo.Rect {
 // sort. Each trajectory's run resolves with one store lock (one
 // Store.AppendTuplesAt batch) — this is what makes indexed execution cheaper
 // per candidate than a scan is per tuple.
-func (e *Engine) resolveRefs(q *Query, sc *scratch, out []Match, maxWorkers int) []Match {
+func (e *Engine) resolveRefs(f *form, sc *scratch, out []Match, maxWorkers int) []Match {
 	refs := sc.refs
 	if len(refs) == 0 {
 		return out
@@ -652,19 +627,19 @@ func (e *Engine) resolveRefs(q *Query, sc *scratch, out []Match, maxWorkers int)
 		return a.Index < b.Index
 	})
 	if workers := e.workersFor(len(refs), maxWorkers); workers > 1 {
-		return e.resolveParallel(q, refs, out, workers)
+		return e.resolveParallel(f, refs, out, workers)
 	}
 	// One worker resolves straight into out: no chunk buffers to merge,
 	// which keeps a join's per-row probes allocation-free.
-	return e.resolveChunk(q, refs, out, sc, nil)
+	return e.resolveChunk(f, refs, out, sc, nil)
 }
 
 // resolveChunk resolves one contiguous range of canonically sorted refs,
 // appending verified matches to out in that same order. It stops early once
-// q.Limit matches are appended (the range's output prefix is the final
+// f.limit matches are appended (the range's output prefix is the final
 // output prefix), and, when stop is non-nil, abandons the range between
 // trajectory groups once a parallel sibling raised it.
-func (e *Engine) resolveChunk(q *Query, refs []store.TupleRef, out []Match, sc *scratch, stop *atomic.Bool) []Match {
+func (e *Engine) resolveChunk(f *form, refs []store.TupleRef, out []Match, sc *scratch, stop *atomic.Bool) []Match {
 	base := len(out)
 	for lo := 0; lo < len(refs); {
 		if stop != nil && stop.Load() {
@@ -691,11 +666,11 @@ func (e *Engine) resolveChunk(q *Query, refs []store.TupleRef, out []Match, sc *
 			}
 			ref := refs[lo]
 			ref.Index = idx
-			if !q.matches(ref, &tuples[i]) {
+			if !f.admits(ref, &tuples[i]) {
 				continue
 			}
 			out = append(out, Match{Ref: ref, Tuple: tuples[i]})
-			if q.Limit > 0 && len(out)-base >= q.Limit {
+			if f.limit > 0 && len(out)-base >= f.limit {
 				return out
 			}
 		}

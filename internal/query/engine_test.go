@@ -12,6 +12,7 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/geo"
+	"semitri/internal/segment"
 	"semitri/internal/store"
 )
 
@@ -131,7 +132,8 @@ func populate(t *testing.T, st *store.Store, seed int64, objects, trajPerObject,
 
 // populateInterp is populate into the named interpretation: the same
 // trajectory ids and the same 2 km square, so the geometry of two
-// interpretations overlaps.
+// interpretations overlaps. A move's bounds reach up to 800 m from its
+// centre, further on some sides than on others, as a long move's do.
 func populateInterp(t *testing.T, st *store.Store, seed int64, interp string, objects, trajPerObject, tuplesPerTraj int) []stored {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -155,6 +157,12 @@ func populateInterp(t *testing.T, st *store.Store, seed int64, interp string, ob
 				end := at.Add(time.Duration(5+rng.Intn(40)) * time.Minute)
 				center := geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
 				tp := mkTuple(kind, at, end, center, anns...)
+				if kind == episode.Move {
+					reach := func() float64 { return 10 + rng.Float64()*790 }
+					tp.Episode.Bounds = geo.NewRect(
+						geo.Pt(center.X-reach(), center.Y-reach()),
+						geo.Pt(center.X+reach(), center.Y+reach()))
+				}
 				if err := st.AppendStructuredTuples(id, obj, interp, tp); err != nil {
 					t.Fatal(err)
 				}
@@ -254,11 +262,14 @@ func randomQuery(rng *rand.Rand) Query {
 		q.AnnKey = core.AnnPOICategory
 		q.AnnValue = []string{"restaurant", "shop", "office"}[rng.Intn(3)]
 	}
-	switch rng.Intn(4) {
-	case 0:
+	// A window, a disc, both or neither; with both, the disc's bounding box
+	// often misses the window.
+	spatial := rng.Intn(5)
+	if spatial == 0 || spatial == 2 {
 		w := geo.RectAround(geo.Pt(rng.Float64()*2000, rng.Float64()*2000), 100+rng.Float64()*500)
 		q.Window = &w
-	case 1:
+	}
+	if spatial == 1 || spatial == 2 {
 		p := geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
 		q.Near = &p
 		q.Radius = 100 + rng.Float64()*500
@@ -303,12 +314,20 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 				return plan
 			}
 			interpRng := rand.New(rand.NewSource(78))
+			disjoint := 0 // answered queries whose disc's box misses the window
 			for i := 0; i < 200; i++ {
 				q := randomQuery(rng)
 				if interpRng.Intn(3) == 0 {
 					q.Interpretation = "region"
 				}
 				check(fmt.Sprintf("query %d", i), q)
+				if q.Window != nil && q.Near != nil && len(wantRefs(q, all)) > 0 &&
+					!q.Window.Intersects(geo.RectAround(*q.Near, q.Radius)) {
+					disjoint++
+				}
+			}
+			if disjoint == 0 {
+				t.Fatal("no answered query had a window its disc's bounding box misses")
 			}
 			spatialPlans := 0
 			for _, interp := range []string{DefaultInterpretation, "region"} {
@@ -458,21 +477,52 @@ func TestPlanningDoesNotAllocate(t *testing.T) {
 	st := store.New()
 	e := NewEngine(st)
 	populate(t, st, 3, 8, 2, 20)
-	q := Query{
+	f, err := compile(Query{
 		TrajectoryID: "u0-T0", ObjectID: "u0", From: t0, To: t0.Add(48 * time.Hour),
 		AnnKey: core.AnnPOICategory, AnnValue: "shop",
 		Near: &geo.Point{X: 1000, Y: 1000}, Radius: 300,
-	}.normalized()
-	if err := q.Validate(); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var plan Plan
-	if allocs := testing.AllocsPerRun(100, func() { plan = e.plan(&q) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { plan = e.plan(&f) }); allocs != 0 {
 		t.Fatalf("planning a four-predicate query allocates %.0f times, want 0", allocs)
 	}
 	for r, avail := range plan.est.avail {
 		if !avail {
 			t.Fatalf("path %s was not estimated: %s", rankedPaths[r], plan)
+		}
+	}
+}
+
+// TestValidateRejects is the table of malformed predicate sets
+// Query.Validate refuses; a Query literal is checked by it, here and on
+// every execution.
+func TestValidateRejects(t *testing.T) {
+	w := geo.RectAround(geo.Pt(100, 100), 50)
+	ok := Query{
+		ObjectID: "u1", TrajectoryID: "u1-T0", Interpretation: "merged", Kind: ptr(episode.Stop),
+		From: t0, To: t0.Add(time.Hour), AnnKey: core.AnnPOICategory, AnnValue: "restaurant",
+		Window: &w, Near: &geo.Point{X: 5, Y: 5}, Radius: 100, Limit: 7,
+	}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("a well-formed query is refused: %v", err)
+	}
+	bad := []struct {
+		name string
+		q    Query
+	}{
+		{"zero radius", Query{Near: &geo.Point{}, Radius: 0}},
+		{"negative radius", Query{Near: &geo.Point{}, Radius: -5}},
+		{"window ends before it starts", Query{From: t0.Add(time.Hour), To: t0}},
+		{"negative limit", Query{Limit: -1}},
+		{"value without key", Query{AnnValue: "restaurant"}},
+		{"empty window", Query{Window: &geo.Rect{Min: geo.Pt(5, 5), Max: geo.Pt(1, 1)}}},
+	}
+	for _, c := range bad {
+		if err := c.q.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.name, c.q)
 		}
 	}
 }
@@ -639,4 +689,80 @@ func TestEngineIndexBytesPerTuple(t *testing.T) {
 	if ratio := float64(stats.IndexBytes) / float64(delta); ratio < 0.75 || ratio > 1.25 {
 		t.Fatalf("IndexBytes %d is %.2f× the measured %d B, want within ±25%%", stats.IndexBytes, ratio, delta)
 	}
+}
+
+// TestWindowNearDisjoint: a query may set a window and a radius whose
+// bounding box misses the window. A long move whose bounds reach the window
+// while its centre lies in the disc matches both, so the two must not be
+// gathered through their (empty) intersection. The case is checked on a
+// heap store and on a tiered store after a freeze (where the footer check
+// reads the same clauses), by a query and by a join whose probe adds the
+// disc to a window.
+func TestWindowNearDisjoint(t *testing.T) {
+	window := geo.NewRect(geo.Pt(900, -5), geo.Pt(1000, 5))
+	q := Query{Window: &window, Near: &geo.Point{X: 100, Y: 0}, Radius: 50}
+	join := Join{
+		Left:  Query{ObjectID: "a"},
+		Right: Query{Window: &window},
+		On:    JoinOn{MaxDistance: 50, DistinctObjects: true},
+	}
+	// One move per object: bounds (0,−10)–(1000,10), centre (100,0).
+	put := func(st *store.Store) {
+		for _, obj := range []string{"a", "b"} {
+			tp := mkTuple(episode.Move, t0, t0.Add(time.Hour), geo.Pt(100, 0))
+			tp.Episode.Bounds = geo.NewRect(geo.Pt(0, -10), geo.Pt(1000, 10))
+			if err := st.AppendStructuredTuples(obj+"-T0", obj, DefaultInterpretation, tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(label string, st *store.Store) {
+		t.Helper()
+		e := NewEngine(st)
+		ms, plan, err := e.ExecuteExplained(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 2 {
+			t.Fatalf("%s: %d matches (plan %s), want both moves", label, len(ms), plan)
+		}
+		one := q
+		one.ObjectID = "a"
+		if ms, err = e.Execute(one); err != nil || len(ms) != 1 {
+			t.Fatalf("%s: object a: %d matches (%v), want 1", label, len(ms), err)
+		}
+		pairs, jp, err := e.ExecuteJoinExplained(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) != 1 || pairs[0].Left.Ref.ObjectID != "a" || pairs[0].Right.Ref.ObjectID != "b" {
+			t.Fatalf("%s: join returned %d pairs (plan %s), want a ⋈ b", label, len(pairs), jp)
+		}
+	}
+	heap := store.New()
+	put(heap)
+	check("heap", heap)
+
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	put(tiered)
+	if err := tier.Freeze(tiered); err != nil {
+		t.Fatal(err)
+	}
+	if tier.SegmentCount() == 0 {
+		t.Fatal("nothing froze")
+	}
+	f, err := compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sum := range tiered.ColdSummaries(nil) {
+		if ok, rule := f.summaryAdmits(&sum, false); !ok {
+			t.Fatalf("the footer check refutes the segment by its %s rule", rule)
+		}
+	}
+	check("tiered", tiered)
 }

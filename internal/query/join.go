@@ -59,43 +59,6 @@ func (on JoinOn) Validate() error {
 // timeConstrained reports whether the predicate has a temporal clause.
 func (on *JoinOn) timeConstrained() bool { return on.TimeOverlap || on.Within > 0 }
 
-// pairMatches evaluates the full predicate on a resolved pair. This is the
-// authoritative check: candidate gathering may over-approximate (see
-// probeQuery), never the other way around.
-func (on *JoinOn) pairMatches(l, r *Match) bool {
-	if on.SameObject && l.Ref.ObjectID != r.Ref.ObjectID {
-		return false
-	}
-	if on.DistinctObjects && l.Ref.ObjectID == r.Ref.ObjectID {
-		return false
-	}
-	if on.timeConstrained() {
-		if l.Tuple.TimeIn.After(r.Tuple.TimeOut.Add(on.Within)) ||
-			r.Tuple.TimeIn.After(l.Tuple.TimeOut.Add(on.Within)) {
-			return false
-		}
-	}
-	if on.MaxDistance > 0 {
-		le, re := l.Tuple.Episode, r.Tuple.Episode
-		if le == nil || re == nil || le.Center.DistanceTo(re.Center) > on.MaxDistance {
-			return false
-		}
-	}
-	if on.SamePlace {
-		lp := l.Tuple.PlaceID()
-		if lp == "" || lp != r.Tuple.PlaceID() {
-			return false
-		}
-	}
-	if k := on.SameAnnKey; k != "" {
-		lv := l.Tuple.Annotations.Value(k)
-		if lv == "" || lv != r.Tuple.Annotations.Value(k) {
-			return false
-		}
-	}
-	return true
-}
-
 // Join is a typed two-sided join: the pairs of (Left, Right) results that
 // satisfy On. Join sides must not set Limit (a per-side cap has no
 // well-defined meaning under probe execution); Limit below caps the number
@@ -198,16 +161,15 @@ func (p JoinPlan) String() string {
 	return b.String()
 }
 
-// validateJoin normalizes both sides and checks every invariant of the join.
-func validateJoin(j *Join) (left, right Query, err error) {
-	left, right = j.Left.normalized(), j.Right.normalized()
-	if err := left.Validate(); err != nil {
+// validateJoin compiles both sides and checks every invariant of the join.
+func validateJoin(j *Join) (left, right form, err error) {
+	if left, err = compile(j.Left); err != nil {
 		return left, right, fmt.Errorf("join left: %w", err)
 	}
-	if err := right.Validate(); err != nil {
+	if right, err = compile(j.Right); err != nil {
 		return left, right, fmt.Errorf("join right: %w", err)
 	}
-	if left.Limit != 0 || right.Limit != 0 {
+	if left.limit != 0 || right.limit != 0 {
 		return left, right, errors.New("query: join sides must not set Limit; use Join.Limit for the pair cap")
 	}
 	if j.Limit < 0 {
@@ -223,8 +185,8 @@ func validateJoin(j *Join) (left, right Query, err error) {
 // queries and the one whose chosen path promises fewer candidates is
 // materialised first, so the (more expensive) per-row probing happens from
 // the smaller set into the larger one's indexes. Ties build left.
-func (e *Engine) planJoin(left, right Query) JoinPlan {
-	lp, rp := e.plan(&left), e.plan(&right)
+func (e *Engine) planJoin(left, right *form) JoinPlan {
+	lp, rp := e.plan(left), e.plan(right)
 	jp := JoinPlan{
 		BuildSide:     SideLeft,
 		Build:         lp,
@@ -246,7 +208,7 @@ func (e *Engine) ExplainJoin(j Join) (JoinPlan, error) {
 	if err != nil {
 		return JoinPlan{}, err
 	}
-	return e.planJoin(left, right), nil
+	return e.planJoin(&left, &right), nil
 }
 
 // ExecuteJoin plans and runs the join, returning pairs in the canonical
@@ -261,17 +223,15 @@ func (e *Engine) ExecuteJoin(j Join) ([]JoinMatch, error) {
 // included.
 //
 // Execution materialises the build side through its own planned access path,
-// then probes the other side once per build row with a derived query: the
-// probe side's predicates tightened by what the join predicate pins for that
-// row (the row's time interval widened by Within, a radius disc of
-// MaxDistance around the row's centre, the row's object id or annotation
-// value). Each probe plans independently, so it runs through the time,
-// spatial or annotation index the tightened predicates make available — a
-// nested full scan only happens when the store is small enough that the
-// planner prices a scan below every index. Probed candidates are
-// re-verified against the probe side's original predicates and the full
-// pair predicate, so over-approximation in the derivation never leaks into
-// results.
+// then probes the other side once per build row with the conjunction of the
+// probe side's form and what the join predicate pins for that row (the
+// row's time interval widened by Within, a radius disc of MaxDistance
+// around the row's centre, the row's object id or annotation value). The
+// conjunction is exact, so a probed match satisfies the probe side's
+// predicates and every pinned clause. Each probe plans independently, so it
+// runs through the time, spatial or annotation index the conjunction makes
+// available — a nested full scan only happens when the store is small
+// enough that the planner prices a scan below every index.
 //
 // Build rows are independent probe tasks, so they fan out over the engine's
 // workers (JoinPlan.Workers; serial under the engine's threshold). Rows are
@@ -296,7 +256,7 @@ func (e *Engine) executeJoin(j Join, tr *Trace) ([]JoinMatch, JoinPlan, error) {
 	if err != nil {
 		return nil, JoinPlan{}, err
 	}
-	jp := e.planJoin(left, right)
+	jp := e.planJoin(&left, &right)
 	if tr != nil {
 		tr.PlanNs = time.Since(t0).Nanoseconds()
 	}
@@ -405,115 +365,87 @@ type pairSpan struct {
 }
 
 // probeWorker is one probe-pool worker's private state: the pair buffer its
-// rows append into, a reusable match buffer for probe execution and its share
-// of the probe-path histogram. Nothing here is shared, so the probe loop runs
-// lock-free and, at steady state, allocation-free.
+// rows append into, a reusable match buffer for probe execution, the forms
+// of the current row's pins and probe, and its share of the probe-path
+// histogram. Nothing here is shared, so the probe loop runs lock-free and,
+// at steady state, allocation-free.
 type probeWorker struct {
 	e      *Engine
 	pairs  []JoinMatch
 	mbuf   []Match
+	pin    form
+	pf     form
 	hist   [numPaths]int
 	probes int
 }
 
-// probeRow derives, plans and executes the probe of one build row, appending
-// the verified pairs to w.pairs and returning their span. Probe execution is
-// capped at one worker: the fan-out across rows already owns the pool, so
-// per-probe parallelism would only oversubscribe it.
-func (w *probeWorker) probeRow(b *Match, probe *Query, on *JoinOn, buildSide Side) (lo, hi int) {
+// probeRow conjoins the probe side's form with what build row b pins, then
+// plans and executes the probe, appending the verified pairs to w.pairs and
+// returning their span. Probe execution is capped at one worker: the
+// fan-out across rows already owns the pool, so per-probe parallelism would
+// only oversubscribe it.
+func (w *probeWorker) probeRow(b *Match, probe *form, on *JoinOn, buildSide Side) (lo, hi int) {
 	lo = len(w.pairs)
-	pq, ok := probeQuery(*probe, b, on)
-	if !ok {
-		return lo, lo // the row can pair with nothing (no geometry, contradiction)
+	if !on.pinInto(&w.pin, b) {
+		return lo, lo // the row has no geometry, value or place to share
 	}
-	path := w.e.plan(&pq).Path
+	w.pf.and(probe, &w.pin)
+	if w.pf.kinds == 0 {
+		return lo, lo // the pins contradict the probe side's clauses
+	}
+	path := w.e.plan(&w.pf).Path
 	w.hist[pathRank(path)]++
 	w.probes++
-	w.mbuf = w.e.executeBuf(&pq, path, w.mbuf[:0], 1, nil)
+	w.mbuf = w.e.executeBuf(&w.pf, path, w.mbuf[:0], 1, nil)
 	for i := range w.mbuf {
 		c := &w.mbuf[i]
-		// The derived query may have replaced a spatial predicate with a
-		// tighter disc; re-check the probe side's own predicates exactly.
-		if !probe.matches(c.Ref, &c.Tuple) {
+		// The probe's form holds every other clause of the join predicate.
+		if on.DistinctObjects && c.Ref.ObjectID == b.Ref.ObjectID ||
+			on.SamePlace && c.Tuple.PlaceID() != b.Tuple.PlaceID() {
 			continue
 		}
 		pair := JoinMatch{Left: *b, Right: *c}
 		if buildSide == SideRight {
 			pair.Left, pair.Right = *c, *b
 		}
-		if !on.pairMatches(&pair.Left, &pair.Right) {
-			continue
-		}
 		w.pairs = append(w.pairs, pair)
 	}
 	return lo, len(w.pairs)
 }
 
-// probeQuery derives the per-row probe: the probe side's query tightened by
-// the clauses of the join predicate that the build row pins down. The
-// derivation must never exclude a tuple the pair predicate would accept —
-// every tightening below keeps the derived predicate weaker than (or equal
-// to) the corresponding pair clause — but it may include extras; those die
-// at the pairMatches re-check. The second return is false when the row
-// provably pairs with nothing.
-func probeQuery(probe Query, b *Match, on *JoinOn) (Query, bool) {
-	pq := probe
-	pq.Limit = 0
+// pinInto sets pin to the clauses the join predicate pins on a probe-side
+// tuple for build row b, reusing pin's slices: b's time interval widened by
+// Within (TimeOut ≥ b.TimeIn − Within and TimeIn ≤ b.TimeOut + Within, so
+// that the two intervals come within Within), a disc of MaxDistance around
+// b's centre, b's object, b's annotation value. Only DistinctObjects and
+// SamePlace are left to the probe loop. It returns false when b pairs with
+// nothing: a distance join needs its geometry, an annotation join a value,
+// a place join a place.
+func (on *JoinOn) pinInto(pin *form, b *Match) bool {
+	if on.SamePlace && b.Tuple.PlaceID() == "" {
+		return false
+	}
+	*pin = form{kinds: allKinds, lo: openLo, hi: openHi, anns: pin.anns[:0], discs: pin.discs[:0]}
 	if on.timeConstrained() {
-		from := b.Tuple.TimeIn.Add(-on.Within)
-		to := b.Tuple.TimeOut.Add(on.Within)
-		nf, nt := pq.From, pq.To
-		if nf.IsZero() || from.After(nf) {
-			nf = from
-		}
-		if nt.IsZero() || to.Before(nt) {
-			nt = to
-		}
-		// Overlap is not containment: when the combined window inverts (the
-		// row's reachable window is disjoint from the probe's own), a long
-		// episode spanning both windows still pairs. Only adopt the combined
-		// window when it is a well-formed interval; otherwise keep the probe's
-		// own window and let pairMatches filter.
-		if !nt.Before(nf) {
-			pq.From, pq.To = nf, nt
-		}
+		pin.lo = stampOf(b.Tuple.TimeIn.Add(-on.Within))
+		pin.hi = stampOf(b.Tuple.TimeOut.Add(on.Within))
 	}
 	if on.MaxDistance > 0 {
 		ep := b.Tuple.Episode
 		if ep == nil {
-			return pq, false // a spatial join needs geometry on both sides
+			return false
 		}
-		c := ep.Center
-		switch {
-		case pq.Near == nil:
-			pq.Near = &c
-			pq.Radius = on.MaxDistance
-		case pq.Near.DistanceTo(c) > pq.Radius+on.MaxDistance:
-			return pq, false // the two discs cannot both hold
-		case on.MaxDistance < pq.Radius:
-			// Gather through the tighter disc; the original is re-verified
-			// by probe.matches on every candidate.
-			pq.Near = &c
-			pq.Radius = on.MaxDistance
-		}
+		pin.discs = append(pin.discs, disc{ep.Center, on.MaxDistance})
 	}
 	if on.SameObject {
-		if pq.ObjectID != "" && pq.ObjectID != b.Ref.ObjectID {
-			return pq, false
-		}
-		pq.ObjectID = b.Ref.ObjectID
+		pin.object = b.Ref.ObjectID
 	}
 	if k := on.SameAnnKey; k != "" {
 		v := b.Tuple.Annotations.Value(k)
 		if v == "" {
-			return pq, false // the row has no value to share
+			return false
 		}
-		switch {
-		case pq.AnnKey == "":
-			pq.AnnKey, pq.AnnValue = k, v
-		case pq.AnnKey == k && pq.AnnValue != v:
-			return pq, false // the probe side pins a different value
-		}
+		pin.anns = append(pin.anns, annEq{k, v})
 	}
-	return pq, true
+	return true
 }

@@ -43,7 +43,7 @@ func randomJoinOn(rng *rand.Rand) JoinOn {
 }
 
 // brutePair is the test's own pair-predicate evaluation, written against the
-// documented JoinOn semantics rather than sharing code with pairMatches.
+// documented JoinOn semantics rather than sharing code with the engine.
 func brutePair(on JoinOn, l, r stored) bool {
 	if on.SameObject && l.ref.ObjectID != r.ref.ObjectID {
 		return false
@@ -152,7 +152,7 @@ func TestJoinPlanBuildsSmallerSide(t *testing.T) {
 	e := NewEngine(st)
 	populate(t, st, 7, 6, 3, 12)
 
-	selective := MustBuild(OnlyStops(), WithAnnotation(core.AnnPOICategory, "restaurant"))
+	selective := Query{Kind: ptr(episode.Stop), AnnKey: core.AnnPOICategory, AnnValue: "restaurant"}
 	everything := Query{}
 	on := JoinOn{Within: time.Hour, MaxDistance: 300, DistinctObjects: true}
 
@@ -225,8 +225,8 @@ func TestJoinSamePlace(t *testing.T) {
 	mk("d", nil, t0) // no place: can never satisfy SamePlace
 
 	pairs, err := e.ExecuteJoin(Join{
-		Left:  MustBuild(OnlyStops()),
-		Right: MustBuild(OnlyStops()),
+		Left:  Query{Kind: ptr(episode.Stop)},
+		Right: Query{Kind: ptr(episode.Stop)},
 		On:    JoinOn{TimeOverlap: true, SamePlace: true, DistinctObjects: true},
 	})
 	if err != nil {
@@ -278,8 +278,8 @@ func TestJoinLimit(t *testing.T) {
 	e := NewEngine(st)
 	populate(t, st, 11, 4, 2, 8)
 	j := Join{
-		Left:  MustBuild(OnlyStops()),
-		Right: MustBuild(OnlyStops()),
+		Left:  Query{Kind: ptr(episode.Stop)},
+		Right: Query{Kind: ptr(episode.Stop)},
 		On:    JoinOn{Within: 2 * time.Hour, DistinctObjects: true},
 	}
 	all, err := e.ExecuteJoin(j)

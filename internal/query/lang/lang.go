@@ -49,6 +49,7 @@ import (
 	"time"
 	"unicode"
 
+	"semitri/internal/episode"
 	"semitri/internal/geo"
 	"semitri/internal/query"
 )
@@ -410,38 +411,38 @@ func (p *parser) parseStatement() (Statement, error) {
 
 // parseSource parses one side of the statement into a validated Query.
 func (p *parser) parseSource() (query.Query, error) {
-	var opts []query.Option
+	var q query.Query
 	switch {
 	case p.keyword("stops"):
-		opts = append(opts, query.OnlyStops())
+		k := episode.Stop
+		q.Kind = &k
 	case p.keyword("moves"):
-		opts = append(opts, query.OnlyMoves())
+		k := episode.Move
+		q.Kind = &k
 	case p.keyword("episodes"):
 		// both kinds
 	default:
 		t := p.peek()
-		return query.Query{}, fmt.Errorf("lang: expected stops, moves or episodes at offset %d, got %q", t.pos, t.text)
+		return q, fmt.Errorf("lang: expected stops, moves or episodes at offset %d, got %q", t.pos, t.text)
 	}
 	if p.keyword("where") {
 		for {
-			opt, err := p.parsePred()
-			if err != nil {
+			if err := p.parsePred(&q); err != nil {
 				return query.Query{}, err
 			}
-			opts = append(opts, opt)
 			if !p.keyword("and") {
 				break
 			}
 		}
 	}
-	return query.Build(opts...)
+	return q, q.Validate()
 }
 
-// parsePred parses one where-clause predicate into a builder option.
-func (p *parser) parsePred() (query.Option, error) {
+// parsePred parses one where-clause predicate into the fields of q it sets.
+func (p *parser) parsePred(q *query.Query) (err error) {
 	t := p.next()
 	if t.kind != tokWord {
-		return nil, fmt.Errorf("lang: expected a predicate at offset %d, got %q", t.pos, t.text)
+		return fmt.Errorf("lang: expected a predicate at offset %d, got %q", t.pos, t.text)
 	}
 	eqValue := func() (string, error) {
 		if err := p.expectPunct("="); err != nil {
@@ -451,48 +452,44 @@ func (p *parser) parsePred() (query.Option, error) {
 	}
 	switch strings.ToLower(t.text) {
 	case "object":
-		v, err := eqValue()
-		return query.ForObject(v), err
+		q.ObjectID, err = eqValue()
 	case "trajectory":
-		v, err := eqValue()
-		return query.ForTrajectory(v), err
+		q.TrajectoryID, err = eqValue()
 	case "interpretation":
-		v, err := eqValue()
-		return query.InInterpretation(v), err
+		q.Interpretation, err = eqValue()
 	case "ann":
-		key, err := p.annKey()
-		if err != nil {
-			return nil, err
+		if q.AnnKey, err = p.annKey(); err == nil {
+			q.AnnValue, err = eqValue()
 		}
-		v, err := eqValue()
-		return query.WithAnnotation(key, v), err
 	case "from", "to":
-		v, err := eqValue()
-		if err != nil {
-			return nil, err
+		var v string
+		var ts time.Time
+		if v, err = eqValue(); err != nil {
+			return err
 		}
-		ts, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			return nil, fmt.Errorf("lang: %s wants an RFC 3339 timestamp: %w", t.text, err)
+		if ts, err = time.Parse(time.RFC3339, v); err != nil {
+			return fmt.Errorf("lang: %s wants an RFC 3339 timestamp: %w", t.text, err)
 		}
 		if strings.EqualFold(t.text, "from") {
-			return query.Since(ts), nil
+			q.From = ts
+		} else {
+			q.To = ts
 		}
-		return query.Until(ts), nil
 	case "near":
-		nums, err := p.parenNumbers(3)
-		if err != nil {
-			return nil, err
+		var nums []float64
+		if nums, err = p.parenNumbers(3); err == nil {
+			q.Near, q.Radius = &geo.Point{X: nums[0], Y: nums[1]}, nums[2]
 		}
-		return query.NearPoint(geo.Pt(nums[0], nums[1]), nums[2]), nil
 	case "window":
-		nums, err := p.parenNumbers(4)
-		if err != nil {
-			return nil, err
+		var nums []float64
+		if nums, err = p.parenNumbers(4); err == nil {
+			r := geo.NewRect(geo.Pt(nums[0], nums[1]), geo.Pt(nums[2], nums[3]))
+			q.Window = &r
 		}
-		return query.InWindow(geo.NewRect(geo.Pt(nums[0], nums[1]), geo.Pt(nums[2], nums[3]))), nil
+	default:
+		return fmt.Errorf("lang: unknown predicate %q at offset %d", t.text, t.pos)
 	}
-	return nil, fmt.Errorf("lang: unknown predicate %q at offset %d", t.text, t.pos)
+	return err
 }
 
 // parenNumbers parses "(" NUM { "," NUM } ")" with exactly n numbers.

@@ -256,7 +256,8 @@ func TestParseQuery(t *testing.T) {
 // counts rise exactly as semitri_query_total does.
 func TestEveryExecuteRecordsLatency(t *testing.T) {
 	e := seedEngine(t)
-	q := query.MustBuild(query.OnlyStops())
+	stop := episode.Stop
+	q := query.Query{Kind: &stop}
 	total := func() int64 {
 		var n int64
 		for _, c := range obs.QueryByPath {

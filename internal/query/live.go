@@ -232,6 +232,7 @@ type Notification struct {
 type Standing struct {
 	live *Live
 	q    Query
+	f    form
 
 	mu      sync.Mutex
 	matched map[store.TupleRef]bool
@@ -261,19 +262,21 @@ var ErrLiveClosed = errors.New("query: live dispatcher is closed")
 // post-hoc engine query; a subscription created mid-ingestion converges as
 // refs are next touched.
 func (l *Live) Register(q Query, buffer int) (*Standing, error) {
-	if err := q.Validate(); err != nil {
+	f, err := compile(q)
+	if err != nil {
 		return nil, err
 	}
-	if q.Limit != 0 {
+	if f.limit != 0 {
 		return nil, ErrStandingLimit
 	}
 	if buffer <= 0 {
 		buffer = DefaultSubscriberBuffer
 	}
-	q = q.normalized()
+	q.Interpretation = f.interp
 	s := &Standing{
 		live:    l,
 		q:       q,
+		f:       f,
 		matched: map[store.TupleRef]bool{},
 		byKey:   map[stKey][]store.TupleRef{},
 		bus:     obs.NewBus[Notification](nil),
@@ -311,7 +314,7 @@ func (s *Standing) apply(ev tapEvent) {
 	}
 	for i := range ev.events {
 		e := &ev.events[i]
-		ok := s.q.matches(e.Ref, &e.Tuple)
+		ok := s.f.admits(e.Ref, &e.Tuple)
 		was := s.matched[e.Ref]
 		switch {
 		case ok && !was:

@@ -176,7 +176,7 @@ func TestStandingDropsStayGenuine(t *testing.T) {
 			continue
 		}
 		tp := n.Match.Tuple
-		if !qq.matches(n.Match.Ref, &tp) {
+		if !bruteMatches(qq, stored{ref: n.Match.Ref, tp: &tp}) {
 			t.Fatalf("delivered %s notification does not satisfy the predicate: %+v", n.Kind, n.Match.Ref)
 		}
 	}

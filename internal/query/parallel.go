@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 
 	"semitri/internal/core"
-	"semitri/internal/episode"
 	"semitri/internal/obs"
 	"semitri/internal/store"
 )
@@ -173,7 +172,7 @@ func chunkBounds(refs []store.TupleRef, chunks int) []int {
 // worker that completes a chunk checks whether the complete prefix of chunks
 // already covers the limit — if so it raises stop, and the chunks still
 // resolving (whose output the merge would discard) are abandoned mid-flight.
-func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, workers int) []Match {
+func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, out []Match, workers int) []Match {
 	bounds := chunkBounds(refs, workers)
 	n := len(bounds) - 1
 	outs := make([][]Match, n)
@@ -186,9 +185,9 @@ func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, w
 	)
 	fanOut(workers, n, func(_, ci int) bool {
 		sc := getScratch()
-		outs[ci] = e.resolveChunk(q, refs[bounds[ci]:bounds[ci+1]], nil, sc, &stop)
+		outs[ci] = e.resolveChunk(f, refs[bounds[ci]:bounds[ci+1]], nil, sc, &stop)
 		putScratch(sc)
-		if q.Limit <= 0 {
+		if f.limit <= 0 {
 			return true
 		}
 		mu.Lock()
@@ -198,7 +197,7 @@ func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, w
 			prefix += len(outs[filled])
 			filled++
 		}
-		if prefix >= q.Limit {
+		if prefix >= f.limit {
 			stop.Store(true)
 			return false
 		}
@@ -206,8 +205,8 @@ func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, w
 	})
 	for _, chunk := range outs {
 		out = append(out, chunk...)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			out = out[:q.Limit]
+		if f.limit > 0 && len(out) >= f.limit {
+			out = out[:f.limit]
 			break
 		}
 	}
@@ -227,8 +226,8 @@ func (e *Engine) resolveParallel(q *Query, refs []store.TupleRef, out []Match, w
 // heap prefixes, so a freeze racing the scan can duplicate a tuple (same
 // logical ref from both sides) but never hide one; the caller's post-sort
 // dedup collapses the duplicates.
-func (e *Engine) scanMatches(q *Query, out []Match, maxWorkers int, tr *Trace) []Match {
-	segs := e.pruneSegments(q, tr)
+func (e *Engine) scanMatches(f *form, out []Match, maxWorkers int, tr *Trace) []Match {
+	segs := e.pruneSegments(f, tr)
 	units := e.st.ShardCount() + len(segs)
 	workers := min(e.workersFor(int(e.total.Load()), maxWorkers), units)
 	outs := make([][]Match, workers)
@@ -238,7 +237,7 @@ func (e *Engine) scanMatches(q *Query, out []Match, maxWorkers int, tr *Trace) [
 	visits := make([]func(store.TupleRef, core.EpisodeTuple) bool, workers)
 	for w := range visits {
 		visits[w] = func(ref store.TupleRef, t core.EpisodeTuple) bool {
-			if q.matches(ref, &t) {
+			if f.admits(ref, &t) {
 				outs[w] = append(outs[w], Match{Ref: ref, Tuple: t})
 			}
 			return true
@@ -246,9 +245,9 @@ func (e *Engine) scanMatches(q *Query, out []Match, maxWorkers int, tr *Trace) [
 	}
 	fanOut(workers, units, func(w, u int) bool {
 		if u < len(segs) {
-			e.st.VisitColdSegmentTuples(segs[u], q.Interpretation, visits[w])
+			e.st.VisitColdSegmentTuples(segs[u], f.interp, visits[w])
 		} else {
-			e.st.VisitShardTuples(u-len(segs), q.Interpretation, visits[w])
+			e.st.VisitShardTuples(u-len(segs), f.interp, visits[w])
 		}
 		return true
 	})
@@ -259,20 +258,20 @@ func (e *Engine) scanMatches(q *Query, out []Match, maxWorkers int, tr *Trace) [
 	return out
 }
 
-// pruneSegments returns the indexes of the cold segments a scan of q must
-// visit: a segment is skipped only when its footer summary proves no tuple
-// inside can match. Untiered stores return nil. Every rule errs open — a
-// kept segment costs a decode, a wrongly pruned one costs correctness. Each
-// prune bumps the per-rule metric, and tr (when non-nil) records every
-// decision for EXPLAIN ANALYZE.
-func (e *Engine) pruneSegments(q *Query, tr *Trace) []int {
+// pruneSegments returns the indexes of the cold segments a scan of f must
+// visit: a segment is skipped only when the footer check proves no tuple
+// inside can match. Untiered stores return nil. Each prune bumps the
+// per-rule metric, and tr (when non-nil) records every decision for EXPLAIN
+// ANALYZE.
+func (e *Engine) pruneSegments(f *form, tr *Trace) []int {
 	sums := e.st.ColdSummaries(nil)
 	if len(sums) == 0 {
 		return nil
 	}
+	overlay := e.st.OverlayCount() > 0
 	segs := make([]int, 0, len(sums))
 	for i := range sums {
-		ok, rule := e.segmentCanMatch(q, &sums[i])
+		ok, rule := f.summaryAdmits(&sums[i], overlay)
 		if ok {
 			segs = append(segs, i)
 		} else {
@@ -283,50 +282,4 @@ func (e *Engine) pruneSegments(q *Query, tr *Trace) []int {
 		}
 	}
 	return segs
-}
-
-// segmentCanMatch reports whether a segment's footer summary admits any
-// match for q; when it does not, rule names the refuting footer rule (one of
-// obs.PruneRules).
-func (e *Engine) segmentCanMatch(q *Query, s *store.SegmentSummary) (bool, string) {
-	if q.Interpretation != "" && s.Tuples[q.Interpretation] == 0 {
-		return false, "interpretation"
-	}
-	if q.Kind != nil {
-		if *q.Kind == episode.Stop && s.Stops == 0 {
-			return false, "kind"
-		}
-		if *q.Kind == episode.Move && s.Moves == 0 {
-			return false, "kind"
-		}
-	}
-	// Time-span overlap. The footer folds zero TimeIns into TimeMin, so a
-	// segment holding untimed tuples is never pruned by an upper bound; a
-	// zero TimeOut keeps the tuple unmatched by any From filter, exactly as
-	// the per-tuple check would decide.
-	if !q.To.IsZero() && s.TimeMin.After(q.To) {
-		return false, "time-span"
-	}
-	if !q.From.IsZero() && s.TimeMax.Before(q.From) {
-		return false, "time-span"
-	}
-	if q.ObjectID != "" && !s.Objects.MayContain(q.ObjectID) {
-		return false, "object-bloom"
-	}
-	// An empty AnnValue asks for tuples *without* the key, which the key
-	// cardinality cannot refute. A live merge overlay can add keys the
-	// footer never counted, so the rule only applies when no overlay exists.
-	if q.AnnKey != "" && q.AnnValue != "" && s.AnnKeys[q.AnnKey] == 0 &&
-		e.st.OverlayCount() == 0 {
-		return false, "annotation-key"
-	}
-	if q.Window != nil || q.Near != nil {
-		if s.GeomCount == 0 {
-			return false, "no-geometry" // spatial predicates only match episode-backed tuples
-		}
-		if !q.spatialRect().Intersects(s.GeomBounds) {
-			return false, "bbox"
-		}
-	}
-	return true, ""
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"semitri/internal/episode"
 	"semitri/internal/segment"
 	"semitri/internal/store"
 )
@@ -44,13 +45,13 @@ func TestParallelDeterminism(t *testing.T) {
 
 	joins := []Join{
 		{
-			Left:  MustBuild(OnlyStops()),
-			Right: MustBuild(OnlyStops()),
+			Left:  Query{Kind: ptr(episode.Stop)},
+			Right: Query{Kind: ptr(episode.Stop)},
 			On:    JoinOn{Within: time.Hour, MaxDistance: 400, DistinctObjects: true},
 		},
 		{
-			Left:  MustBuild(),
-			Right: MustBuild(OnlyMoves()),
+			Left:  Query{},
+			Right: Query{Kind: ptr(episode.Move)},
 			On:    JoinOn{TimeOverlap: true, SameObject: true},
 			Limit: 20,
 		},

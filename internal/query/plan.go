@@ -87,11 +87,11 @@ var rankedPaths = [numPaths]Path{PathTrajectory, PathAnnotation, PathObjectTime,
 
 // Explain plans the query without executing it.
 func (e *Engine) Explain(q Query) (Plan, error) {
-	q = q.normalized()
-	if err := q.Validate(); err != nil {
+	f, err := compile(q)
+	if err != nil {
 		return Plan{}, err
 	}
-	return e.plan(&q), nil
+	return e.plan(&f), nil
 }
 
 // estimates holds per-path candidate-count estimates in fixed rank-indexed
@@ -101,50 +101,42 @@ type estimates struct {
 	avail [numPaths]bool
 }
 
-// estimatePaths fills est with the candidate-count estimate of every path the
-// query's predicates make available. Estimates read per-shard index
-// cardinalities (posting list lengths, binary-searched window prefixes, the
-// forests' leaf counts) — never a data scan. q is normalized and valid.
-func (e *Engine) estimatePaths(q *Query, est *estimates) {
+// estimatePaths fills est with the candidate-count estimate of every path
+// f's clauses make available. Estimates read per-shard index cardinalities
+// (posting list lengths, binary-searched time prefixes, the forests' leaf
+// counts) — never a data scan.
+func (e *Engine) estimatePaths(f *form, est *estimates) {
 	*est = estimates{}
-	if q.TrajectoryID != "" {
-		est.set(PathTrajectory, e.st.TupleCount(q.TrajectoryID, q.Interpretation))
+	if f.traj != "" {
+		est.set(PathTrajectory, e.st.TupleCount(f.traj, f.interp))
 	}
-	if q.AnnKey != "" && q.AnnValue != "" {
-		k := annKey{interp: q.Interpretation, key: q.AnnKey, value: q.AnnValue}
+	if a, ok := f.indexedAnn(); ok {
+		k := annKey{interp: f.interp, key: a.key, value: a.value}
 		sh := e.annShardFor(k)
 		sh.mu.RLock()
 		est.set(PathAnnotation, len(sh.ann[k]))
 		sh.mu.RUnlock()
 	}
-	if q.ObjectID != "" {
-		sh := e.objShardFor(q.ObjectID)
+	if f.object != "" {
+		sh := e.objShardFor(f.object)
 		sh.mu.RLock()
-		posted := sh.objects[q.ObjectID]
-		lo, hi := 0, len(posted)
-		if !q.To.IsZero() {
-			to := stampOf(q.To)
-			hi = sort.Search(len(posted), func(i int) bool { return to.before(posted[i].timeIn()) })
-		}
-		if !q.From.IsZero() {
-			// TimeIn is sorted; postings whose TimeIn is already past From
-			// certainly overlap on that side. Earlier ones may still overlap
-			// via TimeOut, so this bound only sharpens the estimate, not the
-			// gather (which filters on TimeOut exactly).
-			from := stampOf(q.From)
-			lo = sort.Search(hi, func(i int) bool { return !posted[i].timeIn().before(from) })
-			lo = lo / 2 // split the difference on the straddling prefix
-		}
+		posted := sh.objects[f.object]
+		hi := sort.Search(len(posted), func(i int) bool { return f.hi.before(posted[i].timeIn()) })
+		// TimeIn is sorted; postings whose TimeIn is already at or past lo
+		// certainly meet that half-bound. Earlier ones may still meet it via
+		// TimeOut, so this bound only sharpens the estimate, not the gather
+		// (which filters on TimeOut exactly).
+		lo := sort.Search(hi, func(i int) bool { return !posted[i].timeIn().before(f.lo) })
+		lo /= 2 // split the difference on the straddling prefix
 		sh.mu.RUnlock()
 		est.set(PathObjectTime, hi-lo)
 	}
-	if q.Window != nil || q.Near != nil {
-		rect := q.spatialRect()
+	if f.spatial() {
 		n := 0
 		e.spatial.mu.RLock()
-		for _, part := range e.spatial.parts[q.Interpretation] {
-			if q.Kind == nil || part.kind == *q.Kind {
-				n += part.rects.EstimateWithin(rect)
+		for _, part := range e.spatial.parts[f.interp] {
+			if f.kinds&kindBit(part.kind) != 0 {
+				n += part.rects.EstimateWithin(f.gather)
 			}
 		}
 		e.spatial.mu.RUnlock()
@@ -173,9 +165,9 @@ func (est *estimates) best() Path {
 }
 
 // plan ranks the available access paths by estimated candidate count and
-// picks the cheapest. q is normalized and valid.
-func (e *Engine) plan(q *Query) (p Plan) {
-	e.estimatePaths(q, &p.est)
+// picks the cheapest.
+func (e *Engine) plan(f *form) (p Plan) {
+	e.estimatePaths(f, &p.est)
 	p.Path = p.est.best()
 	return p
 }

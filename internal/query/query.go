@@ -75,14 +75,6 @@ type Query struct {
 	Limit int
 }
 
-// normalized returns the query with defaults applied.
-func (q Query) normalized() Query {
-	if q.Interpretation == "" {
-		q.Interpretation = DefaultInterpretation
-	}
-	return q
-}
-
 // Validate checks the structural invariants of the query.
 func (q Query) Validate() error {
 	if q.Near != nil && q.Radius <= 0 {
@@ -116,45 +108,6 @@ func (q Query) Validate() error {
 
 // finite reports whether f is neither NaN nor ±Inf.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// matches reports whether a tuple (resolved from the store at ref) satisfies
-// every predicate of the (normalized) query. This runs on every candidate an
-// access path nominates, so results are correct regardless of which path the
-// planner picked.
-func (q *Query) matches(ref store.TupleRef, tp *core.EpisodeTuple) bool {
-	if ref.Interpretation != q.Interpretation {
-		return false
-	}
-	if q.ObjectID != "" && ref.ObjectID != q.ObjectID {
-		return false
-	}
-	if q.TrajectoryID != "" && ref.TrajectoryID != q.TrajectoryID {
-		return false
-	}
-	if q.Kind != nil && tp.Kind != *q.Kind {
-		return false
-	}
-	if !q.From.IsZero() && tp.TimeOut.Before(q.From) {
-		return false
-	}
-	if !q.To.IsZero() && tp.TimeIn.After(q.To) {
-		return false
-	}
-	if q.AnnKey != "" && tp.Annotations.Value(q.AnnKey) != q.AnnValue {
-		return false
-	}
-	if q.Window != nil {
-		if tp.Episode == nil || !tp.Episode.Bounds.Intersects(*q.Window) {
-			return false
-		}
-	}
-	if q.Near != nil {
-		if tp.Episode == nil || tp.Episode.Center.DistanceTo(*q.Near) > q.Radius {
-			return false
-		}
-	}
-	return true
-}
 
 // Match is one query result: the ref locating the tuple in the store plus a
 // stable copy of the tuple taken under the store's stripe lock at resolution

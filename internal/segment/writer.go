@@ -3,7 +3,6 @@ package segment
 import (
 	"bufio"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -11,11 +10,6 @@ import (
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
-
-// crcTable matches the WAL's frame checksum polynomial (Castagnoli); the
-// footer frame is framed here directly, data frames go through
-// wal.AppendMutationFrame.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer streams one segment file: data frames appended mutation by
 // mutation, then a footer built from the run metadata accumulated along the
@@ -137,20 +131,10 @@ func (w *Writer) finish() error {
 	for obj := range w.objects {
 		s.Objects.Add(obj)
 	}
-	payload := encodeFooter(&w.foot)
-	var hdr [wal.FrameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], uint32(wal.FrameHeaderSize+len(payload)))
-	copy(trailer[4:8], trailerMagic[:])
-	if _, err := w.bw.Write(trailer[:]); err != nil {
+	w.buf = wal.AppendFrame(w.buf[:0], encodeFooter(&w.foot))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(w.buf)))
+	w.buf = append(w.buf, trailerMagic[:]...)
+	if _, err := w.bw.Write(w.buf); err != nil {
 		return err
 	}
 	if err := w.bw.Flush(); err != nil {

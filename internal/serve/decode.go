@@ -137,8 +137,7 @@ func (d *decoder) floatGroup(names ...string) (map[string]float64, bool) {
 	return out, true
 }
 
-// decodeQuery maps URL parameters onto a validated query.Query through the
-// query package's builder:
+// decodeQuery maps URL parameters onto a validated query.Query:
 //
 //	object, trajectory, interpretation, kind=stop|move, limit
 //	from, to            RFC 3339 timestamps (closed window, open sides)
@@ -146,48 +145,34 @@ func (d *decoder) floatGroup(names ...string) (map[string]float64, bool) {
 //	minx,miny,maxx,maxy spatial window over episode geometry
 //	nearx,neary,radius  radius (metres) around a point
 func decodeQuery(d *decoder) (query.Query, error) {
-	var opts []query.Option
-	if v := d.str("object"); v != "" {
-		opts = append(opts, query.ForObject(v))
-	}
-	if v := d.str("trajectory"); v != "" {
-		opts = append(opts, query.ForTrajectory(v))
-	}
-	if v := d.str("interpretation"); v != "" {
-		opts = append(opts, query.InInterpretation(v))
-	}
-	if k := d.kindVal("kind"); k != nil {
-		opts = append(opts, query.OfKind(*k))
-	}
-	if ts := d.timeVal("from"); !ts.IsZero() {
-		opts = append(opts, query.Since(ts))
-	}
-	if ts := d.timeVal("to"); !ts.IsZero() {
-		opts = append(opts, query.Until(ts))
+	q := query.Query{
+		ObjectID:       d.str("object"),
+		TrajectoryID:   d.str("trajectory"),
+		Interpretation: d.str("interpretation"),
+		Kind:           d.kindVal("kind"),
+		From:           d.timeVal("from"),
+		To:             d.timeVal("to"),
 	}
 	if ann := d.str("ann"); ann != "" {
 		key, value, ok := strings.Cut(ann, "=")
 		if !ok || key == "" {
 			d.fail("ann must be key=value, got %q", ann)
-		} else {
-			opts = append(opts, query.WithAnnotation(key, value))
 		}
+		q.AnnKey, q.AnnValue = key, value
 	}
 	if k := d.str("annkey"); k != "" {
-		opts = append(opts, query.WithAnnotation(k, d.str("annvalue")))
+		q.AnnKey, q.AnnValue = k, d.str("annvalue")
 	}
 	if w, ok := d.floatGroup("minx", "miny", "maxx", "maxy"); ok {
-		opts = append(opts, query.InWindow(
-			geo.NewRect(geo.Pt(w["minx"], w["miny"]), geo.Pt(w["maxx"], w["maxy"]))))
+		r := geo.NewRect(geo.Pt(w["minx"], w["miny"]), geo.Pt(w["maxx"], w["maxy"]))
+		q.Window = &r
 	}
 	if n, ok := d.floatGroup("nearx", "neary", "radius"); ok {
-		opts = append(opts, query.NearPoint(geo.Pt(n["nearx"], n["neary"]), n["radius"]))
+		q.Near, q.Radius = &geo.Point{X: n["nearx"], Y: n["neary"]}, n["radius"]
 	}
-	if limit := d.intVal("limit"); limit != 0 {
-		opts = append(opts, query.WithLimit(limit))
-	}
+	q.Limit = d.intVal("limit")
 	if err := d.Err(); err != nil {
 		return query.Query{}, err
 	}
-	return query.Build(opts...)
+	return q, q.Validate()
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"semitri"
+	"semitri/internal/episode"
 	"semitri/internal/query"
 	"semitri/internal/workload"
 )
@@ -171,9 +172,10 @@ func TestRelationalEndpoint(t *testing.T) {
 	if !strings.Contains(plan, "build=") || !strings.Contains(plan, "probe=") {
 		t.Fatalf("join plan not echoed: %q", plan)
 	}
+	stop := episode.Stop
 	want, err := engine.ExecuteJoin(query.Join{
-		Left:  query.MustBuild(query.OnlyStops()),
-		Right: query.MustBuild(query.OnlyStops()),
+		Left:  query.Query{Kind: &stop},
+		Right: query.Query{Kind: &stop},
 		On:    query.JoinOn{MaxDistance: 200, Within: time.Hour, DistinctObjects: true},
 	})
 	if err != nil {

@@ -23,18 +23,26 @@ const MaxFramePayload = maxFrame
 // ErrFrame reports a frame whose header or checksum does not hold together.
 var ErrFrame = errors.New("wal: invalid frame")
 
-// AppendMutationFrame appends one framed mutation — header plus payload — to
-// buf and returns the extended buffer. It is the one frame builder, the log's
-// and the segment writer's, so frames built here replay through the same
-// decoder. The header is reserved, the payload encoded behind it and the
-// header filled in place.
+// AppendFrame appends one frame — the [length][CRC] header, then payload —
+// to buf and returns the extended buffer. It is the one framing routine of
+// both on-disk formats: the log's and the segment's mutation frames go
+// through AppendMutationFrame, the segment footer through this directly.
+func AppendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, frameCRC(payload))
+	return append(buf, payload...)
+}
+
+// AppendMutationFrame appends one framed mutation to buf and returns the
+// extended buffer: AppendFrame over the mutation's encoding, so frames built
+// here replay through the same decoder. The payload is encoded behind room
+// left for the header; AppendFrame then writes the header into that room
+// and the payload onto itself, so no second buffer is needed.
 func AppendMutationFrame(buf []byte, m store.Mutation) []byte {
 	at := len(buf)
 	e := encoder{b: append(buf, make([]byte, frameHeaderSize)...)}
 	encodeMutation(&e, m)
-	payload := e.b[at+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(e.b[at:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e.b[at+4:], frameCRC(payload))
+	AppendFrame(e.b[:at], e.b[at+frameHeaderSize:])
 	return e.b
 }
 

@@ -141,9 +141,10 @@ func BenchmarkGateJoinSpeedup(b *testing.B) {
 	if _, err := p.ProcessRecords(benchPeople(b, 24, 2, benchEnv(b).Seed+31)); err != nil {
 		b.Fatal(err)
 	}
+	stop := episode.Stop
 	join := query.Join{
-		Left:  query.MustBuild(query.OnlyStops()),
-		Right: query.MustBuild(query.OnlyStops()),
+		Left:  query.Query{Kind: &stop},
+		Right: query.Query{Kind: &stop},
 		On:    query.JoinOn{Within: time.Hour, MaxDistance: 200, DistinctObjects: true},
 	}
 	setWorkers := func(on bool) {

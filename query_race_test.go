@@ -133,10 +133,8 @@ func TestConcurrentQueryIngest(t *testing.T) {
 		go func(g int) {
 			defer readers.Done()
 			qs := raceQueries(objects, base)
-			saleStops := query.MustBuild(
-				query.OnlyStops(),
-				query.WithAnnotation(core.AnnPOICategory, "item sale"),
-			)
+			stop := episode.Stop
+			saleStops := query.Query{Kind: &stop, AnnKey: core.AnnPOICategory, AnnValue: "item sale"}
 			for i := 0; ; i++ {
 				// Exit once ingestion finished — but never before completing
 				// one full pass over the query mix: on a slow machine the
@@ -282,11 +280,11 @@ func TestQueryEngineLazyAttach(t *testing.T) {
 		t.Fatalf("backfill indexed nothing: %+v", stats)
 	}
 	// The backfilled engine answers the typed equivalent identically.
-	ms, err := engine.Execute(query.MustBuild(
-		query.OnlyStops(),
-		query.InInterpretation("merged"),
-		query.WithAnnotation(core.AnnPOICategory, "item sale"),
-	))
+	stop := episode.Stop
+	ms, err := engine.Execute(query.Query{
+		Kind: &stop, Interpretation: "merged",
+		AnnKey: core.AnnPOICategory, AnnValue: "item sale",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,8 @@ func TestConcurrentRelationalIngest(t *testing.T) {
 	// store: both sides are stop matches (no phantoms, no torn tuples) and
 	// the pair predicate held on the returned copies.
 	st := pipeline.Store()
-	side := query.MustBuild(query.OnlyStops())
+	stop := episode.Stop
+	side := query.Query{Kind: &stop}
 	for i := range colocSeen {
 		p := &colocSeen[i]
 		verifyMatch(t, st, side, p.Left)
