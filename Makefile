@@ -11,11 +11,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-# The cold-read path with mmap compiled out: on platforms without mmap the
-# pread fallback is the only way a durable store reads frozen data, so the
-# packages that read it run once with the fallback forced on.
+# The file reader with mmap compiled out: on platforms without mmap the
+# pread fallback is the only way a durable store reads frozen data and
+# replays its log, so the packages that read them run once with the
+# fallback forced on.
 test-nommap:
-	$(GO) test -tags semitri_nommap ./internal/segment/ ./internal/query/ .
+	$(GO) test -tags semitri_nommap ./internal/wal/ ./internal/segment/ ./internal/query/ .
 
 # Local, uncached race-detector pass focused on the concurrency surface (CI
 # runs no separate job for it: build-and-test already runs every one of
@@ -52,15 +53,17 @@ race:
 # semantics: its tuple check with a reference evaluation, the footer check
 # and every access path never drop an admitted tuple, and the conjunction
 # of two forms (and of a form with a join row's pins) is exact.
+# Every target bounds the minimisation of each new input to 1s: Go's
+# default budget is 60s, during which the target runs no new inputs at all.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime $(FUZZTIME) ./internal/wal
-	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZTIME) ./internal/wal
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFooter$$' -fuzztime $(FUZZTIME) ./internal/segment
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/gps
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/lang
-	$(GO) test -run '^$$' -fuzz '^FuzzQueryForm$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzEpisodesQuery$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFooter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/gps
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/query/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryForm$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/query
 
 # Full benchmark run (the paper's tables/figures print under -v). Includes
 # the spatial-layer lookup micro-benchmarks (BenchmarkRegionLookup,
@@ -116,7 +119,7 @@ fmt:
 smoke:
 	./scripts/smoke.sh $(LEG)
 
-# What CI runs: build, lint, tests (race, then the no-mmap cold-read path),
+# What CI runs: build, lint, tests (race, then the no-mmap file reader),
 # the fuzz targets for 10s each, the nested benchmark module, the bench
 # smoke pass with its gates and the end-to-end smoke legs.
 ci: build lint test test-nommap fuzz bench-module bench-smoke smoke

@@ -333,9 +333,8 @@ func TestWALPrefixesKeepTrajectoryRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const logHeader = 8 // magic + format version
-	cuts := []int{logHeader}
-	for off := logHeader; off < len(data); {
+	cuts := []int{wal.FileHeaderSize}
+	for off := wal.FileHeaderSize; off < len(data); {
 		_, n, err := wal.ParseFrame(data[off:])
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)

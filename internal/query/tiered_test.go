@@ -36,15 +36,35 @@ func cloneTuple(tp *core.EpisodeTuple) *core.EpisodeTuple {
 	return &cp
 }
 
+// inUTC returns a copy of tp with its times in UTC, as a segment restores
+// them.
+func inUTC(tp *core.EpisodeTuple) *core.EpisodeTuple {
+	cp := cloneTuple(tp)
+	cp.TimeIn, cp.TimeOut = cp.TimeIn.UTC(), cp.TimeOut.UTC()
+	if cp.Episode != nil {
+		cp.Episode.Start, cp.Episode.End = cp.Episode.Start.UTC(), cp.Episode.End.UTC()
+	}
+	return cp
+}
+
 // TestTieredEngineMatchesHeap replays one workload into an all-heap store
 // and into a tiered store with random freeze points, merges annotations into
 // frozen and hot tuples on both, then checks that every random query returns
-// reflect.DeepEqual answers at workers 1, 2, 4 and 8.
+// reflect.DeepEqual answers at workers 1, 2, 4 and 8. The workload includes
+// the far object, whose times lie outside the years UnixNano can represent,
+// so segments holding them must keep exact time spans in their footers.
 func TestTieredEngineMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	heap := store.NewSharded(8)
 	heapEng := NewEngine(heap)
 	all := populate(t, heap, 42, 6, 3, 12)
+	for _, s := range populateFar(t, store.New()) {
+		tp := inUTC(s.tp)
+		if err := heap.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID, s.ref.Interpretation, tp); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, stored{ref: s.ref, tp: tp})
+	}
 
 	tiered, tier, _, err := segment.Recover(t.TempDir(), 8)
 	if err != nil {
@@ -107,6 +127,43 @@ func TestTieredEngineMatchesHeap(t *testing.T) {
 					i, q, w, len(want), len(got))
 			}
 		}
+	}
+}
+
+// TestTieredUntimedTupleNotPruned freezes an untimed stop followed by a stop
+// at t0 into one segment: the segment's time span must start at the zero
+// time, so a window ending before t0 still finds the untimed stop in the
+// frozen tier, as it does in the heap.
+func TestTieredUntimedTupleNotPruned(t *testing.T) {
+	heap := store.New()
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	untimed := mkTuple(episode.Stop, time.Time{}, t0, geo.Pt(10, 10))
+	timed := mkTuple(episode.Stop, t0, t0.Add(time.Hour), geo.Pt(20, 20))
+	for _, st := range []*store.Store{heap, tiered} {
+		for _, tp := range []*core.EpisodeTuple{untimed, timed} {
+			if err := st.AppendStructuredTuples("u-T0", "u", DefaultInterpretation, cloneTuple(tp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tier.Freeze(tiered); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{To: t0.Add(-time.Hour)}
+	want, err := NewEngine(heap).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewEngine(tiered).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("window ending before t0: heap %d matches, tiered %d, want 1 from each", len(want), len(got))
 	}
 }
 

@@ -2,9 +2,12 @@
 // binary segment files holding frozen heap tails, plus the Tier that serves
 // them back through store.ColdTier.
 //
-// A segment file reuses the WAL's wire format for its body — the same varint
-// mutation codec, the same [u32 length][u32 CRC-32C][payload] framing — so
-// the two on-disk formats share one codec and cannot drift apart:
+// A segment file is written and read entirely through the WAL's byte layer
+// (internal/wal, frame.go): one codec for the data frames and the footer,
+// one [u32 length][u32 CRC-32C][payload] frame checked by wal.ParseFrame,
+// one frame reader (wal.Blob: a memory map, or pread under
+// semitri_nommap), one file header — so the two on-disk formats cannot
+// drift apart:
 //
 //	[8-byte header: magic "STSG" + u32 version]
 //	[data frame]*          one framed Mutation per emitted run
@@ -17,31 +20,30 @@
 // decoding the body — per-run directory entries (key, positional range, frame
 // offset) and the planner summary (time span, kind counts, per-interpretation
 // tuple counts, annotation-key cardinalities, geometry bounds, an object
-// bloom filter). Data frames decode lazily, one run at a time.
+// bloom filter), at footer version 2. Data frames decode lazily, one run at
+// a time.
 package segment
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"time"
+	"maps"
+	"slices"
 
-	"semitri/internal/geo"
 	"semitri/internal/store"
+	"semitri/internal/wal"
 )
 
 const (
 	filePrefix = "seg-"
 	fileSuffix = ".seg"
-	// headerSize is the file header: 4-byte magic + u32 format version.
-	headerSize = 8
 	// trailerSize is the fixed tail: u32 footer frame size + 4-byte magic.
 	trailerSize = 8
-	// footerVersion versions the footer payload independently of the frame
-	// codec.
-	footerVersion = 1
+	// footerVersion versions the footer payload independently of the file.
+	// Version 2 writes its times in the codec's seconds + nanoseconds
+	// (version 1 wrote UnixNano, which wraps outside 1678–2262); footers at
+	// another version are refused, not read.
+	footerVersion = 2
 )
 
 var (
@@ -62,11 +64,6 @@ var ErrCorrupt = errors.New("segment: corrupt segment file")
 
 func corruptf(path, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", ErrCorrupt, path, fmt.Sprintf(format, args...))
-}
-
-// fileName returns the segment file name for a sequence number.
-func fileName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", filePrefix, seq, fileSuffix)
 }
 
 // RunMeta is one footer directory entry: which run the data frame at Off
@@ -96,212 +93,98 @@ func isTupleRun(op store.MutationOp) bool {
 	return op == store.MutPutStructured || op == store.MutAppendTuples
 }
 
-// appendString appends a uvarint-length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// appendTime appends a time as a presence flag plus varint UnixNano; the
-// zero time round-trips exactly.
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return binary.AppendVarint(b, t.UnixNano())
-}
-
-// appendU64 appends a fixed-width little-endian u64 (float bits, bloom words).
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-// appendCountMap appends a string→int map with sorted keys, so footer bytes
-// are deterministic.
-func appendCountMap(b []byte, m map[string]int) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = appendString(b, k)
-		b = binary.AppendUvarint(b, uint64(m[k]))
-	}
-	return b
-}
-
-// encodeFooter serialises a footer into its frame payload.
+// encodeFooter serialises a footer into its frame payload through the WAL
+// codec's primitives. Count maps are written with sorted keys, so footer
+// bytes are deterministic.
 func encodeFooter(f *Footer) []byte {
+	var e wal.Encoder
 	s := &f.Summary
-	b := make([]byte, 0, 256+32*len(f.Runs))
-	b = append(b, footerVersion)
-	b = appendTime(b, s.TimeMin)
-	b = appendTime(b, s.TimeMax)
-	b = binary.AppendUvarint(b, uint64(s.Stops))
-	b = binary.AppendUvarint(b, uint64(s.Moves))
-	b = appendCountMap(b, s.Tuples)
-	b = appendCountMap(b, s.AnnKeys)
-	b = binary.AppendUvarint(b, uint64(s.GeomCount))
+	e.U8(footerVersion)
+	e.Time(s.TimeMin)
+	e.Time(s.TimeMax)
+	e.Uv(uint64(s.Stops))
+	e.Uv(uint64(s.Moves))
+	for _, m := range []map[string]int{s.Tuples, s.AnnKeys} {
+		e.Uv(uint64(len(m)))
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			e.Str(k)
+			e.Uv(uint64(m[k]))
+		}
+	}
+	e.Uv(uint64(s.GeomCount))
 	if s.GeomCount > 0 {
-		b = appendU64(b, math.Float64bits(s.GeomBounds.Min.X))
-		b = appendU64(b, math.Float64bits(s.GeomBounds.Min.Y))
-		b = appendU64(b, math.Float64bits(s.GeomBounds.Max.X))
-		b = appendU64(b, math.Float64bits(s.GeomBounds.Max.Y))
+		e.Rect(s.GeomBounds)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Objects.Bits)))
+	e.Uv(uint64(len(s.Objects.Bits)))
 	for _, w := range s.Objects.Bits {
-		b = appendU64(b, w)
+		e.U64(w)
 	}
-	b = binary.AppendUvarint(b, uint64(len(f.Runs)))
+	e.Uv(uint64(len(f.Runs)))
 	for i := range f.Runs {
 		r := &f.Runs[i]
-		b = append(b, byte(r.Op))
-		b = appendString(b, r.Object)
-		b = appendString(b, r.Traj)
-		b = appendString(b, r.Interp)
-		b = binary.AppendUvarint(b, uint64(r.Start))
-		b = binary.AppendUvarint(b, uint64(r.Count))
-		b = binary.AppendUvarint(b, uint64(r.Stops))
-		b = binary.AppendUvarint(b, uint64(r.Off))
+		e.U8(byte(r.Op))
+		e.Str(r.Object)
+		e.Str(r.Traj)
+		e.Str(r.Interp)
+		e.Uv(uint64(r.Start))
+		e.Uv(uint64(r.Count))
+		e.Uv(uint64(r.Stops))
+		e.Uv(uint64(r.Off))
 	}
-	return b
+	return e.Bytes()
 }
 
-// footerDecoder cursors through a footer payload; any malformed read trips
-// err and subsequent reads return zero values, so decodeFooter checks once.
-type footerDecoder struct {
-	b   []byte
-	err bool
-}
-
-func (d *footerDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *footerDecoder) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *footerDecoder) byte() byte {
-	if len(d.b) < 1 {
-		d.err = true
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *footerDecoder) u64() uint64 {
-	if len(d.b) < 8 {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-// maxFooterSeq bounds any single decoded sequence length against the payload
-// size, so a corrupt count cannot drive allocation.
-func (d *footerDecoder) count() int {
-	n := d.uvarint()
-	if n > uint64(len(d.b))+1 {
-		d.err = true
-		return 0
-	}
-	return int(n)
-}
-
-func (d *footerDecoder) string() string {
-	n := d.count()
-	if d.err || len(d.b) < n {
-		d.err = true
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *footerDecoder) time() time.Time {
-	if d.byte() == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, d.varint()).UTC()
-}
-
-func (d *footerDecoder) countMap() map[string]int {
-	n := d.count()
-	m := make(map[string]int, n)
-	for i := 0; i < n && !d.err; i++ {
-		k := d.string()
-		m[k] = int(d.uvarint())
-	}
-	return m
-}
-
-// decodeFooter parses a footer frame payload. It never panics on arbitrary
-// input; malformed payloads return an error.
+// decodeFooter parses a footer frame payload through the WAL codec's
+// primitives, whose bounded Count caps every sequence length by the bytes
+// left. It never panics on arbitrary input; a malformed payload, or one at
+// another footer version, returns an error.
 func decodeFooter(payload []byte) (*Footer, error) {
-	d := &footerDecoder{b: payload}
-	if v := d.byte(); v != footerVersion {
+	d := wal.NewDecoder(payload)
+	if v := d.U8(); v != footerVersion {
 		return nil, fmt.Errorf("segment: unsupported footer version %d", v)
 	}
 	f := &Footer{}
 	s := &f.Summary
-	s.TimeMin = d.time()
-	s.TimeMax = d.time()
-	s.Stops = int(d.uvarint())
-	s.Moves = int(d.uvarint())
-	s.Tuples = d.countMap()
-	s.AnnKeys = d.countMap()
-	s.GeomCount = int(d.uvarint())
+	s.TimeMin = d.Time()
+	s.TimeMax = d.Time()
+	s.Stops = int(d.Uv())
+	s.Moves = int(d.Uv())
+	countMap := func() map[string]int {
+		n := d.Count(2) // a key's length byte and a count byte at least
+		m := make(map[string]int, n)
+		for i := 0; i < n; i++ {
+			k := d.Str()
+			m[k] = int(d.Uv())
+		}
+		return m
+	}
+	s.Tuples = countMap()
+	s.AnnKeys = countMap()
+	s.GeomCount = int(d.Uv())
 	if s.GeomCount > 0 {
-		s.GeomBounds = geo.Rect{
-			Min: geo.Pt(math.Float64frombits(d.u64()), math.Float64frombits(d.u64())),
-			Max: geo.Pt(math.Float64frombits(d.u64()), math.Float64frombits(d.u64())),
-		}
+		s.GeomBounds = d.Rect()
 	}
-	nw := d.count()
-	if nw > 0 {
+	if nw := d.Count(8); nw > 0 {
 		s.Objects.Bits = make([]uint64, nw)
-		for i := 0; i < nw; i++ {
-			s.Objects.Bits[i] = d.u64()
+		for i := range s.Objects.Bits {
+			s.Objects.Bits[i] = d.U64()
 		}
 	}
-	nr := d.count()
-	f.Runs = make([]RunMeta, 0, nr)
-	for i := 0; i < nr && !d.err; i++ {
-		r := RunMeta{
-			Op:     store.MutationOp(d.byte()),
-			Object: d.string(),
-			Traj:   d.string(),
-			Interp: d.string(),
-			Start:  int(d.uvarint()),
-			Count:  int(d.uvarint()),
-			Stops:  int(d.uvarint()),
-			Off:    int64(d.uvarint()),
+	f.Runs = make([]RunMeta, d.Count(8)) // an op byte, three strings, four varints
+	for i := range f.Runs {
+		f.Runs[i] = RunMeta{
+			Op:     store.MutationOp(d.U8()),
+			Object: d.Str(),
+			Traj:   d.Str(),
+			Interp: d.Str(),
+			Start:  int(d.Uv()),
+			Count:  int(d.Uv()),
+			Stops:  int(d.Uv()),
+			Off:    int64(d.Uv()),
 		}
-		f.Runs = append(f.Runs, r)
 	}
-	if d.err {
-		return nil, errors.New("segment: malformed footer payload")
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("segment: malformed footer payload: %w", err)
 	}
 	return f, nil
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// footerAllocBound is what decoding an n-byte footer may allocate: every
-// sequence length is capped by the bytes left, so a small multiple of n
-// (the run directory preallocates a RunMeta per remaining byte) plus a
-// constant for the decoder and the empty maps.
+// footerAllocBound is what decoding an n-byte footer may allocate: the
+// codec's Count caps every sequence length by the bytes left over a minimum
+// element size, so a small multiple of n (the run directory preallocates a
+// RunMeta per 8 remaining bytes) plus a constant for the decoder and the
+// empty maps.
 func footerAllocBound(n int) uint64 { return 256*uint64(n) + 4096 }
 
 // allocatedBy returns the fewest heap bytes fn allocated over three calls,
@@ -31,7 +32,7 @@ func allocatedBy(fn func()) uint64 {
 // an encoding of a footer with every field set. Invariant: decoding returns
 // an error, or decode → encode → decode → encode is a fixed point (the
 // first decode may drop what encoding canonicalises: duplicate map keys,
-// trailing bytes); it never panics and never allocates more than
+// the map order); it never panics and never allocates more than
 // footerAllocBound.
 func FuzzDecodeFooter(f *testing.F) {
 	full := encodeFooter(testFooter())

@@ -17,7 +17,7 @@ import (
 // frame at a time, on demand, through a pooled cursor.
 type Reader struct {
 	path string
-	blob blob
+	blob wal.Blob
 	foot *Footer
 }
 
@@ -39,13 +39,13 @@ func putCursor(c *cursor) { cursorPool.Put(c) }
 
 // Open opens and fully validates a segment file.
 func Open(path string) (*Reader, error) {
-	b, err := openBlob(path)
+	b, err := wal.OpenBlob(path)
 	if err != nil {
 		return nil, err
 	}
 	r := &Reader{path: path, blob: b}
 	if err := r.validate(); err != nil {
-		b.close()
+		b.Close()
 		return nil, err
 	}
 	return r, nil
@@ -53,26 +53,20 @@ func Open(path string) (*Reader, error) {
 
 // validate checks the file end to end and decodes the footer.
 func (r *Reader) validate() error {
-	sz := r.blob.size()
-	if sz < headerSize+wal.FrameHeaderSize+trailerSize {
+	sz := r.blob.Size()
+	if sz < wal.FileHeaderSize+wal.FrameHeaderSize+trailerSize {
 		return corruptf(r.path, "file too short (%d bytes)", sz)
 	}
 	cur := getCursor()
 	defer putCursor(cur)
 
 	// Header and trailer first: both are fixed-size probes.
-	hdr, err := r.readAt(0, headerSize, cur)
-	if err != nil {
-		return corruptf(r.path, "unreadable header")
+	if err := wal.CheckFileHeader(r.blob, r.path, "segment", fileMagic, formatVersion); err == wal.ErrFrame {
+		return corruptf(r.path, "bad header")
+	} else if err != nil {
+		return fmt.Errorf("segment: %w", err)
 	}
-	if [4]byte(hdr[0:4]) != fileMagic {
-		return corruptf(r.path, "bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != formatVersion {
-		return fmt.Errorf("segment: %s is at segment format version %d, this build reads version %d; "+
-			"re-ingest the source data into a fresh data directory", r.path, v, formatVersion)
-	}
-	tr, err := r.readAt(sz-trailerSize, trailerSize, cur)
+	tr, err := r.blob.Bytes(sz-trailerSize, trailerSize, &cur.buf)
 	if err != nil {
 		return corruptf(r.path, "unreadable trailer")
 	}
@@ -81,12 +75,17 @@ func (r *Reader) validate() error {
 	}
 	footSize := int64(binary.LittleEndian.Uint32(tr[0:4]))
 	footOff := sz - trailerSize - footSize
-	if footSize < wal.FrameHeaderSize || footOff < headerSize {
+	if footSize < wal.FrameHeaderSize || footOff < wal.FileHeaderSize {
 		return corruptf(r.path, "impossible footer size %d", footSize)
 	}
-	payload, n, err := r.blob.frame(footOff, &cur.buf)
+	payload, n, err := r.blob.Frame(footOff, &cur.buf)
 	if err != nil || int64(n) != footSize {
 		return corruptf(r.path, "footer frame checksum mismatch")
+	}
+	if len(payload) > 0 && payload[0] != footerVersion {
+		// A footer another release wrote: refused like a file at another
+		// format version, not reported as damage.
+		return fmt.Errorf("segment: %w", wal.CheckVersion(r.path, "segment footer", uint32(payload[0]), footerVersion))
 	}
 	foot, err := decodeFooter(payload)
 	if err != nil {
@@ -95,12 +94,12 @@ func (r *Reader) validate() error {
 
 	// Scrub every data frame's CRC and check the directory lines up with the
 	// physical frames one to one.
-	off := int64(headerSize)
+	off := int64(wal.FileHeaderSize)
 	for i := range foot.Runs {
 		if foot.Runs[i].Off != off {
 			return corruptf(r.path, "run %d offset %d, frame found at %d", i, foot.Runs[i].Off, off)
 		}
-		_, n, err := r.blob.frame(off, &cur.buf)
+		_, n, err := r.blob.Frame(off, &cur.buf)
 		if err != nil {
 			return corruptf(r.path, "data frame at %d fails checksum", off)
 		}
@@ -113,11 +112,6 @@ func (r *Reader) validate() error {
 	return nil
 }
 
-// readAt returns n raw bytes at off, for the fixed header/trailer probes.
-func (r *Reader) readAt(off, n int64, cur *cursor) ([]byte, error) {
-	return r.blob.bytes(off, n, &cur.buf)
-}
-
 // Footer exposes the decoded footer (summary + run directory). Immutable
 // after Open.
 func (r *Reader) Footer() *Footer { return r.foot }
@@ -125,7 +119,7 @@ func (r *Reader) Footer() *Footer { return r.foot }
 // mutationAt decodes the run frame at off. The returned mutation owns its
 // memory (the decoder copies strings and payloads out of the frame buffer).
 func (r *Reader) mutationAt(off int64, cur *cursor) (store.Mutation, error) {
-	payload, n, err := r.blob.frame(off, &cur.buf)
+	payload, n, err := r.blob.Frame(off, &cur.buf)
 	if err != nil {
 		return store.Mutation{}, err
 	}
@@ -135,4 +129,4 @@ func (r *Reader) mutationAt(off int64, cur *cursor) (store.Mutation, error) {
 }
 
 // Close releases the mapping or file handle.
-func (r *Reader) Close() error { return r.blob.close() }
+func (r *Reader) Close() error { return r.blob.Close() }

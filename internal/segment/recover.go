@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 
 	"semitri/internal/core"
 	"semitri/internal/store"
@@ -98,37 +96,19 @@ func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) 
 // listSegmentFiles returns the directory's segment files sorted by sequence
 // number, plus the temp files an interrupted freeze left behind.
 func listSegmentFiles(dir string) (paths, staleTmp []string, maxSeq uint64, err error) {
-	entries, err := os.ReadDir(dir)
+	segs, err := wal.ListSeqFiles(dir, filePrefix, fileSuffix)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("segment: read dir: %w", err)
+		return nil, nil, 0, err
 	}
-	type segFile struct {
-		seq  uint64
-		path string
+	tmps, err := wal.ListSeqFiles(dir, filePrefix, fileSuffix+".tmp")
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	var segs []segFile
-	for _, ent := range entries {
-		name := ent.Name()
-		if strings.HasPrefix(name, filePrefix) && strings.HasSuffix(name, fileSuffix+".tmp") {
-			staleTmp = append(staleTmp, filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasPrefix(name, filePrefix) || !strings.HasSuffix(name, fileSuffix) {
-			continue
-		}
-		numeric := strings.TrimSuffix(strings.TrimPrefix(name, filePrefix), fileSuffix)
-		seq, err := strconv.ParseUint(numeric, 10, 64)
-		if err != nil {
-			continue // not a segment of ours
-		}
-		segs = append(segs, segFile{seq: seq, path: filepath.Join(dir, name)})
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+	for _, f := range segs {
+		paths, maxSeq = append(paths, f.Path), f.Seq
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	for _, s := range segs {
-		paths = append(paths, s.path)
+	for _, f := range tmps {
+		staleTmp = append(staleTmp, f.Path)
 	}
 	return paths, staleTmp, maxSeq, nil
 }

@@ -224,7 +224,7 @@ func TestFreezeCostTracksTail(t *testing.T) {
 		if tier.SegmentCount() != n+1 {
 			t.Fatalf("freeze wrote %d segments, want 1", tier.SegmentCount()-n)
 		}
-		return tier.segs[n].blob.size()
+		return tier.segs[n].blob.Size()
 	}
 	populate(t, st, 20, 40)
 	base := freeze()
@@ -455,16 +455,22 @@ func testFooter() *Footer {
 }
 
 func TestFooterRoundTrip(t *testing.T) {
-	foot := testFooter()
-	got, err := decodeFooter(encodeFooter(foot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(foot, got) {
-		t.Fatalf("footer round trip:\nwant %+v\ngot  %+v", foot, got)
+	// The far footer's time span lies outside the years UnixNano can
+	// represent (1678–2262); the footer keeps it to the nanosecond.
+	far := testFooter()
+	far.Summary.TimeMin = time.Date(1492, 10, 12, 6, 0, 0, 1, time.UTC)
+	far.Summary.TimeMax = time.Date(2400, 2, 29, 23, 0, 0, 999999999, time.UTC)
+	for _, foot := range []*Footer{testFooter(), far} {
+		got, err := decodeFooter(encodeFooter(foot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(foot, got) {
+			t.Fatalf("footer round trip:\nwant %+v\ngot  %+v", foot, got)
+		}
 	}
 	// Arbitrary truncations must error, never panic.
-	full := encodeFooter(foot)
+	full := encodeFooter(testFooter())
 	for i := 0; i < len(full); i++ {
 		if _, err := decodeFooter(full[:i]); err == nil {
 			t.Fatalf("truncated footer at %d decoded without error", i)
@@ -476,7 +482,7 @@ func TestFooterRoundTrip(t *testing.T) {
 // mutation list: two objects through populate, then one Freeze. The data
 // frames, the footer frame and the trailer all count, so a change to the
 // framing routine or to the footer encoding shows here.
-const segmentFileSHA256 = "a4a4ed0b37838f81a26a999d6da8ad12bcc2145dc8218de51bcc8bc7beb23df6"
+const segmentFileSHA256 = "374793262fdd6c5288127a2b36b43b1c0576996feb09b0098b2781ed87da39c0"
 
 func TestSegmentFileGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -530,7 +536,7 @@ func TestCorruptSegmentFailsCleanly(t *testing.T) {
 			t.Fatalf("%s: Recover succeeded on a corrupt segment", name)
 		}
 	}
-	corrupt("bit flip in body", func(b []byte) []byte { b[headerSize+3] ^= 0x40; return b })
+	corrupt("bit flip in body", func(b []byte) []byte { b[wal.FileHeaderSize+3] ^= 0x40; return b })
 	corrupt("bit flip in footer", func(b []byte) []byte { b[len(b)-trailerSize-5] ^= 0x01; return b })
 	corrupt("torn tail", func(b []byte) []byte { return b[:len(b)/2] })
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
@@ -775,11 +781,35 @@ func TestFreezeRacesKeyedReads(t *testing.T) {
 
 // TestRecoverRefusesOtherFormatVersion pins that a data directory whose
 // segment another release wrote — the previous format version, which held
-// copies of trajectory records, or a later one — is refused with an error
-// naming the segment file and both versions, and left byte-for-byte
-// untouched, WAL tail and a stale freeze temp file included.
+// copies of trajectory records, a later one, or a version-1 footer, whose
+// times wrap outside 1678–2262 — is refused with an error naming the
+// segment file and both versions, and left byte-for-byte untouched, WAL
+// tail and a stale freeze temp file included.
 func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
-	for _, v := range []uint32{formatVersion - 1, formatVersion + 1} {
+	fileVersion := func(v uint32) func([]byte) {
+		return func(data []byte) { binary.LittleEndian.PutUint32(data[4:8], v) }
+	}
+	// footerVersion1 rewrites the footer's version byte and re-frames it in
+	// place: the frame keeps its size, so the trailer still finds it.
+	footerVersion1 := func(data []byte) {
+		off := len(data) - trailerSize - int(binary.LittleEndian.Uint32(data[len(data)-trailerSize:]))
+		payload, _, err := wal.ParseFrame(data[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload[0] = 1
+		copy(data[off:], wal.AppendFrame(nil, payload))
+	}
+	cases := []struct {
+		format    string
+		got, want uint32
+		rewrite   func([]byte)
+	}{
+		{"segment", formatVersion - 1, formatVersion, fileVersion(formatVersion - 1)},
+		{"segment", formatVersion + 1, formatVersion, fileVersion(formatVersion + 1)},
+		{"segment footer", 1, footerVersion, footerVersion1},
+	}
+	for _, c := range cases {
 		dir := t.TempDir()
 		st, tier := newTiered(t, dir, 4)
 		l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
@@ -804,7 +834,7 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint32(data[4:8], v)
+		c.rewrite(data)
 		if err := os.WriteFile(paths[0], data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -815,15 +845,18 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 		before := dirContents(t, dir)
 		_, _, _, err = Recover(dir, 4)
 		if err == nil {
-			t.Fatalf("version %d: recovered a segment at another format version", v)
+			t.Fatalf("%s version %d: recovered a segment at another format version", c.format, c.got)
 		}
-		for _, want := range []string{paths[0], fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", formatVersion)} {
+		if errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s version %d: refused as corrupt: %v", c.format, c.got, err)
+		}
+		for _, want := range []string{paths[0], fmt.Sprintf("%s format version %d", c.format, c.got), fmt.Sprintf("reads version %d", c.want)} {
 			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("version %d: error %q does not name %q", v, err, want)
+				t.Fatalf("%s version %d: error %q does not name %q", c.format, c.got, err, want)
 			}
 		}
 		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
-			t.Fatalf("version %d: refused recovery changed the directory, now %v", v, dirListing(t, dir))
+			t.Fatalf("%s version %d: refused recovery changed the directory, now %v", c.format, c.got, dirListing(t, dir))
 		}
 	}
 }

@@ -30,7 +30,7 @@ type Writer struct {
 
 // newWriter opens a segment writer for the given sequence number in dir.
 func newWriter(dir string, seq uint64) (*Writer, error) {
-	path := filepath.Join(dir, fileName(seq))
+	path := wal.SeqPath(dir, filePrefix, seq, fileSuffix)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -38,14 +38,11 @@ func newWriter(dir string, seq uint64) (*Writer, error) {
 	}
 	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, tmp: tmp,
 		objects: map[string]bool{}}
-	var hdr [headerSize]byte
-	copy(hdr[0:4], fileMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], formatVersion)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	if _, err := w.bw.Write(wal.AppendFileHeader(nil, fileMagic, formatVersion)); err != nil {
 		w.abort()
 		return nil, err
 	}
-	w.off = headerSize
+	w.off = wal.FileHeaderSize
 	return w, nil
 }
 
@@ -93,15 +90,16 @@ func (w *Writer) summarise(m *store.Mutation) {
 		w.objects[m.ObjectID] = true
 	}
 	for _, tp := range m.Tuples {
+		// The segment's first tuple seeds TimeMin; a zero TimeIn is a time
+		// like any other (the least), so untimed tuples keep the segment
+		// unprunable by an upper time bound.
+		if s.Stops+s.Moves == 0 || tp.TimeIn.Before(s.TimeMin) {
+			s.TimeMin = tp.TimeIn
+		}
 		if tp.Kind == episode.Stop {
 			s.Stops++
 		} else {
 			s.Moves++
-		}
-		// Zero TimeIns fold into TimeMin so untimed tuples keep the segment
-		// unprunable by an upper time bound.
-		if s.TimeMin.IsZero() || tp.TimeIn.Before(s.TimeMin) {
-			s.TimeMin = tp.TimeIn
 		}
 		if tp.TimeOut.After(s.TimeMax) {
 			s.TimeMax = tp.TimeOut
@@ -150,7 +148,8 @@ func (w *Writer) finish() error {
 	if err := os.Rename(w.tmp, w.path); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(w.path))
+	wal.SyncDir(filepath.Dir(w.path))
+	return nil
 }
 
 // abort discards the temp file.
@@ -160,16 +159,4 @@ func (w *Writer) abort() {
 		w.f = nil
 	}
 	os.Remove(w.tmp)
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable. Filesystems
-// that cannot sync directories report an error we ignore, matching the WAL.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync()
-	return nil
 }

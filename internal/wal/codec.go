@@ -22,9 +22,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frameCRC is the checksum stored in every frame header.
 func frameCRC(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) }
 
-// The mutation codec: a compact little-endian binary encoding of
-// store.Mutation, hand-rolled so the streaming hot path pays a handful of
-// byte appends per record instead of a reflective marshal. Strings are
+// The codec: a compact little-endian binary encoding of store.Mutation
+// (and, through the exported primitives of Encoder and Decoder, of the
+// segment footer — one codec for every durable byte), hand-rolled so the
+// streaming hot path pays a handful of byte appends per record instead of
+// a reflective marshal. Strings are
 // varint-length-prefixed, counts and non-negative integers are unsigned
 // LEB128 varints (WAL volume directly prices the fsync a group commit
 // pays, so every elided byte matters), floats are raw IEEE-754 bits (exact
@@ -40,35 +42,40 @@ func frameCRC(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) 
 // errCorrupt reports a payload that is not a valid mutation encoding.
 var errCorrupt = errors.New("wal: corrupt frame payload")
 
-type encoder struct{ b []byte }
+// Encoder appends the codec's primitives to a byte slice; the zero value
+// starts an empty one.
+type Encoder struct{ b []byte }
 
-func (e *encoder) u8(v byte)     { e.b = append(e.b, v) }
-func (e *encoder) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+// Bytes returns the encoding so far.
+func (e *Encoder) Bytes() []byte { return e.b }
 
-// uv appends an unsigned LEB128 varint.
-func (e *encoder) uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *Encoder) U8(v byte)     { e.b = append(e.b, v) }
+func (e *Encoder) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// iv appends a zigzag-encoded signed varint.
-func (e *encoder) iv(v int64) { e.b = binary.AppendVarint(e.b, v) }
+// Uv appends an unsigned LEB128 varint.
+func (e *Encoder) Uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-func (e *encoder) str(s string) {
-	e.uv(uint64(len(s)))
+// Iv appends a zigzag-encoded signed varint.
+func (e *Encoder) Iv(v int64) { e.b = binary.AppendVarint(e.b, v) }
+
+func (e *Encoder) Str(s string) {
+	e.Uv(uint64(len(s)))
 	e.b = append(e.b, s...)
 }
 
-func (e *encoder) time(t time.Time) {
+func (e *Encoder) Time(t time.Time) {
 	if t.IsZero() {
-		e.u8(0)
+		e.U8(0)
 		return
 	}
-	e.u8(1)
-	e.iv(t.Unix())
-	e.uv(uint64(t.Nanosecond()))
+	e.U8(1)
+	e.Iv(t.Unix())
+	e.Uv(uint64(t.Nanosecond()))
 }
 
-func (e *encoder) point(p geo.Point) { e.f64(p.X); e.f64(p.Y) }
-func (e *encoder) rect(r geo.Rect)   { e.point(r.Min); e.point(r.Max) }
+func (e *Encoder) Point(p geo.Point) { e.F64(p.X); e.F64(p.Y) }
+func (e *Encoder) Rect(r geo.Rect)   { e.Point(r.Min); e.Point(r.Max) }
 
 // Record time-encoding flags: batches delta-encode timestamps against the
 // previous record (GPS fixes arrive seconds apart, so the delta is one or
@@ -83,111 +90,111 @@ const (
 // always carry the owning object's id, so it is elided per record (a flag
 // byte) and only stored for the odd record that differs; timestamps after
 // the first encode as deltas.
-func (e *encoder) records(owner string, recs []gps.Record) {
-	e.uv(uint64(len(recs)))
+func (e *Encoder) records(owner string, recs []gps.Record) {
+	e.Uv(uint64(len(recs)))
 	var prevSec int64
 	havePrev := false
 	for _, r := range recs {
 		if r.ObjectID == owner {
-			e.u8(0)
+			e.U8(0)
 		} else {
-			e.u8(1)
-			e.str(r.ObjectID)
+			e.U8(1)
+			e.Str(r.ObjectID)
 		}
-		e.point(r.Position)
+		e.Point(r.Position)
 		switch {
 		case r.Time.IsZero():
-			e.u8(recTimeZero)
+			e.U8(recTimeZero)
 		case havePrev:
 			sec := r.Time.Unix()
-			e.u8(recTimeDelta)
-			e.iv(sec - prevSec)
-			e.uv(uint64(r.Time.Nanosecond()))
+			e.U8(recTimeDelta)
+			e.Iv(sec - prevSec)
+			e.Uv(uint64(r.Time.Nanosecond()))
 			prevSec = sec
 		default:
-			e.u8(recTimeAbs)
-			e.iv(r.Time.Unix())
-			e.uv(uint64(r.Time.Nanosecond()))
+			e.U8(recTimeAbs)
+			e.Iv(r.Time.Unix())
+			e.Uv(uint64(r.Time.Nanosecond()))
 			prevSec, havePrev = r.Time.Unix(), true
 		}
 	}
 }
 
-func (e *encoder) episode(ep *episode.Episode) {
-	e.str(ep.TrajectoryID)
-	e.str(ep.ObjectID)
-	e.u8(byte(ep.Kind))
-	e.uv(uint64(ep.StartIdx))
-	e.uv(uint64(ep.EndIdx))
-	e.time(ep.Start)
-	e.time(ep.End)
-	e.point(ep.Center)
-	e.rect(ep.Bounds)
-	e.f64(ep.AvgSpeed)
-	e.f64(ep.MaxSpeed)
-	e.f64(ep.Distance)
-	e.uv(uint64(ep.RecordCount))
+func (e *Encoder) episode(ep *episode.Episode) {
+	e.Str(ep.TrajectoryID)
+	e.Str(ep.ObjectID)
+	e.U8(byte(ep.Kind))
+	e.Uv(uint64(ep.StartIdx))
+	e.Uv(uint64(ep.EndIdx))
+	e.Time(ep.Start)
+	e.Time(ep.End)
+	e.Point(ep.Center)
+	e.Rect(ep.Bounds)
+	e.F64(ep.AvgSpeed)
+	e.F64(ep.MaxSpeed)
+	e.F64(ep.Distance)
+	e.Uv(uint64(ep.RecordCount))
 }
 
-func (e *encoder) episodes(eps []*episode.Episode) {
-	e.uv(uint64(len(eps)))
+func (e *Encoder) episodes(eps []*episode.Episode) {
+	e.Uv(uint64(len(eps)))
 	for _, ep := range eps {
 		e.episode(ep)
 	}
 }
 
-func (e *encoder) place(p *core.Place) {
+func (e *Encoder) place(p *core.Place) {
 	if p == nil {
-		e.u8(0)
+		e.U8(0)
 		return
 	}
-	e.u8(1)
-	e.str(p.ID)
-	e.u8(byte(p.Kind))
-	e.str(p.Name)
-	e.str(p.Category)
-	e.rect(p.Extent)
+	e.U8(1)
+	e.Str(p.ID)
+	e.U8(byte(p.Kind))
+	e.Str(p.Name)
+	e.Str(p.Category)
+	e.Rect(p.Extent)
 }
 
-func (e *encoder) annotations(anns []core.Annotation) {
-	e.uv(uint64(len(anns)))
+func (e *Encoder) annotations(anns []core.Annotation) {
+	e.Uv(uint64(len(anns)))
 	for _, a := range anns {
-		e.str(a.Key)
-		e.str(a.Value)
-		e.f64(a.Confidence)
-		e.str(a.Source)
+		e.Str(a.Key)
+		e.Str(a.Value)
+		e.F64(a.Confidence)
+		e.Str(a.Source)
 	}
 }
 
-func (e *encoder) tuples(tuples []*core.EpisodeTuple) {
-	e.uv(uint64(len(tuples)))
+func (e *Encoder) tuples(tuples []*core.EpisodeTuple) {
+	e.Uv(uint64(len(tuples)))
 	for _, tp := range tuples {
-		e.u8(byte(tp.Kind))
+		e.U8(byte(tp.Kind))
 		e.place(tp.Place)
-		e.time(tp.TimeIn)
-		e.time(tp.TimeOut)
+		e.Time(tp.TimeIn)
+		e.Time(tp.TimeOut)
 		e.annotations(tp.Annotations.All())
 		if tp.Episode == nil {
-			e.u8(0)
+			e.U8(0)
 		} else {
-			e.u8(1)
+			e.U8(1)
 			e.episode(tp.Episode)
 		}
 	}
 }
 
 // encodeMutation appends the payload encoding of m to e.
-func encodeMutation(e *encoder, m store.Mutation) {
-	e.u8(byte(m.Op))
-	e.str(m.ObjectID)
-	e.str(m.TrajectoryID)
-	e.str(m.Interpretation)
-	e.uv(uint64(m.Start))
+func encodeMutation(e *Encoder, m store.Mutation) {
+	e.U8(byte(m.Op))
+	e.Str(m.ObjectID)
+	e.Str(m.TrajectoryID)
+	e.Str(m.Interpretation)
+	e.Uv(uint64(m.Start))
 	switch m.Op {
 	case store.MutPutRecords:
 		e.records(m.ObjectID, m.Records)
 	case store.MutPutTrajectory:
-		e.uv(uint64(m.Count)) // with Start, the range of the object's records
+		e.Uv(uint64(m.Count)) // with Start, the range of the object's records
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		e.episodes(m.Episodes)
 	case store.MutPutStructured, store.MutAppendTuples:
@@ -198,7 +205,10 @@ func encodeMutation(e *encoder, m store.Mutation) {
 	}
 }
 
-type decoder struct {
+// Decoder reads the codec's primitives back. A failed read records
+// errCorrupt and every later read returns a zero value, so a caller checks
+// Err once at the end.
+type Decoder struct {
 	b   []byte
 	off int
 	err error
@@ -212,15 +222,27 @@ type decoder struct {
 // allocate as before.
 const maxInterned = 1 << 16
 
-func (d *decoder) fail() {
+// NewDecoder returns a decoder over b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+// Err returns the first failed read's error, or errCorrupt when bytes are
+// left over: an encoding must be consumed exactly.
+func (d *Decoder) Err() error {
+	if d.err == nil && d.off != len(d.b) {
+		d.fail()
+	}
+	return d.err
+}
+
+func (d *Decoder) fail() {
 	if d.err == nil {
 		d.err = errCorrupt
 	}
 }
 
-func (d *decoder) remaining() int { return len(d.b) - d.off }
+func (d *Decoder) remaining() int { return len(d.b) - d.off }
 
-func (d *decoder) u8() byte {
+func (d *Decoder) U8() byte {
 	if d.err != nil || d.remaining() < 1 {
 		d.fail()
 		return 0
@@ -230,7 +252,7 @@ func (d *decoder) u8() byte {
 	return v
 }
 
-func (d *decoder) u64() uint64 {
+func (d *Decoder) U64() uint64 {
 	if d.err != nil || d.remaining() < 8 {
 		d.fail()
 		return 0
@@ -240,10 +262,10 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// uv reads an unsigned LEB128 varint.
-func (d *decoder) uv() uint64 {
+// Uv reads an unsigned LEB128 varint.
+func (d *Decoder) Uv() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -256,8 +278,8 @@ func (d *decoder) uv() uint64 {
 	return v
 }
 
-// iv reads a zigzag-encoded signed varint.
-func (d *decoder) iv() int64 {
+// Iv reads a zigzag-encoded signed varint.
+func (d *Decoder) Iv() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -270,8 +292,8 @@ func (d *decoder) iv() int64 {
 	return v
 }
 
-func (d *decoder) str() string {
-	n := int(d.uv())
+func (d *Decoder) Str() string {
+	n := int(d.Uv())
 	if d.err != nil || n < 0 || n > d.remaining() {
 		d.fail()
 		return ""
@@ -287,8 +309,8 @@ func (d *decoder) str() string {
 // to one shared backing string instead of one heap copy per frame. The
 // map[string(bytes)] probe compiles to a no-allocation lookup; only a miss
 // pays for the copy.
-func (d *decoder) strShared() string {
-	n := int(d.uv())
+func (d *Decoder) strShared() string {
+	n := int(d.Uv())
 	if d.err != nil || n < 0 || n > d.remaining() {
 		d.fail()
 		return ""
@@ -305,12 +327,12 @@ func (d *decoder) strShared() string {
 	return s
 }
 
-// count reads an element count and rejects values that could not possibly
+// Count reads an element count and rejects values that could not possibly
 // fit in the remaining bytes (elemMin is a conservative lower bound on one
 // element's encoding), bounding allocations on corrupt input. The division
 // form avoids the n*elemMin overflow a crafted huge count would exploit.
-func (d *decoder) count(elemMin int) int {
-	n := int(d.uv())
+func (d *Decoder) Count(elemMin int) int {
+	n := int(d.Uv())
 	if d.err != nil || n < 0 || n > d.remaining()/elemMin {
 		d.fail()
 		return 0
@@ -320,20 +342,20 @@ func (d *decoder) count(elemMin int) int {
 
 // position reads a record, episode or tuple position (or count), bounded so
 // that position arithmetic cannot overflow.
-func (d *decoder) position() int {
-	v := d.uv()
+func (d *Decoder) position() int {
+	v := d.Uv()
 	if v > uint64(math.MaxInt32)<<16 {
 		d.fail()
 	}
 	return int(v)
 }
 
-func (d *decoder) time() time.Time {
-	if d.u8() == 0 {
+func (d *Decoder) Time() time.Time {
+	if d.U8() == 0 {
 		return time.Time{}
 	}
-	sec := d.iv()
-	nsec := d.uv()
+	sec := d.Iv()
+	nsec := d.Uv()
 	if d.err != nil || nsec >= 1e9 {
 		d.fail()
 		return time.Time{}
@@ -341,11 +363,11 @@ func (d *decoder) time() time.Time {
 	return time.Unix(sec, int64(nsec)).UTC()
 }
 
-func (d *decoder) point() geo.Point { return geo.Point{X: d.f64(), Y: d.f64()} }
-func (d *decoder) rect() geo.Rect   { return geo.Rect{Min: d.point(), Max: d.point()} }
+func (d *Decoder) Point() geo.Point { return geo.Point{X: d.F64(), Y: d.F64()} }
+func (d *Decoder) Rect() geo.Rect   { return geo.Rect{Min: d.Point(), Max: d.Point()} }
 
-func (d *decoder) records(owner string) []gps.Record {
-	n := d.count(1 + 16 + 1)
+func (d *Decoder) records(owner string) []gps.Record {
+	n := d.Count(1 + 16 + 1)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -354,16 +376,16 @@ func (d *decoder) records(owner string) []gps.Record {
 	havePrev := false
 	for i := 0; i < n && d.err == nil; i++ {
 		obj := owner
-		if d.u8() == 1 {
-			obj = d.str()
+		if d.U8() == 1 {
+			obj = d.Str()
 		}
-		pos := d.point()
+		pos := d.Point()
 		var t time.Time
-		switch d.u8() {
+		switch d.U8() {
 		case recTimeZero:
 		case recTimeAbs:
-			sec := d.iv()
-			nsec := d.uv()
+			sec := d.Iv()
+			nsec := d.Uv()
 			if nsec >= 1e9 {
 				d.fail()
 				break
@@ -375,8 +397,8 @@ func (d *decoder) records(owner string) []gps.Record {
 				d.fail()
 				break
 			}
-			sec := prevSec + d.iv()
-			nsec := d.uv()
+			sec := prevSec + d.Iv()
+			nsec := d.Uv()
 			if nsec >= 1e9 {
 				d.fail()
 				break
@@ -394,21 +416,21 @@ func (d *decoder) records(owner string) []gps.Record {
 	return recs
 }
 
-func (d *decoder) episode() *episode.Episode {
+func (d *Decoder) episode() *episode.Episode {
 	ep := &episode.Episode{
-		TrajectoryID: d.str(),
-		ObjectID:     d.str(),
-		Kind:         episode.Kind(d.u8()),
-		StartIdx:     int(d.uv()),
-		EndIdx:       int(d.uv()),
-		Start:        d.time(),
-		End:          d.time(),
-		Center:       d.point(),
-		Bounds:       d.rect(),
-		AvgSpeed:     d.f64(),
-		MaxSpeed:     d.f64(),
-		Distance:     d.f64(),
-		RecordCount:  int(d.uv()),
+		TrajectoryID: d.Str(),
+		ObjectID:     d.Str(),
+		Kind:         episode.Kind(d.U8()),
+		StartIdx:     int(d.Uv()),
+		EndIdx:       int(d.Uv()),
+		Start:        d.Time(),
+		End:          d.Time(),
+		Center:       d.Point(),
+		Bounds:       d.Rect(),
+		AvgSpeed:     d.F64(),
+		MaxSpeed:     d.F64(),
+		Distance:     d.F64(),
+		RecordCount:  int(d.Uv()),
 	}
 	if ep.Kind != episode.Stop && ep.Kind != episode.Move {
 		d.fail()
@@ -416,8 +438,8 @@ func (d *decoder) episode() *episode.Episode {
 	return ep
 }
 
-func (d *decoder) episodes() []*episode.Episode {
-	n := d.count(8 + 8 + 1 + 16 + 2)
+func (d *Decoder) episodes() []*episode.Episode {
+	n := d.Count(8 + 8 + 1 + 16 + 2)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -428,16 +450,16 @@ func (d *decoder) episodes() []*episode.Episode {
 	return eps
 }
 
-func (d *decoder) place() *core.Place {
-	if d.u8() == 0 {
+func (d *Decoder) place() *core.Place {
+	if d.U8() == 0 {
 		return nil
 	}
 	p := &core.Place{
 		ID:       d.strShared(),
-		Kind:     core.PlaceKind(d.u8()),
+		Kind:     core.PlaceKind(d.U8()),
 		Name:     d.strShared(),
 		Category: d.strShared(),
-		Extent:   d.rect(),
+		Extent:   d.Rect(),
 	}
 	if p.Kind != core.RegionPlace && p.Kind != core.LinePlace && p.Kind != core.PointPlace {
 		d.fail()
@@ -445,30 +467,30 @@ func (d *decoder) place() *core.Place {
 	return p
 }
 
-func (d *decoder) annotations() []core.Annotation {
-	n := d.count(4 + 4 + 8 + 4)
+func (d *Decoder) annotations() []core.Annotation {
+	n := d.Count(4 + 4 + 8 + 4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	anns := make([]core.Annotation, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		anns = append(anns, core.Annotation{Key: d.strShared(), Value: d.strShared(), Confidence: d.f64(), Source: d.strShared()})
+		anns = append(anns, core.Annotation{Key: d.strShared(), Value: d.strShared(), Confidence: d.F64(), Source: d.strShared()})
 	}
 	return anns
 }
 
-func (d *decoder) tuples() []*core.EpisodeTuple {
-	n := d.count(1 + 1 + 2 + 4 + 1)
+func (d *Decoder) tuples() []*core.EpisodeTuple {
+	n := d.Count(1 + 1 + 2 + 4 + 1)
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	tuples := make([]*core.EpisodeTuple, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		tp := &core.EpisodeTuple{
-			Kind:    episode.Kind(d.u8()),
+			Kind:    episode.Kind(d.U8()),
 			Place:   d.place(),
-			TimeIn:  d.time(),
-			TimeOut: d.time(),
+			TimeIn:  d.Time(),
+			TimeOut: d.Time(),
 		}
 		if tp.Kind != episode.Stop && tp.Kind != episode.Move {
 			d.fail()
@@ -477,7 +499,7 @@ func (d *decoder) tuples() []*core.EpisodeTuple {
 		for _, a := range d.annotations() {
 			tp.Annotations.Add(a)
 		}
-		if d.u8() == 1 {
+		if d.U8() == 1 {
 			tp.Episode = d.episode()
 		}
 		tuples = append(tuples, tp)
@@ -493,9 +515,9 @@ func (d *decoder) tuples() []*core.EpisodeTuple {
 // frame, and interning them keeps recovery's allocation volume proportional
 // to distinct strings, not to frames.
 func decodeMutation(payload []byte, interned map[string]string) (store.Mutation, error) {
-	d := &decoder{b: payload, interned: interned}
+	d := &Decoder{b: payload, interned: interned}
 	m := store.Mutation{
-		Op:             store.MutationOp(d.u8()),
+		Op:             store.MutationOp(d.U8()),
 		ObjectID:       d.strShared(),
 		TrajectoryID:   d.strShared(),
 		Interpretation: d.strShared(),
@@ -516,11 +538,8 @@ func decodeMutation(payload []byte, interned map[string]string) (store.Mutation,
 	default:
 		d.fail()
 	}
-	if d.err == nil && d.off != len(d.b) {
-		d.fail()
-	}
-	if d.err != nil {
-		return store.Mutation{}, d.err
+	if err := d.Err(); err != nil {
+		return store.Mutation{}, err
 	}
 	return m, nil
 }

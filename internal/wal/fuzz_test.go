@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"runtime"
 	"testing"
@@ -39,7 +38,7 @@ func allocatedBy(fn func()) uint64 {
 // never panics and never allocates more than decodeAllocBound.
 func FuzzDecodeMutation(f *testing.F) {
 	for _, m := range testMutations() {
-		e := &encoder{}
+		e := &Encoder{}
 		encodeMutation(e, m)
 		f.Add(e.b)
 		f.Add(e.b[:len(e.b)/2])
@@ -54,7 +53,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e := &encoder{}
+		e := &Encoder{}
 		encodeMutation(e, m)
 		first := append([]byte(nil), e.b...)
 		again, err := decodeMutation(first, nil)
@@ -85,10 +84,7 @@ func replayAllocBound(n int) uint64 { return 64*uint64(n) + 256<<10 }
 
 // segmentBytes is a segment file: the log header, then body.
 func segmentBytes(body []byte) []byte {
-	var hdr [headerSize]byte
-	copy(hdr[0:4], segmentMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	return append(hdr[:], body...)
+	return append(AppendFileHeader(nil, segmentMagic, formatVersion), body...)
 }
 
 // FuzzReplaySegment drives recovery with a valid log header followed by

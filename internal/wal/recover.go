@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -74,7 +71,7 @@ func ReplayInto(dir string, st *store.Store, stats *RecoverStats) error {
 	}
 	for i, seg := range segs {
 		stats.Segments++
-		applied, tornAt, err := replaySegment(seg.path, st)
+		applied, tornAt, err := replaySegment(seg.Path, st)
 		stats.FramesApplied += applied
 		if err != nil {
 			return err
@@ -84,13 +81,13 @@ func ReplayInto(dir string, st *store.Store, stats *RecoverStats) error {
 			// were written after the damaged one and must not be replayed
 			// over the gap. Repair the log so it ends cleanly at the tear.
 			stats.Torn = true
-			stats.TornSegment = filepath.Base(seg.path)
+			stats.TornSegment = filepath.Base(seg.Path)
 			stats.TornOffset = tornAt
 			stats.QuarantinedSegments = len(segs) - i - 1
 			if err := repairTear(seg, tornAt, segs[i+1:]); err != nil {
 				return err
 			}
-			syncDir(dir)
+			SyncDir(dir)
 			break
 		}
 	}
@@ -104,16 +101,16 @@ func ReplayInto(dir string, st *store.Store, stats *RecoverStats) error {
 // Those later segments hold committed frames a mid-log tear has stranded —
 // they cannot be replayed over the gap, but they are evidence of disk
 // corruption worth keeping, not state to silently destroy.
-func repairTear(seg segmentInfo, tornAt int64, later []segmentInfo) error {
+func repairTear(seg SeqFile, tornAt int64, later []SeqFile) error {
 	if tornAt <= headerSize {
-		if err := os.Remove(seg.path); err != nil {
+		if err := os.Remove(seg.Path); err != nil {
 			return fmt.Errorf("wal: repair: %w", err)
 		}
-	} else if err := os.Truncate(seg.path, tornAt); err != nil {
+	} else if err := os.Truncate(seg.Path, tornAt); err != nil {
 		return fmt.Errorf("wal: repair: %w", err)
 	}
 	for _, s := range later {
-		if err := os.Rename(s.path, s.path+".quarantined"); err != nil {
+		if err := os.Rename(s.Path, s.Path+".quarantined"); err != nil {
 			return fmt.Errorf("wal: repair: %w", err)
 		}
 	}
@@ -123,69 +120,40 @@ func repairTear(seg segmentInfo, tornAt int64, later []segmentInfo) error {
 // replaySegment applies one segment's frames to the store. It returns the
 // number of frames applied and, when the segment ends in a torn or corrupt
 // frame, the byte offset of the damage (-1 for a clean end). The returned
-// error reports apply failures only — physical damage is a normal condition
-// expressed through the offset.
+// error reports apply failures and a log at another format version only —
+// physical damage is a normal condition expressed through the offset: a
+// short or foreign header, a length past the end of the file, a checksum
+// mismatch or an undecodable payload. The file is read through a Blob,
+// closed (unmapped) before the caller repairs a tear.
 func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err error) {
-	f, err := os.Open(path)
+	b, err := OpenBlob(path)
 	if err != nil {
 		return 0, -1, fmt.Errorf("wal: open segment: %w", err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, -1, fmt.Errorf("wal: stat segment: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, nil // truncated header: whole segment is torn
-	}
-	if [4]byte(hdr[0:4]) != segmentMagic {
-		return 0, 0, nil // damaged header
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
+	defer b.Close()
+	if err := CheckFileHeader(b, path, "log", segmentMagic, formatVersion); err == ErrFrame {
+		return 0, 0, nil // truncated or damaged header: whole segment is torn
+	} else if err != nil {
 		// Not damage: a log another release wrote. Its frames cannot be
 		// replayed, and repairing it as a tear would delete it.
-		return 0, -1, fmt.Errorf("wal: %s is at log format version %d, this build reads version %d; "+
-			"re-ingest the source data into a fresh data directory", path, v, formatVersion)
+		return 0, -1, fmt.Errorf("wal: %w", err)
 	}
-	offset := int64(headerSize)
-	var frame [frameHeaderSize]byte
-	var payload []byte
+	var buf []byte
 	interned := make(map[string]string)
-	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if err == io.EOF {
-				return applied, -1, nil // clean end of segment
-			}
-			return applied, offset, nil // torn frame header
-		}
-		n := binary.LittleEndian.Uint32(frame[0:])
-		want := binary.LittleEndian.Uint32(frame[4:])
-		// A length past the end of the file is a tear, caught before the
-		// payload buffer is sized from a header that may be garbage.
-		if n > maxFrame || int64(n) > fi.Size()-offset-frameHeaderSize {
-			return applied, offset, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return applied, offset, nil // torn payload
-		}
-		if frameCRC(payload) != want {
-			return applied, offset, nil
+	for off := int64(headerSize); off < b.Size(); {
+		payload, n, err := b.Frame(off, &buf)
+		if err != nil {
+			return applied, off, nil
 		}
 		m, err := decodeMutation(payload, interned)
 		if err != nil {
-			return applied, offset, nil // CRC-valid but undecodable: corrupt
+			return applied, off, nil // CRC-valid but undecodable: corrupt
 		}
 		if err := st.Apply(m); err != nil {
-			return applied, -1, fmt.Errorf("wal: apply %s frame at %d: %w", filepath.Base(path), offset, err)
+			return applied, -1, fmt.Errorf("wal: apply %s frame at %d: %w", filepath.Base(path), off, err)
 		}
 		applied++
-		offset += frameHeaderSize + int64(n)
+		off += int64(n)
 	}
+	return applied, -1, nil
 }

@@ -62,8 +62,8 @@ func TestTornTailProperty(t *testing.T) {
 	var layout []segLayout
 	total := 0
 	for _, seg := range segs {
-		sl := segLayout{path: seg.path, before: total}
-		data, err := os.ReadFile(seg.path)
+		sl := segLayout{path: seg.Path, before: total}
+		data, err := os.ReadFile(seg.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestTornFinalFrameMidFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := segs[len(segs)-1].path
+	last := segs[len(segs)-1].Path
 	fi, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
@@ -312,15 +312,11 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 	frame := AppendMutationFrame(nil, testMutations()[0])
 	for _, v := range []uint32{formatVersion - 1, formatVersion + 1} {
 		dir := t.TempDir()
-		var hdr [headerSize]byte
-		copy(hdr[0:4], segmentMagic[:])
-		binary.LittleEndian.PutUint32(hdr[4:], v)
 		old := segmentPath(dir, 1)
-		if err := os.WriteFile(old, append(hdr[:], frame...), 0o644); err != nil {
+		if err := os.WriteFile(old, append(AppendFileHeader(nil, segmentMagic, v), frame...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-		if err := os.WriteFile(segmentPath(dir, 2), append(hdr[:], frame...), 0o644); err != nil {
+		if err := os.WriteFile(segmentPath(dir, 2), append(AppendFileHeader(nil, segmentMagic, formatVersion), frame...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		before := dirContents(t, dir)

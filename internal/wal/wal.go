@@ -34,17 +34,16 @@
 // cleanly at the first torn or corrupt frame — a crash mid-flush leaves at
 // most one torn frame at the tail — keeping every fully committed frame
 // before it and never panicking on damaged input.
+//
+// The package also owns the byte format of the segment store's files
+// (frame.go): one codec, one frame check, one frame reader and one file
+// header for both.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,7 +168,7 @@ type Log struct {
 	wg   sync.WaitGroup
 }
 
-var encPool = sync.Pool{New: func() any { return &encoder{b: make([]byte, 0, 512)} }}
+var encPool = sync.Pool{New: func() any { return &Encoder{b: make([]byte, 0, 512)} }}
 
 // Open creates or opens the log directory and starts a fresh segment after
 // the highest existing one (never appending into a possibly-torn tail).
@@ -188,7 +187,7 @@ func Open(opts Options) (*Log, error) {
 	}
 	seq := uint64(0)
 	if len(segs) > 0 {
-		seq = segs[len(segs)-1].seq
+		seq = segs[len(segs)-1].Seq
 	}
 	l := &Log{
 		opts: opts,
@@ -226,7 +225,7 @@ func (l *Log) FlushInterval() time.Duration { return l.opts.FlushInterval }
 // the flusher goroutine (or inline under FsyncAlways, which is the one
 // policy that accepts paying the sync on the mutating goroutine).
 func (l *Log) LogMutation(m store.Mutation) {
-	e := encPool.Get().(*encoder)
+	e := encPool.Get().(*Encoder)
 	e.b = AppendMutationFrame(e.b[:0], m)
 
 	l.mu.Lock()
@@ -389,10 +388,7 @@ func (l *Log) rotateLocked() error {
 		l.err = fmt.Errorf("wal: create segment: %w", err)
 		return l.err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[0:4], segmentMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], formatVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(AppendFileHeader(nil, segmentMagic, formatVersion)); err != nil {
 		f.Close()
 		l.err = fmt.Errorf("wal: write header: %w", err)
 		return l.err
@@ -400,7 +396,7 @@ func (l *Log) rotateLocked() error {
 	l.f = f
 	l.seq = next
 	l.size = headerSize
-	syncDir(l.opts.Dir)
+	SyncDir(l.opts.Dir)
 	return nil
 }
 
@@ -494,13 +490,13 @@ func (l *Log) saveAndTruncate(save func() error, boundary uint64) error {
 		return err
 	}
 	for _, seg := range segs {
-		if seg.seq < boundary {
-			if err := os.Remove(seg.path); err != nil {
+		if seg.Seq < boundary {
+			if err := os.Remove(seg.Path); err != nil {
 				return err
 			}
 		}
 	}
-	syncDir(l.opts.Dir)
+	SyncDir(l.opts.Dir)
 	return nil
 }
 
@@ -561,44 +557,12 @@ func (l *Log) Close() error {
 	return l.cpErr
 }
 
-// segmentInfo is one on-disk segment.
-type segmentInfo struct {
-	seq  uint64
-	path string
-}
-
 func segmentPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segmentPrefix, seq, segmentSuffix))
+	return SeqPath(dir, segmentPrefix, seq, segmentSuffix)
 }
 
-// listSegments returns the directory's segments sorted by sequence number.
-func listSegments(dir string) ([]segmentInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: read dir: %w", err)
-	}
-	var segs []segmentInfo
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-			continue
-		}
-		numeric := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-		seq, err := strconv.ParseUint(numeric, 10, 64)
-		if err != nil {
-			continue // not a segment of ours
-		}
-		segs = append(segs, segmentInfo{seq: seq, path: filepath.Join(dir, name)})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
-}
-
-// syncDir fsyncs a directory so created/removed entries survive a crash
-// (best-effort — not every platform allows syncing directories).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+// listSegments returns the directory's log segments sorted by sequence
+// number.
+func listSegments(dir string) ([]SeqFile, error) {
+	return ListSeqFiles(dir, segmentPrefix, segmentSuffix)
 }

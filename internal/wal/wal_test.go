@@ -77,7 +77,7 @@ func testMutations() []store.Mutation {
 
 func TestCodecRoundTrip(t *testing.T) {
 	for i, m := range testMutations() {
-		e := &encoder{}
+		e := &Encoder{}
 		encodeMutation(e, m)
 		got, err := decodeMutation(e.b, nil)
 		if err != nil {
@@ -90,7 +90,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsTrailingBytes(t *testing.T) {
-	e := &encoder{}
+	e := &Encoder{}
 	encodeMutation(e, testMutations()[0])
 	if _, err := decodeMutation(append(e.b, 0), nil); err == nil {
 		t.Fatal("decode accepted trailing bytes")
@@ -158,7 +158,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	if err := l.Err(); !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "checkpoint: ") {
 		t.Fatalf("Err after a failed checkpoint = %v, want a checkpoint-prefixed boom", err)
 	}
-	if segs, _ := listSegments(dir); len(segs) != 2 || segs[0].seq != 1 {
+	if segs, _ := listSegments(dir); len(segs) != 2 || segs[0].Seq != 1 {
 		t.Fatalf("failed checkpoint truncated the log: %+v", segs)
 	}
 
@@ -188,7 +188,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	// Two rotations so far (one per checkpoint): only the segment opened by
 	// the last one survives truncation.
 	segs, err := listSegments(dir)
-	if err != nil || len(segs) != 1 || segs[0].seq != 3 {
+	if err != nil || len(segs) != 1 || segs[0].Seq != 3 {
 		t.Fatalf("segments after checkpoint = %+v (%v), want only seq 3", segs, err)
 	}
 	// Keep writing after the checkpoint, then recover from base + tail.
@@ -416,7 +416,7 @@ func TestWALFramesInCallOrder(t *testing.T) {
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %+v (%v)", segs, err)
 	}
-	data, err := os.ReadFile(segs[0].path)
+	data, err := os.ReadFile(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
