@@ -23,7 +23,9 @@ test-nommap:
 # these tests under `go test -race ./...`): the parity suite
 # (the stream path and ProcessRecords against the batch-kernel oracle,
 # sequential + concurrent-interleaving variants), the fan-in driver, the
-# lock-striped store, the query engine's concurrent read path
+# lock-striped store, readers of Store.Structured racing the point layer's
+# annotation merges (TestConcurrentStructuredRead, what GET /stats does
+# during ingest), the query engine's concurrent read path
 # (queries racing live ingestion — including the parallel executor, forced
 # on via QueryParallelism in the relational ingest test), the parallel
 # determinism property tests, the durability parity suite (checkpoints
@@ -39,9 +41,9 @@ race:
 # FuzzDecodeMutation: the WAL and segment payload decoder returns an error
 # or a mutation that re-encodes to a fixed point, never a panic, and
 # allocates at most a small multiple of its input.
-# FuzzReplaySegment: WAL recovery of a log header followed by any bytes
-# never panics, allocates at most a small multiple of the file, and rebuilds
-# what the file's frames before the reported tear rebuild.
+# FuzzReplaySegment: WAL replay of a log header followed by any bytes, read
+# from memory, never panics, allocates at most a small multiple of the
+# bytes, and rebuilds what the frames before the reported tear rebuild.
 # FuzzDecodeFooter: the segment footer decoder returns an error or a footer
 # that re-encodes to a fixed point, never a panic, and allocates at most a
 # small multiple of its input.

@@ -101,22 +101,54 @@ type Annotation struct {
 
 // AnnotationSet is an ordered collection of annotations with convenient
 // lookup by key. The zero value is ready to use.
+//
+// A set is a value. Add and Merge are copy-on-write: they build a new array
+// and never write into one that a copy of the set (or of the tuple holding
+// it) can see, so a copy stays exactly as it was when it was taken. This is
+// what lets the store hand out stored tuples without copying their
+// annotations: a tuple is never written after it is published.
 type AnnotationSet struct {
 	items []Annotation
 }
 
-// Add appends an annotation (replacing an existing one with the same key
-// only if the new confidence is at least as high).
-func (s *AnnotationSet) Add(a Annotation) {
-	for i, old := range s.items {
-		if old.Key == a.Key {
-			if a.Confidence >= old.Confidence {
-				s.items[i] = a
+// AnnotationSetOf returns the set that adding anns one by one to an empty
+// set builds, using anns' array as its own: the caller hands the slice over
+// and must not write it again. Decoders use it to build a set in the one
+// allocation that decoding its annotations already made.
+func AnnotationSetOf(anns []Annotation) AnnotationSet {
+	items := anns[:0]
+	for _, a := range anns {
+		items = addTo(items, a)
+	}
+	return AnnotationSet{items: items}
+}
+
+// Add adds annotations in order. One whose key is already present replaces
+// the old annotation only if its confidence is at least as high; any other
+// is appended. The set gets a new array, allocated once per call.
+func (s *AnnotationSet) Add(as ...Annotation) {
+	if len(as) == 0 {
+		return
+	}
+	items := make([]Annotation, len(s.items), len(s.items)+len(as))
+	copy(items, s.items)
+	for _, a := range as {
+		items = addTo(items, a)
+	}
+	s.items = items
+}
+
+// addTo applies Add's rule for one annotation to an array the caller owns.
+func addTo(items []Annotation, a Annotation) []Annotation {
+	for i := range items {
+		if items[i].Key == a.Key {
+			if a.Confidence >= items[i].Confidence {
+				items[i] = a
 			}
-			return
+			return items
 		}
 	}
-	s.items = append(s.items, a)
+	return append(items, a)
 }
 
 // Get returns the annotation for the key.
@@ -141,21 +173,16 @@ func (s *AnnotationSet) Len() int { return len(s.items) }
 // All returns a copy of the annotations in insertion order.
 func (s *AnnotationSet) All() []Annotation { return append([]Annotation(nil), s.items...) }
 
-// Clone returns an independent copy of the set: mutating either copy never
-// affects the other. The store uses it to hand out stable tuple snapshots
-// while writers keep annotating the stored original.
-func (s *AnnotationSet) Clone() AnnotationSet {
-	return AnnotationSet{items: append([]Annotation(nil), s.items...)}
-}
+// Clone returns a copy of the set: a plain copy, which Add and Merge being
+// copy-on-write makes independent of s.
+func (s *AnnotationSet) Clone() AnnotationSet { return *s }
 
-// Merge adds every annotation of other into s.
+// Merge adds every annotation of other into s (see Add).
 func (s *AnnotationSet) Merge(other *AnnotationSet) {
 	if other == nil {
 		return
 	}
-	for _, a := range other.items {
-		s.Add(a)
-	}
+	s.Add(other.items...)
 }
 
 // String renders "key=value" pairs in insertion order.
@@ -190,6 +217,19 @@ func (t *EpisodeTuple) PlaceID() string {
 		return ""
 	}
 	return t.Place.ID
+}
+
+// Merged returns a copy of the tuple with anns added by AnnotationSet.Add's
+// confidence-max rule and, when place is non-nil, linked to place. It is the
+// one rule by which an annotation merge changes a stored tuple, live and in
+// recovery alike; t is not written.
+func (t *EpisodeTuple) Merged(place *Place, anns []Annotation) EpisodeTuple {
+	m := *t
+	if place != nil {
+		m.Place = place
+	}
+	m.Annotations.Add(anns...)
+	return m
 }
 
 // StructuredTrajectory is a structured semantic trajectory SST
@@ -227,12 +267,9 @@ func (st *StructuredTrajectory) Validate() error {
 
 // MergeConsecutive collapses consecutive tuples that link to the same place
 // and carry the same value for the given annotation key (the tuple merging
-// of Alg. 1 line 10-11). It returns a new trajectory.
+// of Alg. 1 line 10-11). It returns a new trajectory; st is not written.
 func (st *StructuredTrajectory) MergeConsecutive(key string) *StructuredTrajectory {
 	out := &StructuredTrajectory{ID: st.ID, ObjectID: st.ObjectID, Interpretation: st.Interpretation}
-	// owned reports whether the last output tuple has its own annotation
-	// set yet: a copy shares its input's until the first merge into it.
-	owned := false
 	for _, tp := range st.Tuples {
 		if n := len(out.Tuples); n > 0 {
 			last := out.Tuples[n-1]
@@ -241,16 +278,12 @@ func (st *StructuredTrajectory) MergeConsecutive(key string) *StructuredTrajecto
 			sameKind := last.Kind == tp.Kind
 			if samePlace && sameValue && sameKind {
 				last.TimeOut = tp.TimeOut
-				if !owned {
-					last.Annotations, owned = last.Annotations.Clone(), true
-				}
 				last.Annotations.Merge(&tp.Annotations)
 				continue
 			}
 		}
 		cp := *tp
 		out.Tuples = append(out.Tuples, &cp)
-		owned = false
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +79,51 @@ func TestAnnotationSet(t *testing.T) {
 	s.Merge(nil) // no-op
 	if got := s.String(); !strings.Contains(got, "transport_mode=bus") {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestAnnotationSetCopyOnWrite: a copy of a set, or of a tuple holding one,
+// stays as it was whatever Add, Merge or Merged do to the other copy, and
+// AnnotationSetOf builds what adding its annotations one by one builds.
+func TestAnnotationSetCopyOnWrite(t *testing.T) {
+	anns := []Annotation{
+		{Key: AnnLanduse, Value: "1.2", Confidence: 0.5},
+		{Key: AnnActivity, Value: "work", Confidence: 0.9},
+		{Key: AnnLanduse, Value: "1.3", Confidence: 0.4}, // loses to 0.5
+		{Key: AnnActivity, Value: "shopping", Confidence: 0.9},
+	}
+	var added AnnotationSet
+	for _, a := range anns {
+		added.Add(a)
+	}
+	if adopted := AnnotationSetOf(slices.Clone(anns)); !reflect.DeepEqual(adopted, added) {
+		t.Fatalf("AnnotationSetOf = %v, adding one by one = %v", adopted.All(), added.All())
+	}
+	orig := added
+	want := orig.All()
+	added.Add(Annotation{Key: AnnLanduse, Value: "1.4", Confidence: 1}, Annotation{Key: AnnPOIName, Value: "x"})
+	var other AnnotationSet
+	other.Add(Annotation{Key: AnnActivity, Value: "eat", Confidence: 1})
+	added.Merge(&other)
+	if !reflect.DeepEqual(orig.All(), want) {
+		t.Fatalf("a copy changed under Add and Merge: %v, want %v", orig.All(), want)
+	}
+	if added.String() != "landuse=1.4 activity=eat poi_name=x" {
+		t.Fatalf("Add and Merge built %q", added.String())
+	}
+
+	tp := makeTuple(episode.Stop, "home", "home", 0, 60)
+	tp.Annotations = orig
+	place := &Place{ID: "shop", Kind: PointPlace}
+	merged := tp.Merged(place, []Annotation{{Key: AnnActivity, Value: "eat", Confidence: 1}})
+	if tp.PlaceID() != "home" || !reflect.DeepEqual(tp.Annotations.All(), want) {
+		t.Fatalf("Merged wrote its receiver: place %s, annotations %v", tp.PlaceID(), tp.Annotations.All())
+	}
+	if merged.PlaceID() != "shop" || merged.Annotations.Value(AnnActivity) != "eat" || merged.Annotations.Len() != 2 {
+		t.Fatalf("Merged = place %s, annotations %v", merged.PlaceID(), merged.Annotations.All())
+	}
+	if unlinked := tp.Merged(nil, nil); unlinked.PlaceID() != "home" {
+		t.Fatal("Merged with a nil place dropped the link")
 	}
 }
 

@@ -398,12 +398,10 @@ func (a *Annotator) AnnotateMoveCursor(t *gps.RawTrajectory, ep *episode.Episode
 			TimeOut: t.Records[run.EndIdx].Time,
 			Episode: ep,
 		}
-		tuple.Annotations.Add(core.Annotation{
-			Key: core.AnnRoadClass, Value: seg.Class.String(), Confidence: 1, Source: "line"})
-		tuple.Annotations.Add(core.Annotation{
-			Key: core.AnnRoadName, Value: seg.Name, Confidence: 1, Source: "line"})
-		tuple.Annotations.Add(core.Annotation{
-			Key: core.AnnTransportMode, Value: string(run.Mode), Confidence: 0.9, Source: "line"})
+		tuple.Annotations.Add(
+			core.Annotation{Key: core.AnnRoadClass, Value: seg.Class.String(), Confidence: 1, Source: "line"},
+			core.Annotation{Key: core.AnnRoadName, Value: seg.Name, Confidence: 1, Source: "line"},
+			core.Annotation{Key: core.AnnTransportMode, Value: string(run.Mode), Confidence: 0.9, Source: "line"})
 		tuples = append(tuples, tuple)
 	}
 	return tuples, runs, nil

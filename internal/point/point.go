@@ -376,14 +376,13 @@ func (a *Annotator) AnnotateStopsCursor(stops []*episode.Episode, cur *Cursor) (
 			TimeOut: stops[i].End,
 			Episode: stops[i],
 		}
-		tuple.Annotations.Add(core.Annotation{
-			Key: core.AnnPOICategory, Value: cat.String(), Confidence: conf, Source: "point"})
-		tuple.Annotations.Add(core.Annotation{
-			Key: core.AnnActivity, Value: ActivityFor(cat), Confidence: conf, Source: "point"})
+		anns := append(make([]core.Annotation, 0, 3),
+			core.Annotation{Key: core.AnnPOICategory, Value: cat.String(), Confidence: conf, Source: "point"},
+			core.Annotation{Key: core.AnnActivity, Value: ActivityFor(cat), Confidence: conf, Source: "point"})
 		if nearest != nil {
-			tuple.Annotations.Add(core.Annotation{
-				Key: core.AnnPOIName, Value: nearest.Name, Confidence: conf, Source: "point"})
+			anns = append(anns, core.Annotation{Key: core.AnnPOIName, Value: nearest.Name, Confidence: conf, Source: "point"})
 		}
+		tuple.Annotations = core.AnnotationSetOf(anns)
 		tuples[i] = tuple
 	}
 	return tuples, annotations, nil

@@ -405,11 +405,12 @@ func (e *Engine) StructuredReplaced(trajectoryID, objectID, interpretation strin
 	}
 }
 
-// TupleUpdated implements store.Index: a stored tuple gained annotations in
-// place (the streaming close path merging the point layer's results). For
-// an already-indexed position only the changed annotations need postings —
-// time and geometry are immutable; an unmarked position (the update raced
-// ahead of the backfill) indexes fully from the event's copy.
+// TupleUpdated implements store.Index: a stored tuple was replaced by a
+// copy with annotations merged in (the streaming close path merging the
+// point layer's results). For an already-indexed position only the changed
+// annotations need postings — time and geometry do not change; an unmarked
+// position (the update raced ahead of the backfill) indexes fully from the
+// event's copy.
 func (e *Engine) TupleUpdated(event store.TupleEvent) {
 	if p, ok := e.objShardFor(event.Ref.ObjectID).marked(event.Ref); ok {
 		e.indexAnnotations(event.Ref.Interpretation, p, event.Changed)
@@ -476,27 +477,27 @@ func (e *Engine) executeBuf(f *form, path Path, out []Match, maxWorkers int, tr 
 		// Stored order is canonical order (one object, one trajectory,
 		// ascending positions), so the limit stops the walk early.
 		base := len(out)
-		objectID, tuples, ok := e.st.TupleSnapshot(f.traj, f.interp)
+		st, ok := e.st.Structured(f.traj, f.interp)
 		if !ok {
 			tr.stage("store-walk", t0, 0)
 			return out
 		}
-		for i := range tuples {
+		for i, tp := range st.Tuples {
 			ref := store.TupleRef{
 				TrajectoryID:   f.traj,
-				ObjectID:       objectID,
+				ObjectID:       st.ObjectID,
 				Interpretation: f.interp,
 				Index:          i,
 			}
-			if f.admits(ref, &tuples[i]) {
-				out = append(out, Match{Ref: ref, Tuple: tuples[i]})
+			if f.admits(ref, tp) {
+				out = append(out, Match{Ref: ref, Tuple: *tp})
 				if f.limit > 0 && len(out) >= f.limit {
 					break
 				}
 			}
 		}
-		obs.QueryCandidates.Add(int64(len(tuples)))
-		tr.addCandidates(len(tuples))
+		obs.QueryCandidates.Add(int64(len(st.Tuples)))
+		tr.addCandidates(len(st.Tuples))
 		tr.stage("store-walk", t0, len(out)-base)
 		return out
 	case PathScan:

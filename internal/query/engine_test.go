@@ -380,7 +380,7 @@ func TestEngineReplaceAndUpdate(t *testing.T) {
 		t.Fatalf("replacement content not queryable: %+v, %v", ms, err)
 	}
 
-	// Re-annotate in place through the store (the streaming close path).
+	// Re-annotate through the store (the streaming close path).
 	if err := st.MergeTupleAnnotations("u1-T0", "merged", 0, nil,
 		[]core.Annotation{ann(core.AnnActivity, "leisure")}); err != nil {
 		t.Fatal(err)

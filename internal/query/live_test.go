@@ -196,7 +196,7 @@ func TestStandingDropsStayGenuine(t *testing.T) {
 			// The ref matched at evaluation time; with no replacements racing
 			// after Sync it must still be in the engine's answer unless its
 			// content was later replaced. Resolve to check it ever existed.
-			if _, ok := st.TupleAt(ref.TrajectoryID, ref.Interpretation, ref.Index); !ok {
+			if _, ok := st.AppendTuplesAt(ref.TrajectoryID, ref.Interpretation, []int{ref.Index}, nil, nil); !ok[0] {
 				t.Fatalf("matched ref %+v never existed in the store", ref)
 			}
 		}

@@ -109,9 +109,11 @@ func (q Query) Validate() error {
 // finite reports whether f is neither NaN nor ±Inf.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// Match is one query result: the ref locating the tuple in the store plus a
-// stable copy of the tuple taken under the store's stripe lock at resolution
-// time. Matches are ordered by (object, trajectory, position).
+// Match is one query result: the ref locating the tuple in the store plus
+// the tuple as the store held it at resolution time. Stored tuples are never
+// written after they are published, so the copy shares its annotations with
+// the store and stays as it is. Matches are ordered by (object, trajectory,
+// position).
 type Match struct {
 	Ref   store.TupleRef
 	Tuple core.EpisodeTuple

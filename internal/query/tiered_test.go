@@ -20,11 +20,11 @@ import (
 	"semitri/internal/store"
 )
 
-// cloneTuple deep-copies a tuple so the heap and tiered stores never share
-// mutable state (heap merges mutate annotations in place).
+// cloneTuple copies a tuple with its own place and episode, so the heap and
+// tiered stores share no pointer (the annotation set needs no copying: it is
+// copy-on-write).
 func cloneTuple(tp *core.EpisodeTuple) *core.EpisodeTuple {
 	cp := *tp
-	cp.Annotations = tp.Annotations.Clone()
 	if tp.Place != nil {
 		p := *tp.Place
 		cp.Place = &p

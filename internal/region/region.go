@@ -127,8 +127,7 @@ func (a *Annotator) AnnotateTrajectoryCursor(t *gps.RawTrajectory, lc *Cursor) (
 		}
 		cur.Annotations.Add(core.Annotation{
 			Key: core.AnnLanduse, Value: string(cell.Category), Confidence: 1, Source: "region",
-		})
-		cur.Annotations.Add(core.Annotation{
+		}, core.Annotation{
 			Key: core.AnnLanduseTop, Value: cell.Category.TopLevel(), Confidence: 1, Source: "region",
 		})
 		curCategory = cell.Category
@@ -197,8 +196,7 @@ func (a *Annotator) AnnotateEpisodesCursor(eps []*episode.Episode, cur *Cursor) 
 		if found {
 			tuple.Annotations.Add(core.Annotation{
 				Key: core.AnnLanduse, Value: string(cat), Confidence: 1, Source: "region",
-			})
-			tuple.Annotations.Add(core.Annotation{
+			}, core.Annotation{
 				Key: core.AnnLanduseTop, Value: cat.TopLevel(), Confidence: 1, Source: "region",
 			})
 		}

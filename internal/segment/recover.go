@@ -242,7 +242,8 @@ func (t *Tier) dropScanRuns(runs []runRef) {
 
 // foldOverlay materialises the recovered merge overlay: for every merged
 // position still covered by a live run, decode the base tuple and apply its
-// merge frames in segment order. Each frame carries the full post-merge
+// merge frames in segment order by core.EpisodeTuple.Merged, the rule the
+// live merge applied. Each frame carries the full post-merge
 // annotation set, so application is an idempotent fixed point; merges whose
 // position a later replace superseded were dropped during the fold.
 func (t *Tier) foldOverlay(merges map[tierKey][]mergeRef) ([]store.ColdOverlayEntry, error) {
@@ -288,12 +289,7 @@ func (t *Tier) foldOverlay(merges map[tierKey][]mergeRef) ([]store.ColdOverlayEn
 				if err != nil {
 					return nil, corruptf(r.path, "merge frame at %d undecodable", r.foot.Runs[rr.ent].Off)
 				}
-				if m.Place != nil {
-					tp.Place = m.Place
-				}
-				for _, a := range m.Annotations {
-					tp.Annotations.Add(a)
-				}
+				tp = tp.Merged(m.Place, m.Annotations)
 			}
 			out = append(out, store.ColdOverlayEntry{
 				TrajectoryID: k.traj, Interpretation: k.interp, Index: idx, Tuple: tp,

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -42,7 +43,9 @@ func TestAppendStructuredTuples(t *testing.T) {
 	if !ok {
 		t.Fatal("structured trajectory not created")
 	}
-	if st.ObjectID != "u1" || len(st.Tuples) != 2 || st.Tuples[0] != tp1 || st.Tuples[1] != tp2 {
+	// Structured hands out copies: equal content, never the stored tuples.
+	if st.ObjectID != "u1" || len(st.Tuples) != 2 || !reflect.DeepEqual(*st.Tuples[0], *tp1) ||
+		!reflect.DeepEqual(*st.Tuples[1], *tp2) || st.Tuples[0] == tp1 || st.Tuples[1] == tp2 {
 		t.Fatalf("appended tuples not preserved: %+v", st)
 	}
 	if err := s.AppendStructuredTuples("", "u1", "merged", tp1); err == nil {

@@ -23,10 +23,12 @@ import (
 // engine and the WAL replay arithmetic are oblivious to where a tuple
 // physically lives.
 //
-// Annotation merges that target a frozen tuple cannot mutate the immutable
-// segment, so they land in a small per-shard overlay (position → merged
-// tuple) consulted before the cold tier on every read. Overlay entries are
-// written out as merge frames at the next freeze, so recovery rebuilds them.
+// Annotation merges that target a frozen tuple cannot change the immutable
+// segment, so the merged tuple lands in a small per-shard overlay (position
+// → merged tuple) consulted before the cold tier on every read. Like the
+// heap tail, a key's overlay map is replaced, never written, once readers
+// can see it. Overlay entries are written out as merge frames at the next
+// freeze, so recovery rebuilds them.
 
 // ColdTier is the read side of the frozen half of a tiered store,
 // implemented by internal/segment. All methods must be safe for concurrent
@@ -310,8 +312,9 @@ func (s *Store) ColdSummaries(buf []SegmentSummary) []SegmentSummary {
 
 // VisitColdSegmentTuples calls fn for every live frozen tuple of one cold
 // segment, with the merge overlay applied — the cold counterpart of
-// VisitShardTuples, and a parallel scan's per-segment work unit. It reports
-// false when fn stopped the visit early.
+// VisitShardTuples, and a parallel scan's per-segment work unit. The
+// overlay is read from one view per run of consecutive refs to the same
+// key. It reports false when fn stopped the visit early.
 func (s *Store) VisitColdSegmentTuples(seg int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
 	ct := s.coldTier()
 	if ct == nil {
@@ -320,63 +323,17 @@ func (s *Store) VisitColdSegmentTuples(seg int, interpretation string, fn func(r
 	if s.overlayN.Load() == 0 {
 		return ct.VisitSegmentTuples(seg, interpretation, fn)
 	}
+	var v keyView
 	return ct.VisitSegmentTuples(seg, interpretation, func(ref TupleRef, t core.EpisodeTuple) bool {
-		if ov, ok := s.overlayAt(ref); ok {
-			t = ov
+		if k := (tupKey{ref.TrajectoryID, ref.Interpretation}); k != v.k {
+			v, _ = s.view(k.traj, k.interp)
+			v.k = k
+		}
+		if ov, ok := v.overlay[ref.Index]; ok {
+			t = *ov
 		}
 		return fn(ref, t)
 	})
-}
-
-// overlayAt returns the overlay tuple standing in for ref, if any.
-func (s *Store) overlayAt(ref TupleRef) (core.EpisodeTuple, bool) {
-	sh := s.shardFor(ref.TrajectoryID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.frozen == nil {
-		return core.EpisodeTuple{}, false
-	}
-	byIdx := sh.frozen.overlay[tupKey{ref.TrajectoryID, ref.Interpretation}]
-	tp, ok := byIdx[ref.Index]
-	if !ok {
-		return core.EpisodeTuple{}, false
-	}
-	return copyTuple(tp), true
-}
-
-// coldTuplesFor returns the frozen prefix of one structured interpretation
-// with the overlay applied: base frozen tuples in position order. overlay is
-// the copied overlay entries for the key (may be nil). Called with no stripe
-// lock held.
-func (s *Store) coldTuplesFor(trajectoryID, interpretation string, base int, overlay map[int]core.EpisodeTuple, buf []core.EpisodeTuple) []core.EpisodeTuple {
-	if base == 0 {
-		return buf
-	}
-	at := len(buf)
-	buf = s.coldTier().ColdTuples(trajectoryID, interpretation, buf)
-	for idx, tp := range overlay {
-		if at+idx < len(buf) {
-			buf[at+idx] = tp
-		}
-	}
-	return buf
-}
-
-// copyOverlay snapshots the overlay entries of one key under the stripe
-// lock (caller holds it); nil when the key has none.
-func (sh *shard) copyOverlay(k tupKey) map[int]core.EpisodeTuple {
-	if sh.frozen == nil {
-		return nil
-	}
-	byIdx := sh.frozen.overlay[k]
-	if len(byIdx) == 0 {
-		return nil
-	}
-	out := make(map[int]core.EpisodeTuple, len(byIdx))
-	for idx, tp := range byIdx {
-		out[idx] = copyTuple(tp)
-	}
-	return out
 }
 
 // sortedTupleKeys returns a shard's structured keys in deterministic order.

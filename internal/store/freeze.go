@@ -61,8 +61,10 @@ type dirtyMark struct {
 // CollectTail emits the store's current heap tail as a sequence of
 // Mutations — the segment writer's input. Emissions happen under stripe
 // read locks (one stripe at a time), so emit must not call back into the
-// store; content reachable from an emitted Mutation is only stable until
-// emit returns. The record runs of every stripe are emitted first, then the
+// store. The episodes and tuples an emitted Mutation reaches are never
+// written again; its Records are a scratch run that the next emission
+// overwrites, so emit must copy or serialise them before it returns. The
+// record runs of every stripe are emitted first, then the
 // other tables stripe by stripe; stripes are walked in order and keys within
 // a stripe in sorted order, so the emission sequence is deterministic. An
 // emit error aborts the collection.

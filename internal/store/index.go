@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -15,8 +17,8 @@ var errNoSuchTuple = errors.New("store: no such tuple")
 // TupleRef locates one episode tuple inside the store: the structured
 // trajectory it belongs to and its position in that trajectory's tuple
 // sequence. Refs are the currency between the store and a secondary-index
-// layer: an index stores refs, and resolves them back through TupleAt when a
-// query needs the tuple's current content. Positions are logical — on a
+// layer: an index stores refs, and resolves them back through AppendTuplesAt
+// when a query needs the tuple's current content. Positions are logical — on a
 // tiered store a ref below the key's frozen base resolves through the cold
 // tier, at or above it through the heap tail — so indexes built before a
 // freeze stay valid after it.
@@ -28,10 +30,9 @@ type TupleRef struct {
 }
 
 // TupleEvent is one index-maintenance notification: the ref of a tuple that
-// was appended, replaced or updated, together with a stable copy of its
-// content taken while the stripe lock was held. Indexes must read the copy,
-// never the stored original (which concurrent writers keep mutating under
-// the stripe lock).
+// was appended, replaced or updated, together with its content as
+// published. Stored tuples are never written after they are published, so
+// the copy shares its annotations with the store and stays as it is.
 type TupleEvent struct {
 	Ref   TupleRef
 	Tuple core.EpisodeTuple
@@ -55,8 +56,9 @@ type Index interface {
 	// sequence of (trajectoryID, interpretation); events carries the full
 	// new content (possibly empty).
 	StructuredReplaced(trajectoryID, objectID, interpretation string, events []TupleEvent)
-	// TupleUpdated reports that a stored tuple gained annotations in place
-	// (the streaming close path merging the point layer's results).
+	// TupleUpdated reports that a stored tuple was replaced by a copy with
+	// annotations merged in (the streaming close path merging the point
+	// layer's results).
 	TupleUpdated(event TupleEvent)
 }
 
@@ -113,16 +115,6 @@ func (s *Store) sink() Index {
 	return nil
 }
 
-// copyTuple snapshots one stored tuple. Caller holds the stripe lock. The
-// Place and Episode pointers are shared: both are immutable once the tuple
-// reaches the store (places come from the 3rd-party sources, episodes are
-// final when appended); only the annotation set keeps being written.
-func copyTuple(tp *core.EpisodeTuple) core.EpisodeTuple {
-	c := *tp
-	c.Annotations = tp.Annotations.Clone()
-	return c
-}
-
 // tupleEvents builds index notifications for tuples[start:] of a structured
 // trajectory's heap tail; base is the key's frozen prefix length, so the
 // event refs carry logical positions. Caller holds the stripe lock.
@@ -139,144 +131,103 @@ func tupleEvents(st *core.StructuredTrajectory, start, base int) []TupleEvent {
 				Interpretation: st.Interpretation,
 				Index:          base + i,
 			},
-			Tuple: copyTuple(st.Tuples[i]),
+			Tuple: *st.Tuples[i],
 		})
 	}
 	return events
 }
 
-// TupleAt returns a stable copy of the tuple stored at (trajectoryID,
-// interpretation, index), or false when the position does not exist. This is
-// the resolution step of indexed query execution: an index's ref is resolved
-// against the store's current content under the stripe lock (heap positions)
-// or against the immutable segment plus the merge overlay (frozen
-// positions), so the result can never be a torn read of a tuple a writer is
-// still annotating.
-func (s *Store) TupleAt(trajectoryID, interpretation string, index int) (core.EpisodeTuple, bool) {
-	if index < 0 {
-		return core.EpisodeTuple{}, false
+// keyView is one structured key as a single hold of its stripe's read lock
+// saw it: the owning object, the frozen prefix length, the heap tail and
+// the merge overlay of the frozen prefix. It stays valid with no lock held
+// because the store writes neither of its containers after publishing them:
+// a merge swaps a new tail slice or a new overlay map in, an append writes
+// past every published length, and a tuple is never written at all.
+type keyView struct {
+	k        tupKey
+	objectID string
+	base     int
+	tail     []*core.EpisodeTuple
+	overlay  map[int]*core.EpisodeTuple
+}
+
+// viewLocked takes a key's view. Caller holds sh.mu.
+func (sh *shard) viewLocked(k tupKey, st *core.StructuredTrajectory) keyView {
+	v := keyView{k: k, objectID: st.ObjectID, base: sh.frozenTups(k), tail: st.Tuples}
+	if v.base > 0 {
+		v.overlay = sh.frozen.overlay[k]
 	}
+	return v
+}
+
+// view takes a key's view under its stripe's read lock.
+func (s *Store) view(trajectoryID, interpretation string) (keyView, bool) {
 	sh := s.shardFor(trajectoryID)
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	st, ok := sh.structured[trajectoryID][interpretation]
 	if !ok {
-		sh.mu.RUnlock()
-		return core.EpisodeTuple{}, false
+		return keyView{}, false
 	}
-	k := tupKey{trajectoryID, interpretation}
-	base := sh.frozenTups(k)
-	if index >= base {
-		h := index - base
-		if h >= len(st.Tuples) {
-			sh.mu.RUnlock()
-			return core.EpisodeTuple{}, false
+	return sh.viewLocked(tupKey{trajectoryID, interpretation}, st), true
+}
+
+// appendFrozen appends the view's frozen prefix in position order to buf:
+// one tier read, with the overlay applied. A freeze that commits after the
+// view was taken adds nothing the view does not already hold in its tail.
+// Called with no stripe lock held.
+func (s *Store) appendFrozen(v *keyView, buf []core.EpisodeTuple) []core.EpisodeTuple {
+	if v.base == 0 {
+		return buf
+	}
+	at := len(buf)
+	buf = s.coldTier().ColdTuples(v.k.traj, v.k.interp, buf)
+	buf = buf[:min(len(buf), at+v.base)]
+	for idx, tp := range v.overlay {
+		if at+idx < len(buf) {
+			buf[at+idx] = *tp
 		}
-		tp := copyTuple(st.Tuples[h])
-		sh.mu.RUnlock()
-		return tp, true
 	}
-	if s.overlayN.Load() != 0 && sh.frozen != nil {
-		if tp, hit := sh.frozen.overlay[k][index]; hit {
-			c := copyTuple(tp)
-			sh.mu.RUnlock()
-			return c, true
-		}
-	}
-	sh.mu.RUnlock()
-	cold := s.coldTier().ColdTuples(trajectoryID, interpretation, nil)
-	if index < len(cold) {
-		return cold[index], true
-	}
-	return core.EpisodeTuple{}, false
+	return buf
 }
 
 // AppendTuplesAt resolves several positions of one structured trajectory
-// under a single stripe lock, appending one entry per index to the
-// caller-owned tuples and ok: the appended tuples[i] is a stable copy of the
-// tuple at indexes[i] and ok[i] reports whether that position exists. Batch
-// resolution is what keeps indexed query execution cheap — candidates
-// cluster by trajectory, so the executor pays one lock per trajectory
-// instead of one per tuple — and reusing the buffers' capacity lets it run
-// the whole resolution loop without allocating per batch.
+// from one view of it, appending one entry per index to the caller-owned
+// tuples and ok: the appended tuples[i] is the tuple at indexes[i] and ok[i]
+// reports whether that position exists. Batch resolution is what keeps
+// indexed query execution cheap — candidates cluster by trajectory, so the
+// executor pays one lock per trajectory instead of one per tuple, and the
+// frozen positions of a batch decode with one tier read — and reusing the
+// buffers' capacity lets it run the whole resolution loop without
+// allocating per batch.
 func (s *Store) AppendTuplesAt(trajectoryID, interpretation string, indexes []int, tuples []core.EpisodeTuple, ok []bool) ([]core.EpisodeTuple, []bool) {
 	at := len(tuples)
 	for range indexes {
 		tuples = append(tuples, core.EpisodeTuple{})
 		ok = append(ok, false)
 	}
-	sh := s.shardFor(trajectoryID)
-	sh.mu.RLock()
-	st, found := sh.structured[trajectoryID][interpretation]
+	v, found := s.view(trajectoryID, interpretation)
 	if !found {
-		sh.mu.RUnlock()
 		return tuples, ok
 	}
-	k := tupKey{trajectoryID, interpretation}
-	base := sh.frozenTups(k)
-	needCold := false
+	var frozen []core.EpisodeTuple
 	for i, idx := range indexes {
-		if idx < 0 {
-			continue
-		}
-		if idx < base {
-			needCold = true
-			continue
-		}
-		if h := idx - base; h < len(st.Tuples) {
-			tuples[at+i] = copyTuple(st.Tuples[h])
-			ok[at+i] = true
-		}
-	}
-	var overlay map[int]core.EpisodeTuple
-	if needCold && s.overlayN.Load() != 0 {
-		overlay = sh.copyOverlay(k)
-	}
-	sh.mu.RUnlock()
-	if !needCold {
-		return tuples, ok
-	}
-	// One tier read resolves every frozen position of the batch — candidates
-	// cluster by trajectory, so the segment run decodes once per batch.
-	cold := s.coldTuplesFor(trajectoryID, interpretation, base, overlay, nil)
-	for i, idx := range indexes {
-		if idx >= 0 && idx < base && idx < len(cold) {
-			tuples[at+i] = cold[idx]
-			ok[at+i] = true
+		switch {
+		case idx < 0:
+		case idx >= v.base:
+			if h := idx - v.base; h < len(v.tail) {
+				tuples[at+i], ok[at+i] = *v.tail[h], true
+			}
+		default:
+			if frozen == nil {
+				frozen = s.appendFrozen(&v, nil)
+			}
+			if idx < len(frozen) {
+				tuples[at+i], ok[at+i] = frozen[idx], true
+			}
 		}
 	}
 	return tuples, ok
-}
-
-// TupleSnapshot returns stable copies of every tuple stored under
-// (trajectoryID, interpretation), in stored order, plus the owning object
-// id. One stripe lock, one pass — the resolution step of trajectory-direct
-// query execution.
-func (s *Store) TupleSnapshot(trajectoryID, interpretation string) (objectID string, tuples []core.EpisodeTuple, ok bool) {
-	sh := s.shardFor(trajectoryID)
-	sh.mu.RLock()
-	st, ok := sh.structured[trajectoryID][interpretation]
-	if !ok {
-		sh.mu.RUnlock()
-		return "", nil, false
-	}
-	k := tupKey{trajectoryID, interpretation}
-	base := sh.frozenTups(k)
-	objectID = st.ObjectID
-	tail := make([]core.EpisodeTuple, len(st.Tuples))
-	for i, tp := range st.Tuples {
-		tail[i] = copyTuple(tp)
-	}
-	var overlay map[int]core.EpisodeTuple
-	if base > 0 && s.overlayN.Load() != 0 {
-		overlay = sh.copyOverlay(k)
-	}
-	sh.mu.RUnlock()
-	if base == 0 {
-		return objectID, tail, true
-	}
-	tuples = s.coldTuplesFor(trajectoryID, interpretation, base, overlay,
-		make([]core.EpisodeTuple, 0, base+len(tail)))
-	return objectID, append(tuples, tail...), true
 }
 
 // TupleCount returns the logical number of tuples stored under
@@ -295,11 +246,14 @@ func (s *Store) TupleCount(trajectoryID, interpretation string) int {
 
 // MergeTupleAnnotations merges annotations (and, when place is non-nil, the
 // place link) into the tuple stored at (trajectoryID, interpretation,
-// index), under the stripe lock. It is the streaming close path's
-// counterpart of mutating a local tuple before storing it: the point layer's
-// results land on already-stored merged tuples, and routing the write
-// through the store keeps concurrent readers (Save, TupleAt, the query
-// engine) race-free and notifies the attached index.
+// index) by the rule of core.EpisodeTuple.Merged. It is the streaming close
+// path's way of annotating a tuple that is already stored: the point layer's
+// results land on the merged tuples the episodes' closes appended. The
+// merged tuple is a new one, swapped in under the stripe lock — into a new
+// copy of the heap tail, or into a new copy of the key's overlay when the
+// position is frozen (the segment bytes are immutable, and the next freeze
+// writes the overlay entry out as a merge frame) — so no reader's tuple or
+// view changes, and the attached index is notified.
 func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index int, place *core.Place, anns []core.Annotation) error {
 	obs.StoreMutAnnotations.Inc()
 	sh := s.shardFor(trajectoryID)
@@ -311,10 +265,20 @@ func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index
 	}
 	k := tupKey{trajectoryID, interpretation}
 	base := sh.frozenTups(k)
-	if index < base {
-		return s.mergeFrozenTuple(sh, st, k, index, place, anns)
+	var cur *core.EpisodeTuple
+	if index >= base {
+		if h := index - base; h < len(st.Tuples) {
+			cur = st.Tuples[h]
+		}
+	} else if cur = sh.frozen.overlay[k][index]; cur == nil {
+		// The first merge into a frozen position reads the tier under the
+		// stripe lock (shard→tier order), which keeps the read and the
+		// overlay write atomic against racing merges to the same spot.
+		if cold := s.coldTier().ColdTuples(trajectoryID, interpretation, nil); index < len(cold) {
+			cur = &cold[index]
+		}
 	}
-	if index-base >= len(st.Tuples) {
+	if cur == nil {
 		sh.mu.Unlock()
 		return errNoSuchTuple
 	}
@@ -322,18 +286,29 @@ func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index
 		l.LogMutation(Mutation{Op: MutMergeTuple, TrajectoryID: trajectoryID,
 			Interpretation: interpretation, Start: index, Place: place, Annotations: anns})
 	}
-	if s.Tiered() {
-		// The in-place write may land inside a freeze's captured delta; the
-		// bump makes the freeze re-collect the key instead of evicting a heap
-		// tail whose segment copy predates this merge.
-		sh.bumpGen(freezeKey{table: frzTuples, key: trajectoryID, interp: interpretation})
-	}
-	tp := st.Tuples[index-base]
-	for _, a := range anns {
-		tp.Annotations.Add(a)
-	}
-	if place != nil {
-		tp.Place = place
+	merged := cur.Merged(place, anns)
+	if index >= base {
+		if s.Tiered() {
+			// The swap may land inside a freeze's captured delta; the bump
+			// makes the freeze re-collect the key instead of evicting a heap
+			// tail whose segment copy predates this merge.
+			sh.bumpGen(freezeKey{table: frzTuples, key: trajectoryID, interp: interpretation})
+		}
+		tail := slices.Clone(st.Tuples)
+		tail[index-base] = &merged
+		st.Tuples = tail
+	} else {
+		fz := sh.frozen
+		ov := maps.Clone(fz.overlay[k])
+		if ov == nil {
+			ov = map[int]*core.EpisodeTuple{}
+		}
+		if _, had := ov[index]; !had {
+			s.overlayN.Add(1)
+		}
+		ov[index] = &merged
+		fz.overlay[k] = ov
+		fz.overlayDirty = append(fz.overlayDirty, overlayRef{k: k, idx: index})
 	}
 	var ev TupleEvent
 	sink := s.sink()
@@ -345,73 +320,13 @@ func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index
 				Interpretation: interpretation,
 				Index:          index,
 			},
-			Tuple: copyTuple(tp),
+			Tuple: merged,
 		}
 		// Report the post-merge values of the merged keys (Add keeps the old
 		// annotation when its confidence wins, and an index must post what
 		// the tuple now carries, not what the caller asked for).
 		for _, a := range anns {
-			if got, found := tp.Annotations.Get(a.Key); found {
-				ev.Changed = append(ev.Changed, got)
-			}
-		}
-	}
-	sh.mu.Unlock()
-	if sink != nil {
-		sink.TupleUpdated(ev)
-	}
-	return nil
-}
-
-// mergeFrozenTuple continues MergeTupleAnnotations for a target below the
-// key's frozen base: the segment bytes are immutable, so the merged result
-// lands in the shard's overlay (consulted before the tier on every read) and
-// is queued for the next freeze to write out as a merge frame. The caller
-// holds the stripe write lock and this releases it; the first merge into a
-// position reads the tier under that lock (shard→tier order), which keeps
-// the check-then-materialise atomic against racing merges to the same spot.
-func (s *Store) mergeFrozenTuple(sh *shard, st *core.StructuredTrajectory, k tupKey, index int, place *core.Place, anns []core.Annotation) error {
-	fz := sh.frozenMeta()
-	cur, ok := fz.overlay[k][index]
-	if !ok {
-		cold := s.coldTier().ColdTuples(k.traj, k.interp, nil)
-		if index >= len(cold) {
-			sh.mu.Unlock()
-			return errNoSuchTuple
-		}
-		t := cold[index]
-		cur = &t
-		if fz.overlay[k] == nil {
-			fz.overlay[k] = map[int]*core.EpisodeTuple{}
-		}
-		fz.overlay[k][index] = cur
-		s.overlayN.Add(1)
-	}
-	if l := s.mutationLog(); l != nil {
-		l.LogMutation(Mutation{Op: MutMergeTuple, TrajectoryID: k.traj,
-			Interpretation: k.interp, Start: index, Place: place, Annotations: anns})
-	}
-	for _, a := range anns {
-		cur.Annotations.Add(a)
-	}
-	if place != nil {
-		cur.Place = place
-	}
-	fz.overlayDirty = append(fz.overlayDirty, overlayRef{k: k, idx: index})
-	var ev TupleEvent
-	sink := s.sink()
-	if sink != nil {
-		ev = TupleEvent{
-			Ref: TupleRef{
-				TrajectoryID:   k.traj,
-				ObjectID:       st.ObjectID,
-				Interpretation: k.interp,
-				Index:          index,
-			},
-			Tuple: copyTuple(cur),
-		}
-		for _, a := range anns {
-			if got, found := cur.Annotations.Get(a.Key); found {
+			if got, found := merged.Annotations.Get(a.Key); found {
 				ev.Changed = append(ev.Changed, got)
 			}
 		}
@@ -424,21 +339,21 @@ func (s *Store) mergeFrozenTuple(sh *shard, st *core.StructuredTrajectory, k tup
 }
 
 // VisitStructuredTuples calls fn for every stored tuple of the given
-// interpretation (every interpretation when interpretation is empty), as a
-// stable copy with its ref. It is the engine's backfill scan and the
-// full-scan fallback of unindexable queries: on a tiered store the cold
-// segments are visited first (overlay applied), then each stripe's heap
-// tuples are copied under the stripe's read lock and fn runs with no lock
-// held, so fn may query the store. Stripes are visited in order but
-// trajectories within a stripe in map order; callers needing determinism
-// sort their results. The visit stops early when fn returns false.
+// interpretation (every interpretation when interpretation is empty), with
+// its ref. It is the engine's backfill scan and the full-scan fallback of
+// unindexable queries: on a tiered store the cold segments are visited
+// first (overlay applied), then each stripe's keys are viewed under the
+// stripe's read lock and fn runs with no lock held, so fn may query the
+// store. Stripes are visited in order but trajectories within a stripe in
+// map order; callers needing determinism sort their results. The visit
+// stops early when fn returns false.
 func (s *Store) VisitStructuredTuples(interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) {
 	for seg, n := 0, s.ColdSegmentCount(); seg < n; seg++ {
 		if !s.VisitColdSegmentTuples(seg, interpretation, fn) {
 			return
 		}
 	}
-	var buf []TupleEvent
+	var buf []keyView
 	for _, sh := range s.shards {
 		var more bool
 		buf, more = visitShard(sh, buf, interpretation, fn)
@@ -450,7 +365,7 @@ func (s *Store) VisitStructuredTuples(interpretation string, fn func(ref TupleRe
 
 // VisitShardTuples is the single-stripe, heap-only slice of
 // VisitStructuredTuples: it visits only the tuples resident in lock stripe
-// `shard` (0 ≤ shard < ShardCount), with the same copy-then-call locking
+// `shard` (0 ≤ shard < ShardCount), with the same view-then-call locking
 // discipline. It reports false when fn stopped the visit early. Because the
 // stripes partition the heap and VisitColdSegmentTuples partitions the
 // frozen tuples by segment, visiting every shard index plus every segment
@@ -464,11 +379,11 @@ func (s *Store) VisitShardTuples(shard int, interpretation string, fn func(ref T
 	return more
 }
 
-// visitShard copies one stripe's heap tuples of the interpretation into buf
-// under the stripe's read lock (refs offset by each key's frozen base), then
-// calls fn for each with no lock held. It returns the (possibly grown)
-// buffer for reuse and whether the visit should continue.
-func visitShard(sh *shard, buf []TupleEvent, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) ([]TupleEvent, bool) {
+// visitShard views one stripe's keys of the interpretation into buf under
+// the stripe's read lock, then calls fn for each heap tuple (refs offset by
+// each key's frozen base) with no lock held. It returns the (possibly
+// grown) buffer for reuse and whether the visit should continue.
+func visitShard(sh *shard, buf []keyView, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) ([]keyView, bool) {
 	buf = buf[:0]
 	sh.mu.RLock()
 	for id, byInterp := range sh.structured {
@@ -476,13 +391,17 @@ func visitShard(sh *shard, buf []TupleEvent, interpretation string, fn func(ref 
 			if interpretation != "" && interp != interpretation {
 				continue
 			}
-			buf = append(buf, tupleEvents(st, 0, sh.frozenTups(tupKey{id, interp}))...)
+			buf = append(buf, sh.viewLocked(tupKey{id, interp}, st))
 		}
 	}
 	sh.mu.RUnlock()
-	for _, ev := range buf {
-		if !fn(ev.Ref, ev.Tuple) {
-			return buf, false
+	for i := range buf {
+		v := &buf[i]
+		for j, tp := range v.tail {
+			ref := TupleRef{TrajectoryID: v.k.traj, ObjectID: v.objectID, Interpretation: v.k.interp, Index: v.base + j}
+			if !fn(ref, *tp) {
+				return buf, false
+			}
 		}
 	}
 	return buf, true

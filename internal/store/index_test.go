@@ -120,25 +120,22 @@ func TestTupleAccessors(t *testing.T) {
 	if err := s.AppendStructuredTuples("t1", "o1", "merged", a, b); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.TupleAt("t1", "merged", 1)
-	if !ok || !got.TimeIn.Equal(t0.Add(time.Hour)) {
-		t.Fatalf("TupleAt = %+v, %v", got, ok)
+	got, ok := s.AppendTuplesAt("t1", "merged", []int{1, 0, -1, 2}, nil, nil)
+	if len(got) != 4 || !ok[0] || !got[0].TimeIn.Equal(t0.Add(time.Hour)) || !ok[1] || !got[1].TimeIn.Equal(t0) {
+		t.Fatalf("AppendTuplesAt = %+v, %v", got, ok)
+	}
+	if ok[2] || ok[3] {
+		t.Fatalf("AppendTuplesAt found positions -1 or 2: %v", ok)
 	}
 	// The returned copy is stable under concurrent-style mutation.
-	got0, _ := s.TupleAt("t1", "merged", 0)
 	if err := s.MergeTupleAnnotations("t1", "merged", 0, nil,
 		[]core.Annotation{{Key: "x", Value: "y", Confidence: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if got0.Annotations.Len() != 1 {
-		t.Fatal("TupleAt copy aliased the stored annotation set")
+	if got[1].Annotations.Len() != 1 {
+		t.Fatal("AppendTuplesAt copy aliased the stored annotation set")
 	}
-	for _, bad := range []int{-1, 2} {
-		if _, ok := s.TupleAt("t1", "merged", bad); ok {
-			t.Fatalf("TupleAt(%d) should miss", bad)
-		}
-	}
-	if _, ok := s.TupleAt("t9", "merged", 0); ok {
+	if _, ok := s.AppendTuplesAt("t9", "merged", []int{0}, nil, nil); ok[0] {
 		t.Fatal("missing trajectory should miss")
 	}
 	if n := s.TupleCount("t1", "merged"); n != 2 {
@@ -147,9 +144,9 @@ func TestTupleAccessors(t *testing.T) {
 	if n := s.TupleCount("t9", "merged"); n != 0 {
 		t.Fatalf("TupleCount missing = %d", n)
 	}
-	obj, tuples, ok := s.TupleSnapshot("t1", "merged")
-	if !ok || obj != "o1" || len(tuples) != 2 {
-		t.Fatalf("TupleSnapshot = %q, %d, %v", obj, len(tuples), ok)
+	st, found := s.Structured("t1", "merged")
+	if !found || st.ObjectID != "o1" || len(st.Tuples) != 2 || st.Tuples[0].Annotations.Value("x") != "y" {
+		t.Fatalf("Structured = %+v, %v", st, found)
 	}
 
 	seen := 0

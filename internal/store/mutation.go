@@ -63,11 +63,10 @@ type Mutation struct {
 // MutationLog receives every committed store mutation, in commit order per
 // lock stripe. The store calls LogMutation while it still holds the stripe
 // lock of the mutated table, so implementations must be fast and must not
-// call back into the store. A MutPutRecords' Records are the log's own copy
-// and are never written again, so a log may keep them as they are; other
-// data reachable from the mutation (episodes, tuples) may be mutated by
-// later writers under the same stripe lock, so anything of it retained past
-// the call must be copied or serialised inside LogMutation.
+// call back into the store. Nothing reachable from a Mutation is written
+// again — a MutPutRecords' Records are the log's own copy, episodes are
+// final when stored, and a stored tuple is replaced by a merged copy, never
+// changed — so a log may keep any of it as it is.
 type MutationLog interface {
 	LogMutation(m Mutation)
 }

@@ -203,7 +203,7 @@ func (s *Store) writeSnapshot(w *bufio.Writer) error {
 		}
 		firstInterp := true
 		for _, interp := range s.Interpretations(id) {
-			objectID, tuples, ok := s.TupleSnapshot(id, interp)
+			st, ok := s.Structured(id, interp)
 			if !ok {
 				continue
 			}
@@ -211,8 +211,8 @@ func (s *Store) writeSnapshot(w *bufio.Writer) error {
 				return err
 			}
 			firstInterp = false
-			js := jsonStruct{ID: id, ObjectID: objectID, Interpretation: interp}
-			for _, tp := range tuples {
+			js := jsonStruct{ID: id, ObjectID: st.ObjectID, Interpretation: interp}
+			for _, tp := range st.Tuples {
 				js.Tuples = append(js.Tuples, jsonTuple{
 					Kind:        tp.Kind.String(),
 					Place:       tp.Place,

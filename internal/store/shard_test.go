@@ -222,8 +222,8 @@ func TestConcurrentObjectWrites(t *testing.T) {
 
 // TestSaveDuringConcurrentAppends runs Save in a loop while writers append
 // tuples to the same trajectories. Under -race this pins down that Save
-// serialises stored tuples while holding the stripe lock (stored tuple
-// slices are appended to in place, so reading them unlocked would race).
+// reads each key through a view taken under the stripe lock (appends write
+// the stored trajectory's slice header, so reading it unlocked would race).
 func TestSaveDuringConcurrentAppends(t *testing.T) {
 	s := New()
 	path := filepath.Join(t.TempDir(), "live.json")

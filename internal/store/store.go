@@ -488,7 +488,10 @@ func (s *Store) PutStructured(st *core.StructuredTrajectory) error {
 	if s.Tiered() {
 		sh.bumpGen(freezeKey{table: frzTuples, key: st.ID, interp: st.Interpretation})
 	}
-	byInterp[st.Interpretation] = st
+	// The store keeps its own header: later appends and merges write it,
+	// never the caller's, and the clipped slice makes the first append copy.
+	byInterp[st.Interpretation] = &core.StructuredTrajectory{ID: st.ID, ObjectID: st.ObjectID,
+		Interpretation: st.Interpretation, Tuples: slices.Clip(st.Tuples)}
 	var events []TupleEvent
 	sink := s.sink()
 	if sink != nil {
@@ -550,41 +553,27 @@ func (s *Store) AppendStructuredTuples(trajectoryID, objectID, interpretation st
 	return nil
 }
 
-// Structured returns the stored structured trajectory for a trajectory id
-// and interpretation. On an all-heap store (or a key with no frozen prefix)
-// it returns the stored object; when part of the key froze, it materialises
-// a combined view — frozen tuples read through the cold tier (overlay
-// applied), then the heap tail.
+// Structured returns the structured trajectory stored for a trajectory id
+// and interpretation, as one view of it read under the stripe lock: the
+// frozen tuples read through the cold tier (overlay applied), then the heap
+// tail. The result is the caller's own — its tuple slice and the tuples it
+// points to are copies — so the caller may keep, read or change it while
+// writers go on, and nothing it does reaches the store.
 func (s *Store) Structured(trajectoryID, interpretation string) (*core.StructuredTrajectory, bool) {
-	sh := s.shardFor(trajectoryID)
-	sh.mu.RLock()
-	st, ok := sh.structured[trajectoryID][interpretation]
+	v, ok := s.view(trajectoryID, interpretation)
 	if !ok {
-		sh.mu.RUnlock()
 		return nil, false
 	}
-	k := tupKey{trajectoryID, interpretation}
-	base := sh.frozenTups(k)
-	if base == 0 {
-		sh.mu.RUnlock()
-		return st, true
+	tuples := s.appendFrozen(&v, make([]core.EpisodeTuple, 0, v.base+len(v.tail)))
+	for _, tp := range v.tail {
+		tuples = append(tuples, *tp)
 	}
-	tail := append([]*core.EpisodeTuple(nil), st.Tuples...)
-	obj := st.ObjectID
-	var overlay map[int]core.EpisodeTuple
-	if s.overlayN.Load() != 0 {
-		overlay = sh.copyOverlay(k)
+	out := &core.StructuredTrajectory{ID: trajectoryID, ObjectID: v.objectID, Interpretation: interpretation,
+		Tuples: make([]*core.EpisodeTuple, len(tuples))}
+	for i := range tuples {
+		out.Tuples[i] = &tuples[i]
 	}
-	sh.mu.RUnlock()
-	cold := s.coldTuplesFor(trajectoryID, interpretation, base, overlay, make([]core.EpisodeTuple, 0, base))
-	full := make([]*core.EpisodeTuple, 0, len(cold)+len(tail))
-	for i := range cold {
-		full = append(full, &cold[i])
-	}
-	full = append(full, tail...)
-	return &core.StructuredTrajectory{
-		ID: trajectoryID, ObjectID: obj, Interpretation: interpretation, Tuples: full,
-	}, true
+	return out, true
 }
 
 // Interpretations lists the interpretations stored for a trajectory.

@@ -184,7 +184,8 @@ func TestStructuredTable(t *testing.T) {
 		t.Fatalf("StructuredCount = %d", s.StructuredCount())
 	}
 	got, ok := s.Structured("u1-T0", "merged")
-	if !ok || got != st {
+	// Structured hands out a copy: equal content, never the stored object.
+	if !ok || got == st || !reflect.DeepEqual(got, st) {
 		t.Fatal("Structured lookup failed")
 	}
 	if _, ok := s.Structured("u1-T0", "point"); ok {

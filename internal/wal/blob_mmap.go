@@ -8,9 +8,7 @@ import (
 )
 
 // mmapBlob serves frames straight out of a read-only mapping.
-type mmapBlob struct {
-	data []byte
-}
+type mmapBlob struct{ bytesBlob }
 
 // OpenBlob maps the file read-only. The descriptor is closed immediately —
 // the mapping outlives it.
@@ -31,30 +29,14 @@ func OpenBlob(path string) (Blob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mmapBlob{data: data}, nil
+	return &mmapBlob{data}, nil
 }
-
-func (m *mmapBlob) Frame(off int64, _ *[]byte) ([]byte, int, error) {
-	if off < 0 || off > int64(len(m.data)) {
-		return nil, 0, ErrFrame
-	}
-	return ParseFrame(m.data[off:])
-}
-
-func (m *mmapBlob) Bytes(off, n int64, _ *[]byte) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > int64(len(m.data)) {
-		return nil, ErrFrame
-	}
-	return m.data[off : off+n], nil
-}
-
-func (m *mmapBlob) Size() int64 { return int64(len(m.data)) }
 
 func (m *mmapBlob) Close() error {
-	if m.data == nil {
+	if m.bytesBlob == nil {
 		return nil
 	}
-	data := m.data
-	m.data = nil
+	data := m.bytesBlob
+	m.bytesBlob = nil
 	return syscall.Munmap(data)
 }

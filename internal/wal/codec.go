@@ -468,7 +468,7 @@ func (d *Decoder) place() *core.Place {
 }
 
 func (d *Decoder) annotations() []core.Annotation {
-	n := d.Count(4 + 4 + 8 + 4)
+	n := d.Count(1 + 1 + 8 + 1) // three empty strings and the confidence
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -480,7 +480,7 @@ func (d *Decoder) annotations() []core.Annotation {
 }
 
 func (d *Decoder) tuples() []*core.EpisodeTuple {
-	n := d.Count(1 + 1 + 2 + 4 + 1)
+	n := d.Count(1 + 1 + 1 + 1 + 1 + 1) // kind, no place, zero times, no annotations, no episode
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -496,9 +496,7 @@ func (d *Decoder) tuples() []*core.EpisodeTuple {
 			d.fail()
 			break
 		}
-		for _, a := range d.annotations() {
-			tp.Annotations.Add(a)
-		}
+		tp.Annotations = core.AnnotationSetOf(d.annotations())
 		if d.U8() == 1 {
 			tp.Episode = d.episode()
 		}

@@ -110,6 +110,27 @@ type Blob interface {
 	Close() error
 }
 
+// bytesBlob is a Blob over bytes in memory: the memory map's, or a test's.
+type bytesBlob []byte
+
+func (b bytesBlob) Frame(off int64, _ *[]byte) ([]byte, int, error) {
+	if off < 0 || off > int64(len(b)) {
+		return nil, 0, ErrFrame
+	}
+	return ParseFrame(b[off:])
+}
+
+func (b bytesBlob) Bytes(off, n int64, _ *[]byte) ([]byte, error) {
+	if off < 0 || n < 0 || off+n > int64(len(b)) {
+		return nil, ErrFrame
+	}
+	return b[off : off+n], nil
+}
+
+func (b bytesBlob) Size() int64 { return int64(len(b)) }
+
+func (b bytesBlob) Close() error { return nil }
+
 // AppendFileHeader appends a file header — magic, then version — to b.
 func AppendFileHeader(b []byte, magic [4]byte, version uint32) []byte {
 	b = append(b, magic[:]...)

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"os"
 	"runtime"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 // decodeAllocBound is what decoding n payload bytes may allocate: a small
 // multiple of n plus a constant for the decoder and the Mutation itself.
 // Element counts are capped by the bytes left over a minimum size per
-// element, and the costliest element, a tuple, allocates about twelve
-// times its minimum (104 B against 9).
+// element, and the costliest element, a tuple, allocates about seventeen
+// times its minimum (104 B against 6).
 func decodeAllocBound(n int) uint64 { return 32*uint64(n) + 4096 }
 
 // allocatedBy returns the fewest heap bytes fn allocated over three calls,
@@ -77,9 +76,9 @@ func FuzzDecodeMutation(f *testing.F) {
 	})
 }
 
-// replayAllocBound is what recovering a segment of n bytes may allocate:
+// replayAllocBound is what replaying a segment of n bytes may allocate:
 // decoding and the store's copies of what it decodes, a small multiple of
-// n, plus a constant for the read buffer, the empty store and the stats.
+// n, plus a constant for the intern table and the empty store.
 func replayAllocBound(n int) uint64 { return 64*uint64(n) + 256<<10 }
 
 // segmentBytes is a segment file: the log header, then body.
@@ -87,12 +86,15 @@ func segmentBytes(body []byte) []byte {
 	return append(AppendFileHeader(nil, segmentMagic, formatVersion), body...)
 }
 
-// FuzzReplaySegment drives recovery with a valid log header followed by
-// arbitrary bytes, seeded with the frames of every op. Invariant: recovery
-// never panics, allocates at most replayAllocBound of the file, and, unless
-// a frame that checks and decodes fails to apply, rebuilds the store that
-// replaying the file's frames up to the reported tear rebuilds, where the
-// bytes at the tear do not hold a frame.
+// FuzzReplaySegment drives segment replay with a valid log header followed
+// by arbitrary bytes, seeded with the frames of every op. The bytes replay
+// from memory, through the Blob recovery reads a file with, so the target
+// runs no file I/O; recovery from disk and the repair of a tear are the
+// torn-log tests' (torn_test.go). Invariant: replay never panics, allocates
+// at most replayAllocBound of the segment, and, unless a frame that checks
+// and decodes fails to apply, rebuilds the store that replaying the
+// segment's frames up to the reported tear rebuilds, where the bytes at the
+// tear do not hold a frame.
 func FuzzReplaySegment(f *testing.F) {
 	var all []byte
 	for _, m := range testMutations() {
@@ -103,31 +105,27 @@ func FuzzReplaySegment(f *testing.F) {
 	}
 	f.Add(all)
 	f.Add([]byte{})
-	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		data := segmentBytes(body)
 		var (
-			rec   *store.Store
-			stats RecoverStats
-			err   error
+			rec     *store.Store
+			applied int
+			tornAt  int64
+			err     error
 		)
-		// Recovery repairs the tear on disk, so every measured call starts
-		// from the damaged file, written over the last input's.
 		n := allocatedBy(func() {
-			if werr := os.WriteFile(segmentPath(dir, 1), data, 0o644); werr != nil {
-				t.Fatal(werr)
-			}
-			rec, stats, err = Recover(dir, 0)
+			rec = store.New()
+			applied, tornAt, err = replayBlob(bytesBlob(data), "fuzz.log", rec)
 		})
 		if n > replayAllocBound(len(data)) {
-			t.Fatalf("recovering %d bytes allocated %d B, want <= %d", len(data), n, replayAllocBound(len(data)))
+			t.Fatalf("replaying %d bytes allocated %d B, want <= %d", len(data), n, replayAllocBound(len(data)))
 		}
 		if err != nil {
 			return
 		}
 		end := len(data)
-		if stats.Torn {
-			end = int(stats.TornOffset)
+		if tornAt >= 0 {
+			end = int(tornAt)
 		}
 		want := store.New()
 		frames := 0
@@ -145,10 +143,10 @@ func FuzzReplaySegment(f *testing.F) {
 			}
 			off += size
 		}
-		if frames != stats.FramesApplied {
-			t.Fatalf("replay applied %d frames, the file holds %d before the tear", stats.FramesApplied, frames)
+		if frames != applied {
+			t.Fatalf("replay applied %d frames, the segment holds %d before the tear", applied, frames)
 		}
-		if stats.Torn {
+		if tornAt >= 0 {
 			if payload, _, perr := ParseFrame(data[end:]); perr == nil {
 				if _, derr := DecodeMutation(payload, nil); derr == nil {
 					t.Fatalf("tear reported at %d, where a whole frame starts", end)

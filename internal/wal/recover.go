@@ -117,20 +117,27 @@ func repairTear(seg SeqFile, tornAt int64, later []SeqFile) error {
 	return nil
 }
 
-// replaySegment applies one segment's frames to the store. It returns the
-// number of frames applied and, when the segment ends in a torn or corrupt
-// frame, the byte offset of the damage (-1 for a clean end). The returned
-// error reports apply failures and a log at another format version only —
-// physical damage is a normal condition expressed through the offset: a
-// short or foreign header, a length past the end of the file, a checksum
-// mismatch or an undecodable payload. The file is read through a Blob,
-// closed (unmapped) before the caller repairs a tear.
+// replaySegment applies one segment file's frames to the store through
+// replayBlob. The file is read through a Blob, closed (unmapped) before the
+// caller repairs a tear.
 func replaySegment(path string, st *store.Store) (applied int, tornAt int64, err error) {
 	b, err := OpenBlob(path)
 	if err != nil {
 		return 0, -1, fmt.Errorf("wal: open segment: %w", err)
 	}
 	defer b.Close()
+	return replayBlob(b, path, st)
+}
+
+// replayBlob applies the frames of one segment's bytes to the store. It
+// returns the number of frames applied and, when the segment ends in a torn
+// or corrupt frame, the byte offset of the damage (-1 for a clean end). The
+// returned error reports apply failures and a log at another format version
+// only — physical damage is a normal condition expressed through the
+// offset: a short or foreign header, a length past the end of the file, a
+// checksum mismatch or an undecodable payload. path names the segment in
+// errors.
+func replayBlob(b Blob, path string, st *store.Store) (applied int, tornAt int64, err error) {
 	if err := CheckFileHeader(b, path, "log", segmentMagic, formatVersion); err == ErrFrame {
 		return 0, 0, nil // truncated or damaged header: whole segment is torn
 	} else if err != nil {

@@ -89,6 +89,31 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecRoundTripsSmallestElements: element counts are bounded by the
+// bytes left over each element's smallest encoding, so a frame ending in
+// minimal elements — a bare tuple, annotations with one-letter or empty
+// strings — must still decode.
+func TestCodecRoundTripsSmallestElements(t *testing.T) {
+	short := core.AnnotationSetOf([]core.Annotation{{Key: "k", Value: "v", Confidence: 0.5}, {Confidence: 1}})
+	for i, m := range []store.Mutation{
+		{Op: store.MutPutStructured, ObjectID: "o", TrajectoryID: "t", Interpretation: "i",
+			Tuples: []*core.EpisodeTuple{{Kind: episode.Move}, {Kind: episode.Stop}}},
+		{Op: store.MutAppendTuples, ObjectID: "o", TrajectoryID: "t", Interpretation: "i",
+			Tuples: []*core.EpisodeTuple{{Kind: episode.Stop, Annotations: short}, {Kind: episode.Stop, Annotations: short}}},
+		{Op: store.MutMergeTuple, TrajectoryID: "t", Interpretation: "i", Annotations: short.All()},
+	} {
+		e := &Encoder{}
+		encodeMutation(e, m)
+		got, err := decodeMutation(e.b, nil)
+		if err != nil {
+			t.Fatalf("mutation %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("mutation %d round trip mismatch:\n in  %+v\n out %+v", i, m, got)
+		}
+	}
+}
+
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	e := &Encoder{}
 	encodeMutation(e, testMutations()[0])
@@ -340,14 +365,14 @@ func assertSameContent(t *testing.T, a, b *store.Store) {
 			t.Fatalf("trajectory %s interpretations: %v vs %v", id, a.Interpretations(id), b.Interpretations(id))
 		}
 		for _, interp := range a.Interpretations(id) {
-			oa, tua, _ := a.TupleSnapshot(id, interp)
-			ob, tub, ok := b.TupleSnapshot(id, interp)
-			if !ok || oa != ob || len(tua) != len(tub) {
+			sa, _ := a.Structured(id, interp)
+			sb, ok := b.Structured(id, interp)
+			if !ok || sa.ObjectID != sb.ObjectID || len(sa.Tuples) != len(sb.Tuples) {
 				t.Fatalf("%s/%s: object/length mismatch", id, interp)
 			}
-			for i := range tua {
-				if !tuplesEqualValue(&tua[i], &tub[i]) {
-					t.Fatalf("%s/%s tuple %d:\n %+v\n %+v", id, interp, i, tua[i], tub[i])
+			for i := range sa.Tuples {
+				if !tuplesEqualValue(sa.Tuples[i], sb.Tuples[i]) {
+					t.Fatalf("%s/%s tuple %d:\n %+v\n %+v", id, interp, i, *sa.Tuples[i], *sb.Tuples[i])
 				}
 			}
 		}

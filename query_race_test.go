@@ -45,8 +45,9 @@ func raceQueries(objects []string, base time.Time) []query.Query {
 // query asked for must have held on the returned copy.
 func verifyMatch(t *testing.T, st *store.Store, q query.Query, m query.Match) {
 	t.Helper()
-	final, ok := st.TupleAt(m.Ref.TrajectoryID, m.Ref.Interpretation, m.Ref.Index)
-	if !ok {
+	finals, ok := st.AppendTuplesAt(m.Ref.TrajectoryID, m.Ref.Interpretation, []int{m.Ref.Index}, nil, nil)
+	final := finals[0]
+	if !ok[0] {
 		t.Fatalf("phantom result: ref %+v not in post-hoc store", m.Ref)
 	}
 	if final.Kind != m.Tuple.Kind || !final.TimeIn.Equal(m.Tuple.TimeIn) || !final.TimeOut.Equal(m.Tuple.TimeOut) {

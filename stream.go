@@ -162,9 +162,11 @@ type StreamEvent struct {
 	// Episode is the episode that just became final (nil for
 	// trajectory-close events).
 	Episode *episode.Episode
-	// Tuple is the episode's merged-interpretation tuple carrying the
-	// region/line annotations computed so far (the point layer adds its
-	// annotations when the trajectory closes).
+	// Tuple is the episode's merged-interpretation tuple as of the
+	// episode's close: the region/line annotations. It never changes: the
+	// point layer's annotations, merged when the trajectory closes, land on
+	// a new stored tuple (read it back with Store().Structured), not on this
+	// one.
 	Tuple *core.EpisodeTuple
 	// TrajectoryClosed reports that the trajectory TrajectoryID closed and
 	// every interpretation (point layer included) is now stored.
@@ -503,10 +505,9 @@ func (sp *StreamProcessor) closeTrajectory(os *objectStream, t *gps.RawTrajector
 	// per-trajectory step that stays monolithic even under concurrent
 	// ingestion: the HMM decodes the full stop sequence jointly. The merged
 	// tuples it annotates were appended to the store as their episodes
-	// closed, so the inferred categories merge through the store — under the
-	// stripe lock, with the attached query index notified — rather than by
-	// mutating the stored tuples in place, which would race with concurrent
-	// readers (Save, the query engine).
+	// closed, and a published tuple is never written again, so the inferred
+	// categories merge through the store, which swaps merged copies in under
+	// the stripe lock and notifies the attached query index.
 	var stopEps []*episode.Episode
 	var stopIdx []int // position of each stop in the merged interpretation
 	for i, ep := range os.episodes {

@@ -2,6 +2,7 @@ package semitri_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"semitri"
@@ -413,6 +414,50 @@ func TestStreamTailAndFlush(t *testing.T) {
 	}
 	if _, err := sp.Add(records[0]); err == nil {
 		t.Fatal("Add after Close should fail")
+	}
+}
+
+// TestStreamEventTupleAsOfClose holds the tuples of stop events and closes
+// their trajectories: the point layer then annotates the stored merged
+// tuples, and a held event tuple, the tuple as of its episode's close, must
+// not change with them.
+func TestStreamEventTupleAsOfClose(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	p := newTestPipeline(t, city, semitri.DefaultConfig())
+	sp := p.NewStream()
+	var stops []semitri.StreamEvent
+	for _, r := range peopleRecords(t, city, 1, 1, 5) {
+		events, err := sp.Add(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if ev.Episode != nil && ev.Episode.Kind == episode.Stop {
+				stops = append(stops, ev)
+			}
+		}
+	}
+	if _, err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(stops) == 0 {
+		t.Fatal("the stream emitted no stop event")
+	}
+	for _, ev := range stops {
+		if c := ev.Tuple.Annotations.Value(core.AnnPOICategory); c != "" {
+			t.Fatalf("stop %v's event tuple gained %s=%s after its close", ev.Episode.Start, core.AnnPOICategory, c)
+		}
+		merged, ok := p.Store().Structured(ev.TrajectoryID, semitri.InterpretationMerged)
+		if !ok {
+			t.Fatalf("trajectory %s has no merged interpretation", ev.TrajectoryID)
+		}
+		i := slices.IndexFunc(merged.Tuples, func(tp *core.EpisodeTuple) bool { return tp.Episode == ev.Episode })
+		if i < 0 {
+			t.Fatalf("stop %v is not in trajectory %s", ev.Episode.Start, ev.TrajectoryID)
+		}
+		if merged.Tuples[i].Annotations.Value(core.AnnPOICategory) == "" {
+			t.Fatalf("stored stop %v has no %s", ev.Episode.Start, core.AnnPOICategory)
+		}
 	}
 }
 
