@@ -47,6 +47,9 @@ race:
 # FuzzDecodeFooter: the segment footer decoder returns an error or a footer
 # that re-encodes to a fixed point, never a panic, and allocates at most a
 # small multiple of its input.
+# FuzzRecoverFooter: recovery of a directory whose second segment keeps its
+# data frames (every op, merges included) under an arbitrary footer returns
+# an error or a store whose reads of every listed key never panic.
 # FuzzReadCSV: every record the GPS CSV reader yields has finite coordinates
 # and round-trips through WriteCSV and ReadCSV unchanged.
 # FuzzParse: a statement of the query language that parses runs on an empty
@@ -63,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFooter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverFooter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/gps
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/query/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryForm$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/query

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"semitri"
+	"semitri/internal/core"
+	"semitri/internal/episode"
 	"semitri/internal/gps"
 	"semitri/internal/obs"
 	"semitri/internal/segment"
@@ -259,6 +261,65 @@ func TestHealthReportsOwnLogOnly(t *testing.T) {
 	}
 }
 
+// TestHealthReportsUndecodableSegmentRun pins the cold-read reason of
+// Health: a restart over a segment whose tuple run has a valid CRC but a
+// payload the codec refuses opens (recovery reads run headers only), a
+// read of that run comes back short, and Health names the skipped run.
+func TestHealthReportsUndecodableSegmentRun(t *testing.T) {
+	city := newTestCity(t, 1, 3000)
+	dir := t.TempDir()
+	p := newTestPipeline(t, city, durableConfig(dir))
+	tp := &core.EpisodeTuple{Kind: episode.Stop, TimeIn: time.Unix(10, 0).UTC(), TimeOut: time.Unix(20, 0).UTC()}
+	if err := p.Store().AppendStructuredTuples("t", "o", "merged", tp); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil { // the final checkpoint freezes the tuple
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want 1 segment, got %v (%v)", paths, err)
+	}
+	r, err := segment.Open(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := r.Footer().Runs
+	r.Close()
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		if run.Traj != "t" {
+			continue
+		}
+		payload, _, err := wal.ParseFrame(data[run.Off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 0xff // no op has this number
+		}
+		copy(data[run.Off:], wal.AppendFrame(nil, payload))
+	}
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := newTestPipeline(t, city, durableConfig(dir))
+	defer restarted.Close()
+	if r := restarted.Health(); len(r) != 0 {
+		t.Fatalf("restart over the segment reports %q before any read", r)
+	}
+	if st, ok := restarted.Store().Structured("t", "merged"); !ok || len(st.Tuples) != 0 {
+		t.Fatalf("read of the undecodable run returned %v", st)
+	}
+	if r := restarted.Health(); len(r) != 1 || !strings.HasPrefix(r[0], "segment: 1 ") {
+		t.Fatalf("Health after a read of an undecodable run = %q, want one segment reason", r)
+	}
+}
+
 // exportStore returns the store's JSON export (Store.Save): deterministic and
 // independent of shard layout and of what is frozen, so equal bytes mean
 // equal record tables, raw trajectories, episode sequences and structured
@@ -276,7 +337,7 @@ func exportStore(t *testing.T, st *store.Store) []byte {
 	return data
 }
 
-// recoverExport recovers dir the way a restart does (segment fold + log
+// recoverExport recovers dir the way a restart does (segment runs + log
 // tail) and returns the recovered store's export.
 func recoverExport(t *testing.T, dir string) []byte {
 	t.Helper()

@@ -68,8 +68,8 @@ func corruptf(path, format string, args ...any) error {
 
 // RunMeta is one footer directory entry: which run the data frame at Off
 // holds, without decoding it. Start/Count give the run's logical positional
-// range; Stops counts stop episodes inside episode runs (so recovery installs
-// exact kind totals without decoding).
+// range; Stops counts stop episodes inside episode runs (so recovery
+// re-commits exact kind totals without decoding).
 type RunMeta struct {
 	Op     store.MutationOp
 	Object string

@@ -2,8 +2,18 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
 	"runtime"
+	"slices"
 	"testing"
+
+	"semitri/internal/core"
+	"semitri/internal/geo"
+	"semitri/internal/gps"
+	"semitri/internal/store"
+	"semitri/internal/wal"
 )
 
 // footerAllocBound is what decoding an n-byte footer may allocate: the
@@ -55,6 +65,97 @@ func FuzzDecodeFooter(f *testing.F) {
 		}
 		if second := encodeFooter(again); !bytes.Equal(second, first) {
 			t.Fatalf("decode → encode is not a fixed point for %x:\n first  %x\n second %x", payload, first, second)
+		}
+	})
+}
+
+// FuzzRecoverFooter drives recovery with arbitrary footers over real data
+// frames: a directory holds a first segment as written and a second whose
+// data frames — one run of every op, merge frames included — are kept
+// while the fuzz input stands in for its footer payload, re-framed with a
+// valid CRC and trailer. Invariant: Recover returns an error, or a store
+// whose reads of every key either footer lists, keyed and scan alike, do
+// not panic.
+func FuzzRecoverFooter(f *testing.F) {
+	dir := f.TempDir()
+	st, tier, _, err := Recover(dir, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	populate(f, st, 2, 10)
+	if err := tier.Freeze(st); err != nil {
+		f.Fatal(err)
+	}
+	anns := []core.Annotation{{Key: "activity", Value: "shop", Confidence: 0.9, Source: "hmm"}}
+	putObject(f, st, "obj-2", "t-2", 2, 6) // every put op
+	st.PutRecords([]gps.Record{{ObjectID: "obj-0", Position: geo.Pt(1, 2), Time: ts(50)}})
+	err = errors.Join(
+		st.AppendEpisodes("t-0", testEpisode("t-0", 7)),
+		st.AppendStructuredTuples("t-0", "obj-0", "merged", testTuple("t-0", 7)),
+		st.MergeTupleAnnotations("t-1", "merged", 1, nil, anns),
+		tier.Freeze(st))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ops := map[store.MutationOp]bool{}
+	for _, m := range tier.segs[1].foot.Runs {
+		ops[m.Op] = true
+	}
+	if len(ops) != int(store.MutMergeTuple) {
+		f.Fatalf("second segment holds runs of %d ops, want all %d", len(ops), store.MutMergeTuple)
+	}
+	first, err := os.ReadFile(tier.segs[0].path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	second, err := os.ReadFile(tier.segs[1].path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tier.Close()
+	footSize := int(binary.LittleEndian.Uint32(second[len(second)-trailerSize:]))
+	body := second[:len(second)-trailerSize-footSize]
+	footer, _, err := wal.ParseFrame(second[len(body):])
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, _, err := Recover(dir, 4); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(footer)
+	f.Add(footer[:len(footer)/2])
+	f.Add(encodeFooter(&Footer{}))
+
+	// One directory serves every input (a fuzz worker runs its inputs one
+	// at a time); both files are rewritten in full before each recovery.
+	fuzzDir := f.TempDir()
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		seg := append(wal.AppendFrame(slices.Clip(body), payload), 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(seg[len(seg)-4:], uint32(len(seg)-4-len(body)))
+		seg = append(seg, trailerMagic[:]...)
+		for seq, data := range [][]byte{first, seg} {
+			if err := os.WriteFile(wal.SeqPath(fuzzDir, filePrefix, uint64(seq+1), fileSuffix), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, tier, _, err := Recover(fuzzDir, 4)
+		if err != nil {
+			return
+		}
+		defer tier.Close()
+		for _, r := range tier.segs {
+			for _, m := range r.foot.Runs {
+				st.Records(m.Object)
+				st.Trajectory(m.Traj)
+				st.TrajectoryExtent(m.Traj)
+				st.Episodes(m.Traj)
+				st.Structured(m.Traj, m.Interp)
+				st.AppendTuplesAt(m.Traj, m.Interp, []int{0, m.Start, m.Start + m.Count - 1}, nil, nil)
+			}
+		}
+		capture(st)
+		for seg := range tier.segs {
+			st.VisitColdSegmentTuples(seg, "", func(store.TupleRef, core.EpisodeTuple) bool { return true })
 		}
 	})
 }

@@ -103,6 +103,12 @@ func (r *Reader) validate() error {
 		if err != nil {
 			return corruptf(r.path, "data frame at %d fails checksum", off)
 		}
+		// Every element of a run takes a byte of its frame at least, so a
+		// count past the frame's size is damage (a trajectory's count is a
+		// range over its object's records, checked at recovery).
+		if meta := &foot.Runs[i]; meta.Op != store.MutPutTrajectory && meta.Count > n {
+			return corruptf(r.path, "run %d counts %d elements in a %d-byte frame", i, meta.Count, n)
+		}
 		off += int64(n)
 	}
 	if off != footOff {

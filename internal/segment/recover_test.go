@@ -1,0 +1,248 @@
+package segment
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"semitri/internal/core"
+	"semitri/internal/store"
+	"semitri/internal/wal"
+)
+
+// refuseRuns rewrites, in the segment file at path, the payload of every
+// run pick selects to bytes the codec refuses (an unknown op), re-framed
+// with a valid CRC at the same size, so the file still opens.
+func refuseRuns(t *testing.T, path string, pick func(*RunMeta) bool) {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := r.Footer().Runs
+	r.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if !pick(&runs[i]) {
+			continue
+		}
+		payload, _, err := wal.ParseFrame(data[runs[i].Off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range payload {
+			payload[j] = 0xff
+		}
+		copy(data[runs[i].Off:], wal.AppendFrame(nil, payload))
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColdReadsCountUndecodableRun pins the tier's one run reader: a data
+// frame whose CRC holds but whose payload the codec refuses is skipped by
+// every cold read, keyed and scan alike, and every skip is counted in
+// BadRuns instead of passing silently. The other keys read in full.
+func TestColdReadsCountUndecodableRun(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	populate(t, st, 2, 10)
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	want := capture(st)
+	tier.Close()
+	paths, _, _, err := listSegmentFiles(dir)
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want 1 segment, got %v (%v)", paths, err)
+	}
+	refuseRuns(t, paths[0], func(m *RunMeta) bool {
+		return m.Op != store.MutPutTrajectory && (m.Object == "obj-0" || m.Traj == "t-0")
+	})
+
+	st2, tier2, _, err := Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier2.Close()
+	if n := tier2.BadRuns(); n != 0 {
+		t.Fatalf("recovery counted %d bad runs before any read", n)
+	}
+	if got := st2.Records("obj-0"); len(got) != 0 {
+		t.Fatalf("Records read %d records from an undecodable run", len(got))
+	}
+	if got := st2.Episodes("t-0"); len(got) != 0 {
+		t.Fatalf("Episodes read %d episodes from an undecodable run", len(got))
+	}
+	if got, ok := st2.Structured("t-0", "merged"); !ok || len(got.Tuples) != 0 {
+		t.Fatalf("Structured read %v tuples from an undecodable run", got)
+	}
+	scanned := 0
+	st2.VisitColdSegmentTuples(0, "", func(ref store.TupleRef, _ core.EpisodeTuple) bool {
+		if ref.TrajectoryID != "t-1" {
+			t.Fatalf("scan returned a tuple of %s", ref.TrajectoryID)
+		}
+		scanned++
+		return true
+	})
+	if n := tier2.BadRuns(); n != 4 {
+		t.Fatalf("BadRuns = %d after four reads of undecodable runs, want 4", n)
+	}
+	if w := len(want.Structured["t-1/merged"].Tuples); scanned != w {
+		t.Fatalf("scan returned %d tuples of t-1, want %d", scanned, w)
+	}
+	if got := st2.Records("obj-1"); len(got) != len(want.Records["obj-1"]) {
+		t.Fatalf("Records(obj-1) = %d records, want %d", len(got), len(want.Records["obj-1"]))
+	}
+}
+
+// TestRecoverOverDeadRuns drives the dead-run path of the freeze protocol:
+// keys written between CollectTail and CommitFreeze come back dead — a put
+// run whose interpretation is replaced and a positional append run whose
+// heap tail takes a merge — and stay on the heap. Recovery without a later
+// freeze re-commits the dead runs and replays the WAL over them; recovery
+// after a later freeze, which re-emits both keys, lets the new runs
+// supersede the dead ones. Both must equal the live store, scans included.
+func TestRecoverOverDeadRuns(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AttachLog(l)
+	populate(t, st, 2, 10)
+	if err := tier.Checkpoint(l, st); err != nil {
+		t.Fatal(err)
+	}
+	// t-0/merged has a frozen prefix, so its tail freezes as an append run;
+	// t-1/fresh was never frozen, so it freezes as a put run.
+	if err := st.AppendStructuredTuples("t-0", "obj-0", "merged", testTuple("t-0", 5), testTuple("t-0", 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendStructuredTuples("t-1", "obj-1", "fresh", testTuple("t-1", 1), testTuple("t-1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	anns := []core.Annotation{{Key: "activity", Value: "shop", Confidence: 0.9, Source: "hmm"}}
+	if err := l.Checkpoint(func() error {
+		tier.freezeMu.Lock()
+		defer tier.freezeMu.Unlock()
+		seg, mark, err := tier.write(st)
+		if err != nil {
+			return err
+		}
+		if err := st.MergeTupleAnnotations("t-0", "merged", 6, nil, anns); err != nil {
+			return err
+		}
+		if err := st.PutStructured(&core.StructuredTrajectory{ID: "t-1", ObjectID: "obj-1",
+			Interpretation: "fresh", Tuples: []*core.EpisodeTuple{testTuple("t-1", 3)}}); err != nil {
+			return err
+		}
+		tier.commit(st, seg, mark)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.TupleCount("t-0", "merged"); got != 7 {
+		t.Fatalf("t-0/merged holds %d tuples, want 7", got)
+	}
+	mark, err := st.CollectTail(func(store.Mutation) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mark.Runs() != 2 {
+		t.Fatalf("heap tail after the freeze has %d runs, want the 2 dead keys", mark.Runs())
+	}
+
+	// recovered copies dir as it stands and recovers the copy.
+	recovered := func(label string) {
+		t.Helper()
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		cp := t.TempDir()
+		for name, data := range dirContents(t, dir) {
+			if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st2, tier2, _, err := Recover(cp, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tier2.Close()
+		mustEqualState(t, capture(st), capture(st2), label)
+		for _, interp := range []string{"merged", "fresh"} {
+			if want, got := scanTuples(st, interp), scanTuples(st2, interp); want != got {
+				t.Fatalf("%s: scan of %s sees %d tuples, live store %d", label, interp, got, want)
+			}
+		}
+	}
+	recovered("recovered without a later freeze")
+	if err := tier.Checkpoint(l, st); err != nil {
+		t.Fatal(err)
+	}
+	recovered("recovered after the freeze that re-emits the dead keys")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tier.Close()
+}
+
+// scanTuples counts the tuples a full scan of one interpretation visits.
+func scanTuples(st *store.Store, interp string) int {
+	n := 0
+	st.VisitStructuredTuples(interp, func(store.TupleRef, core.EpisodeTuple) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// TestRestartDoesNotReemitMergeFrames pins that recovery's merges are not
+// queued for the next freeze: the segment already holds their merge frames,
+// so a checkpoint with no new writes after a restart writes no segment.
+func TestRestartDoesNotReemitMergeFrames(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	populate(t, st, 2, 10)
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	anns := []core.Annotation{{Key: "activity", Value: "shop", Confidence: 0.9, Source: "hmm"}}
+	for _, idx := range []int{0, 1, 1} {
+		if err := st.MergeTupleAnnotations("t-0", "merged", idx, nil, anns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	tier.Close()
+
+	st2, tier2, _, err := Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier2.Close()
+	if st2.OverlayCount() != 2 {
+		t.Fatalf("recovered overlay holds %d entries, want 2", st2.OverlayCount())
+	}
+	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	st2.AttachLog(l)
+	before := tier2.SegmentCount()
+	if err := tier2.Checkpoint(l, st2); err != nil {
+		t.Fatal(err)
+	}
+	if got := tier2.SegmentCount(); got != before {
+		t.Fatalf("a checkpoint with no new writes after recovery wrote %d segments", got-before)
+	}
+}

@@ -63,7 +63,7 @@ func testTuple(traj string, i int) *core.EpisodeTuple {
 }
 
 // populate fills a store with n objects worth of every table.
-func populate(t *testing.T, st *store.Store, objects, perObj int) {
+func populate(t testing.TB, st *store.Store, objects, perObj int) {
 	t.Helper()
 	for o := 0; o < objects; o++ {
 		putObject(t, st, fmt.Sprintf("obj-%d", o), fmt.Sprintf("t-%d", o), float64(o), perObj)
@@ -72,7 +72,7 @@ func populate(t *testing.T, st *store.Store, objects, perObj int) {
 
 // putObject writes one object's records, trajectory, episodes and merged
 // interpretation, its records on the horizontal line y.
-func putObject(t *testing.T, st *store.Store, obj, traj string, y float64, perObj int) {
+func putObject(t testing.TB, st *store.Store, obj, traj string, y float64, perObj int) {
 	t.Helper()
 	recs := make([]gps.Record, 0, perObj)
 	for i := 0; i < perObj; i++ {

@@ -1,7 +1,10 @@
 package segment
 
 import (
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
@@ -16,9 +19,10 @@ import (
 // implements store.ColdTier for serving and drives the freeze protocol that
 // grows the set.
 //
-// Two views exist per segment. The keyed maps (records, episodes, tuples →
-// runs) back the base-bounded point reads and only ever hold committed runs,
-// so they can never overshoot a key's frozen base. The
+// Two views exist per segment. The keyed runs (an object's records, a
+// trajectory's episodes, an interpretation's tuples → runs) back the
+// base-bounded point reads and only ever hold committed runs, so they can
+// never overshoot a key's frozen base. The
 // per-segment scan lists back full scans and are populated *before*
 // CommitFreeze evicts the matching heap prefixes — the register-before-evict
 // contract: a scan racing a freeze may see a tuple twice (segment and heap,
@@ -34,16 +38,36 @@ type Tier struct {
 	segs []*Reader // live segments, oldest first; append-only
 	// scan[i] lists the entry indexes of segment i's live tuple runs.
 	scan [][]int
-	// keyed maps: committed runs only, in position order.
-	recRuns map[string][]runRef
-	epRuns  map[string][]runRef
-	tupRuns map[tierKey][]runRef
+	// runs maps each frozen key to its committed runs, in position order.
+	runs map[tierKey][]runRef
 
 	nextSeq uint64
+
+	// badRuns counts the reads that skipped a run that does not decode.
+	badRuns atomic.Int64
 }
 
-// tierKey identifies one structured interpretation.
-type tierKey struct{ traj, interp string }
+// tierKey identifies one frozen key: an object's record run (table
+// MutPutRecords), a trajectory's episodes (MutPutEpisodes) or one
+// structured interpretation (MutPutStructured).
+type tierKey struct {
+	table       store.MutationOp
+	key, interp string
+}
+
+// keyOf returns the key a run belongs to. Trajectory and merge runs belong
+// to none: a trajectory's range and the merge overlay live in the store.
+func keyOf(meta *RunMeta) (tierKey, bool) {
+	switch meta.Op {
+	case store.MutPutRecords:
+		return tierKey{table: store.MutPutRecords, key: meta.Object}, true
+	case store.MutPutEpisodes, store.MutAppendEpisodes:
+		return tierKey{table: store.MutPutEpisodes, key: meta.Traj}, true
+	case store.MutPutStructured, store.MutAppendTuples:
+		return tierKey{table: store.MutPutStructured, key: meta.Traj, interp: meta.Interp}, true
+	}
+	return tierKey{}, false
+}
 
 // runRef locates one run: segment index, directory entry index.
 type runRef struct{ seg, ent int }
@@ -52,23 +76,12 @@ var _ store.ColdTier = (*Tier)(nil)
 
 // newTier builds an empty tier rooted at dir.
 func newTier(dir string) *Tier {
-	return &Tier{
-		dir:     dir,
-		recRuns: map[string][]runRef{},
-		epRuns:  map[string][]runRef{},
-		tupRuns: map[tierKey][]runRef{},
-		nextSeq: 1,
-	}
+	return &Tier{dir: dir, runs: map[tierKey][]runRef{}, nextSeq: 1}
 }
 
 // meta returns a run's directory entry. Caller holds mu (any mode) or owns
 // the refs; footers are immutable after Open.
 func (t *Tier) meta(rr runRef) *RunMeta { return &t.segs[rr.seg].foot.Runs[rr.ent] }
-
-// runsCopy snapshots a run list under the read lock.
-func (t *Tier) runsCopy(refs []runRef) []runRef {
-	return append([]runRef(nil), refs...)
-}
 
 // SegmentCount reports the number of live segments (pending ones included).
 func (t *Tier) SegmentCount() int {
@@ -90,66 +103,73 @@ func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 	return buf
 }
 
-// ColdRecords implements store.ColdTier: the frozen records of one object at
-// positions [from, to), decoding only the runs that overlap the range.
-func (t *Tier) ColdRecords(objectID string, from, to int, buf []gps.Record) []gps.Record {
+// BadRuns reports how many cold reads skipped a run whose frame does not
+// decode (see decode).
+func (t *Tier) BadRuns() int64 { return t.badRuns.Load() }
+
+// decode reads one run's data frame. A frame that does not decode, or that
+// decodes to another run than its directory entry names, is counted in
+// BadRuns and skipped: the read comes back short rather than failing, and
+// Pipeline.Health reports the count.
+func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor) (store.Mutation, bool) {
+	m, err := r.mutationAt(meta.Off, cur)
+	if err == nil && runMeta(m, meta.Off) == *meta {
+		return m, true
+	}
+	t.badRuns.Add(1)
+	return store.Mutation{}, false
+}
+
+// eachRun is the keyed readers' one run reader: it calls fn with every
+// committed run of a key that overlaps the positions [from, to), decoded,
+// in position order. The run list is snapshotted under the read lock,
+// which is released before any decoding.
+func (t *Tier) eachRun(k tierKey, from, to int, fn func(meta *RunMeta, m store.Mutation)) {
 	t.mu.RLock()
-	refs := t.runsCopy(t.recRuns[objectID])
+	refs := append([]runRef(nil), t.runs[k]...)
 	segs := t.segs
 	t.mu.RUnlock()
 	cur := getCursor()
 	defer putCursor(cur)
 	for _, rr := range refs {
-		meta := &segs[rr.seg].foot.Runs[rr.ent]
-		lo, hi := max(from, meta.Start)-meta.Start, min(to, meta.Start+meta.Count)-meta.Start
-		if lo >= hi {
+		r := segs[rr.seg]
+		meta := &r.foot.Runs[rr.ent]
+		if max(from, meta.Start) >= min(to, meta.Start+meta.Count) {
 			continue
 		}
-		m, err := segs[rr.seg].mutationAt(meta.Off, cur)
-		if err != nil || hi > len(m.Records) {
-			continue // CRC-verified at open; unreachable in practice
+		if m, ok := t.decode(r, meta, cur); ok {
+			fn(meta, m)
 		}
-		buf = append(buf, m.Records[lo:hi]...)
 	}
+}
+
+// ColdRecords implements store.ColdTier: the frozen records of one object at
+// positions [from, to), decoding only the runs that overlap the range.
+func (t *Tier) ColdRecords(objectID string, from, to int, buf []gps.Record) []gps.Record {
+	t.eachRun(tierKey{table: store.MutPutRecords, key: objectID}, from, to, func(meta *RunMeta, m store.Mutation) {
+		buf = append(buf, m.Records[max(from, meta.Start)-meta.Start:min(to, meta.Start+meta.Count)-meta.Start]...)
+	})
 	return buf
 }
 
 // ColdEpisodes implements store.ColdTier.
 func (t *Tier) ColdEpisodes(trajectoryID string, buf []*episode.Episode) []*episode.Episode {
-	t.mu.RLock()
-	refs := t.runsCopy(t.epRuns[trajectoryID])
-	segs := t.segs
-	t.mu.RUnlock()
-	cur := getCursor()
-	defer putCursor(cur)
-	for _, rr := range refs {
-		m, err := segs[rr.seg].mutationAt(segs[rr.seg].foot.Runs[rr.ent].Off, cur)
-		if err != nil {
-			continue
-		}
+	t.eachRun(tierKey{table: store.MutPutEpisodes, key: trajectoryID}, 0, math.MaxInt, func(_ *RunMeta, m store.Mutation) {
 		buf = append(buf, m.Episodes...)
-	}
+	})
 	return buf
 }
 
 // ColdTuples implements store.ColdTier: the frozen tuples of one structured
-// interpretation in position order (the overlay is the store's concern).
-func (t *Tier) ColdTuples(trajectoryID, interpretation string, buf []core.EpisodeTuple) []core.EpisodeTuple {
-	t.mu.RLock()
-	refs := t.runsCopy(t.tupRuns[tierKey{trajectoryID, interpretation}])
-	segs := t.segs
-	t.mu.RUnlock()
-	cur := getCursor()
-	defer putCursor(cur)
-	for _, rr := range refs {
-		m, err := segs[rr.seg].mutationAt(segs[rr.seg].foot.Runs[rr.ent].Off, cur)
-		if err != nil {
-			continue
-		}
-		for _, tp := range m.Tuples {
+// interpretation at positions [from, to), in position order, decoding only
+// the runs that overlap the range (the overlay is the store's concern).
+func (t *Tier) ColdTuples(trajectoryID, interpretation string, from, to int, buf []core.EpisodeTuple) []core.EpisodeTuple {
+	k := tierKey{table: store.MutPutStructured, key: trajectoryID, interp: interpretation}
+	t.eachRun(k, from, to, func(meta *RunMeta, m store.Mutation) {
+		for _, tp := range m.Tuples[max(from, meta.Start)-meta.Start : min(to, meta.Start+meta.Count)-meta.Start] {
 			buf = append(buf, *tp)
 		}
-	}
+	})
 	return buf
 }
 
@@ -157,23 +177,17 @@ func (t *Tier) ColdTuples(trajectoryID, interpretation string, buf []core.Episod
 // superseded the key's frozen content. Called under the key's stripe lock,
 // so it must not call back into the store; it only mutates tier maps.
 func (t *Tier) InvalidateTuples(trajectoryID, interpretation string) {
-	k := tierKey{trajectoryID, interpretation}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.tupRuns, k)
+	delete(t.runs, tierKey{table: store.MutPutStructured, key: trajectoryID, interp: interpretation})
 	// Drop the key's scan entries everywhere — including a pending run a
 	// freeze registered but has not committed yet (its commit will fail on
 	// the generation bump this replace made).
 	for seg, ents := range t.scan {
-		kept := ents[:0]
-		for _, ent := range ents {
+		t.scan[seg] = slices.DeleteFunc(ents, func(ent int) bool {
 			meta := &t.segs[seg].foot.Runs[ent]
-			if meta.Traj == trajectoryID && meta.Interp == interpretation {
-				continue
-			}
-			kept = append(kept, ent)
-		}
-		t.scan[seg] = kept
+			return meta.Traj == trajectoryID && meta.Interp == interpretation
+		})
 	}
 }
 
@@ -197,8 +211,8 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, fn func(ref st
 		if interpretation != "" && meta.Interp != interpretation {
 			continue
 		}
-		m, err := r.mutationAt(meta.Off, cur)
-		if err != nil {
+		m, ok := t.decode(r, meta, cur)
+		if !ok {
 			continue
 		}
 		for i, tp := range m.Tuples {
@@ -222,88 +236,104 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, fn func(ref st
 func (t *Tier) Freeze(st *store.Store) error {
 	t.freezeMu.Lock()
 	defer t.freezeMu.Unlock()
+	seg, mark, err := t.write(st)
+	if err != nil || mark == nil {
+		return err
+	}
+	t.commit(st, seg, mark)
+	return nil
+}
 
+// write is a freeze's first half: it collects the store's heap tail into a
+// new segment file, makes the file durable and registers it, returning its
+// index and the store's capture (nil when the tail was empty and no file was
+// written). Caller holds freezeMu.
+func (t *Tier) write(st *store.Store) (int, *store.FreezeMark, error) {
 	t.mu.RLock()
 	seq := t.nextSeq
 	t.mu.RUnlock()
 	w, err := newWriter(t.dir, seq)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	mark, err := st.CollectTail(w.add)
-	if err != nil {
+	if err != nil || mark.Runs() == 0 {
 		w.abort()
-		return err
-	}
-	if mark.Runs() == 0 {
-		w.abort()
-		return nil
+		return 0, nil, err
 	}
 	if err := w.finish(); err != nil {
 		w.abort()
-		return err
+		return 0, nil, err
 	}
 	r, err := Open(w.path)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-
-	// Register before evict: the segment's tuple runs join the scan lists
-	// first, so no scan can miss content mid-eviction.
 	t.mu.Lock()
-	segIdx := len(t.segs)
-	t.segs = append(t.segs, r)
-	ents := make([]int, 0, len(r.foot.Runs))
+	defer t.mu.Unlock()
+	t.nextSeq = seq + 1
+	return t.addSegment(r), mark, nil
+}
+
+// commit is a freeze's second half: the store evicts the prefixes mark
+// captured, the tier indexing each committed run under the stripe lock that
+// evicts it, and the runs that come back dead leave the scan list. Caller
+// holds freezeMu.
+func (t *Tier) commit(st *store.Store, seg int, mark *store.FreezeMark) {
+	live := st.CommitFreeze(mark, func(ent int) {
+		t.mu.Lock()
+		t.indexRun(runRef{seg: seg, ent: ent})
+		t.mu.Unlock()
+	})
+	t.mu.Lock()
+	t.scan[seg] = slices.DeleteFunc(t.scan[seg], func(ent int) bool { return !live[ent] })
+	t.mu.Unlock()
+	obs.SegmentFreezes.Inc()
+}
+
+// addSegment registers an open segment: it joins the live set and its tuple
+// runs join the scan list before any of them commits (see the type
+// comment). It returns the segment's index. Caller holds mu (write).
+func (t *Tier) addSegment(r *Reader) int {
+	var ents []int
 	for ent := range r.foot.Runs {
 		if isTupleRun(r.foot.Runs[ent].Op) {
 			ents = append(ents, ent)
 		}
 	}
+	t.segs = append(t.segs, r)
 	t.scan = append(t.scan, ents)
-	t.nextSeq = seq + 1
-	t.mu.Unlock()
-
-	live := st.CommitFreeze(mark, func(ent int) {
-		t.mu.Lock()
-		t.indexRun(runRef{seg: segIdx, ent: ent})
-		t.mu.Unlock()
-	})
-
-	t.mu.Lock()
-	kept := t.scan[segIdx][:0]
-	for _, ent := range t.scan[segIdx] {
-		if live[ent] {
-			kept = append(kept, ent)
-		}
-	}
-	t.scan[segIdx] = kept
-	t.mu.Unlock()
-
-	obs.SegmentFreezes.Inc()
-	return nil
+	return len(t.segs) - 1
 }
 
-// indexRun adds a committed run to the keyed maps. Caller holds mu (write).
-func (t *Tier) indexRun(rr runRef) {
+// indexRun is the tier's one rule for a run that joins the frozen state, on
+// a live freeze's commit and at recovery alike: the run joins its key's
+// committed runs, and the runs at or past its start leave them, and the
+// scan list, because the run supersedes them. A put run starts at 0 and
+// replaces the key's content; a positional run that starts below the key's
+// end re-emits a dead run, left by a freeze whose key was written between
+// collect and commit. On a live commit a positional run starts at the key's
+// end and supersedes nothing, and a put of tuples commits only after a
+// replace dropped the key's runs (InvalidateTuples); only a put of episodes
+// drops the runs of the episodes a replace superseded, none of them
+// scanned. It returns the key's runs. Caller holds mu (write).
+func (t *Tier) indexRun(rr runRef) []runRef {
 	meta := t.meta(rr)
-	switch meta.Op {
-	case store.MutPutRecords:
-		t.recRuns[meta.Object] = append(t.recRuns[meta.Object], rr)
-	case store.MutPutTrajectory:
-		// The range lives in the store; the segment only persists it.
-	case store.MutPutEpisodes:
-		t.epRuns[meta.Traj] = []runRef{rr}
-	case store.MutAppendEpisodes:
-		t.epRuns[meta.Traj] = append(t.epRuns[meta.Traj], rr)
-	case store.MutPutStructured:
-		t.tupRuns[tierKey{meta.Traj, meta.Interp}] = []runRef{rr}
-	case store.MutAppendTuples:
-		k := tierKey{meta.Traj, meta.Interp}
-		t.tupRuns[k] = append(t.tupRuns[k], rr)
-	case store.MutMergeTuple:
-		// Overlay merge frames are recovery-only; the live overlay already
-		// sits in the store.
+	k, ok := keyOf(meta)
+	if !ok {
+		return nil
 	}
+	kept := t.runs[k][:0]
+	for _, old := range t.runs[k] {
+		switch {
+		case t.meta(old).Start < meta.Start:
+			kept = append(kept, old)
+		case isTupleRun(meta.Op):
+			t.scan[old.seg] = slices.DeleteFunc(t.scan[old.seg], func(ent int) bool { return ent == old.ent })
+		}
+	}
+	t.runs[k] = append(kept, rr)
+	return t.runs[k]
 }
 
 // Checkpoint runs an incremental checkpoint: rotate the WAL, freeze the heap

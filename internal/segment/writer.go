@@ -51,8 +51,23 @@ func newWriter(dir string, seq uint64) (*Writer, error) {
 // only stable until it returns, which is fine — the frame encoder serialises
 // them immediately.
 func (w *Writer) add(m store.Mutation) error {
+	if isTupleRun(m.Op) {
+		w.summarise(&m)
+	}
+	w.buf = wal.AppendMutationFrame(w.buf[:0], m)
+	if _, err := w.bw.Write(w.buf); err != nil {
+		return err
+	}
+	w.foot.Runs = append(w.foot.Runs, runMeta(m, w.off))
+	w.off += int64(len(w.buf))
+	return nil
+}
+
+// runMeta is the directory entry of the run m, framed at off: the writer
+// files it, and a read checks a decoded frame against it.
+func runMeta(m store.Mutation, off int64) RunMeta {
 	meta := RunMeta{Op: m.Op, Object: m.ObjectID, Traj: m.TrajectoryID,
-		Interp: m.Interpretation, Start: m.Start, Off: w.off}
+		Interp: m.Interpretation, Start: m.Start, Off: off}
 	switch m.Op {
 	case store.MutPutRecords:
 		meta.Count = len(m.Records)
@@ -67,15 +82,8 @@ func (w *Writer) add(m store.Mutation) error {
 		}
 	case store.MutPutStructured, store.MutAppendTuples:
 		meta.Count = len(m.Tuples)
-		w.summarise(&m)
 	}
-	w.buf = wal.AppendMutationFrame(w.buf[:0], m)
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return err
-	}
-	w.off += int64(len(w.buf))
-	w.foot.Runs = append(w.foot.Runs, meta)
-	return nil
+	return meta
 }
 
 // summarise folds one tuple run into the planner summary.
@@ -117,9 +125,6 @@ func (w *Writer) summarise(m *store.Mutation) {
 		}
 	}
 }
-
-// runs reports how many runs were added so far.
-func (w *Writer) runs() int { return len(w.foot.Runs) }
 
 // finish seals the segment: footer frame, trailer, fsync, rename into place,
 // directory sync. On success the file is durable under its final name.

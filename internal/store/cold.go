@@ -23,12 +23,17 @@ import (
 // engine and the WAL replay arithmetic are oblivious to where a tuple
 // physically lives.
 //
+// A segment run changes the frozen state by one rule, advance (freeze.go):
+// a live freeze's commit applies it to each run it wrote, after evicting the
+// captured heap prefix, and recovery applies it to each run of the segment
+// directory, in segment order, through RecoverRun.
+//
 // Annotation merges that target a frozen tuple cannot change the immutable
 // segment, so the merged tuple lands in a small per-shard overlay (position
 // → merged tuple) consulted before the cold tier on every read. Like the
 // heap tail, a key's overlay map is replaced, never written, once readers
 // can see it. Overlay entries are written out as merge frames at the next
-// freeze, so recovery rebuilds them.
+// freeze; recovery merges each frame back through the live merge path.
 
 // ColdTier is the read side of the frozen half of a tiered store,
 // implemented by internal/segment. All methods must be safe for concurrent
@@ -42,9 +47,9 @@ type ColdTier interface {
 	ColdRecords(objectID string, from, to int, buf []gps.Record) []gps.Record
 	// ColdEpisodes appends the frozen episodes of a trajectory to buf.
 	ColdEpisodes(trajectoryID string, buf []*episode.Episode) []*episode.Episode
-	// ColdTuples appends the frozen tuples of (trajectory, interpretation),
-	// in position order, to buf.
-	ColdTuples(trajectoryID, interpretation string, buf []core.EpisodeTuple) []core.EpisodeTuple
+	// ColdTuples appends the frozen tuples of (trajectory, interpretation)
+	// at positions [from, to), in position order, to buf.
+	ColdTuples(trajectoryID, interpretation string, from, to int, buf []core.EpisodeTuple) []core.EpisodeTuple
 
 	// InvalidateTuples drops the live runs of (trajectory, interpretation):
 	// a whole-sequence replace superseded the frozen content, and segment
@@ -148,53 +153,6 @@ func (f ObjectFilter) MayContain(key string) bool {
 	return true
 }
 
-// ColdInstall is the recovered frozen state segment recovery hands to
-// InstallColdTier: which prefix of each key the tier holds, plus the
-// rebuilt merge overlay.
-type ColdInstall struct {
-	// Records maps object id → frozen record count.
-	Records map[string]int
-	// Episodes maps trajectory id → frozen episode count; EpisodeStops the
-	// stop count within it (so replace-time uncounting stays exact without
-	// decoding the segment).
-	Episodes     map[string]int
-	EpisodeStops map[string]int
-	// Tuples lists the frozen (trajectory, interpretation) keys; zero-count
-	// keys still install (an empty interpretation is observable state).
-	Tuples []ColdTupleKey
-	// Trajectories lists the frozen raw trajectories in their original put
-	// order (it drives the per-object trajectory listing order), each with
-	// its latest range.
-	Trajectories []ColdTrajKey
-	// Overlay holds the rebuilt annotation-merge overlay entries.
-	Overlay []ColdOverlayEntry
-}
-
-// ColdTupleKey identifies one frozen structured interpretation.
-type ColdTupleKey struct {
-	TrajectoryID   string
-	ObjectID       string
-	Interpretation string
-	Count          int
-}
-
-// ColdTrajKey is one frozen raw trajectory: Count records of ObjectID's
-// record run from position Start.
-type ColdTrajKey struct {
-	ID           string
-	ObjectID     string
-	Start, Count int
-}
-
-// ColdOverlayEntry is one rebuilt overlay tuple: the fully merged content
-// standing in for the frozen tuple at (TrajectoryID, Interpretation, Index).
-type ColdOverlayEntry struct {
-	TrajectoryID   string
-	Interpretation string
-	Index          int
-	Tuple          core.EpisodeTuple
-}
-
 // coldHolder wraps the attached tier for the atomic pointer.
 type coldHolder struct{ tier ColdTier }
 
@@ -209,12 +167,11 @@ func (s *Store) coldTier() ColdTier {
 // Tiered reports whether a cold tier is attached.
 func (s *Store) Tiered() bool { return s.coldTier() != nil }
 
-// InstallColdTier attaches a cold tier and installs the frozen state it
-// holds. It must run before concurrent writers start (segment recovery calls
-// it before the WAL tail replays); a fresh tiered store installs an empty
-// ColdInstall. Counts, listings and reads below each key's frozen base then
-// resolve through the tier.
-func (s *Store) InstallColdTier(ct ColdTier, inst ColdInstall) error {
+// InstallColdTier attaches a cold tier to a fresh store. Segment recovery
+// attaches it before it re-commits the tier's runs (RecoverRun) and before
+// the WAL tail replays; counts, listings and reads below each key's frozen
+// base then resolve through the tier.
+func (s *Store) InstallColdTier(ct ColdTier) error {
 	if ct == nil {
 		return errors.New("store: nil cold tier")
 	}
@@ -222,66 +179,17 @@ func (s *Store) InstallColdTier(ct ColdTier, inst ColdInstall) error {
 		return errors.New("store: cold tier already installed")
 	}
 	s.cold.Store(&coldHolder{tier: ct})
-	for obj, n := range inst.Records {
-		sh := s.shardFor(obj)
-		fz := sh.frozenMeta()
-		fz.recs[obj] = n
-		if _, ok := sh.records[obj]; !ok {
-			sh.records[obj] = nil
-		}
-		sh.recordCount += n
-	}
-	for id, n := range inst.Episodes {
-		sh := s.shardFor(id)
-		fz := sh.frozenMeta()
-		fz.eps[id] = n
-		stops := inst.EpisodeStops[id]
-		fz.epStops[id] = stops
-		if _, ok := sh.episodes[id]; !ok {
-			sh.episodes[id] = nil
-		}
-		sh.stopCount += stops
-		sh.moveCount += n - stops
-	}
-	for _, k := range inst.Tuples {
-		sh := s.shardFor(k.TrajectoryID)
-		fz := sh.frozenMeta()
-		fz.tups[tupKey{k.TrajectoryID, k.Interpretation}] = k.Count
-		byInterp, ok := sh.structured[k.TrajectoryID]
-		if !ok {
-			byInterp = structuredByInterp{}
-			sh.structured[k.TrajectoryID] = byInterp
-		}
-		if _, exists := byInterp[k.Interpretation]; !exists {
-			byInterp[k.Interpretation] = &core.StructuredTrajectory{
-				ID: k.TrajectoryID, ObjectID: k.ObjectID, Interpretation: k.Interpretation,
-			}
-			sh.structCount++
-		}
-	}
-	for _, k := range inst.Trajectories {
-		sh := s.shardFor(k.ID)
-		if _, dup := sh.trajectories[k.ID]; dup {
-			continue
-		}
-		sh.trajectories[k.ID] = trajRange{objectID: k.ObjectID, start: k.Start, count: k.Count, frozen: true}
-		os := s.shardFor(k.ObjectID)
-		os.trajByObject[k.ObjectID] = append(os.trajByObject[k.ObjectID], k.ID)
-	}
-	for _, e := range inst.Overlay {
-		sh := s.shardFor(e.TrajectoryID)
-		fz := sh.frozenMeta()
-		k := tupKey{e.TrajectoryID, e.Interpretation}
-		if fz.overlay[k] == nil {
-			fz.overlay[k] = map[int]*core.EpisodeTuple{}
-		}
-		t := e.Tuple
-		if _, dup := fz.overlay[k][e.Index]; !dup {
-			s.overlayN.Add(1)
-		}
-		fz.overlay[k][e.Index] = &t
-	}
 	return nil
+}
+
+// dropOverlay drops a key's merge overlay: a replace or a put run
+// superseded the frozen tuples it stood in for. Caller holds the key's
+// stripe lock (write).
+func (s *Store) dropOverlay(fz *shardFrozen, k tupKey) {
+	if ov := fz.overlay[k]; ov != nil {
+		s.overlayN.Add(int64(-len(ov)))
+		delete(fz.overlay, k)
+	}
 }
 
 // OverlayCount reports how many overlay entries currently stand in for

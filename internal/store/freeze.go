@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"sort"
 
 	"semitri/internal/core"
@@ -20,11 +21,15 @@ import (
 //     in-place annotation merges bump the affected key's generation counter.
 //  3. After the segment is durable, CommitFreeze re-locks each stripe and,
 //     for every emitted run whose generation is unchanged, evicts the
-//     captured heap prefix, advances the key's frozen count (or marks a
-//     trajectory's range frozen) and has the tier index the run, all under
-//     the stripe lock. Runs whose key was written
-//     in between stay on the heap (the tier must not serve them) and are
-//     re-emitted by the next freeze, which shadows the dead run at recovery.
+//     captured heap prefix, advances the key's frozen state over the run
+//     (advance) and has the tier index the run (Tier.indexRun), all under
+//     the stripe lock. Runs whose key was written in between stay on the
+//     heap (the tier must not serve them) and are re-emitted by the next
+//     freeze; the re-emitted run supersedes the dead one at recovery.
+//
+// Recovery replays a segment directory through the same two rules, run by
+// run in segment order: RecoverRun calls advance, and segment recovery
+// calls Tier.indexRun. Only the eviction is the live commit's own.
 //
 // The two-phase shape keeps the stripe locks held only for memory work —
 // the segment I/O happens between them — at the cost of re-emitting the
@@ -42,14 +47,23 @@ type FreezeMark struct {
 // length, aligned with the emission order.
 func (m *FreezeMark) Runs() int { return len(m.entries) }
 
-// freezeEntry is one emitted run: which key, how much of it was captured
-// (as a logical count) and the generation observed at collect time.
+// freezeEntry is one emitted run: its stripe, what it does to its key's
+// frozen state and the key's generation observed at collect time.
 type freezeEntry struct {
-	sh    *shard
+	sh *shard
+	frozenRun
+	gen uint64
+}
+
+// frozenRun is what one segment run does to its key's frozen state (see
+// advance): the key, the logical length of the key's frozen prefix once the
+// run is in, that prefix's stop count (episodes only), and whether the run
+// is a put, which supersedes the key's earlier frozen content.
+type frozenRun struct {
 	key   freezeKey
-	count int // captured logical length (records/episodes/tuples)
-	stops int // captured logical stop count (episodes only)
-	gen   uint64
+	count int
+	stops int
+	put   bool
 }
 
 // dirtyMark records how much of a stripe's overlayDirty queue was emitted.
@@ -116,8 +130,8 @@ func collectRecords(sh *shard, mark *FreezeMark, covered map[string]int, buf *[]
 		if err := emit(Mutation{Op: MutPutRecords, ObjectID: obj, Start: base, Records: *buf}); err != nil {
 			return err
 		}
-		mark.entries = append(mark.entries, freezeEntry{sh: sh,
-			key: freezeKey{table: frzRecords, key: obj}, count: base + len(heap)})
+		mark.entries = append(mark.entries, freezeEntry{sh: sh, frozenRun: frozenRun{
+			key: freezeKey{table: frzRecords, key: obj}, count: base + len(heap)}})
 	}
 	return nil
 }
@@ -141,7 +155,7 @@ func collectShard(sh *shard, mark *FreezeMark, covered map[string]int, emit func
 			TrajectoryID: id, Start: tr.start, Count: tr.count}); err != nil {
 			return err
 		}
-		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k, gen: sh.gen(k)})
+		mark.entries = append(mark.entries, freezeEntry{sh: sh, frozenRun: frozenRun{key: k}, gen: sh.gen(k)})
 	}
 
 	// Episodes: a key the tier has never seen emits its full sequence as a
@@ -179,8 +193,8 @@ func collectShard(sh *shard, mark *FreezeMark, covered map[string]int, emit func
 			}
 		}
 		k := freezeKey{table: frzEpisodes, key: id}
-		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k,
-			count: base + len(heap), stops: stops, gen: sh.gen(k)})
+		mark.entries = append(mark.entries, freezeEntry{sh: sh, frozenRun: frozenRun{key: k,
+			count: base + len(heap), stops: stops, put: !has}, gen: sh.gen(k)})
 	}
 
 	// Structured tuples: same put-vs-append rule, except a never-frozen key
@@ -208,8 +222,8 @@ func collectShard(sh *shard, mark *FreezeMark, covered map[string]int, emit func
 			return err
 		}
 		k := freezeKey{table: frzTuples, key: tk.traj, interp: tk.interp}
-		mark.entries = append(mark.entries, freezeEntry{sh: sh, key: k,
-			count: base + len(st.Tuples), gen: sh.gen(k)})
+		mark.entries = append(mark.entries, freezeEntry{sh: sh, frozenRun: frozenRun{key: k,
+			count: base + len(st.Tuples), put: !has}, gen: sh.gen(k)})
 	}
 
 	// Dirty overlay entries: one merge frame each, carrying the full
@@ -233,8 +247,8 @@ func collectShard(sh *shard, mark *FreezeMark, covered map[string]int, emit func
 			Place: tp.Place, Annotations: tp.Annotations.All()}); err != nil {
 			return err
 		}
-		mark.entries = append(mark.entries, freezeEntry{sh: sh,
-			key: freezeKey{table: frzOverlay, key: ref.k.traj, interp: ref.k.interp}})
+		mark.entries = append(mark.entries, freezeEntry{sh: sh, frozenRun: frozenRun{
+			key: freezeKey{table: frzOverlay, key: ref.k.traj, interp: ref.k.interp}}})
 	}
 	mark.dirty = append(mark.dirty, dirtyMark{sh: sh, taken: taken})
 	return nil
@@ -257,7 +271,7 @@ func (s *Store) CommitFreeze(mark *FreezeMark, committed func(run int)) []bool {
 	live := make([]bool, len(mark.entries))
 	for i, e := range mark.entries {
 		e.sh.mu.Lock()
-		if live[i] = commitFreezeEntry(e.sh, e); live[i] {
+		if live[i] = s.commitFreezeEntry(e); live[i] {
 			committed(i)
 		}
 		e.sh.mu.Unlock()
@@ -272,58 +286,155 @@ func (s *Store) CommitFreeze(mark *FreezeMark, committed func(run int)) []bool {
 	return live
 }
 
-// commitFreezeEntry evicts one captured run if its key is unchanged.
-// Caller holds sh.mu (write).
-func commitFreezeEntry(sh *shard, e freezeEntry) bool {
+// commitFreezeEntry evicts one captured run's heap prefix if its key is
+// unchanged, then advances the key's frozen state over the run. Caller
+// holds e.sh.mu (write).
+func (s *Store) commitFreezeEntry(e freezeEntry) bool {
+	sh := e.sh
 	if e.key.table == frzOverlay {
 		return true
 	}
 	if sh.gen(e.key) != e.gen {
 		return false
 	}
-	fz := sh.frozenMeta()
-	switch e.key.table {
+	take := e.count - sh.frozenMeta().base(e.key)
+	ok := false
+	switch id := e.key.key; e.key.table {
 	case frzRecords:
-		obj := e.key.key
-		heap := sh.records[obj]
-		take := e.count - fz.recs[obj]
-		if take < 0 || take > len(heap) {
-			return false
-		}
-		// Clone the suffix so the evicted prefix's backing array is released.
-		sh.records[obj] = append([]fix(nil), heap[take:]...)
-		fz.recs[obj] = e.count
+		sh.records[id], ok = evict(sh.records[id], take)
 	case frzTrajectory:
-		tr, ok := sh.trajectories[e.key.key]
-		if !ok {
-			return false
-		}
-		tr.frozen = true
-		sh.trajectories[e.key.key] = tr
+		_, ok = sh.trajectories[id]
 	case frzEpisodes:
-		id := e.key.key
-		heap := sh.episodes[id]
-		take := e.count - fz.eps[id]
-		if take < 0 || take > len(heap) {
-			return false
-		}
-		sh.episodes[id] = append([]*episode.Episode(nil), heap[take:]...)
-		fz.eps[id] = e.count
-		fz.epStops[id] = e.stops
+		sh.episodes[id], ok = evict(sh.episodes[id], take)
 	case frzTuples:
-		k := tupKey{e.key.key, e.key.interp}
-		st := sh.structured[k.traj][k.interp]
-		if st == nil {
-			return false
+		if st := sh.structured[id][e.key.interp]; st != nil {
+			st.Tuples, ok = evict(st.Tuples, take)
 		}
-		take := e.count - fz.tups[k]
-		if take < 0 || take > len(st.Tuples) {
-			return false
-		}
-		st.Tuples = append([]*core.EpisodeTuple(nil), st.Tuples[take:]...)
-		fz.tups[k] = e.count
-	default:
-		return false
 	}
-	return true
+	if ok {
+		s.advance(sh, e.frozenRun)
+	}
+	return ok
+}
+
+// evict drops the first take elements of a heap tail, cloning the rest so
+// the evicted prefix's backing array is released. It reports false, and
+// keeps the tail, when the tail does not hold take elements.
+func evict[T any](heap []T, take int) ([]T, bool) {
+	if take < 0 || take > len(heap) {
+		return heap, false
+	}
+	return append([]T(nil), heap[take:]...), true
+}
+
+// advance is the one rule by which a segment run changes its key's frozen
+// state, on a live freeze's commit (after the captured heap prefix left the
+// heap) and at recovery (RecoverRun) alike: the key's frozen base moves to
+// the run's end, a raw trajectory's range is marked frozen, and a put run
+// of tuples drops the merge overlay of the content it supersedes. Caller
+// holds sh.mu (write).
+func (s *Store) advance(sh *shard, r frozenRun) {
+	fz := sh.frozenMeta()
+	switch id := r.key.key; r.key.table {
+	case frzRecords:
+		fz.recs[id] = r.count
+	case frzTrajectory:
+		tr := sh.trajectories[id]
+		tr.frozen = true
+		sh.trajectories[id] = tr
+	case frzEpisodes:
+		fz.eps[id] = r.count
+		fz.epStops[id] = r.stops
+	case frzTuples:
+		k := tupKey{id, r.key.interp}
+		if r.put {
+			s.dropOverlay(fz, k)
+		}
+		fz.tups[k] = r.count
+	}
+}
+
+// errBadRun reports a recovered run that does not extend its key's frozen
+// content: a negative extent, a put that does not start at 0, a positional
+// run that starts past the key's frozen end or a trajectory range past its
+// object's records.
+var errBadRun = errors.New("store: run does not extend its key's frozen content")
+
+// RecoverRun re-commits one run of an attached cold tier's segments at
+// recovery, by the rule a live freeze commits it by: the key gets its empty
+// heap entry if it has none (a raw trajectory its range and its place in
+// its object's listing), advance moves the key's frozen state over the run
+// and the logical totals move by the frozen base's delta. A merge run goes
+// through MergeTupleAnnotations's merge; the overlay entry it leaves is not
+// queued for the next freeze, since a segment already holds it.
+//
+// m is the run's header — Op, keys, Start and Count, the run's length (a
+// raw trajectory's range for MutPutTrajectory) — or, for a merge run, its
+// decoded frame; stops is the stop count of the key's frozen episodes once
+// an episode run is in. Segment recovery calls it once per run, in segment
+// order, after the tier indexed the run and before the WAL tail replays and
+// writers start.
+func (s *Store) RecoverRun(m Mutation, stops int) error {
+	r := frozenRun{count: m.Start + m.Count, stops: stops,
+		put: m.Op == MutPutEpisodes || m.Op == MutPutStructured}
+	switch m.Op {
+	case MutMergeTuple:
+		return s.merge(m.TrajectoryID, m.Interpretation, m.Start, m.Place, m.Annotations, false)
+	case MutPutRecords:
+		r.key = freezeKey{table: frzRecords, key: m.ObjectID}
+	case MutPutTrajectory:
+		r.key = freezeKey{table: frzTrajectory, key: m.TrajectoryID}
+	case MutPutEpisodes, MutAppendEpisodes:
+		r.key = freezeKey{table: frzEpisodes, key: m.TrajectoryID}
+	case MutPutStructured, MutAppendTuples:
+		r.key = freezeKey{table: frzTuples, key: m.TrajectoryID, interp: m.Interpretation}
+	default:
+		return errBadMutation
+	}
+	if m.Start < 0 || m.Count < 0 || (r.put && m.Start != 0) ||
+		(m.Op == MutPutTrajectory && m.Count > s.RecordLen(m.ObjectID)-m.Start) {
+		return errBadRun
+	}
+	sh := s.shardFor(r.key.key)
+	sh.mu.Lock()
+	fz := sh.frozenMeta()
+	id, base, listed := r.key.key, fz.base(r.key), true
+	if m.Start > base && r.key.table != frzTrajectory {
+		sh.mu.Unlock()
+		return errBadRun
+	}
+	switch r.key.table {
+	case frzRecords:
+		if _, ok := sh.records[id]; !ok {
+			sh.records[id] = nil
+		}
+		sh.recordCount += r.count - base
+	case frzTrajectory:
+		_, listed = sh.trajectories[id]
+		sh.trajectories[id] = trajRange{objectID: m.ObjectID, start: m.Start, count: m.Count}
+	case frzEpisodes:
+		if _, ok := sh.episodes[id]; !ok {
+			sh.episodes[id] = nil
+		}
+		sh.stopCount += stops - fz.epStops[id]
+		sh.moveCount += (r.count - stops) - (base - fz.epStops[id])
+	case frzTuples:
+		k := tupKey{id, r.key.interp}
+		if sh.structured[id] == nil {
+			sh.structured[id] = structuredByInterp{}
+		}
+		if _, ok := sh.structured[id][k.interp]; !ok {
+			sh.structured[id][k.interp] = &core.StructuredTrajectory{ID: id, ObjectID: m.ObjectID, Interpretation: k.interp}
+			sh.structCount++
+		}
+	}
+	s.advance(sh, r)
+	sh.mu.Unlock()
+	if !listed {
+		os := s.shardFor(m.ObjectID)
+		os.mu.Lock()
+		os.trajByObject[m.ObjectID] = append(os.trajByObject[m.ObjectID], id)
+		os.mu.Unlock()
+	}
+	return nil
 }

@@ -181,8 +181,7 @@ func (s *Store) appendFrozen(v *keyView, buf []core.EpisodeTuple) []core.Episode
 		return buf
 	}
 	at := len(buf)
-	buf = s.coldTier().ColdTuples(v.k.traj, v.k.interp, buf)
-	buf = buf[:min(len(buf), at+v.base)]
+	buf = s.coldTier().ColdTuples(v.k.traj, v.k.interp, 0, v.base, buf)
 	for idx, tp := range v.overlay {
 		if at+idx < len(buf) {
 			buf[at+idx] = *tp
@@ -256,6 +255,13 @@ func (s *Store) TupleCount(trajectoryID, interpretation string) int {
 // view changes, and the attached index is notified.
 func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index int, place *core.Place, anns []core.Annotation) error {
 	obs.StoreMutAnnotations.Inc()
+	return s.merge(trajectoryID, interpretation, index, place, anns, true)
+}
+
+// merge is MergeTupleAnnotations's merge; queue reports whether a merge into
+// a frozen position queues its overlay entry for the next freeze (RecoverRun
+// merges what a segment already holds, and does not).
+func (s *Store) merge(trajectoryID, interpretation string, index int, place *core.Place, anns []core.Annotation, queue bool) error {
 	sh := s.shardFor(trajectoryID)
 	sh.mu.Lock()
 	st, ok := sh.structured[trajectoryID][interpretation]
@@ -274,8 +280,8 @@ func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index
 		// The first merge into a frozen position reads the tier under the
 		// stripe lock (shard→tier order), which keeps the read and the
 		// overlay write atomic against racing merges to the same spot.
-		if cold := s.coldTier().ColdTuples(trajectoryID, interpretation, nil); index < len(cold) {
-			cur = &cold[index]
+		if cold := s.coldTier().ColdTuples(trajectoryID, interpretation, index, index+1, nil); len(cold) == 1 {
+			cur = &cold[0]
 		}
 	}
 	if cur == nil {
@@ -308,7 +314,9 @@ func (s *Store) MergeTupleAnnotations(trajectoryID, interpretation string, index
 		}
 		ov[index] = &merged
 		fz.overlay[k] = ov
-		fz.overlayDirty = append(fz.overlayDirty, overlayRef{k: k, idx: index})
+		if queue {
+			fz.overlayDirty = append(fz.overlayDirty, overlayRef{k: k, idx: index})
+		}
 	}
 	var ev TupleEvent
 	sink := s.sink()

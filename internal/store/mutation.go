@@ -50,7 +50,8 @@ type Mutation struct {
 	// index for MutMergeTuple and a raw trajectory's first record position
 	// for MutPutTrajectory.
 	Start int
-	// Count is the number of records a MutPutTrajectory covers.
+	// Count is the number of records a MutPutTrajectory covers, and the
+	// run's length in the run headers RecoverRun takes.
 	Count int
 
 	Records     []gps.Record         // MutPutRecords

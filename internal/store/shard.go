@@ -108,6 +108,20 @@ func (sh *shard) frozenMeta() *shardFrozen {
 	return sh.frozen
 }
 
+// base returns a key's frozen length: its record, episode or tuple count
+// (0 for a raw trajectory, whose range is not a prefix).
+func (fz *shardFrozen) base(k freezeKey) int {
+	switch k.table {
+	case frzRecords:
+		return fz.recs[k.key]
+	case frzEpisodes:
+		return fz.eps[k.key]
+	case frzTuples:
+		return fz.tups[tupKey{k.key, k.interp}]
+	}
+	return 0
+}
+
 // frozenRecs returns the frozen record count of an object. Caller holds mu.
 func (sh *shard) frozenRecs(obj string) int {
 	if sh.frozen == nil {

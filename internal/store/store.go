@@ -480,10 +480,7 @@ func (s *Store) PutStructured(st *core.StructuredTrajectory) error {
 			delete(sh.frozen.tups, k)
 			invalidate = s.coldTier()
 		}
-		if ov := sh.frozen.overlay[k]; ov != nil {
-			s.overlayN.Add(int64(-len(ov)))
-			delete(sh.frozen.overlay, k)
-		}
+		s.dropOverlay(sh.frozen, k)
 	}
 	if s.Tiered() {
 		sh.bumpGen(freezeKey{table: frzTuples, key: st.ID, interp: st.Interpretation})

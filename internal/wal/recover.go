@@ -35,8 +35,8 @@ type RecoverStats struct {
 // Recover rebuilds a store from a log directory by pure log replay: a fresh
 // store plus ReplayInto over every segment in order. It knows nothing of
 // checkpoint bases — a directory that has been checkpointed recovers through
-// segment.Recover, which folds the frozen base and then replays the tail the
-// same way. shards is the stripe count of the rebuilt store (values below 1
+// segment.Recover, which re-commits the segments' runs as the frozen base
+// and then replays the tail the same way. shards is the stripe count of the rebuilt store (values below 1
 // mean the default). A missing or empty directory recovers to an empty store.
 // After recovering, open the log with Open (which starts a fresh segment) and
 // attach it to the returned store.

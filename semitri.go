@@ -177,8 +177,8 @@ func fsyncPolicy(s string) (wal.FsyncPolicy, error) {
 
 // RecoveryStats summarises what New recovered from a durability directory.
 type RecoveryStats struct {
-	// ColdSegments counts the binary segments folded into the store's frozen
-	// base.
+	// ColdSegments counts the binary segments whose runs were re-committed
+	// into the store's frozen base.
 	ColdSegments int
 	// Segments and FramesApplied count the replayed log tail.
 	Segments      int
@@ -381,8 +381,9 @@ func (p *Pipeline) Close() error {
 // Health reports the pipeline's current degradations as human-readable
 // reasons; an empty slice means healthy. It is the probe the serving layer
 // wires into GET /healthz (serve.WithHealth): a sticky WAL write/sync error,
-// a WAL flusher that has stopped making progress, or a failed last
-// checkpoint/freeze of this pipeline's own log each contribute a reason.
+// a WAL flusher that has stopped making progress, a failed last
+// checkpoint/freeze of this pipeline's own log, or cold reads that skipped
+// a segment run that does not decode each contribute a reason.
 // Non-durable and closed pipelines are always healthy. Safe to poll.
 func (p *Pipeline) Health() []string {
 	var reasons []string
@@ -408,6 +409,9 @@ func (p *Pipeline) Health() []string {
 				reasons = append(reasons, fmt.Sprintf("wal: flusher stalled (last flush %s ago)",
 					age.Round(time.Millisecond)))
 			}
+		}
+		if n := p.tier.BadRuns(); n > 0 {
+			reasons = append(reasons, fmt.Sprintf("segment: %d cold reads skipped a run that does not decode", n))
 		}
 	}
 	return reasons
