@@ -40,7 +40,9 @@ race:
 # or 400 with one line of JSON of the declared length, never a panic or 500.
 # FuzzDecodeMutation: the WAL and segment payload decoder returns an error
 # or a mutation that re-encodes to a fixed point, never a panic, and
-# allocates at most a small multiple of its input.
+# allocates at most a small multiple of its input; under any kind and time
+# filter it errors exactly when the full decode does and keeps, at their
+# positions, exactly the full decode's tuples the filter admits.
 # FuzzReplaySegment: WAL replay of a log header followed by any bytes, read
 # from memory, never panics, allocates at most a small multiple of the
 # bytes, and rebuilds what the frames before the reported tear rebuild.

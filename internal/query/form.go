@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"time"
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
@@ -132,8 +133,7 @@ func (f *form) admits(ref store.TupleRef, tp *core.EpisodeTuple) bool {
 	if f.interp != "" && ref.Interpretation != f.interp ||
 		f.object != "" && ref.ObjectID != f.object ||
 		f.traj != "" && ref.TrajectoryID != f.traj ||
-		f.kinds&kindBit(tp.Kind) == 0 ||
-		stampOf(tp.TimeOut).before(f.lo) || f.hi.before(stampOf(tp.TimeIn)) {
+		!f.admitsSpan(tp.Kind, tp.TimeIn, tp.TimeOut) {
 		return false
 	}
 	for i := range f.anns {
@@ -159,6 +159,13 @@ func (f *form) admits(ref store.TupleRef, tp *core.EpisodeTuple) bool {
 		}
 	}
 	return true
+}
+
+// admitsSpan is the tuple check's kind and time clauses: whether a tuple of
+// kind, entered at timeIn and left at timeOut, meets kinds, lo and hi. It is
+// also the store.TupleFilter a segment scan decodes with.
+func (f *form) admitsSpan(kind episode.Kind, timeIn, timeOut time.Time) bool {
+	return f.kinds&kindBit(kind) != 0 && !stampOf(timeOut).before(f.lo) && !f.hi.before(stampOf(timeIn))
 }
 
 // summaryAdmits is the footer check: whether a segment whose footer summary

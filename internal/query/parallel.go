@@ -216,10 +216,11 @@ func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, out []Match, wo
 // scanMatches runs the full-scan path, appending raw (unsorted) matches to
 // out. The scan units are the store's lock stripes (the heap tail) plus the
 // cold segments whose footer summary survives pruning against the query
-// (see pruneSegments); large scans visit the units concurrently, and the
-// caller's canonical sort makes the interleaving unobservable. Worker 0
-// appends straight into out, so a serial scan is one pass into the caller's
-// buffer.
+// (see pruneSegments); a segment decodes only the tuples whose kind and
+// times pass f (admitsSpan, the tuple check's own clauses). Large scans
+// visit the units concurrently, and the caller's canonical sort makes the
+// interleaving unobservable. Worker 0 appends straight into out, so a
+// serial scan is one pass into the caller's buffer.
 //
 // The segment list is captured before any stripe is visited and the tier
 // registers a freezing segment's runs before the store evicts the matching
@@ -243,9 +244,10 @@ func (e *Engine) scanMatches(f *form, out []Match, maxWorkers int, tr *Trace) []
 			return true
 		}
 	}
+	keep := f.admitsSpan
 	fanOut(workers, units, func(w, u int) bool {
 		if u < len(segs) {
-			e.st.VisitColdSegmentTuples(segs[u], f.interp, visits[w])
+			e.st.VisitColdSegmentTuplesFiltered(segs[u], f.interp, keep, visits[w])
 		} else {
 			e.st.VisitShardTuples(u-len(segs), f.interp, visits[w])
 		}

@@ -130,6 +130,118 @@ func TestTieredEngineMatchesHeap(t *testing.T) {
 	}
 }
 
+// TestTieredFilteredScanMatchesHeap checks the decode-time kind and time
+// filter of segment scans, and the ranged keyed resolve, against an all-heap
+// store. The tiered store freezes five times, takes merges into frozen
+// positions (the overlay) and keeps a live heap tail; kind-only,
+// time-window and kind+time scans, whose window ends lie on, or a
+// nanosecond beside, a stored tuple's times (so windows start, end and fall
+// inside frozen runs), and object and annotation queries, which resolve ref
+// batches, must return reflect.DeepEqual answers.
+func TestTieredFilteredScanMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	heap := store.NewSharded(4)
+	heapEng := NewEngine(heap)
+	all := populate(t, heap, 43, 6, 3, 15)
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	tieredEng := NewEngine(tiered)
+	frozen := len(all) * 4 / 5
+	for i, s := range all {
+		if err := tiered.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID,
+			s.ref.Interpretation, cloneTuple(s.tp)); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%(frozen/5) == 0 && i < frozen {
+			if err := tier.Freeze(tiered); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if tier.SegmentCount() != 5 {
+		t.Fatalf("froze %d segments, want 5", tier.SegmentCount())
+	}
+	for i := 0; i < 30; i++ {
+		s := all[rng.Intn(frozen)]
+		anns := []core.Annotation{{Key: core.AnnPOICategory, Value: fmt.Sprintf("merged%d", i%3),
+			Confidence: 2, Source: "prop"}}
+		for _, st := range []*store.Store{heap, tiered} {
+			if err := st.MergeTupleAnnotations(s.ref.TrajectoryID, s.ref.Interpretation, s.ref.Index, nil, anns); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if tiered.OverlayCount() == 0 {
+		t.Fatal("no merge landed in the overlay")
+	}
+
+	// stamp is a random stored tuple's TimeIn or TimeOut, or a nanosecond
+	// beside it.
+	stamp := func() time.Time {
+		tp := all[rng.Intn(len(all))].tp
+		at := tp.TimeIn
+		if rng.Intn(2) == 0 {
+			at = tp.TimeOut
+		}
+		return at.Add(time.Duration(rng.Intn(3) - 1))
+	}
+	paths := map[Path]int{}
+	for i := 0; i < 300; i++ {
+		var q Query
+		switch i % 5 {
+		case 0, 1, 2: // scans: kind only, time window, kind and time window
+			if i%5 != 1 {
+				k := episode.Kind(rng.Intn(2))
+				q.Kind = &k
+			}
+			if i%5 != 0 {
+				q.From, q.To = stamp(), stamp()
+				if q.To.Before(q.From) {
+					q.From, q.To = q.To, q.From
+				}
+			}
+		case 3: // one object's time window
+			q.ObjectID = fmt.Sprintf("u%d", rng.Intn(6))
+			q.From = stamp()
+			q.To = q.From.Add(time.Duration(rng.Intn(48)) * time.Hour)
+		case 4: // an annotation, through the inverted index
+			q.AnnKey, q.AnnValue = core.AnnPOICategory, fmt.Sprintf("merged%d", rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				q.AnnValue = "shop"
+			}
+		}
+		plan, err := tieredEng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 < 3 && plan.Path != PathScan {
+			t.Fatalf("query %d (%+v) planned as %s, want a scan", i, q, plan.Path)
+		}
+		paths[plan.Path]++
+		want, err := heapEng.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4} {
+			tieredEng.SetParallelism(w)
+			got, err := tieredEng.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d (%+v) workers=%d: tiered answer diverges from heap: %d matches, want %d",
+					i, q, w, len(got), len(want))
+			}
+		}
+	}
+	if paths[PathObjectTime] == 0 || paths[PathAnnotation] == 0 {
+		t.Fatalf("no query resolved a ref batch: plans %v", paths)
+	}
+}
+
 // TestTieredUntimedTupleNotPruned freezes an untimed stop followed by a stop
 // at t0 into one segment: the segment's time span must start at the zero
 // time, so a window ending before t0 still finds the untimed stop in the

@@ -122,16 +122,17 @@ func (r *Reader) validate() error {
 // after Open.
 func (r *Reader) Footer() *Footer { return r.foot }
 
-// mutationAt decodes the run frame at off. The returned mutation owns its
-// memory (the decoder copies strings and payloads out of the frame buffer).
-func (r *Reader) mutationAt(off int64, cur *cursor) (store.Mutation, error) {
+// mutationAt decodes the run frame at off, building only the tuples keep
+// admits (see wal.DecodeMutation). The returned mutation owns its memory
+// (the decoder copies strings and payloads out of the frame buffer).
+func (r *Reader) mutationAt(off int64, cur *cursor, keep store.TupleFilter) (store.Mutation, error) {
 	payload, n, err := r.blob.Frame(off, &cur.buf)
 	if err != nil {
 		return store.Mutation{}, err
 	}
 	obs.SegmentColdReads.Inc()
 	obs.SegmentColdBytes.Add(int64(n))
-	return wal.DecodeMutation(payload, cur.interned)
+	return wal.DecodeMutation(payload, cur.interned, keep)
 }
 
 // Close releases the mapping or file handle.

@@ -3,9 +3,13 @@ package segment
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"semitri/internal/core"
+	"semitri/internal/geo"
+	"semitri/internal/gps"
+	"semitri/internal/obs"
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
@@ -97,6 +101,107 @@ func TestColdReadsCountUndecodableRun(t *testing.T) {
 	}
 	if got := st2.Records("obj-1"); len(got) != len(want.Records["obj-1"]) {
 		t.Fatalf("Records(obj-1) = %d records, want %d", len(got), len(want.Records["obj-1"]))
+	}
+}
+
+// freezeTwice freezes populate(st, 2, 10) into one segment, then appends
+// tuples 5–9 of t-0 and obj-0's records 10–19 (the raw trajectory t-0b)
+// and freezes them into a second, so that t-0's tuples and obj-0's records
+// each span two runs. It returns the store's content after both freezes.
+func freezeTwice(t *testing.T, st *store.Store, tier *Tier) *storeState {
+	t.Helper()
+	populate(t, st, 2, 10)
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < 10; i++ {
+		tp := testTuple("t-0", i)
+		tp.Episode.ObjectID = "obj-0"
+		if err := st.AppendStructuredTuples("t-0", "obj-0", "merged", tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := make([]gps.Record, 0, 10)
+	for i := 10; i < 20; i++ {
+		recs = append(recs, gps.Record{ObjectID: "obj-0", Position: geo.Pt(float64(i), 0), Time: ts(i)})
+	}
+	if err := st.PutTrajectory("t-0b", "obj-0", st.PutRecords(recs), len(recs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	return capture(st)
+}
+
+// TestUndecodableRunKeepsLaterPositions pins that a run that does not
+// decode leaves only its own positions unread: positional reads past it
+// still resolve each position to its own tuple or record, and whole-sequence
+// reads stop at the run instead of shifting what follows onto its
+// positions.
+func TestUndecodableRunKeepsLaterPositions(t *testing.T) {
+	dir := t.TempDir()
+	st, tier := newTiered(t, dir, 4)
+	want := freezeTwice(t, st, tier)
+	tier.Close()
+	paths, _, _, err := listSegmentFiles(dir)
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("want 2 segments, got %v (%v)", paths, err)
+	}
+	refuseRuns(t, paths[0], func(m *RunMeta) bool {
+		return m.Op == store.MutPutRecords && m.Object == "obj-0" || isTupleRun(m.Op) && m.Traj == "t-0"
+	})
+
+	st2, tier2, _, err := Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier2.Close()
+	wantTups := want.Structured["t-0/merged"].Tuples
+	tuples, ok := st2.AppendTuplesAt("t-0", "merged", []int{0, 5, 9}, nil, nil)
+	if ok[0] || !ok[1] || !ok[2] {
+		t.Fatalf("AppendTuplesAt ok = %v, want position 0 unresolved and 5, 9 resolved", ok)
+	}
+	if !reflect.DeepEqual(tuples[1], *wantTups[5]) || !reflect.DeepEqual(tuples[2], *wantTups[9]) {
+		t.Fatalf("positions 5 and 9 resolved to\n%+v\n%+v\nwant\n%+v\n%+v", tuples[1], tuples[2], *wantTups[5], *wantTups[9])
+	}
+	if got, ok := st2.Structured("t-0", "merged"); !ok || len(got.Tuples) != 0 {
+		t.Fatalf("Structured read %d tuples past an undecodable run at position 0", len(got.Tuples))
+	}
+	if got := st2.Records("obj-0"); len(got) != 0 {
+		t.Fatalf("Records read %d records past an undecodable run at position 0", len(got))
+	}
+	if got, ok := st2.Trajectory("t-0b"); !ok || !reflect.DeepEqual(got, want.Trajs["t-0b"]) {
+		t.Fatalf("Trajectory(t-0b) over the readable run = %+v, want %+v", got, want.Trajs["t-0b"])
+	}
+	if got, ok := st2.Structured("t-1", "merged"); !ok || !reflect.DeepEqual(got, want.Structured["t-1/merged"]) {
+		t.Fatal("Structured(t-1) differs from the live store")
+	}
+}
+
+// TestKeyedResolveDecodesOneRun pins the ranged keyed resolve: resolving
+// one frozen position decodes the one run that holds it, however many runs
+// its key has.
+func TestKeyedResolveDecodesOneRun(t *testing.T) {
+	st, tier := newTiered(t, t.TempDir(), 4)
+	defer tier.Close()
+	want := freezeTwice(t, st, tier)
+	for _, idx := range []int{2, 7} {
+		before := obs.SegmentColdReads.Value()
+		tuples, ok := st.AppendTuplesAt("t-0", "merged", []int{idx}, nil, nil)
+		if n := obs.SegmentColdReads.Value() - before; n != 1 {
+			t.Fatalf("resolving position %d of a two-run key decoded %d runs, want 1", idx, n)
+		}
+		if !ok[0] || !reflect.DeepEqual(tuples[0], *want.Structured["t-0/merged"].Tuples[idx]) {
+			t.Fatalf("position %d resolved to %+v (ok %v)", idx, tuples[0], ok[0])
+		}
+	}
+	before := obs.SegmentColdReads.Value()
+	if _, ok := st.AppendTuplesAt("t-0", "merged", []int{1, 3, 6, 8}, nil, nil); !reflect.DeepEqual(ok, []bool{true, true, true, true}) {
+		t.Fatalf("ok = %v", ok)
+	}
+	if n := obs.SegmentColdReads.Value() - before; n != 2 {
+		t.Fatalf("resolving four positions over two runs decoded %d runs, want 2", n)
 	}
 }
 

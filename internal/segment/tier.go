@@ -107,12 +107,13 @@ func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 // decode (see decode).
 func (t *Tier) BadRuns() int64 { return t.badRuns.Load() }
 
-// decode reads one run's data frame. A frame that does not decode, or that
-// decodes to another run than its directory entry names, is counted in
-// BadRuns and skipped: the read comes back short rather than failing, and
-// Pipeline.Health reports the count.
-func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor) (store.Mutation, bool) {
-	m, err := r.mutationAt(meta.Off, cur)
+// decode reads one run's data frame, building only the tuples keep admits
+// (see wal.DecodeMutation). A frame that does not decode, or that decodes to
+// another run than its directory entry names, is counted in BadRuns and
+// reported as not ok: the reader leaves the run's positions unread rather
+// than failing, and Pipeline.Health reports the count.
+func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor, keep store.TupleFilter) (store.Mutation, bool) {
+	m, err := r.mutationAt(meta.Off, cur, keep)
 	if err == nil && runMeta(m, meta.Off) == *meta {
 		return m, true
 	}
@@ -120,11 +121,12 @@ func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor) (store.Mutation, bo
 	return store.Mutation{}, false
 }
 
-// eachRun is the keyed readers' one run reader: it calls fn with every
-// committed run of a key that overlaps the positions [from, to), decoded,
-// in position order. The run list is snapshotted under the read lock,
-// which is released before any decoding.
-func (t *Tier) eachRun(k tierKey, from, to int, fn func(meta *RunMeta, m store.Mutation)) {
+// eachRun is the keyed readers' one run reader: it calls fn, in position
+// order, with every committed run of a key that want selects, decoded
+// (decoded is false for a run that does not decode), until fn returns
+// false. The run list is snapshotted under the read lock, which is released
+// before any decoding.
+func (t *Tier) eachRun(k tierKey, want func(meta *RunMeta) bool, fn func(meta *RunMeta, m store.Mutation, decoded bool) bool) {
 	t.mu.RLock()
 	refs := append([]runRef(nil), t.runs[k]...)
 	segs := t.segs
@@ -134,43 +136,93 @@ func (t *Tier) eachRun(k tierKey, from, to int, fn func(meta *RunMeta, m store.M
 	for _, rr := range refs {
 		r := segs[rr.seg]
 		meta := &r.foot.Runs[rr.ent]
-		if max(from, meta.Start) >= min(to, meta.Start+meta.Count) {
+		if !want(meta) {
 			continue
 		}
-		if m, ok := t.decode(r, meta, cur); ok {
-			fn(meta, m)
+		if m, ok := t.decode(r, meta, cur, nil); !fn(meta, m, ok) {
+			return
 		}
 	}
+}
+
+// eachRange calls fn, in position order, with the part [lo, hi) of each of
+// a key's runs that falls within the positions [from, to), relative to the
+// run's start. It stops at the first position of the range it cannot read —
+// one that no committed run holds, or whose run does not decode — so the
+// parts fn sees are always the range's prefix.
+func (t *Tier) eachRange(k tierKey, from, to int, fn func(m store.Mutation, lo, hi int)) {
+	next := from
+	t.eachRun(k, func(meta *RunMeta) bool {
+		return max(from, meta.Start) < min(to, meta.Start+meta.Count)
+	}, func(meta *RunMeta, m store.Mutation, decoded bool) bool {
+		if !decoded || meta.Start > next {
+			return false
+		}
+		if end := min(to, meta.Start+meta.Count); end > next {
+			fn(m, next-meta.Start, end-meta.Start)
+			next = end
+		}
+		return true
+	})
 }
 
 // ColdRecords implements store.ColdTier: the frozen records of one object at
 // positions [from, to), decoding only the runs that overlap the range.
 func (t *Tier) ColdRecords(objectID string, from, to int, buf []gps.Record) []gps.Record {
-	t.eachRun(tierKey{table: store.MutPutRecords, key: objectID}, from, to, func(meta *RunMeta, m store.Mutation) {
-		buf = append(buf, m.Records[max(from, meta.Start)-meta.Start:min(to, meta.Start+meta.Count)-meta.Start]...)
+	t.eachRange(tierKey{table: store.MutPutRecords, key: objectID}, from, to, func(m store.Mutation, lo, hi int) {
+		buf = append(buf, m.Records[lo:hi]...)
 	})
 	return buf
 }
 
 // ColdEpisodes implements store.ColdTier.
 func (t *Tier) ColdEpisodes(trajectoryID string, buf []*episode.Episode) []*episode.Episode {
-	t.eachRun(tierKey{table: store.MutPutEpisodes, key: trajectoryID}, 0, math.MaxInt, func(_ *RunMeta, m store.Mutation) {
-		buf = append(buf, m.Episodes...)
+	t.eachRange(tierKey{table: store.MutPutEpisodes, key: trajectoryID}, 0, math.MaxInt, func(m store.Mutation, lo, hi int) {
+		buf = append(buf, m.Episodes[lo:hi]...)
 	})
 	return buf
 }
 
 // ColdTuples implements store.ColdTier: the frozen tuples of one structured
 // interpretation at positions [from, to), in position order, decoding only
-// the runs that overlap the range (the overlay is the store's concern).
+// the runs that overlap the range. The merge overlay is the store's
+// concern: it stands in for tuples at their positions, which the tier
+// keeps.
 func (t *Tier) ColdTuples(trajectoryID, interpretation string, from, to int, buf []core.EpisodeTuple) []core.EpisodeTuple {
 	k := tierKey{table: store.MutPutStructured, key: trajectoryID, interp: interpretation}
-	t.eachRun(k, from, to, func(meta *RunMeta, m store.Mutation) {
-		for _, tp := range m.Tuples[max(from, meta.Start)-meta.Start : min(to, meta.Start+meta.Count)-meta.Start] {
+	t.eachRange(k, from, to, func(m store.Mutation, lo, hi int) {
+		for _, tp := range m.Tuples[lo:hi] {
 			buf = append(buf, *tp)
 		}
 	})
 	return buf
+}
+
+// ColdTuplesAt implements store.ColdTier, decoding each run that holds a
+// wanted position once and no other run.
+func (t *Tier) ColdTuplesAt(trajectoryID, interpretation string, at []int, base int, tuples []core.EpisodeTuple, ok []bool) {
+	holds := func(meta *RunMeta, i int) bool {
+		return !ok[i] && at[i] < base && meta.Start <= at[i] && at[i] < meta.Start+meta.Count
+	}
+	k := tierKey{table: store.MutPutStructured, key: trajectoryID, interp: interpretation}
+	t.eachRun(k, func(meta *RunMeta) bool {
+		for i := range at {
+			if holds(meta, i) {
+				return true
+			}
+		}
+		return false
+	}, func(meta *RunMeta, m store.Mutation, decoded bool) bool {
+		if !decoded {
+			return true // the run's positions stay unresolved
+		}
+		for i := range at {
+			if holds(meta, i) {
+				tuples[i], ok[i] = *m.Tuples[at[i]-meta.Start], true
+			}
+		}
+		return true
+	})
 }
 
 // InvalidateTuples implements store.ColdTier: a whole-sequence replace
@@ -192,10 +244,14 @@ func (t *Tier) InvalidateTuples(trajectoryID, interpretation string) {
 }
 
 // VisitSegmentTuples implements store.ColdTier: every live frozen tuple of
-// one segment, decoded lazily run by run. The scan list is snapshotted under
-// the read lock and the lock released before any decoding or callback — fn
-// may take stripe locks.
-func (t *Tier) VisitSegmentTuples(seg int, interpretation string, fn func(ref store.TupleRef, tp core.EpisodeTuple) bool) bool {
+// one segment that keep admits, decoded lazily run by run. The decoder reads
+// each tuple's kind, place and times first and skips the rest of a tuple
+// keep refuses without building it. The merge overlay, applied by the
+// store after this visit, cannot make a refused tuple match: a merge never
+// changes a tuple's kind or times (store.TupleFilter). The scan list is
+// snapshotted under the read lock and the lock released before any decoding
+// or callback — fn may take stripe locks.
+func (t *Tier) VisitSegmentTuples(seg int, interpretation string, keep store.TupleFilter, fn func(ref store.TupleRef, tp core.EpisodeTuple) bool) bool {
 	t.mu.RLock()
 	if seg < 0 || seg >= len(t.segs) {
 		t.mu.RUnlock()
@@ -211,11 +267,14 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, fn func(ref st
 		if interpretation != "" && meta.Interp != interpretation {
 			continue
 		}
-		m, ok := t.decode(r, meta, cur)
+		m, ok := t.decode(r, meta, cur, keep)
 		if !ok {
 			continue
 		}
 		for i, tp := range m.Tuples {
+			if tp == nil {
+				continue // refused by keep
+			}
 			ref := store.TupleRef{TrajectoryID: meta.Traj, ObjectID: meta.Object,
 				Interpretation: meta.Interp, Index: meta.Start + i}
 			if !fn(ref, *tp) {

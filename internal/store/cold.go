@@ -40,7 +40,10 @@ import (
 // use. The store calls Invalidate* while holding the key's stripe lock, so
 // implementations must not call back into the store from them; Visit
 // methods must not hold tier-internal locks across fn callbacks (fn may
-// take stripe locks).
+// take stripe locks). The keyed readers read a position only from the run
+// that holds it; when that run cannot be read, ColdTuplesAt leaves its
+// positions unresolved, and the appending readers stop there, so the i-th
+// element they append is always the one at position from+i.
 type ColdTier interface {
 	// ColdRecords appends the frozen records of an object at positions
 	// [from, to), in position order, to buf.
@@ -50,6 +53,11 @@ type ColdTier interface {
 	// ColdTuples appends the frozen tuples of (trajectory, interpretation)
 	// at positions [from, to), in position order, to buf.
 	ColdTuples(trajectoryID, interpretation string, from, to int, buf []core.EpisodeTuple) []core.EpisodeTuple
+	// ColdTuplesAt resolves the frozen positions of (trajectory,
+	// interpretation) that ok leaves unresolved: for every i with !ok[i]
+	// and 0 ≤ at[i] < base it sets tuples[i] to the tuple at position at[i]
+	// and ok[i] to true.
+	ColdTuplesAt(trajectoryID, interpretation string, at []int, base int, tuples []core.EpisodeTuple, ok []bool)
 
 	// InvalidateTuples drops the live runs of (trajectory, interpretation):
 	// a whole-sequence replace superseded the frozen content, and segment
@@ -61,10 +69,18 @@ type ColdTier interface {
 	ColdSegments() int
 	Summaries(buf []SegmentSummary) []SegmentSummary
 	// VisitSegmentTuples calls fn for every live frozen tuple of one segment
-	// (every interpretation when interpretation is empty), with its logical
-	// ref. It reports false when fn stopped the visit early.
-	VisitSegmentTuples(seg int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool
+	// (every interpretation when interpretation is empty) that keep admits
+	// (every one when keep is nil), with its logical ref. It reports false
+	// when fn stopped the visit early.
+	VisitSegmentTuples(seg int, interpretation string, keep TupleFilter, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool
 }
+
+// TupleFilter is the part of a query's tuple check a segment scan applies
+// while it decodes: whether a tuple of kind, entered at timeIn and left at
+// timeOut, may match. A tuple it refuses is never built. The filter is
+// exact under the merge overlay, because a merge (EpisodeTuple.Merged)
+// never changes a tuple's kind or times.
+type TupleFilter func(kind episode.Kind, timeIn, timeOut time.Time) bool
 
 // SegmentSummary is the planner-facing digest a segment's footer carries:
 // enough to decide, without touching the segment body, that no tuple inside
@@ -220,19 +236,27 @@ func (s *Store) ColdSummaries(buf []SegmentSummary) []SegmentSummary {
 
 // VisitColdSegmentTuples calls fn for every live frozen tuple of one cold
 // segment, with the merge overlay applied — the cold counterpart of
-// VisitShardTuples, and a parallel scan's per-segment work unit. The
-// overlay is read from one view per run of consecutive refs to the same
-// key. It reports false when fn stopped the visit early.
+// VisitShardTuples. It reports false when fn stopped the visit early.
 func (s *Store) VisitColdSegmentTuples(seg int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
+	return s.VisitColdSegmentTuplesFiltered(seg, interpretation, nil, fn)
+}
+
+// VisitColdSegmentTuplesFiltered is VisitColdSegmentTuples over the tuples
+// keep admits (all when keep is nil): a parallel scan's per-segment work
+// unit. The tier skips the tuples keep refuses while decoding, and the
+// overlay cannot turn a refused tuple into an admitted one (see
+// TupleFilter). The overlay is read from one view per run of consecutive
+// refs to the same key.
+func (s *Store) VisitColdSegmentTuplesFiltered(seg int, interpretation string, keep TupleFilter, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
 	ct := s.coldTier()
 	if ct == nil {
 		return true
 	}
 	if s.overlayN.Load() == 0 {
-		return ct.VisitSegmentTuples(seg, interpretation, fn)
+		return ct.VisitSegmentTuples(seg, interpretation, keep, fn)
 	}
 	var v keyView
-	return ct.VisitSegmentTuples(seg, interpretation, func(ref TupleRef, t core.EpisodeTuple) bool {
+	return ct.VisitSegmentTuples(seg, interpretation, keep, func(ref TupleRef, t core.EpisodeTuple) bool {
 		if k := (tupKey{ref.TrajectoryID, ref.Interpretation}); k != v.k {
 			v, _ = s.view(k.traj, k.interp)
 			v.k = k

@@ -175,7 +175,8 @@ func (s *Store) view(trajectoryID, interpretation string) (keyView, bool) {
 // appendFrozen appends the view's frozen prefix in position order to buf:
 // one tier read, with the overlay applied. A freeze that commits after the
 // view was taken adds nothing the view does not already hold in its tail.
-// Called with no stripe lock held.
+// A prefix that comes back short stopped at a position the tier cannot
+// read. Called with no stripe lock held.
 func (s *Store) appendFrozen(v *keyView, buf []core.EpisodeTuple) []core.EpisodeTuple {
 	if v.base == 0 {
 		return buf
@@ -193,12 +194,13 @@ func (s *Store) appendFrozen(v *keyView, buf []core.EpisodeTuple) []core.Episode
 // AppendTuplesAt resolves several positions of one structured trajectory
 // from one view of it, appending one entry per index to the caller-owned
 // tuples and ok: the appended tuples[i] is the tuple at indexes[i] and ok[i]
-// reports whether that position exists. Batch resolution is what keeps
-// indexed query execution cheap — candidates cluster by trajectory, so the
-// executor pays one lock per trajectory instead of one per tuple, and the
-// frozen positions of a batch decode with one tier read — and reusing the
-// buffers' capacity lets it run the whole resolution loop without
-// allocating per batch.
+// reports whether that position exists and can be read. Batch resolution is
+// what keeps indexed query execution cheap — candidates cluster by
+// trajectory, so the executor pays one lock per trajectory instead of one
+// per tuple, and the frozen positions of a batch that the overlay does not
+// hold resolve with one tier read, which decodes only the runs holding
+// them — and reusing the buffers' capacity lets it run the whole
+// resolution loop without allocating per batch.
 func (s *Store) AppendTuplesAt(trajectoryID, interpretation string, indexes []int, tuples []core.EpisodeTuple, ok []bool) ([]core.EpisodeTuple, []bool) {
 	at := len(tuples)
 	for range indexes {
@@ -209,7 +211,7 @@ func (s *Store) AppendTuplesAt(trajectoryID, interpretation string, indexes []in
 	if !found {
 		return tuples, ok
 	}
-	var frozen []core.EpisodeTuple
+	cold := false
 	for i, idx := range indexes {
 		switch {
 		case idx < 0:
@@ -218,13 +220,15 @@ func (s *Store) AppendTuplesAt(trajectoryID, interpretation string, indexes []in
 				tuples[at+i], ok[at+i] = *v.tail[h], true
 			}
 		default:
-			if frozen == nil {
-				frozen = s.appendFrozen(&v, nil)
-			}
-			if idx < len(frozen) {
-				tuples[at+i], ok[at+i] = frozen[idx], true
+			if tp := v.overlay[idx]; tp != nil {
+				tuples[at+i], ok[at+i] = *tp, true
+			} else {
+				cold = true
 			}
 		}
+	}
+	if cold {
+		s.coldTier().ColdTuplesAt(trajectoryID, interpretation, indexes, v.base, tuples[at:], ok[at:])
 	}
 	return tuples, ok
 }

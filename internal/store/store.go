@@ -198,7 +198,8 @@ func (s *Store) Records(objectID string) []gps.Record {
 // appendRecordRange appends the records at positions [from, to) of an
 // object's record run to buf (to is clamped to the run's length): positions
 // below the frozen base through one ranged cold read, the rest unpacked from
-// the heap tail.
+// the heap tail. A cold read that comes back short ends the range there, so
+// the i-th record appended is always the one at position from+i.
 func (s *Store) appendRecordRange(buf []gps.Record, objectID string, from, to int) []gps.Record {
 	sh := s.shardFor(objectID)
 	sh.mu.RLock()
@@ -210,7 +211,11 @@ func (s *Store) appendRecordRange(buf []gps.Record, objectID string, from, to in
 		return buf
 	}
 	if from < base {
+		n := len(buf)
 		buf = s.coldTier().ColdRecords(objectID, from, min(to, base), slices.Grow(buf, to-from))
+		if len(buf)-n < min(to, base)-from {
+			return buf
+		}
 		from = base
 	}
 	return appendRecords(buf, objectID, tail[from-base:max(to, base)-base])
@@ -419,7 +424,8 @@ func (s *Store) AppendEpisodes(trajectoryID string, eps ...*episode.Episode) err
 }
 
 // Episodes returns the episodes stored for a trajectory: the frozen prefix
-// read through the cold tier, then the heap tail.
+// read through the cold tier, then the heap tail. A frozen prefix that comes
+// back short ends the sequence there.
 func (s *Store) Episodes(trajectoryID string) []*episode.Episode {
 	sh := s.shardFor(trajectoryID)
 	sh.mu.RLock()
@@ -430,6 +436,9 @@ func (s *Store) Episodes(trajectoryID string) []*episode.Episode {
 		return tail
 	}
 	out := s.coldTier().ColdEpisodes(trajectoryID, make([]*episode.Episode, 0, base+len(tail)))
+	if len(out) < base {
+		return out
+	}
 	return append(out, tail...)
 }
 
@@ -553,17 +562,21 @@ func (s *Store) AppendStructuredTuples(trajectoryID, objectID, interpretation st
 // Structured returns the structured trajectory stored for a trajectory id
 // and interpretation, as one view of it read under the stripe lock: the
 // frozen tuples read through the cold tier (overlay applied), then the heap
-// tail. The result is the caller's own — its tuple slice and the tuples it
-// points to are copies — so the caller may keep, read or change it while
-// writers go on, and nothing it does reaches the store.
+// tail. A frozen prefix that comes back short ends the sequence there, so
+// every tuple's index is its position. The result is the caller's own — its
+// tuple slice and the tuples it points to are copies — so the caller may
+// keep, read or change it while writers go on, and nothing it does reaches
+// the store.
 func (s *Store) Structured(trajectoryID, interpretation string) (*core.StructuredTrajectory, bool) {
 	v, ok := s.view(trajectoryID, interpretation)
 	if !ok {
 		return nil, false
 	}
 	tuples := s.appendFrozen(&v, make([]core.EpisodeTuple, 0, v.base+len(v.tail)))
-	for _, tp := range v.tail {
-		tuples = append(tuples, *tp)
+	if len(tuples) == v.base {
+		for _, tp := range v.tail {
+			tuples = append(tuples, *tp)
+		}
 	}
 	out := &core.StructuredTrajectory{ID: trajectoryID, ObjectID: v.objectID, Interpretation: interpretation,
 		Tuples: make([]*core.EpisodeTuple, len(tuples))}

@@ -215,6 +215,9 @@ type Decoder struct {
 	// interned deduplicates decoded strings across frames (see strShared).
 	// Nil disables interning.
 	interned map[string]string
+	// discard makes the element readers check and skip what they read
+	// without building it: no allocation, no intern probe.
+	discard bool
 }
 
 // maxInterned bounds the intern table so a log full of unique strings (or a
@@ -317,6 +320,9 @@ func (d *Decoder) strShared() string {
 	}
 	b := d.b[d.off : d.off+n]
 	d.off += n
+	if d.discard {
+		return ""
+	}
 	if s, ok := d.interned[string(b)]; ok {
 		return s
 	}
@@ -417,9 +423,18 @@ func (d *Decoder) records(owner string) []gps.Record {
 }
 
 func (d *Decoder) episode() *episode.Episode {
-	ep := &episode.Episode{
-		TrajectoryID: d.Str(),
-		ObjectID:     d.Str(),
+	if d.discard {
+		d.episodeValue()
+		return nil
+	}
+	ep := d.episodeValue()
+	return &ep
+}
+
+func (d *Decoder) episodeValue() episode.Episode {
+	ep := episode.Episode{
+		TrajectoryID: d.strShared(),
+		ObjectID:     d.strShared(),
 		Kind:         episode.Kind(d.U8()),
 		StartIdx:     int(d.Uv()),
 		EndIdx:       int(d.Uv()),
@@ -454,7 +469,7 @@ func (d *Decoder) place() *core.Place {
 	if d.U8() == 0 {
 		return nil
 	}
-	p := &core.Place{
+	p := core.Place{
 		ID:       d.strShared(),
 		Kind:     core.PlaceKind(d.U8()),
 		Name:     d.strShared(),
@@ -464,7 +479,10 @@ func (d *Decoder) place() *core.Place {
 	if p.Kind != core.RegionPlace && p.Kind != core.LinePlace && p.Kind != core.PointPlace {
 		d.fail()
 	}
-	return p
+	if d.discard {
+		return nil
+	}
+	return &p
 }
 
 func (d *Decoder) annotations() []core.Annotation {
@@ -472,30 +490,58 @@ func (d *Decoder) annotations() []core.Annotation {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	anns := make([]core.Annotation, 0, n)
+	var anns []core.Annotation
+	if !d.discard {
+		anns = make([]core.Annotation, 0, n)
+	}
 	for i := 0; i < n && d.err == nil; i++ {
-		anns = append(anns, core.Annotation{Key: d.strShared(), Value: d.strShared(), Confidence: d.F64(), Source: d.strShared()})
+		a := core.Annotation{Key: d.strShared(), Value: d.strShared(), Confidence: d.F64(), Source: d.strShared()}
+		if !d.discard {
+			anns = append(anns, a)
+		}
 	}
 	return anns
 }
 
-func (d *Decoder) tuples() []*core.EpisodeTuple {
+// tuples decodes a tuple run, building only the tuples keep admits (every
+// one when keep is nil): it reads a tuple's kind and times first, and the
+// entry of a tuple keep refuses is nil, its place, annotations and episode
+// checked and skipped without being built. Whether the run decodes does not
+// depend on keep.
+func (d *Decoder) tuples(keep store.TupleFilter) []*core.EpisodeTuple {
 	n := d.Count(1 + 1 + 1 + 1 + 1 + 1) // kind, no place, zero times, no annotations, no episode
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	tuples := make([]*core.EpisodeTuple, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		tp := &core.EpisodeTuple{
-			Kind:    episode.Kind(d.U8()),
-			Place:   d.place(),
-			TimeIn:  d.Time(),
-			TimeOut: d.Time(),
-		}
-		if tp.Kind != episode.Stop && tp.Kind != episode.Move {
+		kind := episode.Kind(d.U8())
+		at := d.off
+		d.discard = keep != nil
+		place := d.place()
+		d.discard = false
+		in, out := d.Time(), d.Time()
+		if d.err != nil || kind != episode.Stop && kind != episode.Move {
 			d.fail()
 			break
 		}
+		if keep != nil {
+			if !keep(kind, in, out) {
+				d.discard = true
+				d.annotations()
+				if d.U8() == 1 {
+					d.episode()
+				}
+				d.discard = false
+				tuples = append(tuples, nil)
+				continue
+			}
+			end := d.off
+			d.off = at
+			place = d.place()
+			d.off = end
+		}
+		tp := &core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
 		tp.Annotations = core.AnnotationSetOf(d.annotations())
 		if d.U8() == 1 {
 			tp.Episode = d.episode()
@@ -511,8 +557,10 @@ func (d *Decoder) tuples() []*core.EpisodeTuple {
 // non-nil, is a string table shared across calls (one per replayed segment):
 // ids, interpretation names and annotation keys repeat in nearly every
 // frame, and interning them keeps recovery's allocation volume proportional
-// to distinct strings, not to frames.
-func decodeMutation(payload []byte, interned map[string]string) (store.Mutation, error) {
+// to distinct strings, not to frames. keep, when non-nil, filters a tuple
+// run: the entry of each tuple it refuses is nil (see tuples), and the
+// result is otherwise the full decode's.
+func decodeMutation(payload []byte, interned map[string]string, keep store.TupleFilter) (store.Mutation, error) {
 	d := &Decoder{b: payload, interned: interned}
 	m := store.Mutation{
 		Op:             store.MutationOp(d.U8()),
@@ -529,7 +577,7 @@ func decodeMutation(payload []byte, interned map[string]string) (store.Mutation,
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		m.Episodes = d.episodes()
 	case store.MutPutStructured, store.MutAppendTuples:
-		m.Tuples = d.tuples()
+		m.Tuples = d.tuples(keep)
 	case store.MutMergeTuple:
 		m.Place = d.place()
 		m.Annotations = d.annotations()

@@ -85,10 +85,11 @@ func ParseFrame(b []byte) (payload []byte, size int, err error) {
 }
 
 // DecodeMutation decodes one frame payload (as returned by ParseFrame).
-// interned, when non-nil, is a string table shared across calls; see
-// decodeMutation. The decoder never panics on arbitrary input.
-func DecodeMutation(payload []byte, interned map[string]string) (store.Mutation, error) {
-	return decodeMutation(payload, interned)
+// interned, when non-nil, is a string table shared across calls, and keep,
+// when non-nil, the tuples to build; see decodeMutation. The decoder never
+// panics on arbitrary input.
+func DecodeMutation(payload []byte, interned map[string]string, keep store.TupleFilter) (store.Mutation, error) {
+	return decodeMutation(payload, interned, keep)
 }
 
 // Blob is one file's bytes, read a frame at a time: a read-only memory map

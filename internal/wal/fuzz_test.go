@@ -2,9 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
+	"semitri/internal/core"
+	"semitri/internal/episode"
 	"semitri/internal/store"
 )
 
@@ -30,32 +34,52 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzDecodeMutation drives the cold tier's decoder — every WAL frame and
-// segment row replays through decodeMutation — with arbitrary payloads,
+// segment row replays through decodeMutation — with arbitrary payloads and
+// an arbitrary kind and time filter (what a segment scan decodes with),
 // seeded with an encoding of every op. Invariant: decoding returns an error,
 // or decode → encode → decode is a fixed point (compared as bytes, so NaN
 // coordinates compare exactly), with and without a shared intern table; it
-// never panics and never allocates more than decodeAllocBound.
+// never panics and never allocates more than decodeAllocBound. The filtered
+// decode errors exactly when the full decode does; otherwise it keeps the
+// tuple at a position exactly when the filter admits the full decode's
+// tuple there, each tuple it keeps encodes like the full decode's, and the
+// rest of the mutation encodes like it too.
 func FuzzDecodeMutation(f *testing.F) {
+	t0 := ts(0).Unix()
 	for _, m := range testMutations() {
 		e := &Encoder{}
 		encodeMutation(e, m)
-		f.Add(e.b)
-		f.Add(e.b[:len(e.b)/2])
+		f.Add(e.b, uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64))
+		f.Add(e.b[:len(e.b)/2], uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64))
+		f.Add(e.b, uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64))
+		f.Add(e.b, uint8(0xff), int64(math.MinInt64), t0+1)
+		f.Add(e.b, uint8(0), int64(math.MinInt64), int64(math.MaxInt64))
 	}
-	f.Add([]byte{})
+	f.Add([]byte{}, uint8(0xff), int64(0), int64(0))
 	interned := map[string]string{}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil) }); n > decodeAllocBound(len(payload)) {
+	f.Fuzz(func(t *testing.T, payload []byte, kinds uint8, lo, hi int64) {
+		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, nil) }); n > decodeAllocBound(len(payload)) {
 			t.Fatalf("decoding %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
 		}
-		m, err := decodeMutation(payload, nil)
+		keep := func(k episode.Kind, in, out time.Time) bool {
+			return kinds&(1<<(k&7)) != 0 && out.Unix() >= lo && in.Unix() <= hi
+		}
+		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, keep) }); n > decodeAllocBound(len(payload)) {
+			t.Fatalf("filtered decoding of %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
+		}
+		m, err := decodeMutation(payload, nil, nil)
+		kept, kerr := decodeMutation(payload, nil, keep)
+		if (err == nil) != (kerr == nil) {
+			t.Fatalf("full decode of %x: %v, filtered decode: %v", payload, err, kerr)
+		}
 		if err != nil {
 			return
 		}
+		checkFiltered(t, m, kept, keep)
 		e := &Encoder{}
 		encodeMutation(e, m)
 		first := append([]byte(nil), e.b...)
-		again, err := decodeMutation(first, nil)
+		again, err := decodeMutation(first, nil, nil)
 		if err != nil {
 			t.Fatalf("re-encoding of %x does not decode: %v", payload, err)
 		}
@@ -64,7 +88,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		if !bytes.Equal(e.b, first) {
 			t.Fatalf("decode → encode is not a fixed point for %x:\n first  %x\n second %x", payload, first, e.b)
 		}
-		shared, err := decodeMutation(payload, interned)
+		shared, err := decodeMutation(payload, interned, nil)
 		if err != nil {
 			t.Fatalf("interned decode of %x fails: %v", payload, err)
 		}
@@ -74,6 +98,39 @@ func FuzzDecodeMutation(f *testing.F) {
 			t.Fatalf("interned decode of %x differs:\n plain    %x\n interned %x", payload, first, e.b)
 		}
 	})
+}
+
+// checkFiltered checks a filtered decode against the full decode m of the
+// same payload: position by position, the filtered decode holds a tuple
+// exactly where keep admits m's, and that tuple encodes like m's; without
+// their tuples, the two mutations encode alike.
+func checkFiltered(t *testing.T, m, kept store.Mutation, keep store.TupleFilter) {
+	t.Helper()
+	if len(kept.Tuples) != len(m.Tuples) {
+		t.Fatalf("filtered decode holds %d tuple positions, full decode %d", len(kept.Tuples), len(m.Tuples))
+	}
+	var a, b Encoder
+	for i, tp := range m.Tuples {
+		if admit := keep(tp.Kind, tp.TimeIn, tp.TimeOut); admit != (kept.Tuples[i] != nil) {
+			t.Fatalf("tuple %d: filter admits it: %v, filtered decode kept it: %v", i, admit, kept.Tuples[i] != nil)
+		}
+		if kept.Tuples[i] == nil {
+			continue
+		}
+		a.b, b.b = a.b[:0], b.b[:0]
+		a.tuples([]*core.EpisodeTuple{tp})
+		b.tuples([]*core.EpisodeTuple{kept.Tuples[i]})
+		if !bytes.Equal(a.b, b.b) {
+			t.Fatalf("tuple %d: filtered decode %x, full decode %x", i, b.b, a.b)
+		}
+	}
+	m.Tuples, kept.Tuples = nil, nil
+	a.b, b.b = a.b[:0], b.b[:0]
+	encodeMutation(&a, m)
+	encodeMutation(&b, kept)
+	if !bytes.Equal(a.b, b.b) {
+		t.Fatalf("filtered decode's mutation %x, full decode's %x", b.b, a.b)
+	}
 }
 
 // replayAllocBound is what replaying a segment of n bytes may allocate:
@@ -134,7 +191,7 @@ func FuzzReplaySegment(f *testing.F) {
 			if perr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, perr)
 			}
-			m, derr := DecodeMutation(payload, nil)
+			m, derr := DecodeMutation(payload, nil, nil)
 			if derr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, derr)
 			}
@@ -148,7 +205,7 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		if tornAt >= 0 {
 			if payload, _, perr := ParseFrame(data[end:]); perr == nil {
-				if _, derr := DecodeMutation(payload, nil); derr == nil {
+				if _, derr := DecodeMutation(payload, nil, nil); derr == nil {
 					t.Fatalf("tear reported at %d, where a whole frame starts", end)
 				}
 			}
