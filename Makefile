@@ -42,7 +42,10 @@ race:
 # or a mutation that re-encodes to a fixed point, never a panic, and
 # allocates at most a small multiple of its input; under any kind and time
 # filter it errors exactly when the full decode does and keeps, at their
-# positions, exactly the full decode's tuples the filter admits.
+# positions, exactly the full decode's tuples the filter admits; with a
+# projection (place id, episode, one annotation key) added it errors
+# exactly when the full decode does, and each kept tuple's kind, times,
+# place id, value of the key and episode equal the full decode's.
 # FuzzReplaySegment: WAL replay of a log header followed by any bytes, read
 # from memory, never panics, allocates at most a small multiple of the
 # bytes, and rebuilds what the frames before the reported tear rebuild.

@@ -58,7 +58,6 @@ import (
 	"flag"
 	"iter"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"slices"
@@ -219,7 +218,7 @@ func main() {
 	if *pprofOn {
 		logger.Info("profiling endpoints mounted", "pprof", "/debug/pprof/", "trace", "/debug/trace")
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := serve.NewHTTPServer(*addr, handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 	logger.Info("serving", "addr", *addr)

@@ -1,12 +1,15 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"semitri/internal/core"
+	"semitri/internal/store"
 )
 
 // Dim names a grouping dimension of an Aggregate.
@@ -100,47 +103,140 @@ type Group struct {
 	Value float64 `json:"value"`
 }
 
-// key extracts the group key of a match under the aggregate's dimension;
-// ok is false when the row carries no value for it (no place, missing
-// annotation key) and must be dropped.
-func (a *Aggregate) key(m *Match) (string, bool) {
+// key extracts the group key of the tuple tp stored at ref under the
+// aggregate's dimension; ok is false when the row carries no value for it
+// (no place, missing annotation key) and must be dropped.
+func (a *Aggregate) key(ref *store.TupleRef, tp *core.EpisodeTuple) (string, bool) {
 	switch a.By {
 	case DimObject:
-		return m.Ref.ObjectID, true
+		return ref.ObjectID, true
 	case DimTrajectory:
-		return m.Ref.TrajectoryID, true
+		return ref.TrajectoryID, true
 	case DimPlace:
-		id := m.Tuple.PlaceID()
+		id := tp.PlaceID()
 		return id, id != ""
 	case DimKind:
-		return m.Tuple.Kind.String(), true
+		return tp.Kind.String(), true
 	case DimAnnotation:
-		v := m.Tuple.Annotations.Value(a.AnnKey)
+		v := tp.Annotations.Value(a.AnnKey)
 		return v, v != ""
 	}
 	return "", false
 }
 
-// accum is one group's accumulator.
+// accum is one group's accumulator; objects is filled in at ranking, from
+// the fold's pairs.
 type accum struct {
 	count   int
-	objects map[string]bool
+	objects int
 	dur     time.Duration
+}
+
+// groups is one worker's partial fold: each group key's accumulator and,
+// when the metric counts distinct objects, the (group key, object) pairs
+// seen. It is the one fold behind AggregateMatches, AggregatePairs and the
+// grouped executions, and it allocates once per group, plus the growth of
+// its two maps.
+type groups struct {
+	acc   map[string]*accum
+	pairs map[keyObject]struct{}
+}
+
+// keyObject is one object seen in one group.
+type keyObject struct{ key, object string }
+
+// newGroups returns an empty fold for a.
+func newGroups(a *Aggregate) groups {
+	g := groups{acc: map[string]*accum{}}
+	if a.metric() == MetricDistinctObjects {
+		g.pairs = map[keyObject]struct{}{}
+	}
+	return g
+}
+
+// add folds one row into the group key: its count, its duration
+// contribution and its object.
+func (g groups) add(key, obj string, dur time.Duration) {
+	acc := g.acc[key]
+	if acc == nil {
+		acc = &accum{}
+		g.acc[key] = acc
+	}
+	acc.count++
+	acc.dur += dur
+	if g.pairs != nil {
+		g.pairs[keyObject{key, obj}] = struct{}{}
+	}
+}
+
+// row folds the tuple tp stored at ref under a; a row without a group key
+// is dropped.
+func (g groups) row(a *Aggregate, ref *store.TupleRef, tp *core.EpisodeTuple) {
+	if key, ok := a.key(ref, tp); ok {
+		g.add(key, ref.ObjectID, tp.Duration())
+	}
+}
+
+// merge folds another worker's partial fold into g by integer sums and set
+// unions — exact and order-independent, so the ranked output is
+// byte-identical at any worker count.
+func (g groups) merge(o groups) {
+	for key, p := range o.acc {
+		if acc := g.acc[key]; acc != nil {
+			acc.count += p.count
+			acc.dur += p.dur
+		} else {
+			g.acc[key] = p
+		}
+	}
+	for pair := range o.pairs {
+		g.pairs[pair] = struct{}{}
+	}
+}
+
+// rank turns a merged fold into the aggregate's result: each group's metric
+// value, ranked descending with ties broken by key, cut to the top K.
+func (a *Aggregate) rank(g groups) []Group {
+	for pair := range g.pairs {
+		g.acc[pair.key].objects++
+	}
+	out := make([]Group, 0, len(g.acc))
+	for key, acc := range g.acc {
+		gr := Group{Key: key, Count: acc.count}
+		switch a.metric() {
+		case MetricCount:
+			gr.Value = float64(acc.count)
+		case MetricDistinctObjects:
+			gr.Value = float64(acc.objects)
+		case MetricDuration:
+			gr.Value = acc.dur.Seconds()
+		}
+		out = append(out, gr)
+	}
+	slices.SortFunc(out, func(x, y Group) int {
+		if x.Value != y.Value {
+			return cmp.Compare(y.Value, x.Value)
+		}
+		return strings.Compare(x.Key, y.Key)
+	})
+	if a.K > 0 && len(out) > a.K {
+		out = out[:a.K]
+	}
+	return out
 }
 
 // AggregateMatches groups single-table query results. MetricDistinctObjects
 // counts distinct owning objects per group (e.g. top-K POIs by distinct
 // visitors); MetricDuration sums the episodes' durations. The fold runs on
-// the engine's workers (see fold).
+// the engine's workers (see foldRows). ExecuteAggregate computes the same
+// groups without collecting the matches.
 func (e *Engine) AggregateMatches(a Aggregate, ms []Match) ([]Group, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return e.fold(a, len(ms), func(i int) (string, bool, string, time.Duration) {
-		m := &ms[i]
-		key, ok := a.key(m)
-		return key, ok, m.Ref.ObjectID, m.Tuple.Duration()
-	})
+	return e.foldRows(&a, len(ms), func(g groups, i int) {
+		g.row(&a, &ms[i].Ref, &ms[i].Tuple)
+	}), nil
 }
 
 // AggregatePairs groups join results. The group key comes from the left
@@ -150,11 +246,63 @@ func (e *Engine) AggregatePairs(a Aggregate, ps []JoinMatch) ([]Group, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return e.fold(a, len(ps), func(i int) (string, bool, string, time.Duration) {
+	return e.foldRows(&a, len(ps), func(g groups, i int) {
 		p := &ps[i]
-		key, ok := a.key(&p.Left)
-		return key, ok, p.Right.Ref.ObjectID, overlap(&p.Left.Tuple, &p.Right.Tuple)
-	})
+		if key, ok := a.key(&p.Left.Ref, &p.Left.Tuple); ok {
+			g.add(key, p.Right.Ref.ObjectID, overlap(&p.Left.Tuple, &p.Right.Tuple))
+		}
+	}), nil
+}
+
+// ExecuteAggregate runs a single-table query and groups its rows by a. A
+// query without a limit folds each admitted row into per-worker
+// accumulators as its access path produces it, on every path: no Match is
+// built and nothing is sorted, and a cold scan decodes only the fields the
+// query's tuple check and the group key read. A limit caps the rows before
+// the fold, so a limited query collects its canonical prefix and folds
+// that. Either way the groups are AggregateMatches(a, Execute(q))'s, and
+// the plan is Explain(q)'s.
+func (e *Engine) ExecuteAggregate(q Query, a Aggregate) ([]Group, Plan, error) {
+	return e.aggregate(q, a, nil)
+}
+
+// ExecuteAggregateTraced is ExecuteAggregate plus a full execution trace;
+// the fold's merge and ranking are timed as one extra "aggregate" stage.
+func (e *Engine) ExecuteAggregateTraced(q Query, a Aggregate) ([]Group, Plan, *Trace, error) {
+	tr := &Trace{}
+	gs, p, err := e.aggregate(q, a, tr)
+	if err != nil {
+		return nil, Plan{}, nil, err
+	}
+	return gs, p, tr, nil
+}
+
+// aggregate is the one body behind ExecuteAggregate and its traced twin.
+func (e *Engine) aggregate(q Query, a Aggregate, tr *Trace) ([]Group, Plan, error) {
+	if err := a.Validate(); err != nil {
+		return nil, Plan{}, err
+	}
+	var s sink
+	if q.Limit == 0 {
+		s.agg, s.groups = &a, newGroups(&a)
+	}
+	p, err := e.executeInto(q, &s, tr)
+	if err != nil {
+		return nil, Plan{}, err
+	}
+	t0 := time.Now()
+	var gs []Group
+	if s.agg != nil {
+		gs = a.rank(s.groups)
+	} else {
+		gs, _ = e.AggregateMatches(a, s.out)
+	}
+	if tr != nil {
+		ns := time.Since(t0).Nanoseconds()
+		tr.Stages = append(tr.Stages, TraceStage{Name: "aggregate", Ns: ns, Rows: len(gs)})
+		tr.TotalNs += ns
+	}
+	return gs, p, nil
 }
 
 // overlap is the length of the intersection of two tuples' closed time
@@ -174,86 +322,24 @@ func overlap(l, r *core.EpisodeTuple) time.Duration {
 	return hi.Sub(lo)
 }
 
-// fold runs the shared accumulation: n rows described by row(i) → (group
-// key, keep, object id for distinct counting, duration contribution). The
-// rows split into one contiguous range per worker, each folded into that
-// worker's private partial map; the partials merge by integer sums and set
-// unions — exact and order-independent — so the ranked output is
-// byte-identical at any worker count. With one worker there is one range,
-// one map and nothing to merge.
-func (e *Engine) fold(a Aggregate, n int, row func(i int) (string, bool, string, time.Duration)) ([]Group, error) {
+// foldRows folds n collected rows, row(g, i) folding row i into g. The rows
+// split into one contiguous range per worker, each folded into that
+// worker's private partial fold, and the partials merge (groups.merge).
+// With one worker there is one range, one map and nothing to merge.
+func (e *Engine) foldRows(a *Aggregate, n int, row func(g groups, i int)) []Group {
 	workers := e.workersFor(n, 0)
-	parts := make([]map[string]*accum, workers)
+	parts := make([]groups, workers)
 	for w := range parts {
-		parts[w] = map[string]*accum{}
+		parts[w] = newGroups(a)
 	}
 	fanOut(workers, workers, func(w, r int) bool {
-		foldRange(&a, r*n/workers, (r+1)*n/workers, row, parts[w])
+		for i := r * n / workers; i < (r+1)*n/workers; i++ {
+			row(parts[w], i)
+		}
 		return true
 	})
-	groups := parts[0]
 	for _, part := range parts[1:] {
-		for key, p := range part {
-			g := groups[key]
-			if g == nil {
-				groups[key] = p
-				continue
-			}
-			g.count += p.count
-			g.dur += p.dur
-			for obj := range p.objects {
-				if g.objects == nil {
-					g.objects = map[string]bool{}
-				}
-				g.objects[obj] = true
-			}
-		}
+		parts[0].merge(part)
 	}
-	out := make([]Group, 0, len(groups))
-	for key, g := range groups {
-		gr := Group{Key: key, Count: g.count}
-		switch a.metric() {
-		case MetricCount:
-			gr.Value = float64(g.count)
-		case MetricDistinctObjects:
-			gr.Value = float64(len(g.objects))
-		case MetricDuration:
-			gr.Value = g.dur.Seconds()
-		}
-		out = append(out, gr)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].Key < out[j].Key
-	})
-	if a.K > 0 && len(out) > a.K {
-		out = out[:a.K]
-	}
-	return out, nil
-}
-
-// foldRange folds rows [lo, hi) into groups.
-func foldRange(a *Aggregate, lo, hi int, row func(i int) (string, bool, string, time.Duration), groups map[string]*accum) {
-	distinct := a.metric() == MetricDistinctObjects
-	for i := lo; i < hi; i++ {
-		key, ok, obj, dur := row(i)
-		if !ok {
-			continue
-		}
-		g := groups[key]
-		if g == nil {
-			g = &accum{}
-			groups[key] = g
-		}
-		g.count++
-		g.dur += dur
-		if distinct {
-			if g.objects == nil {
-				g.objects = map[string]bool{}
-			}
-			g.objects[obj] = true
-		}
-	}
+	return a.rank(parts[0])
 }

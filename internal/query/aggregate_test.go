@@ -107,7 +107,7 @@ func TestAggregateMatchesBruteForce(t *testing.T) {
 				}
 				for k := range ms {
 					mm := &ms[k]
-					key, ok := a.key(mm)
+					key, ok := a.key(&mm.Ref, &mm.Tuple)
 					if !ok {
 						continue
 					}

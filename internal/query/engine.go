@@ -431,43 +431,101 @@ func (e *Engine) ExecuteExplained(q Query) ([]Match, Plan, error) {
 	return e.execute(q, nil)
 }
 
-// execute is the one body behind Execute, ExecuteExplained and
-// ExecuteTraced: plan, run, and record the query's metrics — the path
-// counter and the planning and execution latencies. tr, when non-nil, is
-// filled with the execution trace; untraced queries do no trace work.
+// execute collects the query's matches (see executeInto).
 func (e *Engine) execute(q Query, tr *Trace) ([]Match, Plan, error) {
+	var s sink
+	p, err := e.executeInto(q, &s, tr)
+	return s.out, p, err
+}
+
+// executeInto is the one body behind Execute, ExecuteExplained,
+// ExecuteTraced and the grouped executions: plan, run into s, and record
+// the query's metrics — the path counter and the planning and execution
+// latencies. tr, when non-nil, is filled with the execution trace; untraced
+// queries do no trace work.
+func (e *Engine) executeInto(q Query, s *sink, tr *Trace) (Plan, error) {
 	f, err := compile(q)
 	if err != nil {
-		return nil, Plan{}, err
+		return Plan{}, err
 	}
 	t0 := time.Now()
 	p := e.plan(&f)
 	t1 := time.Now()
-	out := e.executeBuf(&f, p.Path, nil, 0, tr)
+	e.executeBuf(&f, p.Path, s, 0, tr)
 	t2 := time.Now()
 	planNs, execNs := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
 	if tr != nil {
 		tr.Kind, tr.Plan, tr.Path = "query", p.String(), string(p.Path)
 		tr.PlanNs, tr.ExecNs, tr.TotalNs = planNs, execNs, t2.Sub(t0).Nanoseconds()
-		tr.Returned = len(out)
+		tr.Returned = s.rows
 	}
 	obs.QueryByPath[pathRank(p.Path)].Inc()
 	obs.QueryPlanNs.ObserveNs(planNs)
 	obs.QueryExecNs.ObserveNs(execNs)
-	obs.QueryReturned.Add(int64(len(out)))
-	return out, p, nil
+	obs.QueryReturned.Add(int64(s.rows))
+	return p, nil
+}
+
+// sink is where an execution puts the rows it admits: appended to out as
+// Matches, or, when agg is set, folded into groups, with no Match built.
+// rows counts the rows it took. Parallel stages give each worker or
+// resolution chunk a sink of its own and merge them into the caller's.
+type sink struct {
+	agg    *Aggregate
+	out    []Match
+	groups groups
+	rows   int
+}
+
+// add takes the admitted tuple tp stored at ref.
+func (s *sink) add(ref *store.TupleRef, tp *core.EpisodeTuple) {
+	s.rows++
+	if s.agg == nil {
+		s.out = append(s.out, Match{Ref: *ref, Tuple: *tp})
+		return
+	}
+	s.groups.row(s.agg, ref, tp)
+}
+
+// sibling returns an empty sink that collects or folds like s.
+func (s *sink) sibling() *sink {
+	if s.agg == nil {
+		return &sink{}
+	}
+	return &sink{agg: s.agg, groups: newGroups(s.agg)}
+}
+
+// merge moves o's rows into s: its matches after s's, or its groups folded
+// into s's.
+func (s *sink) merge(o *sink) {
+	s.rows += o.rows
+	if s.agg == nil {
+		s.out = append(s.out, o.out...)
+		return
+	}
+	s.groups.merge(o.groups)
+}
+
+// truncate caps the matches s collected from base on at limit (0: none).
+func (s *sink) truncate(base, limit int) {
+	if limit > 0 && len(s.out)-base > limit {
+		s.rows -= len(s.out) - base - limit
+		s.out = s.out[:base+limit]
+	}
 }
 
 // executeBuf gathers the chosen path's candidates, resolves them against the
-// store, verifies every predicate and appends the matches to out (reusing
-// its capacity), returning them in canonical order with the limit applied. f
-// must not escape — callers may reuse it.
+// store, verifies every predicate and puts the admitted rows into s: a
+// collecting sink gets the matches in canonical order with the limit
+// applied, reusing its capacity, and a folding one (which has no limit)
+// gets every row folded as the path produces it, in no order and with no
+// sort. f must not escape — callers may reuse it.
 // maxWorkers further caps the engine's parallelism for this execution; join
 // probes pass 1 so the per-row fan-out (already parallel across rows) never
 // nests goroutine pools. tr, when non-nil, collects per-stage timings and
 // segment-prune decisions; probe hot paths pass nil, so tracing costs them
 // nothing but the nil checks.
-func (e *Engine) executeBuf(f *form, path Path, out []Match, maxWorkers int, tr *Trace) []Match {
+func (e *Engine) executeBuf(f *form, path Path, s *sink, maxWorkers int, tr *Trace) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -476,11 +534,11 @@ func (e *Engine) executeBuf(f *form, path Path, out []Match, maxWorkers int, tr 
 	case PathTrajectory:
 		// Stored order is canonical order (one object, one trajectory,
 		// ascending positions), so the limit stops the walk early.
-		base := len(out)
+		rows := s.rows
 		st, ok := e.st.Structured(f.traj, f.interp)
 		if !ok {
 			tr.stage("store-walk", t0, 0)
-			return out
+			return
 		}
 		for i, tp := range st.Tuples {
 			ref := store.TupleRef{
@@ -490,47 +548,38 @@ func (e *Engine) executeBuf(f *form, path Path, out []Match, maxWorkers int, tr 
 				Index:          i,
 			}
 			if f.admits(ref, tp) {
-				out = append(out, Match{Ref: ref, Tuple: *tp})
-				if f.limit > 0 && len(out) >= f.limit {
+				s.add(&ref, tp)
+				if f.limit > 0 && s.rows-rows >= f.limit {
 					break
 				}
 			}
 		}
 		obs.QueryCandidates.Add(int64(len(st.Tuples)))
 		tr.addCandidates(len(st.Tuples))
-		tr.stage("store-walk", t0, len(out)-base)
-		return out
+		tr.stage("store-walk", t0, s.rows-rows)
+		return
 	case PathScan:
-		// Stripe order is not canonical, so the scan collects everything and
-		// sorts; the comparator is a total order on the unique ref key, so
-		// the unit interleaving of a parallel scan cannot show. A freeze
-		// racing the scan can emit one logical ref from both the segment and
-		// the still-unevicted heap (never neither), so adjacent duplicate
-		// refs collapse after the sort.
-		base := len(out)
-		out = e.scanMatches(f, out, maxWorkers, tr)
+		// The scan's cut reads every ref once (see scan), so a fold is done
+		// when the scan is. Stripe and segment order is not canonical, so
+		// collected matches are sorted; the comparator is a total order on
+		// the unique ref key, so the unit interleaving of a parallel scan
+		// cannot show.
+		rows, base := s.rows, len(s.out)
+		e.scan(f, s, maxWorkers, tr)
 		obs.QueryCandidates.Add(e.total.Load())
 		tr.addCandidates(int(e.total.Load()))
-		tr.stage("scan", t0, len(out)-base)
+		tr.stage("scan", t0, s.rows-rows)
+		if s.agg != nil {
+			return
+		}
 		var t1 time.Time
 		if tr != nil {
 			t1 = time.Now()
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
-		dst := base
-		for i := base; i < len(out); i++ {
-			if i > base && out[i].Ref == out[dst-1].Ref {
-				continue
-			}
-			out[dst] = out[i]
-			dst++
-		}
-		out = out[:dst]
-		if f.limit > 0 && len(out) > f.limit {
-			out = out[:f.limit]
-		}
-		tr.stage("sort-dedup", t1, len(out)-base)
-		return out
+		sort.Sort(byRef(s.out[base:]))
+		s.truncate(base, f.limit)
+		tr.stage("sort", t1, s.rows-rows)
+		return
 	}
 	sc := getScratch()
 	sc.refs = e.gatherInto(f, path, sc.refs[:0])
@@ -541,11 +590,10 @@ func (e *Engine) executeBuf(f *form, path Path, out []Match, maxWorkers int, tr 
 	if tr != nil {
 		t1 = time.Now()
 	}
-	base := len(out)
-	out = e.resolveRefs(f, sc, out, maxWorkers)
-	tr.stage("resolve", t1, len(out)-base)
+	rows := s.rows
+	e.resolveRefs(f, sc, s, maxWorkers)
+	tr.stage("resolve", t1, s.rows-rows)
 	putScratch(sc)
-	return out
 }
 
 // gatherInto appends candidate refs from one indexed access path, resolving
@@ -598,7 +646,7 @@ func (e *Engine) gatherInto(f *form, path Path, refs []store.TupleRef) []store.T
 	return refs
 }
 
-// resolveRefs turns candidate refs into verified matches: dedup (paths can
+// resolveRefs turns candidate refs into verified rows: dedup (paths can
 // nominate a ref more than once — stale postings, re-annotation), resolve
 // against the store, re-check every predicate. The refs in sc are sorted into
 // the canonical *output* order — (object, trajectory, interpretation,
@@ -609,10 +657,10 @@ func (e *Engine) gatherInto(f *form, path Path, refs []store.TupleRef) []store.T
 // sort. Each trajectory's run resolves with one store lock (one
 // Store.AppendTuplesAt batch) — this is what makes indexed execution cheaper
 // per candidate than a scan is per tuple.
-func (e *Engine) resolveRefs(f *form, sc *scratch, out []Match, maxWorkers int) []Match {
+func (e *Engine) resolveRefs(f *form, sc *scratch, s *sink, maxWorkers int) {
 	refs := sc.refs
 	if len(refs) == 0 {
-		return out
+		return
 	}
 	sort.Slice(refs, func(i, j int) bool {
 		a, b := &refs[i], &refs[j]
@@ -628,23 +676,24 @@ func (e *Engine) resolveRefs(f *form, sc *scratch, out []Match, maxWorkers int) 
 		return a.Index < b.Index
 	})
 	if workers := e.workersFor(len(refs), maxWorkers); workers > 1 {
-		return e.resolveParallel(f, refs, out, workers)
+		e.resolveParallel(f, refs, s, workers)
+		return
 	}
-	// One worker resolves straight into out: no chunk buffers to merge,
-	// which keeps a join's per-row probes allocation-free.
-	return e.resolveChunk(f, refs, out, sc, nil)
+	// One worker resolves straight into s: no chunk sinks to merge, which
+	// keeps a join's per-row probes allocation-free.
+	e.resolveChunk(f, refs, s, sc, nil)
 }
 
 // resolveChunk resolves one contiguous range of canonically sorted refs,
-// appending verified matches to out in that same order. It stops early once
-// f.limit matches are appended (the range's output prefix is the final
-// output prefix), and, when stop is non-nil, abandons the range between
+// putting the verified rows into s in that same order. It stops early once
+// f.limit rows are put (the range's output prefix is the final output
+// prefix), and, when stop is non-nil, abandons the range between
 // trajectory groups once a parallel sibling raised it.
-func (e *Engine) resolveChunk(f *form, refs []store.TupleRef, out []Match, sc *scratch, stop *atomic.Bool) []Match {
-	base := len(out)
+func (e *Engine) resolveChunk(f *form, refs []store.TupleRef, s *sink, sc *scratch, stop *atomic.Bool) {
+	rows := s.rows
 	for lo := 0; lo < len(refs); {
 		if stop != nil && stop.Load() {
-			return out
+			return
 		}
 		hi := lo + 1
 		for hi < len(refs) &&
@@ -670,14 +719,13 @@ func (e *Engine) resolveChunk(f *form, refs []store.TupleRef, out []Match, sc *s
 			if !f.admits(ref, &tuples[i]) {
 				continue
 			}
-			out = append(out, Match{Ref: ref, Tuple: tuples[i]})
-			if f.limit > 0 && len(out)-base >= f.limit {
-				return out
+			s.add(&ref, &tuples[i])
+			if f.limit > 0 && s.rows-rows >= f.limit {
+				return
 			}
 		}
 		lo = hi
 	}
-	return out
 }
 
 // Stats summarises the engine's index state.

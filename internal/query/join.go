@@ -87,6 +87,14 @@ func (a *JoinMatch) less(b *JoinMatch) bool {
 	return a.Right.less(&b.Right)
 }
 
+// byPair sorts pairs into the canonical order through sort.Sort (see
+// byRef).
+type byPair []JoinMatch
+
+func (p byPair) Len() int           { return len(p) }
+func (p byPair) Less(i, j int) bool { return p[i].less(&p[j]) }
+func (p byPair) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+
 // Side names one side of a join.
 type Side string
 
@@ -272,7 +280,9 @@ func (e *Engine) executeJoin(j Join, tr *Trace) ([]JoinMatch, JoinPlan, error) {
 		tr.Build = btr
 		t1 = time.Now()
 	}
-	rows := e.executeBuf(&build, jp.Build.Path, nil, 0, btr)
+	var built sink
+	e.executeBuf(&build, jp.Build.Path, &built, 0, btr)
+	rows := built.out
 	if btr != nil {
 		btr.ExecNs = time.Since(t1).Nanoseconds()
 		btr.Returned = len(rows)
@@ -338,7 +348,7 @@ func (e *Engine) executeJoin(j Join, tr *Trace) ([]JoinMatch, JoinPlan, error) {
 	if tr != nil {
 		t3 = time.Now()
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].less(&out[k]) })
+	sort.Sort(byPair(out))
 	if j.Limit > 0 && len(out) > j.Limit {
 		out = out[:j.Limit]
 	}
@@ -372,7 +382,7 @@ type pairSpan struct {
 type probeWorker struct {
 	e      *Engine
 	pairs  []JoinMatch
-	mbuf   []Match
+	rows   sink
 	pin    form
 	pf     form
 	hist   [numPaths]int
@@ -396,9 +406,10 @@ func (w *probeWorker) probeRow(b *Match, probe *form, on *JoinOn, buildSide Side
 	path := w.e.plan(&w.pf).Path
 	w.hist[pathRank(path)]++
 	w.probes++
-	w.mbuf = w.e.executeBuf(&w.pf, path, w.mbuf[:0], 1, nil)
-	for i := range w.mbuf {
-		c := &w.mbuf[i]
+	w.rows.out, w.rows.rows = w.rows.out[:0], 0
+	w.e.executeBuf(&w.pf, path, &w.rows, 1, nil)
+	for i := range w.rows.out {
+		c := &w.rows.out[i]
 		// The probe's form holds every other clause of the join predicate.
 		if on.DistinctObjects && c.Ref.ObjectID == b.Ref.ObjectID ||
 			on.SamePlace && c.Tuple.PlaceID() != b.Tuple.PlaceID() {

@@ -34,6 +34,11 @@
 //	           | "ann" "." key .
 //	metric     = "count" | "distinct" "objects" | "duration" .
 //
+// A limit caps the rows (or pairs) in canonical order before the fold, so
+// "group by … limit N" groups the first N rows; "top" caps the groups
+// after it. A grouped single-table statement without a limit folds inside
+// the scan or index walk, building no rows at all.
+//
 // The canonical co-location question — which objects stopped within 200 m
 // and one hour of each other — reads:
 //
@@ -122,8 +127,10 @@ func RunTraced(e *query.Engine, src string) (Result, *query.Trace, error) {
 	return run(e, src, true)
 }
 
-// run is the one body behind Run and RunTraced: parse, execute the query or
-// join (traced when asked), then fold the aggregate if the statement has one.
+// run is the one body behind Run and RunTraced: parse, then execute the
+// query or join (traced when asked). A single-table aggregate folds inside
+// the execution (Engine.ExecuteAggregate); a join's is folded over its
+// pairs, timed as an "aggregate" stage.
 func run(e *query.Engine, src string, traced bool) (Result, *query.Trace, error) {
 	stmt, err := Parse(src)
 	if err != nil {
@@ -133,7 +140,8 @@ func run(e *query.Engine, src string, traced bool) (Result, *query.Trace, error)
 		res Result
 		tr  *query.Trace
 	)
-	if stmt.Join != nil {
+	switch {
+	case stmt.Join != nil:
 		var plan query.JoinPlan
 		if traced {
 			res.Pairs, plan, tr, err = e.ExecuteJoinTraced(*stmt.Join)
@@ -141,7 +149,19 @@ func run(e *query.Engine, src string, traced bool) (Result, *query.Trace, error)
 			res.Pairs, plan, err = e.ExecuteJoinExplained(*stmt.Join)
 		}
 		res.Plan = plan.String()
-	} else {
+	case stmt.Agg != nil:
+		var plan query.Plan
+		if traced {
+			res.Groups, plan, tr, err = e.ExecuteAggregateTraced(stmt.Query, *stmt.Agg)
+		} else {
+			res.Groups, plan, err = e.ExecuteAggregate(stmt.Query, *stmt.Agg)
+		}
+		if err != nil {
+			return Result{}, nil, err
+		}
+		res.Plan = plan.String()
+		return res, tr, nil
+	default:
 		var plan query.Plan
 		if traced {
 			res.Matches, plan, tr, err = e.ExecuteTraced(stmt.Query)
@@ -163,12 +183,8 @@ func run(e *query.Engine, src string, traced bool) (Result, *query.Trace, error)
 		return res, tr, nil
 	}
 	t0 := time.Now()
-	if stmt.Join != nil {
-		res.Groups, err = e.AggregatePairs(*stmt.Agg, res.Pairs)
-	} else {
-		res.Groups, err = e.AggregateMatches(*stmt.Agg, res.Matches)
-	}
-	res.Pairs, res.Matches = nil, nil
+	res.Groups, err = e.AggregatePairs(*stmt.Agg, res.Pairs)
+	res.Pairs = nil
 	if tr != nil {
 		ns := time.Since(t0).Nanoseconds()
 		tr.Stages = append(tr.Stages, query.TraceStage{Name: "aggregate", Ns: ns, Rows: len(res.Groups)})

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -288,6 +289,73 @@ func TestEveryExecuteRecordsLatency(t *testing.T) {
 		}
 		if dp, dx := obs.QueryPlanNs.Count()-p0, obs.QueryExecNs.Count()-x0; dp != dq || dx != dq {
 			t.Errorf("%s: plan_ns count +%d, exec_ns count +%d, query_total +%d", en.name, dp, dx, dq)
+		}
+	}
+}
+
+// TestRunGroupedAtEveryWorkerCount runs grouped statements — the
+// benchmark's four top-K shapes, an indexed one and limited ones — on a
+// store of 6 objects' stops and moves with places and annotations, with the
+// serial cutoff at 1 so every stage fans out: at workers 1, 2, 4 and 8 the
+// groups must equal the fold of the statement's collected matches
+// (Engine.AggregateMatches over Engine.Execute), and the plan Explain's.
+func TestRunGroupedAtEveryWorkerCount(t *testing.T) {
+	st := store.NewSharded(4)
+	e := query.NewEngine(st)
+	e.SetSerialThreshold(1)
+	cats := []string{"restaurant", "shop", "office"}
+	roads := []string{"", "main", "high"}
+	for i := 0; i < 180; i++ {
+		obj := string(rune('a' + i%6))
+		at := t0.Add(time.Duration(i) * 10 * time.Minute)
+		center := geo.Pt(float64(i%13)*100, float64(i%7)*100)
+		tp := &core.EpisodeTuple{Kind: episode.Kind(i % 2), TimeIn: at, TimeOut: at.Add(time.Duration(1+i%9) * time.Minute),
+			Episode: &episode.Episode{Kind: episode.Kind(i % 2), Start: at, End: at.Add(time.Minute),
+				Center: center, Bounds: geo.RectAround(center, 30)}}
+		if tp.Kind == episode.Stop {
+			tp.Place = &core.Place{ID: "poi-" + cats[i%3] + string(rune('0'+i%4)), Kind: core.PointPlace}
+			tp.Annotations.Add(core.Annotation{Key: core.AnnPOICategory, Value: cats[i%3], Confidence: 0.9, Source: "test"})
+		} else if r := roads[i%3]; r != "" {
+			tp.Annotations.Add(core.Annotation{Key: "road_name", Value: r, Confidence: 0.9, Source: "test"})
+		}
+		if err := st.AppendStructuredTuples(obj+"-T"+string(rune('0'+i%3)), obj, query.DefaultInterpretation, tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := "from = " + t0.Add(5*time.Hour).Format(time.RFC3339) + " and to = " + t0.Add(20*time.Hour).Format(time.RFC3339)
+	for _, src := range []string{
+		"stops group by ann.poi_category count top 5",
+		"moves group by ann.road_name count top 10",
+		"stops group by place distinct objects top 10",
+		"episodes where " + window + " group by object duration top 10",
+		"stops where ann.poi_category = shop group by trajectory count",
+		"episodes group by kind duration limit 25",
+		"stops where " + window + " group by place count limit 7",
+	} {
+		stmt, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			e.SetParallelism(w)
+			res, err := Run(e, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, plan, err := e.ExecuteExplained(stmt.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.AggregateMatches(*stmt.Agg, ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !slices.Equal(res.Groups, want) {
+				t.Fatalf("%q at workers %d: %+v, the collected fold %+v", src, w, res.Groups, want)
+			}
+			if res.Plan != plan.String() {
+				t.Fatalf("%q at workers %d: plan %q, Explain %q", src, w, res.Plan, plan)
+			}
 		}
 	}
 }

@@ -11,13 +11,16 @@
 //     (duplicate postings stay adjacent inside one chunk, and each
 //     trajectory's batch resolves under one stripe lock), resolves chunks
 //     concurrently and concatenates the per-chunk outputs in chunk order;
-//   - full scans fan out over the store's own lock stripes, and the caller
-//     sorts the concatenation by the unique canonical key, so the merge
-//     order cannot matter;
+//   - full scans fan out over the store's own lock stripes and the cold
+//     segments, reading each tuple once through one cut (store.Cut), and
+//     the caller sorts the concatenation by the unique canonical key, so
+//     the merge order cannot matter;
 //   - join probes run one build row per item with per-worker pair buffers,
 //     re-assembled in build-row order before the final canonical sort;
 //   - aggregation folds per-worker partial group maps whose merge is a sum
-//     of integers and a union of sets — exact and order-independent.
+//     of integers and a union of sets — exact and order-independent — both
+//     over collected rows and, for a grouped statement, inside the access
+//     path itself (see sink).
 //
 // Below a cardinality threshold execution stays serial: for small results
 // goroutine handoff costs more than the work.
@@ -132,6 +135,7 @@ type scratch struct {
 	indexes []int
 	tuples  []core.EpisodeTuple
 	ok      []bool
+	cut     store.Cut
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -164,28 +168,29 @@ func chunkBounds(refs []store.TupleRef, chunks int) []int {
 	return bounds
 }
 
-// resolveParallel fans sorted candidate refs out over the workers and
-// appends the verified matches to out in the exact order serial resolution
-// would produce: chunks are contiguous ranges of the sorted refs, each
-// chunk's output is internally ordered, and outputs concatenate in chunk
-// order. With a limit, each chunk resolves at most limit matches, and a
-// worker that completes a chunk checks whether the complete prefix of chunks
-// already covers the limit — if so it raises stop, and the chunks still
-// resolving (whose output the merge would discard) are abandoned mid-flight.
-func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, out []Match, workers int) []Match {
+// resolveParallel fans sorted candidate refs out over the workers and puts
+// the verified rows into s in the exact order serial resolution would
+// produce: chunks are contiguous ranges of the sorted refs, each chunk's
+// sink is internally ordered, and the sinks merge in chunk order. With a
+// limit, each chunk resolves at most limit matches, and a worker that
+// completes a chunk checks whether the complete prefix of chunks already
+// covers the limit — if so it raises stop, and the chunks still resolving
+// (whose output the merge would discard) are abandoned mid-flight.
+func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, s *sink, workers int) {
 	bounds := chunkBounds(refs, workers)
 	n := len(bounds) - 1
-	outs := make([][]Match, n)
+	outs := make([]*sink, n)
 	var (
 		stop     atomic.Bool
 		mu       sync.Mutex
 		complete = make([]bool, n)
 		filled   int // chunks 0..filled-1 are complete
-		prefix   int // total matches in that complete prefix
+		prefix   int // total rows in that complete prefix
 	)
 	fanOut(workers, n, func(_, ci int) bool {
 		sc := getScratch()
-		outs[ci] = e.resolveChunk(f, refs[bounds[ci]:bounds[ci+1]], nil, sc, &stop)
+		outs[ci] = s.sibling()
+		e.resolveChunk(f, refs[bounds[ci]:bounds[ci+1]], outs[ci], sc, &stop)
 		putScratch(sc)
 		if f.limit <= 0 {
 			return true
@@ -194,7 +199,7 @@ func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, out []Match, wo
 		defer mu.Unlock()
 		complete[ci] = true
 		for filled < n && complete[filled] {
-			prefix += len(outs[filled])
+			prefix += outs[filled].rows
 			filled++
 		}
 		if prefix >= f.limit {
@@ -203,61 +208,87 @@ func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, out []Match, wo
 		}
 		return true
 	})
+	base := len(s.out)
 	for _, chunk := range outs {
-		out = append(out, chunk...)
-		if f.limit > 0 && len(out) >= f.limit {
-			out = out[:f.limit]
+		if chunk == nil {
+			break // abandoned after the limit was met
+		}
+		s.merge(chunk)
+		if f.limit > 0 && len(s.out)-base >= f.limit {
 			break
 		}
 	}
-	return out
+	s.truncate(base, f.limit)
 }
 
-// scanMatches runs the full-scan path, appending raw (unsorted) matches to
-// out. The scan units are the store's lock stripes (the heap tail) plus the
-// cold segments whose footer summary survives pruning against the query
-// (see pruneSegments); a segment decodes only the tuples whose kind and
-// times pass f (admitsSpan, the tuple check's own clauses). Large scans
-// visit the units concurrently, and the caller's canonical sort makes the
-// interleaving unobservable. Worker 0 appends straight into out, so a
-// serial scan is one pass into the caller's buffer.
-//
-// The segment list is captured before any stripe is visited and the tier
-// registers a freezing segment's runs before the store evicts the matching
-// heap prefixes, so a freeze racing the scan can duplicate a tuple (same
-// logical ref from both sides) but never hide one; the caller's post-sort
-// dedup collapses the duplicates.
-func (e *Engine) scanMatches(f *form, out []Match, maxWorkers int, tr *Trace) []Match {
+// scan runs the full-scan path into s. It takes its cut of the store first
+// and captures the segment list after it (pruneSegments), so it reads every
+// tuple exactly once whatever a racing freeze does (store.Cut). The scan
+// units are the cut's lock stripes (the heap tails) plus the cold segments
+// whose footer summary survives pruning against the query; a segment
+// decodes only the tuples whose kind and times pass f (admitsSpan, the
+// tuple check's own clauses), and for a folding sink only the fields f's
+// tuple check and the group key read (projection). Large scans visit the
+// units concurrently, each worker into a sink of its own; worker 0 puts
+// straight into s, so a serial scan is one pass into the caller's sink.
+func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
+	sc := getScratch()
+	cut := &sc.cut
+	defer func() {
+		cut.Clear()
+		putScratch(sc)
+	}()
+	e.st.TakeCut(f.interp, cut)
 	segs := e.pruneSegments(f, tr)
 	units := e.st.ShardCount() + len(segs)
 	workers := min(e.workersFor(int(e.total.Load()), maxWorkers), units)
-	outs := make([][]Match, workers)
-	outs[0] = out
+	sinks := make([]*sink, workers)
+	sinks[0] = s
 	// One visitor per worker, built once: a visitor per unit would be a
 	// heap-allocated closure per stripe and segment, on every scan.
-	visits := make([]func(store.TupleRef, core.EpisodeTuple) bool, workers)
+	visits := make([]func(store.TupleRef, *core.EpisodeTuple) bool, workers)
 	for w := range visits {
-		visits[w] = func(ref store.TupleRef, t core.EpisodeTuple) bool {
-			if f.admits(ref, &t) {
-				outs[w] = append(outs[w], Match{Ref: ref, Tuple: t})
+		if w > 0 {
+			sinks[w] = s.sibling()
+		}
+		sk := sinks[w]
+		visits[w] = func(ref store.TupleRef, t *core.EpisodeTuple) bool {
+			if f.admits(ref, t) {
+				sk.add(&ref, t)
 			}
 			return true
 		}
 	}
-	keep := f.admitsSpan
+	read := store.TupleRead{Keep: f.admitsSpan}
+	if s.agg != nil {
+		read.Project = projection(f, s.agg)
+	}
 	fanOut(workers, units, func(w, u int) bool {
 		if u < len(segs) {
-			e.st.VisitColdSegmentTuplesFiltered(segs[u], f.interp, keep, visits[w])
+			e.st.VisitColdSegmentTuplesFiltered(cut, segs[u], read, visits[w])
 		} else {
-			e.st.VisitShardTuples(u-len(segs), f.interp, visits[w])
+			cut.VisitShard(u-len(segs), visits[w])
 		}
 		return true
 	})
-	out = outs[0]
-	for _, chunk := range outs[1:] {
-		out = append(out, chunk...)
+	for _, o := range sinks[1:] {
+		s.merge(o)
 	}
-	return out
+}
+
+// projection is what a grouped scan decodes of a cold tuple beside its kind
+// and times: the annotations f's clauses and a's group key read, the place
+// id when a groups by place, and the episode when f has a spatial clause.
+// The metrics read only the ref's object and the times.
+func projection(f *form, a *Aggregate) *store.Projection {
+	p := &store.Projection{Place: a.By == DimPlace, Episode: f.spatial()}
+	for _, x := range f.anns {
+		p.AnnKeys = append(p.AnnKeys, x.key)
+	}
+	if a.By == DimAnnotation {
+		p.AnnKeys = append(p.AnnKeys, a.AnnKey)
+	}
+	return p
 }
 
 // pruneSegments returns the indexes of the cold segments a scan of f must

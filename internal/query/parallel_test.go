@@ -17,8 +17,9 @@ import (
 // TestParallelDeterminism is the parallel executor's property test: over a
 // randomized workload and randomized queries, execution at workers ∈
 // {2, 4, 8} must return results byte-identical — order included — to
-// workers=1, for Execute, ExecuteJoin and the aggregates, all sized by the
-// engine's parallelism. The serial threshold is forced to 1 so even tiny
+// workers=1, for Execute, ExecuteJoin, the aggregates and the grouped
+// statements the query language runs, all sized by the engine's
+// parallelism. The serial threshold is forced to 1 so even tiny
 // candidate sets take the parallel paths.
 func TestParallelDeterminism(t *testing.T) {
 	st := store.NewSharded(8)
@@ -61,6 +62,21 @@ func TestParallelDeterminism(t *testing.T) {
 		{By: DimAnnotation, AnnKey: "poi_category", Metric: MetricDistinctObjects, K: 3},
 		{By: DimKind, Metric: MetricDuration},
 	}
+	// Grouped statements as the query language runs them
+	// (ExecuteAggregate, folded inside the access path): the benchmark's
+	// four top-K shapes, an indexed one and a limited one, which folds its
+	// collected prefix.
+	grouped := []struct {
+		q Query
+		a Aggregate
+	}{
+		{Query{Kind: ptr(episode.Stop)}, Aggregate{By: DimAnnotation, AnnKey: "poi_category", K: 5}},
+		{Query{Kind: ptr(episode.Move)}, Aggregate{By: DimAnnotation, AnnKey: "transport_mode", K: 10}},
+		{Query{Kind: ptr(episode.Stop)}, Aggregate{By: DimPlace, Metric: MetricDistinctObjects, K: 10}},
+		{Query{From: t0.Add(10 * time.Hour), To: t0.Add(40 * time.Hour)}, Aggregate{By: DimObject, Metric: MetricDuration, K: 10}},
+		{Query{AnnKey: "poi_category", AnnValue: "shop"}, Aggregate{By: DimTrajectory, Metric: MetricDistinctObjects}},
+		{Query{Limit: 30}, Aggregate{By: DimKind, Metric: MetricDuration}},
+	}
 
 	// Serial references.
 	refMatches := make([][]Match, len(queries))
@@ -98,6 +114,21 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		refGroups[i] = gs
 	}
+	refGrouped := make([][]Group, len(grouped))
+	for i, g := range grouped {
+		gs, _, err := e.ExecuteAggregate(g.q, g.a)
+		if err != nil {
+			t.Fatalf("serial ExecuteAggregate: %v", err)
+		}
+		ms, err := e.Execute(g.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := e.AggregateMatches(g.a, ms); !reflect.DeepEqual(gs, want) {
+			t.Fatalf("ExecuteAggregate(%+v, %+v) = %+v, the collected fold %+v", g.q, g.a, gs, want)
+		}
+		refGrouped[i] = gs
+	}
 
 	for _, workers := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -133,6 +164,15 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, refGroups[i]) {
 					t.Fatalf("Aggregate %+v diverges at workers=%d", a, workers)
+				}
+			}
+			for i, g := range grouped {
+				got, _, err := e.ExecuteAggregate(g.q, g.a)
+				if err != nil {
+					t.Fatalf("ExecuteAggregate: %v", err)
+				}
+				if !reflect.DeepEqual(got, refGrouped[i]) {
+					t.Fatalf("ExecuteAggregate(%+v, %+v) diverges at workers=%d", g.q, g.a, workers)
 				}
 			}
 		})
@@ -215,17 +255,14 @@ func TestParallelismOneFoldsSerially(t *testing.T) {
 	e.SetParallelism(1)
 	var inFlight, maxInFlight atomic.Int32
 	n := 10 * e.serialCutoff()
-	groups, err := e.fold(Aggregate{By: DimObject}, n, func(i int) (string, bool, string, time.Duration) {
+	groups := e.foldRows(&Aggregate{By: DimObject}, n, func(g groups, i int) {
 		cur := inFlight.Add(1)
 		for m := maxInFlight.Load(); cur > m && !maxInFlight.CompareAndSwap(m, cur); m = maxInFlight.Load() {
 		}
 		runtime.Gosched() // give a concurrent worker the chance to overlap
 		inFlight.Add(-1)
-		return fmt.Sprintf("g%d", i%7), true, "", 0
+		g.add(fmt.Sprintf("g%d", i%7), "", 0)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := maxInFlight.Load(); got != 1 {
 		t.Fatalf("row callback ran %d at a time at parallelism 1, want 1", got)
 	}

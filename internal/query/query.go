@@ -130,3 +130,12 @@ func (m *Match) less(o *Match) bool {
 	}
 	return m.Ref.Index < o.Ref.Index
 }
+
+// byRef sorts matches into the canonical order through sort.Sort: no
+// reflection, and no copy of a Match per comparison, which a comparator
+// taking values (slices.SortFunc) pays.
+type byRef []Match
+
+func (m byRef) Len() int           { return len(m) }
+func (m byRef) Less(i, j int) bool { return m[i].less(&m[j]) }
+func (m byRef) Swap(i, j int)      { m[i], m[j] = m[j], m[i] }

@@ -442,3 +442,147 @@ func TestTieredFreezeQueryRace(t *testing.T) {
 	})
 	sameRefSet(t, "post-race full scan", gotRefs(ms), want)
 }
+
+// bruteKey is the test's own group-key extraction, written from the
+// dimensions' documented meaning.
+func bruteKey(a Aggregate, m *Match) (string, bool) {
+	switch a.By {
+	case DimObject:
+		return m.Ref.ObjectID, true
+	case DimTrajectory:
+		return m.Ref.TrajectoryID, true
+	case DimKind:
+		return m.Tuple.Kind.String(), true
+	case DimPlace:
+		if m.Tuple.Place == nil || m.Tuple.Place.ID == "" {
+			return "", false
+		}
+		return m.Tuple.Place.ID, true
+	case DimAnnotation:
+		v := m.Tuple.Annotations.Value(a.AnnKey)
+		return v, v != ""
+	}
+	return "", false
+}
+
+// bruteAggregate folds matches with bruteGroups.
+func bruteAggregate(a Aggregate, ms []Match) []Group {
+	var rows []struct {
+		key string
+		obj string
+		dur time.Duration
+	}
+	for i := range ms {
+		m := &ms[i]
+		if key, ok := bruteKey(a, m); ok {
+			rows = append(rows, struct {
+				key string
+				obj string
+				dur time.Duration
+			}{key, m.Ref.ObjectID, m.Tuple.TimeOut.Sub(m.Tuple.TimeIn)})
+		}
+	}
+	return bruteGroups(a, rows)
+}
+
+// TestExecuteAggregateMatchesBruteForce checks the fold that runs inside
+// the access paths (ExecuteAggregate) against brute force over Execute's
+// matches, on an all-heap store and on a tiered one with five segments, a
+// live heap tail and merges into frozen positions that change a tuple's
+// place and POI category (the overlay, which a projected cold decode must
+// still apply). Every dimension × metric with a random top-K, over scans,
+// indexed paths and trajectory walks, with and without a limit (which caps
+// the rows before the fold), at workers 1 and 4, must give the groups the
+// heap store's matches give, and the plan Explain gives.
+func TestExecuteAggregateMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	heap := store.NewSharded(4)
+	heapEng := NewEngine(heap)
+	all := populate(t, heap, 47, 6, 3, 15)
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	tieredEng := NewEngine(tiered)
+	frozen := len(all) * 4 / 5
+	for i, s := range all {
+		if err := tiered.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID,
+			s.ref.Interpretation, cloneTuple(s.tp)); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%(frozen/5) == 0 && i < frozen {
+			if err := tier.Freeze(tiered); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 60; i++ {
+		s := all[rng.Intn(len(all))]
+		place := &core.Place{ID: fmt.Sprintf("poi-%d", i%7), Kind: core.PointPlace}
+		anns := []core.Annotation{{Key: core.AnnPOICategory, Value: fmt.Sprintf("merged%d", i%3),
+			Confidence: 2, Source: "prop"}}
+		for _, st := range []*store.Store{heap, tiered} {
+			if err := st.MergeTupleAnnotations(s.ref.TrajectoryID, s.ref.Interpretation, s.ref.Index, place, anns); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if tier.SegmentCount() != 5 || tiered.OverlayCount() == 0 {
+		t.Fatalf("%d segments and %d overlay entries, want 5 and some", tier.SegmentCount(), tiered.OverlayCount())
+	}
+
+	dims := []Aggregate{
+		{By: DimObject}, {By: DimTrajectory}, {By: DimKind}, {By: DimPlace},
+		{By: DimAnnotation, AnnKey: core.AnnPOICategory},
+		{By: DimAnnotation, AnnKey: core.AnnTransportMode},
+	}
+	metrics := []Metric{"", MetricCount, MetricDistinctObjects, MetricDuration}
+	stop := episode.Stop
+	queries := []Query{{}, {Kind: &stop}, {From: t0.Add(20 * time.Hour), To: t0.Add(30 * time.Hour)}}
+	for len(queries) < 24 {
+		queries = append(queries, randomQuery(rng))
+	}
+	paths := map[Path]int{}
+	for i, q := range queries {
+		for _, limit := range []int{0, 1 + rng.Intn(20)} {
+			q.Limit = limit
+			ms, err := heapEng.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range dims {
+				for _, m := range metrics {
+					a := base
+					a.Metric, a.K = m, rng.Intn(4)
+					want := bruteAggregate(a, ms)
+					for _, e := range []*Engine{heapEng, tieredEng} {
+						explain, err := e.Explain(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						paths[explain.Path]++
+						for _, w := range []int{1, 4} {
+							e.SetParallelism(w)
+							got, plan, err := e.ExecuteAggregate(q, a)
+							if err != nil {
+								t.Fatal(err)
+							}
+							label := fmt.Sprintf("query %d (%+v) by %s/%s metric %q top %d, tiered %v, workers %d",
+								i, q, a.By, a.AnnKey, m, a.K, e == tieredEng, w)
+							sameGroups(t, label, got, want)
+							if plan.String() != explain.String() {
+								t.Fatalf("%s: plan %q, Explain %q", label, plan, explain)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range []Path{PathScan, PathAnnotation, PathObjectTime, PathTrajectory} {
+		if paths[p] == 0 {
+			t.Fatalf("no query took the %s path: %v", p, paths)
+		}
+	}
+}

@@ -21,13 +21,15 @@ type Reader struct {
 	foot *Footer
 }
 
-// cursor is the pooled per-call decode state: the pread frame buffer and the
-// decoder's string-interning table. Pooling keeps steady-state cold reads
-// allocation-lean — repeated ids and annotation keys collapse onto shared
-// strings instead of reallocating per frame.
+// cursor is the pooled per-call decode state: the pread frame buffer, the
+// decoder's string-interning table and the memory projected decodes build
+// in. Pooling keeps steady-state cold reads allocation-lean — repeated ids
+// and annotation keys collapse onto shared strings instead of reallocating
+// per frame, and a projected scan reuses one run's tuples for the next.
 type cursor struct {
 	buf      []byte
 	interned map[string]string
+	tuples   wal.TupleBuf
 }
 
 var cursorPool = sync.Pool{New: func() any {
@@ -122,17 +124,19 @@ func (r *Reader) validate() error {
 // after Open.
 func (r *Reader) Footer() *Footer { return r.foot }
 
-// mutationAt decodes the run frame at off, building only the tuples keep
-// admits (see wal.DecodeMutation). The returned mutation owns its memory
-// (the decoder copies strings and payloads out of the frame buffer).
-func (r *Reader) mutationAt(off int64, cur *cursor, keep store.TupleFilter) (store.Mutation, error) {
+// mutationAt decodes the run frame at off, building only the tuples and
+// fields read asks for (see wal.DecodeMutation). The returned mutation owns
+// its memory (the decoder copies strings and payloads out of the frame
+// buffer), except that projected tuples live in cur until its next
+// projected decode.
+func (r *Reader) mutationAt(off int64, cur *cursor, read store.TupleRead) (store.Mutation, error) {
 	payload, n, err := r.blob.Frame(off, &cur.buf)
 	if err != nil {
 		return store.Mutation{}, err
 	}
 	obs.SegmentColdReads.Inc()
 	obs.SegmentColdBytes.Add(int64(n))
-	return wal.DecodeMutation(payload, cur.interned, keep)
+	return wal.DecodeMutation(payload, cur.interned, read, &cur.tuples)
 }
 
 // Close releases the mapping or file handle.

@@ -22,12 +22,12 @@ import (
 // Two views exist per segment. The keyed runs (an object's records, a
 // trajectory's episodes, an interpretation's tuples → runs) back the
 // base-bounded point reads and only ever hold committed runs, so they can
-// never overshoot a key's frozen base. The
-// per-segment scan lists back full scans and are populated *before*
-// CommitFreeze evicts the matching heap prefixes — the register-before-evict
-// contract: a scan racing a freeze may see a tuple twice (segment and heap,
-// same logical ref) but can never miss it; the query engine's post-sort
-// dedup collapses the duplicates.
+// never overshoot a key's frozen base. The per-segment scan lists back
+// full scans and are populated *before* CommitFreeze evicts the matching
+// heap prefixes — the register-before-evict contract. A scan reads a run
+// only below the frozen base of its key in the scan's cut (store.Cut), so
+// a run registered but not yet committed is read from the heap instead,
+// and a scan racing a freeze sees every tuple exactly once.
 type Tier struct {
 	dir string
 
@@ -107,13 +107,13 @@ func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 // decode (see decode).
 func (t *Tier) BadRuns() int64 { return t.badRuns.Load() }
 
-// decode reads one run's data frame, building only the tuples keep admits
-// (see wal.DecodeMutation). A frame that does not decode, or that decodes to
-// another run than its directory entry names, is counted in BadRuns and
-// reported as not ok: the reader leaves the run's positions unread rather
-// than failing, and Pipeline.Health reports the count.
-func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor, keep store.TupleFilter) (store.Mutation, bool) {
-	m, err := r.mutationAt(meta.Off, cur, keep)
+// decode reads one run's data frame, building only the tuples and fields
+// read asks for (see wal.DecodeMutation). A frame that does not decode, or
+// that decodes to another run than its directory entry names, is counted in
+// BadRuns and reported as not ok: the reader leaves the run's positions
+// unread rather than failing, and Pipeline.Health reports the count.
+func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor, read store.TupleRead) (store.Mutation, bool) {
+	m, err := r.mutationAt(meta.Off, cur, read)
 	if err == nil && runMeta(m, meta.Off) == *meta {
 		return m, true
 	}
@@ -139,7 +139,7 @@ func (t *Tier) eachRun(k tierKey, want func(meta *RunMeta) bool, fn func(meta *R
 		if !want(meta) {
 			continue
 		}
-		if m, ok := t.decode(r, meta, cur, nil); !fn(meta, m, ok) {
+		if m, ok := t.decode(r, meta, cur, store.TupleRead{}); !fn(meta, m, ok) {
 			return
 		}
 	}
@@ -243,15 +243,17 @@ func (t *Tier) InvalidateTuples(trajectoryID, interpretation string) {
 	}
 }
 
-// VisitSegmentTuples implements store.ColdTier: every live frozen tuple of
-// one segment that keep admits, decoded lazily run by run. The decoder reads
-// each tuple's kind, place and times first and skips the rest of a tuple
-// keep refuses without building it. The merge overlay, applied by the
+// VisitSegmentTuples implements store.ColdTier: the live frozen tuples of
+// one segment below each key's bound that read keeps, decoded lazily run by
+// run. The decoder reads each tuple's kind, place and times first and skips
+// the rest of a tuple read.Keep refuses without building it; a projected
+// read builds a kept tuple's projected fields alone, into the cursor's
+// memory, which the next run reuses. The merge overlay, applied by the
 // store after this visit, cannot make a refused tuple match: a merge never
 // changes a tuple's kind or times (store.TupleFilter). The scan list is
 // snapshotted under the read lock and the lock released before any decoding
 // or callback — fn may take stripe locks.
-func (t *Tier) VisitSegmentTuples(seg int, interpretation string, keep store.TupleFilter, fn func(ref store.TupleRef, tp core.EpisodeTuple) bool) bool {
+func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.TupleRead, below func(traj, interp string) int, fn func(ref store.TupleRef, tp *core.EpisodeTuple) bool) bool {
 	t.mu.RLock()
 	if seg < 0 || seg >= len(t.segs) {
 		t.mu.RUnlock()
@@ -267,17 +269,21 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, keep store.Tup
 		if interpretation != "" && meta.Interp != interpretation {
 			continue
 		}
-		m, ok := t.decode(r, meta, cur, keep)
+		n := below(meta.Traj, meta.Interp) - meta.Start
+		if n <= 0 {
+			continue
+		}
+		m, ok := t.decode(r, meta, cur, read)
 		if !ok {
 			continue
 		}
-		for i, tp := range m.Tuples {
+		for i, tp := range m.Tuples[:min(n, len(m.Tuples))] {
 			if tp == nil {
-				continue // refused by keep
+				continue // refused by read.Keep
 			}
 			ref := store.TupleRef{TrajectoryID: meta.Traj, ObjectID: meta.Object,
 				Interpretation: meta.Interp, Index: meta.Start + i}
-			if !fn(ref, *tp) {
+			if !fn(ref, tp) {
 				return false
 			}
 		}

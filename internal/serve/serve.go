@@ -109,6 +109,27 @@ func WithSSEHeartbeat(d time.Duration) Option {
 	}
 }
 
+// The front door's connection deadlines (see NewHTTPServer).
+const (
+	// ReadHeaderTimeout is how long a client has to send its request
+	// header once it connected.
+	ReadHeaderTimeout = 10 * time.Second
+	// IdleTimeout is how long a keep-alive connection may wait for its
+	// next request.
+	IdleTimeout = 2 * time.Minute
+)
+
+// NewHTTPServer returns the front door's http.Server, serving handler on
+// addr: a client that has not sent its whole request header within
+// ReadHeaderTimeout is disconnected, so a half-sent header cannot hold a
+// connection and its goroutine for ever, and an idle keep-alive connection
+// is closed after IdleTimeout. It sets no write timeout: the SSE streams
+// are long-lived, and a write deadline would cut them.
+func NewHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler,
+		ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // New builds a server over the engine and its store.
 func New(engine *query.Engine, opts ...Option) *Server {
 	s := &Server{

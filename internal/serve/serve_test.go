@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -246,5 +248,40 @@ func TestEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown route: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPServerDropsHalfHeader: the front door's server sets the header
+// deadline and the idle timeout, and no write timeout (SSE streams are
+// long-lived), and a client that sends half a request header is
+// disconnected once the header deadline passes, not held for ever. The
+// deadline is shortened for the test; its effect is what is under test.
+func TestHTTPServerDropsHalfHeader(t *testing.T) {
+	srv := NewHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != ReadHeaderTimeout || srv.IdleTimeout != IdleTimeout ||
+		srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("server timeouts: header %v, idle %v, read %v, write %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: semitri\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("half a header still holds the connection: %v", err)
 	}
 }

@@ -68,11 +68,14 @@ type ColdTier interface {
 	// one footer summary per segment (indexed like VisitSegmentTuples's seg).
 	ColdSegments() int
 	Summaries(buf []SegmentSummary) []SegmentSummary
-	// VisitSegmentTuples calls fn for every live frozen tuple of one segment
-	// (every interpretation when interpretation is empty) that keep admits
-	// (every one when keep is nil), with its logical ref. It reports false
-	// when fn stopped the visit early.
-	VisitSegmentTuples(seg int, interpretation string, keep TupleFilter, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool
+	// VisitSegmentTuples calls fn, run by run, for the live frozen tuples of
+	// one segment (every interpretation when interpretation is empty), with
+	// their logical refs. Before it decodes a run it asks below for the
+	// bound of the run's key, and reads only the run's positions under it:
+	// a run that starts at or above its bound is not decoded. Of those it
+	// calls fn for the tuples read.Keep admits, built as read.Project says.
+	// It reports false when fn stopped the visit early.
+	VisitSegmentTuples(seg int, interpretation string, read TupleRead, below func(traj, interp string) int, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool
 }
 
 // TupleFilter is the part of a query's tuple check a segment scan applies
@@ -81,6 +84,42 @@ type ColdTier interface {
 // exact under the merge overlay, because a merge (EpisodeTuple.Merged)
 // never changes a tuple's kind or times.
 type TupleFilter func(kind episode.Kind, timeIn, timeOut time.Time) bool
+
+// TupleRead is what a segment scan asks of the tuple decoder: the tuples to
+// build (those Keep admits, every one when it is nil) and, of those, the
+// fields (Project's, every one when it is nil). The zero value is the full
+// decode.
+type TupleRead struct {
+	Keep    TupleFilter
+	Project *Projection
+}
+
+// Projection names the fields a projected decode builds beside a tuple's
+// kind and times: the place's id alone (Place), the annotations of the
+// listed keys, with their values and confidences (AnnKeys), and the episode
+// (Episode). Every byte is checked as a full decode checks it, but nothing
+// else is built or interned. A projected tuple reads like the full one
+// through PlaceID, Annotations.Value of a listed key, Kind, TimeIn and
+// TimeOut (and Episode, when asked for); it lives in memory the decoder
+// reuses, so it is valid only during the visit's callback. The merge
+// overlay still replaces a merged position's tuple with the whole merged
+// one.
+type Projection struct {
+	Place   bool
+	AnnKeys []string
+	Episode bool
+}
+
+// Key returns the listed key equal to the bytes b, if any: the
+// projection's own string, so a decoder never interns a key.
+func (p *Projection) Key(b []byte) (string, bool) {
+	for _, k := range p.AnnKeys {
+		if string(b) == k {
+			return k, true
+		}
+	}
+	return "", false
+}
 
 // SegmentSummary is the planner-facing digest a segment's footer carries:
 // enough to decide, without touching the segment body, that no tuple inside
@@ -234,35 +273,39 @@ func (s *Store) ColdSummaries(buf []SegmentSummary) []SegmentSummary {
 	return ct.Summaries(buf)
 }
 
-// VisitColdSegmentTuples calls fn for every live frozen tuple of one cold
-// segment, with the merge overlay applied — the cold counterpart of
-// VisitShardTuples. It reports false when fn stopped the visit early.
+// VisitColdSegmentTuples calls fn for every frozen tuple of one cold
+// segment that a cut taken now reads from it, with the merge overlay
+// applied — the cold counterpart of Cut.VisitShard. It reports false
+// when fn stopped the visit early.
 func (s *Store) VisitColdSegmentTuples(seg int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
-	return s.VisitColdSegmentTuplesFiltered(seg, interpretation, nil, fn)
+	var c Cut
+	s.TakeCut(interpretation, &c)
+	return s.VisitColdSegmentTuplesFiltered(&c, seg, TupleRead{}, func(ref TupleRef, t *core.EpisodeTuple) bool {
+		return fn(ref, *t)
+	})
 }
 
-// VisitColdSegmentTuplesFiltered is VisitColdSegmentTuples over the tuples
-// keep admits (all when keep is nil): a parallel scan's per-segment work
-// unit. The tier skips the tuples keep refuses while decoding, and the
-// overlay cannot turn a refused tuple into an admitted one (see
-// TupleFilter). The overlay is read from one view per run of consecutive
-// refs to the same key.
-func (s *Store) VisitColdSegmentTuplesFiltered(seg int, interpretation string, keep TupleFilter, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
+// VisitColdSegmentTuplesFiltered calls fn for every tuple of one cold
+// segment that the cut reads from the segment (see Cut) and read keeps,
+// built as read projects it, with the overlay of the cut's view of its key
+// applied: a parallel scan's per-segment work unit. The tier skips the
+// tuples read refuses while decoding, and the overlay cannot turn a refused
+// tuple into an admitted one (see TupleFilter). fn must not keep t past
+// its return when read projects.
+func (s *Store) VisitColdSegmentTuplesFiltered(c *Cut, seg int, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool {
 	ct := s.coldTier()
 	if ct == nil {
 		return true
 	}
-	if s.overlayN.Load() == 0 {
-		return ct.VisitSegmentTuples(seg, interpretation, keep, fn)
-	}
-	var v keyView
-	return ct.VisitSegmentTuples(seg, interpretation, keep, func(ref TupleRef, t core.EpisodeTuple) bool {
-		if k := (tupKey{ref.TrajectoryID, ref.Interpretation}); k != v.k {
-			v, _ = s.view(k.traj, k.interp)
-			v.k = k
+	var v *keyView
+	return ct.VisitSegmentTuples(seg, c.interp, read, func(traj, interp string) int {
+		if v = c.find(tupKey{traj, interp}); v == nil {
+			return 0
 		}
-		if ov, ok := v.overlay[ref.Index]; ok {
-			t = *ov
+		return v.base
+	}, func(ref TupleRef, t *core.EpisodeTuple) bool {
+		if ov := v.overlay[ref.Index]; ov != nil {
+			t = ov
 		}
 		return fn(ref, t)
 	})

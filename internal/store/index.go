@@ -160,6 +160,108 @@ func (sh *shard) viewLocked(k tupKey, st *core.StructuredTrajectory) keyView {
 	return v
 }
 
+// appendViews appends the views of the stripe's keys of the interpretation
+// (every one when it is empty) to buf. Caller holds sh.mu.
+func (sh *shard) appendViews(buf []keyView, interpretation string) []keyView {
+	for id, byInterp := range sh.structured {
+		if interpretation != "" {
+			if st, ok := byInterp[interpretation]; ok {
+				buf = append(buf, sh.viewLocked(tupKey{id, interpretation}, st))
+			}
+			continue
+		}
+		for interp, st := range byInterp {
+			buf = append(buf, sh.viewLocked(tupKey{id, interp}, st))
+		}
+	}
+	return buf
+}
+
+// Cut is one scan's exactly-once cut of the structured tuples of an
+// interpretation (every one when it is empty): a view of every key, taken
+// stripe by stripe before the scan captures the segment list. The scan
+// reads a key's positions at or above its view's base from the view's heap
+// tail (VisitShard), and those below it from the segments
+// (VisitColdSegmentTuplesFiltered), with the view's overlay applied. A
+// freeze registers its segment before it commits any run of it, and a
+// key's base moves over a run only when the run commits: a view taken
+// before that commit reads the run's positions from its own tail, since in
+// the segment they lie at or above its base, and a view taken after it
+// finds the run's segment in the list the scan captures after the cut.
+// Either way every position is read once, so a freeze racing the scan can
+// neither hide a tuple nor show it twice. A key the cut does not hold had
+// no tuple when the cut was taken. TakeCut fills a cut, reusing its memory.
+type Cut struct {
+	interp string
+	views  []keyView
+	// ends[i] is where stripe i's views end; they start at ends[i-1].
+	ends []int
+	// at indexes views by key for the segment visits, on a store with
+	// segments.
+	at map[tupKey]int32
+}
+
+// TakeCut fills c with a cut of the store's structured tuples of the
+// interpretation (every one when it is empty).
+func (s *Store) TakeCut(interpretation string, c *Cut) {
+	c.interp, c.views, c.ends = interpretation, c.views[:0], c.ends[:0]
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		c.views = sh.appendViews(c.views, interpretation)
+		sh.mu.RUnlock()
+		c.ends = append(c.ends, len(c.views))
+	}
+	clear(c.at)
+	if s.ColdSegmentCount() == 0 {
+		return
+	}
+	if c.at == nil {
+		c.at = make(map[tupKey]int32, len(c.views))
+	}
+	for i := range c.views {
+		c.at[c.views[i].k] = int32(i)
+	}
+}
+
+// Clear drops the cut's views, keeping its memory for the next TakeCut, so
+// a pooled cut holds on to no heap tail or overlay between scans.
+func (c *Cut) Clear() {
+	clear(c.views)
+	clear(c.at)
+	c.views = c.views[:0]
+}
+
+// find returns the cut's view of a key, or nil.
+func (c *Cut) find(k tupKey) *keyView {
+	if i, ok := c.at[k]; ok {
+		return &c.views[i]
+	}
+	return nil
+}
+
+// VisitShard calls fn for every heap tuple the cut holds in lock stripe
+// shard (0 ≤ shard < ShardCount): each key's tail, from its view's base
+// on. It reports false when fn stopped the visit early.
+func (c *Cut) VisitShard(shard int, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool {
+	if shard < 0 || shard >= len(c.ends) {
+		return true
+	}
+	lo := 0
+	if shard > 0 {
+		lo = c.ends[shard-1]
+	}
+	for i := range c.views[lo:c.ends[shard]] {
+		v := &c.views[lo+i]
+		for j, tp := range v.tail {
+			ref := TupleRef{TrajectoryID: v.k.traj, ObjectID: v.objectID, Interpretation: v.k.interp, Index: v.base + j}
+			if !fn(ref, tp) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // view takes a key's view under its stripe's read lock.
 func (s *Store) view(trajectoryID, interpretation string) (keyView, bool) {
 	sh := s.shardFor(trajectoryID)
@@ -352,71 +454,27 @@ func (s *Store) merge(trajectoryID, interpretation string, index int, place *cor
 
 // VisitStructuredTuples calls fn for every stored tuple of the given
 // interpretation (every interpretation when interpretation is empty), with
-// its ref. It is the engine's backfill scan and the full-scan fallback of
-// unindexable queries: on a tiered store the cold segments are visited
-// first (overlay applied), then each stripe's keys are viewed under the
-// stripe's read lock and fn runs with no lock held, so fn may query the
-// store. Stripes are visited in order but trajectories within a stripe in
-// map order; callers needing determinism sort their results. The visit
-// stops early when fn returns false.
+// its ref, once each (see Cut). It is the engine's backfill scan and the
+// full-scan fallback of unindexable queries: on a tiered store the cold
+// segments are visited first (overlay applied), then each stripe's heap
+// tails, and fn runs with no lock held, so fn may query the store.
+// Trajectories within a stripe come in map order; callers needing
+// determinism sort their results. The visit stops early when fn returns
+// false.
 func (s *Store) VisitStructuredTuples(interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) {
+	var c Cut
+	s.TakeCut(interpretation, &c)
+	visit := func(ref TupleRef, t *core.EpisodeTuple) bool { return fn(ref, *t) }
 	for seg, n := 0, s.ColdSegmentCount(); seg < n; seg++ {
-		if !s.VisitColdSegmentTuples(seg, interpretation, fn) {
+		if !s.VisitColdSegmentTuplesFiltered(&c, seg, TupleRead{}, visit) {
 			return
 		}
 	}
-	var buf []keyView
-	for _, sh := range s.shards {
-		var more bool
-		buf, more = visitShard(sh, buf, interpretation, fn)
-		if !more {
+	for sh := range s.shards {
+		if !c.VisitShard(sh, visit) {
 			return
 		}
 	}
-}
-
-// VisitShardTuples is the single-stripe, heap-only slice of
-// VisitStructuredTuples: it visits only the tuples resident in lock stripe
-// `shard` (0 ≤ shard < ShardCount), with the same view-then-call locking
-// discipline. It reports false when fn stopped the visit early. Because the
-// stripes partition the heap and VisitColdSegmentTuples partitions the
-// frozen tuples by segment, visiting every shard index plus every segment
-// index visits every tuple exactly once — the partitioning a parallel scan
-// fans out over, one stripe lock (or segment) per worker at a time.
-func (s *Store) VisitShardTuples(shard int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
-	if shard < 0 || shard >= len(s.shards) {
-		return true
-	}
-	_, more := visitShard(s.shards[shard], nil, interpretation, fn)
-	return more
-}
-
-// visitShard views one stripe's keys of the interpretation into buf under
-// the stripe's read lock, then calls fn for each heap tuple (refs offset by
-// each key's frozen base) with no lock held. It returns the (possibly
-// grown) buffer for reuse and whether the visit should continue.
-func visitShard(sh *shard, buf []keyView, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) ([]keyView, bool) {
-	buf = buf[:0]
-	sh.mu.RLock()
-	for id, byInterp := range sh.structured {
-		for interp, st := range byInterp {
-			if interpretation != "" && interp != interpretation {
-				continue
-			}
-			buf = append(buf, sh.viewLocked(tupKey{id, interp}, st))
-		}
-	}
-	sh.mu.RUnlock()
-	for i := range buf {
-		v := &buf[i]
-		for j, tp := range v.tail {
-			ref := TupleRef{TrajectoryID: v.k.traj, ObjectID: v.objectID, Interpretation: v.k.interp, Index: v.base + j}
-			if !fn(ref, *tp) {
-				return buf, false
-			}
-		}
-	}
-	return buf, true
 }
 
 // Objects returns the ids of every moving object present in the store

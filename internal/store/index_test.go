@@ -219,10 +219,10 @@ func TestSaveAtomic(t *testing.T) {
 	}
 }
 
-// TestVisitShardTuples asserts the per-shard visitor the parallel scan
-// fan-out uses is an exact partition of VisitStructuredTuples: visiting every
-// shard yields each tuple exactly once, out-of-range shards are inert, and an
-// early stop propagates as false.
+// TestVisitShardTuples asserts the per-stripe cut visit the parallel scan
+// fan-out uses is an exact partition of VisitStructuredTuples: visiting
+// every stripe of one cut yields each tuple exactly once, out-of-range
+// stripes are inert, and an early stop propagates as false.
 func TestVisitShardTuples(t *testing.T) {
 	s := NewSharded(8)
 	for i := 0; i < 40; i++ {
@@ -241,9 +241,11 @@ func TestVisitShardTuples(t *testing.T) {
 	if len(whole) == 0 {
 		t.Fatal("workload produced no tuples")
 	}
+	var c Cut
+	s.TakeCut("merged", &c)
 	sharded := map[TupleRef]int{}
 	for sh := 0; sh < s.ShardCount(); sh++ {
-		if !s.VisitShardTuples(sh, "merged", func(ref TupleRef, _ core.EpisodeTuple) bool {
+		if !c.VisitShard(sh, func(ref TupleRef, _ *core.EpisodeTuple) bool {
 			sharded[ref]++
 			return true
 		}) {
@@ -258,11 +260,11 @@ func TestVisitShardTuples(t *testing.T) {
 			t.Fatalf("ref %+v seen %d times across shards, want %d", ref, sharded[ref], n)
 		}
 	}
-	if s.VisitShardTuples(-1, "merged", func(TupleRef, core.EpisodeTuple) bool { return true }) != true {
+	if c.VisitShard(-1, func(TupleRef, *core.EpisodeTuple) bool { return true }) != true {
 		t.Fatal("out-of-range shard should be a complete (empty) visit")
 	}
 	stopped := 0
-	if s.VisitShardTuples(0, "merged", func(TupleRef, core.EpisodeTuple) bool {
+	if c.VisitShard(0, func(TupleRef, *core.EpisodeTuple) bool {
 		stopped++
 		return false
 	}) {

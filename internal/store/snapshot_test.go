@@ -116,8 +116,11 @@ func TestReadersShareNothingWritable(t *testing.T) {
 		for seg := 0; seg < st.ColdSegmentCount(); seg++ {
 			st.VisitColdSegmentTuples(seg, "merged", visit("VisitColdSegmentTuples"))
 		}
+		var cut store.Cut
+		st.TakeCut("merged", &cut)
 		for sh := 0; sh < st.ShardCount(); sh++ {
-			st.VisitShardTuples(sh, "merged", visit("VisitShardTuples"))
+			byValue := visit("Cut.VisitShard")
+			cut.VisitShard(sh, func(ref store.TupleRef, tp *core.EpisodeTuple) bool { return byValue(ref, *tp) })
 		}
 		ev, seen := events.last[store.TupleRef{TrajectoryID: pos.traj, ObjectID: "o-" + pos.traj,
 			Interpretation: "merged", Index: pos.idx}]

@@ -218,6 +218,34 @@ type Decoder struct {
 	// discard makes the element readers check and skip what they read
 	// without building it: no allocation, no intern probe.
 	discard bool
+	// proj, when set, makes the tuple readers build only its fields, into
+	// buf (see tuples).
+	proj *store.Projection
+	buf  *TupleBuf
+}
+
+// TupleBuf is the memory a projected decode builds its tuples in, reused
+// from call to call: the tuples a projected decode returns, with the places
+// and annotations they reach, are valid until the next projected decode
+// into the same TupleBuf. The zero value is ready to use.
+type TupleBuf struct {
+	tuples []core.EpisodeTuple
+	ptrs   []*core.EpisodeTuple
+	places []core.Place
+	anns   []core.Annotation
+}
+
+// reset readies the buffer for a run of n tuples. The tuple and place
+// arrays never grow during the run, so the pointers into them stay put;
+// an annotation array that grows leaves the sets already taken on the old
+// one, which is never written again.
+func (b *TupleBuf) reset(n int) {
+	if cap(b.tuples) < n {
+		b.tuples = make([]core.EpisodeTuple, n)
+		b.ptrs = make([]*core.EpisodeTuple, 0, n)
+		b.places = make([]core.Place, 0, n)
+	}
+	b.ptrs, b.places, b.anns = b.ptrs[:0], b.places[:0], b.anns[:0]
 }
 
 // maxInterned bounds the intern table so a log full of unique strings (or a
@@ -295,32 +323,33 @@ func (d *Decoder) Iv() int64 {
 	return v
 }
 
-func (d *Decoder) Str() string {
+// raw reads a string's bytes, aliasing the payload.
+func (d *Decoder) raw() []byte {
 	n := int(d.Uv())
 	if d.err != nil || n < 0 || n > d.remaining() {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return b
 }
+
+func (d *Decoder) Str() string { return string(d.raw()) }
 
 // strShared decodes a string through the intern table: the many repeats of
 // low-cardinality strings in a log — object and trajectory ids,
 // interpretation names, annotation keys and sources, place metadata — decode
 // to one shared backing string instead of one heap copy per frame. The
 // map[string(bytes)] probe compiles to a no-allocation lookup; only a miss
-// pays for the copy.
-func (d *Decoder) strShared() string {
-	n := int(d.Uv())
-	if d.err != nil || n < 0 || n > d.remaining() {
-		d.fail()
-		return ""
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	if d.discard {
+// pays for the copy. In discard mode it only checks the string.
+func (d *Decoder) strShared() string { return d.str(!d.discard) }
+
+// str is strShared when build is set, and checks and skips the string
+// otherwise.
+func (d *Decoder) str(build bool) string {
+	b := d.raw()
+	if !build || d.err != nil {
 		return ""
 	}
 	if s, ok := d.interned[string(b)]; ok {
@@ -465,30 +494,38 @@ func (d *Decoder) episodes() []*episode.Episode {
 	return eps
 }
 
+// place reads a place link. A projected decode builds, into its buffer, a
+// place that carries its id alone, and only when the projection asks for
+// it.
 func (d *Decoder) place() *core.Place {
 	if d.U8() == 0 {
 		return nil
 	}
-	p := core.Place{
-		ID:       d.strShared(),
-		Kind:     core.PlaceKind(d.U8()),
-		Name:     d.strShared(),
-		Category: d.strShared(),
-		Extent:   d.Rect(),
-	}
-	if p.Kind != core.RegionPlace && p.Kind != core.LinePlace && p.Kind != core.PointPlace {
+	build, full := !d.discard && (d.proj == nil || d.proj.Place), d.proj == nil
+	id := d.str(build)
+	kind := core.PlaceKind(d.U8())
+	name, category := d.str(build && full), d.str(build && full)
+	extent := d.Rect()
+	if kind != core.RegionPlace && kind != core.LinePlace && kind != core.PointPlace {
 		d.fail()
 	}
-	if d.discard {
+	switch {
+	case !build:
 		return nil
+	case !full:
+		d.buf.places = append(d.buf.places, core.Place{ID: id})
+		return &d.buf.places[len(d.buf.places)-1]
 	}
-	return &p
+	return &core.Place{ID: id, Kind: kind, Name: name, Category: category, Extent: extent}
 }
 
 func (d *Decoder) annotations() []core.Annotation {
 	n := d.Count(1 + 1 + 8 + 1) // three empty strings and the confidence
 	if d.err != nil || n == 0 {
 		return nil
+	}
+	if d.proj != nil && !d.discard {
+		return d.projectedAnnotations(n)
 	}
 	var anns []core.Annotation
 	if !d.discard {
@@ -503,17 +540,46 @@ func (d *Decoder) annotations() []core.Annotation {
 	return anns
 }
 
-// tuples decodes a tuple run, building only the tuples keep admits (every
-// one when keep is nil): it reads a tuple's kind and times first, and the
-// entry of a tuple keep refuses is nil, its place, annotations and episode
-// checked and skipped without being built. Whether the run decodes does not
-// depend on keep.
-func (d *Decoder) tuples(keep store.TupleFilter) []*core.EpisodeTuple {
+// projectedAnnotations reads n annotations and keeps, in the projection's
+// buffer, those whose key the projection lists, with their value and
+// confidence: all that AnnotationSet.Value reads. The others are checked
+// and skipped, and no key is interned: a kept one takes the projection's
+// own string.
+func (d *Decoder) projectedAnnotations(n int) []core.Annotation {
+	lo := len(d.buf.anns)
+	for i := 0; i < n && d.err == nil; i++ {
+		key, ok := d.proj.Key(d.raw())
+		value := d.str(ok)
+		conf := d.F64()
+		d.raw() // the source
+		if ok {
+			d.buf.anns = append(d.buf.anns, core.Annotation{Key: key, Value: value, Confidence: conf})
+		}
+	}
+	hi := len(d.buf.anns)
+	return d.buf.anns[lo:hi:hi]
+}
+
+// tuples decodes a tuple run, building only the tuples read.Keep admits
+// (every one when it is nil): it reads a tuple's kind and times first, and
+// the entry of a tuple Keep refuses is nil, its place, annotations and
+// episode checked and skipped without being built. When read.Project is
+// set, a kept tuple holds its kind, its times and the projection's fields
+// alone, built into buf (see TupleBuf); the rest is checked and skipped
+// like a refused tuple's. Whether the run decodes depends on neither.
+func (d *Decoder) tuples(read store.TupleRead) []*core.EpisodeTuple {
 	n := d.Count(1 + 1 + 1 + 1 + 1 + 1) // kind, no place, zero times, no annotations, no episode
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	tuples := make([]*core.EpisodeTuple, 0, n)
+	keep := read.Keep
+	var tuples []*core.EpisodeTuple
+	if d.proj = read.Project; d.proj != nil {
+		d.buf.reset(n)
+		tuples = d.buf.ptrs
+	} else {
+		tuples = make([]*core.EpisodeTuple, 0, n)
+	}
 	for i := 0; i < n && d.err == nil; i++ {
 		kind := episode.Kind(d.U8())
 		at := d.off
@@ -541,10 +607,18 @@ func (d *Decoder) tuples(keep store.TupleFilter) []*core.EpisodeTuple {
 			place = d.place()
 			d.off = end
 		}
-		tp := &core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
+		var tp *core.EpisodeTuple
+		if d.proj != nil {
+			tp = &d.buf.tuples[i]
+			*tp = core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
+		} else {
+			tp = &core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
+		}
 		tp.Annotations = core.AnnotationSetOf(d.annotations())
 		if d.U8() == 1 {
+			d.discard = d.proj != nil && !d.proj.Episode
 			tp.Episode = d.episode()
+			d.discard = false
 		}
 		tuples = append(tuples, tp)
 	}
@@ -557,11 +631,15 @@ func (d *Decoder) tuples(keep store.TupleFilter) []*core.EpisodeTuple {
 // non-nil, is a string table shared across calls (one per replayed segment):
 // ids, interpretation names and annotation keys repeat in nearly every
 // frame, and interning them keeps recovery's allocation volume proportional
-// to distinct strings, not to frames. keep, when non-nil, filters a tuple
-// run: the entry of each tuple it refuses is nil (see tuples), and the
-// result is otherwise the full decode's.
-func decodeMutation(payload []byte, interned map[string]string, keep store.TupleFilter) (store.Mutation, error) {
-	d := &Decoder{b: payload, interned: interned}
+// to distinct strings, not to frames. read filters and projects a tuple
+// run (see tuples), and the result is otherwise the full decode's; a
+// projected decode builds into buf, and into a buffer of its own when buf
+// is nil.
+func decodeMutation(payload []byte, interned map[string]string, read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
+	if buf == nil && read.Project != nil {
+		buf = &TupleBuf{}
+	}
+	d := &Decoder{b: payload, interned: interned, buf: buf}
 	m := store.Mutation{
 		Op:             store.MutationOp(d.U8()),
 		ObjectID:       d.strShared(),
@@ -577,7 +655,8 @@ func decodeMutation(payload []byte, interned map[string]string, keep store.Tuple
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		m.Episodes = d.episodes()
 	case store.MutPutStructured, store.MutAppendTuples:
-		m.Tuples = d.tuples(keep)
+		m.Tuples = d.tuples(read)
+		d.proj = nil
 	case store.MutMergeTuple:
 		m.Place = d.place()
 		m.Annotations = d.annotations()

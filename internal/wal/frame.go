@@ -85,11 +85,12 @@ func ParseFrame(b []byte) (payload []byte, size int, err error) {
 }
 
 // DecodeMutation decodes one frame payload (as returned by ParseFrame).
-// interned, when non-nil, is a string table shared across calls, and keep,
-// when non-nil, the tuples to build; see decodeMutation. The decoder never
+// interned, when non-nil, is a string table shared across calls, read the
+// tuples and fields of a tuple run to build, and buf, when non-nil, the
+// memory a projected read builds in; see decodeMutation. The decoder never
 // panics on arbitrary input.
-func DecodeMutation(payload []byte, interned map[string]string, keep store.TupleFilter) (store.Mutation, error) {
-	return decodeMutation(payload, interned, keep)
+func DecodeMutation(payload []byte, interned map[string]string, read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
+	return decodeMutation(payload, interned, read, buf)
 }
 
 // Blob is one file's bytes, read a frame at a time: a read-only memory map

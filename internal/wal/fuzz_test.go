@@ -43,43 +43,64 @@ func allocatedBy(fn func()) uint64 {
 // decode errors exactly when the full decode does; otherwise it keeps the
 // tuple at a position exactly when the filter admits the full decode's
 // tuple there, each tuple it keeps encodes like the full decode's, and the
-// rest of the mutation encodes like it too.
+// rest of the mutation encodes like it too. The projected decode (the
+// filter plus a projection of the place id if proj's bit 0 is set, the
+// episode if bit 1 is, and annKey's annotations) errors exactly when the
+// full decode does, allocates at most what the full decode may, keeps the
+// tuples the filtered decode keeps, and reads each kept tuple's kind,
+// times, place id, Annotations.Value(annKey) and episode (when projected)
+// like the full decode's; the rest of its mutation encodes like it too.
 func FuzzDecodeMutation(f *testing.F) {
 	t0 := ts(0).Unix()
 	for _, m := range testMutations() {
 		e := &Encoder{}
 		encodeMutation(e, m)
-		f.Add(e.b, uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64))
-		f.Add(e.b[:len(e.b)/2], uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64))
-		f.Add(e.b, uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64))
-		f.Add(e.b, uint8(0xff), int64(math.MinInt64), t0+1)
-		f.Add(e.b, uint8(0), int64(math.MinInt64), int64(math.MaxInt64))
+		f.Add(e.b, uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(0), "")
+		f.Add(e.b[:len(e.b)/2], uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(3), "poi_category")
+		f.Add(e.b, uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64), uint8(1), "landuse")
+		f.Add(e.b, uint8(0xff), int64(math.MinInt64), t0+1, uint8(2), "poi_category")
+		f.Add(e.b, uint8(0), int64(math.MinInt64), int64(math.MaxInt64), uint8(1), "k")
 	}
-	f.Add([]byte{}, uint8(0xff), int64(0), int64(0))
+	f.Add([]byte{}, uint8(0xff), int64(0), int64(0), uint8(0), "")
 	interned := map[string]string{}
-	f.Fuzz(func(t *testing.T, payload []byte, kinds uint8, lo, hi int64) {
-		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, nil) }); n > decodeAllocBound(len(payload)) {
+	f.Fuzz(func(t *testing.T, payload []byte, kinds uint8, lo, hi int64, proj uint8, annKey string) {
+		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, store.TupleRead{}, nil) }); n > decodeAllocBound(len(payload)) {
 			t.Fatalf("decoding %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
 		}
 		keep := func(k episode.Kind, in, out time.Time) bool {
 			return kinds&(1<<(k&7)) != 0 && out.Unix() >= lo && in.Unix() <= hi
 		}
-		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, keep) }); n > decodeAllocBound(len(payload)) {
+		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, store.TupleRead{Keep: keep}, nil) }); n > decodeAllocBound(len(payload)) {
 			t.Fatalf("filtered decoding of %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
 		}
-		m, err := decodeMutation(payload, nil, nil)
-		kept, kerr := decodeMutation(payload, nil, keep)
+		m, err := decodeMutation(payload, nil, store.TupleRead{}, nil)
+		kept, kerr := decodeMutation(payload, nil, store.TupleRead{Keep: keep}, nil)
 		if (err == nil) != (kerr == nil) {
 			t.Fatalf("full decode of %x: %v, filtered decode: %v", payload, err, kerr)
 		}
 		if err != nil {
+			read := store.TupleRead{Keep: keep, Project: &store.Projection{Place: true, Episode: true, AnnKeys: []string{annKey}}}
+			if _, perr := decodeMutation(payload, nil, read, nil); perr == nil {
+				t.Fatalf("full decode of %x: %v, projected decode succeeds", payload, err)
+			}
 			return
 		}
 		checkFiltered(t, m, kept, keep)
+		p := &store.Projection{Place: proj&1 != 0, Episode: proj&2 != 0, AnnKeys: []string{annKey}}
+		read := store.TupleRead{Keep: keep, Project: p}
+		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, read, nil) }); n > decodeAllocBound(len(payload)) {
+			t.Fatalf("projected decoding of %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
+		}
+		var buf TupleBuf
+		projected, perr := decodeMutation(payload, interned, read, &buf)
+		if perr != nil {
+			t.Fatalf("full decode of %x succeeds, projected decode: %v", payload, perr)
+		}
+		checkProjected(t, m, projected, keep, p)
 		e := &Encoder{}
 		encodeMutation(e, m)
 		first := append([]byte(nil), e.b...)
-		again, err := decodeMutation(first, nil, nil)
+		again, err := decodeMutation(first, nil, store.TupleRead{}, nil)
 		if err != nil {
 			t.Fatalf("re-encoding of %x does not decode: %v", payload, err)
 		}
@@ -88,7 +109,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		if !bytes.Equal(e.b, first) {
 			t.Fatalf("decode → encode is not a fixed point for %x:\n first  %x\n second %x", payload, first, e.b)
 		}
-		shared, err := decodeMutation(payload, interned, nil)
+		shared, err := decodeMutation(payload, interned, store.TupleRead{}, nil)
 		if err != nil {
 			t.Fatalf("interned decode of %x fails: %v", payload, err)
 		}
@@ -130,6 +151,64 @@ func checkFiltered(t *testing.T, m, kept store.Mutation, keep store.TupleFilter)
 	encodeMutation(&b, kept)
 	if !bytes.Equal(a.b, b.b) {
 		t.Fatalf("filtered decode's mutation %x, full decode's %x", b.b, a.b)
+	}
+}
+
+// checkProjected checks a filtered, projected decode against the full
+// decode m of the same payload: the projected decode keeps a tuple exactly
+// where keep admits m's, each kept tuple reads like m's through every field
+// p projects and holds no field p does not, and without their tuples the
+// two mutations encode alike.
+func checkProjected(t *testing.T, m, projected store.Mutation, keep store.TupleFilter, p *store.Projection) {
+	t.Helper()
+	if len(projected.Tuples) != len(m.Tuples) {
+		t.Fatalf("projected decode holds %d tuple positions, full decode %d", len(projected.Tuples), len(m.Tuples))
+	}
+	var a, b Encoder
+	for i, full := range m.Tuples {
+		got := projected.Tuples[i]
+		if admit := keep(full.Kind, full.TimeIn, full.TimeOut); admit != (got != nil) {
+			t.Fatalf("tuple %d: filter admits it: %v, projected decode kept it: %v", i, admit, got != nil)
+		}
+		if got == nil {
+			continue
+		}
+		if got.Kind != full.Kind || !got.TimeIn.Equal(full.TimeIn) || !got.TimeOut.Equal(full.TimeOut) {
+			t.Fatalf("tuple %d: projected kind and times %v %v %v, full %v %v %v",
+				i, got.Kind, got.TimeIn, got.TimeOut, full.Kind, full.TimeIn, full.TimeOut)
+		}
+		if want := full.PlaceID(); p.Place && got.PlaceID() != want || !p.Place && got.Place != nil {
+			t.Fatalf("tuple %d: projected place %v, full place id %q, projected: %v", i, got.Place, want, p.Place)
+		}
+		for _, k := range p.AnnKeys {
+			if got.Annotations.Value(k) != full.Annotations.Value(k) {
+				t.Fatalf("tuple %d: projected %s = %q, full %q", i, k, got.Annotations.Value(k), full.Annotations.Value(k))
+			}
+		}
+		if !p.Episode {
+			if got.Episode != nil {
+				t.Fatalf("tuple %d: projected decode built an unprojected episode", i)
+			}
+			continue
+		}
+		if (got.Episode == nil) != (full.Episode == nil) {
+			t.Fatalf("tuple %d: projected episode %v, full %v", i, got.Episode, full.Episode)
+		}
+		if got.Episode != nil {
+			a.b, b.b = a.b[:0], b.b[:0]
+			a.episode(full.Episode)
+			b.episode(got.Episode)
+			if !bytes.Equal(a.b, b.b) {
+				t.Fatalf("tuple %d: projected episode %x, full %x", i, b.b, a.b)
+			}
+		}
+	}
+	m.Tuples, projected.Tuples = nil, nil
+	a.b, b.b = a.b[:0], b.b[:0]
+	encodeMutation(&a, m)
+	encodeMutation(&b, projected)
+	if !bytes.Equal(a.b, b.b) {
+		t.Fatalf("projected decode's mutation %x, full decode's %x", b.b, a.b)
 	}
 }
 
@@ -191,7 +270,7 @@ func FuzzReplaySegment(f *testing.F) {
 			if perr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, perr)
 			}
-			m, derr := DecodeMutation(payload, nil, nil)
+			m, derr := DecodeMutation(payload, nil, store.TupleRead{}, nil)
 			if derr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, derr)
 			}
@@ -205,7 +284,7 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		if tornAt >= 0 {
 			if payload, _, perr := ParseFrame(data[end:]); perr == nil {
-				if _, derr := DecodeMutation(payload, nil, nil); derr == nil {
+				if _, derr := DecodeMutation(payload, nil, store.TupleRead{}, nil); derr == nil {
 					t.Fatalf("tear reported at %d, where a whole frame starts", end)
 				}
 			}

@@ -79,7 +79,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for i, m := range testMutations() {
 		e := &Encoder{}
 		encodeMutation(e, m)
-		got, err := decodeMutation(e.b, nil, nil)
+		got, err := decodeMutation(e.b, nil, store.TupleRead{}, nil)
 		if err != nil {
 			t.Fatalf("mutation %d: decode: %v", i, err)
 		}
@@ -104,7 +104,7 @@ func TestCodecRoundTripsSmallestElements(t *testing.T) {
 	} {
 		e := &Encoder{}
 		encodeMutation(e, m)
-		got, err := decodeMutation(e.b, nil, nil)
+		got, err := decodeMutation(e.b, nil, store.TupleRead{}, nil)
 		if err != nil {
 			t.Fatalf("mutation %d: decode: %v", i, err)
 		}
@@ -117,13 +117,13 @@ func TestCodecRoundTripsSmallestElements(t *testing.T) {
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	e := &Encoder{}
 	encodeMutation(e, testMutations()[0])
-	if _, err := decodeMutation(append(e.b, 0), nil, nil); err == nil {
+	if _, err := decodeMutation(append(e.b, 0), nil, store.TupleRead{}, nil); err == nil {
 		t.Fatal("decode accepted trailing bytes")
 	}
-	if _, err := decodeMutation(e.b[:len(e.b)-1], nil, nil); err == nil {
+	if _, err := decodeMutation(e.b[:len(e.b)-1], nil, store.TupleRead{}, nil); err == nil {
 		t.Fatal("decode accepted truncated payload")
 	}
-	if _, err := decodeMutation(nil, nil, nil); err == nil {
+	if _, err := decodeMutation(nil, nil, store.TupleRead{}, nil); err == nil {
 		t.Fatal("decode accepted empty payload")
 	}
 }
@@ -451,7 +451,7 @@ func TestWALFramesInCallOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
-		m, err := DecodeMutation(payload, nil, nil)
+		m, err := DecodeMutation(payload, nil, store.TupleRead{}, nil)
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
