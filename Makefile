@@ -38,27 +38,33 @@ race:
 # The native fuzz targets, each for FUZZTIME (CI runs this target).
 # FuzzEpisodesQuery: GET /query/episodes with any query string answers 200
 # or 400 with one line of JSON of the declared length, never a panic or 500.
-# FuzzDecodeMutation: the WAL and segment payload decoder returns an error
-# or a mutation that re-encodes to a fixed point, never a panic, and
+# FuzzDecodeMutation: the WAL and segment payload decoder, reading strings
+# inline (a log frame) and as indexes into a dictionary cut to any length
+# (a segment run, so an index can fall past its end), returns an error or
+# a mutation that re-encodes to a fixed point, never a panic, and
 # allocates at most a small multiple of its input; under any kind and time
 # filter it errors exactly when the full decode does and keeps, at their
 # positions, exactly the full decode's tuples the filter admits; with a
 # projection (place id, episode, one annotation key) added it errors
 # exactly when the full decode does, and each kept tuple's kind, times,
-# place id, value of the key and episode equal the full decode's.
+# place id, value of the key and episode equal the full decode's; a
+# segment run's reported stop count and span are its full decode's.
 # FuzzReplaySegment: WAL replay of a log header followed by any bytes, read
 # from memory, never panics, allocates at most a small multiple of the
 # bytes, and rebuilds what the frames before the reported tear rebuild.
-# FuzzDecodeFooter: the segment footer decoder returns an error or a footer
-# that re-encodes to a fixed point, never a panic, and allocates at most a
-# small multiple of its input.
+# FuzzDecodeFooter: the segment footer decoder (summary, string dictionary,
+# run directory with its keys as dictionary indexes and its tuple runs'
+# spans) returns an error or a footer that re-encodes to a fixed point,
+# never a panic, and allocates at most a small multiple of its input.
 # FuzzRecoverFooter: recovery of a directory whose second segment keeps its
-# data frames (every op, merges included) under an arbitrary footer returns
-# an error or a store whose reads of every listed key never panic.
+# data frames (every op, merges included, strings indexing the written
+# dictionary) under an arbitrary footer returns an error or a store whose
+# reads of every listed key never panic.
 # FuzzReadCSV: every record the GPS CSV reader yields has finite coordinates
 # and round-trips through WriteCSV and ReadCSV unchanged.
-# FuzzParse: a statement of the query language that parses runs on an empty
-# engine without an error.
+# FuzzParse: the lexer makes the tokens and errors of a reference rune
+# lexer, at the same rune offsets, and a statement of the query language
+# that parses runs on an empty engine without an error.
 # FuzzQueryForm: a query's normal form agrees with the documented query
 # semantics: its tuple check with a reference evaluation, the footer check
 # and every access path never drop an admitted tuple, and the conjunction

@@ -11,9 +11,10 @@ import (
 
 // groupedAllocSlack is what a grouped statement may allocate beyond one
 // allocation per segment run it decodes and one per group: the plan, the
-// cut's and the fold's maps, the per-segment visitors and the ranked
-// result, none of which grows with the tuples a run holds.
-const groupedAllocSlack = 60
+// cut's and the fold's maps, the per-worker visitors and the ranked
+// result, none of which grows with the tuples a run holds or the segments
+// the scan visits.
+const groupedAllocSlack = 40
 
 // TestGroupedScanAllocations is a work gate that does not depend on the
 // machine: on a reopened tiered store, at one worker, a grouped statement

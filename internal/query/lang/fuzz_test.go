@@ -8,8 +8,10 @@ import (
 )
 
 // FuzzParse drives the parser with arbitrary statements, seeded with the
-// grammar's productions. Invariant (Parse's contract): a statement that
-// parses runs on an empty engine without an error, and nothing panics.
+// grammar's productions. Invariants: the lexer makes the tokens and errors
+// of the reference rune lexer (lexRunes), at the same rune offsets; a
+// statement that parses runs on an empty engine without an error (Parse's
+// contract); and nothing panics.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"stops join stops on distance <= 200 and within 1h and distinct objects group by object distinct objects top 10",
@@ -24,8 +26,12 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, seed := range lexStatements {
+		f.Add(seed)
+	}
 	e := query.NewEngine(store.New())
 	f.Fuzz(func(t *testing.T, src string) {
+		checkLex(t, src)
 		if _, err := Parse(src); err != nil {
 			return
 		}

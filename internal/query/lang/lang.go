@@ -53,6 +53,7 @@ import (
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"semitri/internal/episode"
 	"semitri/internal/geo"
@@ -217,53 +218,91 @@ func isWordRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == ':'
 }
 
+// lex splits src into tokens. It walks src's bytes and slices each token's
+// text out of src, so a token costs no allocation of its own, while every
+// offset it reports (a token's pos, an error's) counts runes, not bytes.
 func lex(src string) ([]token, error) {
-	var toks []token
-	rs := []rune(src)
-	for i := 0; i < len(rs); {
-		r := rs[i]
+	toks := make([]token, 0, tokenBound(src))
+	// b is the byte offset of the rune at rune offset i.
+	for b, i := 0, 0; b < len(src); {
+		r, size := utf8.DecodeRuneInString(src[b:])
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			b, i = b+size, i+1
 		case r == '"':
-			j := i + 1
-			for j < len(rs) && rs[j] != '"' {
-				j++
-			}
-			if j == len(rs) {
+			end := strings.IndexByte(src[b+1:], '"')
+			if end < 0 {
 				return nil, fmt.Errorf("lang: unterminated string at offset %d", i)
 			}
-			toks = append(toks, token{kind: tokString, text: string(rs[i+1 : j]), pos: i})
-			i = j + 1
+			text := src[b+1 : b+1+end]
+			toks = append(toks, token{kind: tokString, text: validUTF8(text), pos: i})
+			b, i = b+end+2, i+utf8.RuneCountInString(text)+2
 		case r == '<':
-			if i+1 < len(rs) && rs[i+1] == '=' {
+			if b+1 < len(src) && src[b+1] == '=' {
 				toks = append(toks, token{kind: tokPunct, text: "<=", pos: i})
-				i += 2
+				b, i = b+2, i+2
 			} else {
 				toks = append(toks, token{kind: tokPunct, text: "<", pos: i})
-				i++
+				b, i = b+1, i+1
 			}
 		case r == '(' || r == ')' || r == ',' || r == '.' || r == '=':
-			toks = append(toks, token{kind: tokPunct, text: string(r), pos: i})
-			i++
+			toks = append(toks, token{kind: tokPunct, text: src[b : b+1], pos: i})
+			b, i = b+1, i+1
 		case isWordRune(r) || r == '+':
-			j := i
-			for j < len(rs) && (isWordRune(rs[j]) || rs[j] == '+' || rs[j] == '.') {
-				// A '.' joins a word only between digits (floats like 0.5);
-				// elsewhere it is the ann-key separator.
-				if rs[j] == '.' && !(j > i && unicode.IsDigit(rs[j-1]) && j+1 < len(rs) && unicode.IsDigit(rs[j+1])) {
+			j, n := b, 0
+			for j < len(src) {
+				rj, sz := utf8.DecodeRuneInString(src[j:])
+				if !isWordRune(rj) && rj != '+' && rj != '.' {
 					break
 				}
-				j++
+				// A '.' joins a word only between digits (floats like 0.5);
+				// elsewhere it is the ann-key separator.
+				if rj == '.' && !(j > b && digitAround(src, j)) {
+					break
+				}
+				j, n = j+sz, n+1
 			}
-			toks = append(toks, token{kind: tokWord, text: string(rs[i:j]), pos: i})
-			i = j
+			toks = append(toks, token{kind: tokWord, text: src[b:j], pos: i})
+			b, i = j, i+n
 		default:
 			return nil, fmt.Errorf("lang: unexpected character %q at offset %d", r, i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(rs)})
+	toks = append(toks, token{kind: tokEOF, pos: utf8.RuneCountInString(src)})
 	return toks, nil
+}
+
+// tokenBound bounds the tokens lex makes of src, so their slice is sized
+// once. Two words are always parted by a space, a punctuation mark or a
+// quote, so a statement with s such bytes holds at most 2s+1 tokens
+// besides its EOF. A space of several bytes is not counted: it costs the
+// slice a growth, not a wrong result.
+func tokenBound(src string) int {
+	n := 2
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case ' ', '\t', '\n', '\r', '"', '(', ')', ',', '.', '=', '<':
+			n += 2
+		}
+	}
+	return n
+}
+
+// digitAround reports whether the '.' at byte j of src has a digit on
+// each side.
+func digitAround(src string, j int) bool {
+	before, _ := utf8.DecodeLastRuneInString(src[:j])
+	after, _ := utf8.DecodeRuneInString(src[j+1:])
+	return unicode.IsDigit(before) && unicode.IsDigit(after)
+}
+
+// validUTF8 returns s with each byte that is not part of a valid UTF-8
+// sequence replaced by U+FFFD, as a conversion through []rune does.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
 }
 
 // ---- parser ----

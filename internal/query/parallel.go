@@ -244,8 +244,9 @@ func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
 	workers := min(e.workersFor(int(e.total.Load()), maxWorkers), units)
 	sinks := make([]*sink, workers)
 	sinks[0] = s
-	// One visitor per worker, built once: a visitor per unit would be a
-	// heap-allocated closure per stripe and segment, on every scan.
+	// One visitor per worker, and one segment visitor over it, built once:
+	// a visitor per unit would be heap-allocated closures per stripe and
+	// segment, on every scan.
 	visits := make([]func(store.TupleRef, *core.EpisodeTuple) bool, workers)
 	for w := range visits {
 		if w > 0 {
@@ -263,9 +264,16 @@ func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
 	if s.agg != nil {
 		read.Project = projection(f, s.agg)
 	}
+	var segVisits []*store.SegmentVisitor
+	if len(segs) > 0 {
+		segVisits = make([]*store.SegmentVisitor, workers)
+		for w := range segVisits {
+			segVisits[w] = e.st.NewSegmentVisitor(cut, read, visits[w])
+		}
+	}
 	fanOut(workers, units, func(w, u int) bool {
 		if u < len(segs) {
-			e.st.VisitColdSegmentTuplesFiltered(cut, segs[u], read, visits[w])
+			segVisits[w].Visit(segs[u])
 		} else {
 			cut.VisitShard(u-len(segs), visits[w])
 		}

@@ -8,7 +8,9 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/geo"
+	"semitri/internal/obs"
 	"semitri/internal/segment"
 	"semitri/internal/store"
 )
@@ -584,5 +587,206 @@ func TestExecuteAggregateMatchesBruteForce(t *testing.T) {
 		if paths[p] == 0 {
 			t.Fatalf("no query took the %s path: %v", p, paths)
 		}
+	}
+}
+
+// TestTieredRunSkipMatchesHeap checks the segment scan's run skip — a run
+// whose directory kinds and span the form's kind and time clauses refuse is
+// not read — against an all-heap store. The tiered store freezes into
+// several segments, takes merges into frozen positions and a replace of a
+// frozen trajectory, and every seventh tuple is untimed. Random forms, with
+// lo > hi among them (the tuples spanning the gap), open sides and
+// windows ending on or beside a stored time, must scan to the same sorted
+// matches and, projected for a grouped statement, to the same groups, at
+// workers 1 and 4.
+func TestTieredRunSkipMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	all := populate(t, store.New(), 44, 6, 3, 14)
+	for i := range all {
+		if i%7 == 3 {
+			tp := cloneTuple(all[i].tp)
+			tp.TimeIn, tp.TimeOut = time.Time{}, time.Time{}
+			all[i].tp = tp
+		}
+	}
+	heap := store.NewSharded(4)
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	for i, s := range all {
+		for _, st := range []*store.Store{heap, tiered} {
+			if err := st.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID, s.ref.Interpretation, cloneTuple(s.tp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if (i+1)%(len(all)/5) == 0 {
+			if err := tier.Freeze(tiered); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		s := all[rng.Intn(len(all)*4/5)]
+		anns := []core.Annotation{{Key: core.AnnPOICategory, Value: fmt.Sprintf("merged%d", i%3), Confidence: 2, Source: "prop"}}
+		for _, st := range []*store.Store{heap, tiered} {
+			if err := st.MergeTupleAnnotations(s.ref.TrajectoryID, s.ref.Interpretation, s.ref.Index, nil, anns); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Replace one frozen trajectory with its tuples in reverse, then freeze
+	// the replacement too.
+	replaced := &core.StructuredTrajectory{ID: all[0].ref.TrajectoryID, ObjectID: all[0].ref.ObjectID, Interpretation: DefaultInterpretation}
+	for i := len(all) - 1; i >= 0; i-- {
+		if all[i].ref.TrajectoryID == replaced.ID {
+			replaced.Tuples = append(replaced.Tuples, all[i].tp)
+		}
+	}
+	for _, st := range []*store.Store{heap, tiered} {
+		cp := *replaced
+		cp.Tuples = nil
+		for _, tp := range replaced.Tuples {
+			cp.Tuples = append(cp.Tuples, cloneTuple(tp))
+		}
+		if err := st.PutStructured(&cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tier.Freeze(tiered); err != nil {
+		t.Fatal(err)
+	}
+	if n := tier.SegmentCount(); n < 5 || tiered.OverlayCount() == 0 {
+		t.Fatalf("%d segments and %d overlay entries, want at least 5 and 1", n, tiered.OverlayCount())
+	}
+
+	heapEng, tieredEng := NewEngine(heap), NewEngine(tiered)
+	bound := func() stamp {
+		switch rng.Intn(8) {
+		case 0:
+			return stampOf(time.Time{})
+		case 1:
+			return openLo
+		case 2:
+			return openHi
+		}
+		tp := all[rng.Intn(len(all))].tp
+		at := tp.TimeIn
+		if rng.Intn(2) == 0 {
+			at = tp.TimeOut
+		}
+		return stampOf(at.Add(time.Duration(rng.Intn(3) - 1)))
+	}
+	kinds := []kindSet{allKinds, stopKind, moveKind}
+	a := Aggregate{By: DimAnnotation, AnnKey: core.AnnPOICategory}
+	scan := func(e *Engine, f *form, agg *Aggregate, workers int) any {
+		s := &sink{}
+		if agg != nil {
+			s.agg, s.groups = agg, newGroups(agg)
+		}
+		e.scan(f, s, workers, nil)
+		if agg != nil {
+			return agg.rank(s.groups)
+		}
+		sort.Sort(byRef(s.out))
+		return s.out
+	}
+	gaps := 0
+	for i := 0; i < 200; i++ {
+		f := form{interp: DefaultInterpretation, kinds: kinds[rng.Intn(len(kinds))], lo: bound(), hi: bound()}
+		if f.hi.before(f.lo) {
+			gaps++
+		}
+		for _, agg := range []*Aggregate{nil, &a} {
+			want := scan(heapEng, &f, agg, 1)
+			for _, w := range []int{1, 4} {
+				if got := scan(tieredEng, &f, agg, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("form %d (kinds %b, lo %v, hi %v, grouped %v) workers=%d: tiered scan diverges from heap",
+						i, f.kinds, f.lo, f.hi, agg != nil, w)
+				}
+			}
+		}
+	}
+	if gaps == 0 {
+		t.Fatal("no form had lo > hi")
+	}
+}
+
+// TestWindowScanDecodesMeetingRuns is a work gate that does not depend on
+// the machine: on a reopened tiered store, a kind and time window scan
+// decodes (obs.SegmentColdReads) exactly the tuple runs whose directory
+// entry holds a kind the window asks for and whose span meets the window,
+// counted from the segment files' footers.
+func TestWindowScanDecodesMeetingRuns(t *testing.T) {
+	dir := t.TempDir()
+	st, tier, _, err := segment.Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(51); seed < 55; seed++ {
+		populate(t, st, seed, 4, 3, 8)
+		if err := tier.Freeze(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var runs []segment.RunMeta
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(paths) != 4 {
+		t.Fatalf("segment files %v (%v), want 4", paths, err)
+	}
+	for _, p := range paths {
+		r, err := segment.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range r.Footer().Runs {
+			if (m.Op == store.MutPutStructured || m.Op == store.MutAppendTuples) && m.Interp == DefaultInterpretation {
+				runs = append(runs, m)
+			}
+		}
+		r.Close()
+	}
+	st, tier, _, err = segment.Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	e := NewEngineWith(st, Options{Parallelism: 1})
+	stop, move := episode.Stop, episode.Move
+	skipped := 0
+	for i, q := range []Query{
+		{From: t0.Add(2 * time.Hour), To: t0.Add(3 * time.Hour)},
+		{Kind: &stop, From: t0.Add(26 * time.Hour), To: t0.Add(27 * time.Hour)},
+		{Kind: &move, From: t0.Add(50 * time.Hour)},
+		{Kind: &stop, To: t0.Add(time.Hour)},
+		{Kind: &move},
+	} {
+		f, err := compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, m := range runs {
+			if (m.Stops > 0 && f.kinds&stopKind != 0 || m.Stops < m.Count && f.kinds&moveKind != 0) &&
+				!stampOf(m.TimeMax).before(f.lo) && !f.hi.before(stampOf(m.TimeMin)) {
+				want++
+			}
+		}
+		before := obs.SegmentColdReads.Value()
+		if _, err := e.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := int(obs.SegmentColdReads.Value() - before); got != want {
+			t.Fatalf("query %d (%+v) decoded %d runs, want the %d of %d whose kinds and span meet it", i, q, got, want, len(runs))
+		}
+		skipped += len(runs) - want
+		t.Logf("query %d: decoded %d of %d runs", i, want, len(runs))
+	}
+	if skipped == 0 {
+		t.Fatal("no query skipped a run")
 	}
 }

@@ -11,17 +11,31 @@
 //
 //	[8-byte header: magic "STSG" + u32 version]
 //	[data frame]*          one framed Mutation per emitted run
-//	[footer frame]         framed footer payload (summary + run directory)
+//	[footer frame]         framed footer payload (summary + dictionary +
+//	                       run directory)
 //	[8-byte trailer: u32 footer frame size + magic "GSTS"]
 //
 // The fixed-size trailer makes the footer seekable in O(1): read the last 8
 // bytes, step back over the footer frame, parse it like any other frame. The
 // footer carries everything recovery and the query planner need without
-// decoding the body — per-run directory entries (key, positional range, frame
-// offset) and the planner summary (time span, kind counts, per-interpretation
-// tuple counts, annotation-key cardinalities, geometry bounds, an object
-// bloom filter), at footer version 2. Data frames decode lazily, one run at
-// a time.
+// decoding the body, at footer version 3:
+//
+//   - the planner summary: time span, kind counts, per-interpretation tuple
+//     counts, annotation-key cardinalities, geometry bounds, an object bloom
+//     filter;
+//   - the string dictionary: every distinct string of the data frames, once.
+//     A data frame writes each of its strings — run header, places,
+//     annotation keys, values and sources, episode ids, record object ids —
+//     as a varint index into it, and a reader decodes it once at Open, so
+//     decoding a string is a bounds-checked index;
+//   - the run directory: per run, its key (object, trajectory and
+//     interpretation, as dictionary indexes), positional range, stop count
+//     and frame offset, and for a tuple run its span (least TimeIn,
+//     greatest TimeOut), which lets a scan skip a run without reading its
+//     frame.
+//
+// Data frames decode lazily, one run at a time. Footers at version 2
+// (strings inline, no run spans) are refused like any other version.
 package segment
 
 import (
@@ -29,7 +43,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"time"
 
+	"semitri/internal/episode"
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
@@ -40,10 +56,11 @@ const (
 	// trailerSize is the fixed tail: u32 footer frame size + 4-byte magic.
 	trailerSize = 8
 	// footerVersion versions the footer payload independently of the file.
-	// Version 2 writes its times in the codec's seconds + nanoseconds
-	// (version 1 wrote UnixNano, which wraps outside 1678–2262); footers at
-	// another version are refused, not read.
-	footerVersion = 2
+	// Version 3 adds the string dictionary the data frames index and the
+	// tuple runs' spans; version 2 wrote strings inline, version 1 times as
+	// UnixNano, which wraps outside 1678–2262. Footers at another version
+	// are refused, not read.
+	footerVersion = 3
 )
 
 var (
@@ -68,23 +85,28 @@ func corruptf(path, format string, args ...any) error {
 
 // RunMeta is one footer directory entry: which run the data frame at Off
 // holds, without decoding it. Start/Count give the run's logical positional
-// range; Stops counts stop episodes inside episode runs (so recovery
-// re-commits exact kind totals without decoding).
+// range; Stops counts the stops inside episode and tuple runs (so recovery
+// re-commits exact kind totals without decoding, and a scan knows the
+// kinds a run holds). TimeMin and TimeMax are a tuple run's span: its
+// tuples' least TimeIn and greatest TimeOut (see wal.Span).
 type RunMeta struct {
-	Op     store.MutationOp
-	Object string
-	Traj   string
-	Interp string
-	Start  int
-	Count  int
-	Stops  int
-	Off    int64
+	Op               store.MutationOp
+	Object           string
+	Traj             string
+	Interp           string
+	Start            int
+	Count            int
+	Stops            int
+	TimeMin, TimeMax time.Time
+	Off              int64
 }
 
-// Footer is a segment's decoded footer: the planner summary plus the run
-// directory, in emission (= frame) order.
+// Footer is a segment's decoded footer: the planner summary, the string
+// dictionary the data frames index, and the run directory, in emission (=
+// frame) order.
 type Footer struct {
 	Summary store.SegmentSummary
+	Dict    []string
 	Runs    []RunMeta
 }
 
@@ -93,10 +115,31 @@ func isTupleRun(op store.MutationOp) bool {
 	return op == store.MutPutStructured || op == store.MutAppendTuples
 }
 
+// mayHold reports whether the tuple run meta may hold a tuple keep admits
+// (every run may when keep is nil). keep is monotone in the times
+// (store.TupleFilter), so asking it of the run's span once per kind the
+// run holds refuses only runs that hold no admitted tuple.
+func (meta *RunMeta) mayHold(keep store.TupleFilter) bool {
+	return keep == nil ||
+		meta.Stops > 0 && keep(episode.Stop, meta.TimeMin, meta.TimeMax) ||
+		meta.Stops < meta.Count && keep(episode.Move, meta.TimeMin, meta.TimeMax)
+}
+
 // encodeFooter serialises a footer into its frame payload through the WAL
 // codec's primitives. Count maps are written with sorted keys, so footer
-// bytes are deterministic.
+// bytes are deterministic. The dictionary written is f.Dict, a string it
+// repeats kept at its first index, with any run key it lacks appended (a
+// writer's dictionary holds every run key already).
 func encodeFooter(f *Footer) []byte {
+	var dict wal.Dict
+	for _, str := range f.Dict {
+		dict.Index(str)
+	}
+	for i := range f.Runs {
+		dict.Index(f.Runs[i].Object)
+		dict.Index(f.Runs[i].Traj)
+		dict.Index(f.Runs[i].Interp)
+	}
 	var e wal.Encoder
 	s := &f.Summary
 	e.U8(footerVersion)
@@ -119,16 +162,24 @@ func encodeFooter(f *Footer) []byte {
 	for _, w := range s.Objects.Bits {
 		e.U64(w)
 	}
+	e.Uv(uint64(len(dict.Strings)))
+	for _, str := range dict.Strings {
+		e.Str(str)
+	}
 	e.Uv(uint64(len(f.Runs)))
 	for i := range f.Runs {
 		r := &f.Runs[i]
 		e.U8(byte(r.Op))
-		e.Str(r.Object)
-		e.Str(r.Traj)
-		e.Str(r.Interp)
+		e.Uv(dict.Index(r.Object))
+		e.Uv(dict.Index(r.Traj))
+		e.Uv(dict.Index(r.Interp))
 		e.Uv(uint64(r.Start))
 		e.Uv(uint64(r.Count))
 		e.Uv(uint64(r.Stops))
+		if isTupleRun(r.Op) {
+			e.Time(r.TimeMin)
+			e.Time(r.TimeMax)
+		}
 		e.Uv(uint64(r.Off))
 	}
 	return e.Bytes()
@@ -170,9 +221,15 @@ func decodeFooter(payload []byte) (*Footer, error) {
 			s.Objects.Bits[i] = d.U64()
 		}
 	}
-	f.Runs = make([]RunMeta, d.Count(8)) // an op byte, three strings, four varints
+	f.Dict = make([]string, d.Count(1)) // a length byte
+	for i := range f.Dict {
+		f.Dict[i] = d.Str()
+	}
+	d.SetDict(f.Dict)
+	f.Runs = make([]RunMeta, d.Count(8)) // an op byte, three indexes, four varints
 	for i := range f.Runs {
-		f.Runs[i] = RunMeta{
+		r := &f.Runs[i]
+		*r = RunMeta{
 			Op:     store.MutationOp(d.U8()),
 			Object: d.Str(),
 			Traj:   d.Str(),
@@ -180,8 +237,12 @@ func decodeFooter(payload []byte) (*Footer, error) {
 			Start:  int(d.Uv()),
 			Count:  int(d.Uv()),
 			Stops:  int(d.Uv()),
-			Off:    int64(d.Uv()),
 		}
+		if isTupleRun(r.Op) {
+			r.TimeMin = d.Time()
+			r.TimeMax = d.Time()
+		}
+		r.Off = int64(d.Uv())
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("segment: malformed footer payload: %w", err)

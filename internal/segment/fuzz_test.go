@@ -39,16 +39,20 @@ func allocatedBy(fn func()) uint64 {
 
 // FuzzDecodeFooter drives the segment footer decoder — every segment open
 // runs it on the file's last frame — with arbitrary payloads, seeded with
-// an encoding of a footer with every field set. Invariant: decoding returns
-// an error, or decode → encode → decode → encode is a fixed point (the
-// first decode may drop what encoding canonicalises: duplicate map keys,
-// the map order); it never panics and never allocates more than
+// an encoding of a footer with every field set (its string dictionary and
+// tuple run spans among them) and with a run directory indexing past its
+// dictionary. Invariant: decoding returns an error, or decode → encode →
+// decode → encode is a fixed point (the first decode may drop what
+// encoding canonicalises: duplicate map keys, the map order, a repeated
+// dictionary string); it never panics and never allocates more than
 // footerAllocBound.
 func FuzzDecodeFooter(f *testing.F) {
 	full := encodeFooter(testFooter())
 	f.Add(full)
 	f.Add(full[:len(full)/2])
 	f.Add(encodeFooter(&Footer{}))
+	f.Add(oneRunFooter(0))
+	f.Add(oneRunFooter(1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if n := allocatedBy(func() { _, _ = decodeFooter(payload) }); n > footerAllocBound(len(payload)) {
@@ -71,11 +75,14 @@ func FuzzDecodeFooter(f *testing.F) {
 
 // FuzzRecoverFooter drives recovery with arbitrary footers over real data
 // frames: a directory holds a first segment as written and a second whose
-// data frames — one run of every op, merge frames included — are kept
-// while the fuzz input stands in for its footer payload, re-framed with a
-// valid CRC and trailer. Invariant: Recover returns an error, or a store
-// whose reads of every key either footer lists, keyed and scan alike, do
-// not panic.
+// data frames — one run of every op, merge frames included, their strings
+// indexes into the written dictionary — are kept while the fuzz input
+// stands in for its footer payload, re-framed with a valid CRC and
+// trailer. It is seeded with the written footer, with it cut short, with
+// its tuple runs' stop counts and spans changed, and with its dictionary
+// cut to the run keys (so frames index past its end or name other
+// strings). Invariant: Recover returns an error, or a store whose reads of
+// every key either footer lists, keyed and scan alike, do not panic.
 func FuzzRecoverFooter(f *testing.F) {
 	dir := f.TempDir()
 	st, tier, _, err := Recover(dir, 4)
@@ -125,6 +132,22 @@ func FuzzRecoverFooter(f *testing.F) {
 	f.Add(footer)
 	f.Add(footer[:len(footer)/2])
 	f.Add(encodeFooter(&Footer{}))
+	for _, edit := range []func(*Footer){
+		func(foot *Footer) {
+			for i := range foot.Runs {
+				foot.Runs[i].Stops++
+				foot.Runs[i].TimeMin, foot.Runs[i].TimeMax = foot.Runs[i].TimeMax, foot.Runs[i].TimeMin
+			}
+		},
+		func(foot *Footer) { foot.Dict = nil },
+	} {
+		foot, err := decodeFooter(footer)
+		if err != nil {
+			f.Fatal(err)
+		}
+		edit(foot)
+		f.Add(encodeFooter(foot))
+	}
 
 	// One directory serves every input (a fuzz worker runs its inputs one
 	// at a time); both files are rewritten in full before each recovery.

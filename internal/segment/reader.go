@@ -13,28 +13,27 @@ import (
 // Reader is one open, validated segment file. Open verifies the whole file —
 // header, trailer, footer CRC and every data frame's CRC — so a torn or
 // bit-flipped segment is rejected up front and later decode calls operate on
-// known-good bytes. Decoding itself stays lazy: runs are materialised one
-// frame at a time, on demand, through a pooled cursor.
+// known-good bytes, and decodes the footer, its string dictionary included,
+// once. Decoding itself stays lazy: runs are materialised one frame at a
+// time, on demand, through a pooled cursor, each string an index into the
+// dictionary.
 type Reader struct {
 	path string
 	blob wal.Blob
 	foot *Footer
 }
 
-// cursor is the pooled per-call decode state: the pread frame buffer, the
-// decoder's string-interning table and the memory projected decodes build
-// in. Pooling keeps steady-state cold reads allocation-lean — repeated ids
-// and annotation keys collapse onto shared strings instead of reallocating
-// per frame, and a projected scan reuses one run's tuples for the next.
+// cursor is the pooled per-call decode state: the pread frame buffer and
+// the memory projected decodes build in. Pooling keeps steady-state cold
+// reads allocation-lean — a projected scan reuses one run's tuples for the
+// next. It holds no string table: a segment's strings are its footer's
+// dictionary, shared by every decode of the segment.
 type cursor struct {
-	buf      []byte
-	interned map[string]string
-	tuples   wal.TupleBuf
+	buf    []byte
+	tuples wal.TupleBuf
 }
 
-var cursorPool = sync.Pool{New: func() any {
-	return &cursor{interned: make(map[string]string)}
-}}
+var cursorPool = sync.Pool{New: func() any { return &cursor{} }}
 
 func getCursor() *cursor  { return cursorPool.Get().(*cursor) }
 func putCursor(c *cursor) { cursorPool.Put(c) }
@@ -125,18 +124,19 @@ func (r *Reader) validate() error {
 func (r *Reader) Footer() *Footer { return r.foot }
 
 // mutationAt decodes the run frame at off, building only the tuples and
-// fields read asks for (see wal.DecodeMutation). The returned mutation owns
-// its memory (the decoder copies strings and payloads out of the frame
+// fields read asks for, and reports the span of all its tuples (see
+// wal.DecodeRun). The returned mutation owns its memory (its strings are
+// the dictionary's, and the decoder copies payloads out of the frame
 // buffer), except that projected tuples live in cur until its next
 // projected decode.
-func (r *Reader) mutationAt(off int64, cur *cursor, read store.TupleRead) (store.Mutation, error) {
+func (r *Reader) mutationAt(off int64, cur *cursor, read store.TupleRead) (store.Mutation, wal.Span, error) {
 	payload, n, err := r.blob.Frame(off, &cur.buf)
 	if err != nil {
-		return store.Mutation{}, err
+		return store.Mutation{}, wal.Span{}, err
 	}
 	obs.SegmentColdReads.Inc()
 	obs.SegmentColdBytes.Add(int64(n))
-	return wal.DecodeMutation(payload, cur.interned, read, &cur.tuples)
+	return wal.DecodeRun(payload, r.foot.Dict, read, &cur.tuples)
 }
 
 // Close releases the mapping or file handle.

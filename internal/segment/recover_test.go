@@ -1,10 +1,12 @@
 package segment
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"semitri/internal/core"
 	"semitri/internal/geo"
@@ -101,6 +103,92 @@ func TestColdReadsCountUndecodableRun(t *testing.T) {
 	}
 	if got := st2.Records("obj-1"); len(got) != len(want.Records["obj-1"]) {
 		t.Fatalf("Records(obj-1) = %d records, want %d", len(got), len(want.Records["obj-1"]))
+	}
+}
+
+// rewriteFooter decodes the footer of the segment file at path, lets edit
+// change it, and writes the file back with the re-encoded footer, framed
+// and trailed as a writer would.
+func rewriteFooter(t *testing.T, path string, edit func(*Footer)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footSize := int(binary.LittleEndian.Uint32(data[len(data)-trailerSize:]))
+	body := data[:len(data)-trailerSize-footSize]
+	payload, _, err := wal.ParseFrame(data[len(body):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	foot, err := decodeFooter(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(foot)
+	out := wal.AppendFrame(append([]byte(nil), body...), encodeFooter(foot))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(out)-len(body)))
+	out = append(out, trailerMagic[:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunEntryMismatchCountsBadRun pins the integrity check of a tuple
+// run's directory fields: a run whose decoded stop count or span differs
+// from its directory entry is refused by every read, keyed and scan alike,
+// and counted in BadRuns. Each edit keeps the span wide enough that the
+// scan does not skip the run unread.
+func TestRunEntryMismatchCountsBadRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*RunMeta)
+	}{
+		{"stops", func(m *RunMeta) { m.Stops++ }},
+		{"least TimeIn", func(m *RunMeta) { m.TimeMin = m.TimeMin.Add(-time.Second) }},
+		{"greatest TimeOut", func(m *RunMeta) { m.TimeMax = m.TimeMax.Add(time.Nanosecond) }},
+	} {
+		dir := t.TempDir()
+		st, tier := newTiered(t, dir, 4)
+		populate(t, st, 2, 10)
+		if err := tier.Freeze(st); err != nil {
+			t.Fatal(err)
+		}
+		want := capture(st)
+		tier.Close()
+		paths, _, _, err := listSegmentFiles(dir)
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("want 1 segment, got %v (%v)", paths, err)
+		}
+		rewriteFooter(t, paths[0], func(f *Footer) {
+			for i := range f.Runs {
+				if isTupleRun(f.Runs[i].Op) && f.Runs[i].Traj == "t-0" {
+					c.edit(&f.Runs[i])
+				}
+			}
+		})
+		st2, tier2, _, err := Recover(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := st2.Structured("t-0", "merged"); !ok || len(got.Tuples) != 0 {
+			t.Fatalf("%s: Structured read %v tuples from a run its entry misdescribes", c.name, got)
+		}
+		scanned := 0
+		st2.VisitColdSegmentTuples(0, "", func(ref store.TupleRef, _ core.EpisodeTuple) bool {
+			if ref.TrajectoryID != "t-1" {
+				t.Fatalf("%s: scan returned a tuple of %s", c.name, ref.TrajectoryID)
+			}
+			scanned++
+			return true
+		})
+		if w := len(want.Structured["t-1/merged"].Tuples); scanned != w {
+			t.Fatalf("%s: scan returned %d tuples of t-1, want %d", c.name, scanned, w)
+		}
+		if n := tier2.BadRuns(); n != 2 {
+			t.Fatalf("%s: BadRuns = %d after two reads of a misdescribed run, want 2", c.name, n)
+		}
+		tier2.Close()
 	}
 }
 

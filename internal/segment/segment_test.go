@@ -443,15 +443,39 @@ func testFooter() *Footer {
 			GeomCount:  5,
 			Objects:    store.NewObjectFilter(3),
 		},
+		Dict: []string{"o1", "", "t1", "merged", "café"},
 		Runs: []RunMeta{
 			{Op: store.MutPutRecords, Object: "o1", Start: 0, Count: 12, Off: 8},
 			{Op: store.MutAppendTuples, Object: "o1", Traj: "t1", Interp: "merged",
-				Start: 4, Count: 3, Off: 640},
+				Start: 4, Count: 3, Stops: 1, TimeMin: ts(3), TimeMax: ts(90), Off: 640},
+			{Op: store.MutPutStructured, Object: "o1", Traj: "t1", Interp: "merged",
+				Count: 2, TimeMax: ts(7), Off: 700}, // untimed first tuple: TimeMin is zero
 			{Op: store.MutPutEpisodes, Traj: "t1", Count: 6, Stops: 2, Off: 99},
 		},
 	}
 	foot.Summary.Objects.Add("o1")
 	return foot
+}
+
+// oneRunFooter is a footer payload whose dictionary holds the one string
+// "o" and whose one run, of records, names its object by the index object.
+func oneRunFooter(object uint64) []byte {
+	var e wal.Encoder
+	e.U8(footerVersion)
+	e.Time(time.Time{})
+	e.Time(time.Time{})
+	for range 5 { // stops, moves, the two count maps, no geometry
+		e.Uv(0)
+	}
+	e.Uv(0) // no bloom words
+	e.Uv(1) // the dictionary
+	e.Str("o")
+	e.Uv(1) // the run directory
+	e.U8(byte(store.MutPutRecords))
+	for _, v := range []uint64{object, 0, 0, 0, 1, 0, wal.FileHeaderSize} {
+		e.Uv(v)
+	}
+	return e.Bytes()
 }
 
 func TestFooterRoundTrip(t *testing.T) {
@@ -469,6 +493,14 @@ func TestFooterRoundTrip(t *testing.T) {
 			t.Fatalf("footer round trip:\nwant %+v\ngot  %+v", foot, got)
 		}
 	}
+	// A run naming its key by an index past the dictionary's end is a
+	// malformed footer; the same footer with the index in range decodes.
+	if foot, err := decodeFooter(oneRunFooter(0)); err != nil || len(foot.Runs) != 1 || foot.Runs[0].Object != "o" {
+		t.Fatalf("in-range footer decodes to %+v, %v", foot, err)
+	}
+	if _, err := decodeFooter(oneRunFooter(1)); err == nil {
+		t.Fatal("a run index past the dictionary's end decoded")
+	}
 	// Arbitrary truncations must error, never panic.
 	full := encodeFooter(testFooter())
 	for i := 0; i < len(full); i++ {
@@ -482,7 +514,7 @@ func TestFooterRoundTrip(t *testing.T) {
 // mutation list: two objects through populate, then one Freeze. The data
 // frames, the footer frame and the trailer all count, so a change to the
 // framing routine or to the footer encoding shows here.
-const segmentFileSHA256 = "374793262fdd6c5288127a2b36b43b1c0576996feb09b0098b2781ed87da39c0"
+const segmentFileSHA256 = "f7c80118331338749f7f78de02f2308e4593de2037adb8bfdb8dc62227aa47c4"
 
 func TestSegmentFileGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -789,16 +821,18 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 	fileVersion := func(v uint32) func([]byte) {
 		return func(data []byte) { binary.LittleEndian.PutUint32(data[4:8], v) }
 	}
-	// footerVersion1 rewrites the footer's version byte and re-frames it in
-	// place: the frame keeps its size, so the trailer still finds it.
-	footerVersion1 := func(data []byte) {
-		off := len(data) - trailerSize - int(binary.LittleEndian.Uint32(data[len(data)-trailerSize:]))
-		payload, _, err := wal.ParseFrame(data[off:])
-		if err != nil {
-			t.Fatal(err)
+	// footerVersionOf rewrites the footer's version byte and re-frames it
+	// in place: the frame keeps its size, so the trailer still finds it.
+	footerVersionOf := func(v byte) func([]byte) {
+		return func(data []byte) {
+			off := len(data) - trailerSize - int(binary.LittleEndian.Uint32(data[len(data)-trailerSize:]))
+			payload, _, err := wal.ParseFrame(data[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload[0] = v
+			copy(data[off:], wal.AppendFrame(nil, payload))
 		}
-		payload[0] = 1
-		copy(data[off:], wal.AppendFrame(nil, payload))
 	}
 	cases := []struct {
 		format    string
@@ -807,7 +841,8 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 	}{
 		{"segment", formatVersion - 1, formatVersion, fileVersion(formatVersion - 1)},
 		{"segment", formatVersion + 1, formatVersion, fileVersion(formatVersion + 1)},
-		{"segment footer", 1, footerVersion, footerVersion1},
+		{"segment footer", 1, footerVersion, footerVersionOf(1)},
+		{"segment footer", 2, footerVersion, footerVersionOf(2)}, // strings inline, no run spans
 	}
 	for _, c := range cases {
 		dir := t.TempDir()

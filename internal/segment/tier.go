@@ -36,7 +36,9 @@ type Tier struct {
 
 	mu   sync.RWMutex
 	segs []*Reader // live segments, oldest first; append-only
-	// scan[i] lists the entry indexes of segment i's live tuple runs.
+	// scan[i] lists the entry indexes of segment i's live tuple runs. A
+	// list is copy-on-write (see dropScan): a scan shares the list it read
+	// under the lock, and no write reaches it.
 	scan [][]int
 	// runs maps each frozen key to its committed runs, in position order.
 	runs map[tierKey][]runRef
@@ -108,13 +110,14 @@ func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 func (t *Tier) BadRuns() int64 { return t.badRuns.Load() }
 
 // decode reads one run's data frame, building only the tuples and fields
-// read asks for (see wal.DecodeMutation). A frame that does not decode, or
-// that decodes to another run than its directory entry names, is counted in
-// BadRuns and reported as not ok: the reader leaves the run's positions
-// unread rather than failing, and Pipeline.Health reports the count.
+// read asks for (see wal.DecodeRun). A frame that does not decode, or that
+// decodes to another run than its directory entry names — another key,
+// range, stop count or span — is counted in BadRuns and reported as not
+// ok: the reader leaves the run's positions unread rather than failing, and
+// Pipeline.Health reports the count.
 func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor, read store.TupleRead) (store.Mutation, bool) {
-	m, err := r.mutationAt(meta.Off, cur, read)
-	if err == nil && runMeta(m, meta.Off) == *meta {
+	m, span, err := r.mutationAt(meta.Off, cur, read)
+	if err == nil && runMeta(m, span, meta.Off) == *meta {
 		return m, true
 	}
 	t.badRuns.Add(1)
@@ -235,24 +238,36 @@ func (t *Tier) InvalidateTuples(trajectoryID, interpretation string) {
 	// Drop the key's scan entries everywhere — including a pending run a
 	// freeze registered but has not committed yet (its commit will fail on
 	// the generation bump this replace made).
-	for seg, ents := range t.scan {
-		t.scan[seg] = slices.DeleteFunc(ents, func(ent int) bool {
+	for seg := range t.scan {
+		t.dropScan(seg, func(ent int) bool {
 			meta := &t.segs[seg].foot.Runs[ent]
 			return meta.Traj == trajectoryID && meta.Interp == interpretation
 		})
 	}
 }
 
+// dropScan removes the entries drop selects from segment seg's scan list.
+// It builds a new list when it drops any, and never writes the old one,
+// which scans in flight share. Caller holds mu (write).
+func (t *Tier) dropScan(seg int, drop func(ent int) bool) {
+	if slices.ContainsFunc(t.scan[seg], drop) {
+		t.scan[seg] = slices.DeleteFunc(slices.Clone(t.scan[seg]), drop)
+	}
+}
+
 // VisitSegmentTuples implements store.ColdTier: the live frozen tuples of
 // one segment below each key's bound that read keeps, decoded lazily run by
-// run. The decoder reads each tuple's kind, place and times first and skips
-// the rest of a tuple read.Keep refuses without building it; a projected
-// read builds a kept tuple's projected fields alone, into the cursor's
-// memory, which the next run reuses. The merge overlay, applied by the
-// store after this visit, cannot make a refused tuple match: a merge never
-// changes a tuple's kind or times (store.TupleFilter). The scan list is
-// snapshotted under the read lock and the lock released before any decoding
-// or callback — fn may take stripe locks.
+// run. A run whose directory entry shows it holds no tuple read.Keep admits
+// — Keep refuses the run's span for each kind the run holds — is skipped
+// unread: no frame read, no checksum, no bound asked, no decode. In a run
+// it reads, the decoder reads each tuple's kind, place and times first and
+// skips the rest of a tuple read.Keep refuses without building it; a
+// projected read builds a kept tuple's projected fields alone, into the
+// cursor's memory, which the next run reuses. The merge overlay, applied by
+// the store after this visit, cannot make a refused tuple match: a merge
+// never changes a tuple's kind or times (store.TupleFilter). The scan list
+// is read under the read lock, shared (it is copy-on-write), and the lock
+// released before any decoding or callback — fn may take stripe locks.
 func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.TupleRead, below func(traj, interp string) int, fn func(ref store.TupleRef, tp *core.EpisodeTuple) bool) bool {
 	t.mu.RLock()
 	if seg < 0 || seg >= len(t.segs) {
@@ -260,13 +275,13 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.Tup
 		return true
 	}
 	r := t.segs[seg]
-	ents := append([]int(nil), t.scan[seg]...)
+	ents := t.scan[seg]
 	t.mu.RUnlock()
 	cur := getCursor()
 	defer putCursor(cur)
 	for _, ent := range ents {
 		meta := &r.foot.Runs[ent]
-		if interpretation != "" && meta.Interp != interpretation {
+		if interpretation != "" && meta.Interp != interpretation || !meta.mayHold(read.Keep) {
 			continue
 		}
 		n := below(meta.Traj, meta.Interp) - meta.Start
@@ -351,7 +366,7 @@ func (t *Tier) commit(st *store.Store, seg int, mark *store.FreezeMark) {
 		t.mu.Unlock()
 	})
 	t.mu.Lock()
-	t.scan[seg] = slices.DeleteFunc(t.scan[seg], func(ent int) bool { return !live[ent] })
+	t.dropScan(seg, func(ent int) bool { return !live[ent] })
 	t.mu.Unlock()
 	obs.SegmentFreezes.Inc()
 }
@@ -394,7 +409,7 @@ func (t *Tier) indexRun(rr runRef) []runRef {
 		case t.meta(old).Start < meta.Start:
 			kept = append(kept, old)
 		case isTupleRun(meta.Op):
-			t.scan[old.seg] = slices.DeleteFunc(t.scan[old.seg], func(ent int) bool { return ent == old.ent })
+			t.dropScan(old.seg, func(ent int) bool { return ent == old.ent })
 		}
 	}
 	t.runs[k] = append(kept, rr)

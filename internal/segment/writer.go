@@ -25,6 +25,7 @@ type Writer struct {
 	buf  []byte
 
 	foot    Footer
+	dict    wal.Dict        // every string of the data frames, for the footer
 	objects map[string]bool // distinct tuple-owning objects, for the bloom
 }
 
@@ -46,26 +47,30 @@ func newWriter(dir string, seq uint64) (*Writer, error) {
 	return w, nil
 }
 
-// add appends one emitted run as a data frame and records its directory
-// entry. It is CollectTail's emit callback: the mutation's payload slices are
-// only stable until it returns, which is fine — the frame encoder serialises
-// them immediately.
+// add appends one emitted run as a data frame, its strings added to the
+// segment's dictionary, and records its directory entry. It is
+// CollectTail's emit callback: the mutation's payload slices are only
+// stable until it returns, which is fine — the frame encoder serialises
+// them immediately (and strings are immutable).
 func (w *Writer) add(m store.Mutation) error {
+	var span wal.Span
 	if isTupleRun(m.Op) {
 		w.summarise(&m)
+		span = wal.SpanOf(m.Tuples)
 	}
-	w.buf = wal.AppendMutationFrame(w.buf[:0], m)
+	w.buf = wal.AppendMutationFrame(w.buf[:0], m, &w.dict)
 	if _, err := w.bw.Write(w.buf); err != nil {
 		return err
 	}
-	w.foot.Runs = append(w.foot.Runs, runMeta(m, w.off))
+	w.foot.Runs = append(w.foot.Runs, runMeta(m, span, w.off))
 	w.off += int64(len(w.buf))
 	return nil
 }
 
-// runMeta is the directory entry of the run m, framed at off: the writer
-// files it, and a read checks a decoded frame against it.
-func runMeta(m store.Mutation, off int64) RunMeta {
+// runMeta is the directory entry of the run m, framed at off, whose tuples
+// (if any) span span: the writer files it, and a read checks a decoded
+// frame against it.
+func runMeta(m store.Mutation, span wal.Span, off int64) RunMeta {
 	meta := RunMeta{Op: m.Op, Object: m.ObjectID, Traj: m.TrajectoryID,
 		Interp: m.Interpretation, Start: m.Start, Off: off}
 	switch m.Op {
@@ -82,6 +87,7 @@ func runMeta(m store.Mutation, off int64) RunMeta {
 		}
 	case store.MutPutStructured, store.MutAppendTuples:
 		meta.Count = len(m.Tuples)
+		meta.Stops, meta.TimeMin, meta.TimeMax = span.Stops, span.Min, span.Max
 	}
 	return meta
 }
@@ -134,6 +140,7 @@ func (w *Writer) finish() error {
 	for obj := range w.objects {
 		s.Objects.Add(obj)
 	}
+	w.foot.Dict = w.dict.Strings
 	w.buf = wal.AppendFrame(w.buf[:0], encodeFooter(&w.foot))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(w.buf)))
 	w.buf = append(w.buf, trailerMagic[:]...)

@@ -72,9 +72,11 @@ type ColdTier interface {
 	// one segment (every interpretation when interpretation is empty), with
 	// their logical refs. Before it decodes a run it asks below for the
 	// bound of the run's key, and reads only the run's positions under it:
-	// a run that starts at or above its bound is not decoded. Of those it
-	// calls fn for the tuples read.Keep admits, built as read.Project says.
-	// It reports false when fn stopped the visit early.
+	// a run that starts at or above its bound is not decoded, nor is a run
+	// whose kinds and span read.Keep refuses (see TupleFilter), for which
+	// below is not asked. Of those it reads it calls fn for the tuples
+	// read.Keep admits, built as read.Project says. It reports false when
+	// fn stopped the visit early.
 	VisitSegmentTuples(seg int, interpretation string, read TupleRead, below func(traj, interp string) int, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool
 }
 
@@ -83,6 +85,14 @@ type ColdTier interface {
 // timeOut, may match. A tuple it refuses is never built. The filter is
 // exact under the merge overlay, because a merge (EpisodeTuple.Merged)
 // never changes a tuple's kind or times.
+//
+// A filter must be monotone in the times: if it admits (kind, in, out), it
+// admits (kind, in', out') for every in' at or before in and out' at or
+// after out, the zero time being the least. A scan relies on it to skip a
+// whole run unread when the filter refuses the run's span — its least
+// TimeIn and greatest TimeOut — for every kind the run holds. The query
+// form's clauses (TimeOut at or after lo, TimeIn at or before hi) are
+// monotone.
 type TupleFilter func(kind episode.Kind, timeIn, timeOut time.Time) bool
 
 // TupleRead is what a segment scan asks of the tuple decoder: the tuples to
@@ -110,11 +120,11 @@ type Projection struct {
 	Episode bool
 }
 
-// Key returns the listed key equal to the bytes b, if any: the
-// projection's own string, so a decoder never interns a key.
-func (p *Projection) Key(b []byte) (string, bool) {
+// Key returns the listed key equal to s, if any: the projection's own
+// string, so a decoder never interns a key.
+func (p *Projection) Key(s string) (string, bool) {
 	for _, k := range p.AnnKeys {
-		if string(b) == k {
+		if s == k {
 			return k, true
 		}
 	}
@@ -280,35 +290,65 @@ func (s *Store) ColdSummaries(buf []SegmentSummary) []SegmentSummary {
 func (s *Store) VisitColdSegmentTuples(seg int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
 	var c Cut
 	s.TakeCut(interpretation, &c)
-	return s.VisitColdSegmentTuplesFiltered(&c, seg, TupleRead{}, func(ref TupleRef, t *core.EpisodeTuple) bool {
+	return s.NewSegmentVisitor(&c, TupleRead{}, func(ref TupleRef, t *core.EpisodeTuple) bool {
 		return fn(ref, *t)
-	})
+	}).Visit(seg)
 }
 
-// VisitColdSegmentTuplesFiltered calls fn for every tuple of one cold
-// segment that the cut reads from the segment (see Cut) and read keeps,
-// built as read projects it, with the overlay of the cut's view of its key
-// applied: a parallel scan's per-segment work unit. The tier skips the
-// tuples read refuses while decoding, and the overlay cannot turn a refused
-// tuple into an admitted one (see TupleFilter). fn must not keep t past
-// its return when read projects.
-func (s *Store) VisitColdSegmentTuplesFiltered(c *Cut, seg int, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool {
-	ct := s.coldTier()
+// SegmentVisitor visits cold segments through one cut, one segment per
+// Visit: a parallel scan's per-segment work unit. A worker builds one and
+// visits every segment it is handed with it, so a visit allocates nothing
+// of its own. It is not safe for concurrent use.
+type SegmentVisitor struct {
+	st   *Store
+	c    *Cut
+	read TupleRead
+	fn   func(ref TupleRef, t *core.EpisodeTuple) bool
+	// v is the cut's view of the key whose run the tier is visiting.
+	v *keyView
+	// below and overlay are the tier's callbacks, bound once.
+	below   func(traj, interp string) int
+	overlay func(ref TupleRef, t *core.EpisodeTuple) bool
+}
+
+// NewSegmentVisitor returns a visitor that calls fn for every tuple of a
+// cold segment that the cut reads from it (see Cut) and read keeps, built
+// as read projects it, with the overlay of the cut's view of its key
+// applied. The tier skips the tuples read refuses while decoding, and the
+// overlay cannot turn a refused tuple into an admitted one (see
+// TupleFilter). fn must not keep t past its return when read projects.
+func (s *Store) NewSegmentVisitor(c *Cut, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) *SegmentVisitor {
+	sv := &SegmentVisitor{st: s, c: c, read: read, fn: fn}
+	sv.below, sv.overlay = sv.base, sv.apply
+	return sv
+}
+
+// Visit visits cold segment seg. It reports false when fn stopped the
+// visit early.
+func (sv *SegmentVisitor) Visit(seg int) bool {
+	ct := sv.st.coldTier()
 	if ct == nil {
 		return true
 	}
-	var v *keyView
-	return ct.VisitSegmentTuples(seg, c.interp, read, func(traj, interp string) int {
-		if v = c.find(tupKey{traj, interp}); v == nil {
-			return 0
-		}
-		return v.base
-	}, func(ref TupleRef, t *core.EpisodeTuple) bool {
-		if ov := v.overlay[ref.Index]; ov != nil {
-			t = ov
-		}
-		return fn(ref, t)
-	})
+	return ct.VisitSegmentTuples(seg, sv.c.interp, sv.read, sv.below, sv.overlay)
+}
+
+// base is the cut's frozen base of a key, the bound the tier reads a run
+// under, and selects the key's view for apply.
+func (sv *SegmentVisitor) base(traj, interp string) int {
+	if sv.v = sv.c.find(tupKey{traj, interp}); sv.v == nil {
+		return 0
+	}
+	return sv.v.base
+}
+
+// apply hands fn the tuple at ref, or the overlay's tuple that stands in
+// for it.
+func (sv *SegmentVisitor) apply(ref TupleRef, t *core.EpisodeTuple) bool {
+	if ov := sv.v.overlay[ref.Index]; ov != nil {
+		t = ov
+	}
+	return sv.fn(ref, t)
 }
 
 // sortedTupleKeys returns a shard's structured keys in deterministic order.

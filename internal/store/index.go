@@ -182,7 +182,7 @@ func (sh *shard) appendViews(buf []keyView, interpretation string) []keyView {
 // stripe by stripe before the scan captures the segment list. The scan
 // reads a key's positions at or above its view's base from the view's heap
 // tail (VisitShard), and those below it from the segments
-// (VisitColdSegmentTuplesFiltered), with the view's overlay applied. A
+// (SegmentVisitor), with the view's overlay applied. A
 // freeze registers its segment before it commits any run of it, and a
 // key's base moves over a run only when the run commits: a view taken
 // before that commit reads the run's positions from its own tail, since in
@@ -465,8 +465,9 @@ func (s *Store) VisitStructuredTuples(interpretation string, fn func(ref TupleRe
 	var c Cut
 	s.TakeCut(interpretation, &c)
 	visit := func(ref TupleRef, t *core.EpisodeTuple) bool { return fn(ref, *t) }
+	sv := s.NewSegmentVisitor(&c, TupleRead{}, visit)
 	for seg, n := 0, s.ColdSegmentCount(); seg < n; seg++ {
-		if !s.VisitColdSegmentTuplesFiltered(&c, seg, TupleRead{}, visit) {
+		if !sv.Visit(seg) {
 			return
 		}
 	}

@@ -26,8 +26,9 @@ func frameCRC(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) 
 // (and, through the exported primitives of Encoder and Decoder, of the
 // segment footer — one codec for every durable byte), hand-rolled so the
 // streaming hot path pays a handful of byte appends per record instead of
-// a reflective marshal. Strings are
-// varint-length-prefixed, counts and non-negative integers are unsigned
+// a reflective marshal. Strings are varint-length-prefixed in the log and
+// varint indexes into the segment's string dictionary in a segment's data
+// frames (see Dict), counts and non-negative integers are unsigned
 // LEB128 varints (WAL volume directly prices the fsync a group commit
 // pays, so every elided byte matters), floats are raw IEEE-754 bits (exact
 // round trip, including ±Inf from empty rects), times are a presence byte
@@ -44,7 +45,34 @@ var errCorrupt = errors.New("wal: corrupt frame payload")
 
 // Encoder appends the codec's primitives to a byte slice; the zero value
 // starts an empty one.
-type Encoder struct{ b []byte }
+type Encoder struct {
+	b []byte
+	// dict, when set, is where Str writes its strings: a string becomes a
+	// varint index into it. Nil writes them inline.
+	dict *Dict
+}
+
+// Dict is a string dictionary as an encoder builds it: each distinct string
+// takes the next index, in order of first use. A segment writes one for all
+// of its data frames and stores it in its footer.
+type Dict struct {
+	index   map[string]uint64
+	Strings []string
+}
+
+// Index returns s's index, adding s when it is new.
+func (d *Dict) Index(s string) uint64 {
+	if i, ok := d.index[s]; ok {
+		return i
+	}
+	if d.index == nil {
+		d.index = map[string]uint64{}
+	}
+	i := uint64(len(d.Strings))
+	d.index[s] = i
+	d.Strings = append(d.Strings, s)
+	return i
+}
 
 // Bytes returns the encoding so far.
 func (e *Encoder) Bytes() []byte { return e.b }
@@ -59,7 +87,13 @@ func (e *Encoder) Uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 // Iv appends a zigzag-encoded signed varint.
 func (e *Encoder) Iv(v int64) { e.b = binary.AppendVarint(e.b, v) }
 
+// Str appends a string: its index in the encoder's dictionary when it has
+// one, and otherwise its varint length and its bytes.
 func (e *Encoder) Str(s string) {
+	if e.dict != nil {
+		e.Uv(e.dict.Index(s))
+		return
+	}
 	e.Uv(uint64(len(s)))
 	e.b = append(e.b, s...)
 }
@@ -212,9 +246,15 @@ type Decoder struct {
 	b   []byte
 	off int
 	err error
-	// interned deduplicates decoded strings across frames (see strShared).
-	// Nil disables interning.
+	// dict, when set, is where every string read comes from: the payload
+	// holds a varint index into it, bounds-checked (see SetDict).
+	dict []string
+	// interned deduplicates strings decoded inline across frames (see
+	// strShared). Nil disables interning.
 	interned map[string]string
+	// span accumulates the kinds and times of every tuple a run holds, kept
+	// or refused (see tuples).
+	span Span
 	// discard makes the element readers check and skip what they read
 	// without building it: no allocation, no intern probe.
 	discard bool
@@ -255,6 +295,10 @@ const maxInterned = 1 << 16
 
 // NewDecoder returns a decoder over b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+// SetDict makes every later string read an index into dict (see Str). A
+// nil dict reads strings inline again.
+func (d *Decoder) SetDict(dict []string) { d.dict = dict }
 
 // Err returns the first failed read's error, or errCorrupt when bytes are
 // left over: an encoding must be consumed exactly.
@@ -335,19 +379,33 @@ func (d *Decoder) raw() []byte {
 	return b
 }
 
-func (d *Decoder) Str() string { return string(d.raw()) }
+// Str reads a string: the dictionary's entry at the index the payload
+// holds when the decoder has a dictionary (an index past its end is
+// corrupt), and otherwise a length-prefixed string copied out of the
+// payload.
+func (d *Decoder) Str() string { return d.str(true) }
 
-// strShared decodes a string through the intern table: the many repeats of
-// low-cardinality strings in a log — object and trajectory ids,
-// interpretation names, annotation keys and sources, place metadata — decode
-// to one shared backing string instead of one heap copy per frame. The
-// map[string(bytes)] probe compiles to a no-allocation lookup; only a miss
-// pays for the copy. In discard mode it only checks the string.
+// strShared reads a string the element readers build. Inline, it decodes
+// through the intern table: the many repeats of low-cardinality strings in
+// a log — object and trajectory ids, interpretation names, annotation keys
+// and sources, place metadata — decode to one shared backing string instead
+// of one heap copy per frame. The map[string(bytes)] probe compiles to a
+// no-allocation lookup; only a miss pays for the copy. A dictionary entry
+// is shared already, and costs an index. In discard mode it only checks the
+// string.
 func (d *Decoder) strShared() string { return d.str(!d.discard) }
 
 // str is strShared when build is set, and checks and skips the string
 // otherwise.
 func (d *Decoder) str(build bool) string {
+	if d.dict != nil {
+		i := d.Uv()
+		if d.err != nil || i >= uint64(len(d.dict)) {
+			d.fail()
+			return ""
+		}
+		return d.dict[i]
+	}
 	b := d.raw()
 	if !build || d.err != nil {
 		return ""
@@ -412,7 +470,7 @@ func (d *Decoder) records(owner string) []gps.Record {
 	for i := 0; i < n && d.err == nil; i++ {
 		obj := owner
 		if d.U8() == 1 {
-			obj = d.Str()
+			obj = d.strShared()
 		}
 		pos := d.Point()
 		var t time.Time
@@ -548,16 +606,26 @@ func (d *Decoder) annotations() []core.Annotation {
 func (d *Decoder) projectedAnnotations(n int) []core.Annotation {
 	lo := len(d.buf.anns)
 	for i := 0; i < n && d.err == nil; i++ {
-		key, ok := d.proj.Key(d.raw())
+		key, ok := d.projKey()
 		value := d.str(ok)
 		conf := d.F64()
-		d.raw() // the source
+		d.str(false) // the source
 		if ok {
 			d.buf.anns = append(d.buf.anns, core.Annotation{Key: key, Value: value, Confidence: conf})
 		}
 	}
 	hi := len(d.buf.anns)
 	return d.buf.anns[lo:hi:hi]
+}
+
+// projKey reads an annotation key and returns the projection's key equal to
+// it, if any. Only a segment scan projects, so only a test's inline decode
+// pays for the copy.
+func (d *Decoder) projKey() (string, bool) {
+	if d.dict != nil {
+		return d.proj.Key(d.str(false))
+	}
+	return d.proj.Key(string(d.raw()))
 }
 
 // tuples decodes a tuple run, building only the tuples read.Keep admits
@@ -591,6 +659,7 @@ func (d *Decoder) tuples(read store.TupleRead) []*core.EpisodeTuple {
 			d.fail()
 			break
 		}
+		d.span.add(i, kind, in, out)
 		if keep != nil {
 			if !keep(kind, in, out) {
 				d.discard = true
@@ -625,21 +694,72 @@ func (d *Decoder) tuples(read store.TupleRead) []*core.EpisodeTuple {
 	return tuples
 }
 
-// decodeMutation decodes one frame payload. Any structural problem —
-// truncated field, impossible count, unknown op, trailing bytes — returns
-// errCorrupt; the function never panics on arbitrary input. interned, when
-// non-nil, is a string table shared across calls (one per replayed segment):
-// ids, interpretation names and annotation keys repeat in nearly every
-// frame, and interning them keeps recovery's allocation volume proportional
-// to distinct strings, not to frames. read filters and projects a tuple
-// run (see tuples), and the result is otherwise the full decode's; a
-// projected decode builds into buf, and into a buffer of its own when buf
-// is nil.
-func decodeMutation(payload []byte, interned map[string]string, read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
-	if buf == nil && read.Project != nil {
-		buf = &TupleBuf{}
+// Span is what a segment's run directory records of a tuple run beside its
+// count: how many of its tuples are stops, their least TimeIn and their
+// greatest TimeOut. A zero TimeIn is a time like any other, the least, as
+// in a footer's summary. The zero Span is that of a run of no tuples.
+type Span struct {
+	Stops    int
+	Min, Max time.Time
+}
+
+// add folds the run's i-th tuple into s.
+func (s *Span) add(i int, kind episode.Kind, in, out time.Time) {
+	if kind == episode.Stop {
+		s.Stops++
 	}
-	d := &Decoder{b: payload, interned: interned, buf: buf}
+	if i == 0 || in.Before(s.Min) {
+		s.Min = in
+	}
+	if i == 0 || out.After(s.Max) {
+		s.Max = out
+	}
+}
+
+// SpanOf returns the span of a run of tuples.
+func SpanOf(tuples []*core.EpisodeTuple) Span {
+	var s Span
+	for i, tp := range tuples {
+		s.add(i, tp.Kind, tp.TimeIn, tp.TimeOut)
+	}
+	return s
+}
+
+// decodeMutation decodes one log frame payload, its strings inline.
+// interned, when non-nil, is a string table shared across calls (one per
+// replayed log file): ids, interpretation names and annotation keys repeat
+// in nearly every frame, and interning them keeps recovery's allocation
+// volume proportional to distinct strings, not to frames. See mutation for
+// read and buf.
+func decodeMutation(payload []byte, interned map[string]string, read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
+	d := Decoder{b: payload, interned: interned, buf: buf}
+	return d.mutation(read)
+}
+
+// DecodeRun decodes one segment data frame payload (as returned by
+// ParseFrame), whose strings are indexes into the segment's dictionary
+// dict, and reports the span of every tuple the run holds, refused ones
+// included. See mutation for read and buf. The decoder never panics on
+// arbitrary input: an index past dict's end is corrupt.
+func DecodeRun(payload []byte, dict []string, read store.TupleRead, buf *TupleBuf) (store.Mutation, Span, error) {
+	if dict == nil {
+		dict = []string{} // a dictionary of no strings, not inline ones
+	}
+	d := Decoder{b: payload, dict: dict, buf: buf}
+	m, err := d.mutation(read)
+	return m, d.span, err
+}
+
+// mutation decodes one frame payload. Any structural problem — truncated
+// field, impossible count, unknown op, out-of-range dictionary index,
+// trailing bytes — returns errCorrupt; it never panics on arbitrary input.
+// read filters and projects a tuple run (see tuples), and the result is
+// otherwise the full decode's; a projected decode builds into d.buf, and
+// into a buffer of its own when that is nil.
+func (d *Decoder) mutation(read store.TupleRead) (store.Mutation, error) {
+	if d.buf == nil && read.Project != nil {
+		d.buf = &TupleBuf{}
+	}
 	m := store.Mutation{
 		Op:             store.MutationOp(d.U8()),
 		ObjectID:       d.strShared(),

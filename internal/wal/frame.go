@@ -19,7 +19,9 @@ import (
 // cannot drift apart:
 //
 //   - one codec: the mutation frames of both files, and the segment footer
-//     (at footer version 2), are written by Encoder and read by Decoder;
+//     (at footer version 3), are written by Encoder and read by Decoder,
+//     strings inline in the log and as indexes into the segment's
+//     dictionary (Dict) in a segment;
 //   - one frame: [u32 length][u32 CRC-32C][payload], built by AppendFrame
 //     and checked by ParseFrame and nothing else;
 //   - one frame reader: Blob, a memory map with a pread fallback, serves
@@ -53,12 +55,15 @@ func AppendFrame(buf, payload []byte) []byte {
 
 // AppendMutationFrame appends one framed mutation to buf and returns the
 // extended buffer: AppendFrame over the mutation's encoding, so frames built
-// here replay through the same decoder. The payload is encoded behind room
-// left for the header; AppendFrame then writes the header into that room
-// and the payload onto itself, so no second buffer is needed.
-func AppendMutationFrame(buf []byte, m store.Mutation) []byte {
+// here replay through the same decoder. The log passes a nil dict and
+// writes strings inline; a segment passes its dictionary, which the
+// frame's strings are added to and written as indexes of. The payload is
+// encoded behind room left for the header; AppendFrame then writes the
+// header into that room and the payload onto itself, so no second buffer
+// is needed.
+func AppendMutationFrame(buf []byte, m store.Mutation, dict *Dict) []byte {
 	at := len(buf)
-	e := Encoder{b: append(buf, make([]byte, frameHeaderSize)...)}
+	e := Encoder{b: append(buf, make([]byte, frameHeaderSize)...), dict: dict}
 	encodeMutation(&e, m)
 	AppendFrame(e.b[:at], e.b[at+frameHeaderSize:])
 	return e.b
@@ -82,15 +87,6 @@ func ParseFrame(b []byte) (payload []byte, size int, err error) {
 		return nil, 0, ErrFrame
 	}
 	return payload, frameHeaderSize + int(n), nil
-}
-
-// DecodeMutation decodes one frame payload (as returned by ParseFrame).
-// interned, when non-nil, is a string table shared across calls, read the
-// tuples and fields of a tuple run to build, and buf, when non-nil, the
-// memory a projected read builds in; see decodeMutation. The decoder never
-// panics on arbitrary input.
-func DecodeMutation(payload []byte, interned map[string]string, read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
-	return decodeMutation(payload, interned, read, buf)
 }
 
 // Blob is one file's bytes, read a frame at a time: a read-only memory map

@@ -34,91 +34,147 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzDecodeMutation drives the cold tier's decoder — every WAL frame and
-// segment row replays through decodeMutation — with arbitrary payloads and
-// an arbitrary kind and time filter (what a segment scan decodes with),
-// seeded with an encoding of every op. Invariant: decoding returns an error,
-// or decode → encode → decode is a fixed point (compared as bytes, so NaN
-// coordinates compare exactly), with and without a shared intern table; it
-// never panics and never allocates more than decodeAllocBound. The filtered
-// decode errors exactly when the full decode does; otherwise it keeps the
-// tuple at a position exactly when the filter admits the full decode's
-// tuple there, each tuple it keeps encodes like the full decode's, and the
-// rest of the mutation encodes like it too. The projected decode (the
-// filter plus a projection of the place id if proj's bit 0 is set, the
-// episode if bit 1 is, and annKey's annotations) errors exactly when the
-// full decode does, allocates at most what the full decode may, keeps the
-// tuples the filtered decode keeps, and reads each kept tuple's kind,
-// times, place id, Annotations.Value(annKey) and episode (when projected)
-// like the full decode's; the rest of its mutation encodes like it too.
+// segment row replays through it — with arbitrary payloads and an
+// arbitrary kind and time filter (what a segment scan decodes with), each
+// payload decoded twice: as a log frame, its strings inline, and as a
+// segment run, its strings indexes into the first dictLen strings of the
+// dictionary the seeds were encoded with (so an index can fall past the
+// end). It is seeded with an encoding of every op in both forms.
+// Invariants, in each form: decoding returns an error, or decode → encode
+// → decode is a fixed point (compared as bytes, so NaN coordinates compare
+// exactly), inline with and without a shared intern table; it never panics
+// and never allocates more than decodeAllocBound. The filtered decode
+// errors exactly when the full decode does; otherwise it keeps the tuple
+// at a position exactly when the filter admits the full decode's tuple
+// there, each tuple it keeps encodes like the full decode's, and the rest
+// of the mutation encodes like it too. The projected decode (the filter
+// plus a projection of the place id if proj's bit 0 is set, the episode if
+// bit 1 is, and annKey's annotations) errors exactly when the full decode
+// does, allocates at most what the full decode may, keeps the tuples the
+// filtered decode keeps, and reads each kept tuple's kind, times, place id,
+// Annotations.Value(annKey) and episode (when projected) like the full
+// decode's; the rest of its mutation encodes like it too. A segment run's
+// reported span is SpanOf the full decode's tuples, whatever the filter
+// and projection refuse.
 func FuzzDecodeMutation(f *testing.F) {
 	t0 := ts(0).Unix()
+	var seedDict Dict
 	for _, m := range testMutations() {
-		e := &Encoder{}
-		encodeMutation(e, m)
-		f.Add(e.b, uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(0), "")
-		f.Add(e.b[:len(e.b)/2], uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(3), "poi_category")
-		f.Add(e.b, uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64), uint8(1), "landuse")
-		f.Add(e.b, uint8(0xff), int64(math.MinInt64), t0+1, uint8(2), "poi_category")
-		f.Add(e.b, uint8(0), int64(math.MinInt64), int64(math.MaxInt64), uint8(1), "k")
-	}
-	f.Add([]byte{}, uint8(0xff), int64(0), int64(0), uint8(0), "")
-	interned := map[string]string{}
-	f.Fuzz(func(t *testing.T, payload []byte, kinds uint8, lo, hi int64, proj uint8, annKey string) {
-		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, store.TupleRead{}, nil) }); n > decodeAllocBound(len(payload)) {
-			t.Fatalf("decoding %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
+		inline := &Encoder{}
+		encodeMutation(inline, m)
+		indexed := &Encoder{dict: &seedDict}
+		encodeMutation(indexed, m)
+		for _, b := range [][]byte{inline.b, indexed.b} {
+			f.Add(b, uint8(255), uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(0), "")
+			f.Add(b[:len(b)/2], uint8(255), uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(3), "poi_category")
+			f.Add(b, uint8(255), uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64), uint8(1), "landuse")
+			f.Add(b, uint8(3), uint8(0xff), int64(math.MinInt64), t0+1, uint8(2), "poi_category")
+			f.Add(b, uint8(255), uint8(0), int64(math.MinInt64), int64(math.MaxInt64), uint8(1), "k")
 		}
+	}
+	f.Add([]byte{}, uint8(0), uint8(0xff), int64(0), int64(0), uint8(0), "")
+	interned := map[string]string{}
+	f.Fuzz(func(t *testing.T, payload []byte, dictLen uint8, kinds uint8, lo, hi int64, proj uint8, annKey string) {
 		keep := func(k episode.Kind, in, out time.Time) bool {
 			return kinds&(1<<(k&7)) != 0 && out.Unix() >= lo && in.Unix() <= hi
 		}
-		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, store.TupleRead{Keep: keep}, nil) }); n > decodeAllocBound(len(payload)) {
-			t.Fatalf("filtered decoding of %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
+		p := &store.Projection{Place: proj&1 != 0, Episode: proj&2 != 0, AnnKeys: []string{annKey}}
+		inline := func(read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
+			return decodeMutation(payload, nil, read, buf)
 		}
-		m, err := decodeMutation(payload, nil, store.TupleRead{}, nil)
-		kept, kerr := decodeMutation(payload, nil, store.TupleRead{Keep: keep}, nil)
-		if (err == nil) != (kerr == nil) {
-			t.Fatalf("full decode of %x: %v, filtered decode: %v", payload, err, kerr)
-		}
-		if err != nil {
-			read := store.TupleRead{Keep: keep, Project: &store.Projection{Place: true, Episode: true, AnnKeys: []string{annKey}}}
-			if _, perr := decodeMutation(payload, nil, read, nil); perr == nil {
-				t.Fatalf("full decode of %x: %v, projected decode succeeds", payload, err)
+		m, ok := checkDecode(t, payload, inline, keep, p)
+		if ok {
+			checkFixedPoint(t, payload, m, false)
+			shared, err := decodeMutation(payload, interned, store.TupleRead{}, nil)
+			if err != nil {
+				t.Fatalf("interned decode of %x fails: %v", payload, err)
 			}
+			if a, b := encodeWith(m, false), encodeWith(shared, false); !bytes.Equal(a, b) {
+				t.Fatalf("interned decode of %x differs:\n plain    %x\n interned %x", payload, a, b)
+			}
+		}
+		dict := seedDict.Strings[:min(int(dictLen), len(seedDict.Strings))]
+		var spans []Span
+		indexed := func(read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
+			m, span, err := DecodeRun(payload, dict, read, buf)
+			if err == nil {
+				spans = append(spans, span)
+			}
+			return m, err
+		}
+		if m, ok = checkDecode(t, payload, indexed, keep, p); !ok {
 			return
 		}
-		checkFiltered(t, m, kept, keep)
-		p := &store.Projection{Place: proj&1 != 0, Episode: proj&2 != 0, AnnKeys: []string{annKey}}
-		read := store.TupleRead{Keep: keep, Project: p}
-		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil, read, nil) }); n > decodeAllocBound(len(payload)) {
-			t.Fatalf("projected decoding of %d bytes allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
+		for _, span := range spans {
+			if want := SpanOf(m.Tuples); span != want {
+				t.Fatalf("run %x: decode reports span %+v, its tuples span %+v", payload, span, want)
+			}
 		}
-		var buf TupleBuf
-		projected, perr := decodeMutation(payload, interned, read, &buf)
-		if perr != nil {
-			t.Fatalf("full decode of %x succeeds, projected decode: %v", payload, perr)
-		}
-		checkProjected(t, m, projected, keep, p)
-		e := &Encoder{}
-		encodeMutation(e, m)
-		first := append([]byte(nil), e.b...)
-		again, err := decodeMutation(first, nil, store.TupleRead{}, nil)
-		if err != nil {
-			t.Fatalf("re-encoding of %x does not decode: %v", payload, err)
-		}
-		e.b = e.b[:0]
-		encodeMutation(e, again)
-		if !bytes.Equal(e.b, first) {
-			t.Fatalf("decode → encode is not a fixed point for %x:\n first  %x\n second %x", payload, first, e.b)
-		}
-		shared, err := decodeMutation(payload, interned, store.TupleRead{}, nil)
-		if err != nil {
-			t.Fatalf("interned decode of %x fails: %v", payload, err)
-		}
-		e.b = e.b[:0]
-		encodeMutation(e, shared)
-		if !bytes.Equal(e.b, first) {
-			t.Fatalf("interned decode of %x differs:\n plain    %x\n interned %x", payload, first, e.b)
-		}
+		checkFixedPoint(t, payload, m, true)
 	})
+}
+
+// checkDecode checks one form of decode of payload — full, filtered by
+// keep, and filtered and projected by p — against itself (see
+// FuzzDecodeMutation). It returns the full decode and whether it
+// succeeded.
+func checkDecode(t *testing.T, payload []byte, decode func(store.TupleRead, *TupleBuf) (store.Mutation, error), keep store.TupleFilter, p *store.Projection) (store.Mutation, bool) {
+	t.Helper()
+	for _, read := range []store.TupleRead{{}, {Keep: keep}, {Keep: keep, Project: p}} {
+		if n := allocatedBy(func() { _, _ = decode(read, nil) }); n > decodeAllocBound(len(payload)) {
+			t.Fatalf("decoding %d bytes (filter %v, projection %v) allocated %d B, want <= %d",
+				len(payload), read.Keep != nil, read.Project != nil, n, decodeAllocBound(len(payload)))
+		}
+	}
+	m, err := decode(store.TupleRead{}, nil)
+	kept, kerr := decode(store.TupleRead{Keep: keep}, nil)
+	var buf TupleBuf
+	projected, perr := decode(store.TupleRead{Keep: keep, Project: p}, &buf)
+	if (err == nil) != (kerr == nil) || (err == nil) != (perr == nil) {
+		t.Fatalf("full decode of %x: %v, filtered decode: %v, projected decode: %v", payload, err, kerr, perr)
+	}
+	if err != nil {
+		return m, false
+	}
+	checkFiltered(t, m, kept, keep)
+	checkProjected(t, m, projected, keep, p)
+	return m, true
+}
+
+// encodeWith encodes m, its strings as indexes into a fresh dictionary
+// when indexed is set and inline otherwise.
+func encodeWith(m store.Mutation, indexed bool) []byte {
+	e := &Encoder{}
+	if indexed {
+		e.dict = &Dict{}
+	}
+	encodeMutation(e, m)
+	return e.b
+}
+
+// checkFixedPoint checks that m, the full decode of payload, re-encodes
+// (inline, or through a fresh dictionary when indexed) to bytes that
+// decode to a mutation encoding alike.
+func checkFixedPoint(t *testing.T, payload []byte, m store.Mutation, indexed bool) {
+	t.Helper()
+	e := &Encoder{}
+	if indexed {
+		e.dict = &Dict{}
+	}
+	encodeMutation(e, m)
+	var again store.Mutation
+	var err error
+	if indexed {
+		again, _, err = DecodeRun(e.b, e.dict.Strings, store.TupleRead{}, nil)
+	} else {
+		again, err = decodeMutation(e.b, nil, store.TupleRead{}, nil)
+	}
+	if err != nil {
+		t.Fatalf("re-encoding of %x does not decode: %v", payload, err)
+	}
+	if second := encodeWith(again, indexed); !bytes.Equal(e.b, second) {
+		t.Fatalf("decode → encode is not a fixed point for %x:\n first  %x\n second %x", payload, e.b, second)
+	}
 }
 
 // checkFiltered checks a filtered decode against the full decode m of the
@@ -234,7 +290,7 @@ func segmentBytes(body []byte) []byte {
 func FuzzReplaySegment(f *testing.F) {
 	var all []byte
 	for _, m := range testMutations() {
-		frame := AppendMutationFrame(nil, m)
+		frame := AppendMutationFrame(nil, m, nil)
 		all = append(all, frame...)
 		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
@@ -270,7 +326,7 @@ func FuzzReplaySegment(f *testing.F) {
 			if perr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, perr)
 			}
-			m, derr := DecodeMutation(payload, nil, store.TupleRead{}, nil)
+			m, derr := decodeMutation(payload, nil, store.TupleRead{}, nil)
 			if derr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, derr)
 			}
@@ -284,7 +340,7 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		if tornAt >= 0 {
 			if payload, _, perr := ParseFrame(data[end:]); perr == nil {
-				if _, derr := DecodeMutation(payload, nil, store.TupleRead{}, nil); derr == nil {
+				if _, derr := decodeMutation(payload, nil, store.TupleRead{}, nil); derr == nil {
 					t.Fatalf("tear reported at %d, where a whole frame starts", end)
 				}
 			}

@@ -275,7 +275,7 @@ func TestTornFrameLengthPastEOF(t *testing.T) {
 	}
 	var bogus [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(bogus[0:], maxFrame-1)
-	body := AppendMutationFrame(nil, store.Mutation{Op: store.MutPutRecords, ObjectID: "obj", Records: recs})
+	body := AppendMutationFrame(nil, store.Mutation{Op: store.MutPutRecords, ObjectID: "obj", Records: recs}, nil)
 	body = append(append(body, bogus[:]...), make([]byte, 10)...)
 	data := segmentBytes(body)
 	dir := t.TempDir()
@@ -309,7 +309,7 @@ func TestTornFrameLengthPastEOF(t *testing.T) {
 // delete that log and quarantine every later one. A short header stays a
 // tear (TestTornTailProperty truncates into it).
 func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
-	frame := AppendMutationFrame(nil, testMutations()[0])
+	frame := AppendMutationFrame(nil, testMutations()[0], nil)
 	for _, v := range []uint32{formatVersion - 1, formatVersion + 1} {
 		dir := t.TempDir()
 		old := segmentPath(dir, 1)

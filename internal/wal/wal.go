@@ -226,7 +226,7 @@ func (l *Log) FlushInterval() time.Duration { return l.opts.FlushInterval }
 // policy that accepts paying the sync on the mutating goroutine).
 func (l *Log) LogMutation(m store.Mutation) {
 	e := encPool.Get().(*Encoder)
-	e.b = AppendMutationFrame(e.b[:0], m)
+	e.b = AppendMutationFrame(e.b[:0], m, nil)
 
 	l.mu.Lock()
 	dropped := l.closed

@@ -89,6 +89,43 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecRoundTripThroughDict encodes every op as a segment run, its
+// strings indexes into one dictionary, and decodes it back: the mutation
+// round-trips, the run reports its tuples' span, and an index past the end
+// of a shorter dictionary is an error.
+func TestCodecRoundTripThroughDict(t *testing.T) {
+	var dict Dict
+	var payloads [][]byte
+	for _, m := range testMutations() {
+		e := &Encoder{dict: &dict}
+		encodeMutation(e, m)
+		payloads = append(payloads, e.b)
+	}
+	for i, m := range testMutations() {
+		got, span, err := DecodeRun(payloads[i], dict.Strings, store.TupleRead{}, nil)
+		if err != nil {
+			t.Fatalf("mutation %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("mutation %d round trip mismatch:\n in  %+v\n out %+v", i, m, got)
+		}
+		if want := SpanOf(m.Tuples); span != want {
+			t.Fatalf("mutation %d: span %+v, want %+v", i, span, want)
+		}
+		// Under a prefix of the dictionary a run decodes exactly when the
+		// prefix holds every string it indexes: never under none (its
+		// header has strings), always from some length on.
+		decodes := false
+		for n := 0; n <= len(dict.Strings); n++ {
+			_, _, err := DecodeRun(payloads[i], dict.Strings[:n], store.TupleRead{}, nil)
+			if decodes && err != nil || n == 0 && err == nil {
+				t.Fatalf("mutation %d under the first %d strings: %v (decodes under fewer: %v)", i, n, err, decodes)
+			}
+			decodes = err == nil
+		}
+	}
+}
+
 // TestCodecRoundTripsSmallestElements: element counts are bounded by the
 // bytes left over each element's smallest encoding, so a frame ending in
 // minimal elements — a bare tuple, annotations with one-letter or empty
@@ -451,7 +488,7 @@ func TestWALFramesInCallOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
-		m, err := DecodeMutation(payload, nil, store.TupleRead{}, nil)
+		m, err := decodeMutation(payload, nil, store.TupleRead{}, nil)
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
