@@ -43,23 +43,24 @@ race:
 # (a segment run, so an index can fall past its end), returns an error or
 # a mutation that re-encodes to a fixed point, never a panic, and
 # allocates at most a small multiple of its input; under any kind and time
-# filter it errors exactly when the full decode does and keeps, at their
-# positions, exactly the full decode's tuples the filter admits; with a
-# projection (place id, episode, one annotation key) added it errors
-# exactly when the full decode does, and each kept tuple's kind, times,
-# place id, value of the key and episode equal the full decode's; a
-# segment run's reported stop count and span are its full decode's.
+# filter, any set of wanted run positions, and both, it errors exactly
+# when the full decode does and keeps, at their positions, exactly the
+# full decode's tuples the filters select; a segment run's reported stop
+# count and span are its full decode's.
 # FuzzReplaySegment: WAL replay of a log header followed by any bytes, read
 # from memory, never panics, allocates at most a small multiple of the
 # bytes, and rebuilds what the frames before the reported tear rebuild.
 # FuzzDecodeFooter: the segment footer decoder (summary, string dictionary,
-# run directory with its keys as dictionary indexes and its tuple runs'
-# spans) returns an error or a footer that re-encodes to a fixed point,
-# never a panic, and allocates at most a small multiple of its input.
+# run directory with its keys as dictionary indexes, its tuple runs' spans
+# and column frame offsets) returns an error or a footer that re-encodes
+# to a fixed point, and the column frame decoder, checking only or
+# projecting, errors alike and counts alike; neither panics, and each
+# allocates at most a small multiple of its input.
 # FuzzRecoverFooter: recovery of a directory whose second segment keeps its
 # data frames (every op, merges included, strings indexing the written
-# dictionary) under an arbitrary footer returns an error or a store whose
-# reads of every listed key never panic.
+# dictionary) under arbitrary column frames and an arbitrary footer returns
+# an error or a store whose reads of every listed key, keyed and scan,
+# full and projected, never panic.
 # FuzzReadCSV: every record the GPS CSV reader yields has finite coordinates
 # and round-trips through WriteCSV and ReadCSV unchanged.
 # FuzzParse: the lexer makes the tokens and errors of a reference rune

@@ -14,9 +14,12 @@ import (
 // the feed, closed and reopened, so every tuple lives in one of several
 // mmap'd segments. One op runs a time-window scan, a top-K group-by and the
 // co-location join through the query language. runs_decoded/op is the
-// segment runs the op decoded (obs.SegmentColdReads): a scan decodes the
-// runs of the segments its footers do not prune, and a keyed resolve only
-// the runs that hold the positions it asks for.
+// segment data frames the op decoded (obs.SegmentColdReads): a full scan
+// decodes the runs of the segments its footers do not prune, and a keyed
+// resolve only the runs that hold the positions it asks for.
+// column_frames/op is the column frames the op read
+// (obs.SegmentColumnReads): a grouped scan reads a run's column frame
+// instead of decoding its data frame.
 func BenchmarkColdQuery(b *testing.B) {
 	records := benchPeople(b, 8, 5, 31)
 	cfg := semitri.DefaultConfig()
@@ -50,7 +53,7 @@ func BenchmarkColdQuery(b *testing.B) {
 	}
 	engine := p.QueryEngine()
 	b.ReportAllocs()
-	before := obs.SegmentColdReads.Value()
+	before, cols := obs.SegmentColdReads.Value(), obs.SegmentColumnReads.Value()
 	for b.Loop() {
 		for _, src := range stmts {
 			if _, err := lang.Run(engine, src); err != nil {
@@ -59,4 +62,5 @@ func BenchmarkColdQuery(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(obs.SegmentColdReads.Value()-before)/float64(b.N), "runs_decoded/op")
+	b.ReportMetric(float64(obs.SegmentColumnReads.Value()-cols)/float64(b.N), "column_frames/op")
 }

@@ -165,6 +165,8 @@ var (
 		"Tuples decoded from frozen segments (cold reads).")
 	SegmentColdBytes = NewCounter("semitri_segment_cold_bytes_total",
 		"Frame bytes decoded from frozen segments (mmap-touch proxy).")
+	SegmentColumnReads = NewCounter("semitri_segment_column_reads_total",
+		"Column frames read from frozen segments by projected scans.")
 	// Per-footer-rule prune counters, indexed by the rule names the pruner
 	// reports in traces.
 	SegmentPruned = map[string]*Counter{}

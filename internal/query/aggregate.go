@@ -195,12 +195,18 @@ func (g groups) merge(o groups) {
 }
 
 // rank turns a merged fold into the aggregate's result: each group's metric
-// value, ranked descending with ties broken by key, cut to the top K.
+// value, ranked descending with ties broken by key, cut to the top K. With
+// K below the group count it keeps the K best in a heap as it goes and
+// sorts those alone, never the whole fold.
 func (a *Aggregate) rank(g groups) []Group {
 	for pair := range g.pairs {
 		g.acc[pair.key].objects++
 	}
-	out := make([]Group, 0, len(g.acc))
+	k := len(g.acc)
+	if a.K > 0 {
+		k = min(k, a.K)
+	}
+	top := make([]Group, 0, k)
 	for key, acc := range g.acc {
 		gr := Group{Key: key, Count: acc.count}
 		switch a.metric() {
@@ -211,18 +217,56 @@ func (a *Aggregate) rank(g groups) []Group {
 		case MetricDuration:
 			gr.Value = acc.dur.Seconds()
 		}
-		out = append(out, gr)
-	}
-	slices.SortFunc(out, func(x, y Group) int {
-		if x.Value != y.Value {
-			return cmp.Compare(y.Value, x.Value)
+		switch {
+		case len(top) < k:
+			top = append(top, gr)
+			worstUp(top, len(top)-1)
+		case rankCompare(gr, top[0]) < 0:
+			top[0] = gr
+			worstDown(top, 0)
 		}
-		return strings.Compare(x.Key, y.Key)
-	})
-	if a.K > 0 && len(out) > a.K {
-		out = out[:a.K]
 	}
-	return out
+	slices.SortFunc(top, rankCompare)
+	return top
+}
+
+// rankCompare orders groups as a ranking lists them: higher value first,
+// ties broken by key.
+func rankCompare(x, y Group) int {
+	if x.Value != y.Value {
+		return cmp.Compare(y.Value, x.Value)
+	}
+	return strings.Compare(x.Key, y.Key)
+}
+
+// worstUp and worstDown restore, after the element at i changed, the heap
+// order of h that keeps its worst-ranked group at h[0]: no group ranks
+// after its parent.
+func worstUp(h []Group, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if rankCompare(h[i], h[parent]) <= 0 {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func worstDown(h []Group, i int) {
+	for {
+		worst := i
+		for _, c := range []int{2*i + 1, 2*i + 2} {
+			if c < len(h) && rankCompare(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // AggregateMatches groups single-table query results. MetricDistinctObjects

@@ -208,3 +208,47 @@ func TestAggregateValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestRankTopKTiesAtCut checks the top-K selection against a full sort of
+// every group, for every K from none to past the group count, over folds
+// whose values tie in runs that straddle the cut: the K groups kept, and
+// their order, are the full ranking's first K, ties broken by key.
+func TestRankTopKTiesAtCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	tiedCuts := 0
+	for trial := 0; trial < 50; trial++ {
+		a := Aggregate{By: DimPlace}
+		g := newGroups(&a)
+		n := 1 + rng.Intn(40)
+		for _, i := range rng.Perm(n) {
+			key := fmt.Sprintf("g%02d", i)
+			for range 1 + rng.Intn(3) { // three values: long runs of ties
+				g.add(key, "", 0)
+			}
+		}
+		var all []Group
+		for key, acc := range g.acc {
+			all = append(all, Group{Key: key, Count: acc.count, Value: float64(acc.count)})
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Value != all[j].Value {
+				return all[i].Value > all[j].Value
+			}
+			return all[i].Key < all[j].Key
+		})
+		for k := 0; k <= n+1; k++ {
+			a.K = k
+			want := all
+			if k > 0 && k < n {
+				want = all[:k]
+				if all[k-1].Value == all[k].Value {
+					tiedCuts++
+				}
+			}
+			sameGroups(t, fmt.Sprintf("trial %d, %d groups, top %d", trial, n, k), a.rank(g), want)
+		}
+	}
+	if tiedCuts == 0 {
+		t.Fatal("no cut fell inside a run of ties")
+	}
+}

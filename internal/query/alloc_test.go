@@ -10,18 +10,18 @@ import (
 )
 
 // groupedAllocSlack is what a grouped statement may allocate beyond one
-// allocation per segment run it decodes and one per group: the plan, the
-// cut's and the fold's maps, the per-worker visitors and the ranked
-// result, none of which grows with the tuples a run holds or the segments
-// the scan visits.
+// allocation per group: the plan, the cut's and the fold's maps, the
+// per-worker visitors and the ranked result, none of which grows with the
+// tuples a run holds or the segments the scan visits.
 const groupedAllocSlack = 40
 
 // TestGroupedScanAllocations is a work gate that does not depend on the
 // machine: on a reopened tiered store, at one worker, a grouped statement
-// folded inside the cold scan allocates at most the runs it decodes
-// (obs.SegmentColdReads) plus its groups plus groupedAllocSlack. Two store
-// sizes, whose runs hold 20 and 40 tuples, keep a per-tuple allocation from
-// hiding in the slack.
+// folded inside the cold scan reads at least one column frame
+// (obs.SegmentColumnReads), decodes no data frame (obs.SegmentColdReads),
+// and allocates at most its groups plus groupedAllocSlack. Two store
+// sizes, whose runs hold 20 and 40 tuples, keep a per-tuple or per-run
+// allocation from hiding in the slack.
 func TestGroupedScanAllocations(t *testing.T) {
 	stop, move := episode.Stop, episode.Move
 	stmts := []struct {
@@ -57,21 +57,22 @@ func TestGroupedScanAllocations(t *testing.T) {
 		e := NewEngineWith(st, Options{Parallelism: 1})
 		for _, s := range stmts {
 			var groups []Group
-			before := obs.SegmentColdReads.Value()
+			cols, runs := obs.SegmentColumnReads.Value(), obs.SegmentColdReads.Value()
 			allocs := testing.AllocsPerRun(20, func() {
 				if groups, _, err = e.ExecuteAggregate(s.q, s.a); err != nil {
 					t.Fatal(err)
 				}
 			})
-			runs := float64(obs.SegmentColdReads.Value()-before) / 21 // AllocsPerRun's warm-up run too
-			if runs < 1 {
-				t.Fatalf("%d objects: %+v by %s decoded no run", size.objects, s.q, s.a.By)
+			cols = obs.SegmentColumnReads.Value() - cols
+			if runs = obs.SegmentColdReads.Value() - runs; cols < 1 || runs != 0 {
+				t.Fatalf("%d objects: %+v by %s read %d column frames and decoded %d data frames, want some and none",
+					size.objects, s.q, s.a.By, cols, runs)
 			}
-			if bound := runs + float64(len(groups)) + groupedAllocSlack; allocs > bound {
-				t.Fatalf("%d objects: %+v by %s allocates %.0f times, over %.0f runs + %d groups + %d",
-					size.objects, s.q, s.a.By, allocs, runs, len(groups), groupedAllocSlack)
+			if bound := float64(len(groups) + groupedAllocSlack); allocs > bound {
+				t.Fatalf("%d objects: %+v by %s allocates %.0f times, over %d groups + %d",
+					size.objects, s.q, s.a.By, allocs, len(groups), groupedAllocSlack)
 			}
-			t.Logf("%d objects: %+v by %s: %.0f allocations, %.0f runs, %d groups", size.objects, s.q, s.a.By, allocs, runs, len(groups))
+			t.Logf("%d objects: %+v by %s: %.0f allocations, %d column frames, %d groups", size.objects, s.q, s.a.By, allocs, cols/21, len(groups))
 		}
 	}
 }

@@ -227,8 +227,9 @@ func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, s *sink, worker
 // units are the cut's lock stripes (the heap tails) plus the cold segments
 // whose footer summary survives pruning against the query; a segment
 // decodes only the tuples whose kind and times pass f (admitsSpan, the
-// tuple check's own clauses), and for a folding sink only the fields f's
-// tuple check and the group key read (projection). Large scans visit the
+// tuple check's own clauses), and for a folding sink without a spatial
+// clause only the fields f's tuple check and the group key read, from the
+// runs' column frames (projection). Large scans visit the
 // units concurrently, each worker into a sink of its own; worker 0 puts
 // straight into s, so a serial scan is one pass into the caller's sink.
 func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
@@ -261,7 +262,7 @@ func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
 		}
 	}
 	read := store.TupleRead{Keep: f.admitsSpan}
-	if s.agg != nil {
+	if s.agg != nil && !f.spatial() {
 		read.Project = projection(f, s.agg)
 	}
 	var segVisits []*store.SegmentVisitor
@@ -284,12 +285,14 @@ func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
 	}
 }
 
-// projection is what a grouped scan decodes of a cold tuple beside its kind
-// and times: the annotations f's clauses and a's group key read, the place
-// id when a groups by place, and the episode when f has a spatial clause.
-// The metrics read only the ref's object and the times.
+// projection is what a grouped scan reads of a cold tuple beside its kind
+// and times, from the run's column frame: the annotations f's clauses and
+// a's group key read, and the place id when a groups by place. The metrics
+// read only the ref's object and the times. A form with a spatial clause
+// reads the episode, which no column frame holds, so its scan reads whole
+// tuples instead.
 func projection(f *form, a *Aggregate) *store.Projection {
-	p := &store.Projection{Place: a.By == DimPlace, Episode: f.spatial()}
+	p := &store.Projection{Place: a.By == DimPlace}
 	for _, x := range f.anns {
 		p.AnnKeys = append(p.AnnKeys, x.key)
 	}

@@ -790,3 +790,153 @@ func TestWindowScanDecodesMeetingRuns(t *testing.T) {
 		t.Fatal("no query skipped a run")
 	}
 }
+
+// TestTieredProjectedScanMatchesHeap checks the grouped scan's projected
+// read — each frozen run's tuples taken from its column frame — against an
+// all-heap store, live and after a reopen. The tiered store freezes into
+// several segments; some tuples are untimed, some carry a place, merges
+// into frozen positions change places and annotation values (and add a
+// key), and a replace of a frozen trajectory is frozen too. Random grouped
+// statements — every dimension and metric, kind and time windows with lo >
+// hi among them, an annotation clause or none — must rank the same groups
+// on both stores at workers 1 and 4, and on the tiered store read column
+// frames and decode no data frame.
+func TestTieredProjectedScanMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	all := populate(t, store.New(), 45, 6, 3, 14)
+	for i := range all {
+		tp := cloneTuple(all[i].tp)
+		switch i % 7 {
+		case 3:
+			tp.TimeIn, tp.TimeOut = time.Time{}, time.Time{}
+		case 1, 4:
+			tp.Place = &core.Place{ID: fmt.Sprintf("poi-%d", i%5), Kind: core.PointPlace, Name: "name", Category: "cat"}
+		}
+		all[i].tp = tp
+	}
+	heap := store.NewSharded(4)
+	dir := t.TempDir()
+	tiered, tier, _, err := segment.Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := func(fn func(st *store.Store) error) {
+		t.Helper()
+		for _, st := range []*store.Store{heap, tiered} {
+			if err := fn(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, s := range all {
+		both(func(st *store.Store) error {
+			return st.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID, s.ref.Interpretation, cloneTuple(s.tp))
+		})
+		if (i+1)%(len(all)/5) == 0 {
+			if err := tier.Freeze(tiered); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 30; i++ {
+		s := all[rng.Intn(len(all)*4/5)]
+		var place *core.Place
+		if i%2 == 0 {
+			place = &core.Place{ID: fmt.Sprintf("merged-poi-%d", i%4), Kind: core.RegionPlace}
+		}
+		anns := []core.Annotation{{Key: core.AnnPOICategory, Value: fmt.Sprintf("merged%d", i%3), Confidence: 2, Source: "prop"}}
+		if i%3 == 0 {
+			anns = append(anns, core.Annotation{Key: "activity", Value: fmt.Sprintf("act%d", i%2), Confidence: 1})
+		}
+		both(func(st *store.Store) error {
+			return st.MergeTupleAnnotations(s.ref.TrajectoryID, s.ref.Interpretation, s.ref.Index, place, anns)
+		})
+	}
+	replaced := &core.StructuredTrajectory{ID: all[0].ref.TrajectoryID, ObjectID: all[0].ref.ObjectID, Interpretation: DefaultInterpretation}
+	for i := len(all) - 1; i >= 0; i-- {
+		if all[i].ref.TrajectoryID == replaced.ID {
+			replaced.Tuples = append(replaced.Tuples, cloneTuple(all[i].tp))
+		}
+	}
+	both(func(st *store.Store) error {
+		cp := *replaced
+		cp.Tuples = nil
+		for _, tp := range replaced.Tuples {
+			cp.Tuples = append(cp.Tuples, cloneTuple(tp))
+		}
+		return st.PutStructured(&cp)
+	})
+	if err := tier.Freeze(tiered); err != nil {
+		t.Fatal(err)
+	}
+	if n := tier.SegmentCount(); n < 5 || tiered.OverlayCount() == 0 {
+		t.Fatalf("%d segments and %d overlay entries, want at least 5 and 1", n, tiered.OverlayCount())
+	}
+
+	bound := func() stamp {
+		switch rng.Intn(8) {
+		case 0:
+			return stampOf(time.Time{})
+		case 1:
+			return openLo
+		case 2:
+			return openHi
+		}
+		tp := all[rng.Intn(len(all))].tp
+		at := tp.TimeIn
+		if rng.Intn(2) == 0 {
+			at = tp.TimeOut
+		}
+		return stampOf(at.Add(time.Duration(rng.Intn(3) - 1)))
+	}
+	dims := []Aggregate{
+		{By: DimObject}, {By: DimTrajectory}, {By: DimKind}, {By: DimPlace},
+		{By: DimAnnotation, AnnKey: core.AnnPOICategory},
+		{By: DimAnnotation, AnnKey: core.AnnTransportMode},
+		{By: DimAnnotation, AnnKey: "activity"},
+	}
+	metrics := []Metric{MetricCount, MetricDistinctObjects, MetricDuration}
+	clauses := [][]annEq{nil, {{core.AnnPOICategory, "merged1"}}, {{core.AnnTransportMode, ""}}, {{"activity", "act0"}}}
+	kinds := []kindSet{allKinds, stopKind, moveKind}
+	scan := func(e *Engine, f *form, a Aggregate, workers int) []Group {
+		s := &sink{agg: &a, groups: newGroups(&a)}
+		e.scan(f, s, workers, nil)
+		return a.rank(s.groups)
+	}
+	heapEng := NewEngine(heap)
+	for reopen := range 2 {
+		if reopen == 1 {
+			if err := tier.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tiered, tier, _, err = segment.Recover(dir, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tieredEng := NewEngine(tiered)
+		gaps := 0
+		cols, runs := obs.SegmentColumnReads.Value(), obs.SegmentColdReads.Value()
+		for i := 0; i < 150; i++ {
+			f := form{interp: DefaultInterpretation, kinds: kinds[rng.Intn(len(kinds))], lo: bound(), hi: bound(),
+				anns: clauses[rng.Intn(len(clauses))]}
+			if f.hi.before(f.lo) {
+				gaps++
+			}
+			a := dims[rng.Intn(len(dims))]
+			a.Metric, a.K = metrics[rng.Intn(len(metrics))], rng.Intn(5)
+			want := scan(heapEng, &f, a, 1)
+			for _, w := range []int{1, 4} {
+				sameGroups(t, fmt.Sprintf("reopened %v, form %d (kinds %b, lo %v, hi %v, anns %v) by %s/%s %s top %d, workers %d",
+					reopen == 1, i, f.kinds, f.lo, f.hi, f.anns, a.By, a.AnnKey, a.Metric, a.K, w), scan(tieredEng, &f, a, w), want)
+			}
+		}
+		if gaps == 0 {
+			t.Fatal("no form had lo > hi")
+		}
+		cols, runs = obs.SegmentColumnReads.Value()-cols, obs.SegmentColdReads.Value()-runs
+		if cols == 0 || runs != 0 {
+			t.Fatalf("reopened %v: grouped scans read %d column frames and decoded %d data frames, want some and none", reopen == 1, cols, runs)
+		}
+	}
+	tier.Close()
+}

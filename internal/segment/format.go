@@ -3,14 +3,17 @@
 // them back through store.ColdTier.
 //
 // A segment file is written and read entirely through the WAL's byte layer
-// (internal/wal, frame.go): one codec for the data frames and the footer,
-// one [u32 length][u32 CRC-32C][payload] frame checked by wal.ParseFrame,
-// one frame reader (wal.Blob: a memory map, or pread under
-// semitri_nommap), one file header — so the two on-disk formats cannot
-// drift apart:
+// (internal/wal, frame.go): one codec for the data frames, the column
+// frames and the footer, one [u32 length][u32 CRC-32C][payload] frame
+// checked by wal.ParseFrame, one frame reader (wal.Blob: a memory map, or
+// pread under semitri_nommap), one file header — so the two on-disk
+// formats cannot drift apart:
 //
 //	[8-byte header: magic "STSG" + u32 version]
 //	[data frame]*          one framed Mutation per emitted run
+//	[column frame]*        one per tuple run, in run order: its tuples'
+//	                       kinds, times, place ids and annotation keys and
+//	                       values (see columns.go)
 //	[footer frame]         framed footer payload (summary + dictionary +
 //	                       run directory)
 //	[8-byte trailer: u32 footer frame size + magic "GSTS"]
@@ -18,24 +21,26 @@
 // The fixed-size trailer makes the footer seekable in O(1): read the last 8
 // bytes, step back over the footer frame, parse it like any other frame. The
 // footer carries everything recovery and the query planner need without
-// decoding the body, at footer version 3:
+// decoding the body, at footer version 4:
 //
 //   - the planner summary: time span, kind counts, per-interpretation tuple
 //     counts, annotation-key cardinalities, geometry bounds, an object bloom
 //     filter;
 //   - the string dictionary: every distinct string of the data frames, once.
-//     A data frame writes each of its strings — run header, places,
-//     annotation keys, values and sources, episode ids, record object ids —
-//     as a varint index into it, and a reader decodes it once at Open, so
-//     decoding a string is a bounds-checked index;
+//     A data or column frame writes each of its strings — run header,
+//     places, annotation keys, values and sources, episode ids, record
+//     object ids — as a varint index into it, and a reader decodes it once
+//     at Open, so decoding a string is a bounds-checked index;
 //   - the run directory: per run, its key (object, trajectory and
 //     interpretation, as dictionary indexes), positional range, stop count
 //     and frame offset, and for a tuple run its span (least TimeIn,
 //     greatest TimeOut), which lets a scan skip a run without reading its
-//     frame.
+//     frame, and its column frame's offset.
 //
-// Data frames decode lazily, one run at a time. Footers at version 2
-// (strings inline, no run spans) are refused like any other version.
+// Data frames decode lazily, one run at a time; a grouped scan reads a tuple
+// run's column frame instead and never decodes its data frame. Footers at
+// version 3 (no column frames) and earlier are refused like any other
+// version.
 package segment
 
 import (
@@ -56,11 +61,12 @@ const (
 	// trailerSize is the fixed tail: u32 footer frame size + 4-byte magic.
 	trailerSize = 8
 	// footerVersion versions the footer payload independently of the file.
-	// Version 3 adds the string dictionary the data frames index and the
-	// tuple runs' spans; version 2 wrote strings inline, version 1 times as
-	// UnixNano, which wraps outside 1678–2262. Footers at another version
-	// are refused, not read.
-	footerVersion = 3
+	// Version 4 adds the tuple runs' column frames; version 3 added the
+	// string dictionary the data frames index and the tuple runs' spans,
+	// version 2 wrote strings inline, version 1 times as UnixNano, which
+	// wraps outside 1678–2262. Footers at another version are refused, not
+	// read.
+	footerVersion = 4
 )
 
 var (
@@ -88,7 +94,8 @@ func corruptf(path, format string, args ...any) error {
 // range; Stops counts the stops inside episode and tuple runs (so recovery
 // re-commits exact kind totals without decoding, and a scan knows the
 // kinds a run holds). TimeMin and TimeMax are a tuple run's span: its
-// tuples' least TimeIn and greatest TimeOut (see wal.Span).
+// tuples' least TimeIn and greatest TimeOut (see wal.Span), and Cols is the
+// offset of its column frame.
 type RunMeta struct {
 	Op               store.MutationOp
 	Object           string
@@ -99,6 +106,7 @@ type RunMeta struct {
 	Stops            int
 	TimeMin, TimeMax time.Time
 	Off              int64
+	Cols             int64
 }
 
 // Footer is a segment's decoded footer: the planner summary, the string
@@ -179,6 +187,7 @@ func encodeFooter(f *Footer) []byte {
 		if isTupleRun(r.Op) {
 			e.Time(r.TimeMin)
 			e.Time(r.TimeMax)
+			e.Uv(uint64(r.Cols))
 		}
 		e.Uv(uint64(r.Off))
 	}
@@ -241,6 +250,7 @@ func decodeFooter(payload []byte) (*Footer, error) {
 		if isTupleRun(r.Op) {
 			r.TimeMin = d.Time()
 			r.TimeMax = d.Time()
+			r.Cols = int64(d.Uv())
 		}
 		r.Off = int64(d.Uv())
 	}

@@ -38,23 +38,37 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzDecodeFooter drives the segment footer decoder — every segment open
-// runs it on the file's last frame — with arbitrary payloads, seeded with
-// an encoding of a footer with every field set (its string dictionary and
-// tuple run spans among them) and with a run directory indexing past its
-// dictionary. Invariant: decoding returns an error, or decode → encode →
-// decode → encode is a fixed point (the first decode may drop what
-// encoding canonicalises: duplicate map keys, the map order, a repeated
-// dictionary string); it never panics and never allocates more than
-// footerAllocBound.
+// runs it on the file's last frame — and the column frame decoder with
+// arbitrary payloads: a footer, and a column frame decoded under the
+// footer's dictionary, as Open decodes it. It is seeded with an encoding of a footer with every field set
+// (its string dictionary, tuple run spans and column frame offsets among
+// them), with a run directory indexing past its dictionary, and with a
+// written segment's footer beside its first tuple run's column frame, whole
+// and damaged (columnDamage: cut short, a count off by one, an index past
+// the dictionary's end, a span its entry does not hold). Invariants: the
+// footer decode returns an error, or decode → encode → decode → encode is
+// a fixed point (the first decode may drop what encoding canonicalises:
+// duplicate map keys, the map order, a repeated dictionary string); the
+// column decode, checking only and projecting the place and every
+// dictionary string as a key, errors alike and otherwise reports the same
+// count and span; neither panics, and each allocates at most
+// footerAllocBound of its input.
 func FuzzDecodeFooter(f *testing.F) {
 	full := encodeFooter(testFooter())
-	f.Add(full)
-	f.Add(full[:len(full)/2])
-	f.Add(encodeFooter(&Footer{}))
-	f.Add(oneRunFooter(0))
-	f.Add(oneRunFooter(1))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Add(full, []byte(nil))
+	f.Add(full[:len(full)/2], []byte(nil))
+	f.Add(encodeFooter(&Footer{}), []byte(nil))
+	f.Add(oneRunFooter(0), []byte(nil))
+	f.Add(oneRunFooter(1), []byte(nil))
+	f.Add([]byte{}, []byte(nil))
+	written := writtenSegment(f)
+	foot, cols := columnSeed(f, written, nil)
+	f.Add(foot, cols)
+	for _, c := range columnDamage {
+		foot, cols := columnSeed(f, written, c.damage)
+		f.Add(foot, cols)
+	}
+	f.Fuzz(func(t *testing.T, payload, cols []byte) {
 		if n := allocatedBy(func() { _, _ = decodeFooter(payload) }); n > footerAllocBound(len(payload)) {
 			t.Fatalf("decoding %d bytes allocated %d B, want <= %d", len(payload), n, footerAllocBound(len(payload)))
 		}
@@ -70,19 +84,70 @@ func FuzzDecodeFooter(f *testing.F) {
 		if second := encodeFooter(again); !bytes.Equal(second, first) {
 			t.Fatalf("decode → encode is not a fixed point for %x:\n first  %x\n second %x", payload, first, second)
 		}
+		proj := &store.Projection{Place: true, AnnKeys: foot.Dict}
+		var c columns
+		for _, p := range []*store.Projection{nil, proj} {
+			if n := allocatedBy(func() { _, _ = (&columns{}).decode(cols, foot.Dict, nil, p, &wal.Span{}) }); n > footerAllocBound(len(cols)) {
+				t.Fatalf("decoding a %d-byte column frame (projected %v) allocated %d B, want <= %d", len(cols), p != nil, n, footerAllocBound(len(cols)))
+			}
+		}
+		var span, pspan wal.Span
+		tuples, err := c.decode(cols, foot.Dict, nil, nil, &span)
+		n := len(tuples)
+		projected, perr := c.decode(cols, foot.Dict, nil, proj, &pspan)
+		if (err == nil) != (perr == nil) || len(projected) != n || pspan != span {
+			t.Fatalf("column frame %x: checked %d tuples, %+v, %v; projected %d, %+v, %v", cols, n, span, err, len(projected), pspan, perr)
+		}
 	})
 }
 
-// FuzzRecoverFooter drives recovery with arbitrary footers over real data
-// frames: a directory holds a first segment as written and a second whose
-// data frames — one run of every op, merge frames included, their strings
-// indexes into the written dictionary — are kept while the fuzz input
-// stands in for its footer payload, re-framed with a valid CRC and
-// trailer. It is seeded with the written footer, with it cut short, with
-// its tuple runs' stop counts and spans changed, and with its dictionary
-// cut to the run keys (so frames index past its end or name other
-// strings). Invariant: Recover returns an error, or a store whose reads of
-// every key either footer lists, keyed and scan alike, do not panic.
+// writtenSegment freezes populate(st, 2, 10) into a segment under a temp
+// directory and returns its bytes.
+func writtenSegment(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	st, tier, _, err := Recover(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, st, 2, 10)
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(tier.segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier.Close()
+	return data
+}
+
+// columnSeed damages the first tuple run of the segment data (unless
+// damage is nil) and returns its footer payload and that run's column
+// frame payload.
+func columnSeed(t testing.TB, data []byte, damage func(testing.TB, *segmentParts, int)) ([]byte, []byte) {
+	t.Helper()
+	p := splitSegment(t, data)
+	ent := p.firstTupleRun(t)
+	if damage != nil {
+		damage(t, p, ent)
+	}
+	return encodeFooter(p.foot), p.cols[ent]
+}
+
+// FuzzRecoverFooter drives recovery with arbitrary column frames and
+// footers over real data frames: a directory holds a first segment as
+// written and a second whose data frames — one run of every op, merge
+// frames included, their strings indexes into the written dictionary — are
+// kept while the fuzz inputs stand in for its column frames (the bytes
+// between the data frames and the footer) and its footer payload,
+// re-framed with a valid CRC and trailer. It is seeded with the written
+// column frames and footer, with the footer cut short, with its tuple
+// runs' stop counts and spans changed, with its dictionary cut to the run
+// keys (so frames index past its end or name other strings), and with the
+// first tuple run's column frame damaged (columnDamage). Invariant:
+// Recover returns an error, or a store whose reads of every key either
+// footer lists, keyed and scan alike, full and projected, do not panic.
 func FuzzRecoverFooter(f *testing.F) {
 	dir := f.TempDir()
 	st, tier, _, err := Recover(dir, 4)
@@ -120,18 +185,14 @@ func FuzzRecoverFooter(f *testing.F) {
 		f.Fatal(err)
 	}
 	tier.Close()
-	footSize := int(binary.LittleEndian.Uint32(second[len(second)-trailerSize:]))
-	body := second[:len(second)-trailerSize-footSize]
-	footer, _, err := wal.ParseFrame(second[len(body):])
-	if err != nil {
-		f.Fatal(err)
-	}
+	parts := splitSegment(f, second)
+	cols, footer := segmentRegions(f, parts)
 	if _, _, _, err := Recover(dir, 4); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(footer)
-	f.Add(footer[:len(footer)/2])
-	f.Add(encodeFooter(&Footer{}))
+	f.Add(cols, footer)
+	f.Add(cols, footer[:len(footer)/2])
+	f.Add(cols, encodeFooter(&Footer{}))
 	for _, edit := range []func(*Footer){
 		func(foot *Footer) {
 			for i := range foot.Runs {
@@ -146,14 +207,22 @@ func FuzzRecoverFooter(f *testing.F) {
 			f.Fatal(err)
 		}
 		edit(foot)
-		f.Add(encodeFooter(foot))
+		f.Add(cols, encodeFooter(foot))
+	}
+	for _, c := range columnDamage {
+		p := splitSegment(f, second)
+		c.damage(f, p, p.firstTupleRun(f))
+		cols, footer := segmentRegions(f, p)
+		f.Add(cols, footer)
 	}
 
 	// One directory serves every input (a fuzz worker runs its inputs one
 	// at a time); both files are rewritten in full before each recovery.
 	fuzzDir := f.TempDir()
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		seg := append(wal.AppendFrame(slices.Clip(body), payload), 0, 0, 0, 0)
+	head := parts.head
+	f.Fuzz(func(t *testing.T, cols, payload []byte) {
+		body := append(slices.Clip(head), cols...)
+		seg := append(wal.AppendFrame(body, payload), 0, 0, 0, 0)
 		binary.LittleEndian.PutUint32(seg[len(seg)-4:], uint32(len(seg)-4-len(body)))
 		seg = append(seg, trailerMagic[:]...)
 		for seq, data := range [][]byte{first, seg} {
@@ -179,6 +248,23 @@ func FuzzRecoverFooter(f *testing.F) {
 		capture(st)
 		for seg := range tier.segs {
 			st.VisitColdSegmentTuples(seg, "", func(store.TupleRef, core.EpisodeTuple) bool { return true })
+			var c store.Cut
+			st.TakeCut("", &c)
+			read := store.TupleRead{Project: &store.Projection{Place: true, AnnKeys: []string{"landuse", "poi_category"}}}
+			st.NewSegmentVisitor(&c, read, func(store.TupleRef, *core.EpisodeTuple) bool { return true }).Visit(seg)
 		}
 	})
+}
+
+// segmentRegions lays the parts out and returns their column frames, the
+// bytes between the data frames and the footer, and their footer payload.
+func segmentRegions(t testing.TB, p *segmentParts) (cols, footer []byte) {
+	t.Helper()
+	data := p.bytes()
+	footOff := len(data) - trailerSize - int(binary.LittleEndian.Uint32(data[len(data)-trailerSize:]))
+	footer, _, err := wal.ParseFrame(data[footOff:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[len(p.head):footOff], footer
 }

@@ -5,32 +5,35 @@ import (
 	"fmt"
 	"sync"
 
+	"semitri/internal/core"
 	"semitri/internal/obs"
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
 
 // Reader is one open, validated segment file. Open verifies the whole file —
-// header, trailer, footer CRC and every data frame's CRC — so a torn or
-// bit-flipped segment is rejected up front and later decode calls operate on
-// known-good bytes, and decodes the footer, its string dictionary included,
-// once. Decoding itself stays lazy: runs are materialised one frame at a
-// time, on demand, through a pooled cursor, each string an index into the
-// dictionary.
+// header, trailer, footer CRC, every data frame's CRC and every column
+// frame's CRC and contents — so a torn or bit-flipped segment is rejected
+// up front and later decode calls operate on known-good bytes, and decodes
+// the footer, its string dictionary included, once. Decoding itself stays
+// lazy: runs are materialised one frame at a time, on demand, through a
+// pooled cursor, each string an index into the dictionary.
 type Reader struct {
 	path string
 	blob wal.Blob
 	foot *Footer
 }
 
-// cursor is the pooled per-call decode state: the pread frame buffer and
-// the memory projected decodes build in. Pooling keeps steady-state cold
-// reads allocation-lean — a projected scan reuses one run's tuples for the
-// next. It holds no string table: a segment's strings are its footer's
-// dictionary, shared by every decode of the segment.
+// cursor is the pooled per-call decode state: the pread frame buffer, the
+// positions a keyed read wants of a run, and the memory column frames
+// decode into. Pooling keeps steady-state cold reads allocation-lean — a
+// projected scan reuses one run's tuples for the next. It holds no string
+// table: a segment's strings are its footer's dictionary, shared by every
+// decode of the segment.
 type cursor struct {
-	buf    []byte
-	tuples wal.TupleBuf
+	buf  []byte
+	want []bool
+	cols columns
 }
 
 var cursorPool = sync.Pool{New: func() any { return &cursor{} }}
@@ -112,8 +115,30 @@ func (r *Reader) validate() error {
 		}
 		off += int64(n)
 	}
+	// Then the column frames, one per tuple run in directory order, each
+	// decoded and checked against its entry: a projected scan reads only
+	// the column frame, so it must hold what the entry describes.
+	for i := range foot.Runs {
+		meta := &foot.Runs[i]
+		if !isTupleRun(meta.Op) {
+			continue
+		}
+		if meta.Cols != off {
+			return corruptf(r.path, "run %d column frame at %d, frame found at %d", i, meta.Cols, off)
+		}
+		payload, n, err := r.blob.Frame(off, &cur.buf)
+		if err != nil {
+			return corruptf(r.path, "column frame at %d fails checksum", off)
+		}
+		var span wal.Span
+		tuples, err := cur.cols.decode(payload, foot.Dict, nil, nil, &span)
+		if err != nil || len(tuples) != meta.Count || span != (wal.Span{Stops: meta.Stops, Min: meta.TimeMin, Max: meta.TimeMax}) {
+			return corruptf(r.path, "column frame at %d does not hold run %d", off, i)
+		}
+		off += int64(n)
+	}
 	if off != footOff {
-		return corruptf(r.path, "trailing bytes between data frames and footer")
+		return corruptf(r.path, "trailing bytes between frames and footer")
 	}
 	r.foot = foot
 	return nil
@@ -123,20 +148,31 @@ func (r *Reader) validate() error {
 // after Open.
 func (r *Reader) Footer() *Footer { return r.foot }
 
-// mutationAt decodes the run frame at off, building only the tuples and
-// fields read asks for, and reports the span of all its tuples (see
-// wal.DecodeRun). The returned mutation owns its memory (its strings are
-// the dictionary's, and the decoder copies payloads out of the frame
-// buffer), except that projected tuples live in cur until its next
-// projected decode.
-func (r *Reader) mutationAt(off int64, cur *cursor, read store.TupleRead) (store.Mutation, wal.Span, error) {
+// mutationAt decodes the run frame at off, building of a tuple run only the
+// tuples keep and want select, and reports the span of all its tuples (see
+// wal.DecodeRun). The returned mutation owns its memory: its strings are
+// the dictionary's, and the decoder copies payloads out of the frame.
+func (r *Reader) mutationAt(off int64, cur *cursor, keep store.TupleFilter, want []bool) (store.Mutation, wal.Span, error) {
 	payload, n, err := r.blob.Frame(off, &cur.buf)
 	if err != nil {
 		return store.Mutation{}, wal.Span{}, err
 	}
 	obs.SegmentColdReads.Inc()
 	obs.SegmentColdBytes.Add(int64(n))
-	return wal.DecodeRun(payload, r.foot.Dict, read, &cur.tuples)
+	return wal.DecodeRun(payload, r.foot.Dict, keep, want)
+}
+
+// columnsAt decodes the column frame at off into cur, building the tuples
+// read keeps as read projects them (see columns.decode). The tuples live
+// in cur until its next column decode. Under a memory map the frame is
+// read in place, never copied. The caller counts the frames it reads in
+// obs.SegmentColumnReads.
+func (r *Reader) columnsAt(off int64, cur *cursor, read store.TupleRead) ([]*core.EpisodeTuple, error) {
+	payload, _, err := r.blob.Frame(off, &cur.buf)
+	if err != nil {
+		return nil, err
+	}
+	return cur.cols.decode(payload, r.foot.Dict, read.Keep, read.Project, nil)
 }
 
 // Close releases the mapping or file handle.

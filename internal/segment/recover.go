@@ -108,7 +108,7 @@ func (t *Tier) recommit(st *store.Store, seg int) error {
 			Interpretation: meta.Interp, Start: meta.Start, Count: meta.Count}
 		if meta.Op == store.MutMergeTuple {
 			var ok bool
-			if m, ok = t.decode(r, meta, cur, store.TupleRead{}); !ok {
+			if m, ok = t.decode(r, meta, cur, nil, nil); !ok {
 				return corruptf(r.path, "merge frame at %d undecodable", meta.Off)
 			}
 		}

@@ -1,14 +1,15 @@
 package segment
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"semitri/internal/core"
+	"semitri/internal/episode"
 	"semitri/internal/geo"
 	"semitri/internal/gps"
 	"semitri/internal/obs"
@@ -106,47 +107,34 @@ func TestColdReadsCountUndecodableRun(t *testing.T) {
 	}
 }
 
-// rewriteFooter decodes the footer of the segment file at path, lets edit
-// change it, and writes the file back with the re-encoded footer, framed
-// and trailed as a writer would.
-func rewriteFooter(t *testing.T, path string, edit func(*Footer)) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	footSize := int(binary.LittleEndian.Uint32(data[len(data)-trailerSize:]))
-	body := data[:len(data)-trailerSize-footSize]
-	payload, _, err := wal.ParseFrame(data[len(body):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	foot, err := decodeFooter(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edit(foot)
-	out := wal.AppendFrame(append([]byte(nil), body...), encodeFooter(foot))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(out)-len(body)))
-	out = append(out, trailerMagic[:]...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunEntryMismatchCountsBadRun pins the integrity check of a tuple
-// run's directory fields: a run whose decoded stop count or span differs
-// from its directory entry is refused by every read, keyed and scan alike,
-// and counted in BadRuns. Each edit keeps the span wide enough that the
-// scan does not skip the run unread.
+// run's directory fields against its data frame: a run whose data frame
+// decodes to another stop count or span than its directory entry — the
+// entry and the run's column frame changed alike, so the segment opens —
+// is refused by every full read, keyed and scan alike, and counted in
+// BadRuns. Each edit keeps the span wide enough that the scan does not
+// skip the run unread.
 func TestRunEntryMismatchCountsBadRun(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		edit func(*RunMeta)
+		edit func([]*core.EpisodeTuple)
 	}{
-		{"stops", func(m *RunMeta) { m.Stops++ }},
-		{"least TimeIn", func(m *RunMeta) { m.TimeMin = m.TimeMin.Add(-time.Second) }},
-		{"greatest TimeOut", func(m *RunMeta) { m.TimeMax = m.TimeMax.Add(time.Nanosecond) }},
+		{"stops", func(tps []*core.EpisodeTuple) {
+			for _, tp := range tps {
+				if tp.Kind != episode.Stop {
+					tp.Kind = episode.Stop
+					return
+				}
+			}
+		}},
+		{"least TimeIn", func(tps []*core.EpisodeTuple) {
+			least := slices.MinFunc(tps, func(a, b *core.EpisodeTuple) int { return a.TimeIn.Compare(b.TimeIn) })
+			least.TimeIn = least.TimeIn.Add(-time.Second)
+		}},
+		{"greatest TimeOut", func(tps []*core.EpisodeTuple) {
+			greatest := slices.MaxFunc(tps, func(a, b *core.EpisodeTuple) int { return a.TimeOut.Compare(b.TimeOut) })
+			greatest.TimeOut = greatest.TimeOut.Add(time.Nanosecond)
+		}},
 	} {
 		dir := t.TempDir()
 		st, tier := newTiered(t, dir, 4)
@@ -160,13 +148,17 @@ func TestRunEntryMismatchCountsBadRun(t *testing.T) {
 		if err != nil || len(paths) != 1 {
 			t.Fatalf("want 1 segment, got %v (%v)", paths, err)
 		}
-		rewriteFooter(t, paths[0], func(f *Footer) {
-			for i := range f.Runs {
-				if isTupleRun(f.Runs[i].Op) && f.Runs[i].Traj == "t-0" {
-					c.edit(&f.Runs[i])
-				}
+		p := readSegment(t, paths[0])
+		for i := range p.foot.Runs {
+			if meta := &p.foot.Runs[i]; isTupleRun(meta.Op) && meta.Traj == "t-0" {
+				span := wal.SpanOf(p.reencode(t, i, func(tps []*core.EpisodeTuple) []*core.EpisodeTuple {
+					c.edit(tps)
+					return tps
+				}))
+				meta.Stops, meta.TimeMin, meta.TimeMax = span.Stops, span.Min, span.Max
 			}
-		})
+		}
+		p.write(t, paths[0])
 		st2, tier2, _, err := Recover(dir, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -290,6 +282,36 @@ func TestKeyedResolveDecodesOneRun(t *testing.T) {
 	}
 	if n := obs.SegmentColdReads.Value() - before; n != 2 {
 		t.Fatalf("resolving four positions over two runs decoded %d runs, want 2", n)
+	}
+}
+
+// TestKeyedResolveBuildsWantedTuples pins that a keyed read builds only
+// the tuples it wants of the run it decodes: resolving one position, by
+// AppendTuplesAt and by the one-position ColdTuples a merge into a frozen
+// position reads, allocates as much from a run of 40 tuples as from a run
+// of 10 (the last position of each, an odd one: alike tuples).
+func TestKeyedResolveBuildsWantedTuples(t *testing.T) {
+	allocs := map[int][2]float64{}
+	for _, n := range []int{10, 40} {
+		st, tier := newTiered(t, t.TempDir(), 4)
+		putObject(t, st, "obj-0", "t-0", 0, 2*n)
+		if err := tier.Freeze(st); err != nil {
+			t.Fatal(err)
+		}
+		at, tuples, ok := []int{n - 1}, make([]core.EpisodeTuple, 0, 1), make([]bool, 0, 1)
+		allocs[n] = [2]float64{
+			testing.AllocsPerRun(20, func() { st.AppendTuplesAt("t-0", "merged", at, tuples[:0], ok[:0]) }),
+			testing.AllocsPerRun(20, func() { tier.ColdTuples("t-0", "merged", n-1, n, tuples[:0]) }),
+		}
+		want := testTuple("t-0", n-1)
+		want.Episode.ObjectID = "obj-0"
+		if got, ok := st.AppendTuplesAt("t-0", "merged", at, nil, nil); !ok[0] || !reflect.DeepEqual(got[0], *want) {
+			t.Fatalf("run of %d: position %d resolved to %+v (ok %v)", n, n-1, got, ok)
+		}
+		tier.Close()
+	}
+	if allocs[40] != allocs[10] {
+		t.Fatalf("resolving one position allocates %v from a run of 40 tuples, %v from a run of 10", allocs[40], allocs[10])
 	}
 }
 

@@ -447,9 +447,9 @@ func testFooter() *Footer {
 		Runs: []RunMeta{
 			{Op: store.MutPutRecords, Object: "o1", Start: 0, Count: 12, Off: 8},
 			{Op: store.MutAppendTuples, Object: "o1", Traj: "t1", Interp: "merged",
-				Start: 4, Count: 3, Stops: 1, TimeMin: ts(3), TimeMax: ts(90), Off: 640},
+				Start: 4, Count: 3, Stops: 1, TimeMin: ts(3), TimeMax: ts(90), Off: 640, Cols: 800},
 			{Op: store.MutPutStructured, Object: "o1", Traj: "t1", Interp: "merged",
-				Count: 2, TimeMax: ts(7), Off: 700}, // untimed first tuple: TimeMin is zero
+				Count: 2, TimeMax: ts(7), Off: 700, Cols: 850}, // untimed first tuple: TimeMin is zero
 			{Op: store.MutPutEpisodes, Traj: "t1", Count: 6, Stops: 2, Off: 99},
 		},
 	}
@@ -512,9 +512,10 @@ func TestFooterRoundTrip(t *testing.T) {
 
 // segmentFileSHA256 pins the bytes of one segment file written from a fixed
 // mutation list: two objects through populate, then one Freeze. The data
-// frames, the footer frame and the trailer all count, so a change to the
-// framing routine or to the footer encoding shows here.
-const segmentFileSHA256 = "f7c80118331338749f7f78de02f2308e4593de2037adb8bfdb8dc62227aa47c4"
+// frames, the column frames, the footer frame and the trailer all count, so
+// a change to the framing routine, the column frames or the footer
+// encoding shows here.
+const segmentFileSHA256 = "999f0e4b33cc19eb83971b58ea0fcf8116bd67224b173f2d1b54d30a4f8bb0dc"
 
 func TestSegmentFileGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -813,8 +814,8 @@ func TestFreezeRacesKeyedReads(t *testing.T) {
 
 // TestRecoverRefusesOtherFormatVersion pins that a data directory whose
 // segment another release wrote — the previous format version, which held
-// copies of trajectory records, a later one, or a version-1 footer, whose
-// times wrap outside 1678–2262 — is refused with an error naming the
+// copies of trajectory records, a later one, a version-1 footer, whose
+// times wrap outside 1678–2262, or a footer of version 2 or 3 — is refused with an error naming the
 // segment file and both versions, and left byte-for-byte untouched, WAL
 // tail and a stale freeze temp file included.
 func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
@@ -843,6 +844,7 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 		{"segment", formatVersion + 1, formatVersion, fileVersion(formatVersion + 1)},
 		{"segment footer", 1, footerVersion, footerVersionOf(1)},
 		{"segment footer", 2, footerVersion, footerVersionOf(2)}, // strings inline, no run spans
+		{"segment footer", 3, footerVersion, footerVersionOf(3)}, // no column frames
 	}
 	for _, c := range cases {
 		dir := t.TempDir()

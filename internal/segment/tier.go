@@ -109,29 +109,47 @@ func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 // decode (see decode).
 func (t *Tier) BadRuns() int64 { return t.badRuns.Load() }
 
-// decode reads one run's data frame, building only the tuples and fields
-// read asks for (see wal.DecodeRun). A frame that does not decode, or that
-// decodes to another run than its directory entry names — another key,
-// range, stop count or span — is counted in BadRuns and reported as not
-// ok: the reader leaves the run's positions unread rather than failing, and
-// Pipeline.Health reports the count.
-func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor, read store.TupleRead) (store.Mutation, bool) {
-	m, span, err := r.mutationAt(meta.Off, cur, read)
-	if err == nil && runMeta(m, span, meta.Off) == *meta {
+// decode reads one run's data frame, building of a tuple run only the
+// tuples keep and want select (see wal.DecodeRun). A frame that does not
+// decode, or that decodes to another run than its directory entry names —
+// another key, range, stop count or span — is counted in BadRuns and
+// reported as not ok: the reader leaves the run's positions unread rather
+// than failing, and Pipeline.Health reports the count.
+func (t *Tier) decode(r *Reader, meta *RunMeta, cur *cursor, keep store.TupleFilter, want []bool) (store.Mutation, bool) {
+	m, span, err := r.mutationAt(meta.Off, cur, keep, want)
+	if err == nil && runMeta(m, span, meta.Off, meta.Cols) == *meta {
 		return m, true
 	}
 	t.badRuns.Add(1)
 	return store.Mutation{}, false
 }
 
+// columns reads one tuple run's column frame, building the tuples read
+// keeps as read projects them (see Reader.columnsAt). A frame that does
+// not decode, or that holds another count than the run's directory entry,
+// is counted in BadRuns and reported as not ok, like a data frame (see
+// decode). Open checked the frame's kinds and times against the entry, and
+// its checksum shows it is the same frame.
+func (t *Tier) columns(r *Reader, meta *RunMeta, cur *cursor, read store.TupleRead) ([]*core.EpisodeTuple, bool) {
+	tuples, err := r.columnsAt(meta.Cols, cur, read)
+	if err == nil && len(tuples) == meta.Count {
+		return tuples, true
+	}
+	t.badRuns.Add(1)
+	return nil, false
+}
+
 // eachRun is the keyed readers' one run reader: it calls fn, in position
 // order, with every committed run of a key that want selects, decoded
 // (decoded is false for a run that does not decode), until fn returns
-// false. The run list is snapshotted under the read lock, which is released
-// before any decoding.
-func (t *Tier) eachRun(k tierKey, want func(meta *RunMeta) bool, fn func(meta *RunMeta, m store.Mutation, decoded bool) bool) {
+// false. Of a tuple run, want marks in at — one flag per run position, all
+// clear — the positions the decode builds; the others are nil (of any
+// other run, at is nil and the decode builds everything). The run list is
+// the one read under the read lock, shared (indexRun never writes a list
+// a reader holds), and the lock is released before any decoding.
+func (t *Tier) eachRun(k tierKey, want func(meta *RunMeta, at []bool) bool, fn func(meta *RunMeta, m store.Mutation, decoded bool) bool) {
 	t.mu.RLock()
-	refs := append([]runRef(nil), t.runs[k]...)
+	refs := t.runs[k]
 	segs := t.segs
 	t.mu.RUnlock()
 	cur := getCursor()
@@ -139,10 +157,15 @@ func (t *Tier) eachRun(k tierKey, want func(meta *RunMeta) bool, fn func(meta *R
 	for _, rr := range refs {
 		r := segs[rr.seg]
 		meta := &r.foot.Runs[rr.ent]
-		if !want(meta) {
+		var at []bool
+		if isTupleRun(meta.Op) {
+			cur.want = append(cur.want[:0], make([]bool, meta.Count)...)
+			at = cur.want
+		}
+		if !want(meta, at) {
 			continue
 		}
-		if m, ok := t.decode(r, meta, cur, store.TupleRead{}); !fn(meta, m, ok) {
+		if m, ok := t.decode(r, meta, cur, nil, at); !fn(meta, m, ok) {
 			return
 		}
 	}
@@ -150,13 +173,18 @@ func (t *Tier) eachRun(k tierKey, want func(meta *RunMeta) bool, fn func(meta *R
 
 // eachRange calls fn, in position order, with the part [lo, hi) of each of
 // a key's runs that falls within the positions [from, to), relative to the
-// run's start. It stops at the first position of the range it cannot read —
-// one that no committed run holds, or whose run does not decode — so the
-// parts fn sees are always the range's prefix.
+// run's start, only those positions of a tuple run built. It stops at the
+// first position of the range it cannot read — one that no committed run
+// holds, or whose run does not decode — so the parts fn sees are always
+// the range's prefix.
 func (t *Tier) eachRange(k tierKey, from, to int, fn func(m store.Mutation, lo, hi int)) {
 	next := from
-	t.eachRun(k, func(meta *RunMeta) bool {
-		return max(from, meta.Start) < min(to, meta.Start+meta.Count)
+	t.eachRun(k, func(meta *RunMeta, at []bool) bool {
+		lo, hi := max(from, meta.Start), min(to, meta.Start+meta.Count)
+		for i := lo; i < hi && at != nil; i++ {
+			at[i-meta.Start] = true
+		}
+		return lo < hi
 	}, func(meta *RunMeta, m store.Mutation, decoded bool) bool {
 		if !decoded || meta.Start > next {
 			return false
@@ -188,7 +216,8 @@ func (t *Tier) ColdEpisodes(trajectoryID string, buf []*episode.Episode) []*epis
 
 // ColdTuples implements store.ColdTier: the frozen tuples of one structured
 // interpretation at positions [from, to), in position order, decoding only
-// the runs that overlap the range. The merge overlay is the store's
+// the runs that overlap the range and building only the range's tuples of
+// them. The merge overlay is the store's
 // concern: it stands in for tuples at their positions, which the tier
 // keeps.
 func (t *Tier) ColdTuples(trajectoryID, interpretation string, from, to int, buf []core.EpisodeTuple) []core.EpisodeTuple {
@@ -202,19 +231,20 @@ func (t *Tier) ColdTuples(trajectoryID, interpretation string, from, to int, buf
 }
 
 // ColdTuplesAt implements store.ColdTier, decoding each run that holds a
-// wanted position once and no other run.
+// wanted position once, building only its wanted tuples, and no other run.
 func (t *Tier) ColdTuplesAt(trajectoryID, interpretation string, at []int, base int, tuples []core.EpisodeTuple, ok []bool) {
 	holds := func(meta *RunMeta, i int) bool {
 		return !ok[i] && at[i] < base && meta.Start <= at[i] && at[i] < meta.Start+meta.Count
 	}
 	k := tierKey{table: store.MutPutStructured, key: trajectoryID, interp: interpretation}
-	t.eachRun(k, func(meta *RunMeta) bool {
+	t.eachRun(k, func(meta *RunMeta, want []bool) bool {
+		hit := false
 		for i := range at {
 			if holds(meta, i) {
-				return true
+				want[at[i]-meta.Start], hit = true, true
 			}
 		}
-		return false
+		return hit
 	}, func(meta *RunMeta, m store.Mutation, decoded bool) bool {
 		if !decoded {
 			return true // the run's positions stay unresolved
@@ -256,18 +286,20 @@ func (t *Tier) dropScan(seg int, drop func(ent int) bool) {
 }
 
 // VisitSegmentTuples implements store.ColdTier: the live frozen tuples of
-// one segment below each key's bound that read keeps, decoded lazily run by
+// one segment below each key's bound that read keeps, read lazily run by
 // run. A run whose directory entry shows it holds no tuple read.Keep admits
 // — Keep refuses the run's span for each kind the run holds — is skipped
-// unread: no frame read, no checksum, no bound asked, no decode. In a run
-// it reads, the decoder reads each tuple's kind, place and times first and
-// skips the rest of a tuple read.Keep refuses without building it; a
-// projected read builds a kept tuple's projected fields alone, into the
-// cursor's memory, which the next run reuses. The merge overlay, applied by
-// the store after this visit, cannot make a refused tuple match: a merge
-// never changes a tuple's kind or times (store.TupleFilter). The scan list
-// is read under the read lock, shared (it is copy-on-write), and the lock
-// released before any decoding or callback — fn may take stripe locks.
+// unread: no frame read, no checksum, no bound asked, no decode. A
+// projected read takes each run it reads from its column frame alone and
+// builds a kept tuple's projected fields, into the cursor's memory, which
+// the next run reuses; the run's data frame is never decoded. A full read
+// decodes the data frame, reading each tuple's kind and times first and
+// skipping the rest of a tuple read.Keep refuses without building it. The
+// merge overlay, applied by the store after this visit, cannot make a
+// refused tuple match: a merge never changes a tuple's kind or times
+// (store.TupleFilter). The scan list is read under the read lock, shared
+// (it is copy-on-write), and the lock released before any decoding or
+// callback — fn may take stripe locks.
 func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.TupleRead, below func(traj, interp string) int, fn func(ref store.TupleRef, tp *core.EpisodeTuple) bool) bool {
 	t.mu.RLock()
 	if seg < 0 || seg >= len(t.segs) {
@@ -278,7 +310,11 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.Tup
 	ents := t.scan[seg]
 	t.mu.RUnlock()
 	cur := getCursor()
-	defer putCursor(cur)
+	cols := 0 // column frames read, counted once: the counter is shared
+	defer func() {
+		putCursor(cur)
+		obs.SegmentColumnReads.Add(int64(cols))
+	}()
 	for _, ent := range ents {
 		meta := &r.foot.Runs[ent]
 		if interpretation != "" && meta.Interp != interpretation || !meta.mayHold(read.Keep) {
@@ -288,11 +324,20 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.Tup
 		if n <= 0 {
 			continue
 		}
-		m, ok := t.decode(r, meta, cur, read)
+		var tuples []*core.EpisodeTuple
+		var ok bool
+		if read.Project != nil {
+			tuples, ok = t.columns(r, meta, cur, read)
+			cols++
+		} else {
+			var m store.Mutation
+			m, ok = t.decode(r, meta, cur, read.Keep, nil)
+			tuples = m.Tuples
+		}
 		if !ok {
 			continue
 		}
-		for i, tp := range m.Tuples[:min(n, len(m.Tuples))] {
+		for i, tp := range tuples[:min(n, len(tuples))] {
 			if tp == nil {
 				continue // refused by read.Keep
 			}
@@ -396,23 +441,29 @@ func (t *Tier) addSegment(r *Reader) int {
 // end and supersedes nothing, and a put of tuples commits only after a
 // replace dropped the key's runs (InvalidateTuples); only a put of episodes
 // drops the runs of the episodes a replace superseded, none of them
-// scanned. It returns the key's runs. Caller holds mu (write).
+// scanned. A key's run list is shared with the readers that read it under
+// the lock (eachRun), so it is never written below its length: a run that
+// supersedes none is appended past its end, and one that supersedes some
+// gets a new list. It returns the key's runs. Caller holds mu (write).
 func (t *Tier) indexRun(rr runRef) []runRef {
 	meta := t.meta(rr)
 	k, ok := keyOf(meta)
 	if !ok {
 		return nil
 	}
-	kept := t.runs[k][:0]
-	for _, old := range t.runs[k] {
-		switch {
-		case t.meta(old).Start < meta.Start:
-			kept = append(kept, old)
-		case isTupleRun(meta.Op):
-			t.dropScan(old.seg, func(ent int) bool { return ent == old.ent })
+	runs := t.runs[k]
+	superseded := func(old runRef) bool { return t.meta(old).Start >= meta.Start }
+	if slices.ContainsFunc(runs, superseded) {
+		if isTupleRun(meta.Op) {
+			for _, old := range runs {
+				if superseded(old) {
+					t.dropScan(old.seg, func(ent int) bool { return ent == old.ent })
+				}
+			}
 		}
+		runs = slices.DeleteFunc(slices.Clone(runs), superseded)
 	}
-	t.runs[k] = append(kept, rr)
+	t.runs[k] = append(runs, rr)
 	return t.runs[k]
 }
 

@@ -23,6 +23,11 @@ type Writer struct {
 	tmp  string
 	off  int64 // next frame's byte offset
 	buf  []byte
+	// cols holds the tuple runs' column frames, written after the data
+	// frames at finish; a run's directory entry records its frame's offset
+	// in cols until then.
+	cols []byte
+	enc  wal.Encoder
 
 	foot    Footer
 	dict    wal.Dict        // every string of the data frames, for the footer
@@ -54,6 +59,7 @@ func newWriter(dir string, seq uint64) (*Writer, error) {
 // them immediately (and strings are immutable).
 func (w *Writer) add(m store.Mutation) error {
 	var span wal.Span
+	cols := int64(len(w.cols))
 	if isTupleRun(m.Op) {
 		w.summarise(&m)
 		span = wal.SpanOf(m.Tuples)
@@ -62,15 +68,18 @@ func (w *Writer) add(m store.Mutation) error {
 	if _, err := w.bw.Write(w.buf); err != nil {
 		return err
 	}
-	w.foot.Runs = append(w.foot.Runs, runMeta(m, span, w.off))
+	if isTupleRun(m.Op) {
+		w.cols = appendColumns(w.cols, &w.enc, m.Tuples, &w.dict)
+	}
+	w.foot.Runs = append(w.foot.Runs, runMeta(m, span, w.off, cols))
 	w.off += int64(len(w.buf))
 	return nil
 }
 
 // runMeta is the directory entry of the run m, framed at off, whose tuples
-// (if any) span span: the writer files it, and a read checks a decoded
-// frame against it.
-func runMeta(m store.Mutation, span wal.Span, off int64) RunMeta {
+// (if any) span span and whose column frame (a tuple run's) is at cols: the
+// writer files it, and a read checks a decoded frame against it.
+func runMeta(m store.Mutation, span wal.Span, off, cols int64) RunMeta {
 	meta := RunMeta{Op: m.Op, Object: m.ObjectID, Traj: m.TrajectoryID,
 		Interp: m.Interpretation, Start: m.Start, Off: off}
 	switch m.Op {
@@ -88,6 +97,7 @@ func runMeta(m store.Mutation, span wal.Span, off int64) RunMeta {
 	case store.MutPutStructured, store.MutAppendTuples:
 		meta.Count = len(m.Tuples)
 		meta.Stops, meta.TimeMin, meta.TimeMax = span.Stops, span.Min, span.Max
+		meta.Cols = cols
 	}
 	return meta
 }
@@ -132,9 +142,18 @@ func (w *Writer) summarise(m *store.Mutation) {
 	}
 }
 
-// finish seals the segment: footer frame, trailer, fsync, rename into place,
-// directory sync. On success the file is durable under its final name.
+// finish seals the segment: column frames, footer frame, trailer, fsync,
+// rename into place, directory sync. On success the file is durable under
+// its final name.
 func (w *Writer) finish() error {
+	if _, err := w.bw.Write(w.cols); err != nil {
+		return err
+	}
+	for i := range w.foot.Runs {
+		if isTupleRun(w.foot.Runs[i].Op) {
+			w.foot.Runs[i].Cols += w.off
+		}
+	}
 	s := &w.foot.Summary
 	s.Objects = store.NewObjectFilter(len(w.objects))
 	for obj := range w.objects {

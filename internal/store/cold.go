@@ -75,8 +75,9 @@ type ColdTier interface {
 	// a run that starts at or above its bound is not decoded, nor is a run
 	// whose kinds and span read.Keep refuses (see TupleFilter), for which
 	// below is not asked. Of those it reads it calls fn for the tuples
-	// read.Keep admits, built as read.Project says. It reports false when
-	// fn stopped the visit early.
+	// read.Keep admits, built as read.Project says: a projected read takes
+	// a run's tuples from its column frame and never decodes its data
+	// frame. It reports false when fn stopped the visit early.
 	VisitSegmentTuples(seg int, interpretation string, read TupleRead, below func(traj, interp string) int, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool
 }
 
@@ -95,40 +96,28 @@ type ColdTier interface {
 // monotone.
 type TupleFilter func(kind episode.Kind, timeIn, timeOut time.Time) bool
 
-// TupleRead is what a segment scan asks of the tuple decoder: the tuples to
+// TupleRead is what a segment scan asks of the cold tier: the tuples to
 // build (those Keep admits, every one when it is nil) and, of those, the
 // fields (Project's, every one when it is nil). The zero value is the full
-// decode.
+// read, which decodes each run's data frame; a projected read is served
+// from the runs' column frames alone (internal/segment).
 type TupleRead struct {
 	Keep    TupleFilter
 	Project *Projection
 }
 
-// Projection names the fields a projected decode builds beside a tuple's
-// kind and times: the place's id alone (Place), the annotations of the
-// listed keys, with their values and confidences (AnnKeys), and the episode
-// (Episode). Every byte is checked as a full decode checks it, but nothing
-// else is built or interned. A projected tuple reads like the full one
-// through PlaceID, Annotations.Value of a listed key, Kind, TimeIn and
-// TimeOut (and Episode, when asked for); it lives in memory the decoder
-// reuses, so it is valid only during the visit's callback. The merge
-// overlay still replaces a merged position's tuple with the whole merged
-// one.
+// Projection names the fields a projected read builds beside a tuple's
+// kind and times: the place's id alone (Place) and the annotations of the
+// listed keys, with their values (AnnKeys). Nothing else is built: no
+// episode, confidence, source, or place name, category or extent. A
+// projected tuple reads like the full one through PlaceID,
+// Annotations.Value of a listed key, Kind, TimeIn and TimeOut; it lives in
+// memory the tier reuses, so it is valid only during the visit's callback.
+// The merge overlay still replaces a merged position's tuple with the
+// whole merged one.
 type Projection struct {
 	Place   bool
 	AnnKeys []string
-	Episode bool
-}
-
-// Key returns the listed key equal to s, if any: the projection's own
-// string, so a decoder never interns a key.
-func (p *Projection) Key(s string) (string, bool) {
-	for _, k := range p.AnnKeys {
-		if s == k {
-			return k, true
-		}
-	}
-	return "", false
 }
 
 // SegmentSummary is the planner-facing digest a segment's footer carries:

@@ -77,6 +77,9 @@ func (d *Dict) Index(s string) uint64 {
 // Bytes returns the encoding so far.
 func (e *Encoder) Bytes() []byte { return e.b }
 
+// Reset empties the encoding, keeping its buffer for the next one.
+func (e *Encoder) Reset() { e.b = e.b[:0] }
+
 func (e *Encoder) U8(v byte)     { e.b = append(e.b, v) }
 func (e *Encoder) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
@@ -258,34 +261,9 @@ type Decoder struct {
 	// discard makes the element readers check and skip what they read
 	// without building it: no allocation, no intern probe.
 	discard bool
-	// proj, when set, makes the tuple readers build only its fields, into
-	// buf (see tuples).
-	proj *store.Projection
-	buf  *TupleBuf
-}
-
-// TupleBuf is the memory a projected decode builds its tuples in, reused
-// from call to call: the tuples a projected decode returns, with the places
-// and annotations they reach, are valid until the next projected decode
-// into the same TupleBuf. The zero value is ready to use.
-type TupleBuf struct {
-	tuples []core.EpisodeTuple
-	ptrs   []*core.EpisodeTuple
-	places []core.Place
-	anns   []core.Annotation
-}
-
-// reset readies the buffer for a run of n tuples. The tuple and place
-// arrays never grow during the run, so the pointers into them stay put;
-// an annotation array that grows leaves the sets already taken on the old
-// one, which is never written again.
-func (b *TupleBuf) reset(n int) {
-	if cap(b.tuples) < n {
-		b.tuples = make([]core.EpisodeTuple, n)
-		b.ptrs = make([]*core.EpisodeTuple, 0, n)
-		b.places = make([]core.Place, 0, n)
-	}
-	b.ptrs, b.places, b.anns = b.ptrs[:0], b.places[:0], b.anns[:0]
+	// keep and want select the tuples a run decode builds (see tuples).
+	keep store.TupleFilter
+	want []bool
 }
 
 // maxInterned bounds the intern table so a log full of unique strings (or a
@@ -300,6 +278,10 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 // nil dict reads strings inline again.
 func (d *Decoder) SetDict(dict []string) { d.dict = dict }
 
+// Reset readies d to decode b from its start, its strings inline: a
+// decoder kept across payloads decodes each without an allocation.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b} }
+
 // Err returns the first failed read's error, or errCorrupt when bytes are
 // left over: an encoding must be consumed exactly.
 func (d *Decoder) Err() error {
@@ -309,11 +291,22 @@ func (d *Decoder) Err() error {
 	return d.err
 }
 
+// fail records errCorrupt and moves d to the payload's end, where every
+// later read fails too.
 func (d *Decoder) fail() {
 	if d.err == nil {
 		d.err = errCorrupt
 	}
+	d.off = len(d.b)
 }
+
+// Fail records a value the caller found invalid: the decode fails like
+// one that read past the payload's end.
+func (d *Decoder) Fail() { d.fail() }
+
+// Failed reports whether a read has failed so far. Unlike Err, it does not
+// ask that the payload be consumed.
+func (d *Decoder) Failed() bool { return d.err != nil }
 
 func (d *Decoder) remaining() int { return len(d.b) - d.off }
 
@@ -341,6 +334,22 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Uv reads an unsigned LEB128 varint.
 func (d *Decoder) Uv() uint64 {
+	// Values of one and two bytes — counts, kinds, dictionary indexes —
+	// are most of what a payload holds, and decode without a loop. A failed
+	// decoder stands at the payload's end (see fail), so it takes neither
+	// path.
+	if b := d.b[min(d.off, len(d.b)):]; len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return uint64(b[0])
+	} else if len(b) > 1 && b[1] < 0x80 {
+		d.off += 2
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7
+	}
+	return d.uvLong()
+}
+
+// uvLong is Uv past its one- and two-byte cases.
+func (d *Decoder) uvLong() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -552,38 +561,26 @@ func (d *Decoder) episodes() []*episode.Episode {
 	return eps
 }
 
-// place reads a place link. A projected decode builds, into its buffer, a
-// place that carries its id alone, and only when the projection asks for
-// it.
+// place reads a place link.
 func (d *Decoder) place() *core.Place {
 	if d.U8() == 0 {
 		return nil
 	}
-	build, full := !d.discard && (d.proj == nil || d.proj.Place), d.proj == nil
-	id := d.str(build)
-	kind := core.PlaceKind(d.U8())
-	name, category := d.str(build && full), d.str(build && full)
-	extent := d.Rect()
-	if kind != core.RegionPlace && kind != core.LinePlace && kind != core.PointPlace {
+	p := core.Place{ID: d.strShared(), Kind: core.PlaceKind(d.U8()), Name: d.strShared(), Category: d.strShared(), Extent: d.Rect()}
+	if p.Kind != core.RegionPlace && p.Kind != core.LinePlace && p.Kind != core.PointPlace {
 		d.fail()
 	}
-	switch {
-	case !build:
+	if d.discard {
 		return nil
-	case !full:
-		d.buf.places = append(d.buf.places, core.Place{ID: id})
-		return &d.buf.places[len(d.buf.places)-1]
 	}
-	return &core.Place{ID: id, Kind: kind, Name: name, Category: category, Extent: extent}
+	built := p // p itself stays on the stack when nothing is built
+	return &built
 }
 
 func (d *Decoder) annotations() []core.Annotation {
 	n := d.Count(1 + 1 + 8 + 1) // three empty strings and the confidence
 	if d.err != nil || n == 0 {
 		return nil
-	}
-	if d.proj != nil && !d.discard {
-		return d.projectedAnnotations(n)
 	}
 	var anns []core.Annotation
 	if !d.discard {
@@ -598,96 +595,52 @@ func (d *Decoder) annotations() []core.Annotation {
 	return anns
 }
 
-// projectedAnnotations reads n annotations and keeps, in the projection's
-// buffer, those whose key the projection lists, with their value and
-// confidence: all that AnnotationSet.Value reads. The others are checked
-// and skipped, and no key is interned: a kept one takes the projection's
-// own string.
-func (d *Decoder) projectedAnnotations(n int) []core.Annotation {
-	lo := len(d.buf.anns)
-	for i := 0; i < n && d.err == nil; i++ {
-		key, ok := d.projKey()
-		value := d.str(ok)
-		conf := d.F64()
-		d.str(false) // the source
-		if ok {
-			d.buf.anns = append(d.buf.anns, core.Annotation{Key: key, Value: value, Confidence: conf})
-		}
-	}
-	hi := len(d.buf.anns)
-	return d.buf.anns[lo:hi:hi]
-}
-
-// projKey reads an annotation key and returns the projection's key equal to
-// it, if any. Only a segment scan projects, so only a test's inline decode
-// pays for the copy.
-func (d *Decoder) projKey() (string, bool) {
-	if d.dict != nil {
-		return d.proj.Key(d.str(false))
-	}
-	return d.proj.Key(string(d.raw()))
-}
-
-// tuples decodes a tuple run, building only the tuples read.Keep admits
-// (every one when it is nil): it reads a tuple's kind and times first, and
-// the entry of a tuple Keep refuses is nil, its place, annotations and
-// episode checked and skipped without being built. When read.Project is
-// set, a kept tuple holds its kind, its times and the projection's fields
-// alone, built into buf (see TupleBuf); the rest is checked and skipped
-// like a refused tuple's. Whether the run decodes depends on neither.
-func (d *Decoder) tuples(read store.TupleRead) []*core.EpisodeTuple {
+// tuples decodes a tuple run, building only the tuples d.want and d.keep
+// select (every one when both are nil): the tuple at run position i when
+// want is nil or want[i] is set (a position past want's end is not
+// wanted), and keep is nil or admits its kind and times, which a tuple
+// encodes before its place. The entry of a tuple not built is nil, its
+// place, annotations and episode checked and skipped without being built.
+// Whether the run decodes depends on neither.
+func (d *Decoder) tuples() []*core.EpisodeTuple {
 	n := d.Count(1 + 1 + 1 + 1 + 1 + 1) // kind, no place, zero times, no annotations, no episode
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	keep := read.Keep
-	var tuples []*core.EpisodeTuple
-	if d.proj = read.Project; d.proj != nil {
-		d.buf.reset(n)
-		tuples = d.buf.ptrs
-	} else {
-		tuples = make([]*core.EpisodeTuple, 0, n)
-	}
+	tuples := make([]*core.EpisodeTuple, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		kind := episode.Kind(d.U8())
 		at := d.off
-		d.discard = keep != nil
+		wanted := d.want == nil || i < len(d.want) && d.want[i]
+		d.discard = !wanted || d.keep != nil
 		place := d.place()
-		d.discard = false
 		in, out := d.Time(), d.Time()
 		if d.err != nil || kind != episode.Stop && kind != episode.Move {
 			d.fail()
 			break
 		}
-		d.span.add(i, kind, in, out)
-		if keep != nil {
-			if !keep(kind, in, out) {
-				d.discard = true
-				d.annotations()
-				if d.U8() == 1 {
-					d.episode()
-				}
-				d.discard = false
-				tuples = append(tuples, nil)
-				continue
+		d.span.Add(i, kind, in, out)
+		if !wanted || d.keep != nil && !d.keep(kind, in, out) {
+			d.discard = true
+			d.annotations()
+			if d.U8() == 1 {
+				d.episode()
 			}
+			d.discard = false
+			tuples = append(tuples, nil)
+			continue
+		}
+		if d.discard {
+			d.discard = false
 			end := d.off
 			d.off = at
 			place = d.place()
 			d.off = end
 		}
-		var tp *core.EpisodeTuple
-		if d.proj != nil {
-			tp = &d.buf.tuples[i]
-			*tp = core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
-		} else {
-			tp = &core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
-		}
+		tp := &core.EpisodeTuple{Kind: kind, Place: place, TimeIn: in, TimeOut: out}
 		tp.Annotations = core.AnnotationSetOf(d.annotations())
 		if d.U8() == 1 {
-			d.discard = d.proj != nil && !d.proj.Episode
 			tp.Episode = d.episode()
-			d.discard = false
 		}
 		tuples = append(tuples, tp)
 	}
@@ -703,8 +656,8 @@ type Span struct {
 	Min, Max time.Time
 }
 
-// add folds the run's i-th tuple into s.
-func (s *Span) add(i int, kind episode.Kind, in, out time.Time) {
+// Add folds the run's i-th tuple into s.
+func (s *Span) Add(i int, kind episode.Kind, in, out time.Time) {
 	if kind == episode.Stop {
 		s.Stops++
 	}
@@ -720,7 +673,7 @@ func (s *Span) add(i int, kind episode.Kind, in, out time.Time) {
 func SpanOf(tuples []*core.EpisodeTuple) Span {
 	var s Span
 	for i, tp := range tuples {
-		s.add(i, tp.Kind, tp.TimeIn, tp.TimeOut)
+		s.Add(i, tp.Kind, tp.TimeIn, tp.TimeOut)
 	}
 	return s
 }
@@ -729,37 +682,35 @@ func SpanOf(tuples []*core.EpisodeTuple) Span {
 // interned, when non-nil, is a string table shared across calls (one per
 // replayed log file): ids, interpretation names and annotation keys repeat
 // in nearly every frame, and interning them keeps recovery's allocation
-// volume proportional to distinct strings, not to frames. See mutation for
-// read and buf.
-func decodeMutation(payload []byte, interned map[string]string, read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
-	d := Decoder{b: payload, interned: interned, buf: buf}
-	return d.mutation(read)
+// volume proportional to distinct strings, not to frames.
+func decodeMutation(payload []byte, interned map[string]string) (store.Mutation, error) {
+	d := Decoder{b: payload, interned: interned}
+	return d.mutation()
 }
 
 // DecodeRun decodes one segment data frame payload (as returned by
 // ParseFrame), whose strings are indexes into the segment's dictionary
 // dict, and reports the span of every tuple the run holds, refused ones
-// included. See mutation for read and buf. The decoder never panics on
-// arbitrary input: an index past dict's end is corrupt.
-func DecodeRun(payload []byte, dict []string, read store.TupleRead, buf *TupleBuf) (store.Mutation, Span, error) {
+// included. Of a tuple run it builds only the tuples keep and want select,
+// the others nil at their positions: a keyed read wants the positions it
+// resolves, a scan keeps what its filter admits (see Decoder.tuples). The
+// decoder never panics on arbitrary input: an index past dict's end is
+// corrupt.
+func DecodeRun(payload []byte, dict []string, keep store.TupleFilter, want []bool) (store.Mutation, Span, error) {
 	if dict == nil {
 		dict = []string{} // a dictionary of no strings, not inline ones
 	}
-	d := Decoder{b: payload, dict: dict, buf: buf}
-	m, err := d.mutation(read)
+	d := Decoder{b: payload, dict: dict, keep: keep, want: want}
+	m, err := d.mutation()
 	return m, d.span, err
 }
 
 // mutation decodes one frame payload. Any structural problem — truncated
 // field, impossible count, unknown op, out-of-range dictionary index,
 // trailing bytes — returns errCorrupt; it never panics on arbitrary input.
-// read filters and projects a tuple run (see tuples), and the result is
-// otherwise the full decode's; a projected decode builds into d.buf, and
-// into a buffer of its own when that is nil.
-func (d *Decoder) mutation(read store.TupleRead) (store.Mutation, error) {
-	if d.buf == nil && read.Project != nil {
-		d.buf = &TupleBuf{}
-	}
+// A tuple run builds the tuples d's filters select (see tuples), and the
+// result is otherwise the full decode's.
+func (d *Decoder) mutation() (store.Mutation, error) {
 	m := store.Mutation{
 		Op:             store.MutationOp(d.U8()),
 		ObjectID:       d.strShared(),
@@ -775,8 +726,7 @@ func (d *Decoder) mutation(read store.TupleRead) (store.Mutation, error) {
 	case store.MutPutEpisodes, store.MutAppendEpisodes:
 		m.Episodes = d.episodes()
 	case store.MutPutStructured, store.MutAppendTuples:
-		m.Tuples = d.tuples(read)
-		d.proj = nil
+		m.Tuples = d.tuples()
 	case store.MutMergeTuple:
 		m.Place = d.place()
 		m.Annotations = d.annotations()

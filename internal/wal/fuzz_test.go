@@ -34,8 +34,9 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzDecodeMutation drives the cold tier's decoder — every WAL frame and
-// segment row replays through it — with arbitrary payloads and an
-// arbitrary kind and time filter (what a segment scan decodes with), each
+// segment row replays through it — with arbitrary payloads, an arbitrary
+// kind and time filter (what a segment scan decodes with) and an arbitrary
+// set of wanted run positions (what a keyed read decodes with), each
 // payload decoded twice: as a log frame, its strings inline, and as a
 // segment run, its strings indexes into the first dictLen strings of the
 // dictionary the seeds were encoded with (so an index can fall past the
@@ -43,19 +44,14 @@ func allocatedBy(fn func()) uint64 {
 // Invariants, in each form: decoding returns an error, or decode → encode
 // → decode is a fixed point (compared as bytes, so NaN coordinates compare
 // exactly), inline with and without a shared intern table; it never panics
-// and never allocates more than decodeAllocBound. The filtered decode
-// errors exactly when the full decode does; otherwise it keeps the tuple
-// at a position exactly when the filter admits the full decode's tuple
-// there, each tuple it keeps encodes like the full decode's, and the rest
-// of the mutation encodes like it too. The projected decode (the filter
-// plus a projection of the place id if proj's bit 0 is set, the episode if
-// bit 1 is, and annKey's annotations) errors exactly when the full decode
-// does, allocates at most what the full decode may, keeps the tuples the
-// filtered decode keeps, and reads each kept tuple's kind, times, place id,
-// Annotations.Value(annKey) and episode (when projected) like the full
-// decode's; the rest of its mutation encodes like it too. A segment run's
-// reported span is SpanOf the full decode's tuples, whatever the filter
-// and projection refuse.
+// and never allocates more than decodeAllocBound. A segment run decodes
+// filtered too, by the filter, by the wanted positions (bit i%8 of want
+// wants position i) and by both: each filtered decode errors exactly when
+// the full decode does; otherwise it keeps the tuple at a position exactly
+// when the filters select it, each tuple it keeps encodes like the full
+// decode's, and the rest of the mutation encodes like it too. A segment
+// run's reported span is SpanOf the full decode's tuples, whatever the
+// filters refuse.
 func FuzzDecodeMutation(f *testing.F) {
 	t0 := ts(0).Unix()
 	var seedDict Dict
@@ -65,27 +61,25 @@ func FuzzDecodeMutation(f *testing.F) {
 		indexed := &Encoder{dict: &seedDict}
 		encodeMutation(indexed, m)
 		for _, b := range [][]byte{inline.b, indexed.b} {
-			f.Add(b, uint8(255), uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(0), "")
-			f.Add(b[:len(b)/2], uint8(255), uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(3), "poi_category")
-			f.Add(b, uint8(255), uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64), uint8(1), "landuse")
-			f.Add(b, uint8(3), uint8(0xff), int64(math.MinInt64), t0+1, uint8(2), "poi_category")
-			f.Add(b, uint8(255), uint8(0), int64(math.MinInt64), int64(math.MaxInt64), uint8(1), "k")
+			f.Add(b, uint8(255), uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(0xff))
+			f.Add(b[:len(b)/2], uint8(255), uint8(0xff), int64(math.MinInt64), int64(math.MaxInt64), uint8(0x0f))
+			f.Add(b, uint8(255), uint8(1<<episode.Stop), t0+31, int64(math.MaxInt64), uint8(0x02))
+			f.Add(b, uint8(3), uint8(0xff), int64(math.MinInt64), t0+1, uint8(0x01))
+			f.Add(b, uint8(255), uint8(0), int64(math.MinInt64), int64(math.MaxInt64), uint8(0))
 		}
 	}
-	f.Add([]byte{}, uint8(0), uint8(0xff), int64(0), int64(0), uint8(0), "")
+	f.Add([]byte{}, uint8(0), uint8(0xff), int64(0), int64(0), uint8(0))
 	interned := map[string]string{}
-	f.Fuzz(func(t *testing.T, payload []byte, dictLen uint8, kinds uint8, lo, hi int64, proj uint8, annKey string) {
+	f.Fuzz(func(t *testing.T, payload []byte, dictLen uint8, kinds uint8, lo, hi int64, want uint8) {
 		keep := func(k episode.Kind, in, out time.Time) bool {
 			return kinds&(1<<(k&7)) != 0 && out.Unix() >= lo && in.Unix() <= hi
 		}
-		p := &store.Projection{Place: proj&1 != 0, Episode: proj&2 != 0, AnnKeys: []string{annKey}}
-		inline := func(read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
-			return decodeMutation(payload, nil, read, buf)
+		if n := allocatedBy(func() { _, _ = decodeMutation(payload, nil) }); n > decodeAllocBound(len(payload)) {
+			t.Fatalf("decoding %d bytes inline allocated %d B, want <= %d", len(payload), n, decodeAllocBound(len(payload)))
 		}
-		m, ok := checkDecode(t, payload, inline, keep, p)
-		if ok {
+		if m, err := decodeMutation(payload, nil); err == nil {
 			checkFixedPoint(t, payload, m, false)
-			shared, err := decodeMutation(payload, interned, store.TupleRead{}, nil)
+			shared, err := decodeMutation(payload, interned)
 			if err != nil {
 				t.Fatalf("interned decode of %x fails: %v", payload, err)
 			}
@@ -94,51 +88,43 @@ func FuzzDecodeMutation(f *testing.F) {
 			}
 		}
 		dict := seedDict.Strings[:min(int(dictLen), len(seedDict.Strings))]
-		var spans []Span
-		indexed := func(read store.TupleRead, buf *TupleBuf) (store.Mutation, error) {
-			m, span, err := DecodeRun(payload, dict, read, buf)
-			if err == nil {
-				spans = append(spans, span)
-			}
-			return m, err
+		wanted := make([]bool, len(payload)) // a run holds no more tuples than bytes
+		for i := range wanted {
+			wanted[i] = want&(1<<(i%8)) != 0
 		}
-		if m, ok = checkDecode(t, payload, indexed, keep, p); !ok {
+		filters := []struct {
+			keep   store.TupleFilter
+			wanted []bool
+		}{{nil, nil}, {keep, nil}, {nil, wanted}, {keep, wanted}}
+		m, span, err := DecodeRun(payload, dict, nil, nil)
+		for _, fl := range filters {
+			if n := allocatedBy(func() { _, _, _ = DecodeRun(payload, dict, fl.keep, fl.wanted) }); n > decodeAllocBound(len(payload)) {
+				t.Fatalf("decoding %d bytes (filter %v, wanted %v) allocated %d B, want <= %d",
+					len(payload), fl.keep != nil, fl.wanted != nil, n, decodeAllocBound(len(payload)))
+			}
+			got, gspan, gerr := DecodeRun(payload, dict, fl.keep, fl.wanted)
+			if (err == nil) != (gerr == nil) {
+				t.Fatalf("full decode of %x: %v, filtered decode (filter %v, wanted %v): %v", payload, err, fl.keep != nil, fl.wanted != nil, gerr)
+			}
+			if err != nil {
+				continue
+			}
+			if gspan != span {
+				t.Fatalf("run %x: filtered decode reports span %+v, full decode %+v", payload, gspan, span)
+			}
+			checkFiltered(t, m, got, func(i int, tp *core.EpisodeTuple) bool {
+				return (fl.wanted == nil || i < len(fl.wanted) && fl.wanted[i]) &&
+					(fl.keep == nil || fl.keep(tp.Kind, tp.TimeIn, tp.TimeOut))
+			})
+		}
+		if err != nil {
 			return
 		}
-		for _, span := range spans {
-			if want := SpanOf(m.Tuples); span != want {
-				t.Fatalf("run %x: decode reports span %+v, its tuples span %+v", payload, span, want)
-			}
+		if want := SpanOf(m.Tuples); span != want {
+			t.Fatalf("run %x: decode reports span %+v, its tuples span %+v", payload, span, want)
 		}
 		checkFixedPoint(t, payload, m, true)
 	})
-}
-
-// checkDecode checks one form of decode of payload — full, filtered by
-// keep, and filtered and projected by p — against itself (see
-// FuzzDecodeMutation). It returns the full decode and whether it
-// succeeded.
-func checkDecode(t *testing.T, payload []byte, decode func(store.TupleRead, *TupleBuf) (store.Mutation, error), keep store.TupleFilter, p *store.Projection) (store.Mutation, bool) {
-	t.Helper()
-	for _, read := range []store.TupleRead{{}, {Keep: keep}, {Keep: keep, Project: p}} {
-		if n := allocatedBy(func() { _, _ = decode(read, nil) }); n > decodeAllocBound(len(payload)) {
-			t.Fatalf("decoding %d bytes (filter %v, projection %v) allocated %d B, want <= %d",
-				len(payload), read.Keep != nil, read.Project != nil, n, decodeAllocBound(len(payload)))
-		}
-	}
-	m, err := decode(store.TupleRead{}, nil)
-	kept, kerr := decode(store.TupleRead{Keep: keep}, nil)
-	var buf TupleBuf
-	projected, perr := decode(store.TupleRead{Keep: keep, Project: p}, &buf)
-	if (err == nil) != (kerr == nil) || (err == nil) != (perr == nil) {
-		t.Fatalf("full decode of %x: %v, filtered decode: %v, projected decode: %v", payload, err, kerr, perr)
-	}
-	if err != nil {
-		return m, false
-	}
-	checkFiltered(t, m, kept, keep)
-	checkProjected(t, m, projected, keep, p)
-	return m, true
 }
 
 // encodeWith encodes m, its strings as indexes into a fresh dictionary
@@ -165,9 +151,9 @@ func checkFixedPoint(t *testing.T, payload []byte, m store.Mutation, indexed boo
 	var again store.Mutation
 	var err error
 	if indexed {
-		again, _, err = DecodeRun(e.b, e.dict.Strings, store.TupleRead{}, nil)
+		again, _, err = DecodeRun(e.b, e.dict.Strings, nil, nil)
 	} else {
-		again, err = decodeMutation(e.b, nil, store.TupleRead{}, nil)
+		again, err = decodeMutation(e.b, nil)
 	}
 	if err != nil {
 		t.Fatalf("re-encoding of %x does not decode: %v", payload, err)
@@ -179,17 +165,17 @@ func checkFixedPoint(t *testing.T, payload []byte, m store.Mutation, indexed boo
 
 // checkFiltered checks a filtered decode against the full decode m of the
 // same payload: position by position, the filtered decode holds a tuple
-// exactly where keep admits m's, and that tuple encodes like m's; without
-// their tuples, the two mutations encode alike.
-func checkFiltered(t *testing.T, m, kept store.Mutation, keep store.TupleFilter) {
+// exactly where selects selects m's, and that tuple encodes like m's;
+// without their tuples, the two mutations encode alike.
+func checkFiltered(t *testing.T, m, kept store.Mutation, selects func(i int, tp *core.EpisodeTuple) bool) {
 	t.Helper()
 	if len(kept.Tuples) != len(m.Tuples) {
 		t.Fatalf("filtered decode holds %d tuple positions, full decode %d", len(kept.Tuples), len(m.Tuples))
 	}
 	var a, b Encoder
 	for i, tp := range m.Tuples {
-		if admit := keep(tp.Kind, tp.TimeIn, tp.TimeOut); admit != (kept.Tuples[i] != nil) {
-			t.Fatalf("tuple %d: filter admits it: %v, filtered decode kept it: %v", i, admit, kept.Tuples[i] != nil)
+		if sel := selects(i, tp); sel != (kept.Tuples[i] != nil) {
+			t.Fatalf("tuple %d: filters select it: %v, filtered decode kept it: %v", i, sel, kept.Tuples[i] != nil)
 		}
 		if kept.Tuples[i] == nil {
 			continue
@@ -207,64 +193,6 @@ func checkFiltered(t *testing.T, m, kept store.Mutation, keep store.TupleFilter)
 	encodeMutation(&b, kept)
 	if !bytes.Equal(a.b, b.b) {
 		t.Fatalf("filtered decode's mutation %x, full decode's %x", b.b, a.b)
-	}
-}
-
-// checkProjected checks a filtered, projected decode against the full
-// decode m of the same payload: the projected decode keeps a tuple exactly
-// where keep admits m's, each kept tuple reads like m's through every field
-// p projects and holds no field p does not, and without their tuples the
-// two mutations encode alike.
-func checkProjected(t *testing.T, m, projected store.Mutation, keep store.TupleFilter, p *store.Projection) {
-	t.Helper()
-	if len(projected.Tuples) != len(m.Tuples) {
-		t.Fatalf("projected decode holds %d tuple positions, full decode %d", len(projected.Tuples), len(m.Tuples))
-	}
-	var a, b Encoder
-	for i, full := range m.Tuples {
-		got := projected.Tuples[i]
-		if admit := keep(full.Kind, full.TimeIn, full.TimeOut); admit != (got != nil) {
-			t.Fatalf("tuple %d: filter admits it: %v, projected decode kept it: %v", i, admit, got != nil)
-		}
-		if got == nil {
-			continue
-		}
-		if got.Kind != full.Kind || !got.TimeIn.Equal(full.TimeIn) || !got.TimeOut.Equal(full.TimeOut) {
-			t.Fatalf("tuple %d: projected kind and times %v %v %v, full %v %v %v",
-				i, got.Kind, got.TimeIn, got.TimeOut, full.Kind, full.TimeIn, full.TimeOut)
-		}
-		if want := full.PlaceID(); p.Place && got.PlaceID() != want || !p.Place && got.Place != nil {
-			t.Fatalf("tuple %d: projected place %v, full place id %q, projected: %v", i, got.Place, want, p.Place)
-		}
-		for _, k := range p.AnnKeys {
-			if got.Annotations.Value(k) != full.Annotations.Value(k) {
-				t.Fatalf("tuple %d: projected %s = %q, full %q", i, k, got.Annotations.Value(k), full.Annotations.Value(k))
-			}
-		}
-		if !p.Episode {
-			if got.Episode != nil {
-				t.Fatalf("tuple %d: projected decode built an unprojected episode", i)
-			}
-			continue
-		}
-		if (got.Episode == nil) != (full.Episode == nil) {
-			t.Fatalf("tuple %d: projected episode %v, full %v", i, got.Episode, full.Episode)
-		}
-		if got.Episode != nil {
-			a.b, b.b = a.b[:0], b.b[:0]
-			a.episode(full.Episode)
-			b.episode(got.Episode)
-			if !bytes.Equal(a.b, b.b) {
-				t.Fatalf("tuple %d: projected episode %x, full %x", i, b.b, a.b)
-			}
-		}
-	}
-	m.Tuples, projected.Tuples = nil, nil
-	a.b, b.b = a.b[:0], b.b[:0]
-	encodeMutation(&a, m)
-	encodeMutation(&b, projected)
-	if !bytes.Equal(a.b, b.b) {
-		t.Fatalf("projected decode's mutation %x, full decode's %x", b.b, a.b)
 	}
 }
 
@@ -326,7 +254,7 @@ func FuzzReplaySegment(f *testing.F) {
 			if perr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, perr)
 			}
-			m, derr := decodeMutation(payload, nil, store.TupleRead{}, nil)
+			m, derr := decodeMutation(payload, nil)
 			if derr != nil {
 				t.Fatalf("frame at %d before the tear at %d: %v", off, end, derr)
 			}
@@ -340,7 +268,7 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		if tornAt >= 0 {
 			if payload, _, perr := ParseFrame(data[end:]); perr == nil {
-				if _, derr := decodeMutation(payload, nil, store.TupleRead{}, nil); derr == nil {
+				if _, derr := decodeMutation(payload, nil); derr == nil {
 					t.Fatalf("tear reported at %d, where a whole frame starts", end)
 				}
 			}

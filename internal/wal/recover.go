@@ -152,7 +152,7 @@ func replayBlob(b Blob, path string, st *store.Store) (applied int, tornAt int64
 		if err != nil {
 			return applied, off, nil
 		}
-		m, err := decodeMutation(payload, interned, store.TupleRead{}, nil)
+		m, err := decodeMutation(payload, interned)
 		if err != nil {
 			return applied, off, nil // CRC-valid but undecodable: corrupt
 		}

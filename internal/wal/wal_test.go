@@ -79,7 +79,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for i, m := range testMutations() {
 		e := &Encoder{}
 		encodeMutation(e, m)
-		got, err := decodeMutation(e.b, nil, store.TupleRead{}, nil)
+		got, err := decodeMutation(e.b, nil)
 		if err != nil {
 			t.Fatalf("mutation %d: decode: %v", i, err)
 		}
@@ -102,7 +102,7 @@ func TestCodecRoundTripThroughDict(t *testing.T) {
 		payloads = append(payloads, e.b)
 	}
 	for i, m := range testMutations() {
-		got, span, err := DecodeRun(payloads[i], dict.Strings, store.TupleRead{}, nil)
+		got, span, err := DecodeRun(payloads[i], dict.Strings, nil, nil)
 		if err != nil {
 			t.Fatalf("mutation %d: decode: %v", i, err)
 		}
@@ -117,7 +117,7 @@ func TestCodecRoundTripThroughDict(t *testing.T) {
 		// header has strings), always from some length on.
 		decodes := false
 		for n := 0; n <= len(dict.Strings); n++ {
-			_, _, err := DecodeRun(payloads[i], dict.Strings[:n], store.TupleRead{}, nil)
+			_, _, err := DecodeRun(payloads[i], dict.Strings[:n], nil, nil)
 			if decodes && err != nil || n == 0 && err == nil {
 				t.Fatalf("mutation %d under the first %d strings: %v (decodes under fewer: %v)", i, n, err, decodes)
 			}
@@ -141,7 +141,7 @@ func TestCodecRoundTripsSmallestElements(t *testing.T) {
 	} {
 		e := &Encoder{}
 		encodeMutation(e, m)
-		got, err := decodeMutation(e.b, nil, store.TupleRead{}, nil)
+		got, err := decodeMutation(e.b, nil)
 		if err != nil {
 			t.Fatalf("mutation %d: decode: %v", i, err)
 		}
@@ -154,13 +154,13 @@ func TestCodecRoundTripsSmallestElements(t *testing.T) {
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	e := &Encoder{}
 	encodeMutation(e, testMutations()[0])
-	if _, err := decodeMutation(append(e.b, 0), nil, store.TupleRead{}, nil); err == nil {
+	if _, err := decodeMutation(append(e.b, 0), nil); err == nil {
 		t.Fatal("decode accepted trailing bytes")
 	}
-	if _, err := decodeMutation(e.b[:len(e.b)-1], nil, store.TupleRead{}, nil); err == nil {
+	if _, err := decodeMutation(e.b[:len(e.b)-1], nil); err == nil {
 		t.Fatal("decode accepted truncated payload")
 	}
-	if _, err := decodeMutation(nil, nil, store.TupleRead{}, nil); err == nil {
+	if _, err := decodeMutation(nil, nil); err == nil {
 		t.Fatal("decode accepted empty payload")
 	}
 }
@@ -488,7 +488,7 @@ func TestWALFramesInCallOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
-		m, err := decodeMutation(payload, nil, store.TupleRead{}, nil)
+		m, err := decodeMutation(payload, nil)
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
