@@ -50,12 +50,14 @@ race:
 # FuzzReplaySegment: WAL replay of a log header followed by any bytes, read
 # from memory, never panics, allocates at most a small multiple of the
 # bytes, and rebuilds what the frames before the reported tear rebuild.
-# FuzzDecodeFooter: the segment footer decoder (summary, string dictionary,
-# run directory with its keys as dictionary indexes, its tuple runs' spans
-# and column frame offsets) returns an error or a footer that re-encodes
-# to a fixed point, and the column frame decoder, checking only or
-# projecting, errors alike and counts alike; neither panics, and each
-# allocates at most a small multiple of its input.
+# FuzzDecodeFooter: the segment footer decoder (string dictionary, run
+# directory with its keys as dictionary indexes, its tuple runs' spans and
+# column frame offsets; no stored summary since footer version 5) returns
+# an error or a footer that re-encodes to a fixed point, and the column
+# frame decoder, checking only or projecting, errors alike and counts
+# alike; neither panics, and each allocates at most a small multiple of
+# its input. Its seeds are encoded by the current encoder, so a format
+# change regenerates them.
 # FuzzRecoverFooter: recovery of a directory whose second segment keeps its
 # data frames (every op, merges included, strings indexing the written
 # dictionary) under arbitrary column frames and an arbitrary footer returns
@@ -67,7 +69,7 @@ race:
 # lexer, at the same rune offsets, and a statement of the query language
 # that parses runs on an empty engine without an error.
 # FuzzQueryForm: a query's normal form agrees with the documented query
-# semantics: its tuple check with a reference evaluation, the footer check
+# semantics: its tuple check with a reference evaluation, the segment check
 # and every access path never drop an admitted tuple, and the conjunction
 # of two forms (and of a form with a join row's pins) is exact.
 # Every target bounds the minimisation of each new input to 1s: Go's

@@ -162,12 +162,12 @@ var (
 	SegmentFreezes = NewCounter("semitri_segment_freezes_total",
 		"Heap tails frozen into immutable segments.")
 	SegmentColdReads = NewCounter("semitri_segment_cold_reads_total",
-		"Tuples decoded from frozen segments (cold reads).")
+		"Data frames (one run each) decoded from frozen segments (cold reads).")
 	SegmentColdBytes = NewCounter("semitri_segment_cold_bytes_total",
-		"Frame bytes decoded from frozen segments (mmap-touch proxy).")
+		"Bytes of the data frames decoded from frozen segments (mmap-touch proxy).")
 	SegmentColumnReads = NewCounter("semitri_segment_column_reads_total",
 		"Column frames read from frozen segments by projected scans.")
-	// Per-footer-rule prune counters, indexed by the rule names the pruner
+	// Per-rule segment prune counters, indexed by the rule names the pruner
 	// reports in traces.
 	SegmentPruned = map[string]*Counter{}
 )
@@ -221,18 +221,15 @@ func HealthReasonCounter(reason string) *Counter {
 	}
 }
 
-// PruneRules lists the footer rules the query engine's footer check can
-// refute on, in the order they are evaluated. Exported so traces and metrics
-// agree on names.
-var PruneRules = []string{
-	"interpretation", "kind", "time-span", "object-bloom",
-	"annotation-key", "no-geometry", "bbox",
-}
+// PruneRules lists the rules the query engine's segment check can refute a
+// segment's summary on, in the order they are evaluated. Exported so traces
+// and metrics agree on names.
+var PruneRules = []string{"interpretation", "kind", "time-span"}
 
 func init() {
 	for _, rule := range PruneRules {
 		SegmentPruned[rule] = NewCounter("semitri_segment_pruned_total",
-			"Whole segments pruned off footer summaries, by refuting rule.",
+			"Whole segments pruned off their summaries, by refuting rule.",
 			"rule", rule)
 	}
 }

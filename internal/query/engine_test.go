@@ -695,7 +695,7 @@ func TestEngineIndexBytesPerTuple(t *testing.T) {
 // bounding box misses the window. A long move whose bounds reach the window
 // while its centre lies in the disc matches both, so the two must not be
 // gathered through their (empty) intersection. The case is checked on a
-// heap store and on a tiered store after a freeze (where the footer check
+// heap store and on a tiered store after a freeze (where the segment check
 // reads the same clauses), by a query and by a join whose probe adds the
 // disc to a window.
 func TestWindowNearDisjoint(t *testing.T) {
@@ -760,8 +760,8 @@ func TestWindowNearDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sum := range tiered.ColdSummaries(nil) {
-		if ok, rule := f.summaryAdmits(&sum, false); !ok {
-			t.Fatalf("the footer check refutes the segment by its %s rule", rule)
+		if ok, rule := f.summaryAdmits(&sum); !ok {
+			t.Fatalf("the segment check refutes the segment by its %s rule", rule)
 		}
 	}
 	check("tiered", tiered)

@@ -13,28 +13,28 @@ import (
 // form is a Query compiled into its normal form: a conjunction of clauses,
 // each a set membership or a half-bound, so that and — the conjunction of
 // two forms — works clause by clause and is exact. It is the one reading of
-// a query: the tuple check (admits) is exact, and the footer check
+// a query: the tuple check (admits) is exact, and the segment check
 // (summaryAdmits), the planner and the index gathers only ever
 // over-approximate it, since every candidate they let through ends at the
 // tuple check. Per clause, its meaning on a tuple t stored at ref, and why
-// the footer check and the gathers keep every tuple it admits:
+// the segment check and the gathers keep every tuple it admits:
 //
 //   - interp, object, traj: ref's fields equal them ("" admits any). A
-//     footer counts tuples per interpretation and keeps a bloom filter of
-//     its objects, which has no false negatives; every gather reads
-//     interp's postings, and the trajectory and object-time paths read all
-//     of traj's or object's.
+//     segment's summary counts tuples per interpretation; every gather
+//     reads interp's postings, and the trajectory and object-time paths
+//     read all of traj's or object's.
 //   - kinds: t.Kind is in the set, one bit per kind; kinds other than Move
 //     and Stop, which the pipeline never stores, share one bit. The empty
-//     set is the form's false. A footer counts its stops and the rest, time
+//     set is the form's false. A summary counts its stops and moves, time
 //     postings carry the kind, and the spatial index is split by it.
 //   - lo, hi: t.TimeOut ≥ lo and t.TimeIn ≤ hi, open sides at the extreme
-//     stamps; lo > hi admits the tuples spanning the gap. A footer's
-//     TimeMin is its least TimeIn and TimeMax its greatest TimeOut; object
-//     postings are sorted by TimeIn and carry TimeOut.
-//   - anns: t's annotation key has value ("" asks that t lack the key). A
-//     footer counts tuples per key, but a merge overlay can add keys after
-//     the freeze, so that rule applies only while no overlay exists; the
+//     stamps; lo > hi admits the tuples spanning the gap. A summary's
+//     TimeMin is its least TimeIn and TimeMax its greatest TimeOut, and the
+//     kind and time clauses are monotone in the times (admitsSpan is a
+//     store.TupleFilter), so asking them of the span per kind held refutes
+//     only segments holding no admitted tuple; object postings are sorted
+//     by TimeIn and carry TimeOut.
+//   - anns: t's annotation key has value ("" asks that t lack the key); the
 //     inverted index lists every tuple with a non-empty (key, value).
 //   - rects, discs: t has an episode whose Bounds meets every rect and
 //     whose Center lies within every disc. Center lies inside Bounds, so
@@ -42,8 +42,8 @@ import (
 //     rectangles share a point Bounds meets their intersection too (per
 //     axis, intervals that meet pairwise share a point: Helly's theorem in
 //     one dimension). gather is that intersection when it is non-empty and
-//     the smallest of the rectangles otherwise. A footer's GeomBounds is
-//     the union of its Bounds, and the spatial forests index Bounds.
+//     the smallest of the rectangles otherwise; the spatial forests index
+//     Bounds.
 //   - limit caps the results after the canonical sort; a conjunction has
 //     none.
 type form struct {
@@ -161,6 +161,11 @@ func (f *form) admits(ref store.TupleRef, tp *core.EpisodeTuple) bool {
 	return true
 }
 
+// admitsKind is the tuple check's kind clause, as a store.TupleFilter.
+func (f *form) admitsKind(kind episode.Kind, _, _ time.Time) bool {
+	return f.kinds&kindBit(kind) != 0
+}
+
 // admitsSpan is the tuple check's kind and time clauses: whether a tuple of
 // kind, entered at timeIn and left at timeOut, meets kinds, lo and hi. It is
 // also the store.TupleFilter a segment scan decodes with.
@@ -168,38 +173,19 @@ func (f *form) admitsSpan(kind episode.Kind, timeIn, timeOut time.Time) bool {
 	return f.kinds&kindBit(kind) != 0 && !stampOf(timeOut).before(f.lo) && !f.hi.before(stampOf(timeIn))
 }
 
-// summaryAdmits is the footer check: whether a segment whose footer summary
-// is s may hold a tuple f admits. When it may not, rule names the refuting
-// footer rule (one of obs.PruneRules). overlay reports a live merge
-// overlay, which can add annotation keys the footer never counted.
-func (f *form) summaryAdmits(s *store.SegmentSummary, overlay bool) (ok bool, rule string) {
-	if f.interp != "" && s.Tuples[f.interp] == 0 {
+// summaryAdmits is the segment check: whether a segment whose summary is s
+// may hold a tuple f admits. When it may not, rule names the refuting rule
+// (one of obs.PruneRules). The kind and time rules ask s the question a
+// scan asks of each run (store.TupleFilter.MayHold), first of the kinds
+// alone.
+func (f *form) summaryAdmits(s *store.SegmentSummary) (ok bool, rule string) {
+	switch {
+	case f.interp != "" && s.Tuples[f.interp] == 0:
 		return false, "interpretation"
-	}
-	// The footer counts every kind but Stop among its moves.
-	if (f.kinds&stopKind == 0 || s.Stops == 0) && (f.kinds&(moveKind|otherKind) == 0 || s.Moves == 0) {
+	case !s.MayHold(f.admitsKind):
 		return false, "kind"
-	}
-	if f.hi.before(stampOf(s.TimeMin)) || stampOf(s.TimeMax).before(f.lo) {
+	case !s.MayHold(f.admitsSpan):
 		return false, "time-span"
-	}
-	if f.object != "" && !s.Objects.MayContain(f.object) {
-		return false, "object-bloom"
-	}
-	if !overlay {
-		for _, a := range f.anns {
-			if a.value != "" && s.AnnKeys[a.key] == 0 {
-				return false, "annotation-key"
-			}
-		}
-	}
-	if f.spatial() {
-		if s.GeomCount == 0 {
-			return false, "no-geometry"
-		}
-		if !f.gather.Intersects(s.GeomBounds) {
-			return false, "bbox"
-		}
 	}
 	return true, ""
 }

@@ -116,11 +116,10 @@ func (r *fuzzBytes) joinOn() JoinOn {
 	return on
 }
 
-// summaryOf is a footer summary covering the tuples, built from the
+// summaryOf is a segment summary covering the tuples, built from the
 // documented meaning of its fields.
 func summaryOf(tuples []stored) store.SegmentSummary {
-	s := store.SegmentSummary{Tuples: map[string]int{}, AnnKeys: map[string]int{},
-		Objects: store.NewObjectFilter(len(tuples))}
+	s := store.SegmentSummary{Tuples: map[string]int{}}
 	for i, t := range tuples {
 		s.Tuples[t.ref.Interpretation]++
 		if t.tp.Kind == episode.Stop {
@@ -134,17 +133,6 @@ func summaryOf(tuples []stored) store.SegmentSummary {
 		if i == 0 || t.tp.TimeOut.After(s.TimeMax) {
 			s.TimeMax = t.tp.TimeOut
 		}
-		for _, a := range t.tp.Annotations.All() {
-			s.AnnKeys[a.Key]++
-		}
-		if ep := t.tp.Episode; ep != nil {
-			if s.GeomCount == 0 {
-				s.GeomBounds = ep.Bounds
-			}
-			s.GeomBounds = s.GeomBounds.Union(ep.Bounds)
-			s.GeomCount++
-		}
-		s.Objects.Add(t.ref.ObjectID)
 	}
 	return s
 }
@@ -154,7 +142,7 @@ func summaryOf(tuples []stored) store.SegmentSummary {
 // predicate the input decodes to:
 //   - a query compiles exactly when it is valid, and its tuple check agrees
 //     with bruteMatches;
-//   - the footer check never refutes a summary covering an admitted tuple;
+//   - the segment check never refutes a summary covering an admitted tuple;
 //   - every access path the planner can take returns exactly the admitted
 //     tuples, so no gather drops one;
 //   - the conjunction of two forms admits a tuple exactly when both do;
@@ -203,10 +191,8 @@ func FuzzQueryForm(f *testing.F) {
 				continue
 			}
 			want = append(want, s.ref)
-			for _, overlay := range []bool{false, true} {
-				if ok, rule := fa.summaryAdmits(&sum, overlay); !ok {
-					t.Fatalf("footer rule %s refutes a summary covering admitted %+v", rule, s.ref)
-				}
+			if ok, rule := fa.summaryAdmits(&sum); !ok {
+				t.Fatalf("segment rule %s refutes a summary covering admitted %+v", rule, s.ref)
 			}
 		}
 

@@ -225,7 +225,7 @@ func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, s *sink, worker
 // and captures the segment list after it (pruneSegments), so it reads every
 // tuple exactly once whatever a racing freeze does (store.Cut). The scan
 // units are the cut's lock stripes (the heap tails) plus the cold segments
-// whose footer summary survives pruning against the query; a segment
+// whose summary survives pruning against the query; a segment
 // decodes only the tuples whose kind and times pass f (admitsSpan, the
 // tuple check's own clauses), and for a folding sink without a spatial
 // clause only the fields f's tuple check and the group key read, from the
@@ -303,7 +303,7 @@ func projection(f *form, a *Aggregate) *store.Projection {
 }
 
 // pruneSegments returns the indexes of the cold segments a scan of f must
-// visit: a segment is skipped only when the footer check proves no tuple
+// visit: a segment is skipped only when the segment check proves no tuple
 // inside can match. Untiered stores return nil. Each prune bumps the
 // per-rule metric, and tr (when non-nil) records every decision for EXPLAIN
 // ANALYZE.
@@ -312,10 +312,9 @@ func (e *Engine) pruneSegments(f *form, tr *Trace) []int {
 	if len(sums) == 0 {
 		return nil
 	}
-	overlay := e.st.OverlayCount() > 0
 	segs := make([]int, 0, len(sums))
 	for i := range sums {
-		ok, rule := f.summaryAdmits(&sums[i], overlay)
+		ok, rule := f.summaryAdmits(&sums[i])
 		if ok {
 			segs = append(segs, i)
 		} else {

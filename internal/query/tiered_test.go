@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -177,7 +178,7 @@ func TestTieredFilteredScanMatchesHeap(t *testing.T) {
 			}
 		}
 	}
-	if tiered.OverlayCount() == 0 {
+	if overlaid(tiered, tier, all) == 0 {
 		t.Fatal("no merge landed in the overlay")
 	}
 
@@ -531,8 +532,8 @@ func TestExecuteAggregateMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	if tier.SegmentCount() != 5 || tiered.OverlayCount() == 0 {
-		t.Fatalf("%d segments and %d overlay entries, want 5 and some", tier.SegmentCount(), tiered.OverlayCount())
+	if n := overlaid(tiered, tier, all); tier.SegmentCount() != 5 || n == 0 {
+		t.Fatalf("%d segments and %d overlay entries, want 5 and some", tier.SegmentCount(), n)
 	}
 
 	dims := []Aggregate{
@@ -657,8 +658,8 @@ func TestTieredRunSkipMatchesHeap(t *testing.T) {
 	if err := tier.Freeze(tiered); err != nil {
 		t.Fatal(err)
 	}
-	if n := tier.SegmentCount(); n < 5 || tiered.OverlayCount() == 0 {
-		t.Fatalf("%d segments and %d overlay entries, want at least 5 and 1", n, tiered.OverlayCount())
+	if n, ov := tier.SegmentCount(), overlaid(tiered, tier, all); n < 5 || ov == 0 {
+		t.Fatalf("%d segments and %d overlay entries, want at least 5 and 1", n, ov)
 	}
 
 	heapEng, tieredEng := NewEngine(heap), NewEngine(tiered)
@@ -869,8 +870,8 @@ func TestTieredProjectedScanMatchesHeap(t *testing.T) {
 	if err := tier.Freeze(tiered); err != nil {
 		t.Fatal(err)
 	}
-	if n := tier.SegmentCount(); n < 5 || tiered.OverlayCount() == 0 {
-		t.Fatalf("%d segments and %d overlay entries, want at least 5 and 1", n, tiered.OverlayCount())
+	if n, ov := tier.SegmentCount(), overlaid(tiered, tier, all); n < 5 || ov == 0 {
+		t.Fatalf("%d segments and %d overlay entries, want at least 5 and 1", n, ov)
 	}
 
 	bound := func() stamp {
@@ -939,4 +940,82 @@ func TestTieredProjectedScanMatchesHeap(t *testing.T) {
 		}
 	}
 	tier.Close()
+}
+
+// overlaid counts the frozen tuples of all's keys that st reads otherwise
+// than their segment holds them: those a merge overlay stands in for.
+func overlaid(st *store.Store, tier *segment.Tier, all []stored) int {
+	n := 0
+	seen := map[[2]string]bool{}
+	for _, s := range all {
+		k := [2]string{s.ref.TrajectoryID, s.ref.Interpretation}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		got, ok := st.Structured(k[0], k[1])
+		if !ok {
+			continue
+		}
+		for i, tp := range tier.ColdTuples(k[0], k[1], 0, math.MaxInt, nil) {
+			if i < len(got.Tuples) && !reflect.DeepEqual(tp, *got.Tuples[i]) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestObjectOrTrajectoryClauseNeverScans pins why the segment check has no
+// object or trajectory rule: a form with an object or trajectory clause
+// makes the object-time or trajectory path available with an estimate no
+// larger than the full scan's, and a tie goes to the index path, so no such
+// form is planned as a full scan — on an empty store, a heap store and a
+// tiered one, for objects and trajectories present or not.
+func TestObjectOrTrajectoryClauseNeverScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	heap := store.NewSharded(4)
+	all := populate(t, heap, 47, 6, 3, 15)
+	tiered, tier, _, err := segment.Recover(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	for i, s := range all {
+		if err := tiered.AppendStructuredTuples(s.ref.TrajectoryID, s.ref.ObjectID, s.ref.Interpretation, cloneTuple(s.tp)); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%(len(all)/5) == 0 && i < len(all)*4/5 {
+			if err := tier.Freeze(tiered); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if tier.SegmentCount() == 0 {
+		t.Fatal("nothing froze")
+	}
+	for _, st := range []*store.Store{store.New(), heap, tiered} {
+		e := NewEngine(st)
+		for i := 0; i < 400; i++ {
+			q := randomQuery(rng)
+			s := all[rng.Intn(len(all))]
+			switch rng.Intn(4) {
+			case 0:
+				q.ObjectID = s.ref.ObjectID
+			case 1:
+				q.TrajectoryID = s.ref.TrajectoryID
+			case 2:
+				q.ObjectID, q.TrajectoryID = s.ref.ObjectID, s.ref.TrajectoryID
+			default:
+				q.ObjectID = "nobody"
+			}
+			f, err := compile(q)
+			if err != nil {
+				continue
+			}
+			if p := e.plan(&f); p.Path == PathScan {
+				t.Fatalf("query %+v planned %s", q, p)
+			}
+		}
+	}
 }

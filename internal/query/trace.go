@@ -4,7 +4,7 @@ import "time"
 
 // Trace is the EXPLAIN ANALYZE record of one executed statement: the plan
 // that ran, per-stage wall time and row counts, the segment-prune decisions
-// the scan path took (with the footer rule that refuted each pruned
+// the scan path took (with the segment rule that refuted each pruned
 // segment), and — for joins — the probe fan-out per worker and per access
 // path. Traced execution returns exactly what untraced execution returns;
 // the trace rides alongside. A nil *Trace threaded through the executor
@@ -47,7 +47,7 @@ type TraceStage struct {
 }
 
 // SegmentDecision is one cold segment's prune decision: kept, or pruned with
-// the footer rule that refuted it.
+// the segment rule that refuted it (one of obs.PruneRules).
 type SegmentDecision struct {
 	Segment int    `json:"segment"`
 	Pruned  bool   `json:"pruned"`

@@ -14,18 +14,15 @@
 //	[column frame]*        one per tuple run, in run order: its tuples'
 //	                       kinds, times, place ids and annotation keys and
 //	                       values (see columns.go)
-//	[footer frame]         framed footer payload (summary + dictionary +
-//	                       run directory)
+//	[footer frame]         framed footer payload (dictionary + run
+//	                       directory)
 //	[8-byte trailer: u32 footer frame size + magic "GSTS"]
 //
 // The fixed-size trailer makes the footer seekable in O(1): read the last 8
 // bytes, step back over the footer frame, parse it like any other frame. The
 // footer carries everything recovery and the query planner need without
-// decoding the body, at footer version 4:
+// decoding the body, at footer version 5:
 //
-//   - the planner summary: time span, kind counts, per-interpretation tuple
-//     counts, annotation-key cardinalities, geometry bounds, an object bloom
-//     filter;
 //   - the string dictionary: every distinct string of the data frames, once.
 //     A data or column frame writes each of its strings — run header,
 //     places, annotation keys, values and sources, episode ids, record
@@ -37,20 +34,20 @@
 //     greatest TimeOut), which lets a scan skip a run without reading its
 //     frame, and its column frame's offset.
 //
-// Data frames decode lazily, one run at a time; a grouped scan reads a tuple
-// run's column frame instead and never decodes its data frame. Footers at
-// version 3 (no column frames) and earlier are refused like any other
+// The planner's per-segment summary is not stored: Open folds it from the
+// directory's tuple runs (summarise), so a segment is pruned by the same
+// facts, at a coarser grain, that its runs are skipped by. Data frames
+// decode lazily, one run at a time; a grouped scan reads a tuple run's
+// column frame instead and never decodes its data frame. Footers at
+// version 4 (a stored summary) and earlier are refused like any other
 // version.
 package segment
 
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
-	"semitri/internal/episode"
 	"semitri/internal/store"
 	"semitri/internal/wal"
 )
@@ -61,12 +58,15 @@ const (
 	// trailerSize is the fixed tail: u32 footer frame size + 4-byte magic.
 	trailerSize = 8
 	// footerVersion versions the footer payload independently of the file.
-	// Version 4 adds the tuple runs' column frames; version 3 added the
+	// Version 5 drops the stored planner summary (time span, counts,
+	// annotation keys, geometry bounds, object bloom filter), which Open
+	// derives from the run directory; version 4 added the tuple runs'
+	// column frames, version 3 the
 	// string dictionary the data frames index and the tuple runs' spans,
 	// version 2 wrote strings inline, version 1 times as UnixNano, which
 	// wraps outside 1678–2262. Footers at another version are refused, not
 	// read.
-	footerVersion = 4
+	footerVersion = 5
 )
 
 var (
@@ -109,13 +109,11 @@ type RunMeta struct {
 	Cols             int64
 }
 
-// Footer is a segment's decoded footer: the planner summary, the string
-// dictionary the data frames index, and the run directory, in emission (=
-// frame) order.
+// Footer is a segment's decoded footer: the string dictionary the data
+// frames index, and the run directory, in emission (= frame) order.
 type Footer struct {
-	Summary store.SegmentSummary
-	Dict    []string
-	Runs    []RunMeta
+	Dict []string
+	Runs []RunMeta
 }
 
 // isTupleRun reports whether a run holds structured tuples a scan must visit.
@@ -124,18 +122,36 @@ func isTupleRun(op store.MutationOp) bool {
 }
 
 // mayHold reports whether the tuple run meta may hold a tuple keep admits
-// (every run may when keep is nil). keep is monotone in the times
-// (store.TupleFilter), so asking it of the run's span once per kind the
-// run holds refuses only runs that hold no admitted tuple.
+// (see store.TupleFilter.MayHold).
 func (meta *RunMeta) mayHold(keep store.TupleFilter) bool {
-	return keep == nil ||
-		meta.Stops > 0 && keep(episode.Stop, meta.TimeMin, meta.TimeMax) ||
-		meta.Stops < meta.Count && keep(episode.Move, meta.TimeMin, meta.TimeMax)
+	return keep.MayHold(meta.Stops, meta.Count-meta.Stops, meta.TimeMin, meta.TimeMax)
+}
+
+// summarise folds a directory's tuple runs into the segment's summary, by
+// the rule of a run's span (wal.Span): the first tuple seeds the span and a
+// zero TimeIn is the least. A run of no tuples adds nothing to the span.
+func summarise(runs []RunMeta) store.SegmentSummary {
+	s := store.SegmentSummary{Tuples: map[string]int{}}
+	for i := range runs {
+		r := &runs[i]
+		if !isTupleRun(r.Op) || r.Count == 0 {
+			continue
+		}
+		if s.Stops+s.Moves == 0 || r.TimeMin.Before(s.TimeMin) {
+			s.TimeMin = r.TimeMin
+		}
+		if s.Stops+s.Moves == 0 || r.TimeMax.After(s.TimeMax) {
+			s.TimeMax = r.TimeMax
+		}
+		s.Tuples[r.Interp] += r.Count
+		s.Stops += r.Stops
+		s.Moves += r.Count - r.Stops
+	}
+	return s
 }
 
 // encodeFooter serialises a footer into its frame payload through the WAL
-// codec's primitives. Count maps are written with sorted keys, so footer
-// bytes are deterministic. The dictionary written is f.Dict, a string it
+// codec's primitives. The dictionary written is f.Dict, a string it
 // repeats kept at its first index, with any run key it lacks appended (a
 // writer's dictionary holds every run key already).
 func encodeFooter(f *Footer) []byte {
@@ -149,27 +165,7 @@ func encodeFooter(f *Footer) []byte {
 		dict.Index(f.Runs[i].Interp)
 	}
 	var e wal.Encoder
-	s := &f.Summary
 	e.U8(footerVersion)
-	e.Time(s.TimeMin)
-	e.Time(s.TimeMax)
-	e.Uv(uint64(s.Stops))
-	e.Uv(uint64(s.Moves))
-	for _, m := range []map[string]int{s.Tuples, s.AnnKeys} {
-		e.Uv(uint64(len(m)))
-		for _, k := range slices.Sorted(maps.Keys(m)) {
-			e.Str(k)
-			e.Uv(uint64(m[k]))
-		}
-	}
-	e.Uv(uint64(s.GeomCount))
-	if s.GeomCount > 0 {
-		e.Rect(s.GeomBounds)
-	}
-	e.Uv(uint64(len(s.Objects.Bits)))
-	for _, w := range s.Objects.Bits {
-		e.U64(w)
-	}
 	e.Uv(uint64(len(dict.Strings)))
 	for _, str := range dict.Strings {
 		e.Str(str)
@@ -204,32 +200,6 @@ func decodeFooter(payload []byte) (*Footer, error) {
 		return nil, fmt.Errorf("segment: unsupported footer version %d", v)
 	}
 	f := &Footer{}
-	s := &f.Summary
-	s.TimeMin = d.Time()
-	s.TimeMax = d.Time()
-	s.Stops = int(d.Uv())
-	s.Moves = int(d.Uv())
-	countMap := func() map[string]int {
-		n := d.Count(2) // a key's length byte and a count byte at least
-		m := make(map[string]int, n)
-		for i := 0; i < n; i++ {
-			k := d.Str()
-			m[k] = int(d.Uv())
-		}
-		return m
-	}
-	s.Tuples = countMap()
-	s.AnnKeys = countMap()
-	s.GeomCount = int(d.Uv())
-	if s.GeomCount > 0 {
-		s.GeomBounds = d.Rect()
-	}
-	if nw := d.Count(8); nw > 0 {
-		s.Objects.Bits = make([]uint64, nw)
-		for i := range s.Objects.Bits {
-			s.Objects.Bits[i] = d.U64()
-		}
-	}
 	f.Dict = make([]string, d.Count(1)) // a length byte
 	for i := range f.Dict {
 		f.Dict[i] = d.Str()

@@ -19,8 +19,7 @@ import (
 // footerAllocBound is what decoding an n-byte footer may allocate: the
 // codec's Count caps every sequence length by the bytes left over a minimum
 // element size, so a small multiple of n (the run directory preallocates a
-// RunMeta per 8 remaining bytes) plus a constant for the decoder and the
-// empty maps.
+// RunMeta per 8 remaining bytes) plus a constant for the decoder.
 func footerAllocBound(n int) uint64 { return 256*uint64(n) + 4096 }
 
 // allocatedBy returns the fewest heap bytes fn allocated over three calls,
@@ -47,8 +46,8 @@ func allocatedBy(fn func()) uint64 {
 // and damaged (columnDamage: cut short, a count off by one, an index past
 // the dictionary's end, a span its entry does not hold). Invariants: the
 // footer decode returns an error, or decode → encode → decode → encode is
-// a fixed point (the first decode may drop what encoding canonicalises:
-// duplicate map keys, the map order, a repeated dictionary string); the
+// a fixed point (the first decode may drop what encoding canonicalises: a
+// repeated dictionary string); the
 // column decode, checking only and projecting the place and every
 // dictionary string as a key, errors alike and otherwise reports the same
 // count and span; neither panics, and each allocates at most

@@ -22,24 +22,43 @@ type Reader struct {
 	path string
 	blob wal.Blob
 	foot *Footer
+	// sum is the segment's summary, folded from the directory at Open.
+	sum store.SegmentSummary
 }
 
 // cursor is the pooled per-call decode state: the pread frame buffer, the
-// positions a keyed read wants of a run, and the memory column frames
-// decode into. Pooling keeps steady-state cold reads allocation-lean — a
-// projected scan reuses one run's tuples for the next. It holds no string
-// table: a segment's strings are its footer's dictionary, shared by every
-// decode of the segment.
+// positions a keyed read wants of a run, the memory column frames decode
+// into, and the frames read through it. Pooling keeps steady-state cold
+// reads allocation-lean — a projected scan reuses one run's tuples for the
+// next. It holds no string table: a segment's strings are its footer's
+// dictionary, shared by every decode of the segment.
 type cursor struct {
 	buf  []byte
 	want []bool
 	cols columns
+	// frames and bytes count the data frames decoded and their sizes, and
+	// colFrames the column frames read, since the cursor was taken.
+	frames, bytes, colFrames int64
 }
 
 var cursorPool = sync.Pool{New: func() any { return &cursor{} }}
 
-func getCursor() *cursor  { return cursorPool.Get().(*cursor) }
-func putCursor(c *cursor) { cursorPool.Put(c) }
+func getCursor() *cursor { return cursorPool.Get().(*cursor) }
+
+// putCursor returns c to the pool, adding the frames it read to the shared
+// counters once, for the whole call that took it, rather than once per
+// frame from every scan worker.
+func putCursor(c *cursor) {
+	if c.frames > 0 {
+		obs.SegmentColdReads.Add(c.frames)
+		obs.SegmentColdBytes.Add(c.bytes)
+	}
+	if c.colFrames > 0 {
+		obs.SegmentColumnReads.Add(c.colFrames)
+	}
+	c.frames, c.bytes, c.colFrames = 0, 0, 0
+	cursorPool.Put(c)
+}
 
 // Open opens and fully validates a segment file.
 func Open(path string) (*Reader, error) {
@@ -140,12 +159,12 @@ func (r *Reader) validate() error {
 	if off != footOff {
 		return corruptf(r.path, "trailing bytes between frames and footer")
 	}
-	r.foot = foot
+	r.foot, r.sum = foot, summarise(foot.Runs)
 	return nil
 }
 
-// Footer exposes the decoded footer (summary + run directory). Immutable
-// after Open.
+// Footer exposes the decoded footer (dictionary + run directory).
+// Immutable after Open.
 func (r *Reader) Footer() *Footer { return r.foot }
 
 // mutationAt decodes the run frame at off, building of a tuple run only the
@@ -157,21 +176,21 @@ func (r *Reader) mutationAt(off int64, cur *cursor, keep store.TupleFilter, want
 	if err != nil {
 		return store.Mutation{}, wal.Span{}, err
 	}
-	obs.SegmentColdReads.Inc()
-	obs.SegmentColdBytes.Add(int64(n))
+	cur.frames++
+	cur.bytes += int64(n)
 	return wal.DecodeRun(payload, r.foot.Dict, keep, want)
 }
 
 // columnsAt decodes the column frame at off into cur, building the tuples
 // read keeps as read projects them (see columns.decode). The tuples live
 // in cur until its next column decode. Under a memory map the frame is
-// read in place, never copied. The caller counts the frames it reads in
-// obs.SegmentColumnReads.
+// read in place, never copied.
 func (r *Reader) columnsAt(off int64, cur *cursor, read store.TupleRead) ([]*core.EpisodeTuple, error) {
 	payload, _, err := r.blob.Frame(off, &cur.buf)
 	if err != nil {
 		return nil, err
 	}
+	cur.colFrames++
 	return cur.cols.decode(payload, r.foot.Dict, read.Keep, read.Project, nil)
 }
 

@@ -444,8 +444,8 @@ func TestRestartDoesNotReemitMergeFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tier2.Close()
-	if st2.OverlayCount() != 2 {
-		t.Fatalf("recovered overlay holds %d entries, want 2", st2.OverlayCount())
+	if at := overlaid(st2, tier2, "t-0", "merged"); !slices.Equal(at, []int{0, 1}) {
+		t.Fatalf("recovered overlay stands in for positions %v, want [0 1]", at)
 	}
 	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
 	if err != nil {

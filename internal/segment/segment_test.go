@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -391,58 +393,144 @@ func TestMergeOverlaySurvivesFreezeAndRecovery(t *testing.T) {
 	}
 	defer tier2.Close()
 	mustEqualState(t, want, capture(st2), "after overlay recovery")
-	if st2.OverlayCount() == 0 {
-		t.Fatal("recovered store has no overlay entries")
+	if at := overlaid(st2, tier2, "t-0", "merged"); !slices.Equal(at, []int{1}) {
+		t.Fatalf("recovered overlay stands in for positions %v, want [1]", at)
 	}
 }
 
+// overlaid returns the frozen positions of (traj, interp) that st reads
+// otherwise than its segments hold them: those a merge overlay stands in
+// for.
+func overlaid(st *store.Store, tier *Tier, traj, interp string) []int {
+	got, ok := st.Structured(traj, interp)
+	if !ok {
+		return nil
+	}
+	var at []int
+	for i, tp := range tier.ColdTuples(traj, interp, 0, math.MaxInt, nil) {
+		if !reflect.DeepEqual(tp, *got.Tuples[i]) {
+			at = append(at, i)
+		}
+	}
+	return at
+}
+
+// TestFooterSummary pins the segment summary the tier derives from each
+// run directory: over two segments holding two interpretations, stops and
+// moves, and an untimed tuple, a segment's summary is the fold of the
+// tuples its runs hold, live and recovered alike, and a summary that
+// refutes a filter refutes no run that may hold an admitted tuple, nor
+// holds such a tuple.
 func TestFooterSummary(t *testing.T) {
 	dir := t.TempDir()
 	st, tier := newTiered(t, dir, 4)
-	populate(t, st, 3, 10)
+	populate(t, st, 3, 10) // 3 objects × 5 merged tuples, stops and moves
+	untimed := testTuple("t-0", 20)
+	untimed.TimeIn = time.Time{}
+	if err := st.AppendStructuredTuples("t-0", "obj-0", "line", untimed, testTuple("t-0", 21)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Freeze(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendStructuredTuples("t-1", "obj-1", "merged", testTuple("t-1", 100), testTuple("t-1", 103)); err != nil {
+		t.Fatal(err)
+	}
 	if err := tier.Freeze(st); err != nil {
 		t.Fatal(err)
 	}
 	sums := st.ColdSummaries(nil)
-	if len(sums) != 1 {
-		t.Fatalf("got %d summaries, want 1", len(sums))
+	if len(sums) != 2 {
+		t.Fatalf("got %d summaries, want 2", len(sums))
 	}
-	s := sums[0]
-	stops, moves := st.EpisodeCounts()
-	_ = stops
-	_ = moves
-	if s.Stops+s.Moves != 15 { // 3 objects × 5 tuples
-		t.Fatalf("summary counts %d tuples, want 15", s.Stops+s.Moves)
+	// tuples decodes every tuple run of segment seg.
+	tuples := func(seg int) map[*RunMeta][]*core.EpisodeTuple {
+		r := tier.segs[seg]
+		cur := getCursor()
+		defer putCursor(cur)
+		out := map[*RunMeta][]*core.EpisodeTuple{}
+		for i := range r.foot.Runs {
+			if meta := &r.foot.Runs[i]; isTupleRun(meta.Op) {
+				m, ok := tier.decode(r, meta, cur, nil, nil)
+				if !ok {
+					t.Fatalf("segment %d run %d does not decode", seg, i)
+				}
+				out[meta] = m.Tuples
+			}
+		}
+		return out
 	}
-	if s.Tuples["merged"] != 15 {
-		t.Fatalf("summary merged count = %d, want 15", s.Tuples["merged"])
+	for seg, counts := range []map[string]int{{"merged": 15, "line": 2}, {"merged": 2}} {
+		want := store.SegmentSummary{Tuples: map[string]int{}}
+		for meta, run := range tuples(seg) {
+			for _, tp := range run {
+				if want.Stops+want.Moves == 0 || tp.TimeIn.Before(want.TimeMin) {
+					want.TimeMin = tp.TimeIn
+				}
+				if want.Stops+want.Moves == 0 || tp.TimeOut.After(want.TimeMax) {
+					want.TimeMax = tp.TimeOut
+				}
+				if tp.Kind == episode.Stop {
+					want.Stops++
+				} else {
+					want.Moves++
+				}
+				want.Tuples[meta.Interp]++
+			}
+		}
+		if !reflect.DeepEqual(sums[seg], want) || !maps.Equal(want.Tuples, counts) || want.Stops == 0 || want.Moves == 0 {
+			t.Fatalf("segment %d summary %+v, want %+v counting %v, stops and moves", seg, sums[seg], want, counts)
+		}
 	}
-	if s.AnnKeys["landuse"] != 15 {
-		t.Fatalf("summary landuse cardinality = %d, want 15", s.AnnKeys["landuse"])
+	if !sums[0].TimeMin.IsZero() {
+		t.Fatalf("segment 0 holds an untimed tuple but its summary starts at %v", sums[0].TimeMin)
 	}
-	if !s.Objects.MayContain("obj-0") || !s.Objects.MayContain("obj-2") {
-		t.Fatal("object bloom misses a present object")
+
+	// Every kind set and window over the stamps at and around the tuples'
+	// times, the zero time included.
+	stamps := []time.Time{{}, ts(-5), ts(0), ts(10), ts(40), ts(99), ts(100), ts(120), ts(200)}
+	refuted := 0
+	for _, kinds := range [][]episode.Kind{{episode.Stop}, {episode.Move}, {episode.Stop, episode.Move}} {
+		for _, lo := range stamps {
+			for _, hi := range stamps {
+				keep := func(kind episode.Kind, in, out time.Time) bool {
+					return slices.Contains(kinds, kind) && !out.Before(lo) && !hi.Before(in)
+				}
+				for seg := range sums {
+					if sums[seg].MayHold(keep) {
+						continue
+					}
+					refuted++
+					for meta, run := range tuples(seg) {
+						if meta.mayHold(keep) {
+							t.Fatalf("segment %d refutes kinds %v in [%v, %v], its run %+v does not", seg, kinds, lo, hi, *meta)
+						}
+						for _, tp := range run {
+							if keep(tp.Kind, tp.TimeIn, tp.TimeOut) {
+								t.Fatalf("segment %d refutes kinds %v in [%v, %v] and holds %+v", seg, kinds, lo, hi, tp)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
-	if s.TimeMin.IsZero() || s.TimeMax.Before(s.TimeMin) {
-		t.Fatalf("summary time span [%v, %v] malformed", s.TimeMin, s.TimeMax)
+	if refuted == 0 {
+		t.Fatal("no filter refuted a segment")
 	}
-	if s.GeomCount != 15 {
-		t.Fatalf("summary geometry count = %d, want 15", s.GeomCount)
+
+	// Recovery derives the same summaries from the same directories.
+	tier.Close()
+	st2, tier2 := newTiered(t, dir, 4)
+	defer tier2.Close()
+	if got := st2.ColdSummaries(nil); !reflect.DeepEqual(got, sums) {
+		t.Fatalf("recovered summaries %+v, want %+v", got, sums)
 	}
 }
 
 // testFooter is a footer with every field set.
 func testFooter() *Footer {
-	foot := &Footer{
-		Summary: store.SegmentSummary{
-			TimeMin: ts(0), TimeMax: ts(99),
-			Stops: 3, Moves: 4,
-			Tuples:     map[string]int{"merged": 7, "line": 2},
-			AnnKeys:    map[string]int{"landuse": 7},
-			GeomBounds: geo.NewRect(geo.Pt(-1, -2), geo.Pt(3, 4)),
-			GeomCount:  5,
-			Objects:    store.NewObjectFilter(3),
-		},
+	return &Footer{
 		Dict: []string{"o1", "", "t1", "merged", "café"},
 		Runs: []RunMeta{
 			{Op: store.MutPutRecords, Object: "o1", Start: 0, Count: 12, Off: 8},
@@ -453,8 +541,6 @@ func testFooter() *Footer {
 			{Op: store.MutPutEpisodes, Traj: "t1", Count: 6, Stops: 2, Off: 99},
 		},
 	}
-	foot.Summary.Objects.Add("o1")
-	return foot
 }
 
 // oneRunFooter is a footer payload whose dictionary holds the one string
@@ -462,12 +548,6 @@ func testFooter() *Footer {
 func oneRunFooter(object uint64) []byte {
 	var e wal.Encoder
 	e.U8(footerVersion)
-	e.Time(time.Time{})
-	e.Time(time.Time{})
-	for range 5 { // stops, moves, the two count maps, no geometry
-		e.Uv(0)
-	}
-	e.Uv(0) // no bloom words
 	e.Uv(1) // the dictionary
 	e.Str("o")
 	e.Uv(1) // the run directory
@@ -479,11 +559,11 @@ func oneRunFooter(object uint64) []byte {
 }
 
 func TestFooterRoundTrip(t *testing.T) {
-	// The far footer's time span lies outside the years UnixNano can
+	// The far footer's run span lies outside the years UnixNano can
 	// represent (1678–2262); the footer keeps it to the nanosecond.
 	far := testFooter()
-	far.Summary.TimeMin = time.Date(1492, 10, 12, 6, 0, 0, 1, time.UTC)
-	far.Summary.TimeMax = time.Date(2400, 2, 29, 23, 0, 0, 999999999, time.UTC)
+	far.Runs[1].TimeMin = time.Date(1492, 10, 12, 6, 0, 0, 1, time.UTC)
+	far.Runs[1].TimeMax = time.Date(2400, 2, 29, 23, 0, 0, 999999999, time.UTC)
 	for _, foot := range []*Footer{testFooter(), far} {
 		got, err := decodeFooter(encodeFooter(foot))
 		if err != nil {
@@ -515,7 +595,7 @@ func TestFooterRoundTrip(t *testing.T) {
 // frames, the column frames, the footer frame and the trailer all count, so
 // a change to the framing routine, the column frames or the footer
 // encoding shows here.
-const segmentFileSHA256 = "999f0e4b33cc19eb83971b58ea0fcf8116bd67224b173f2d1b54d30a4f8bb0dc"
+const segmentFileSHA256 = "c4a51aa4a3ad19bcda020de2c48613d22036d1292cd928cc2fb6c029687e6086"
 
 func TestSegmentFileGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -815,9 +895,10 @@ func TestFreezeRacesKeyedReads(t *testing.T) {
 // TestRecoverRefusesOtherFormatVersion pins that a data directory whose
 // segment another release wrote — the previous format version, which held
 // copies of trajectory records, a later one, a version-1 footer, whose
-// times wrap outside 1678–2262, or a footer of version 2 or 3 — is refused with an error naming the
-// segment file and both versions, and left byte-for-byte untouched, WAL
-// tail and a stale freeze temp file included.
+// times wrap outside 1678–2262, or a footer of version 2, 3 or 4 — is
+// refused with an error naming the segment file and both versions, and
+// left byte-for-byte untouched, WAL tail and a stale freeze temp file
+// included.
 func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 	fileVersion := func(v uint32) func([]byte) {
 		return func(data []byte) { binary.LittleEndian.PutUint32(data[4:8], v) }
@@ -845,6 +926,7 @@ func TestRecoverRefusesOtherFormatVersion(t *testing.T) {
 		{"segment footer", 1, footerVersion, footerVersionOf(1)},
 		{"segment footer", 2, footerVersion, footerVersionOf(2)}, // strings inline, no run spans
 		{"segment footer", 3, footerVersion, footerVersionOf(3)}, // no column frames
+		{"segment footer", 4, footerVersion, footerVersionOf(4)}, // a stored summary
 	}
 	for _, c := range cases {
 		dir := t.TempDir()

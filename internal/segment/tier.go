@@ -95,12 +95,13 @@ func (t *Tier) SegmentCount() int {
 // ColdSegments implements store.ColdTier.
 func (t *Tier) ColdSegments() int { return t.SegmentCount() }
 
-// Summaries implements store.ColdTier: one footer summary per live segment.
+// Summaries implements store.ColdTier: one summary per live segment, the
+// fold of its directory's tuple runs.
 func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, r := range t.segs {
-		buf = append(buf, r.foot.Summary)
+		buf = append(buf, r.sum)
 	}
 	return buf
 }
@@ -310,11 +311,7 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.Tup
 	ents := t.scan[seg]
 	t.mu.RUnlock()
 	cur := getCursor()
-	cols := 0 // column frames read, counted once: the counter is shared
-	defer func() {
-		putCursor(cur)
-		obs.SegmentColumnReads.Add(int64(cols))
-	}()
+	defer putCursor(cur)
 	for _, ent := range ents {
 		meta := &r.foot.Runs[ent]
 		if interpretation != "" && meta.Interp != interpretation || !meta.mayHold(read.Keep) {
@@ -328,7 +325,6 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.Tup
 		var ok bool
 		if read.Project != nil {
 			tuples, ok = t.columns(r, meta, cur, read)
-			cols++
 		} else {
 			var m store.Mutation
 			m, ok = t.decode(r, meta, cur, read.Keep, nil)

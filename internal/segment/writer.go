@@ -29,9 +29,8 @@ type Writer struct {
 	cols []byte
 	enc  wal.Encoder
 
-	foot    Footer
-	dict    wal.Dict        // every string of the data frames, for the footer
-	objects map[string]bool // distinct tuple-owning objects, for the bloom
+	foot Footer
+	dict wal.Dict // every string of the data frames, for the footer
 }
 
 // newWriter opens a segment writer for the given sequence number in dir.
@@ -42,8 +41,7 @@ func newWriter(dir string, seq uint64) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, tmp: tmp,
-		objects: map[string]bool{}}
+	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, tmp: tmp}
 	if _, err := w.bw.Write(wal.AppendFileHeader(nil, fileMagic, formatVersion)); err != nil {
 		w.abort()
 		return nil, err
@@ -61,7 +59,6 @@ func (w *Writer) add(m store.Mutation) error {
 	var span wal.Span
 	cols := int64(len(w.cols))
 	if isTupleRun(m.Op) {
-		w.summarise(&m)
 		span = wal.SpanOf(m.Tuples)
 	}
 	w.buf = wal.AppendMutationFrame(w.buf[:0], m, &w.dict)
@@ -102,46 +99,6 @@ func runMeta(m store.Mutation, span wal.Span, off, cols int64) RunMeta {
 	return meta
 }
 
-// summarise folds one tuple run into the planner summary.
-func (w *Writer) summarise(m *store.Mutation) {
-	s := &w.foot.Summary
-	if s.Tuples == nil {
-		s.Tuples = map[string]int{}
-		s.AnnKeys = map[string]int{}
-	}
-	s.Tuples[m.Interpretation] += len(m.Tuples)
-	if len(m.Tuples) > 0 && m.ObjectID != "" {
-		w.objects[m.ObjectID] = true
-	}
-	for _, tp := range m.Tuples {
-		// The segment's first tuple seeds TimeMin; a zero TimeIn is a time
-		// like any other (the least), so untimed tuples keep the segment
-		// unprunable by an upper time bound.
-		if s.Stops+s.Moves == 0 || tp.TimeIn.Before(s.TimeMin) {
-			s.TimeMin = tp.TimeIn
-		}
-		if tp.Kind == episode.Stop {
-			s.Stops++
-		} else {
-			s.Moves++
-		}
-		if tp.TimeOut.After(s.TimeMax) {
-			s.TimeMax = tp.TimeOut
-		}
-		for _, a := range tp.Annotations.All() {
-			s.AnnKeys[a.Key]++
-		}
-		if tp.Episode != nil {
-			if s.GeomCount == 0 {
-				s.GeomBounds = tp.Episode.Bounds
-			} else {
-				s.GeomBounds = s.GeomBounds.Union(tp.Episode.Bounds)
-			}
-			s.GeomCount++
-		}
-	}
-}
-
 // finish seals the segment: column frames, footer frame, trailer, fsync,
 // rename into place, directory sync. On success the file is durable under
 // its final name.
@@ -153,11 +110,6 @@ func (w *Writer) finish() error {
 		if isTupleRun(w.foot.Runs[i].Op) {
 			w.foot.Runs[i].Cols += w.off
 		}
-	}
-	s := &w.foot.Summary
-	s.Objects = store.NewObjectFilter(len(w.objects))
-	for obj := range w.objects {
-		s.Objects.Add(obj)
 	}
 	w.foot.Dict = w.dict.Strings
 	w.buf = wal.AppendFrame(w.buf[:0], encodeFooter(&w.foot))

@@ -25,7 +25,7 @@
 // Every query endpoint accepts ?trace=1 and then carries a "trace" object in
 // the response: the EXPLAIN ANALYZE view of the request — per-stage wall
 // times, rows in/out, candidates examined, and (for scans over the segment
-// tier) every per-segment prune decision with the footer rule that fired.
+// tier) every per-segment prune decision with the segment rule that fired.
 //
 // Every endpoint answers compact one-line JSON, written once with its
 // Content-Length; errors answer {"error": ...} with a 4xx/5xx status (all

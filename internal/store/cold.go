@@ -7,7 +7,6 @@ import (
 
 	"semitri/internal/core"
 	"semitri/internal/episode"
-	"semitri/internal/geo"
 	"semitri/internal/gps"
 )
 
@@ -65,7 +64,7 @@ type ColdTier interface {
 	InvalidateTuples(trajectoryID, interpretation string)
 
 	// ColdSegments reports the number of live segments; Summaries appends
-	// one footer summary per segment (indexed like VisitSegmentTuples's seg).
+	// one summary per segment (indexed like VisitSegmentTuples's seg).
 	ColdSegments() int
 	Summaries(buf []SegmentSummary) []SegmentSummary
 	// VisitSegmentTuples calls fn, run by run, for the live frozen tuples of
@@ -96,6 +95,18 @@ type ColdTier interface {
 // monotone.
 type TupleFilter func(kind episode.Kind, timeIn, timeOut time.Time) bool
 
+// MayHold reports whether tuples of which stops are stops and moves are
+// moves, spanning [min, max] (least TimeIn, greatest TimeOut), may include
+// one keep admits; every set may when keep is nil. keep is monotone in the
+// times, so asking it of the span once per kind held refuses only sets
+// holding no admitted tuple. A segment holds stops and moves alone: its
+// decoder refuses any other kind.
+func (keep TupleFilter) MayHold(stops, moves int, min, max time.Time) bool {
+	return keep == nil ||
+		stops > 0 && keep(episode.Stop, min, max) ||
+		moves > 0 && keep(episode.Move, min, max)
+}
+
 // TupleRead is what a segment scan asks of the cold tier: the tuples to
 // build (those Keep admits, every one when it is nil) and, of those, the
 // fields (Project's, every one when it is nil). The zero value is the full
@@ -120,91 +131,27 @@ type Projection struct {
 	AnnKeys []string
 }
 
-// SegmentSummary is the planner-facing digest a segment's footer carries:
-// enough to decide, without touching the segment body, that no tuple inside
-// can match a query.
+// SegmentSummary is what a segment's run directory tells of its tuples as
+// a whole: enough to decide, without reading a frame, that no tuple inside
+// can match a query. The segment tier derives it from the directory's tuple
+// runs (their interpretations, counts, stop counts and spans), so it is the
+// union of what the runs tell and refutes a segment exactly when every one
+// of its runs is refuted.
 type SegmentSummary struct {
-	// TimeMin is the smallest tuple TimeIn and TimeMax the largest TimeOut
-	// across the segment's tuples (zero times propagate into TimeMin, so a
-	// segment holding untimed tuples is never pruned by an upper bound).
-	TimeMin, TimeMax time.Time
-	// Stops and Moves count the segment's tuples by kind.
-	Stops, Moves int
 	// Tuples counts tuples per interpretation.
 	Tuples map[string]int
-	// AnnKeys counts the tuples carrying each annotation key.
-	AnnKeys map[string]int
-	// GeomBounds is the union of the episode bounds of the GeomCount tuples
-	// that carry geometry (a non-nil episode back-pointer); tuples without
-	// geometry can never match a spatial predicate.
-	GeomBounds geo.Rect
-	GeomCount  int
-	// Objects is a bloom filter over the object ids owning the segment's
-	// tuples.
-	Objects ObjectFilter
+	// Stops and Moves count the segment's tuples by kind.
+	Stops, Moves int
+	// TimeMin is the least TimeIn and TimeMax the greatest TimeOut across
+	// the segment's tuples; a zero TimeIn is the least, so a segment holding
+	// untimed tuples is never pruned by an upper bound.
+	TimeMin, TimeMax time.Time
 }
 
-// ObjectFilter is a small bloom filter over string keys, used by segment
-// footers to prune object-filtered scans. The zero value contains nothing.
-type ObjectFilter struct {
-	// Bits is the filter's bit array in 64-bit words; its length is a power
-	// of two. Exposed for serialisation.
-	Bits []uint64
-}
-
-// filterHashes derives the double-hashing pair from FNV-1a/64.
-func filterHashes(key string) (h1, h2 uint64) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h, (h >> 32) | 1
-}
-
-// NewObjectFilter sizes a filter for n keys at roughly 10 bits per key
-// (about a 1% false-positive rate with the 4 probes used here).
-func NewObjectFilter(n int) ObjectFilter {
-	bits := 64
-	for bits < n*10 {
-		bits <<= 1
-	}
-	return ObjectFilter{Bits: make([]uint64, bits/64)}
-}
-
-const filterProbes = 4
-
-// Add inserts a key.
-func (f ObjectFilter) Add(key string) {
-	if len(f.Bits) == 0 {
-		return
-	}
-	mask := uint64(len(f.Bits)*64 - 1)
-	h1, h2 := filterHashes(key)
-	for i := uint64(0); i < filterProbes; i++ {
-		bit := (h1 + i*h2) & mask
-		f.Bits[bit/64] |= 1 << (bit % 64)
-	}
-}
-
-// MayContain reports whether the key may have been added; false is exact.
-func (f ObjectFilter) MayContain(key string) bool {
-	if len(f.Bits) == 0 {
-		return false
-	}
-	mask := uint64(len(f.Bits)*64 - 1)
-	h1, h2 := filterHashes(key)
-	for i := uint64(0); i < filterProbes; i++ {
-		bit := (h1 + i*h2) & mask
-		if f.Bits[bit/64]&(1<<(bit%64)) == 0 {
-			return false
-		}
-	}
-	return true
+// MayHold reports whether the segment may hold a tuple keep admits (see
+// TupleFilter.MayHold).
+func (s *SegmentSummary) MayHold(keep TupleFilter) bool {
+	return keep.MayHold(s.Stops, s.Moves, s.TimeMin, s.TimeMax)
 }
 
 // coldHolder wraps the attached tier for the atomic pointer.
@@ -236,22 +183,6 @@ func (s *Store) InstallColdTier(ct ColdTier) error {
 	return nil
 }
 
-// dropOverlay drops a key's merge overlay: a replace or a put run
-// superseded the frozen tuples it stood in for. Caller holds the key's
-// stripe lock (write).
-func (s *Store) dropOverlay(fz *shardFrozen, k tupKey) {
-	if ov := fz.overlay[k]; ov != nil {
-		s.overlayN.Add(int64(-len(ov)))
-		delete(fz.overlay, k)
-	}
-}
-
-// OverlayCount reports how many overlay entries currently stand in for
-// frozen tuples. Non-zero overlay weakens footer-based annotation pruning —
-// a merge can add an annotation key the segment's footer never counted — so
-// the query planner checks it before trusting AnnKeys cardinalities.
-func (s *Store) OverlayCount() int { return int(s.overlayN.Load()) }
-
 // ColdSegmentCount reports the attached tier's live segment count (0
 // untiered) — the extra scan units a parallel full scan fans out over.
 func (s *Store) ColdSegmentCount() int {
@@ -262,7 +193,7 @@ func (s *Store) ColdSegmentCount() int {
 	return ct.ColdSegments()
 }
 
-// ColdSummaries appends the attached tier's per-segment footer summaries to
+// ColdSummaries appends the attached tier's per-segment summaries to
 // buf, indexed like VisitColdSegmentTuples's seg.
 func (s *Store) ColdSummaries(buf []SegmentSummary) []SegmentSummary {
 	ct := s.coldTier()

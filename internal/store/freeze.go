@@ -348,7 +348,7 @@ func (s *Store) advance(sh *shard, r frozenRun) {
 	case frzTuples:
 		k := tupKey{id, r.key.interp}
 		if r.put {
-			s.dropOverlay(fz, k)
+			delete(fz.overlay, k)
 		}
 		fz.tups[k] = r.count
 	}

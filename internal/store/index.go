@@ -415,9 +415,6 @@ func (s *Store) merge(trajectoryID, interpretation string, index int, place *cor
 		if ov == nil {
 			ov = map[int]*core.EpisodeTuple{}
 		}
-		if _, had := ov[index]; !had {
-			s.overlayN.Add(1)
-		}
 		ov[index] = &merged
 		fz.overlay[k] = ov
 		if queue {

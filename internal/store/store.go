@@ -71,9 +71,6 @@ type Store struct {
 	// cold holds the attached cold tier (see InstallColdTier); nil for the
 	// default all-heap store.
 	cold coldPtr
-	// overlayN counts live merge-overlay entries across all shards; zero
-	// (the overwhelmingly common case) lets cold scans skip overlay lookups.
-	overlayN atomic.Int64
 }
 
 // coldPtr is the atomic holder InstallColdTier writes.
@@ -489,7 +486,7 @@ func (s *Store) PutStructured(st *core.StructuredTrajectory) error {
 			delete(sh.frozen.tups, k)
 			invalidate = s.coldTier()
 		}
-		s.dropOverlay(sh.frozen, k)
+		delete(sh.frozen.overlay, k)
 	}
 	if s.Tiered() {
 		sh.bumpGen(freezeKey{table: frzTuples, key: st.ID, interp: st.Interpretation})
