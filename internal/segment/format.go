@@ -61,11 +61,10 @@ const (
 	// Version 5 drops the stored planner summary (time span, counts,
 	// annotation keys, geometry bounds, object bloom filter), which Open
 	// derives from the run directory; version 4 added the tuple runs'
-	// column frames, version 3 the
-	// string dictionary the data frames index and the tuple runs' spans,
-	// version 2 wrote strings inline, version 1 times as UnixNano, which
-	// wraps outside 1678–2262. Footers at another version are refused, not
-	// read.
+	// column frames, version 3 the string dictionary the data frames index
+	// and the tuple runs' spans, version 2 wrote strings inline, version 1
+	// times as UnixNano, which wraps outside 1678–2262. Footers at another
+	// version are refused, not read.
 	footerVersion = 5
 )
 
