@@ -104,11 +104,13 @@ bench-smoke:
 # second run adds the layer replay (--trace 1): the only check that the
 # stores rebuilt by Store.Apply, by WAL replay and by reopening segments
 # digest like the original, and the only caller that keeps the slices of
-# logged mutations by reference.
+# logged mutations by reference. Both runs write under one temporary
+# directory, each into its own subdirectory, removed when the recipe exits.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	bash bench/run.sh --scale 0.05 --seconds 2 --out "$$(mktemp -d)"
-	bash bench/run.sh --scale 0.05 --seconds 2 --trace 1 --out "$$(mktemp -d)"
+	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	bash bench/run.sh --scale 0.05 --seconds 2 --out "$$out/plain" && \
+	bash bench/run.sh --scale 0.05 --seconds 2 --trace 1 --out "$$out/trace"
 
 # Non-test Go LOC by the rule of bench/main.go's nonTestLOC(): every *.go
 # minus *_test.go, bench/ and dot-directories excluded.

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,13 +27,17 @@ import (
 // structured trajectory — a (trajectory, interpretation) pair — the first
 // time it indexes one of its tuples, giving it a dense uint32 and keeping
 // {trajectory id, object id, interpretation} once, in an append-only table
-// (stTable). A posting is that number plus the tuple's position. Queries
-// resolve postings back to store.TupleRefs only when they gather
-// candidates. Time postings add the kind and both times as UTC seconds plus
-// nanoseconds (40 B in all), spatial postings are the bare 8 bytes beside
-// the forest's rectangle and its 4-byte tree entry, and so are annotation
-// postings. None of them holds a pointer, so the collector
-// never traces the indexes' bulk.
+// (stTable). A posting is that number plus the tuple's position. The table
+// also keeps each structured trajectory's canonical rank, its place in
+// (object, trajectory, interpretation) string order, so a query's candidates
+// stay integers from gather to resolution: each posting becomes one uint64
+// key, rank and position, that sorts into the canonical output order with no
+// string compare, and only the positions being resolved are turned back into
+// store.TupleRefs. Time postings add the kind and both times as UTC seconds
+// plus nanoseconds (40 B in all), spatial postings are the bare 8 bytes
+// beside the forest's rectangle and its 4-byte tree entry, and so are
+// annotation postings. None of them holds a pointer, so the collector never
+// traces the indexes' bulk.
 //
 // The engine's state is lock-striped like the store, with as many stripes
 // as the store has, but each index is partitioned by its own natural key so
@@ -51,8 +57,10 @@ import (
 // Lock order: the interning table's lock is always taken last. A writer
 // takes it (exclusively) only on a trajectory's first sight, while holding
 // its object stripe; a reader takes it (shared) while holding the index
-// lock it gathers under, so its snapshot covers every posting it can see.
-// No code takes another lock while holding the table's.
+// lock it gathers under, so its snapshot covers every posting it can see,
+// and resolves its candidates through that same snapshot, whose ranks no
+// later intern changes. No code takes another lock while holding the
+// table's.
 //
 // Replaced interpretations and re-annotated tuples leave their old postings
 // behind (removal would need a scan); stale postings cost a wasted
@@ -85,37 +93,108 @@ type stRow struct {
 	traj, object, interp string
 }
 
-// ref resolves a posting of this row to the store's address of the tuple.
-func (r *stRow) ref(p posting) store.TupleRef {
-	return store.TupleRef{TrajectoryID: r.traj, ObjectID: r.object, Interpretation: r.interp, Index: int(p.idx)}
+// compare is the canonical order of structured trajectories: object, then
+// trajectory, then interpretation.
+func (r *stRow) compare(o *stRow) int {
+	if r.object != o.object {
+		return strings.Compare(r.object, o.object)
+	}
+	if r.traj != o.traj {
+		return strings.Compare(r.traj, o.traj)
+	}
+	return strings.Compare(r.interp, o.interp)
 }
 
-// stTable is the append-only interning table: row i describes the
-// structured trajectory whose postings carry st == i. Rows never change once
-// appended, so a reader may keep the slice it snapshotted after releasing
-// the lock. Its lock is the last one taken (see Engine).
+// stTable is the interning table: row i describes the structured trajectory
+// whose postings carry st == i, rank[i] is that row's canonical rank — its
+// place in stRow.compare order among the rows interned so far, ties in
+// interning order — and order lists the row numbers by rank. Rows are
+// append-only and never change, so a reader may keep the slice it
+// snapshotted after releasing the lock. A new row moves the ranks after its
+// own, so rank and order are written in place only while no snapshot holds
+// them: snapshot sets shared, and the next intern copies both before it
+// writes. Its lock is the last one taken (see Engine).
 type stTable struct {
-	mu   sync.RWMutex
-	rows []stRow
+	mu     sync.RWMutex
+	rows   []stRow
+	rank   []uint32
+	order  []uint32
+	shared atomic.Bool
+	// unranked defers ranking while NewEngine backfills (see rankAll).
+	unranked bool
 }
 
-// intern appends a row for ref's structured trajectory and returns its
-// number. Callers hold the object stripe that guards first sight.
+// stView is one snapshot of the interning table: rows, ranks and order of
+// the same rows, none of which changes after it was taken.
+type stView struct {
+	rows        []stRow
+	rank, order []uint32
+}
+
+// key is p's candidate key: its row's rank above its position, so that
+// ascending keys are the canonical output order.
+func (v *stView) key(p posting) uint64 { return uint64(v.rank[p.st])<<32 | uint64(p.idx) }
+
+// row returns the row whose rank is in the high half of key.
+func (v *stView) row(key uint64) *stRow { return &v.rows[v.order[key>>32]] }
+
+// intern appends a row for ref's structured trajectory, ranks it, and
+// returns its number. Callers hold the object stripe that guards first
+// sight. Ranking binary-searches the row's place in order, inserts it there
+// and renumbers the ranks of the rows after it: O(log S) string compares
+// and O(S) integer moves for S rows, paid once per structured trajectory.
 func (t *stTable) intern(ref store.TupleRef) uint32 {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	id := uint32(len(t.rows))
 	t.rows = append(t.rows, stRow{traj: ref.TrajectoryID, object: ref.ObjectID, interp: ref.Interpretation})
-	t.mu.Unlock()
+	if t.unranked {
+		return id
+	}
+	row := &t.rows[id]
+	pos := sort.Search(len(t.order), func(i int) bool { return row.compare(&t.rows[t.order[i]]) < 0 })
+	if t.shared.Load() {
+		t.rank = append(make([]uint32, 0, len(t.rank)+1), t.rank...)
+		t.order = append(make([]uint32, 0, len(t.order)+1), t.order...)
+		t.shared.Store(false)
+	}
+	order, rank := slices.Insert(t.order, pos, id), append(t.rank, 0)
+	for r := pos; r < len(order); r++ {
+		rank[order[r]] = uint32(r)
+	}
+	t.order, t.rank = order, rank
 	return id
 }
 
-// snapshot returns the rows interned so far. Taken under an index lock, it
-// covers every posting that index holds.
-func (t *stTable) snapshot() []stRow {
+// rankAll ranks every row at once, with one sort, and has intern rank each
+// new row from then on. NewEngine backfills with ranking deferred, so that
+// an engine over S stored structured trajectories starts in O(S log S)
+// rather than O(S²); no query can snapshot the table before it returns.
+func (t *stTable) rankAll() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.order = make([]uint32, len(t.rows))
+	for i := range t.order {
+		t.order[i] = uint32(i)
+	}
+	slices.SortStableFunc(t.order, func(a, b uint32) int { return t.rows[a].compare(&t.rows[b]) })
+	t.rank = make([]uint32, len(t.rows))
+	for r, id := range t.order {
+		t.rank[id] = uint32(r)
+	}
+	t.unranked = false
+}
+
+// snapshot returns the rows interned so far with their ranks. Taken under
+// an index lock, it covers every posting that index holds.
+func (t *stTable) snapshot() stView {
 	t.mu.RLock()
-	rows := t.rows
+	v := stView{rows: t.rows, rank: t.rank, order: t.order}
+	if !t.shared.Load() {
+		t.shared.Store(true)
+	}
 	t.mu.RUnlock()
-	return rows
+	return v
 }
 
 // objectShard is one object-routed stripe: time postings, interned numbers
@@ -259,6 +338,7 @@ func NewEngineWith(st *store.Store, opts Options) *Engine {
 		e.annShards[i] = &annShard{ann: map[annKey][]posting{}}
 	}
 	e.spatial.parts = map[string][]*spatialPart{}
+	e.sts.unranked = true
 	// Attach first, then backfill: tuples appended between the two steps are
 	// delivered twice (once by the notification, once by the scan) and
 	// deduplicated by the indexed bitmap; tuples appended before the attach
@@ -268,6 +348,7 @@ func NewEngineWith(st *store.Store, opts Options) *Engine {
 		e.index(ref, &t)
 		return true
 	})
+	e.sts.rankAll()
 	return e
 }
 
@@ -582,10 +663,10 @@ func (e *Engine) executeBuf(f *form, path Path, s *sink, maxWorkers int, tr *Tra
 		return
 	}
 	sc := getScratch()
-	sc.refs = e.gatherInto(f, path, sc.refs[:0])
-	obs.QueryCandidates.Add(int64(len(sc.refs)))
-	tr.addCandidates(len(sc.refs))
-	tr.stage("gather", t0, len(sc.refs))
+	sc.keys, sc.view = e.gatherInto(f, path, sc.keys[:0])
+	obs.QueryCandidates.Add(int64(len(sc.keys)))
+	tr.addCandidates(len(sc.keys))
+	tr.stage("gather", t0, len(sc.keys))
 	var t1 time.Time
 	if tr != nil {
 		t1 = time.Now()
@@ -593,132 +674,122 @@ func (e *Engine) executeBuf(f *form, path Path, s *sink, maxWorkers int, tr *Tra
 	rows := s.rows
 	e.resolveRefs(f, sc, s, maxWorkers)
 	tr.stage("resolve", t1, s.rows-rows)
+	sc.view = stView{} // a pooled scratch must not keep the snapshot's arrays alive
 	putScratch(sc)
 }
 
-// gatherInto appends candidate refs from one indexed access path, resolving
-// each posting through the interning table. Its filters read only the
-// clauses the postings carry (see form); the tuple check at resolution is
-// the exact one.
-func (e *Engine) gatherInto(f *form, path Path, refs []store.TupleRef) []store.TupleRef {
+// gatherInto appends the candidate keys of one indexed access path (see
+// stView.key) and returns them with the interning table's snapshot they
+// were keyed by. Its filters read only the clauses the postings carry (see
+// form); the tuple check at resolution is the exact one.
+func (e *Engine) gatherInto(f *form, path Path, keys []uint64) ([]uint64, stView) {
+	var v stView
 	switch path {
 	case PathAnnotation:
 		a, _ := f.indexedAnn()
 		k := annKey{interp: f.interp, key: a.key, value: a.value}
 		sh := e.annShardFor(k)
 		sh.mu.RLock()
-		rows := e.sts.snapshot()
+		v = e.sts.snapshot()
 		for _, p := range sh.ann[k] {
-			refs = append(refs, rows[p.st].ref(p))
+			keys = append(keys, v.key(p))
 		}
 		sh.mu.RUnlock()
 	case PathObjectTime:
 		sh := e.objShardFor(f.object)
 		sh.mu.RLock()
-		rows := e.sts.snapshot()
+		v = e.sts.snapshot()
 		posted := sh.objects[f.object]
 		// Postings are sorted by TimeIn: nothing after hi can match.
 		hi := sort.Search(len(posted), func(i int) bool { return f.hi.before(posted[i].timeIn()) })
 		for i := range posted[:hi] {
 			tp := &posted[i]
-			row := &rows[tp.p.st]
-			if row.interp != f.interp || tp.timeOut().before(f.lo) || f.kinds&kindBit(tp.kind) == 0 {
+			if v.rows[tp.p.st].interp != f.interp || tp.timeOut().before(f.lo) || f.kinds&kindBit(tp.kind) == 0 {
 				continue
 			}
-			refs = append(refs, row.ref(tp.p))
+			keys = append(keys, v.key(tp.p))
 		}
 		sh.mu.RUnlock()
 	case PathSpatial:
 		e.spatial.mu.RLock()
-		rows := e.sts.snapshot()
+		v = e.sts.snapshot()
 		for _, part := range e.spatial.parts[f.interp] {
 			if f.kinds&kindBit(part.kind) == 0 {
 				continue
 			}
 			part.rects.Visit(f.gather, func(id int32) bool {
-				p := part.postings[id]
-				refs = append(refs, rows[p.st].ref(p))
+				keys = append(keys, v.key(part.postings[id]))
 				return true
 			})
 		}
 		e.spatial.mu.RUnlock()
 	}
-	return refs
+	return keys, v
 }
 
-// resolveRefs turns candidate refs into verified rows: dedup (paths can
-// nominate a ref more than once — stale postings, re-annotation), resolve
-// against the store, re-check every predicate. The refs in sc are sorted into
-// the canonical *output* order — (object, trajectory, interpretation,
-// position) — which deduplicates (adjacent equals), groups by trajectory
-// with no map allocations, and means resolution emits matches already in
-// final order: a limit stops the work as soon as it is met instead of after
+// resolveRefs turns the candidate keys in sc into verified rows. It sorts
+// the keys, which puts them in the canonical *output* order — (object,
+// trajectory, interpretation, position) — with integer compares only, drops
+// adjacent equal keys (paths can nominate a position more than once — stale
+// postings, re-annotation), and resolves each run of keys sharing a rank,
+// one structured trajectory, with one store lock (one Store.AppendTuplesAt
+// batch) — this is what makes indexed execution cheaper per candidate than
+// a scan is per tuple. Because resolution emits matches already in final
+// order, a limit stops the work as soon as it is met instead of after
 // resolving everything, and parallel chunks concatenate without a merge
-// sort. Each trajectory's run resolves with one store lock (one
-// Store.AppendTuplesAt batch) — this is what makes indexed execution cheaper
-// per candidate than a scan is per tuple.
+// sort.
 func (e *Engine) resolveRefs(f *form, sc *scratch, s *sink, maxWorkers int) {
-	refs := sc.refs
-	if len(refs) == 0 {
+	if len(sc.keys) == 0 {
 		return
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := &refs[i], &refs[j]
-		if a.ObjectID != b.ObjectID {
-			return a.ObjectID < b.ObjectID
-		}
-		if a.TrajectoryID != b.TrajectoryID {
-			return a.TrajectoryID < b.TrajectoryID
-		}
-		if a.Interpretation != b.Interpretation {
-			return a.Interpretation < b.Interpretation
-		}
-		return a.Index < b.Index
-	})
-	if workers := e.workersFor(len(refs), maxWorkers); workers > 1 {
-		e.resolveParallel(f, refs, s, workers)
+	slices.Sort(sc.keys)
+	sc.keys = slices.Compact(sc.keys)
+	if workers := e.workersFor(len(sc.keys), maxWorkers); workers > 1 {
+		e.resolveParallel(f, sc.keys, &sc.view, s, workers)
 		return
 	}
 	// One worker resolves straight into s: no chunk sinks to merge, which
 	// keeps a join's per-row probes allocation-free.
-	e.resolveChunk(f, refs, s, sc, nil)
+	e.resolveChunk(f, sc.keys, &sc.view, s, sc, nil)
 }
 
-// resolveChunk resolves one contiguous range of canonically sorted refs,
-// putting the verified rows into s in that same order. It stops early once
-// f.limit rows are put (the range's output prefix is the final output
-// prefix), and, when stop is non-nil, abandons the range between
-// trajectory groups once a parallel sibling raised it.
-func (e *Engine) resolveChunk(f *form, refs []store.TupleRef, s *sink, sc *scratch, stop *atomic.Bool) {
+// resolveChunk resolves one contiguous range of sorted, distinct candidate
+// keys of v, putting the verified rows into s in that same order. A run of
+// keys sharing a rank is one structured trajectory: its row's clauses are
+// checked once, and a TupleRef is built only for a position that store
+// resolution returns. It stops early once f.limit rows are put (the range's
+// output prefix is the final output prefix), and, when stop is non-nil,
+// abandons the range between trajectory groups once a parallel sibling
+// raised it.
+func (e *Engine) resolveChunk(f *form, keys []uint64, v *stView, s *sink, sc *scratch, stop *atomic.Bool) {
 	rows := s.rows
-	for lo := 0; lo < len(refs); {
+	for lo := 0; lo < len(keys); {
 		if stop != nil && stop.Load() {
 			return
 		}
 		hi := lo + 1
-		for hi < len(refs) &&
-			refs[hi].TrajectoryID == refs[lo].TrajectoryID &&
-			refs[hi].Interpretation == refs[lo].Interpretation {
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
 			hi++
 		}
-		indexes := sc.indexes[:0]
-		for i := lo; i < hi; i++ {
-			if i > lo && refs[i].Index == refs[i-1].Index {
-				continue // duplicate posting
-			}
-			indexes = append(indexes, refs[i].Index)
+		row := v.row(keys[lo])
+		if !f.admitsRow(row.traj, row.object, row.interp) {
+			lo = hi
+			continue
 		}
-		tuples, ok := e.st.AppendTuplesAt(refs[lo].TrajectoryID, refs[lo].Interpretation, indexes, sc.tuples[:0], sc.ok[:0])
+		indexes := sc.indexes[:0]
+		for _, k := range keys[lo:hi] {
+			indexes = append(indexes, int(uint32(k)))
+		}
+		tuples, ok := e.st.AppendTuplesAt(row.traj, row.interp, indexes, sc.tuples[:0], sc.ok[:0])
 		sc.indexes, sc.tuples, sc.ok = indexes, tuples, ok
 		for i, idx := range indexes {
 			if !ok[i] {
 				continue // stale posting: the interpretation shrank on replace
 			}
-			ref := refs[lo]
-			ref.Index = idx
-			if !f.admits(ref, &tuples[i]) {
+			if !f.admitsTuple(&tuples[i]) {
 				continue
 			}
+			ref := store.TupleRef{TrajectoryID: row.traj, ObjectID: row.object, Interpretation: row.interp, Index: idx}
 			s.add(&ref, &tuples[i])
 			if f.limit > 0 && s.rows-rows >= f.limit {
 				return
@@ -797,6 +868,7 @@ func (e *Engine) IndexStats() Stats {
 		}
 		sh.mu.RUnlock()
 	}
-	st.IndexBytes += cap(e.sts.snapshot()) * int(unsafe.Sizeof(stRow{}))
+	v := e.sts.snapshot()
+	st.IndexBytes += cap(v.rows)*int(unsafe.Sizeof(stRow{})) + (cap(v.rank)+cap(v.order))*int(unsafe.Sizeof(uint32(0)))
 	return st
 }

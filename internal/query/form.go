@@ -130,10 +130,21 @@ func compile(q Query) (form, error) {
 // admits is the tuple check: whether the tuple tp stored at ref satisfies
 // every clause. It is exact and allocates nothing.
 func (f *form) admits(ref store.TupleRef, tp *core.EpisodeTuple) bool {
-	if f.interp != "" && ref.Interpretation != f.interp ||
-		f.object != "" && ref.ObjectID != f.object ||
-		f.traj != "" && ref.TrajectoryID != f.traj ||
-		!f.admitsSpan(tp.Kind, tp.TimeIn, tp.TimeOut) {
+	return f.admitsRow(ref.TrajectoryID, ref.ObjectID, ref.Interpretation) && f.admitsTuple(tp)
+}
+
+// admitsRow is the tuple check's clauses on where a tuple is stored: its
+// structured trajectory's id, object and interpretation.
+func (f *form) admitsRow(traj, object, interp string) bool {
+	return (f.interp == "" || interp == f.interp) &&
+		(f.object == "" || object == f.object) &&
+		(f.traj == "" || traj == f.traj)
+}
+
+// admitsTuple is the rest of the tuple check: the clauses on the tuple
+// itself.
+func (f *form) admitsTuple(tp *core.EpisodeTuple) bool {
+	if !f.admitsSpan(tp.Kind, tp.TimeIn, tp.TimeOut) {
 		return false
 	}
 	for i := range f.anns {

@@ -242,11 +242,11 @@ func (e *Engine) ExecuteJoin(j Join) ([]JoinMatch, error) {
 // enough that the planner prices a scan below every index.
 //
 // Build rows are independent probe tasks, so they fan out over the engine's
-// workers (JoinPlan.Workers; serial under the engine's threshold). Rows are
-// handed out dynamically for load balance, each worker appends pairs to its
-// own buffer, and per-row spans re-assemble the pairs in build-row order
-// before the canonical sort — the result is byte-identical to serial
-// execution at any worker count.
+// workers (JoinPlan.Workers; serial under the engine's threshold). Runs of
+// neighbouring rows are handed out dynamically for load balance, each
+// worker appends pairs to its own buffer, and per-row spans re-assemble the
+// pairs in build-row order before the canonical sort — the result is
+// byte-identical to serial execution at any worker count.
 func (e *Engine) ExecuteJoinExplained(j Join) ([]JoinMatch, JoinPlan, error) {
 	return e.executeJoin(j, nil)
 }
@@ -300,12 +300,19 @@ func (e *Engine) executeJoin(j Join, tr *Trace) ([]JoinMatch, JoinPlan, error) {
 	if workers > 1 {
 		spans = make([]pairSpan, len(rows))
 	}
-	fanOut(workers, len(rows), func(w, ri int) bool {
+	// Rows go out in runs of neighbours, about eight runs per worker: a
+	// probe can take well under a microsecond, and rows handed out one by
+	// one have the workers take the hand-out counter, and write the spans
+	// of neighbouring rows, from different cores all the time.
+	run := max(1, len(rows)/(8*workers))
+	fanOut(workers, (len(rows)+run-1)/run, func(w, i int) bool {
 		pw := &pool[w]
 		pw.e = e
-		lo, hi := pw.probeRow(&rows[ri], &probe, &j.On, jp.BuildSide)
-		if spans != nil {
-			spans[ri] = pairSpan{worker: w, lo: lo, hi: hi}
+		for ri := i * run; ri < min((i+1)*run, len(rows)); ri++ {
+			lo, hi := pw.probeRow(&rows[ri], &probe, &j.On, jp.BuildSide)
+			if spans != nil {
+				spans[ri] = pairSpan{worker: w, lo: lo, hi: hi}
+			}
 		}
 		return true
 	})

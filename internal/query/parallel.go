@@ -6,17 +6,18 @@
 // stage preserves one invariant: the result is byte-identical — order
 // included — at any worker count. The techniques are:
 //
-//   - candidate resolution sorts refs into the canonical output order first,
-//     splits them into contiguous chunks at trajectory-group boundaries
-//     (duplicate postings stay adjacent inside one chunk, and each
+//   - candidate resolution sorts the candidate keys — canonical rank above
+//     position, integers only — into the canonical output order first,
+//     splits them into contiguous chunks at rank boundaries (each
 //     trajectory's batch resolves under one stripe lock), resolves chunks
 //     concurrently and concatenates the per-chunk outputs in chunk order;
 //   - full scans fan out over the store's own lock stripes and the cold
 //     segments, reading each tuple once through one cut (store.Cut), and
 //     the caller sorts the concatenation by the unique canonical key, so
 //     the merge order cannot matter;
-//   - join probes run one build row per item with per-worker pair buffers,
-//     re-assembled in build-row order before the final canonical sort;
+//   - join probes take runs of neighbouring build rows as items, with
+//     per-worker pair buffers re-assembled in build-row order before the
+//     final canonical sort;
 //   - aggregation folds per-worker partial group maps whose merge is a sum
 //     of integers and a union of sets — exact and order-independent — both
 //     over collected rows and, for a grouped statement, inside the access
@@ -45,7 +46,8 @@ const DefaultSerialThreshold = 64
 type Options struct {
 	// Parallelism caps the worker pool of every parallel stage: scans,
 	// candidate resolution, join probing and aggregation. Values below 1
-	// mean runtime.GOMAXPROCS(0); 1 forces serial execution.
+	// mean runtime.GOMAXPROCS(0); 1 forces serial execution. No stage
+	// starts more goroutines than GOMAXPROCS, whatever the cap.
 	Parallelism int
 }
 
@@ -94,8 +96,11 @@ func (e *Engine) workersFor(n, maxWorkers int) int {
 // (0 ≤ w < workers) names the worker, so a task can keep per-worker state
 // without locks. A task that returns false stops further hand-out (items
 // already running finish). Worker 0 is the calling goroutine, so with one
-// worker every item runs inline, in order, and no goroutine starts.
+// worker every item runs inline, in order, and no goroutine starts. It
+// starts no more workers than GOMAXPROCS: more cannot run at once, and
+// starting and waking them costs more than a short stage's items.
 func fanOut(workers, n int, task func(w, i int) bool) {
+	workers = min(workers, runtime.GOMAXPROCS(0))
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n && task(0, i); i++ {
 		}
@@ -126,12 +131,14 @@ func fanOut(workers, n int, task func(w, i int) bool) {
 	wg.Wait()
 }
 
-// scratch is the pooled per-execution working set: the candidate ref buffer,
-// the per-trajectory index batch and the resolution result buffers. One
-// scratch serves one goroutine at a time; the pool keeps steady-state query
-// execution allocation-free on the gather/resolve path.
+// scratch is the pooled per-execution working set: the candidate key buffer
+// and the table snapshot it was keyed by, the per-trajectory index batch and
+// the resolution result buffers. One scratch serves one goroutine at a time;
+// the pool keeps steady-state query execution allocation-free on the
+// gather/resolve path.
 type scratch struct {
-	refs    []store.TupleRef
+	keys    []uint64
+	view    stView
 	indexes []int
 	tuples  []core.EpisodeTuple
 	ok      []bool
@@ -143,23 +150,21 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
-// chunkBounds splits sorted refs into at most `chunks` contiguous ranges,
-// never splitting a (trajectory, interpretation) group: bounds[i]:bounds[i+1]
-// is chunk i. Group integrity is what keeps parallel resolution identical to
-// serial — duplicate postings (adjacent equals) dedup inside one chunk, and
-// each trajectory batch still resolves under a single stripe lock.
-func chunkBounds(refs []store.TupleRef, chunks int) []int {
-	target := (len(refs) + chunks - 1) / chunks
+// chunkBounds splits sorted candidate keys into at most `chunks` contiguous
+// ranges, never splitting the keys of one rank — one structured trajectory:
+// bounds[i]:bounds[i+1] is chunk i. Group integrity is what keeps parallel
+// resolution identical to serial: each trajectory batch still resolves
+// under a single stripe lock, and its row's clauses are checked once.
+func chunkBounds(keys []uint64, chunks int) []int {
+	target := (len(keys) + chunks - 1) / chunks
 	bounds := make([]int, 1, chunks+1)
-	for pos := 0; pos < len(refs); {
+	for pos := 0; pos < len(keys); {
 		end := pos + target
-		if end >= len(refs) {
-			bounds = append(bounds, len(refs))
+		if end >= len(keys) {
+			bounds = append(bounds, len(keys))
 			break
 		}
-		for end < len(refs) &&
-			refs[end].TrajectoryID == refs[end-1].TrajectoryID &&
-			refs[end].Interpretation == refs[end-1].Interpretation {
+		for end < len(keys) && keys[end]>>32 == keys[end-1]>>32 {
 			end++
 		}
 		bounds = append(bounds, end)
@@ -168,16 +173,16 @@ func chunkBounds(refs []store.TupleRef, chunks int) []int {
 	return bounds
 }
 
-// resolveParallel fans sorted candidate refs out over the workers and puts
-// the verified rows into s in the exact order serial resolution would
-// produce: chunks are contiguous ranges of the sorted refs, each chunk's
+// resolveParallel fans sorted candidate keys of v out over the workers and
+// puts the verified rows into s in the exact order serial resolution would
+// produce: chunks are contiguous ranges of the sorted keys, each chunk's
 // sink is internally ordered, and the sinks merge in chunk order. With a
 // limit, each chunk resolves at most limit matches, and a worker that
 // completes a chunk checks whether the complete prefix of chunks already
 // covers the limit — if so it raises stop, and the chunks still resolving
 // (whose output the merge would discard) are abandoned mid-flight.
-func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, s *sink, workers int) {
-	bounds := chunkBounds(refs, workers)
+func (e *Engine) resolveParallel(f *form, keys []uint64, v *stView, s *sink, workers int) {
+	bounds := chunkBounds(keys, workers)
 	n := len(bounds) - 1
 	outs := make([]*sink, n)
 	var (
@@ -190,7 +195,7 @@ func (e *Engine) resolveParallel(f *form, refs []store.TupleRef, s *sink, worker
 	fanOut(workers, n, func(_, ci int) bool {
 		sc := getScratch()
 		outs[ci] = s.sibling()
-		e.resolveChunk(f, refs[bounds[ci]:bounds[ci+1]], outs[ci], sc, &stop)
+		e.resolveChunk(f, keys[bounds[ci]:bounds[ci+1]], v, outs[ci], sc, &stop)
 		putScratch(sc)
 		if f.limit <= 0 {
 			return true

@@ -276,23 +276,23 @@ func TestParallelismOneFoldsSerially(t *testing.T) {
 }
 
 // TestChunkBounds pins the chunking invariants parallel resolution relies
-// on: bounds cover the refs exactly, chunks are non-empty, and no
-// (trajectory, interpretation) group ever splits across a boundary.
+// on: bounds cover the keys exactly, chunks are non-empty, and no rank —
+// one structured trajectory's keys — ever splits across a boundary.
 func TestChunkBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
-		var refs []store.TupleRef
+		var keys []uint64
 		groups := 1 + rng.Intn(12)
 		for g := 0; g < groups; g++ {
-			id := fmt.Sprintf("T%03d", g)
+			rank := uint64(g*3 + rng.Intn(3))
 			for i := 0; i < 1+rng.Intn(9); i++ {
-				refs = append(refs, store.TupleRef{TrajectoryID: id, Interpretation: "merged", Index: i})
+				keys = append(keys, rank<<32|uint64(i))
 			}
 		}
 		chunks := 1 + rng.Intn(8)
-		bounds := chunkBounds(refs, chunks)
-		if bounds[0] != 0 || bounds[len(bounds)-1] != len(refs) {
-			t.Fatalf("bounds %v do not cover %d refs", bounds, len(refs))
+		bounds := chunkBounds(keys, chunks)
+		if bounds[0] != 0 || bounds[len(bounds)-1] != len(keys) {
+			t.Fatalf("bounds %v do not cover %d keys", bounds, len(keys))
 		}
 		if len(bounds)-1 > chunks {
 			t.Fatalf("%d chunks produced, cap was %d", len(bounds)-1, chunks)
@@ -301,8 +301,8 @@ func TestChunkBounds(t *testing.T) {
 			if bounds[i] <= bounds[i-1] {
 				t.Fatalf("empty or inverted chunk in %v", bounds)
 			}
-			if b := bounds[i]; b < len(refs) && refs[b].TrajectoryID == refs[b-1].TrajectoryID {
-				t.Fatalf("boundary %d splits trajectory %s", b, refs[b].TrajectoryID)
+			if b := bounds[i]; b < len(keys) && keys[b]>>32 == keys[b-1]>>32 {
+				t.Fatalf("boundary %d splits rank %d", b, keys[b]>>32)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"semitri/internal/core"
 	"semitri/internal/episode"
 	"semitri/internal/geo"
+	"semitri/internal/obs"
 	"semitri/internal/poi"
 	"semitri/internal/query"
 	"semitri/internal/store"
@@ -82,7 +83,9 @@ func scanBaseline(st *store.Store, q query.Query) int {
 }
 
 // runQueryBench measures one query shape indexed and scanned, asserting
-// both executions agree on the result count.
+// both executions agree on the result count. The indexed run also reports
+// candidates/op, the candidates its gathers nominate per statement
+// (obs.QueryCandidates): counted work, which no machine changes.
 func runQueryBench(b *testing.B, queries []query.Query) {
 	engine, st := queryBenchSetup(b)
 	indexedHits, scanHits := 0, 0
@@ -99,11 +102,13 @@ func runQueryBench(b *testing.B, queries []query.Query) {
 	}
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
+		candidates := obs.QueryCandidates.Value()
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.Execute(queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(obs.QueryCandidates.Value()-candidates)/float64(b.N), "candidates/op")
 	})
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
