@@ -29,8 +29,12 @@ test-nommap:
 # (queries racing live ingestion — including the parallel executor, forced
 # on via QueryParallelism in the relational ingest test), the parallel
 # determinism property tests, the durability parity suite (checkpoints
-# racing concurrent WAL-logged ingestion) and the segment tier's freeze
-# racing keyed cold reads.
+# racing concurrent WAL-logged ingestion), the segment tier's freeze
+# racing keyed cold reads (TestFreezeRacesKeyedReads) and freezes racing
+# full scans, which read each key's frozen prefix by key like the keyed
+# reads: TestTieredFreezeQueryRace (every racing scan reads each key's
+# positions [0, n), no gap, no repeat) and TestScanBetweenWriteAndCommit
+# (a scan between a freeze's write and its commit).
 race:
 	$(GO) test -race -count=1 -run 'TestBatchStreamParity|TestFanIn|TestConcurrent|TestStream|TestQuery|TestDurable' .
 	$(GO) test -race -count=1 ./internal/store/ ./internal/query/ ./internal/wal/ ./internal/segment/
@@ -61,17 +65,21 @@ race:
 # FuzzRecoverFooter: recovery of a directory whose second segment keeps its
 # data frames (every op, merges included, strings indexing the written
 # dictionary) under arbitrary column frames and an arbitrary footer returns
-# an error or a store whose reads of every listed key, keyed and scan,
-# full and projected, never panic.
+# an error or a store whose reads of every listed key never panic: the
+# point reads and the scans, full and projected, which read each key's
+# frozen prefix through its runs like the point reads.
 # FuzzReadCSV: every record the GPS CSV reader yields has finite coordinates
 # and round-trips through WriteCSV and ReadCSV unchanged.
 # FuzzParse: the lexer makes the tokens and errors of a reference rune
 # lexer, at the same rune offsets, and a statement of the query language
 # that parses runs on an empty engine without an error.
 # FuzzQueryForm: a query's normal form agrees with the documented query
-# semantics: its tuple check with a reference evaluation, the segment check
-# and every access path never drop an admitted tuple, and the conjunction
-# of two forms (and of a form with a join row's pins) is exact.
+# semantics: its tuple check with a reference evaluation, the cold scan's
+# run skip (the kind and time clauses asked of a run's stops, moves and
+# span, folded as wal.Span folds them) and every access path never drop an
+# admitted tuple, and the conjunction of two forms (and of a form with a
+# join row's pins) is exact. There is no segment check: no summary of a
+# segment as a whole exists.
 # Every target bounds the minimisation of each new input to 1s: Go's
 # default budget is 60s, during which the target runs no new inputs at all.
 FUZZTIME ?= 10s

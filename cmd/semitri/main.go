@@ -14,8 +14,8 @@
 //
 // With -trace a relational statement (the internal/query/lang grammar) runs
 // against the freshly ingested store and its EXPLAIN ANALYZE trace is
-// printed: the chosen access path, per-stage wall times, rows in/out,
-// candidates examined and any segment-prune decisions.
+// printed: the chosen access path, per-stage wall times, rows in/out and
+// candidates examined.
 //
 // With -data-dir the run is durable: every store mutation is written ahead
 // to a group-committed log in the directory while the pipeline runs, and a

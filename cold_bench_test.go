@@ -15,7 +15,8 @@ import (
 // mmap'd segments. One op runs a time-window scan, a top-K group-by and the
 // co-location join through the query language. runs_decoded/op is the
 // segment data frames the op decoded (obs.SegmentColdReads): a full scan
-// decodes the runs of the segments its footers do not prune, and a keyed
+// decodes each key's runs whose directory entries its kind and time
+// clauses do not refute, and a keyed
 // resolve only the runs that hold the positions it asks for.
 // column_frames/op is the column frames the op read
 // (obs.SegmentColumnReads): a grouped scan reads a run's column frame

@@ -167,9 +167,6 @@ var (
 		"Bytes of the data frames decoded from frozen segments (mmap-touch proxy).")
 	SegmentColumnReads = NewCounter("semitri_segment_column_reads_total",
 		"Column frames read from frozen segments by projected scans.")
-	// Per-rule segment prune counters, indexed by the rule names the pruner
-	// reports in traces.
-	SegmentPruned = map[string]*Counter{}
 )
 
 // Live observability pipeline (internal/obs event bus + internal/query
@@ -218,25 +215,5 @@ func HealthReasonCounter(reason string) *Counter {
 		return HealthReasonCheckpoint
 	default:
 		return HealthReasonOther
-	}
-}
-
-// PruneRules lists the rules the query engine's segment check can refute a
-// segment's summary on, in the order they are evaluated. Exported so traces
-// and metrics agree on names.
-var PruneRules = []string{"interpretation", "kind", "time-span"}
-
-func init() {
-	for _, rule := range PruneRules {
-		SegmentPruned[rule] = NewCounter("semitri_segment_pruned_total",
-			"Whole segments pruned off their summaries, by refuting rule.",
-			"rule", rule)
-	}
-}
-
-// SegmentPrunedBy bumps the prune counter for rule, tolerating unknown names.
-func SegmentPrunedBy(rule string) {
-	if c, ok := SegmentPruned[rule]; ok {
-		c.Inc()
 	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // groupedAllocSlack is what a grouped statement may allocate beyond one
-// allocation per group: the plan, the cut's and the fold's maps, the
-// per-worker visitors and the ranked result, none of which grows with the
-// tuples a run holds or the segments the scan visits.
+// allocation per group: the plan, the fold's maps, the per-worker visitors
+// and the ranked result, none of which grows with the tuples a run holds,
+// the keys a stripe holds or the segments they are frozen in.
 const groupedAllocSlack = 40
 
 // TestGroupedScanAllocations is a work gate that does not depend on the

@@ -603,9 +603,9 @@ func (s *sink) truncate(base, limit int) {
 // sort. f must not escape — callers may reuse it.
 // maxWorkers further caps the engine's parallelism for this execution; join
 // probes pass 1 so the per-row fan-out (already parallel across rows) never
-// nests goroutine pools. tr, when non-nil, collects per-stage timings and
-// segment-prune decisions; probe hot paths pass nil, so tracing costs them
-// nothing but the nil checks.
+// nests goroutine pools. tr, when non-nil, collects per-stage timings;
+// probe hot paths pass nil, so tracing costs them nothing but the nil
+// checks.
 func (e *Engine) executeBuf(f *form, path Path, s *sink, maxWorkers int, tr *Trace) {
 	var t0 time.Time
 	if tr != nil {
@@ -641,12 +641,12 @@ func (e *Engine) executeBuf(f *form, path Path, s *sink, maxWorkers int, tr *Tra
 		return
 	case PathScan:
 		// The scan's cut reads every ref once (see scan), so a fold is done
-		// when the scan is. Stripe and segment order is not canonical, so
+		// when the scan is. Stripe order is not canonical, so
 		// collected matches are sorted; the comparator is a total order on
 		// the unique ref key, so the unit interleaving of a parallel scan
 		// cannot show.
 		rows, base := s.rows, len(s.out)
-		e.scan(f, s, maxWorkers, tr)
+		e.scan(f, s, maxWorkers)
 		obs.QueryCandidates.Add(e.total.Load())
 		tr.addCandidates(int(e.total.Load()))
 		tr.stage("scan", t0, s.rows-rows)

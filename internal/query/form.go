@@ -13,27 +13,28 @@ import (
 // form is a Query compiled into its normal form: a conjunction of clauses,
 // each a set membership or a half-bound, so that and — the conjunction of
 // two forms — works clause by clause and is exact. It is the one reading of
-// a query: the tuple check (admits) is exact, and the segment check
-// (summaryAdmits), the planner and the index gathers only ever
-// over-approximate it, since every candidate they let through ends at the
-// tuple check. Per clause, its meaning on a tuple t stored at ref, and why
-// the segment check and the gathers keep every tuple it admits:
+// a query: the tuple check (admits) is exact, and the cold scan's run skip
+// (admitsSpan asked of a run's directory entry), the planner and the index
+// gathers only ever over-approximate it, since every candidate they let
+// through ends at the tuple check. Per clause, its meaning on a tuple t
+// stored at ref, and why the run skip and the gathers keep every tuple it
+// admits:
 //
-//   - interp, object, traj: ref's fields equal them ("" admits any). A
-//     segment's summary counts tuples per interpretation; every gather
-//     reads interp's postings, and the trajectory and object-time paths
-//     read all of traj's or object's.
+//   - interp, object, traj: ref's fields equal them ("" admits any). A scan
+//     reads only the keys of interp; every gather reads interp's postings,
+//     and the trajectory and object-time paths read all of traj's or
+//     object's.
 //   - kinds: t.Kind is in the set, one bit per kind; kinds other than Move
 //     and Stop, which the pipeline never stores, share one bit. The empty
-//     set is the form's false. A summary counts its stops and moves, time
-//     postings carry the kind, and the spatial index is split by it.
+//     set is the form's false. A run's entry counts its stops and moves,
+//     time postings carry the kind, and the spatial index is split by it.
 //   - lo, hi: t.TimeOut ≥ lo and t.TimeIn ≤ hi, open sides at the extreme
-//     stamps; lo > hi admits the tuples spanning the gap. A summary's
-//     TimeMin is its least TimeIn and TimeMax its greatest TimeOut, and the
-//     kind and time clauses are monotone in the times (admitsSpan is a
+//     stamps; lo > hi admits the tuples spanning the gap. A run's entry
+//     holds its least TimeIn and greatest TimeOut, and the kind and time
+//     clauses are monotone in the times (admitsSpan is a
 //     store.TupleFilter), so asking them of the span per kind held refutes
-//     only segments holding no admitted tuple; object postings are sorted
-//     by TimeIn and carry TimeOut.
+//     only runs holding no admitted tuple; object postings are sorted by
+//     TimeIn and carry TimeOut.
 //   - anns: t's annotation key has value ("" asks that t lack the key); the
 //     inverted index lists every tuple with a non-empty (key, value).
 //   - rects, discs: t has an episode whose Bounds meets every rect and
@@ -172,33 +173,11 @@ func (f *form) admitsTuple(tp *core.EpisodeTuple) bool {
 	return true
 }
 
-// admitsKind is the tuple check's kind clause, as a store.TupleFilter.
-func (f *form) admitsKind(kind episode.Kind, _, _ time.Time) bool {
-	return f.kinds&kindBit(kind) != 0
-}
-
 // admitsSpan is the tuple check's kind and time clauses: whether a tuple of
 // kind, entered at timeIn and left at timeOut, meets kinds, lo and hi. It is
-// also the store.TupleFilter a segment scan decodes with.
+// also the store.TupleFilter a cold scan decodes with and skips runs by.
 func (f *form) admitsSpan(kind episode.Kind, timeIn, timeOut time.Time) bool {
 	return f.kinds&kindBit(kind) != 0 && !stampOf(timeOut).before(f.lo) && !f.hi.before(stampOf(timeIn))
-}
-
-// summaryAdmits is the segment check: whether a segment whose summary is s
-// may hold a tuple f admits. When it may not, rule names the refuting rule
-// (one of obs.PruneRules). The kind and time rules ask s the question a
-// scan asks of each run (store.TupleFilter.MayHold), first of the kinds
-// alone.
-func (f *form) summaryAdmits(s *store.SegmentSummary) (ok bool, rule string) {
-	switch {
-	case f.interp != "" && s.Tuples[f.interp] == 0:
-		return false, "interpretation"
-	case !s.MayHold(f.admitsKind):
-		return false, "kind"
-	case !s.MayHold(f.admitsSpan):
-		return false, "time-span"
-	}
-	return true, ""
 }
 
 // spatial reports whether f has a spatial clause, and so a gather rectangle.

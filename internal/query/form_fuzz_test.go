@@ -8,6 +8,7 @@ import (
 	"semitri/internal/episode"
 	"semitri/internal/geo"
 	"semitri/internal/store"
+	"semitri/internal/wal"
 )
 
 // fuzzBytes decodes fuzz input into queries, tuples and join predicates;
@@ -116,33 +117,15 @@ func (r *fuzzBytes) joinOn() JoinOn {
 	return on
 }
 
-// summaryOf is a segment summary covering the tuples, built from the
-// documented meaning of its fields.
-func summaryOf(tuples []stored) store.SegmentSummary {
-	s := store.SegmentSummary{Tuples: map[string]int{}}
-	for i, t := range tuples {
-		s.Tuples[t.ref.Interpretation]++
-		if t.tp.Kind == episode.Stop {
-			s.Stops++
-		} else {
-			s.Moves++
-		}
-		if i == 0 || t.tp.TimeIn.Before(s.TimeMin) {
-			s.TimeMin = t.tp.TimeIn
-		}
-		if i == 0 || t.tp.TimeOut.After(s.TimeMax) {
-			s.TimeMax = t.tp.TimeOut
-		}
-	}
-	return s
-}
-
 // FuzzQueryForm checks the normal form against the documented query
 // semantics (bruteMatches, brutePair) on any query, pair of tuples and join
 // predicate the input decodes to:
 //   - a query compiles exactly when it is valid, and its tuple check agrees
 //     with bruteMatches;
-//   - the segment check never refutes a summary covering an admitted tuple;
+//   - the cold scan's run skip never refutes a run holding an admitted
+//     tuple: of each run of the tuples (each alone, and both), folded as a
+//     segment's run directory folds it (wal.Span), the kind and time
+//     clauses' MayHold holds whenever the run holds a tuple f admits;
 //   - every access path the planner can take returns exactly the admitted
 //     tuples, so no gather drops one;
 //   - the conjunction of two forms admits a tuple exactly when both do;
@@ -180,7 +163,6 @@ func FuzzQueryForm(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sum := summaryOf(tuples)
 		var want []store.TupleRef
 		for _, s := range tuples {
 			ok := fa.admits(s.ref, s.tp)
@@ -191,8 +173,19 @@ func FuzzQueryForm(f *testing.F) {
 				continue
 			}
 			want = append(want, s.ref)
-			if ok, rule := fa.summaryAdmits(&sum); !ok {
-				t.Fatalf("segment rule %s refutes a summary covering admitted %+v", rule, s.ref)
+		}
+		for _, run := range [][]stored{tuples[:1], tuples[1:], tuples} {
+			var span wal.Span
+			for i, s := range run {
+				span.Add(i, s.tp.Kind, s.tp.TimeIn, s.tp.TimeOut)
+			}
+			if store.TupleFilter(fa.admitsSpan).MayHold(span.Stops, len(run)-span.Stops, span.Min, span.Max) {
+				continue
+			}
+			for _, s := range run {
+				if fa.admits(s.ref, s.tp) {
+					t.Fatalf("the run skip refutes a run of span %+v holding admitted %+v", span, s.ref)
+				}
 			}
 		}
 

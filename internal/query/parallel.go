@@ -11,10 +11,10 @@
 //     splits them into contiguous chunks at rank boundaries (each
 //     trajectory's batch resolves under one stripe lock), resolves chunks
 //     concurrently and concatenates the per-chunk outputs in chunk order;
-//   - full scans fan out over the store's own lock stripes and the cold
-//     segments, reading each tuple once through one cut (store.Cut), and
-//     the caller sorts the concatenation by the unique canonical key, so
-//     the merge order cannot matter;
+//   - full scans fan out over the store's own lock stripes, reading each
+//     tuple once through one cut (store.Cut), and the caller sorts the
+//     concatenation by the unique canonical key, so the merge order cannot
+//     matter;
 //   - join probes take runs of neighbouring build rows as items, with
 //     per-worker pair buffers re-assembled in build-row order before the
 //     final canonical sort;
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"semitri/internal/core"
-	"semitri/internal/obs"
 	"semitri/internal/store"
 )
 
@@ -226,18 +225,17 @@ func (e *Engine) resolveParallel(f *form, keys []uint64, v *stView, s *sink, wor
 	s.truncate(base, f.limit)
 }
 
-// scan runs the full-scan path into s. It takes its cut of the store first
-// and captures the segment list after it (pruneSegments), so it reads every
-// tuple exactly once whatever a racing freeze does (store.Cut). The scan
-// units are the cut's lock stripes (the heap tails) plus the cold segments
-// whose summary survives pruning against the query; a segment
-// decodes only the tuples whose kind and times pass f (admitsSpan, the
-// tuple check's own clauses), and for a folding sink without a spatial
-// clause only the fields f's tuple check and the group key read, from the
-// runs' column frames (projection). Large scans visit the
+// scan runs the full-scan path into s. It takes one cut of the store and
+// reads every tuple through it exactly once, whatever a racing freeze does
+// (store.Cut). The scan units are the cut's lock stripes: each reads its
+// keys' frozen prefixes from their committed runs, decoding only the
+// tuples whose kind and times pass f (admitsSpan, the tuple check's own
+// clauses) and, for a folding sink without a spatial clause, only the
+// fields f's tuple check and the group key read, from the runs' column
+// frames (projection); then its keys' heap tails. Large scans visit the
 // units concurrently, each worker into a sink of its own; worker 0 puts
 // straight into s, so a serial scan is one pass into the caller's sink.
-func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
+func (e *Engine) scan(f *form, s *sink, maxWorkers int) {
 	sc := getScratch()
 	cut := &sc.cut
 	defer func() {
@@ -245,14 +243,12 @@ func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
 		putScratch(sc)
 	}()
 	e.st.TakeCut(f.interp, cut)
-	segs := e.pruneSegments(f, tr)
-	units := e.st.ShardCount() + len(segs)
+	units := e.st.ShardCount()
 	workers := min(e.workersFor(int(e.total.Load()), maxWorkers), units)
 	sinks := make([]*sink, workers)
 	sinks[0] = s
-	// One visitor per worker, and one segment visitor over it, built once:
-	// a visitor per unit would be heap-allocated closures per stripe and
-	// segment, on every scan.
+	// One visitor per worker, built once: a visitor per unit would be a
+	// heap-allocated closure per stripe, on every scan.
 	visits := make([]func(store.TupleRef, *core.EpisodeTuple) bool, workers)
 	for w := range visits {
 		if w > 0 {
@@ -270,19 +266,8 @@ func (e *Engine) scan(f *form, s *sink, maxWorkers int, tr *Trace) {
 	if s.agg != nil && !f.spatial() {
 		read.Project = projection(f, s.agg)
 	}
-	var segVisits []*store.SegmentVisitor
-	if len(segs) > 0 {
-		segVisits = make([]*store.SegmentVisitor, workers)
-		for w := range segVisits {
-			segVisits[w] = e.st.NewSegmentVisitor(cut, read, visits[w])
-		}
-	}
 	fanOut(workers, units, func(w, u int) bool {
-		if u < len(segs) {
-			segVisits[w].Visit(segs[u])
-		} else {
-			cut.VisitShard(u-len(segs), visits[w])
-		}
+		cut.VisitShard(u, read, visits[w])
 		return true
 	})
 	for _, o := range sinks[1:] {
@@ -305,29 +290,4 @@ func projection(f *form, a *Aggregate) *store.Projection {
 		p.AnnKeys = append(p.AnnKeys, a.AnnKey)
 	}
 	return p
-}
-
-// pruneSegments returns the indexes of the cold segments a scan of f must
-// visit: a segment is skipped only when the segment check proves no tuple
-// inside can match. Untiered stores return nil. Each prune bumps the
-// per-rule metric, and tr (when non-nil) records every decision for EXPLAIN
-// ANALYZE.
-func (e *Engine) pruneSegments(f *form, tr *Trace) []int {
-	sums := e.st.ColdSummaries(nil)
-	if len(sums) == 0 {
-		return nil
-	}
-	segs := make([]int, 0, len(sums))
-	for i := range sums {
-		ok, rule := f.summaryAdmits(&sums[i])
-		if ok {
-			segs = append(segs, i)
-		} else {
-			obs.SegmentPrunedBy(rule)
-		}
-		if tr != nil {
-			tr.Segments = append(tr.Segments, SegmentDecision{Segment: i, Pruned: !ok, Rule: rule})
-		}
-	}
-	return segs
 }

@@ -135,7 +135,7 @@ func TestTieredEngineMatchesHeap(t *testing.T) {
 }
 
 // TestTieredFilteredScanMatchesHeap checks the decode-time kind and time
-// filter of segment scans, and the ranged keyed resolve, against an all-heap
+// filter of cold scans, and the ranged keyed resolve, against an all-heap
 // store. The tiered store freezes five times, takes merges into frozen
 // positions (the overlay) and keeps a live heap tail; kind-only,
 // time-window and kind+time scans, whose window ends lie on, or a
@@ -247,9 +247,9 @@ func TestTieredFilteredScanMatchesHeap(t *testing.T) {
 }
 
 // TestTieredUntimedTupleNotPruned freezes an untimed stop followed by a stop
-// at t0 into one segment: the segment's time span must start at the zero
-// time, so a window ending before t0 still finds the untimed stop in the
-// frozen tier, as it does in the heap.
+// at t0 into one segment: the run's time span must start at the zero time,
+// so a window ending before t0 still finds the untimed stop in the frozen
+// tier, as it does in the heap.
 func TestTieredUntimedTupleNotPruned(t *testing.T) {
 	heap := store.New()
 	tiered, tier, _, err := segment.Recover(t.TempDir(), 4)
@@ -343,7 +343,10 @@ func TestTieredRecoveredEngineMatchesHeap(t *testing.T) {
 
 // TestTieredFreezeQueryRace runs ingestion, freezes and queries concurrently
 // (meant for -race): results must stay strictly ordered and duplicate-free
-// throughout, and after quiescence a full scan must equal brute force.
+// throughout; every full scan, at workers 1 and 4 in turn, must return of
+// each key exactly the positions [0, n) for some n, since the writer only
+// appends, so a freeze racing the scan can neither hide nor repeat a tuple;
+// and after quiescence a full scan must equal brute force.
 func TestTieredFreezeQueryRace(t *testing.T) {
 	st, tier, _, err := segment.Recover(t.TempDir(), 8)
 	if err != nil {
@@ -423,6 +426,32 @@ func TestTieredFreezeQueryRace(t *testing.T) {
 			}
 		}(int64(100 + g))
 	}
+	wg.Add(1)
+	go func() { // full scans, checked for gaps
+		defer wg.Done()
+		for w := 1; ; w = 5 - w {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.SetParallelism(w)
+			ms, err := e.Execute(Query{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			next := map[[2]string]int{}
+			for _, m := range ms {
+				k := [2]string{m.Ref.TrajectoryID, m.Ref.Interpretation}
+				if m.Ref.Index != next[k] {
+					t.Errorf("workers %d: a full scan read %v at position %d, want %d", w, k, m.Ref.Index, next[k])
+					return
+				}
+				next[k]++
+			}
+		}
+	}()
 	time.Sleep(250 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -591,7 +620,7 @@ func TestExecuteAggregateMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestTieredRunSkipMatchesHeap checks the segment scan's run skip — a run
+// TestTieredRunSkipMatchesHeap checks the cold scan's run skip — a run
 // whose directory kinds and span the form's kind and time clauses refuse is
 // not read — against an all-heap store. The tiered store freezes into
 // several segments, takes merges into frozen positions and a replace of a
@@ -686,7 +715,7 @@ func TestTieredRunSkipMatchesHeap(t *testing.T) {
 		if agg != nil {
 			s.agg, s.groups = agg, newGroups(agg)
 		}
-		e.scan(f, s, workers, nil)
+		e.scan(f, s, workers)
 		if agg != nil {
 			return agg.rank(s.groups)
 		}
@@ -901,7 +930,7 @@ func TestTieredProjectedScanMatchesHeap(t *testing.T) {
 	kinds := []kindSet{allKinds, stopKind, moveKind}
 	scan := func(e *Engine, f *form, a Aggregate, workers int) []Group {
 		s := &sink{agg: &a, groups: newGroups(&a)}
-		e.scan(f, s, workers, nil)
+		e.scan(f, s, workers)
 		return a.rank(s.groups)
 	}
 	heapEng := NewEngine(heap)
@@ -966,8 +995,8 @@ func overlaid(st *store.Store, tier *segment.Tier, all []stored) int {
 	return n
 }
 
-// TestObjectOrTrajectoryClauseNeverScans pins why the segment check has no
-// object or trajectory rule: a form with an object or trajectory clause
+// TestObjectOrTrajectoryClauseNeverScans pins why a cold scan skips runs by
+// no object or trajectory rule: a form with an object or trajectory clause
 // makes the object-time or trajectory path available with an estimate no
 // larger than the full scan's, and a tie goes to the index path, so no such
 // form is planned as a full scan — on an empty store, a heap store and a

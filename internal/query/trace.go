@@ -3,10 +3,8 @@ package query
 import "time"
 
 // Trace is the EXPLAIN ANALYZE record of one executed statement: the plan
-// that ran, per-stage wall time and row counts, the segment-prune decisions
-// the scan path took (with the segment rule that refuted each pruned
-// segment), and — for joins — the probe fan-out per worker and per access
-// path. Traced execution returns exactly what untraced execution returns;
+// that ran, per-stage wall time and row counts, and — for joins — the probe
+// fan-out per worker and per access path. Traced execution returns exactly what untraced execution returns;
 // the trace rides alongside. A nil *Trace threaded through the executor
 // disables collection, which is how the hot path stays trace-free.
 type Trace struct {
@@ -26,8 +24,9 @@ type Trace struct {
 	Returned   int `json:"returned"`
 	// Stages are the per-stage timings in execution order.
 	Stages []TraceStage `json:"stages"`
-	// Segments records, for scan-path execution over a tiered store, every
-	// cold segment's keep/prune decision.
+	// Segments is always empty: a scan reads frozen tuples by key and
+	// decides nothing per segment. It stays only for bench/ until ROADMAP
+	// item 4 step A.
 	Segments []SegmentDecision `json:"segments,omitempty"`
 	// Workers, WorkerProbes and ProbePaths describe a join's probe fan-out:
 	// pool size, probes handled per worker (parallel joins only), and probes
@@ -46,12 +45,10 @@ type TraceStage struct {
 	Rows int    `json:"rows"`
 }
 
-// SegmentDecision is one cold segment's prune decision: kept, or pruned with
-// the segment rule that refuted it (one of obs.PruneRules).
+// SegmentDecision is the element of Trace.Segments, which no execution
+// fills. It stays only for bench/ until ROADMAP item 4 step A.
 type SegmentDecision struct {
-	Segment int    `json:"segment"`
-	Pruned  bool   `json:"pruned"`
-	Rule    string `json:"rule,omitempty"`
+	Pruned bool `json:"pruned"`
 }
 
 // stage appends a timed stage. Safe on a nil receiver, so the executor can
@@ -81,8 +78,7 @@ func (e *Engine) ExecuteTraced(q Query) ([]Match, Plan, *Trace, error) {
 }
 
 // ExecuteJoinTraced is ExecuteJoinExplained plus a full execution trace: the
-// build side's sub-trace (segment prune decisions included), probe wall time
-// and the per-worker probe spread.
+// build side's sub-trace, probe wall time and the per-worker probe spread.
 func (e *Engine) ExecuteJoinTraced(j Join) ([]JoinMatch, JoinPlan, *Trace, error) {
 	tr := &Trace{Kind: "join"}
 	out, jp, err := e.executeJoin(j, tr)

@@ -20,8 +20,8 @@
 //
 // The fixed-size trailer makes the footer seekable in O(1): read the last 8
 // bytes, step back over the footer frame, parse it like any other frame. The
-// footer carries everything recovery and the query planner need without
-// decoding the body, at footer version 5:
+// footer carries everything recovery and a scan need without decoding the
+// body, at footer version 5:
 //
 //   - the string dictionary: every distinct string of the data frames, once.
 //     A data or column frame writes each of its strings — run header,
@@ -34,13 +34,12 @@
 //     greatest TimeOut), which lets a scan skip a run without reading its
 //     frame, and its column frame's offset.
 //
-// The planner's per-segment summary is not stored: Open folds it from the
-// directory's tuple runs (summarise), so a segment is pruned by the same
-// facts, at a coarser grain, that its runs are skipped by. Data frames
-// decode lazily, one run at a time; a grouped scan reads a tuple run's
-// column frame instead and never decodes its data frame. Footers at
-// version 4 (a stored summary) and earlier are refused like any other
-// version.
+// A tuple run's directory entry is the one pruning fact: no summary of a
+// segment as a whole is stored or derived, since a scan reads by key, not
+// by segment, and skips each run its entry refutes. Data frames decode
+// lazily, one run at a time; a grouped scan reads a tuple run's column
+// frame instead and never decodes its data frame. Footers at version 4 (a
+// stored summary) and earlier are refused like any other version.
 package segment
 
 import (
@@ -59,8 +58,7 @@ const (
 	trailerSize = 8
 	// footerVersion versions the footer payload independently of the file.
 	// Version 5 drops the stored planner summary (time span, counts,
-	// annotation keys, geometry bounds, object bloom filter), which Open
-	// derives from the run directory; version 4 added the tuple runs'
+	// annotation keys, geometry bounds, object bloom filter); version 4 added the tuple runs'
 	// column frames, version 3 the string dictionary the data frames index
 	// and the tuple runs' spans, version 2 wrote strings inline, version 1
 	// times as UnixNano, which wraps outside 1678–2262. Footers at another
@@ -124,29 +122,6 @@ func isTupleRun(op store.MutationOp) bool {
 // (see store.TupleFilter.MayHold).
 func (meta *RunMeta) mayHold(keep store.TupleFilter) bool {
 	return keep.MayHold(meta.Stops, meta.Count-meta.Stops, meta.TimeMin, meta.TimeMax)
-}
-
-// summarise folds a directory's tuple runs into the segment's summary, by
-// the rule of a run's span (wal.Span): the first tuple seeds the span and a
-// zero TimeIn is the least. A run of no tuples adds nothing to the span.
-func summarise(runs []RunMeta) store.SegmentSummary {
-	s := store.SegmentSummary{Tuples: map[string]int{}}
-	for i := range runs {
-		r := &runs[i]
-		if !isTupleRun(r.Op) || r.Count == 0 {
-			continue
-		}
-		if s.Stops+s.Moves == 0 || r.TimeMin.Before(s.TimeMin) {
-			s.TimeMin = r.TimeMin
-		}
-		if s.Stops+s.Moves == 0 || r.TimeMax.After(s.TimeMax) {
-			s.TimeMax = r.TimeMax
-		}
-		s.Tuples[r.Interp] += r.Count
-		s.Stops += r.Stops
-		s.Moves += r.Count - r.Stops
-	}
-	return s
 }
 
 // encodeFooter serialises a footer into its frame payload through the WAL

@@ -247,10 +247,12 @@ func FuzzRecoverFooter(f *testing.F) {
 		capture(st)
 		for seg := range tier.segs {
 			st.VisitColdSegmentTuples(seg, "", func(store.TupleRef, core.EpisodeTuple) bool { return true })
-			var c store.Cut
-			st.TakeCut("", &c)
-			read := store.TupleRead{Project: &store.Projection{Place: true, AnnKeys: []string{"landuse", "poi_category"}}}
-			st.NewSegmentVisitor(&c, read, func(store.TupleRef, *core.EpisodeTuple) bool { return true }).Visit(seg)
+		}
+		var c store.Cut
+		st.TakeCut("", &c)
+		read := store.TupleRead{Project: &store.Projection{Place: true, AnnKeys: []string{"landuse", "poi_category"}}}
+		for sh := 0; sh < st.ShardCount(); sh++ {
+			c.VisitShard(sh, read, func(store.TupleRef, *core.EpisodeTuple) bool { return true })
 		}
 	})
 }

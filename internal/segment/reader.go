@@ -22,19 +22,19 @@ type Reader struct {
 	path string
 	blob wal.Blob
 	foot *Footer
-	// sum is the segment's summary, folded from the directory at Open.
-	sum store.SegmentSummary
 }
 
 // cursor is the pooled per-call decode state: the pread frame buffer, the
-// positions a keyed read wants of a run, the memory column frames decode
-// into, and the frames read through it. Pooling keeps steady-state cold
-// reads allocation-lean — a projected scan reuses one run's tuples for the
-// next. It holds no string table: a segment's strings are its footer's
-// dictionary, shared by every decode of the segment.
+// positions a keyed read wants of a run, the run lists a scan visit reads,
+// the memory column frames decode into, and the frames read through it.
+// Pooling keeps steady-state cold reads allocation-lean — a projected scan
+// reuses one run's tuples for the next. It holds no string table: a
+// segment's strings are its footer's dictionary, shared by every decode of
+// the segment.
 type cursor struct {
 	buf  []byte
 	want []bool
+	runs [][]runRef
 	cols columns
 	// frames and bytes count the data frames decoded and their sizes, and
 	// colFrames the column frames read, since the cursor was taken.
@@ -57,6 +57,8 @@ func putCursor(c *cursor) {
 		obs.SegmentColumnReads.Add(c.colFrames)
 	}
 	c.frames, c.bytes, c.colFrames = 0, 0, 0
+	clear(c.runs) // a pooled cursor must not keep a run list alive
+	c.runs = c.runs[:0]
 	cursorPool.Put(c)
 }
 
@@ -159,7 +161,7 @@ func (r *Reader) validate() error {
 	if off != footOff {
 		return corruptf(r.path, "trailing bytes between frames and footer")
 	}
-	r.foot, r.sum = foot, summarise(foot.Runs)
+	r.foot = foot
 	return nil
 }
 

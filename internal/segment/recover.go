@@ -94,7 +94,7 @@ func Recover(dir string, shards int) (*store.Store, *Tier, RecoverStats, error) 
 	return st, t, stats, nil
 }
 
-// recommit re-commits one registered segment's runs, in emission order:
+// recommit re-commits one added segment's runs, in emission order:
 // indexRun on the tier, then RecoverRun on the store with the run's header
 // (a merge run with its decoded frame, and an episode run with its key's
 // frozen stop count, which the tier's runs give).

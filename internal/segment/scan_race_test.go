@@ -11,8 +11,8 @@ import (
 )
 
 // TestScanBetweenWriteAndCommit scans while a freeze stands between its two
-// halves: the segment is written and registered for scanning, but no run
-// of it has committed, so the heap still holds every tuple it copied. A
+// halves: the segment is written and open, but no run of it has committed,
+// so the heap still holds every tuple it copied. A
 // Match scan, the grouped statements and VisitStructuredTuples must read
 // each tuple exactly once — the heap's copy, since the cut's bases have not
 // moved — at workers 1 and 4, and equal an all-heap store that took the

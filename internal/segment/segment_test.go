@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -415,12 +414,12 @@ func overlaid(st *store.Store, tier *Tier, traj, interp string) []int {
 	return at
 }
 
-// TestFooterSummary pins the segment summary the tier derives from each
-// run directory: over two segments holding two interpretations, stops and
-// moves, and an untimed tuple, a segment's summary is the fold of the
-// tuples its runs hold, live and recovered alike, and a summary that
-// refutes a filter refutes no run that may hold an admitted tuple, nor
-// holds such a tuple.
+// TestFooterSummary pins what a tuple run's directory entry tells of the
+// run, the one pruning fact left: over two segments holding two
+// interpretations, stops and moves, and an untimed tuple, each tuple run's
+// entry counts its tuples and stops and holds their span (least TimeIn,
+// greatest TimeOut), live and recovered alike, and a run its entry refutes
+// under a filter holds no tuple the filter admits.
 func TestFooterSummary(t *testing.T) {
 	dir := t.TempDir()
 	st, tier := newTiered(t, dir, 4)
@@ -439,52 +438,47 @@ func TestFooterSummary(t *testing.T) {
 	if err := tier.Freeze(st); err != nil {
 		t.Fatal(err)
 	}
-	sums := st.ColdSummaries(nil)
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2", len(sums))
-	}
-	// tuples decodes every tuple run of segment seg.
-	tuples := func(seg int) map[*RunMeta][]*core.EpisodeTuple {
-		r := tier.segs[seg]
+	// runs decodes every tuple run of every segment of tr, checking that
+	// each entry is the fold of its run's tuples.
+	runs := func(label string, tr *Tier) map[*RunMeta][]*core.EpisodeTuple {
+		if len(tr.segs) != 2 {
+			t.Fatalf("%s: %d segments, want 2", label, len(tr.segs))
+		}
 		cur := getCursor()
 		defer putCursor(cur)
 		out := map[*RunMeta][]*core.EpisodeTuple{}
-		for i := range r.foot.Runs {
-			if meta := &r.foot.Runs[i]; isTupleRun(meta.Op) {
-				m, ok := tier.decode(r, meta, cur, nil, nil)
-				if !ok {
-					t.Fatalf("segment %d run %d does not decode", seg, i)
+		stops, moves, untimed := 0, 0, 0
+		for seg, r := range tr.segs {
+			for i := range r.foot.Runs {
+				meta := &r.foot.Runs[i]
+				if !isTupleRun(meta.Op) {
+					continue
 				}
+				m, ok := tr.decode(r, meta, cur, nil, nil)
+				if !ok {
+					t.Fatalf("%s: segment %d run %d does not decode", label, seg, i)
+				}
+				var want wal.Span
+				for j, tp := range m.Tuples {
+					want.Add(j, tp.Kind, tp.TimeIn, tp.TimeOut)
+					if tp.TimeIn.IsZero() {
+						untimed++
+					}
+				}
+				if got := (wal.Span{Stops: meta.Stops, Min: meta.TimeMin, Max: meta.TimeMax}); meta.Count != len(m.Tuples) || got != want {
+					t.Fatalf("%s: segment %d run %d entry counts %d tuples spanning %+v, its tuples are %d spanning %+v",
+						label, seg, i, meta.Count, got, len(m.Tuples), want)
+				}
+				stops, moves = stops+meta.Stops, moves+meta.Count-meta.Stops
 				out[meta] = m.Tuples
 			}
 		}
+		if stops == 0 || moves == 0 || untimed != 1 {
+			t.Fatalf("%s: the runs hold %d stops, %d moves and %d untimed tuples, want some, some and 1", label, stops, moves, untimed)
+		}
 		return out
 	}
-	for seg, counts := range []map[string]int{{"merged": 15, "line": 2}, {"merged": 2}} {
-		want := store.SegmentSummary{Tuples: map[string]int{}}
-		for meta, run := range tuples(seg) {
-			for _, tp := range run {
-				if want.Stops+want.Moves == 0 || tp.TimeIn.Before(want.TimeMin) {
-					want.TimeMin = tp.TimeIn
-				}
-				if want.Stops+want.Moves == 0 || tp.TimeOut.After(want.TimeMax) {
-					want.TimeMax = tp.TimeOut
-				}
-				if tp.Kind == episode.Stop {
-					want.Stops++
-				} else {
-					want.Moves++
-				}
-				want.Tuples[meta.Interp]++
-			}
-		}
-		if !reflect.DeepEqual(sums[seg], want) || !maps.Equal(want.Tuples, counts) || want.Stops == 0 || want.Moves == 0 {
-			t.Fatalf("segment %d summary %+v, want %+v counting %v, stops and moves", seg, sums[seg], want, counts)
-		}
-	}
-	if !sums[0].TimeMin.IsZero() {
-		t.Fatalf("segment 0 holds an untimed tuple but its summary starts at %v", sums[0].TimeMin)
-	}
+	live := runs("live", tier)
 
 	// Every kind set and window over the stamps at and around the tuples'
 	// times, the zero time included.
@@ -496,19 +490,14 @@ func TestFooterSummary(t *testing.T) {
 				keep := func(kind episode.Kind, in, out time.Time) bool {
 					return slices.Contains(kinds, kind) && !out.Before(lo) && !hi.Before(in)
 				}
-				for seg := range sums {
-					if sums[seg].MayHold(keep) {
+				for meta, run := range live {
+					if meta.mayHold(keep) {
 						continue
 					}
 					refuted++
-					for meta, run := range tuples(seg) {
-						if meta.mayHold(keep) {
-							t.Fatalf("segment %d refutes kinds %v in [%v, %v], its run %+v does not", seg, kinds, lo, hi, *meta)
-						}
-						for _, tp := range run {
-							if keep(tp.Kind, tp.TimeIn, tp.TimeOut) {
-								t.Fatalf("segment %d refutes kinds %v in [%v, %v] and holds %+v", seg, kinds, lo, hi, tp)
-							}
+					for _, tp := range run {
+						if keep(tp.Kind, tp.TimeIn, tp.TimeOut) {
+							t.Fatalf("run %+v refutes kinds %v in [%v, %v] and holds %+v", *meta, kinds, lo, hi, tp)
 						}
 					}
 				}
@@ -516,15 +505,22 @@ func TestFooterSummary(t *testing.T) {
 		}
 	}
 	if refuted == 0 {
-		t.Fatal("no filter refuted a segment")
+		t.Fatal("no filter refuted a run")
 	}
 
-	// Recovery derives the same summaries from the same directories.
+	// Recovery reads the same entries back.
+	var dirs [][]RunMeta
+	for _, r := range tier.segs {
+		dirs = append(dirs, r.foot.Runs)
+	}
 	tier.Close()
-	st2, tier2 := newTiered(t, dir, 4)
+	_, tier2 := newTiered(t, dir, 4)
 	defer tier2.Close()
-	if got := st2.ColdSummaries(nil); !reflect.DeepEqual(got, sums) {
-		t.Fatalf("recovered summaries %+v, want %+v", got, sums)
+	runs("recovered", tier2)
+	for seg, r := range tier2.segs {
+		if !reflect.DeepEqual(r.foot.Runs, dirs[seg]) {
+			t.Fatalf("segment %d recovered directory %+v, want %+v", seg, r.foot.Runs, dirs[seg])
+		}
 	}
 }
 

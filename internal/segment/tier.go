@@ -19,15 +19,13 @@ import (
 // implements store.ColdTier for serving and drives the freeze protocol that
 // grows the set.
 //
-// Two views exist per segment. The keyed runs (an object's records, a
-// trajectory's episodes, an interpretation's tuples → runs) back the
-// base-bounded point reads and only ever hold committed runs, so they can
-// never overshoot a key's frozen base. The per-segment scan lists back
-// full scans and are populated *before* CommitFreeze evicts the matching
-// heap prefixes — the register-before-evict contract. A scan reads a run
-// only below the frozen base of its key in the scan's cut (store.Cut), so
-// a run registered but not yet committed is read from the heap instead,
-// and a scan racing a freeze sees every tuple exactly once.
+// Every read goes through the keyed runs (an object's records, a
+// trajectory's episodes, an interpretation's tuples → runs), which only
+// ever hold committed runs: keyed reads and full scans alike read a key's
+// frozen prefix from them, bounded by the base their view of the key
+// holds (store.Cut). A run joins its key's runs in the same hold of the
+// key's stripe lock that moves the key's base over it, so a reader never
+// reads a position twice or misses one, whatever a racing freeze does.
 type Tier struct {
 	dir string
 
@@ -36,10 +34,6 @@ type Tier struct {
 
 	mu   sync.RWMutex
 	segs []*Reader // live segments, oldest first; append-only
-	// scan[i] lists the entry indexes of segment i's live tuple runs. A
-	// list is copy-on-write (see dropScan): a scan shares the list it read
-	// under the lock, and no write reaches it.
-	scan [][]int
 	// runs maps each frozen key to its committed runs, in position order.
 	runs map[tierKey][]runRef
 
@@ -94,17 +88,6 @@ func (t *Tier) SegmentCount() int {
 
 // ColdSegments implements store.ColdTier.
 func (t *Tier) ColdSegments() int { return t.SegmentCount() }
-
-// Summaries implements store.ColdTier: one summary per live segment, the
-// fold of its directory's tuple runs.
-func (t *Tier) Summaries(buf []store.SegmentSummary) []store.SegmentSummary {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.segs {
-		buf = append(buf, r.sum)
-	}
-	return buf
-}
 
 // BadRuns reports how many cold reads skipped a run whose frame does not
 // decode (see decode).
@@ -266,81 +249,71 @@ func (t *Tier) InvalidateTuples(trajectoryID, interpretation string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.runs, tierKey{table: store.MutPutStructured, key: trajectoryID, interp: interpretation})
-	// Drop the key's scan entries everywhere — including a pending run a
-	// freeze registered but has not committed yet (its commit will fail on
-	// the generation bump this replace made).
-	for seg := range t.scan {
-		t.dropScan(seg, func(ent int) bool {
-			meta := &t.segs[seg].foot.Runs[ent]
-			return meta.Traj == trajectoryID && meta.Interp == interpretation
-		})
-	}
 }
 
-// dropScan removes the entries drop selects from segment seg's scan list.
-// It builds a new list when it drops any, and never writes the old one,
-// which scans in flight share. Caller holds mu (write).
-func (t *Tier) dropScan(seg int, drop func(ent int) bool) {
-	if slices.ContainsFunc(t.scan[seg], drop) {
-		t.scan[seg] = slices.DeleteFunc(slices.Clone(t.scan[seg]), drop)
-	}
-}
-
-// VisitSegmentTuples implements store.ColdTier: the live frozen tuples of
-// one segment below each key's bound that read keeps, read lazily run by
-// run. A run whose directory entry shows it holds no tuple read.Keep admits
-// — Keep refuses the run's span for each kind the run holds — is skipped
-// unread: no frame read, no checksum, no bound asked, no decode. A
-// projected read takes each run it reads from its column frame alone and
-// builds a kept tuple's projected fields, into the cursor's memory, which
-// the next run reuses; the run's data frame is never decoded. A full read
-// decodes the data frame, reading each tuple's kind and times first and
-// skipping the rest of a tuple read.Keep refuses without building it. The
-// merge overlay, applied by the store after this visit, cannot make a
-// refused tuple match: a merge never changes a tuple's kind or times
-// (store.TupleFilter). The scan list is read under the read lock, shared
-// (it is copy-on-write), and the lock released before any decoding or
-// callback — fn may take stripe locks.
-func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.TupleRead, below func(traj, interp string) int, fn func(ref store.TupleRef, tp *core.EpisodeTuple) bool) bool {
-	t.mu.RLock()
-	if seg < 0 || seg >= len(t.segs) {
-		t.mu.RUnlock()
-		return true
-	}
-	r := t.segs[seg]
-	ents := t.scan[seg]
-	t.mu.RUnlock()
+// VisitTuples implements store.ColdTier. It reads every key's run list
+// under one hold of the read lock — a list is shared, never written (see
+// indexRun) — and releases the lock before any decoding or callback, since
+// fn may take stripe locks; one pooled cursor serves the whole visit. A run
+// whose directory entry shows it holds no tuple read.Keep admits — Keep
+// refuses the run's span for each kind the run holds — is skipped unread:
+// no frame read, no checksum, no decode. A projected read takes each run
+// it reads from its column frame alone and builds a kept tuple's projected
+// fields, into the cursor's memory, which the next run reuses; the run's
+// data frame is never decoded. A full read decodes the data frame, reading
+// each tuple's kind and times first and skipping the rest of a tuple
+// read.Keep refuses without building it. A kept tuple's overlay entry
+// stands in for it; the overlay cannot make a refused tuple match, since a
+// merge never changes a tuple's kind or times (store.TupleFilter).
+func (t *Tier) VisitTuples(keys []store.FrozenKey, read store.TupleRead, fn func(ref store.TupleRef, tp *core.EpisodeTuple) bool) bool {
 	cur := getCursor()
 	defer putCursor(cur)
-	for _, ent := range ents {
-		meta := &r.foot.Runs[ent]
-		if interpretation != "" && meta.Interp != interpretation || !meta.mayHold(read.Keep) {
-			continue
+	cur.runs = slices.Grow(cur.runs, len(keys))
+	t.mu.RLock()
+	segs := t.segs
+	for i := range keys {
+		var refs []runRef
+		if k := &keys[i]; k.Base > 0 {
+			refs = t.runs[tierKey{table: store.MutPutStructured, key: k.TrajectoryID, interp: k.Interpretation}]
 		}
-		n := below(meta.Traj, meta.Interp) - meta.Start
-		if n <= 0 {
-			continue
-		}
-		var tuples []*core.EpisodeTuple
-		var ok bool
-		if read.Project != nil {
-			tuples, ok = t.columns(r, meta, cur, read)
-		} else {
-			var m store.Mutation
-			m, ok = t.decode(r, meta, cur, read.Keep, nil)
-			tuples = m.Tuples
-		}
-		if !ok {
-			continue
-		}
-		for i, tp := range tuples[:min(n, len(tuples))] {
-			if tp == nil {
-				continue // refused by read.Keep
+		cur.runs = append(cur.runs, refs)
+	}
+	t.mu.RUnlock()
+	for i, refs := range cur.runs {
+		for _, rr := range refs {
+			r := segs[rr.seg]
+			meta := &r.foot.Runs[rr.ent]
+			n := keys[i].Base - meta.Start
+			if n <= 0 {
+				break // the key's runs come in position order
 			}
-			ref := store.TupleRef{TrajectoryID: meta.Traj, ObjectID: meta.Object,
-				Interpretation: meta.Interp, Index: meta.Start + i}
-			if !fn(ref, tp) {
-				return false
+			if !meta.mayHold(read.Keep) {
+				continue
+			}
+			var tuples []*core.EpisodeTuple
+			var ok bool
+			if read.Project != nil {
+				tuples, ok = t.columns(r, meta, cur, read)
+			} else {
+				var m store.Mutation
+				m, ok = t.decode(r, meta, cur, read.Keep, nil)
+				tuples = m.Tuples
+			}
+			if !ok {
+				continue
+			}
+			for j, tp := range tuples[:min(n, len(tuples))] {
+				if tp == nil {
+					continue // refused by read.Keep
+				}
+				ref := store.TupleRef{TrajectoryID: meta.Traj, ObjectID: meta.Object,
+					Interpretation: meta.Interp, Index: meta.Start + j}
+				if ov := keys[i].Overlay[ref.Index]; ov != nil {
+					tp = ov
+				}
+				if !fn(ref, tp) {
+					return false
+				}
 			}
 		}
 	}
@@ -348,12 +321,11 @@ func (t *Tier) VisitSegmentTuples(seg int, interpretation string, read store.Tup
 }
 
 // Freeze runs one freeze cycle: collect the store's heap tail into a new
-// segment file, make it durable, register its runs for scanning, then let
-// the store evict the captured prefixes, indexing each committed run for
-// keyed reads under the stripe lock that evicts it. An empty tail writes no
-// file. Registration happens before eviction (see the type comment); runs
-// whose key was written between collect and commit come back dead and are
-// dropped again.
+// segment file, make it durable and open it, then let the store evict the
+// captured prefixes, indexing each committed run for reads under the
+// stripe lock that evicts it (see the type comment). An empty tail writes
+// no file. Runs whose key was written between collect and commit come back
+// dead and are never indexed; the next freeze re-emits their keys.
 func (t *Tier) Freeze(st *store.Store) error {
 	t.freezeMu.Lock()
 	defer t.freezeMu.Unlock()
@@ -398,47 +370,36 @@ func (t *Tier) write(st *store.Store) (int, *store.FreezeMark, error) {
 
 // commit is a freeze's second half: the store evicts the prefixes mark
 // captured, the tier indexing each committed run under the stripe lock that
-// evicts it, and the runs that come back dead leave the scan list. Caller
-// holds freezeMu.
+// evicts it. Caller holds freezeMu.
 func (t *Tier) commit(st *store.Store, seg int, mark *store.FreezeMark) {
-	live := st.CommitFreeze(mark, func(ent int) {
+	st.CommitFreeze(mark, func(ent int) {
 		t.mu.Lock()
 		t.indexRun(runRef{seg: seg, ent: ent})
 		t.mu.Unlock()
 	})
-	t.mu.Lock()
-	t.dropScan(seg, func(ent int) bool { return !live[ent] })
-	t.mu.Unlock()
 	obs.SegmentFreezes.Inc()
 }
 
-// addSegment registers an open segment: it joins the live set and its tuple
-// runs join the scan list before any of them commits (see the type
-// comment). It returns the segment's index. Caller holds mu (write).
+// addSegment adds an open segment to the live set and returns its index.
+// Its runs join their keys' runs as they commit (indexRun). Caller holds mu
+// (write).
 func (t *Tier) addSegment(r *Reader) int {
-	var ents []int
-	for ent := range r.foot.Runs {
-		if isTupleRun(r.foot.Runs[ent].Op) {
-			ents = append(ents, ent)
-		}
-	}
 	t.segs = append(t.segs, r)
-	t.scan = append(t.scan, ents)
 	return len(t.segs) - 1
 }
 
 // indexRun is the tier's one rule for a run that joins the frozen state, on
 // a live freeze's commit and at recovery alike: the run joins its key's
-// committed runs, and the runs at or past its start leave them, and the
-// scan list, because the run supersedes them. A put run starts at 0 and
-// replaces the key's content; a positional run that starts below the key's
-// end re-emits a dead run, left by a freeze whose key was written between
-// collect and commit. On a live commit a positional run starts at the key's
-// end and supersedes nothing, and a put of tuples commits only after a
-// replace dropped the key's runs (InvalidateTuples); only a put of episodes
-// drops the runs of the episodes a replace superseded, none of them
-// scanned. A key's run list is shared with the readers that read it under
-// the lock (eachRun), so it is never written below its length: a run that
+// committed runs, and the runs at or past its start leave them, because the
+// run supersedes them. A put run starts at 0 and replaces the key's
+// content; a positional run that starts below the key's end re-emits a
+// dead run, left by a freeze whose key was written between collect and
+// commit. On a live commit a positional run starts at the key's end and
+// supersedes nothing, and a put of tuples commits only after a replace
+// dropped the key's runs (InvalidateTuples); only a put of episodes drops
+// the runs of the episodes a replace superseded. A key's run list is
+// shared with the readers that read it under the lock (eachRun,
+// VisitTuples), so it is never written below its length: a run that
 // supersedes none is appended past its end, and one that supersedes some
 // gets a new list. It returns the key's runs. Caller holds mu (write).
 func (t *Tier) indexRun(rr runRef) []runRef {
@@ -450,13 +411,6 @@ func (t *Tier) indexRun(rr runRef) []runRef {
 	runs := t.runs[k]
 	superseded := func(old runRef) bool { return t.meta(old).Start >= meta.Start }
 	if slices.ContainsFunc(runs, superseded) {
-		if isTupleRun(meta.Op) {
-			for _, old := range runs {
-				if superseded(old) {
-					t.dropScan(old.seg, func(ent int) bool { return ent == old.ent })
-				}
-			}
-		}
 		runs = slices.DeleteFunc(slices.Clone(runs), superseded)
 	}
 	t.runs[k] = append(runs, rr)
@@ -484,7 +438,6 @@ func (t *Tier) Close() error {
 		}
 	}
 	t.segs = nil
-	t.scan = nil
 	return first
 }
 

@@ -23,9 +23,9 @@
 //	GET /debug/trace         runtime/trace capture, ?seconds=N (WithProfiling)
 //
 // Every query endpoint accepts ?trace=1 and then carries a "trace" object in
-// the response: the EXPLAIN ANALYZE view of the request — per-stage wall
-// times, rows in/out, candidates examined, and (for scans over the segment
-// tier) every per-segment prune decision with the segment rule that fired.
+// the response: the EXPLAIN ANALYZE view of the request — the plan, per-stage
+// wall times, rows in/out and candidates examined (a scan reads frozen
+// tuples by key and reports no per-segment decision).
 //
 // Every endpoint answers compact one-line JSON, written once with its
 // Content-Length; errors answer {"error": ...} with a 4xx/5xx status (all

@@ -37,12 +37,14 @@ import (
 // ColdTier is the read side of the frozen half of a tiered store,
 // implemented by internal/segment. All methods must be safe for concurrent
 // use. The store calls Invalidate* while holding the key's stripe lock, so
-// implementations must not call back into the store from them; Visit
-// methods must not hold tier-internal locks across fn callbacks (fn may
-// take stripe locks). The keyed readers read a position only from the run
-// that holds it; when that run cannot be read, ColdTuplesAt leaves its
-// positions unresolved, and the appending readers stop there, so the i-th
-// element they append is always the one at position from+i.
+// implementations must not call back into the store from them;
+// VisitTuples must not hold tier-internal locks across fn callbacks (fn
+// may take stripe locks). Every reader reads a key's frozen positions from
+// the key's committed runs, bounded by the base its view holds, and a
+// position only from the run that holds it; when that run cannot be read,
+// ColdTuplesAt leaves its positions unresolved, VisitTuples skips them,
+// and the appending readers stop there, so the i-th element they append is
+// always the one at position from+i.
 type ColdTier interface {
 	// ColdRecords appends the frozen records of an object at positions
 	// [from, to), in position order, to buf.
@@ -57,30 +59,38 @@ type ColdTier interface {
 	// and 0 ≤ at[i] < base it sets tuples[i] to the tuple at position at[i]
 	// and ok[i] to true.
 	ColdTuplesAt(trajectoryID, interpretation string, at []int, base int, tuples []core.EpisodeTuple, ok []bool)
+	// VisitTuples calls fn, key by key and each key's in position order,
+	// for the frozen tuples of each key at positions [0, Base) that
+	// read.Keep admits, built as read.Project says, with their refs and
+	// the key's Overlay applied. A run that starts at or past its key's
+	// base is not decoded, nor is a run whose kinds and span read.Keep
+	// refuses (see TupleFilter); a projected read takes a run's tuples
+	// from its column frame and never decodes its data frame. It reports
+	// false when fn stopped the visit early.
+	VisitTuples(keys []FrozenKey, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool
 
 	// InvalidateTuples drops the live runs of (trajectory, interpretation):
-	// a whole-sequence replace superseded the frozen content, and segment
-	// scans must stop emitting it.
+	// a whole-sequence replace superseded the frozen content, and no read
+	// may return it.
 	InvalidateTuples(trajectoryID, interpretation string)
 
-	// ColdSegments reports the number of live segments; Summaries appends
-	// one summary per segment (indexed like VisitSegmentTuples's seg).
+	// ColdSegments reports the number of live segments.
 	ColdSegments() int
-	Summaries(buf []SegmentSummary) []SegmentSummary
-	// VisitSegmentTuples calls fn, run by run, for the live frozen tuples of
-	// one segment (every interpretation when interpretation is empty), with
-	// their logical refs. Before it decodes a run it asks below for the
-	// bound of the run's key, and reads only the run's positions under it:
-	// a run that starts at or above its bound is not decoded, nor is a run
-	// whose kinds and span read.Keep refuses (see TupleFilter), for which
-	// below is not asked. Of those it reads it calls fn for the tuples
-	// read.Keep admits, built as read.Project says: a projected read takes
-	// a run's tuples from its column frame and never decodes its data
-	// frame. It reports false when fn stopped the visit early.
-	VisitSegmentTuples(seg int, interpretation string, read TupleRead, below func(traj, interp string) int, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool
 }
 
-// TupleFilter is the part of a query's tuple check a segment scan applies
+// FrozenKey is one structured key's frozen prefix as a view of it saw it:
+// the positions [0, Base) of (TrajectoryID, Interpretation), which a scan
+// reads from the cold tier, and the merge overlay, whose merged tuples
+// stand in for the tier's at their positions. The overlay is never written
+// once published, and it cannot turn a tuple a TupleFilter refuses into
+// an admitted one.
+type FrozenKey struct {
+	TrajectoryID, Interpretation string
+	Base                         int
+	Overlay                      map[int]*core.EpisodeTuple
+}
+
+// TupleFilter is the part of a query's tuple check a cold scan applies
 // while it decodes: whether a tuple of kind, entered at timeIn and left at
 // timeOut, may match. A tuple it refuses is never built. The filter is
 // exact under the merge overlay, because a merge (EpisodeTuple.Merged)
@@ -107,7 +117,7 @@ func (keep TupleFilter) MayHold(stops, moves int, min, max time.Time) bool {
 		moves > 0 && keep(episode.Move, min, max)
 }
 
-// TupleRead is what a segment scan asks of the cold tier: the tuples to
+// TupleRead is what a cold scan asks of the cold tier: the tuples to
 // build (those Keep admits, every one when it is nil) and, of those, the
 // fields (Project's, every one when it is nil). The zero value is the full
 // read, which decodes each run's data frame; a projected read is served
@@ -129,29 +139,6 @@ type TupleRead struct {
 type Projection struct {
 	Place   bool
 	AnnKeys []string
-}
-
-// SegmentSummary is what a segment's run directory tells of its tuples as
-// a whole: enough to decide, without reading a frame, that no tuple inside
-// can match a query. The segment tier derives it from the directory's tuple
-// runs (their interpretations, counts, stop counts and spans), so it is the
-// union of what the runs tell and refutes a segment exactly when every one
-// of its runs is refuted.
-type SegmentSummary struct {
-	// Tuples counts tuples per interpretation.
-	Tuples map[string]int
-	// Stops and Moves count the segment's tuples by kind.
-	Stops, Moves int
-	// TimeMin is the least TimeIn and TimeMax the greatest TimeOut across
-	// the segment's tuples; a zero TimeIn is the least, so a segment holding
-	// untimed tuples is never pruned by an upper bound.
-	TimeMin, TimeMax time.Time
-}
-
-// MayHold reports whether the segment may hold a tuple keep admits (see
-// TupleFilter.MayHold).
-func (s *SegmentSummary) MayHold(keep TupleFilter) bool {
-	return keep.MayHold(s.Stops, s.Moves, s.TimeMin, s.TimeMax)
 }
 
 // coldHolder wraps the attached tier for the atomic pointer.
@@ -184,7 +171,9 @@ func (s *Store) InstallColdTier(ct ColdTier) error {
 }
 
 // ColdSegmentCount reports the attached tier's live segment count (0
-// untiered) — the extra scan units a parallel full scan fans out over.
+// untiered). It stays only for bench/ (with VisitColdSegmentTuples) until
+// ROADMAP item 4 step A moves the benchmark off it; no scan reads by
+// segment.
 func (s *Store) ColdSegmentCount() int {
 	ct := s.coldTier()
 	if ct == nil {
@@ -193,82 +182,27 @@ func (s *Store) ColdSegmentCount() int {
 	return ct.ColdSegments()
 }
 
-// ColdSummaries appends the attached tier's per-segment summaries to
-// buf, indexed like VisitColdSegmentTuples's seg.
-func (s *Store) ColdSummaries(buf []SegmentSummary) []SegmentSummary {
-	ct := s.coldTier()
-	if ct == nil {
-		return buf
-	}
-	return ct.Summaries(buf)
-}
-
-// VisitColdSegmentTuples calls fn for every frozen tuple of one cold
-// segment that a cut taken now reads from it, with the merge overlay
-// applied — the cold counterpart of Cut.VisitShard. It reports false
-// when fn stopped the visit early.
+// VisitColdSegmentTuples calls fn for the frozen tuples, merge overlay
+// applied, of the lock stripes seg, seg+n, seg+2n, … (n the segment count)
+// that a cut taken now reads from the cold tier, so that the calls for seg
+// = 0..ColdSegmentCount()-1 visit every frozen tuple of the interpretation
+// exactly once. Frozen tuples are read by key, not by segment: the
+// numbering only splits the visit. It stays only for bench/ until ROADMAP
+// item 4 step A. It reports false when fn stopped the visit early.
 func (s *Store) VisitColdSegmentTuples(seg int, interpretation string, fn func(ref TupleRef, t core.EpisodeTuple) bool) bool {
-	var c Cut
-	s.TakeCut(interpretation, &c)
-	return s.NewSegmentVisitor(&c, TupleRead{}, func(ref TupleRef, t *core.EpisodeTuple) bool {
-		return fn(ref, *t)
-	}).Visit(seg)
-}
-
-// SegmentVisitor visits cold segments through one cut, one segment per
-// Visit: a parallel scan's per-segment work unit. A worker builds one and
-// visits every segment it is handed with it, so a visit allocates nothing
-// of its own. It is not safe for concurrent use.
-type SegmentVisitor struct {
-	st   *Store
-	c    *Cut
-	read TupleRead
-	fn   func(ref TupleRef, t *core.EpisodeTuple) bool
-	// v is the cut's view of the key whose run the tier is visiting.
-	v *keyView
-	// below and overlay are the tier's callbacks, bound once.
-	below   func(traj, interp string) int
-	overlay func(ref TupleRef, t *core.EpisodeTuple) bool
-}
-
-// NewSegmentVisitor returns a visitor that calls fn for every tuple of a
-// cold segment that the cut reads from it (see Cut) and read keeps, built
-// as read projects it, with the overlay of the cut's view of its key
-// applied. The tier skips the tuples read refuses while decoding, and the
-// overlay cannot turn a refused tuple into an admitted one (see
-// TupleFilter). fn must not keep t past its return when read projects.
-func (s *Store) NewSegmentVisitor(c *Cut, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) *SegmentVisitor {
-	sv := &SegmentVisitor{st: s, c: c, read: read, fn: fn}
-	sv.below, sv.overlay = sv.base, sv.apply
-	return sv
-}
-
-// Visit visits cold segment seg. It reports false when fn stopped the
-// visit early.
-func (sv *SegmentVisitor) Visit(seg int) bool {
-	ct := sv.st.coldTier()
-	if ct == nil {
+	n := s.ColdSegmentCount()
+	if seg < 0 || seg >= n {
 		return true
 	}
-	return ct.VisitSegmentTuples(seg, sv.c.interp, sv.read, sv.below, sv.overlay)
-}
-
-// base is the cut's frozen base of a key, the bound the tier reads a run
-// under, and selects the key's view for apply.
-func (sv *SegmentVisitor) base(traj, interp string) int {
-	if sv.v = sv.c.find(tupKey{traj, interp}); sv.v == nil {
-		return 0
+	var c Cut
+	s.TakeCut(interpretation, &c)
+	visit := func(ref TupleRef, t *core.EpisodeTuple) bool { return fn(ref, *t) }
+	for sh := seg; sh < len(s.shards); sh += n {
+		if !c.visitFrozen(sh, TupleRead{}, visit) {
+			return false
+		}
 	}
-	return sv.v.base
-}
-
-// apply hands fn the tuple at ref, or the overlay's tuple that stands in
-// for it.
-func (sv *SegmentVisitor) apply(ref TupleRef, t *core.EpisodeTuple) bool {
-	if ov := sv.v.overlay[ref.Index]; ov != nil {
-		t = ov
-	}
-	return sv.fn(ref, t)
+	return true
 }
 
 // sortedTupleKeys returns a shard's structured keys in deterministic order.

@@ -179,78 +179,78 @@ func (sh *shard) appendViews(buf []keyView, interpretation string) []keyView {
 
 // Cut is one scan's exactly-once cut of the structured tuples of an
 // interpretation (every one when it is empty): a view of every key, taken
-// stripe by stripe before the scan captures the segment list. The scan
-// reads a key's positions at or above its view's base from the view's heap
-// tail (VisitShard), and those below it from the segments
-// (SegmentVisitor), with the view's overlay applied. A
-// freeze registers its segment before it commits any run of it, and a
-// key's base moves over a run only when the run commits: a view taken
-// before that commit reads the run's positions from its own tail, since in
-// the segment they lie at or above its base, and a view taken after it
-// finds the run's segment in the list the scan captures after the cut.
-// Either way every position is read once, so a freeze racing the scan can
-// neither hide a tuple nor show it twice. A key the cut does not hold had
-// no tuple when the cut was taken. TakeCut fills a cut, reusing its memory.
+// stripe by stripe. A scan reads each key by the keyed readers' rule
+// (appendFrozen): the positions below its view's base from the key's
+// committed runs in the cold tier, with the view's overlay applied, and
+// those at or above it from the view's heap tail. A key's base moves over
+// a run only when the run commits, and the tier lists the run among the
+// key's committed runs in the same hold of the key's stripe lock
+// (CommitFreeze): a run that commits after the view was taken starts at or
+// above its base, and its tuples are in the view's tail. So every position
+// is read once, and a freeze racing the scan can neither hide a tuple nor
+// show it twice. A key the cut does not hold had no tuple when the cut was
+// taken. TakeCut fills a cut, reusing its memory.
 type Cut struct {
-	interp string
-	views  []keyView
+	cold  ColdTier
+	views []keyView
+	// keys[i] is views[i]'s frozen prefix, on a tiered store.
+	keys []FrozenKey
 	// ends[i] is where stripe i's views end; they start at ends[i-1].
 	ends []int
-	// at indexes views by key for the segment visits, on a store with
-	// segments.
-	at map[tupKey]int32
 }
 
 // TakeCut fills c with a cut of the store's structured tuples of the
 // interpretation (every one when it is empty).
 func (s *Store) TakeCut(interpretation string, c *Cut) {
-	c.interp, c.views, c.ends = interpretation, c.views[:0], c.ends[:0]
+	c.cold, c.views, c.keys, c.ends = s.coldTier(), c.views[:0], c.keys[:0], c.ends[:0]
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		c.views = sh.appendViews(c.views, interpretation)
 		sh.mu.RUnlock()
 		c.ends = append(c.ends, len(c.views))
 	}
-	clear(c.at)
-	if s.ColdSegmentCount() == 0 {
+	if c.cold == nil {
 		return
 	}
-	if c.at == nil {
-		c.at = make(map[tupKey]int32, len(c.views))
-	}
+	c.keys = slices.Grow(c.keys, len(c.views))
 	for i := range c.views {
-		c.at[c.views[i].k] = int32(i)
+		v := &c.views[i]
+		c.keys = append(c.keys, FrozenKey{TrajectoryID: v.k.traj, Interpretation: v.k.interp, Base: v.base, Overlay: v.overlay})
 	}
 }
 
 // Clear drops the cut's views, keeping its memory for the next TakeCut, so
-// a pooled cut holds on to no heap tail or overlay between scans.
+// a pooled cut holds on to no heap tail, overlay or tier between scans.
 func (c *Cut) Clear() {
 	clear(c.views)
-	clear(c.at)
-	c.views = c.views[:0]
+	clear(c.keys)
+	c.cold, c.views, c.keys = nil, c.views[:0], c.keys[:0]
 }
 
-// find returns the cut's view of a key, or nil.
-func (c *Cut) find(k tupKey) *keyView {
-	if i, ok := c.at[k]; ok {
-		return &c.views[i]
-	}
-	return nil
-}
-
-// VisitShard calls fn for every heap tuple the cut holds in lock stripe
-// shard (0 ≤ shard < ShardCount): each key's tail, from its view's base
-// on. It reports false when fn stopped the visit early.
-func (c *Cut) VisitShard(shard int, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool {
+// stripe returns the bounds of lock stripe shard's views, empty for a
+// stripe the cut does not have.
+func (c *Cut) stripe(shard int) (lo, hi int) {
 	if shard < 0 || shard >= len(c.ends) {
-		return true
+		return 0, 0
 	}
-	lo := 0
 	if shard > 0 {
 		lo = c.ends[shard-1]
 	}
-	for i := range c.views[lo:c.ends[shard]] {
+	return lo, c.ends[shard]
+}
+
+// VisitShard calls fn for every tuple the cut holds in lock stripe shard (0
+// ≤ shard < ShardCount) that read keeps, key by key: the frozen prefix of
+// every key of the stripe, then their heap tails. The frozen tuples are
+// built as read projects them (fn must not keep one past its return when
+// read projects); read does not apply to the heap tails, whose tuples
+// exist already. It reports false when fn stopped the visit early.
+func (c *Cut) VisitShard(shard int, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool {
+	if !c.visitFrozen(shard, read, fn) {
+		return false
+	}
+	lo, hi := c.stripe(shard)
+	for i := range c.views[lo:hi] {
 		v := &c.views[lo+i]
 		for j, tp := range v.tail {
 			ref := TupleRef{TrajectoryID: v.k.traj, ObjectID: v.objectID, Interpretation: v.k.interp, Index: v.base + j}
@@ -260,6 +260,16 @@ func (c *Cut) VisitShard(shard int, fn func(ref TupleRef, t *core.EpisodeTuple) 
 		}
 	}
 	return true
+}
+
+// visitFrozen calls fn for the frozen tuples of stripe shard's keys that
+// read keeps, overlay applied, through one tier visit.
+func (c *Cut) visitFrozen(shard int, read TupleRead, fn func(ref TupleRef, t *core.EpisodeTuple) bool) bool {
+	lo, hi := c.stripe(shard)
+	if c.cold == nil || lo == hi {
+		return true
+	}
+	return c.cold.VisitTuples(c.keys[lo:hi], read, fn)
 }
 
 // view takes a key's view under its stripe's read lock.
@@ -451,10 +461,9 @@ func (s *Store) merge(trajectoryID, interpretation string, index int, place *cor
 
 // VisitStructuredTuples calls fn for every stored tuple of the given
 // interpretation (every interpretation when interpretation is empty), with
-// its ref, once each (see Cut). It is the engine's backfill scan and the
-// full-scan fallback of unindexable queries: on a tiered store the cold
-// segments are visited first (overlay applied), then each stripe's heap
-// tails, and fn runs with no lock held, so fn may query the store.
+// its ref, once each (see Cut). It is the engine's backfill scan: stripe by
+// stripe, each key's frozen prefix (overlay applied), then the stripe's
+// heap tails, and fn runs with no lock held, so fn may query the store.
 // Trajectories within a stripe come in map order; callers needing
 // determinism sort their results. The visit stops early when fn returns
 // false.
@@ -462,14 +471,8 @@ func (s *Store) VisitStructuredTuples(interpretation string, fn func(ref TupleRe
 	var c Cut
 	s.TakeCut(interpretation, &c)
 	visit := func(ref TupleRef, t *core.EpisodeTuple) bool { return fn(ref, *t) }
-	sv := s.NewSegmentVisitor(&c, TupleRead{}, visit)
-	for seg, n := 0, s.ColdSegmentCount(); seg < n; seg++ {
-		if !sv.Visit(seg) {
-			return
-		}
-	}
 	for sh := range s.shards {
-		if !c.VisitShard(sh, visit) {
+		if !c.VisitShard(sh, TupleRead{}, visit) {
 			return
 		}
 	}

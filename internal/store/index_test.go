@@ -245,7 +245,7 @@ func TestVisitShardTuples(t *testing.T) {
 	s.TakeCut("merged", &c)
 	sharded := map[TupleRef]int{}
 	for sh := 0; sh < s.ShardCount(); sh++ {
-		if !c.VisitShard(sh, func(ref TupleRef, _ *core.EpisodeTuple) bool {
+		if !c.VisitShard(sh, TupleRead{}, func(ref TupleRef, _ *core.EpisodeTuple) bool {
 			sharded[ref]++
 			return true
 		}) {
@@ -260,11 +260,11 @@ func TestVisitShardTuples(t *testing.T) {
 			t.Fatalf("ref %+v seen %d times across shards, want %d", ref, sharded[ref], n)
 		}
 	}
-	if c.VisitShard(-1, func(TupleRef, *core.EpisodeTuple) bool { return true }) != true {
+	if c.VisitShard(-1, TupleRead{}, func(TupleRef, *core.EpisodeTuple) bool { return true }) != true {
 		t.Fatal("out-of-range shard should be a complete (empty) visit")
 	}
 	stopped := 0
-	if c.VisitShard(0, func(TupleRef, *core.EpisodeTuple) bool {
+	if c.VisitShard(0, TupleRead{}, func(TupleRef, *core.EpisodeTuple) bool {
 		stopped++
 		return false
 	}) {

@@ -649,8 +649,9 @@ func (d *Decoder) tuples() []*core.EpisodeTuple {
 
 // Span is what a segment's run directory records of a tuple run beside its
 // count: how many of its tuples are stops, their least TimeIn and their
-// greatest TimeOut. A zero TimeIn is a time like any other, the least, as
-// in a segment's summary. The zero Span is that of a run of no tuples.
+// greatest TimeOut. A zero TimeIn is a time like any other, the least, so
+// a run holding an untimed tuple is never skipped by an upper bound. The
+// zero Span is that of a run of no tuples.
 type Span struct {
 	Stops    int
 	Min, Max time.Time
